@@ -34,8 +34,8 @@ from .groupattn import (
     AttentionParams,
     GroupMask,
     ViewFeatures,
+    attention,
     build_mask,
-    masked_self_attention,
     ref_point_cross_attention,
 )
 from .aggregation import GateParams, aggregate, gate_truncation
@@ -53,7 +53,7 @@ from .denoising import (
     DenoiseLayout,
     NoiseConfig,
     allocate_noise,
-    denoise_mask,
+    denoise_groups,
     make_noisy_anchors,
     restore_3d,
 )

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import MappingMatrix, scatter_mean
-from .groupattn import AttentionParams, masked_self_attention
+from .groupattn import AttentionParams, attention
 
 
-def _sigmoid(t: np.ndarray) -> np.ndarray:
+def sigmoid(t: np.ndarray) -> np.ndarray:
+    """Logistic function, evaluated without overflow for either sign."""
     out = np.empty_like(t)
     pos = t >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
@@ -82,7 +83,7 @@ def gate_values(q2d: np.ndarray, truncation: np.ndarray, params: GateParams) -> 
     indicator = truncation.astype(np.float64)[:, None]
     z = np.concatenate([q2d, indicator], axis=1)
     hidden = np.maximum(z @ params.w1 + params.b1, 0.0)
-    return _sigmoid(hidden @ params.w2 + params.b2)
+    return sigmoid(hidden @ params.w2 + params.b2)
 
 
 def gate_truncation(q2d: np.ndarray, truncation: np.ndarray, params: GateParams) -> np.ndarray:
@@ -106,6 +107,4 @@ def aggregate(
     if q3d.shape[0] != mapping.n_3d:
         raise ValueError(f"q3d must have {mapping.n_3d} rows, got {q3d.shape[0]}")
     fused = scatter_mean(mapping, q2d_gated)
-    pre = q3d + fused
-    mask = np.zeros((q3d.shape[0], q3d.shape[0]))
-    return masked_self_attention(pre, mask, self_attn_params)
+    return attention(q3d + fused, self_attn_params)

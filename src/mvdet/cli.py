@@ -25,14 +25,14 @@ from .decoder import DecoderConfig, HybridDecoder, PRESETS
 from .denoising import (
     NoiseConfig,
     allocate_noise,
-    denoise_mask,
+    denoise_groups,
     encode_anchor_features,
     gather_noise,
     make_noisy_anchors,
     restore_3d,
 )
 from .geometry import Box2D, CameraView, anchors_to_array, load_rig, make_surround_rig, save_rig
-from .groupattn import AttentionParams, GroupMask, build_mask, masked_self_attention
+from .groupattn import AttentionParams, GroupMask, attention
 from .metrics import (
     GtBox2D,
     MatchParams,
@@ -294,7 +294,7 @@ def cmd_denoise_demo(args) -> int:
     noisy, negative = make_noisy_anchors(gt_anchors, noise_cfg, seed=args.seed)
     layout = allocate_noise(scene.gt2d_assoc(), noisy, match_len=m)
     cams = GroupMask(match_alloc.mapping.camera_of_col)
-    mask = denoise_mask(layout, cams)
+    groups = denoise_groups(layout, cams)
 
     owner_anchors = anchors_to_array(gt_anchors)[match_alloc.mapping.rows]
     x_match = encode_anchor_features(owner_anchors, channels)
@@ -303,8 +303,8 @@ def cmd_denoise_demo(args) -> int:
     )[:, layout.kept_gt, :]
     x_noise = gather_noise(layout, group_feats)
     params = AttentionParams.seeded(channels, args.heads, np.random.default_rng(args.seed))
-    out_full = masked_self_attention(np.vstack([x_match, x_noise]), mask, params)
-    out_match_only = masked_self_attention(x_match, build_mask(cams), params)
+    out_full = attention(np.vstack([x_match, x_noise]), params, groups=groups)
+    out_match_only = attention(x_match, params, groups=cams)
     leakage_free = bool(np.array_equal(out_full[:m], out_match_only))
     restored = restore_3d(out_full[m:], layout)
 

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .aggregation import GateParams, aggregate, gate_truncation
+from .aggregation import GateParams, aggregate, gate_truncation, sigmoid
 from .allocation import AllocationLimits, MappingMatrix, allocate, clamp_anchors, gather_2d
 from .geometry import CameraView, anchors_to_array, project_view_points
 from .groupattn import (
@@ -24,13 +24,10 @@ from .groupattn import (
     CrossAttentionParams,
     GroupMask,
     ViewFeatures,
-    softmax_rows,
-    build_mask,
-    cross_attention,
-    masked_self_attention,
+    attention,
+    mix_scales,
     ref_point_cross_attention,
 )
-from ._kernels import bilinear_sample
 
 # Table-style layer arrangements: letter -> (l_2d, l_3d, l_hybrid); every
 # preset totals (l_2d + l_3d) * l_hybrid = 6 sub-layers.
@@ -260,15 +257,6 @@ def wrap_yaw(theta: np.ndarray) -> np.ndarray:
     return np.where(out == -np.pi, np.pi, out)
 
 
-def _sigmoid(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
 @dataclass
 class _Layer2DParams:
     temporal: AttentionParams
@@ -387,7 +375,6 @@ class HybridDecoder:
     ) -> np.ndarray:
         """Anchor centers sample every view they fall into; mean over views."""
         n = q3.shape[0]
-        weights = softmax_rows(params.scale_logits[None, :])[0]
         acc = np.zeros((n, params.w_proj.shape[0]))
         cnt = np.zeros(n)
         centers = anchors[:, 0:3]
@@ -403,16 +390,7 @@ class HybridDecoder:
             idx = np.flatnonzero(inb)
             if idx.size == 0:
                 continue
-            vf = features[view.view_id]
-            combined = np.zeros((idx.size, params.w_proj.shape[0]))
-            for s, fmap in enumerate(vf.maps):
-                hs, ws = fmap.shape[0], fmap.shape[1]
-                mx = uv[idx, 0] * (ws / vf.width) - 0.5
-                my = uv[idx, 1] * (hs / vf.height) - 0.5
-                combined = combined + weights[s] * bilinear_sample(
-                    fmap, np.stack([mx, my], axis=1)
-                )
-            acc[idx] += combined
+            acc[idx] += mix_scales(features[view.view_id], uv[idx], params)
             cnt[idx] += 1.0
         seen = cnt > 0
         acc[seen] = acc[seen] / cnt[seen, None]
@@ -442,14 +420,13 @@ class HybridDecoder:
         for li in range(cfg.l_hybrid):
             for p in self.layers_2d[li]:
                 if temporal is not None and temporal.n > 0:
-                    q3 = q3 + cross_attention(q3, temporal.features, p.temporal)
+                    q3 = q3 + attention(q3, p.temporal, kv=temporal.features)
                 anchors = clamp_anchors(anchors, cfg.limits)
                 alloc = allocate(anchors, self.rig, cfg.limits)
                 groups = GroupMask(alloc.mapping.camera_of_col)
-                mask = build_mask(groups)
                 q2 = gather_2d(alloc.mapping, q3)
                 if alloc.mapping.n_2d:
-                    q2 = q2 + masked_self_attention(q2, mask, p.self_attn)
+                    q2 = q2 + attention(q2, p.self_attn, groups=groups)
                     q2 = q2 + ref_point_cross_attention(
                         q2, alloc.ref_points, features, groups, p.cross
                     )
@@ -478,8 +455,8 @@ class HybridDecoder:
                 last_logits = logits
             for p in self.layers_3d[li]:
                 if temporal is not None and temporal.n > 0:
-                    q3 = q3 + cross_attention(q3, temporal.features, p.temporal)
-                q3 = q3 + cross_attention(q3, q3, p.self_attn)
+                    q3 = q3 + attention(q3, p.temporal, kv=temporal.features)
+                q3 = q3 + attention(q3, p.self_attn)
                 q3 = q3 + self._cross_attention_3d(q3, anchors, features, p.cross)
                 raw = p.head3d.apply(q3)
                 anchors = self._refine_anchors(anchors, raw[:, 0:7])
@@ -490,7 +467,7 @@ class HybridDecoder:
                 last_logits = logits
         scores = None
         if last_logits is not None:
-            scores = _sigmoid(last_logits.max(axis=1))
+            scores = sigmoid(last_logits.max(axis=1))
         updated = QuerySet(features=q3, anchors=anchors, scores=scores)
         return out, updated
 

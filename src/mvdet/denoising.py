@@ -3,7 +3,7 @@
 Noisy 3D anchors are perturbed copies of the ground-truth boxes, organized
 in groups.  Their 2D counterparts are allocated from the ground truth's own
 view associations (not by projecting the noisy anchors), grouped per camera
-for group attention, isolated from the match queries by the attention mask,
+for group attention, isolated from the match queries by their group ids,
 and averaged back into 3D noisy queries after the 2D sub-layer.
 """
 
@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import Anchor3D, Box2D
-from .groupattn import GroupMask, build_mask
+from .groupattn import GroupMask
 
 log = logging.getLogger(__name__)
 
@@ -203,13 +203,14 @@ def allocate_noise(
     )
 
 
-def denoise_mask(layout: DenoiseLayout, camera_groups: GroupMask) -> np.ndarray:
-    """Attention mask over [match | denoise groups] (see build_mask).
+def denoise_groups(layout: DenoiseLayout, camera_groups: GroupMask) -> GroupMask:
+    """Group ids over [match | denoise groups] for grouped attention.
 
     ``camera_groups`` covers the match part; noise columns carry their own
-    cameras in the layout.  A pair is allowed iff it shares the camera AND
-    the part; match<->denoise and denoise<->denoise pairs across groups are
-    blocked in both directions.
+    cameras in the layout.  Each id composes the camera with the part (0
+    for the match part, g + 1 for denoise group g), so two queries share an
+    id iff they share the camera AND the part; match<->denoise and
+    denoise<->denoise pairs across groups never do.
     """
     if camera_groups.size != layout.match_len:
         raise ValueError(
@@ -218,7 +219,10 @@ def denoise_mask(layout: DenoiseLayout, camera_groups: GroupMask) -> np.ndarray:
         )
     layout.validate()
     cams = np.concatenate([camera_groups.group_of, layout.col_view])
-    return build_mask(GroupMask(cams), layout)
+    if cams.size and cams.min() < 0:
+        raise ValueError("group id out of range")
+    n_cams = int(cams.max(initial=-1)) + 1
+    return GroupMask(layout.part_ids() * n_cams + cams)
 
 
 def gather_noise(layout: DenoiseLayout, group_features: np.ndarray) -> np.ndarray:

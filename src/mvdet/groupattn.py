@@ -1,11 +1,11 @@
-"""Query-group attention: camera-group masks and masked attention.
+"""Query-group attention and reference-point sampling.
 
-The additive mask keeps 2D queries of different camera groups (and, with
-denoising active, different denoise groups) from attending to each other.
-Masked self-attention is evaluated block by block over the mask's
-equivalence classes, so the output rows of one group depend only on that
-group's inputs -- perturbing or removing another group leaves them
-bit-identical.
+A group id per 2D query (its camera, composed with its denoise part when
+denoising is active) keeps queries of different groups from attending to
+each other.  Grouped attention is evaluated group by group, so the output
+rows of one group depend only on that group's inputs -- perturbing or
+removing another group leaves them bit-identical.  ``build_mask`` spells
+the same rule out as a dense additive mask for reference checks.
 """
 
 from __future__ import annotations
@@ -84,6 +84,8 @@ class ViewFeatures:
 def build_mask(groups: GroupMask, denoise=None) -> np.ndarray:
     """Additive attention mask: 0 within a group, the -inf sentinel across.
 
+    A dense (M, M) reference of the rule ``attention(..., groups=...)``
+    applies from group ids; for checks only, never on the forward path.
     With a denoise layout present, a pair is permitted only when it shares
     the camera group AND the part (both in the match part, or both in the
     same denoise group); match and denoise parts are blocked from each
@@ -104,118 +106,86 @@ def build_mask(groups: GroupMask, denoise=None) -> np.ndarray:
     return mask
 
 
-def _mask_blocks(mask: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Partition rows by identical allowed sets.
-
-    Returns (block_rows, block_cols): for rows whose allowed column set
-    equals their own row set (an equivalence class, as every mask built by
-    this package is), cols is rows; otherwise the rows are returned
-    individually with their allowed columns.
-    """
-    allowed = mask == 0.0
-    patterns, inverse = np.unique(allowed, axis=0, return_inverse=True)
-    block_rows, block_cols = [], []
-    for p in range(patterns.shape[0]):
-        rows = np.flatnonzero(inverse == p)
-        cols = np.flatnonzero(patterns[p])
-        if rows.size == cols.size and np.array_equal(rows, cols):
-            block_rows.append(rows)
-            block_cols.append(cols)
-        else:
-            for r in rows:
-                block_rows.append(np.array([r], dtype=np.intp))
-                block_cols.append(cols)
-    return block_rows, block_cols
-
-
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
     shifted = scores - scores.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
 
 
-def attention_weights(x: np.ndarray, mask: np.ndarray, params: AttentionParams) -> np.ndarray:
-    """Per-head attention weights as an (h, M, M) array (0 where blocked)."""
-    x = np.asarray(x, dtype=np.float64)
-    m, c = x.shape
+def _attend(x: np.ndarray, kv: np.ndarray, params: AttentionParams) -> np.ndarray:
+    """Multi-head softmax(QK^T / sqrt(d)) V of every row of x over kv."""
     h = params.heads
-    d = c // h
-    out = np.zeros((h, m, m))
-    block_rows, block_cols = _mask_blocks(mask)
-    for rows, cols in zip(block_rows, block_cols):
-        if cols.size == 0:
-            continue
-        xr = x[rows]
-        xc = x[cols]
-        q = xr @ params.w_q
-        k = xc @ params.w_k
-        for head in range(h):
-            sl = slice(head * d, (head + 1) * d)
-            scores = (q[:, sl] @ k[:, sl].T) / math.sqrt(d)
-            out[np.ix_([head], rows, cols)] = softmax_rows(scores)[None]
-    return out
-
-
-def masked_self_attention(x: np.ndarray, mask: np.ndarray, params: AttentionParams) -> np.ndarray:
-    """Scaled dot-product self-attention with an additive group mask.
-
-    Evaluates softmax((QK^T)/sqrt(d) + mask) V per head over the mask's
-    allowed blocks only, which realizes the additive -inf semantics exactly
-    and keeps each group's rows independent of every other group's values.
-    Raises on NaN input (fail fast) and when C is not divisible by the head
-    count.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"x must be (M, C), got {x.shape}")
-    if np.isnan(x).any():
-        raise ValueError("NaN in attention input")
-    m, c = x.shape
-    if mask.shape != (m, m):
-        raise ValueError(f"mask must be ({m}, {m}), got {mask.shape}")
-    if c % params.heads:
-        raise ValueError(f"channels {c} not divisible by heads {params.heads}")
-    h = params.heads
-    d = c // h
-    out = np.zeros_like(x)
-    block_rows, block_cols = _mask_blocks(mask)
-    for rows, cols in zip(block_rows, block_cols):
-        if cols.size == 0:
-            continue
-        xr = x[rows]
-        xc = x[cols]
-        q = xr @ params.w_q
-        k = xc @ params.w_k
-        v = xc @ params.w_v
-        for head in range(h):
-            sl = slice(head * d, (head + 1) * d)
-            scores = (q[:, sl] @ k[:, sl].T) / math.sqrt(d)
-            out[np.ix_(rows, np.arange(head * d, (head + 1) * d))] = (
-                softmax_rows(scores) @ v[:, sl]
-            )
-    return out
-
-
-def cross_attention(x_q: np.ndarray, x_kv: np.ndarray, params: AttentionParams) -> np.ndarray:
-    """Plain (unmasked) attention of queries over a key/value set."""
-    x_q = np.asarray(x_q, dtype=np.float64)
-    x_kv = np.asarray(x_kv, dtype=np.float64)
-    if np.isnan(x_q).any() or np.isnan(x_kv).any():
-        raise ValueError("NaN in attention input")
-    c = x_q.shape[1]
-    h = params.heads
-    if c % h:
-        raise ValueError(f"channels {c} not divisible by heads {h}")
-    d = c // h
-    q = x_q @ params.w_q
-    k = x_kv @ params.w_k
-    v = x_kv @ params.w_v
-    out = np.empty_like(x_q)
+    d = x.shape[1] // h
+    q = x @ params.w_q
+    k = kv @ params.w_k
+    v = kv @ params.w_v
+    out = np.empty_like(x)
     for head in range(h):
         sl = slice(head * d, (head + 1) * d)
         scores = (q[:, sl] @ k[:, sl].T) / math.sqrt(d)
         out[:, sl] = softmax_rows(scores) @ v[:, sl]
     return out
+
+
+def attention(
+    x: np.ndarray,
+    params: AttentionParams,
+    *,
+    groups: GroupMask | None = None,
+    kv: np.ndarray | None = None,
+) -> np.ndarray:
+    """Scaled dot-product attention of the rows of x.
+
+    Without ``groups`` every row attends over ``kv`` (default: x itself).
+    With ``groups`` a row attends only to the rows of x sharing its group
+    id; each group is evaluated on its own, so its output rows depend only
+    on that group's inputs -- perturbing or removing another group leaves
+    them bit-identical.  Raises on NaN input (fail fast), when C is not
+    divisible by the head count, on a groups/x length mismatch, on a
+    negative group id, and when both ``groups`` and ``kv`` are given.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"x must be (M, C), got {x.shape}")
+    if groups is not None and kv is not None:
+        raise ValueError("groups apply to self-attention only; got both groups and kv")
+    kv = x if kv is None else np.asarray(kv, dtype=np.float64)
+    if np.isnan(x).any() or np.isnan(kv).any():
+        raise ValueError("NaN in attention input")
+    if x.shape[1] % params.heads:
+        raise ValueError(f"channels {x.shape[1]} not divisible by heads {params.heads}")
+    if groups is None:
+        return _attend(x, kv, params)
+    g = groups.group_of
+    if g.shape[0] != x.shape[0]:
+        raise ValueError(f"groups cover {g.shape[0]} queries, x has {x.shape[0]}")
+    if g.size and g.min() < 0:
+        raise ValueError("group id out of range")
+    order = np.argsort(g, kind="stable")
+    starts = np.flatnonzero(np.diff(g[order])) + 1
+    out = np.empty_like(x)
+    for rows in np.split(order, starts):
+        if rows.size:  # an empty x splits into one empty block
+            xr = x[rows]
+            out[rows] = _attend(xr, xr, params)
+    return out
+
+
+def mix_scales(vf: ViewFeatures, pts: np.ndarray, params: CrossAttentionParams) -> np.ndarray:
+    """Softmax-weighted sum over scales of one bilinear sample per point.
+
+    ``pts`` are (P, 2) view pixel coordinates; view pixel u covers map
+    coordinate u * W_s / W - 0.5 on a scale of width W_s.  Returns
+    (P, C_feat), before the projection.
+    """
+    weights = softmax_rows(params.scale_logits[None, :])[0]
+    combined = np.zeros((pts.shape[0], params.w_proj.shape[0]))
+    for s, fmap in enumerate(vf.maps):
+        hs, ws = fmap.shape[0], fmap.shape[1]
+        mx = pts[:, 0] * (ws / vf.width) - 0.5
+        my = pts[:, 1] * (hs / vf.height) - 0.5
+        combined = combined + weights[s] * bilinear_sample(fmap, np.stack([mx, my], axis=1))
+    return combined
 
 
 def ref_point_cross_attention(
@@ -237,7 +207,6 @@ def ref_point_cross_attention(
     m = x.shape[0]
     if ref_points.shape[0] != m or groups.size != m:
         raise ValueError("x, ref_points and groups must agree in length")
-    weights = softmax_rows(params.scale_logits[None, :])[0]
     out = np.zeros((m, params.w_proj.shape[1]))
     for view_id in np.unique(groups.group_of):
         idx = np.flatnonzero(groups.group_of == view_id)
@@ -249,14 +218,5 @@ def ref_point_cross_attention(
                 f"view {view_id} has {len(vf.maps)} scales, "
                 f"params expect {params.scale_logits.shape[0]}"
             )
-        pts = ref_points[idx]
-        combined = np.zeros((idx.size, params.w_proj.shape[0]))
-        for s, fmap in enumerate(vf.maps):
-            hs, ws = fmap.shape[0], fmap.shape[1]
-            # map pixel centers: view pixel u covers map coord u*W_s/W - 0.5
-            mx = pts[:, 0] * (ws / vf.width) - 0.5
-            my = pts[:, 1] * (hs / vf.height) - 0.5
-            sampled = bilinear_sample(fmap, np.stack([mx, my], axis=1))
-            combined = combined + weights[s] * sampled
-        out[idx] = combined @ params.w_proj
+        out[idx] = mix_scales(vf, ref_points[idx], params) @ params.w_proj
     return out

@@ -575,20 +575,28 @@ def ap_2d(
         cls_preds.sort(key=lambda kp: (-kp[1].score, kp[1].box.view_id, kp[0]))
         cls_gt = [g for g in gt2d if g.class_id == cls]
         n_gt = len(cls_gt)
+        # one iou_matrix call per view; per rank, its (GT index, IoU) pairs
+        candidates = [[] for _ in cls_preds]
+        for view_id in {p.box.view_id for _, p in cls_preds}:
+            ranks = [r for r, (_, p) in enumerate(cls_preds) if p.box.view_id == view_id]
+            js = [j for j, g in enumerate(cls_gt) if g.box.view_id == view_id]
+            if not js:
+                continue
+            ious = iou_matrix(
+                np.array([cls_preds[r][1].box.as_array() for r in ranks]),
+                np.array([cls_gt[j].box.as_array() for j in js]),
+            )
+            for r, row in zip(ranks, ious):
+                candidates[r] = list(zip(js, row))
         out[cls] = {}
         for thr in iou_thresholds:
             used = [False] * n_gt
             tp = np.zeros(len(cls_preds))
             fp = np.zeros(len(cls_preds))
-            for rank, (_, p) in enumerate(cls_preds):
+            for rank in range(len(cls_preds)):
                 best_iou, best_j = 0.0, -1
-                for j, g in enumerate(cls_gt):
-                    if used[j] or g.box.view_id != p.box.view_id:
-                        continue
-                    iou = iou_matrix(
-                        p.box.as_array()[None, :], g.box.as_array()[None, :]
-                    )[0, 0]
-                    if iou >= thr and iou > best_iou:
+                for j, iou in candidates[rank]:
+                    if not used[j] and iou >= thr and iou > best_iou:
                         best_iou, best_j = iou, j
                 if best_j >= 0:
                     used[best_j] = True

@@ -176,10 +176,13 @@ def load_scene(path: str | Path) -> Scene:
     return Scene.from_json_obj(json.loads(Path(path).read_text()))
 
 
-def _bev_overlap(a: np.ndarray, b: np.ndarray) -> bool:
-    """Separating-axis test of two yaw-rotated rectangles in the BEV plane."""
-    ca = box_points(a[None, :])[0][1:5, :2]
-    cb = box_points(b[None, :])[0][1:5, :2]
+def _bev_corners(anchor: np.ndarray) -> np.ndarray:
+    """(4, 2) bottom-face corners of one (9,) anchor in the BEV plane."""
+    return box_points(anchor[None, :])[0][1:5, :2]
+
+
+def _bev_overlap(ca: np.ndarray, cb: np.ndarray) -> bool:
+    """Separating-axis test of two yaw-rotated rectangles given by corners."""
     for rect in (ca, cb):
         for k in range(2):
             edge = rect[k + 1] - rect[k]
@@ -227,6 +230,7 @@ def sample_scene(
     ranges = ranges or SceneRanges()
     rng = np.random.default_rng(seed)
     placed: list[np.ndarray] = []
+    placed_corners: list[np.ndarray] = []
     classes: list[int] = []
     attempts = 0
     budget = max_attempts_per_box * max(n_boxes, 1)
@@ -247,9 +251,11 @@ def sample_scene(
         cand = np.array(
             [x, y, size[2] / 2.0, size[0], size[1], size[2], yaw, vel[0], vel[1]]
         )
-        if any(_bev_overlap(cand, p) for p in placed):
+        corners = _bev_corners(cand)
+        if any(_bev_overlap(corners, p) for p in placed_corners):
             continue
         placed.append(cand)
+        placed_corners.append(corners)
         classes.append(cls)
     anchors = np.stack(placed) if placed else np.zeros((0, 9))
     cls_arr = np.asarray(classes, dtype=np.intp)

@@ -16,7 +16,7 @@ from mvdet.allocation import AllocationLimits, allocate, clamp_anchors, gather_2
 from mvdet.cli import main as cli_main
 from mvdet.crop_scale import PLACEMENTS, CropRule, derive_view
 from mvdet.decoder import PRESETS, DecoderConfig, HybridDecoder
-from mvdet.denoising import NoiseConfig, allocate_noise, denoise_mask, make_noisy_anchors
+from mvdet.denoising import NoiseConfig, allocate_noise, denoise_groups, make_noisy_anchors
 from mvdet.geometry import (
     EPS_DEPTH,
     Anchor3D,
@@ -28,7 +28,7 @@ from mvdet.geometry import (
     project_point,
     project_view_points,
 )
-from mvdet.groupattn import AttentionParams, GroupMask, build_mask, masked_self_attention
+from mvdet.groupattn import AttentionParams, GroupMask, attention
 from mvdet.metrics import (
     GtBox2D,
     FrameTruth,
@@ -187,13 +187,12 @@ def test_criterion_5_group_isolation():
             groups[m // 2 :] = groups[m // 2 :] + 1
         x = rng.standard_normal((m, c))
         params = AttentionParams.seeded(c, heads, rng)
-        mask = build_mask(GroupMask(groups))
-        out = masked_self_attention(x, mask, params)
+        out = attention(x, params, groups=GroupMask(groups))
         target = int(rng.choice(np.unique(groups)))
         x2 = x.copy()
         sel = groups == target
         x2[sel] = rng.standard_normal((int(sel.sum()), c))
-        out2 = masked_self_attention(x2, mask, params)
+        out2 = attention(x2, params, groups=GroupMask(groups))
         assert np.array_equal(out[~sel], out2[~sel]), f"camera case {case}"
 
     def rand_box(view):
@@ -220,10 +219,10 @@ def test_criterion_5_group_isolation():
         x_match = rng.standard_normal((m, c))
         x_noise = rng.standard_normal((layout.n_noise, c))
         params = AttentionParams.seeded(c, 2, rng)
-        full = masked_self_attention(
-            np.vstack([x_match, x_noise]), denoise_mask(layout, cams_match), params
+        full = attention(
+            np.vstack([x_match, x_noise]), params, groups=denoise_groups(layout, cams_match)
         )
-        alone = masked_self_attention(x_match, build_mask(cams_match), params)
+        alone = attention(x_match, params, groups=cams_match)
         assert np.array_equal(full[:m], alone), f"denoise case {case}"
     report(5, "group isolation bit-exact: 100 camera cases, 50 denoising cases")
 

@@ -3,7 +3,7 @@ import pytest
 
 from mvdet.aggregation import GateParams, aggregate, gate_truncation, gate_values
 from mvdet.allocation import MappingMatrix, scatter_mean
-from mvdet.groupattn import AttentionParams, masked_self_attention
+from mvdet.groupattn import AttentionParams, GroupMask, attention
 
 
 def mapping_of(rows, n_3d, cams=None):
@@ -63,7 +63,7 @@ def test_aggregate_empty_mapping_is_plain_self_attention():
     m = mapping_of([], n_3d=5)
     attn = AttentionParams.seeded(8, 2, np.random.default_rng(9))
     out = aggregate(q3, np.zeros((0, 8)), m, attn)
-    want = masked_self_attention(q3, np.zeros((5, 5)), attn)
+    want = attention(q3, attn, groups=GroupMask(np.zeros(5, dtype=int)))
     assert np.array_equal(out, want)
 
 

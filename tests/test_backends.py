@@ -68,19 +68,20 @@ def test_iou_matrix_bitwise(rng):
 
 
 def test_backend_env_selection(tmp_path):
+    import os
     import subprocess
     import sys
 
     code = "import mvdet; print(mvdet.BACKEND)"
     out = subprocess.run(
         [sys.executable, "-c", code],
-        env={"PATH": "/usr/bin:/bin", "MVDET_BACKEND": "python"},
+        env={**os.environ, "MVDET_BACKEND": "python"},
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "python"
     out = subprocess.run(
         [sys.executable, "-c", code],
-        env={"PATH": "/usr/bin:/bin", "MVDET_BACKEND": "compiled"},
+        env={**os.environ, "MVDET_BACKEND": "compiled"},
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "compiled"

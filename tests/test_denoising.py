@@ -7,14 +7,14 @@ from mvdet.denoising import (
     DenoiseLayout,
     NoiseConfig,
     allocate_noise,
-    denoise_mask,
+    denoise_groups,
     encode_anchor_features,
     gather_noise,
     make_noisy_anchors,
     restore_3d,
 )
 from mvdet.geometry import Anchor3D, Box2D
-from mvdet.groupattn import AttentionParams, GroupMask, build_mask, masked_self_attention
+from mvdet.groupattn import AttentionParams, GroupMask, attention, build_mask
 
 
 def gt_boxes():
@@ -112,13 +112,13 @@ def test_gt_without_association_skipped(caplog):
     assert "skips GT" in caplog.text
 
 
-# ---------------------------------------------------------------- denoise_mask
+# -------------------------------------------------------------- denoise_groups
 
 def test_no_denoise_groups_reduces_to_camera_mask():
     assoc = [[(0, box(0))]]
     layout = allocate_noise(assoc, [], match_len=3)
     cams = GroupMask(np.array([0, 0, 1]))
-    assert np.array_equal(denoise_mask(layout, cams), build_mask(cams))
+    assert np.array_equal(denoise_groups(layout, cams).group_of, cams.group_of)
 
 
 def test_match_denoise_blocked_both_ways():
@@ -126,7 +126,7 @@ def test_match_denoise_blocked_both_ways():
     noisy, _ = make_noisy_anchors(gt_boxes()[:1], NoiseConfig(n_groups=1), seed=0)
     layout = allocate_noise(assoc, noisy, match_len=2)
     cams = GroupMask(np.array([0, 0]))  # match queries also in camera 0
-    mask = denoise_mask(layout, cams)
+    mask = build_mask(denoise_groups(layout, cams))
     assert mask.shape == (3, 3)
     assert mask[0, 2] != 0.0 and mask[2, 0] != 0.0
     assert mask[1, 2] != 0.0 and mask[2, 1] != 0.0
@@ -139,7 +139,7 @@ def test_mask_pair_predicate_oracle():
     noisy, _ = make_noisy_anchors(gt_boxes(), NoiseConfig(n_groups=2), seed=0)
     layout = allocate_noise(assoc, noisy, match_len=4)
     cams_match = np.array([0, 0, 1, 1])
-    mask = denoise_mask(layout, GroupMask(cams_match))
+    mask = build_mask(denoise_groups(layout, GroupMask(cams_match)))
     cams = np.concatenate([cams_match, layout.col_view])
     part = layout.part_ids()
     for i in range(10):
@@ -153,7 +153,7 @@ def test_mask_size_mismatch_rejected():
     noisy, _ = make_noisy_anchors(gt_boxes()[:1], NoiseConfig(n_groups=1), seed=0)
     layout = allocate_noise(assoc, noisy, match_len=2)
     with pytest.raises(ValueError):
-        denoise_mask(layout, GroupMask(np.array([0, 0, 0])))
+        denoise_groups(layout, GroupMask(np.array([0, 0, 0])))
 
 
 def test_overlapping_spans_rejected():
@@ -167,7 +167,7 @@ def test_overlapping_spans_rejected():
         kept_gt=[0],
     )
     with pytest.raises(ValueError):
-        denoise_mask(layout, GroupMask(np.array([0])))
+        denoise_groups(layout, GroupMask(np.array([0])))
 
 
 # ------------------------------------------------------------------ restore_3d
@@ -243,7 +243,7 @@ def test_match_part_unaffected_by_denoise_queries():
     x_match = rng.standard_normal((m, 8))
     x_noise = rng.standard_normal((layout.n_noise, 8))
     params = AttentionParams.seeded(8, 2, np.random.default_rng(3))
-    full_mask = denoise_mask(layout, cams_match)
-    out_full = masked_self_attention(np.vstack([x_match, x_noise]), full_mask, params)
-    out_match = masked_self_attention(x_match, build_mask(cams_match), params)
+    groups = denoise_groups(layout, cams_match)
+    out_full = attention(np.vstack([x_match, x_noise]), params, groups=groups)
+    out_match = attention(x_match, params, groups=cams_match)
     assert np.array_equal(out_full[:m], out_match)

@@ -2,17 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvdet._kernels import bilinear_sample
+from mvdet.denoising import denoise_groups
 from mvdet.groupattn import (
     NEG_INF,
     AttentionParams,
     CrossAttentionParams,
     GroupMask,
     ViewFeatures,
-    attention_weights,
+    attention,
     build_mask,
-    masked_self_attention,
     ref_point_cross_attention,
 )
 
@@ -57,35 +59,40 @@ def test_mask_with_denoise_groups_enumerated():
     noisy, _ = make_noisy_anchors(gt, NoiseConfig(n_groups=2), seed=0)
     layout = allocate_noise(assoc, noisy, match_len=4)
     cams = np.array([0, 0, 1, 1])
-    groups = GroupMask(np.concatenate([cams, layout.col_view]))
-    mask = build_mask(groups, layout)
+    ids = denoise_groups(layout, GroupMask(cams)).group_of
+    cam_all = np.concatenate([cams, layout.col_view])
     part = layout.part_ids()
-    cam_all = groups.group_of
+    mask = build_mask(GroupMask(cam_all), layout)
     for i in range(6):
         for j in range(6):
             allowed = cam_all[i] == cam_all[j] and part[i] == part[j]
+            assert (ids[i] == ids[j]) == allowed, (i, j)
             assert (mask[i, j] == 0.0) == allowed, (i, j)
 
 
-# ------------------------------------------------------- masked_self_attention
+# ------------------------------------------------------------------ attention
 
 def test_uniform_weights_within_group():
-    # identical rows inside each group give exactly uniform attention
-    x = np.zeros((5, 4))
-    x[0:3] = [1.0, -2.0, 0.5, 3.0]
-    x[3:5] = [0.25, 1.0, -1.0, 2.0]
-    groups = GroupMask(np.array([0, 0, 0, 1, 1]))
-    mask = build_mask(groups)
-    w = attention_weights(x, mask, seeded_params(4))
-    assert np.allclose(w[0, 0:3, 0:3], 1.0 / 3.0)
-    assert np.allclose(w[0, 3:5, 3:5], 1.0 / 2.0)
-    assert np.all(w[0, 0:3, 3:5] == 0.0)
+    # zero keys give every allowed pair the same logit, so each output row
+    # is the plain mean of its own group's values and nothing else
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((5, 4))
+    g = np.array([0, 0, 0, 1, 1])
+    params = AttentionParams(
+        w_q=rng.standard_normal((4, 4)), w_k=np.zeros((4, 4)),
+        w_v=rng.standard_normal((4, 4)),
+    )
+    out = attention(x, params, groups=GroupMask(g))
+    v = x @ params.w_v
+    assert np.allclose(out[0:3], v[0:3].mean(axis=0))
+    assert np.allclose(out[3:5], v[3:5].mean(axis=0))
 
 
 def test_single_query_reduces_to_value_projection():
     x = np.array([[0.3, -1.2, 4.0, 0.7]])
     params = seeded_params(4, seed=3)
-    out = masked_self_attention(x, np.zeros((1, 1)), params)
+    assert np.allclose(attention(x, params), x @ params.w_v, atol=1e-15)
+    out = attention(x, params, groups=GroupMask(np.array([2])))
     assert np.allclose(out, x @ params.w_v, atol=1e-15)
 
 
@@ -112,36 +119,80 @@ def masked_softmax_reference(x, mask, params):
 def test_against_masked_softmax_reference():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((3, 4))
-    mask = build_mask(GroupMask(np.array([0, 0, 1])))
+    groups = GroupMask(np.array([0, 0, 1]))
     params = seeded_params(4, seed=5)
-    got = masked_self_attention(x, mask, params)
-    want = masked_softmax_reference(x, mask, params)
+    got = attention(x, params, groups=groups)
+    want = masked_softmax_reference(x, build_mask(groups), params)
     assert np.abs(got - want).max() <= 1e-12
 
 
 def test_multihead_row_stochastic():
+    # with every value row equal to ones, each head's output is the sum of
+    # its attention weights; with random values it stays inside the hull
+    # of the group's own value rows
     rng = np.random.default_rng(2)
     for _ in range(20):
         m = int(rng.integers(2, 30))
         c = 8
         x = rng.standard_normal((m, c))
-        groups = GroupMask(np.sort(rng.integers(0, 3, size=m)))
+        x[:, 0] = 1.0
+        g = np.sort(rng.integers(0, 3, size=m))
         params = AttentionParams.seeded(c, 2, rng)
-        w = attention_weights(x, build_mask(groups), params)
-        sums = w.sum(axis=2)
-        assert np.abs(sums - 1.0).max() <= 1e-6
+        ones = AttentionParams(params.w_q, params.w_k, np.zeros((c, c)), heads=2)
+        ones.w_v[0, :] = 1.0
+        sums = attention(x, ones, groups=GroupMask(g))
+        assert np.abs(sums - 1.0).max() <= 1e-12
+        out = attention(x, params, groups=GroupMask(g))
+        v = x @ params.w_v
+        for gid in np.unique(g):
+            sel = g == gid
+            assert np.all(out[sel] >= v[sel].min(axis=0) - 1e-12)
+            assert np.all(out[sel] <= v[sel].max(axis=0) + 1e-12)
 
 
 def test_nan_input_fails_fast():
     x = np.ones((2, 4))
     x[0, 0] = np.nan
     with pytest.raises(ValueError):
-        masked_self_attention(x, np.zeros((2, 2)), seeded_params(4))
+        attention(x, seeded_params(4), groups=GroupMask(np.zeros(2, int)))
+    with pytest.raises(ValueError):
+        attention(np.ones((2, 4)), seeded_params(4), kv=x)
 
 
 def test_heads_must_divide_channels():
     with pytest.raises(ValueError):
-        masked_self_attention(np.ones((2, 6)), np.zeros((2, 2)), seeded_params(6, heads=4))
+        attention(np.ones((2, 6)), seeded_params(6, heads=4))
+
+
+def test_invalid_groups_rejected():
+    params = seeded_params(4)
+    x = np.ones((3, 4))
+    with pytest.raises(ValueError, match="cover"):
+        attention(x, params, groups=GroupMask(np.array([0, 1])))
+    with pytest.raises(ValueError, match="out of range"):
+        attention(x, params, groups=GroupMask(np.array([0, -1, 1])))
+    with pytest.raises(ValueError, match="both"):
+        attention(x, params, groups=GroupMask(np.zeros(3, int)), kv=x)
+
+
+def test_empty_query_set():
+    out = attention(np.zeros((0, 4)), seeded_params(4), groups=GroupMask(np.zeros(0, int)))
+    assert out.shape == (0, 4)
+
+
+def test_kv_defaults_to_x():
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((7, 8))
+    kv = rng.standard_normal((4, 8))
+    params = seeded_params(8, heads=2, seed=1)
+    assert np.array_equal(attention(x, params), attention(x, params, kv=x))
+    # one group over everything is plain self-attention, bit for bit
+    assert np.array_equal(
+        attention(x, params), attention(x, params, groups=GroupMask(np.full(7, 3)))
+    )
+    got = attention(x, params, kv=kv)
+    assert got.shape == (7, 8)
+    assert not np.array_equal(got, attention(x, params))
 
 
 def dense_sentinel_reference(x, mask, params):
@@ -163,20 +214,25 @@ def dense_sentinel_reference(x, mask, params):
     return out
 
 
-def test_non_equivalence_mask_fallback():
-    # an asymmetric mask exercises the per-row path; it must still realize
-    # the additive-sentinel semantics
-    rng = np.random.default_rng(21)
-    m, c = 6, 8
-    x = rng.standard_normal((m, c))
-    mask = np.zeros((m, m))
-    mask[0, 3:] = NEG_INF
-    mask[2, 0] = NEG_INF
-    mask[4, 1:3] = NEG_INF
-    params = seeded_params(c, heads=2, seed=9)
-    got = masked_self_attention(x, mask, params)
-    want = dense_sentinel_reference(x, mask, params)
-    assert np.abs(got - want).max() <= 1e-12
+@settings(max_examples=60, deadline=None)
+@given(
+    ids=st.lists(st.sampled_from([0, 3, 4, 17, 250, 10_001]), min_size=1, max_size=24),
+    heads=st.sampled_from([1, 2, 4]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grouped_attention_property(ids, heads, seed):
+    # unsorted, non-contiguous, gappy ids: the result matches the dense
+    # additive-sentinel formulation and equals each group run on its own
+    rng = np.random.default_rng(seed)
+    g = np.array(ids)
+    x = rng.standard_normal((g.size, 8))
+    params = AttentionParams.seeded(8, heads, rng)
+    out = attention(x, params, groups=GroupMask(g))
+    want = dense_sentinel_reference(x, build_mask(GroupMask(g)), params)
+    assert np.abs(out - want).max() <= 1e-12
+    for gid in np.unique(g):
+        sel = g == gid
+        assert np.array_equal(out[sel], attention(x[sel], params))
 
 
 def test_group_isolation_bitwise():
@@ -187,12 +243,11 @@ def test_group_isolation_bitwise():
         groups = np.sort(rng.integers(0, 3, size=m))
         x = rng.standard_normal((m, c))
         params = AttentionParams.seeded(c, 2, rng)
-        mask = build_mask(GroupMask(groups))
-        out = masked_self_attention(x, mask, params)
+        out = attention(x, params, groups=GroupMask(groups))
         target = int(groups[0])
         x2 = x.copy()
         x2[groups == target] = rng.standard_normal((int((groups == target).sum()), c))
-        out2 = masked_self_attention(x2, mask, params)
+        out2 = attention(x2, params, groups=GroupMask(groups))
         other = groups != target
         assert np.array_equal(out[other], out2[other])
 

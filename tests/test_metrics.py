@@ -419,6 +419,66 @@ def test_ap_ranked_hand_case():
     assert abs(ap - want) <= 1e-12
 
 
+
+def ap_2d_pairwise_reference(preds2d, gt2d, thresholds):
+    """Greedy matching with one IoU evaluation per (prediction, GT) pair."""
+    from mvdet._kernels import iou_matrix
+
+    classes = sorted({p.class_id for p in preds2d} | {g.class_id for g in gt2d})
+    out = {}
+    for cls in classes:
+        ranked = sorted(
+            [(k, p) for k, p in enumerate(preds2d) if p.class_id == cls],
+            key=lambda kp: (-kp[1].score, kp[1].box.view_id, kp[0]),
+        )
+        cls_gt = [g for g in gt2d if g.class_id == cls]
+        out[cls] = {}
+        for thr in thresholds:
+            used = [False] * len(cls_gt)
+            tp = np.zeros(len(ranked))
+            for rank, (_, p) in enumerate(ranked):
+                best_iou, best_j = 0.0, -1
+                for j, g in enumerate(cls_gt):
+                    if used[j] or g.box.view_id != p.box.view_id:
+                        continue
+                    iou = iou_matrix(p.box.as_array()[None], g.box.as_array()[None])[0, 0]
+                    if iou >= thr and iou > best_iou:
+                        best_iou, best_j = iou, j
+                if best_j >= 0:
+                    used[best_j] = True
+                    tp[rank] = 1.0
+            if not cls_gt or not ranked:
+                out[cls][thr] = 0.0
+                continue
+            ctp = np.cumsum(tp)
+            recall = ctp / len(cls_gt)
+            precision = ctp / np.maximum(ctp + np.cumsum(1.0 - tp), 1e-12)
+            ap = 0.0
+            for r in np.linspace(0.0, 1.0, 11):
+                sel = recall >= r - 1e-12
+                ap += float(precision[sel].max()) if sel.any() else 0.0
+            out[cls][thr] = ap / 11.0
+    return out
+
+
+def test_ap_matches_pairwise_reference():
+    # crowded random boxes over several views, classes and tied scores
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        def rand_box():
+            return Box2D(cx=float(rng.uniform(0, 60)), cy=float(rng.uniform(0, 40)),
+                         w=float(rng.uniform(2, 20)), h=float(rng.uniform(2, 20)),
+                         view_id=int(rng.integers(0, 3)))
+
+        gt = [GtBox2D(box=rand_box(), class_id=int(rng.integers(0, 3)), box3d_index=i)
+              for i in range(int(rng.integers(0, 15)))]
+        preds = [Pred2D(box=rand_box(), class_id=int(rng.integers(0, 3)),
+                        score=float(rng.choice([0.3, 0.5, 0.9])))
+                 for _ in range(int(rng.integers(0, 25)))]
+        preds += [Pred2D(box=g.box, class_id=g.class_id, score=0.7) for g in gt[::2]]
+        thresholds = (0.1, 0.3, 0.5, 0.7)
+        assert ap_2d(preds, gt, thresholds) == ap_2d_pairwise_reference(preds, gt, thresholds)
+
 # ------------------------------------------------------------ detections JSON
 
 def test_detections_roundtrip():

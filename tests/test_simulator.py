@@ -9,6 +9,7 @@ from mvdet.simulator import (
     OracleNoise,
     Scene,
     SceneRanges,
+    _bev_corners,
     _bev_overlap,
     perturb,
     render_features,
@@ -55,7 +56,7 @@ def test_boxes_do_not_overlap(rig6):
     arr = scene.anchors_array()
     for i in range(len(arr)):
         for j in range(i + 1, len(arr)):
-            assert not _bev_overlap(arr[i], arr[j])
+            assert not _bev_overlap(_bev_corners(arr[i]), _bev_corners(arr[j]))
 
 
 def test_infeasible_density_raises(rig6):
