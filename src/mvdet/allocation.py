@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Anchor3D, Box2D, CameraView, anchors_to_array, project_anchor_batch
+from .geometry import Anchor3D, CameraView, anchors_to_array, project_anchor_batch
 
 
 @dataclass(frozen=True)
@@ -81,13 +81,14 @@ class AllocationResult:
     rectangle.  ``dropped`` lists (anchor_index, view_id) pairs whose
     clipped rectangle degenerated to zero area and were therefore not
     allocated; ``capped`` records per-view counts removed by the truncated
-    cap.
+    cap.  ``rects[j]`` is column j's clipped bounding rectangle as
+    (cx, cy, w, h); its view is ``mapping.camera_of_col[j]``.
     """
 
     mapping: MappingMatrix
     ref_points: np.ndarray    # (M, 2)
     truncation: np.ndarray    # (M,) bool
-    rects: list[Box2D]
+    rects: np.ndarray         # (M, 4) cx, cy, w, h
     dropped: list[tuple[int, int]] = field(default_factory=list)
     capped: dict[int, int] = field(default_factory=dict)
 
@@ -100,7 +101,9 @@ class AllocationResult:
             "camera_of_col": [int(c) for c in self.mapping.camera_of_col],
             "ref_points": [[float(u), float(v)] for u, v in self.ref_points],
             "truncation": [bool(t) for t in self.truncation],
-            "rects": [[b.cx, b.cy, b.w, b.h, b.view_id] for b in self.rects],
+            "rects": [
+                [*r, v] for r, v in zip(self.rects.tolist(), self.mapping.camera_of_col.tolist())
+            ],
             "dropped_zero_area": [[int(i), int(v)] for i, v in self.dropped],
             "capped_per_view": {str(k): int(v) for k, v in self.capped.items()},
         }
@@ -113,14 +116,18 @@ class AllocationResult:
             rows=np.asarray(obj["rows"], dtype=np.intp),
             camera_of_col=np.asarray(obj["camera_of_col"], dtype=np.intp),
         )
+        rects = np.asarray(obj["rects"], dtype=np.float64).reshape(-1, 5)
+        if rects.shape[0] != mapping.n_2d:
+            raise ValueError(f"{rects.shape[0]} rects for {mapping.n_2d} columns")
+        if not np.array_equal(rects[:, 4], mapping.camera_of_col):
+            raise ValueError("rect view ids disagree with camera_of_col")
+        if (rects[:, 2:4] < 0.0).any():
+            raise ValueError("rect sizes must be non-negative")
         return cls(
             mapping=mapping,
             ref_points=np.asarray(obj["ref_points"], dtype=np.float64).reshape(-1, 2),
             truncation=np.asarray(obj["truncation"], dtype=bool),
-            rects=[
-                Box2D(cx=r[0], cy=r[1], w=r[2], h=r[3], view_id=int(r[4]))
-                for r in obj["rects"]
-            ],
+            rects=rects[:, 0:4].copy(),
             dropped=[(int(i), int(v)) for i, v in obj.get("dropped_zero_area", [])],
             capped={int(k): int(v) for k, v in obj.get("capped_per_view", {}).items()},
         )
@@ -176,7 +183,7 @@ def allocate(
     cams: list[np.ndarray] = []
     refs: list[np.ndarray] = []
     truncs: list[np.ndarray] = []
-    rects: list[Box2D] = []
+    rects: list[np.ndarray] = []
     dropped: list[tuple[int, int]] = []
     capped: dict[int, int] = {}
 
@@ -209,19 +216,20 @@ def allocate(
         cams.append(np.full(idx.size, view.view_id, dtype=np.intp))
         refs.append(ref)
         truncs.append(center_in)
-        for i in idx:
-            rects.append(Box2D(*(float(c) for c in vp.rect[i]), view_id=view.view_id))
+        rects.append(vp.rect[idx])
 
     if rows:
         all_rows = np.concatenate(rows)
         all_cams = np.concatenate(cams)
         all_refs = np.concatenate(refs, axis=0)
         all_truncs = np.concatenate(truncs)
+        all_rects = np.concatenate(rects, axis=0)
     else:
         all_rows = np.zeros(0, dtype=np.intp)
         all_cams = np.zeros(0, dtype=np.intp)
         all_refs = np.zeros((0, 2))
         all_truncs = np.zeros(0, dtype=bool)
+        all_rects = np.zeros((0, 4))
 
     mapping = MappingMatrix(
         n_3d=n, n_2d=all_rows.shape[0], rows=all_rows, camera_of_col=all_cams
@@ -230,7 +238,7 @@ def allocate(
         mapping=mapping,
         ref_points=all_refs,
         truncation=all_truncs,
-        rects=rects,
+        rects=all_rects,
         dropped=dropped,
         capped=capped,
     )

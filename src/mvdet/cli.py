@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import logging
 import os
@@ -207,28 +208,33 @@ def cmd_eval_aar(args) -> int:
 
 
 def _ap_inputs(scenes, det_by_frame):
-    """Pool 2D predictions/GT across frames with per-frame view offsets.
+    """Pool 2D predictions/GT across frames, one view id per (frame, view).
 
-    Greedy AP matching pairs boxes within a view id; offsetting by frame
-    keeps matches inside their own frame.
+    Greedy AP matching pairs boxes within a view id, so every (frame, view)
+    pair gets its own id, numbered densely in sorted pair order; matches
+    stay inside their own frame.
     """
-
-    def shift_view(box: Box2D, offset: int) -> Box2D:
-        return Box2D(cx=box.cx, cy=box.cy, w=box.w, h=box.h,
-                     view_id=box.view_id + offset)
-
-    all_preds, all_gt = [], []
+    frames = []
     for scene in scenes:
         _, p2d = det_by_frame.get(scene.frame_id, ([], []))
-        offset = scene.frame_id * 10_000
+        frames.append((scene.frame_id, p2d, scene.gt2d))
+    keys = sorted({(f, b.box.view_id) for f, p2d, gt2d in frames for b in (*p2d, *gt2d)})
+    dense = {key: i for i, key in enumerate(keys)}
+
+    def pooled_box(box: Box2D, frame_id: int) -> Box2D:
+        return Box2D(cx=box.cx, cy=box.cy, w=box.w, h=box.h,
+                     view_id=dense[(frame_id, box.view_id)])
+
+    all_preds, all_gt = [], []
+    for frame_id, p2d, gt2d in frames:
         all_preds.extend(
-            Pred2D(box=shift_view(p.box, offset), class_id=p.class_id, score=p.score)
+            Pred2D(box=pooled_box(p.box, frame_id), class_id=p.class_id, score=p.score)
             for p in p2d
         )
         all_gt.extend(
-            GtBox2D(box=shift_view(g.box, offset), class_id=g.class_id,
+            GtBox2D(box=pooled_box(g.box, frame_id), class_id=g.class_id,
                     box3d_index=g.box3d_index)
-            for g in scene.gt2d
+            for g in gt2d
         )
     return all_preds, all_gt
 
@@ -355,6 +361,15 @@ def _run_one_scene(payload: tuple) -> dict:
     }
 
 
+def _scene_result(payload: tuple, result) -> dict:
+    """``result()`` of one scene; a failure names the scene and its seed."""
+    try:
+        return result()
+    except Exception as exc:
+        idx, seed = payload[0], payload[1]
+        raise RuntimeError(f"scene {idx} (seed {seed}) failed: {exc}") from exc
+
+
 def cmd_run(args) -> int:
     cfg = _load_json(args.config)
     out_dir = Path(args.out if args.out else cfg.get("out_dir", "mvdet-out"))
@@ -396,9 +411,10 @@ def cmd_run(args) -> int:
     ]
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_run_one_scene, payloads))
+            futures = [pool.submit(_run_one_scene, p) for p in payloads]
+            results = [_scene_result(p, f.result) for p, f in zip(payloads, futures)]
     else:
-        results = [_run_one_scene(p) for p in payloads]
+        results = [_scene_result(p, functools.partial(_run_one_scene, p)) for p in payloads]
     results.sort(key=lambda r: r["idx"])
 
     scenes = []

@@ -431,8 +431,7 @@ class HybridDecoder:
                         q2, alloc.ref_points, features, groups, p.cross
                     )
                 raw = p.head2d.apply(q2)
-                base = np.array([[b.cx, b.cy, b.w, b.h] for b in alloc.rects]).reshape(-1, 4)
-                boxes2d = base + raw[:, 0:4]
+                boxes2d = alloc.rects + raw[:, 0:4]
                 boxes2d[:, 2:4] = np.maximum(boxes2d[:, 2:4], 0.0)
                 out.layers_2d.append(
                     Layer2DOutput(

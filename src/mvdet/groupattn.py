@@ -6,6 +6,11 @@ each other.  Grouped attention is evaluated group by group, so the output
 rows of one group depend only on that group's inputs -- perturbing or
 removing another group leaves them bit-identical.  ``build_mask`` spells
 the same rule out as a dense additive mask for reference checks.
+
+Dense attention (each group, or every row over ``kv``) is head-batched:
+one score buffer holds as many heads as fit in ``SCORE_BUDGET`` doubles
+(at least one), the softmax runs in place, and the results are
+bit-identical to a per-head loop.
 """
 
 from __future__ import annotations
@@ -20,6 +25,10 @@ from ._kernels import bilinear_sample
 # exponent of a masked logit is below the double underflow threshold, so its
 # softmax weight is exactly 0.0 (holds for |unmasked logits| << 1e9).
 NEG_INF = -1e9
+
+# Doubles in the score buffer of one dense attention call (8 MiB): small
+# calls batch all heads in one product, large ones take a head at a time.
+SCORE_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -107,24 +116,43 @@ def build_mask(groups: GroupMask, denoise=None) -> np.ndarray:
 
 
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Softmax along the last axis, computed in place; returns ``scores``."""
+    np.subtract(scores, scores.max(axis=-1, keepdims=True), out=scores)
+    np.exp(scores, out=scores)
+    np.divide(scores, scores.sum(axis=-1, keepdims=True), out=scores)
+    return scores
 
 
 def _attend(x: np.ndarray, kv: np.ndarray, params: AttentionParams) -> np.ndarray:
-    """Multi-head softmax(QK^T / sqrt(d)) V of every row of x over kv."""
+    """Multi-head softmax(QK^T / sqrt(d)) V of every row of x over kv.
+
+    Heads run in chunks through one score buffer of at most SCORE_BUDGET
+    doubles (one head per chunk when a single N x M head exceeds it), and
+    the softmax works in place.  Every head sees the same operations in the
+    same order as a per-head loop, so the output is bit-identical to it.
+    Query rows are never blocked: BLAS may pick another kernel for the
+    smaller products and change the last bits.
+    """
+    n, c = x.shape
+    m = kv.shape[0]
     h = params.heads
-    d = x.shape[1] // h
-    q = x @ params.w_q
-    k = kv @ params.w_k
-    v = kv @ params.w_v
-    out = np.empty_like(x)
-    for head in range(h):
-        sl = slice(head * d, (head + 1) * d)
-        scores = (q[:, sl] @ k[:, sl].T) / math.sqrt(d)
-        out[:, sl] = softmax_rows(scores) @ v[:, sl]
-    return out
+    d = c // h
+    if n == 0:  # nothing to normalise, even when kv is empty too
+        return np.empty((0, c))
+    q = (x @ params.w_q).reshape(n, h, d).transpose(1, 0, 2)
+    k = (kv @ params.w_k).reshape(m, h, d).transpose(1, 2, 0)
+    v = (kv @ params.w_v).reshape(m, h, d).transpose(1, 0, 2)
+    out = np.empty((n, h, d))
+    heads_out = out.transpose(1, 0, 2)
+    step = max(1, min(h, SCORE_BUDGET // max(1, n * m)))
+    buf = np.empty((step, n, m))
+    scale = math.sqrt(d)
+    for s in range(0, h, step):
+        e = min(h, s + step)
+        scores = np.matmul(q[s:e], k[s:e], out=buf[: e - s])
+        np.divide(scores, scale, out=scores)
+        heads_out[s:e] = softmax_rows(scores) @ v[s:e]
+    return out.reshape(n, c)
 
 
 def attention(
@@ -178,7 +206,7 @@ def mix_scales(vf: ViewFeatures, pts: np.ndarray, params: CrossAttentionParams) 
     coordinate u * W_s / W - 0.5 on a scale of width W_s.  Returns
     (P, C_feat), before the projection.
     """
-    weights = softmax_rows(params.scale_logits[None, :])[0]
+    weights = softmax_rows(params.scale_logits[None, :].copy())[0]
     combined = np.zeros((pts.shape[0], params.w_proj.shape[0]))
     for s, fmap in enumerate(vf.maps):
         hs, ws = fmap.shape[0], fmap.shape[1]

@@ -149,7 +149,9 @@ def test_truncated_cap_keeps_largest_areas(front_view):
     if uncapped.mapping.n_2d > 100:
         assert n_trunc == 100
         kept = {int(r) for r in res.mapping.rows}
-        areas = {int(r): b.area for r, b in zip(uncapped.mapping.rows, uncapped.rects)}
+        areas = {
+            int(r): float(w * h) for r, (_, _, w, h) in zip(uncapped.mapping.rows, uncapped.rects)
+        }
         worst_kept = min(areas[r] for r in kept)
         best_dropped = max(
             (a for r, a in areas.items() if r not in kept), default=-np.inf
@@ -173,12 +175,12 @@ def test_group_contiguity_and_determinism(rig6):
     # ref point is the projected center for non-truncated columns,
     # the clipped-rect center otherwise
     for j in range(a.mapping.n_2d):
-        rect = a.rects[j]
+        cx, cy = a.rects[j, 0:2]
         if a.truncation[j]:
             assert 0 < a.ref_points[j, 0] < rig6[0].width
         else:
-            assert abs(a.ref_points[j, 0] - rect.cx) <= 1e-12
-            assert abs(a.ref_points[j, 1] - rect.cy) <= 1e-12
+            assert abs(a.ref_points[j, 0] - cx) <= 1e-12
+            assert abs(a.ref_points[j, 1] - cy) <= 1e-12
 
 
 def test_zero_area_column_dropped_and_flagged(front_view):
@@ -202,7 +204,21 @@ def test_allocation_json_roundtrip(rig6):
     back = AllocationResult.from_json_obj(res.to_json_obj())
     assert back.mapping.entries == res.mapping.entries
     assert np.array_equal(back.ref_points, res.ref_points)
-    assert back.rects == res.rects
+    assert back.rects.shape == (res.mapping.n_2d, 4)
+    assert np.array_equal(back.rects, res.rects)
+    assert back.to_json_obj() == res.to_json_obj()  # view ids included
+
+
+def test_allocation_json_rejects_bad_rects(rig6):
+    a = Anchor3D(center=(15.0, 0.0, 0.75), size=(2, 4, 1.5), yaw=0.0)
+    obj = allocate([a], rig6).to_json_obj()
+    for bad, match in [
+        ({"rects": []}, "columns"),
+        ({"rects": [obj["rects"][0][:4] + [3]]}, "view ids"),
+        ({"rects": [obj["rects"][0][:2] + [-1.0, 5.0, 0]]}, "non-negative"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            AllocationResult.from_json_obj({**obj, **bad})
 
 
 # ---------------------------------------------------------- gather / scatter

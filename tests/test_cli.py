@@ -6,6 +6,7 @@ import pytest
 
 from mvdet.cli import main
 from mvdet.geometry import make_surround_rig, save_rig
+from mvdet.simulator import perturb
 
 
 def run_cli(*argv):
@@ -171,9 +172,38 @@ def test_run_jobs_parallel_matches_serial(tmp_path):
         (out2 / "metrics" / "aar_curve.csv").read_bytes()
 
 
-def test_ap_pooling_keeps_frames_apart():
-    # a prediction must not match another frame's ground truth even when
-    # both use the same view id
+class InjectedFailure(Exception):
+    pass
+
+
+def perturb_failing_on_seed_7(scene, noise=None, seed=0):
+    # run_config's base seed is 5; scene 1 (seed 6) is perturbed with seed 7
+    if seed == 7:
+        raise InjectedFailure("injected")
+    return perturb(scene, noise, seed=seed)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_run_failure_names_scene_and_seed(tmp_path, monkeypatch, capsys, jobs):
+    import multiprocessing
+
+    from mvdet import cli
+
+    if jobs != "1" and multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched worker function reaches pool workers only by fork")
+    monkeypatch.setattr(cli, "perturb", perturb_failing_on_seed_7)
+    cfg = run_config(tmp_path, seeds={"base": 5, "scenes": 3})
+    argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "x"), "--jobs", jobs]
+    with pytest.raises(RuntimeError, match=r"^scene 1 \(seed 6\) failed: injected$") as info:
+        cli.cmd_run(cli.build_parser().parse_args(argv))
+    assert isinstance(info.value.__cause__, InjectedFailure)
+    assert run_cli(*argv) == 1
+    assert "scene 1 (seed 6) failed: injected" in capsys.readouterr().err
+
+
+def ap_of_two_frames(view0, view1):
+    """AP when frame 1's only prediction sits exactly on frame 0's ground
+    truth; frame 0's box is in view ``view0``, frame 1's in ``view1``."""
     from mvdet.cli import _ap_inputs
     from mvdet.geometry import Anchor3D, Box2D, make_surround_rig
     from mvdet.metrics import GtBox2D, Pred2D, ap_2d
@@ -187,14 +217,26 @@ def test_ap_pooling_keeps_frames_apart():
                      gt2d=[GtBox2D(box=gt_box, class_id=0, box3d_index=0)],
                      rig=rig)
 
-    g0 = Box2D(cx=50, cy=50, w=10, h=10, view_id=0)
-    g1 = Box2D(cx=200, cy=200, w=10, h=10, view_id=0)
+    g0 = Box2D(cx=50, cy=50, w=10, h=10, view_id=view0)
+    g1 = Box2D(cx=200, cy=200, w=10, h=10, view_id=view1)
+    pred = Box2D(cx=50, cy=50, w=10, h=10, view_id=view1)
     scenes = [scene(0, g0), scene(1, g1)]
-    # frame 1's only prediction sits exactly on frame 0's ground truth
-    det = {0: ([], []), 1: ([], [Pred2D(box=g0, class_id=0, score=1.0)])}
+    det = {0: ([], []), 1: ([], [Pred2D(box=pred, class_id=0, score=1.0)])}
     preds, gt = _ap_inputs(scenes, det)
-    ap = ap_2d(preds, gt, (0.5,))
-    assert ap[0][0.5] == 0.0
+    return ap_2d(preds, gt, (0.5,))[0][0.5]
+
+
+def test_ap_pooling_keeps_frames_apart():
+    # a prediction must not match another frame's ground truth even when
+    # both use the same view id
+    assert ap_of_two_frames(0, 0) == 0.0
+
+
+def test_ap_pooling_keys_on_frame_and_view():
+    # view 10000 of frame 0 and view 0 of frame 1 are different views; an
+    # id offset of frame * 10000 would merge them and score a match
+    assert ap_of_two_frames(10_000, 0) == 0.0
+    assert ap_of_two_frames(10_000, 10_000) == 0.0
 
 
 def test_run_preset_a_notes_no_2d(tmp_path, capsys):

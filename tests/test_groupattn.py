@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from mvdet._kernels import bilinear_sample
 from mvdet.denoising import denoise_groups
 from mvdet.groupattn import (
     NEG_INF,
+    SCORE_BUDGET,
     AttentionParams,
     CrossAttentionParams,
     GroupMask,
@@ -16,6 +18,7 @@ from mvdet.groupattn import (
     attention,
     build_mask,
     ref_point_cross_attention,
+    softmax_rows,
 )
 
 
@@ -252,6 +255,94 @@ def test_group_isolation_bitwise():
         assert np.array_equal(out[other], out2[other])
 
 
+# ------------------------------------------- head-batched dense attention
+
+def per_head_reference(x, kv, params):
+    """Dense attention as a per-head loop with fresh temporaries."""
+    h = params.heads
+    d = x.shape[1] // h
+    q = x @ params.w_q
+    k = kv @ params.w_k
+    v = kv @ params.w_v
+    out = np.empty_like(x)
+    for head in range(h):
+        sl = slice(head * d, (head + 1) * d)
+        scores = (q[:, sl] @ k[:, sl].T) / math.sqrt(d)
+        shifted = scores - scores.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        out[:, sl] = (e / e.sum(axis=1, keepdims=True)) @ v[:, sl]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    m=st.integers(1, 40),
+    heads=st.sampled_from([1, 2, 4, 8]),
+    d=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dense_attention_matches_per_head_loop(n, m, heads, d, seed):
+    rng = np.random.default_rng(seed)
+    c = heads * d
+    x = 3.0 * rng.standard_normal((n, c))
+    kv = 3.0 * rng.standard_normal((m, c))
+    params = AttentionParams.seeded(c, heads, rng)
+    assert np.array_equal(attention(x, params, kv=kv), per_head_reference(x, kv, params))
+    assert np.array_equal(attention(x, params), per_head_reference(x, x, params))
+
+
+@pytest.mark.parametrize(
+    "n, m, heads",
+    [
+        (SCORE_BUDGET // 2048, 1024, 2),  # two heads fill the budget exactly
+        (SCORE_BUDGET // 1024, 1024, 2),  # one head fills it exactly
+        (SCORE_BUDGET // 1024, 1025, 2),  # one head overflows it
+        (900, 900, 8),                    # the decoder's 3D self-attention
+        (900, 256, 4),
+    ],
+)
+def test_dense_attention_around_score_budget(n, m, heads):
+    rng = np.random.default_rng(n + m + heads)
+    c = 2 * heads
+    x = rng.standard_normal((n, c))
+    kv = rng.standard_normal((m, c))
+    params = AttentionParams.seeded(c, heads, rng)
+    assert np.array_equal(attention(x, params, kv=kv), per_head_reference(x, kv, params))
+
+
+def test_dense_attention_empty_queries():
+    params = seeded_params(8, heads=2)
+    kv = np.ones((3, 8))
+    assert attention(np.zeros((0, 8)), params).shape == (0, 8)
+    got = attention(np.zeros((0, 8)), params, kv=kv)
+    assert np.array_equal(got, per_head_reference(np.zeros((0, 8)), kv, params))
+
+
+def test_dense_attention_peak_memory():
+    # one reused N x N score buffer, not an h x N x N stack or fresh
+    # per-head temporaries
+    n, c, heads = 900, 64, 8
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((n, c))
+    params = AttentionParams.seeded(c, heads, rng)
+    tracemalloc.start()
+    try:
+        attention(x, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n * n * 8
+
+
+def test_softmax_rows_in_place():
+    rng = np.random.default_rng(3)
+    scores = rng.standard_normal((2, 3, 5))
+    got = softmax_rows(scores)
+    assert got is scores
+    assert np.abs(got.sum(axis=-1) - 1.0).max() <= 1e-15
+
+
 # ------------------------------------------------- ref point cross attention
 
 def single_scale_params(c_feat, c, seed=0):
@@ -315,7 +406,9 @@ def test_view_isolation_bitwise():
                                                    rng.standard_normal((4, 4, c_feat))])
         for v in (0, 1)
     }
+    logits = params.scale_logits.copy()
     out = ref_point_cross_attention(x, refs, feats, groups, params)
+    assert np.array_equal(params.scale_logits, logits)  # in-place softmax on a copy
     feats2 = dict(feats)
     feats2[1] = ViewFeatures(width=64, height=64,
                              maps=[m_ + 1.0 for m_ in feats[1].maps])
