@@ -258,31 +258,35 @@ def gather_2d(mapping: MappingMatrix, q3d: np.ndarray) -> np.ndarray:
     return q3d[mapping.rows].copy()
 
 
+def mean_of_copies(owner: np.ndarray, copies: np.ndarray, n: int) -> np.ndarray:
+    """Mean of the rows of ``copies`` per owner: row i averages the copies
+    whose ``owner`` is i, for i in 0..n-1; owners without a copy get zeros.
+
+    Computed as first copy + mean of differences, in copy order, so an owner
+    whose copies are all equal gets that value back bit-identically.
+    """
+    out = np.zeros((n, copies.shape[1]))
+    if owner.size == 0:
+        return out
+    counts = np.bincount(owner, minlength=n).astype(np.float64)
+    owned, first = np.unique(owner, return_index=True)
+    anchor_vals = np.zeros_like(out)
+    anchor_vals[owned] = copies[first]
+    diff_sum = np.zeros_like(out)
+    np.add.at(diff_sum, owner, copies - anchor_vals[owner])
+    out[owned] = anchor_vals[owned] + diff_sum[owned] / counts[owned, None]
+    return out
+
+
 def scatter_mean(mapping: MappingMatrix, q2d: np.ndarray) -> np.ndarray:
     """Average each 3D query's 2D columns back into one row.
 
     Sparse equivalent of T Q2d / colsum(T); rows that own no column are
-    zero-filled (their denominator would be 0).  The mean is computed as
-    first-copy + mean of differences so a row whose columns are all equal
-    comes back bit-identical to that value.
+    zero-filled (their denominator would be 0).  See ``mean_of_copies``.
     """
     q2d = np.asarray(q2d, dtype=np.float64)
     if q2d.ndim != 2 or q2d.shape[0] != mapping.n_2d:
         raise ValueError(
             f"q2d must be ({mapping.n_2d}, C), got {q2d.shape}"
         )
-    n, c = mapping.n_3d, q2d.shape[1]
-    out = np.zeros((n, c))
-    if mapping.n_2d == 0:
-        return out
-    counts = np.bincount(mapping.rows, minlength=n).astype(np.float64)
-    owned = np.flatnonzero(counts > 0)
-    first_col = np.full(n, -1, dtype=np.intp)
-    uniq, first = np.unique(mapping.rows, return_index=True)
-    first_col[uniq] = first
-    anchor_vals = np.zeros((n, c))
-    anchor_vals[owned] = q2d[first_col[owned]]
-    diff_sum = np.zeros((n, c))
-    np.add.at(diff_sum, mapping.rows, q2d - anchor_vals[mapping.rows])
-    out[owned] = anchor_vals[owned] + diff_sum[owned] / counts[owned, None]
-    return out
+    return mean_of_copies(mapping.rows, q2d, mapping.n_3d)

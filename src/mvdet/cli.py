@@ -9,7 +9,9 @@ metrics CSVs into the output directory.
 from __future__ import annotations
 
 import argparse
+import collections
 import concurrent.futures
+import contextlib
 import functools
 import json
 import logging
@@ -370,6 +372,33 @@ def _scene_result(payload: tuple, result) -> dict:
         raise RuntimeError(f"scene {idx} (seed {seed}) failed: {exc}") from exc
 
 
+def _scene_results(payloads: list[tuple], jobs: int):
+    """Each scene's artifacts in scene order, each as soon as it is ready.
+
+    With ``jobs > 1`` the scenes run in a process pool; when one fails,
+    the scenes not yet started are cancelled before the error propagates.
+    """
+    if jobs <= 1:
+        for p in payloads:
+            yield _scene_result(p, functools.partial(_run_one_scene, p))
+        return
+    pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
+    try:
+        futures = collections.deque(pool.submit(_run_one_scene, p) for p in payloads)
+        for p in payloads:
+            yield _scene_result(p, futures.popleft().result)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _write_scene(out_dir: Path, r: dict) -> None:
+    """The scene, allocation, head-output and prediction files of one scene."""
+    for key, sub in (("scene", "scenes"), ("alloc", "alloc"), ("forward", "forward"),
+                     ("pred", "pred")):
+        path = out_dir / sub / f"{key}_{r['idx']:04d}.json"
+        path.write_text(json.dumps(r[key]) + "\n")
+
+
 def cmd_run(args) -> int:
     cfg = _load_json(args.config)
     out_dir = Path(args.out if args.out else cfg.get("out_dir", "mvdet-out"))
@@ -394,6 +423,9 @@ def cmd_run(args) -> int:
 
     seeds = cfg.get("seeds", {})
     base_seed = int(seeds.get("base", 0)) if args.seed is None else args.seed
+    if base_seed < 0:
+        source = "seeds.base" if args.seed is None else "--seed"
+        raise ValueError(f"{source} must be non-negative, got {base_seed}")
     n_scenes = int(seeds.get("scenes", cfg.get("scenes", 4)))
     n_boxes = int(cfg.get("boxes", 15))
     noise_obj = cfg.get("noise", {})
@@ -409,27 +441,17 @@ def cmd_run(args) -> int:
          noise_obj, n_boxes)
         for i in range(n_scenes)
     ]
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(_run_one_scene, p) for p in payloads]
-            results = [_scene_result(p, f.result) for p, f in zip(payloads, futures)]
-    else:
-        results = [_scene_result(p, functools.partial(_run_one_scene, p)) for p in payloads]
-    results.sort(key=lambda r: r["idx"])
-
+    # Only what the metrics need outlives a scene's result.
     scenes = []
     det_frames = []
     no_2d = True
-    for r in results:
-        i = r["idx"]
-        (out_dir / "scenes" / f"scene_{i:04d}.json").write_text(json.dumps(r["scene"]) + "\n")
-        (out_dir / "alloc" / f"alloc_{i:04d}.json").write_text(json.dumps(r["alloc"]) + "\n")
-        (out_dir / "forward" / f"forward_{i:04d}.json").write_text(json.dumps(r["forward"]) + "\n")
-        (out_dir / "pred" / f"pred_{i:04d}.json").write_text(json.dumps(r["pred"]) + "\n")
-        scenes.append(Scene.from_json_obj(r["scene"]))
-        det_frames.extend(parse_detections(r["pred"]))
-        if r["n_2d_emissions"]:
-            no_2d = False
+    with contextlib.closing(_scene_results(payloads, args.jobs)) as results:
+        for r in results:
+            _write_scene(out_dir, r)
+            scenes.append(Scene.from_json_obj(r["scene"]))
+            det_frames.extend(parse_detections(r["pred"]))
+            no_2d = no_2d and not r["n_2d_emissions"]
+            del r  # let the result go before the next scene is computed
     _write_json(
         {"format": "mvdet-scene-set/1", "scenes": [s.to_json_obj() for s in scenes]},
         out_dir / "gt_scenes.json",

@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .allocation import mean_of_copies
 from .geometry import Anchor3D, Box2D
 from .groupattn import GroupMask
 
@@ -245,26 +246,17 @@ def restore_3d(noisy_2d_updated: np.ndarray, layout: DenoiseLayout) -> np.ndarra
 
     Mirror of the match-part mapping fusion: group-wise mean per (group,
     GT) pair, preserving group order.  Returns (n_groups, n_kept_gt, C).
-    Computed as first-copy + mean of differences so equal copies restore
-    bit-identically.
+    Uses the same ``mean_of_copies`` as the match part, so equal copies
+    restore bit-identically.
     """
     q = np.asarray(noisy_2d_updated, dtype=np.float64)
     if q.ndim != 2 or q.shape[0] != layout.n_noise:
         raise ValueError(f"expected ({layout.n_noise}, C) updated queries, got {q.shape}")
     n_g, n_t = layout.n_groups, len(layout.kept_gt)
-    c = q.shape[1]
     flat = layout.col_group * n_t + layout.col_gt
-    counts = np.bincount(flat, minlength=n_g * n_t).astype(np.float64)
-    if (counts == 0).any():
+    if (np.bincount(flat, minlength=n_g * n_t) == 0).any():
         raise ValueError("a noisy anchor has no 2D copies to restore from")
-    first = np.zeros(n_g * n_t, dtype=np.intp)
-    uniq, first_idx = np.unique(flat, return_index=True)
-    first[uniq] = first_idx
-    anchor_vals = q[first]
-    diff_sum = np.zeros((n_g * n_t, c))
-    np.add.at(diff_sum, flat, q - anchor_vals[flat])
-    out = anchor_vals + diff_sum / counts[:, None]
-    return out.reshape(n_g, n_t, c)
+    return mean_of_copies(flat, q, n_g * n_t).reshape(n_g, n_t, q.shape[1])
 
 
 def encode_anchor_features(anchors: np.ndarray, channels: int, seed: int = 7) -> np.ndarray:

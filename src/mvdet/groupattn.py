@@ -8,14 +8,18 @@ removing another group leaves them bit-identical.  ``build_mask`` spells
 the same rule out as a dense additive mask for reference checks.
 
 Dense attention (each group, or every row over ``kv``) is head-batched:
-one score buffer holds as many heads as fit in ``SCORE_BUDGET`` doubles
-(at least one), the softmax runs in place, and the results are
-bit-identical to a per-head loop.
+the score buffers of one call hold together as many heads as fit in
+``SCORE_BUDGET`` doubles (at least one), and the softmax runs in place.
+A call whose heads do not fit in one buffer splits them among threads,
+one buffer each, up to the number of usable cores; the threads end with
+the call.  The results are bit-identical to a per-head loop.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 import numpy as np
 
@@ -26,9 +30,18 @@ from ._kernels import bilinear_sample
 # softmax weight is exactly 0.0 (holds for |unmasked logits| << 1e9).
 NEG_INF = -1e9
 
-# Doubles in the score buffer of one dense attention call (8 MiB): small
-# calls batch all heads in one product, large ones take a head at a time.
-SCORE_BUDGET = 1 << 20
+# Doubles in all score buffers of one dense attention call together
+# (16 MiB): small calls batch all heads in one product; at N = M = 900 two
+# heads fit, one on each of two threads.
+SCORE_BUDGET = 1 << 21
+
+
+def usable_cores() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -126,12 +139,15 @@ def softmax_rows(scores: np.ndarray) -> np.ndarray:
 def _attend(x: np.ndarray, kv: np.ndarray, params: AttentionParams) -> np.ndarray:
     """Multi-head softmax(QK^T / sqrt(d)) V of every row of x over kv.
 
-    Heads run in chunks through one score buffer of at most SCORE_BUDGET
-    doubles (one head per chunk when a single N x M head exceeds it), and
-    the softmax works in place.  Every head sees the same operations in the
-    same order as a per-head loop, so the output is bit-identical to it.
-    Query rows are never blocked: BLAS may pick another kernel for the
-    smaller products and change the last bits.
+    The budget of SCORE_BUDGET doubles (or one N x M head, when that is
+    larger) is shared by the score buffers of the call.  When all heads fit
+    in it they run in one chunk on the calling thread.  Otherwise up to
+    ``usable_cores()`` workers each take a buffer of an equal share of the
+    budget and run every workers-th chunk of heads through it; the calling
+    thread is one of them.  Every head sees the same operations in the same
+    order as a per-head loop, so the output is bit-identical to it whatever
+    the chunking or thread count.  Query rows are never blocked: BLAS may
+    pick another kernel for the smaller products and change the last bits.
     """
     n, c = x.shape
     m = kv.shape[0]
@@ -144,14 +160,28 @@ def _attend(x: np.ndarray, kv: np.ndarray, params: AttentionParams) -> np.ndarra
     v = (kv @ params.w_v).reshape(m, h, d).transpose(1, 0, 2)
     out = np.empty((n, h, d))
     heads_out = out.transpose(1, 0, 2)
-    step = max(1, min(h, SCORE_BUDGET // max(1, n * m)))
-    buf = np.empty((step, n, m))
+    fit = max(1, SCORE_BUDGET // max(1, n * m))  # heads the budget holds
+    workers = 1 if fit >= h else min(usable_cores(), fit)
+    step = min(h, fit // workers)
+    starts = range(0, h, step)
     scale = math.sqrt(d)
-    for s in range(0, h, step):
-        e = min(h, s + step)
-        scores = np.matmul(q[s:e], k[s:e], out=buf[: e - s])
-        np.divide(scores, scale, out=scores)
-        heads_out[s:e] = softmax_rows(scores) @ v[s:e]
+
+    def run_chunks(first: int) -> None:
+        buf = np.empty((step, n, m))
+        for s in starts[first::workers]:
+            e = min(h, s + step)
+            scores = np.matmul(q[s:e], k[s:e], out=buf[: e - s])
+            np.divide(scores, scale, out=scores)
+            heads_out[s:e] = softmax_rows(scores) @ v[s:e]
+
+    if workers == 1:
+        run_chunks(0)
+    else:
+        with ThreadPoolExecutor(workers - 1) as pool:
+            futures = [pool.submit(run_chunks, w) for w in range(1, workers)]
+            run_chunks(0)
+            for f in futures:
+                f.result()
     return out.reshape(n, c)
 
 

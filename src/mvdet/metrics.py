@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ._kernels import iou_matrix
 from .geometry import Box2D, CameraView, project_anchor_batch
@@ -128,6 +127,8 @@ def hungarian(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("NaN in cost matrix")
     if not np.isfinite(cost).all():
         raise ValueError("cost matrix must be finite")
+    from scipy.optimize import linear_sum_assignment  # slow import; most CLI calls skip it
+
     rows, cols = linear_sum_assignment(cost)
     if cost.size <= _LEX_REFINE_MAX_CELLS:
         rows, cols = _lex_smallest(cost, float(cost[rows, cols].sum()))
@@ -137,6 +138,8 @@ def hungarian(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _lex_smallest(cost: np.ndarray, opt: float) -> tuple[np.ndarray, np.ndarray]:
     """Greedy construction of the lexicographically smallest optimal assignment."""
+    from scipy.optimize import linear_sum_assignment
+
     n, m = cost.shape
     k = min(n, m)
     tol = 1e-9 * (1.0 + abs(opt))
@@ -326,25 +329,6 @@ def loss_2d(
         pred_boxes, pred_logits, pred_alphas, gt_boxes, gt_classes, gt_thetas,
         assignments, weights,
     )["total"]
-
-
-def loss_3d(
-    pred_boxes: np.ndarray,
-    pred_logits: np.ndarray,
-    gt_boxes: np.ndarray,
-    gt_classes: np.ndarray,
-    assignment: tuple[np.ndarray, np.ndarray],
-) -> float:
-    """Focal classification plus L1 over the 9-dim box of matched pairs."""
-    pred_boxes = np.asarray(pred_boxes, dtype=np.float64).reshape(-1, 9)
-    pi, gi = assignment
-    targets = np.full(pred_boxes.shape[0], -1, dtype=np.intp)
-    l1 = 0.0
-    if len(pi):
-        targets[pi] = np.asarray(gt_classes, dtype=np.intp)[gi]
-        gt_b = np.asarray(gt_boxes, dtype=np.float64).reshape(-1, 9)
-        l1 = float(np.abs(pred_boxes[pi] - gt_b[gi]).sum() / len(pi))
-    return focal_loss(pred_logits, targets) + l1
 
 
 def loss_instance_depth(

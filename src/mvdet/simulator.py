@@ -168,10 +168,6 @@ class Scene:
         )
 
 
-def save_scene(scene: Scene, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(scene.to_json_obj()) + "\n")
-
-
 def load_scene(path: str | Path) -> Scene:
     return Scene.from_json_obj(json.loads(Path(path).read_text()))
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +203,56 @@ def test_run_failure_names_scene_and_seed(tmp_path, monkeypatch, capsys, jobs):
     assert isinstance(info.value.__cause__, InjectedFailure)
     assert run_cli(*argv) == 1
     assert "scene 1 (seed 6) failed: injected" in capsys.readouterr().err
+
+
+def sample_scene_marking(marks, real):
+    """``sample_scene`` that leaves a marker file per scene; scene 0 (seed 5)
+    fails at once, the others take a while."""
+
+    def marking(seed, rig, **kwargs):
+        (marks / f"scene_{seed}").touch()
+        if seed == 5:
+            raise InjectedFailure("injected")
+        time.sleep(0.3)
+        return real(seed, rig, **kwargs)
+
+    return marking
+
+
+def test_run_failure_cancels_pending_scenes(tmp_path, monkeypatch):
+    import multiprocessing
+
+    from mvdet import cli
+
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched worker function reaches pool workers only by fork")
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    monkeypatch.setattr(cli, "sample_scene", sample_scene_marking(marks, cli.sample_scene))
+    n_scenes = 12
+    cfg = run_config(tmp_path, seeds={"base": 5, "scenes": n_scenes})
+    argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "x"), "--jobs", "2"]
+    with pytest.raises(RuntimeError, match=r"^scene 0 \(seed 5\) failed: injected$"):
+        cli.cmd_run(cli.build_parser().parse_args(argv))
+    started = len(list(marks.iterdir()))
+    assert 1 <= started < n_scenes
+
+
+def test_run_rejects_negative_seed(tmp_path, capsys):
+    cfg = run_config(tmp_path)
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "x"),
+                   "--seed", "-1") == 1
+    assert "--seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "scenes").exists()
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    code = "import sys, mvdet.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def ap_of_two_frames(view0, view1):

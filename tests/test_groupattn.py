@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvdet import groupattn
 from mvdet._kernels import bilinear_sample
 from mvdet.denoising import denoise_groups
 from mvdet.groupattn import (
@@ -295,20 +297,26 @@ def test_dense_attention_matches_per_head_loop(n, m, heads, d, seed):
 @pytest.mark.parametrize(
     "n, m, heads",
     [
+        (SCORE_BUDGET // 4096, 1024, 2),  # both heads fit with room to spare
         (SCORE_BUDGET // 2048, 1024, 2),  # two heads fill the budget exactly
+        (SCORE_BUDGET // 2048, 1025, 2),  # two heads overflow it: one per chunk
         (SCORE_BUDGET // 1024, 1024, 2),  # one head fills it exactly
-        (SCORE_BUDGET // 1024, 1025, 2),  # one head overflows it
+        (SCORE_BUDGET // 2048, 1024, 4),  # two chunks of two heads
+        (SCORE_BUDGET // 4096, 1024, 8),  # eight heads, four fit
         (900, 900, 8),                    # the decoder's 3D self-attention
         (900, 256, 4),
     ],
 )
-def test_dense_attention_around_score_budget(n, m, heads):
+def test_dense_attention_around_score_budget(n, m, heads, monkeypatch):
     rng = np.random.default_rng(n + m + heads)
     c = 2 * heads
     x = rng.standard_normal((n, c))
     kv = rng.standard_normal((m, c))
     params = AttentionParams.seeded(c, heads, rng)
-    assert np.array_equal(attention(x, params, kv=kv), per_head_reference(x, kv, params))
+    want = per_head_reference(x, kv, params)
+    for cores in (1, 2, 8):
+        monkeypatch.setattr(groupattn, "usable_cores", lambda: cores)
+        assert np.array_equal(attention(x, params, kv=kv), want), cores
 
 
 def test_dense_attention_empty_queries():
@@ -319,13 +327,15 @@ def test_dense_attention_empty_queries():
     assert np.array_equal(got, per_head_reference(np.zeros((0, 8)), kv, params))
 
 
-def test_dense_attention_peak_memory():
-    # one reused N x N score buffer, not an h x N x N stack or fresh
-    # per-head temporaries
+def test_dense_attention_peak_memory(monkeypatch):
+    # all score buffers of a call share one budget whatever the core count:
+    # at N = 900 two N x N buffers, not an h x N x N stack, one buffer per
+    # core or fresh per-head temporaries
     n, c, heads = 900, 64, 8
     rng = np.random.default_rng(0)
     x = rng.standard_normal((n, c))
     params = AttentionParams.seeded(c, heads, rng)
+    monkeypatch.setattr(groupattn, "usable_cores", lambda: 8)
     tracemalloc.start()
     try:
         attention(x, params)
@@ -333,6 +343,55 @@ def test_dense_attention_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 3 * n * n * 8
+
+
+class InjectedFailure(Exception):
+    pass
+
+
+def softmax_recording_threads(seen, fail_off_main=False):
+    """``softmax_rows`` that records the threads it runs on."""
+    real = groupattn.softmax_rows
+
+    def recording(scores):
+        seen.add(threading.get_ident())
+        if fail_off_main and threading.current_thread() is not threading.main_thread():
+            raise InjectedFailure("worker failed")
+        return real(scores)
+
+    return recording
+
+
+@pytest.mark.parametrize("cores, n, threads", [(1, 900, 1), (2, 900, 2), (8, 900, 2),
+                                               (8, 300, 1)])
+def test_dense_attention_threads_end_with_the_call(monkeypatch, cores, n, threads):
+    # N = 900, 8 heads: two heads fit, so two threads when two cores are
+    # usable; N = 300 fits all heads in one chunk on the calling thread
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((n, 16))
+    params = AttentionParams.seeded(16, 8, rng)
+    seen = set()
+    monkeypatch.setattr(groupattn, "usable_cores", lambda: cores)
+    monkeypatch.setattr(groupattn, "softmax_rows", softmax_recording_threads(seen))
+    before = threading.active_count()
+    assert np.array_equal(attention(x, params), per_head_reference(x, x, params))
+    assert threading.active_count() == before
+    assert len(seen) == threads
+
+
+def test_dense_attention_worker_error_reaches_caller(monkeypatch):
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((900, 16))
+    params = AttentionParams.seeded(16, 8, rng)
+    seen = set()
+    monkeypatch.setattr(groupattn, "usable_cores", lambda: 2)
+    monkeypatch.setattr(groupattn, "softmax_rows",
+                        softmax_recording_threads(seen, fail_off_main=True))
+    before = threading.active_count()
+    with pytest.raises(InjectedFailure, match="worker failed"):
+        attention(x, params)
+    assert threading.active_count() == before
+    assert len(seen) == 2
 
 
 def test_softmax_rows_in_place():
