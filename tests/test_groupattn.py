@@ -301,6 +301,7 @@ def test_dense_attention_matches_per_head_loop(n, m, heads, d, seed):
         (SCORE_BUDGET // 2048, 1024, 2),  # two heads fill the budget exactly
         (SCORE_BUDGET // 2048, 1025, 2),  # two heads overflow it: one per chunk
         (SCORE_BUDGET // 1024, 1024, 2),  # one head fills it exactly
+        (SCORE_BUDGET // 1024, 1025, 2),  # one head overflows it
         (SCORE_BUDGET // 2048, 1024, 4),  # two chunks of two heads
         (SCORE_BUDGET // 4096, 1024, 8),  # eight heads, four fit
         (900, 900, 8),                    # the decoder's 3D self-attention
@@ -343,6 +344,28 @@ def test_dense_attention_peak_memory(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 3 * n * n * 8
+
+
+def test_dense_attention_head_over_budget_memory(monkeypatch):
+    # one N x M head larger than the budget: the call still holds a single
+    # N x M score buffer, on the calling thread, however many cores there are
+    n, m, heads = SCORE_BUDGET // 1024, 1025, 2
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((n, 2 * heads))
+    kv = rng.standard_normal((m, 2 * heads))
+    params = AttentionParams.seeded(2 * heads, heads, rng)
+    seen = set()
+    monkeypatch.setattr(groupattn, "usable_cores", lambda: 8)
+    monkeypatch.setattr(groupattn, "softmax_rows", softmax_recording_threads(seen))
+    tracemalloc.start()
+    try:
+        attention(x, params, kv=kv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n * m > SCORE_BUDGET
+    assert peak < 1.1 * n * m * 8
+    assert seen == {threading.get_ident()}
 
 
 class InjectedFailure(Exception):
