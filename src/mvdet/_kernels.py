@@ -1,10 +1,4 @@
-"""NumPy implementations of the hot numeric kernels.
-
-This module mirrors the compiled backend (``mvdet._kernels._core``)
-operation for operation.  Both backends evaluate every formula in the same
-floating-point order, so their outputs agree bit for bit; any change here
-must be mirrored in the Cython source.
-"""
+"""NumPy implementations of the hot numeric kernels."""
 
 import numpy as np
 

@@ -68,11 +68,6 @@ def _write_json(obj: dict, path: str | Path | None) -> None:
         Path(path).write_text(text)
 
 
-def _load_full_rig(path: str | Path) -> list[CameraView]:
-    """Rig file with its derived_views rules applied."""
-    return load_extended_rig(path)
-
-
 def _parse_sweep(spec: str) -> list[float]:
     """'0.1:0.9:0.1' -> [0.1, 0.2, ..., 0.9]."""
     try:
@@ -89,9 +84,15 @@ def _load_gt_scenes(path: str | Path) -> list[Scene]:
     obj = _load_json(path)
     if obj.get("format") == "mvdet-scene/1":
         return [Scene.from_json_obj(obj)]
-    if obj.get("format") == "mvdet-scene-set/1":
-        return [Scene.from_json_obj(s) for s in obj["scenes"]]
-    raise ValueError(f"unrecognized ground-truth format: {obj.get('format')!r}")
+    if obj.get("format") != "mvdet-scene-set/1":
+        raise ValueError(f"unrecognized ground-truth format: {obj.get('format')!r}")
+    scenes = [Scene.from_json_obj(s) for s in obj["scenes"]]
+    seen = set()
+    for scene in scenes:
+        if scene.frame_id in seen:
+            raise ValueError(f"{path}: frame_id {scene.frame_id} appears in more than one scene")
+        seen.add(scene.frame_id)
+    return scenes
 
 
 # ------------------------------------------------------------------ simulate
@@ -99,7 +100,7 @@ def _load_gt_scenes(path: str | Path) -> list[Scene]:
 def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rig = _load_full_rig(args.rig) if args.rig else make_surround_rig(args.views)
+    rig = load_extended_rig(args.rig) if args.rig else make_surround_rig(args.views)
     save_rig(rig, out_dir / "rig.json")
     scenes = []
     for i in range(args.scenes):
@@ -116,7 +117,7 @@ def cmd_simulate(args) -> int:
 # ------------------------------------------------------------------ allocate
 
 def cmd_allocate(args) -> int:
-    rig = _load_full_rig(args.rig)
+    rig = load_extended_rig(args.rig)
     obj = _load_json(args.anchors)
     anchors = anchors_to_array(np.asarray(obj["anchors"], dtype=np.float64))
     limits = AllocationLimits(max_truncated_per_camera=args.max_truncated)
@@ -142,7 +143,7 @@ def cmd_forward(args) -> int:
     cfg_obj = _load_json(args.config)
     scene = load_scene(args.scene)
     if cfg_obj.get("rig"):
-        rig = _load_full_rig(cfg_obj["rig"])
+        rig = load_extended_rig(cfg_obj["rig"])
     else:
         rig = scene.rig
     config = _decoder_from_config(cfg_obj)
@@ -195,7 +196,7 @@ def _write_csv(lines: list[str], path: str | None) -> None:
 
 def cmd_eval_aar(args) -> int:
     scenes = _load_gt_scenes(args.gt)
-    frames = parse_detections(_load_json(args.pred))
+    frames = parse_detections(_load_json(args.pred), source=str(args.pred))
     det_by_frame = {fid: (p3d, p2d) for fid, p3d, p2d in frames}
     params = MatchParams(tau_dis=args.tau_dis)
     taus = _parse_sweep(args.tau_iou_sweep)
@@ -243,7 +244,7 @@ def _ap_inputs(scenes, det_by_frame):
 
 def cmd_eval_ap(args) -> int:
     scenes = _load_gt_scenes(args.gt)
-    frames = parse_detections(_load_json(args.pred))
+    frames = parse_detections(_load_json(args.pred), source=str(args.pred))
     det_by_frame = {fid: (p3d, p2d) for fid, p3d, p2d in frames}
     thresholds = [float(t) for t in args.iou_thresholds.split(",")]
     all_preds, all_gt = _ap_inputs(scenes, det_by_frame)
@@ -414,7 +415,7 @@ def cmd_run(args) -> int:
         rig_path = Path(cfg["rig"])
         if not rig_path.exists():
             raise FileNotFoundError(f"rig file not found: {rig_path}")
-        rig = _load_full_rig(rig_path)
+        rig = load_extended_rig(rig_path)
     else:
         rig = make_surround_rig(int(cfg.get("views", 6)))
     rules = [CropRule.from_json_obj(r) for r in cfg.get("crop_rules", [])]

@@ -184,16 +184,6 @@ class Box2D:
     def as_array(self) -> np.ndarray:
         return np.array([self.cx, self.cy, self.w, self.h], dtype=np.float64)
 
-    @classmethod
-    def from_corners(cls, x0, y0, x1, y1, view_id: int) -> "Box2D":
-        return cls(
-            cx=0.5 * (x0 + x1),
-            cy=0.5 * (y0 + y1),
-            w=x1 - x0,
-            h=y1 - y0,
-            view_id=view_id,
-        )
-
 
 @dataclass(frozen=True)
 class ProjectedAnchor:

@@ -36,7 +36,7 @@ NEG_INF = -1e9
 SCORE_BUDGET = 1 << 21
 
 
-def usable_cores() -> int:
+def usable_cpus() -> int:
     """CPUs this process may run on (its affinity mask where the OS has one)."""
     try:
         return len(os.sched_getaffinity(0))
@@ -142,7 +142,7 @@ def _attend(x: np.ndarray, kv: np.ndarray, params: AttentionParams) -> np.ndarra
     The budget of SCORE_BUDGET doubles (or one N x M head, when that is
     larger) is shared by the score buffers of the call.  When all heads fit
     in it they run in one chunk on the calling thread.  Otherwise up to
-    ``usable_cores()`` workers each take a buffer of an equal share of the
+    ``usable_cpus()`` workers each take a buffer of an equal share of the
     budget and run every workers-th chunk of heads through it; the calling
     thread is one of them.  Every head sees the same operations in the same
     order as a per-head loop, so the output is bit-identical to it whatever
@@ -161,7 +161,7 @@ def _attend(x: np.ndarray, kv: np.ndarray, params: AttentionParams) -> np.ndarra
     out = np.empty((n, h, d))
     heads_out = out.transpose(1, 0, 2)
     fit = max(1, SCORE_BUDGET // max(1, n * m))  # heads the budget holds
-    workers = 1 if fit >= h else min(usable_cores(), fit)
+    workers = 1 if fit >= h else min(usable_cpus(), fit)
     step = min(h, fit // workers)
     starts = range(0, h, step)
     scale = math.sqrt(d)

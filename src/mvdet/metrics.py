@@ -637,11 +637,19 @@ def detections_to_json_obj(
     return {"format": "mvdet-detections/1", "frames": out_frames}
 
 
-def parse_detections(obj: dict) -> list[tuple[int, list[Pred3D], list[Pred2D]]]:
+def parse_detections(
+    obj: dict, source: str = "detections"
+) -> list[tuple[int, list[Pred3D], list[Pred2D]]]:
+    """Frames of a detections object; ``source`` names it in errors."""
     if obj.get("format") != "mvdet-detections/1":
         raise ValueError(f"not a detections file: format={obj.get('format')!r}")
     frames = []
+    seen = set()
     for f in obj["frames"]:
+        frame_id = int(f.get("frame_id", 0))
+        if frame_id in seen:
+            raise ValueError(f"{source}: frame_id {frame_id} appears more than once")
+        seen.add(frame_id)
         p3d = [
             Pred3D(
                 box=np.asarray(b["box"], dtype=np.float64),
@@ -661,5 +669,5 @@ def parse_detections(obj: dict) -> list[tuple[int, list[Pred3D], list[Pred2D]]]:
                         score=float(b.get("score", 1.0)),
                     )
                 )
-        frames.append((int(f.get("frame_id", 0)), p3d, p2d))
+        frames.append((frame_id, p3d, p2d))
     return frames

@@ -134,6 +134,43 @@ def test_eval_ap(tmp_path, sim_dir):
     assert float(lines[-1].split(",")[-1]) == 1.0  # perfect predictions
 
 
+EVAL_ARGS = {"eval-ap": (), "eval-aar": ("--tau-dis", "2", "--tau-iou-sweep", "0.5:0.5:0.1")}
+
+
+@pytest.mark.parametrize("command", sorted(EVAL_ARGS))
+def test_eval_rejects_repeated_detection_frame(tmp_path, sim_dir, capsys, command):
+    from mvdet.simulator import load_scene
+
+    # perfect boxes for frame 0, then an empty entry for frame 0 that
+    # would silently replace them
+    obj = perturb(load_scene(sim_dir / "scene_0000.json"), seed=0)
+    obj["frames"].append({"frame_id": 0, "boxes3d": [], "boxes2d": {}})
+    pred = tmp_path / "pred.json"
+    pred.write_text(json.dumps(obj))
+    out = tmp_path / "out.csv"
+    assert run_cli(command, "--gt", str(sim_dir / "scenes.json"), "--pred", str(pred),
+                   *EVAL_ARGS[command], "--out", str(out)) == 1
+    assert f"{pred}: frame_id 0 appears more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(EVAL_ARGS))
+def test_eval_rejects_repeated_gt_frame(tmp_path, sim_dir, capsys, command):
+    from mvdet.simulator import load_scene
+
+    scene = load_scene(sim_dir / "scene_0000.json")
+    gt = tmp_path / "scenes.json"
+    gt.write_text(json.dumps({"format": "mvdet-scene-set/1",
+                              "scenes": [scene.to_json_obj(), scene.to_json_obj()]}))
+    pred = tmp_path / "pred.json"
+    pred.write_text(json.dumps(perturb(scene, seed=0)))
+    out = tmp_path / "out.csv"
+    assert run_cli(command, "--gt", str(gt), "--pred", str(pred),
+                   *EVAL_ARGS[command], "--out", str(out)) == 1
+    assert f"{gt}: frame_id 0 appears in more than one scene" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_crop_views(tmp_path, rig_file):
     out = tmp_path / "rig8.json"
     assert run_cli("crop-views", "--rig", str(rig_file), "--out", str(out)) == 0

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvdet._kernels import iou_matrix
 from mvdet.geometry import (
     EPS_DEPTH,
     Anchor3D,
@@ -255,6 +256,11 @@ def test_iou_symmetric_bounded(ca, sa, cb, sb):
     iba = iou_2d(b, a)
     assert iab == iba
     assert 0.0 <= iab <= 1.0
+    # a box covers itself exactly, unless its corner span has no area
+    boxes = np.array([a.as_array(), b.as_array()])
+    x0, y0, x1, y1 = np.array([a.corners, b.corners]).T
+    assert np.array_equal(np.diag(iou_matrix(boxes, boxes)),
+                          np.where((x1 - x0) * (y1 - y0) > 0.0, 1.0, 0.0))
 
 
 # ------------------------------------------------------------ views and rigs

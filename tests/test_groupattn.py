@@ -316,7 +316,7 @@ def test_dense_attention_around_score_budget(n, m, heads, monkeypatch):
     params = AttentionParams.seeded(c, heads, rng)
     want = per_head_reference(x, kv, params)
     for cores in (1, 2, 8):
-        monkeypatch.setattr(groupattn, "usable_cores", lambda: cores)
+        monkeypatch.setattr(groupattn, "usable_cpus", lambda: cores)
         assert np.array_equal(attention(x, params, kv=kv), want), cores
 
 
@@ -336,7 +336,7 @@ def test_dense_attention_peak_memory(monkeypatch):
     rng = np.random.default_rng(0)
     x = rng.standard_normal((n, c))
     params = AttentionParams.seeded(c, heads, rng)
-    monkeypatch.setattr(groupattn, "usable_cores", lambda: 8)
+    monkeypatch.setattr(groupattn, "usable_cpus", lambda: 8)
     tracemalloc.start()
     try:
         attention(x, params)
@@ -355,7 +355,7 @@ def test_dense_attention_head_over_budget_memory(monkeypatch):
     kv = rng.standard_normal((m, 2 * heads))
     params = AttentionParams.seeded(2 * heads, heads, rng)
     seen = set()
-    monkeypatch.setattr(groupattn, "usable_cores", lambda: 8)
+    monkeypatch.setattr(groupattn, "usable_cpus", lambda: 8)
     monkeypatch.setattr(groupattn, "softmax_rows", softmax_recording_threads(seen))
     tracemalloc.start()
     try:
@@ -394,7 +394,7 @@ def test_dense_attention_threads_end_with_the_call(monkeypatch, cores, n, thread
     x = rng.standard_normal((n, 16))
     params = AttentionParams.seeded(16, 8, rng)
     seen = set()
-    monkeypatch.setattr(groupattn, "usable_cores", lambda: cores)
+    monkeypatch.setattr(groupattn, "usable_cpus", lambda: cores)
     monkeypatch.setattr(groupattn, "softmax_rows", softmax_recording_threads(seen))
     before = threading.active_count()
     assert np.array_equal(attention(x, params), per_head_reference(x, x, params))
@@ -407,7 +407,7 @@ def test_dense_attention_worker_error_reaches_caller(monkeypatch):
     x = rng.standard_normal((900, 16))
     params = AttentionParams.seeded(16, 8, rng)
     seen = set()
-    monkeypatch.setattr(groupattn, "usable_cores", lambda: 2)
+    monkeypatch.setattr(groupattn, "usable_cpus", lambda: 2)
     monkeypatch.setattr(groupattn, "softmax_rows",
                         softmax_recording_threads(seen, fail_off_main=True))
     before = threading.active_count()
@@ -450,6 +450,39 @@ def test_grid_node_sampling_exact():
     fmap = np.arange(12, dtype=float).reshape(3, 4, 1)
     pts = np.array([[2.0, 1.0]])  # exactly on node (row 1, col 2)
     assert bilinear_sample(fmap, pts)[0, 0] == fmap[1, 2, 0]
+
+
+def tent_bilinear(fmap, pts):
+    """Brute force: every map node weighted by its tent distance to the
+    clamped point."""
+    h, w, c = fmap.shape
+    x = np.clip(pts[:, 0], 0.0, w - 1.0)
+    y = np.clip(pts[:, 1], 0.0, h - 1.0)
+    wx = np.maximum(0.0, 1.0 - np.abs(x[:, None] - np.arange(w)))
+    wy = np.maximum(0.0, 1.0 - np.abs(y[:, None] - np.arange(h)))
+    out = np.zeros((len(pts), c))
+    for i in range(h):
+        for j in range(w):
+            out += (wy[:, i] * wx[:, j])[:, None] * fmap[i, j]
+    return out
+
+
+@pytest.mark.parametrize("h,w,c", [(1, 1, 2), (1, 5, 3), (7, 1, 1), (16, 24, 4)])
+def test_bilinear_matches_tent_formula(h, w, c):
+    rng = np.random.default_rng(2024)
+    fmap = rng.standard_normal((h, w, c))
+    pts = np.concatenate([
+        rng.uniform(-2, max(h, w) + 2, size=(200, 2)),
+        rng.integers(-2, max(h, w) + 2, size=(50, 2)).astype(float),
+    ])
+    got = bilinear_sample(fmap, pts)
+    want = tent_bilinear(fmap, pts)
+    # where the clamped point is a map node (always on a 1x1 map) both
+    # reduce to that node's value times one
+    node = np.all(np.clip(pts, 0.0, [w - 1.0, h - 1.0]) % 1.0 == 0.0, axis=1)
+    assert node.sum() >= 50
+    assert np.array_equal(got[node], want[node])
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
 
 
 def test_bilinear_cell_center():
