@@ -11,12 +11,10 @@ from .geometry import (
     Anchor3D,
     Box2D,
     CameraView,
-    ProjectedAnchor,
     corners_of,
     iou_2d,
     load_rig,
     make_surround_rig,
-    project_anchor,
     project_point,
     save_rig,
 )

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Anchor3D, CameraView, anchors_to_array, project_anchor_batch
+from .geometry import Anchor3D, CameraView, anchors_to_array, project_rig
 
 
 @dataclass(frozen=True)
@@ -187,11 +187,10 @@ def allocate(
     dropped: list[tuple[int, int]] = []
     capped: dict[int, int] = {}
 
-    for view in rig:
-        vp = project_anchor_batch(view, arr)
+    for vp in project_rig(rig, arr):
         usable = vp.valid & (vp.rect_area > 0.0)
         for i in np.flatnonzero(vp.valid & ~usable):
-            dropped.append((int(i), view.view_id))
+            dropped.append((int(i), vp.view_id))
 
         trunc_idx = np.flatnonzero(usable & ~vp.center_in_view)
         if trunc_idx.size > limits.max_truncated_per_camera:
@@ -199,23 +198,17 @@ def allocate(
             # ties fall back to the lower anchor index
             order = np.lexsort((trunc_idx, -vp.rect_area[trunc_idx]))
             keep = np.sort(trunc_idx[order[: limits.max_truncated_per_camera]])
-            capped[view.view_id] = int(trunc_idx.size - keep.size)
+            capped[vp.view_id] = int(trunc_idx.size - keep.size)
             trunc_idx = keep
         center_idx = np.flatnonzero(usable & vp.center_in_view)
         idx = np.sort(np.concatenate([center_idx, trunc_idx])).astype(np.intp)
         if idx.size == 0:
             continue
 
-        center_in = vp.center_in_view[idx]
-        ref = np.where(
-            center_in[:, None],
-            vp.uv[idx, 0, :],
-            vp.rect[idx, 0:2],
-        )
         rows.append(idx)
-        cams.append(np.full(idx.size, view.view_id, dtype=np.intp))
-        refs.append(ref)
-        truncs.append(center_in)
+        cams.append(np.full(idx.size, vp.view_id, dtype=np.intp))
+        refs.append(vp.ref_point[idx])
+        truncs.append(vp.center_in_view[idx])
         rects.append(vp.rect[idx])
 
     if rows:

@@ -139,6 +139,15 @@ def _decoder_from_config(obj: dict) -> DecoderConfig:
     return DecoderConfig.from_json_obj(obj.get("decoder", obj))
 
 
+def _decoder_features(scene: Scene, rig, config: DecoderConfig):
+    """The feature maps the decoder reads: one scale per level, 8 px upward."""
+    feats, _ = render_features(
+        scene, rig, scales=tuple(8 * 2**s for s in range(config.n_scales)),
+        channels=config.feature_channels,
+    )
+    return feats
+
+
 def cmd_forward(args) -> int:
     cfg_obj = _load_json(args.config)
     scene = load_scene(args.scene)
@@ -150,11 +159,9 @@ def cmd_forward(args) -> int:
     if args.seed is not None:
         config = DecoderConfig.from_json_obj({**config.to_json_obj(), "seed": args.seed})
     decoder = HybridDecoder(config, rig)
-    feats, _ = render_features(
-        scene, rig, scales=tuple(8 * 2**s for s in range(config.n_scales)),
-        channels=config.feature_channels,
+    out, updated = decoder.forward(
+        _decoder_features(scene, rig, config), decoder.initial_queries()
     )
-    out, updated = decoder.forward(feats, decoder.initial_queries())
     report = out.to_json_obj()
     report["n_sublayers"] = out.n_sublayers
     report["final_scores"] = updated.scores.tolist() if updated.scores is not None else None
@@ -186,6 +193,21 @@ def _aar_curve_rows(scenes, det_by_frame, params, taus):
     return rows
 
 
+def _aar_csv_lines(rows) -> list[str]:
+    return ["tau_iou,aar,recall,n_candidate,n_valid"] + [
+        f"{tau},{a!r},{r!r},{c},{v}" for tau, a, r, c, v in rows
+    ]
+
+
+def _ap_csv_lines(ap: dict[int, dict[float, float]]) -> list[str]:
+    lines = ["class_id,iou_threshold,ap"]
+    for cls in sorted(ap):
+        for thr in sorted(ap[cls]):
+            lines.append(f"{cls},{thr},{ap[cls][thr]!r}")
+    lines.append(f"mean,,{mean_ap(ap)!r}")
+    return lines
+
+
 def _write_csv(lines: list[str], path: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if path is None:
@@ -201,10 +223,7 @@ def cmd_eval_aar(args) -> int:
     params = MatchParams(tau_dis=args.tau_dis)
     taus = _parse_sweep(args.tau_iou_sweep)
     rows = _aar_curve_rows(scenes, det_by_frame, params, taus)
-    lines = ["tau_iou,aar,recall,n_candidate,n_valid"]
-    for tau, a, r, c, v in rows:
-        lines.append(f"{tau},{a!r},{r!r},{c},{v}")
-    _write_csv(lines, args.out)
+    _write_csv(_aar_csv_lines(rows), args.out)
     if args.out:
         print(f"AAR curve over {len(scenes)} scene(s) -> {args.out}")
     return 0
@@ -249,12 +268,7 @@ def cmd_eval_ap(args) -> int:
     thresholds = [float(t) for t in args.iou_thresholds.split(",")]
     all_preds, all_gt = _ap_inputs(scenes, det_by_frame)
     ap = ap_2d(all_preds, all_gt, thresholds)
-    lines = ["class_id,iou_threshold,ap"]
-    for cls in sorted(ap):
-        for thr in sorted(ap[cls]):
-            lines.append(f"{cls},{thr},{ap[cls][thr]!r}")
-    lines.append(f"mean,,{mean_ap(ap)!r}")
-    _write_csv(lines, args.out)
+    _write_csv(_ap_csv_lines(ap), args.out)
     if args.out:
         print(f"AP table -> {args.out}")
     return 0
@@ -347,11 +361,9 @@ def _run_one_scene(payload: tuple) -> dict:
     anchors = clamp_anchors(scene.anchors_array(), config.limits)
     alloc = allocate(anchors, rig, config.limits)
     decoder = HybridDecoder(config, rig)
-    feats, _ = render_features(
-        scene, rig, scales=tuple(8 * 2**s for s in range(config.n_scales)),
-        channels=config.feature_channels,
+    head_out, _ = decoder.forward(
+        _decoder_features(scene, rig, config), decoder.initial_queries()
     )
-    head_out, _ = decoder.forward(feats, decoder.initial_queries())
     noise = OracleNoise.from_json_obj(noise_obj)
     det = perturb(scene, noise, seed=seed + 1)
     return {
@@ -460,19 +472,11 @@ def cmd_run(args) -> int:
 
     det_by_frame = {fid: (p3d, p2d) for fid, p3d, p2d in det_frames}
     rows = _aar_curve_rows(scenes, det_by_frame, params, taus)
-    lines = ["tau_iou,aar,recall,n_candidate,n_valid"]
-    for tau, a, rcl, c, v in rows:
-        lines.append(f"{tau},{a!r},{rcl!r},{c},{v}")
-    _write_csv(lines, str(out_dir / "metrics" / "aar_curve.csv"))
+    _write_csv(_aar_csv_lines(rows), str(out_dir / "metrics" / "aar_curve.csv"))
 
     all_p2d, all_gt = _ap_inputs(scenes, det_by_frame)
     ap = ap_2d(all_p2d, all_gt, [0.5, 0.75])
-    ap_lines = ["class_id,iou_threshold,ap"]
-    for cls in sorted(ap):
-        for thr in sorted(ap[cls]):
-            ap_lines.append(f"{cls},{thr},{ap[cls][thr]!r}")
-    ap_lines.append(f"mean,,{mean_ap(ap)!r}")
-    _write_csv(ap_lines, str(out_dir / "metrics" / "ap.csv"))
+    _write_csv(_ap_csv_lines(ap), str(out_dir / "metrics" / "ap.csv"))
 
     summary = {
         "scenes": n_scenes,

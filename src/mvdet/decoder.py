@@ -18,7 +18,7 @@ import numpy as np
 
 from .aggregation import GateParams, aggregate, gate_truncation, sigmoid
 from .allocation import AllocationLimits, MappingMatrix, allocate, clamp_anchors, gather_2d
-from .geometry import CameraView, anchors_to_array, project_view_points
+from .geometry import CameraView, anchors_to_array, in_image, project_view_points
 from .groupattn import (
     AttentionParams,
     CrossAttentionParams,
@@ -380,14 +380,7 @@ class HybridDecoder:
         centers = anchors[:, 0:3]
         for view in self.rig:
             uv, front = project_view_points(view, centers)
-            inb = (
-                front
-                & (uv[:, 0] > 0.0)
-                & (uv[:, 0] < view.width)
-                & (uv[:, 1] > 0.0)
-                & (uv[:, 1] < view.height)
-            )
-            idx = np.flatnonzero(inb)
+            idx = np.flatnonzero(in_image(view, uv, front))
             if idx.size == 0:
                 continue
             acc[idx] += mix_scales(features[view.view_id], uv[idx], params)

@@ -31,9 +31,7 @@ class NoiseConfig:
     size per axis (0.25 = half of the box half-extent); ``size_noise_scale``
     is a log-scale factor; ``yaw_noise`` is in radians.  The trailing
     ``negative_ratio`` fraction of groups are negatives and use doubled
-    scales.  Positives-only 2D supervision is the default policy;
-    ``supervise_negatives`` records the opt-in for experiments that
-    supervise negative groups too.
+    scales.
     """
 
     n_groups: int = 4
@@ -41,7 +39,6 @@ class NoiseConfig:
     size_noise_scale: float = 0.2
     yaw_noise: float = 0.2
     negative_ratio: float = 0.5
-    supervise_negatives: bool = False
 
     def __post_init__(self):
         if self.n_groups < 1:

@@ -1,8 +1,9 @@
 """Pinhole multi-camera geometry.
 
-Anchor corner generation, point and anchor projection, view validity,
-bounding rectangles and truncation flags, plus 2D IoU and the rig JSON
-format.  All operations are pure functions of their inputs.
+Anchor corner generation, point projection and the strict in-image rule,
+rig-wide anchor projection (validity, clipped rectangles, center flags and
+reference points), plus 2D IoU and the rig JSON format.  All operations are
+pure functions of their inputs.
 """
 
 from __future__ import annotations
@@ -185,41 +186,25 @@ class Box2D:
         return np.array([self.cx, self.cy, self.w, self.h], dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class ProjectedAnchor:
-    """Result of projecting one anchor's 9 object points into one view.
+@dataclass
+class ViewProjection:
+    """Projection of N anchors (center + 8 corners each) into one view.
 
-    ``uv`` holds pixel coordinates for all 9 points (center first); entries
-    are NaN where ``present`` is False (point at or behind the image
-    plane).  ``valid`` is True iff at least one present point lies strictly
-    inside (0, W) x (0, H).  ``rect`` is the bounding rectangle of all
-    present points clipped to the image; ``rect_unclipped`` keeps the raw
-    extent for truncation analysis.  Both are None when not valid.
+    ``uv`` is NaN for points at or behind the image plane.  ``valid`` and
+    ``center_in_view`` follow the strict bounds rule (see ``in_image``):
+    any of the 9 points, or the center alone.  ``rect`` bounds the points in
+    front of the camera, clipped to the image; it is NaN, and ``rect_area``
+    0, where the anchor is not valid.  ``ref_point`` is the projected center
+    where it is in view, else the center of ``rect``.
     """
 
     view_id: int
-    uv: np.ndarray
-    present: np.ndarray
-    in_bounds: np.ndarray
-    valid: bool
-    center_in_view: bool
-    rect: Optional[Box2D]
-    rect_unclipped: Optional[Box2D]
-
-
-@dataclass
-class ViewProjection:
-    """Vectorized projection of N anchors into one view (arrays over N)."""
-
-    view_id: int
     uv: np.ndarray           # (N, 9, 2)
-    present: np.ndarray      # (N, 9) bool
-    in_bounds: np.ndarray    # (N, 9) bool
     valid: np.ndarray        # (N,) bool
     center_in_view: np.ndarray  # (N,) bool
-    rect: np.ndarray         # (N, 4) cx, cy, w, h (clipped), NaN when invalid
-    rect_unclipped: np.ndarray  # (N, 4)
-    rect_area: np.ndarray    # (N,) clipped area, 0 when invalid
+    rect: np.ndarray         # (N, 4) cx, cy, w, h
+    rect_area: np.ndarray    # (N,)
+    ref_point: np.ndarray    # (N, 2)
 
 
 def corners_of(anchor: Anchor3D) -> np.ndarray:
@@ -254,81 +239,58 @@ def project_view_points(view: CameraView, points: np.ndarray):
     )
 
 
-def project_anchor_batch(view: CameraView, anchors: np.ndarray | Sequence[Anchor3D]) -> ViewProjection:
-    """Project N anchors (center + 8 corners each) into one view.
+def in_image(view: CameraView, uv: np.ndarray, front: np.ndarray) -> np.ndarray:
+    """Strict bounds rule: in front of the camera, 0 < u < W and 0 < v < H."""
+    u, v = uv[..., 0], uv[..., 1]
+    return front & (u > 0.0) & (u < view.width) & (v > 0.0) & (v < view.height)
 
-    Validity follows the strict bounds rule: an anchor is valid in the view
-    iff any of its 9 projected points (u, v) satisfies 0 < u < W and
-    0 < v < H, with points behind the image plane excluded up front.
+
+def project_rig(
+    views: Sequence[CameraView], anchors: np.ndarray | Sequence[Anchor3D]
+) -> list[ViewProjection]:
+    """Project N anchors into every view, one ViewProjection per view.
+
+    The 9 object points are built once; each view then projects them with
+    the same elementwise operations, so a view's result does not depend on
+    which other views are projected alongside it.
     """
     arr = anchors_to_array(anchors)
     n = arr.shape[0]
     pts = box_points(arr).reshape(n * 9, 3)
+    return [_project_view(view, pts, n) for view in views]
+
+
+def _project_view(view: CameraView, pts: np.ndarray, n: int) -> ViewProjection:
     uv, front = project_view_points(view, pts)
     uv = uv.reshape(n, 9, 2)
-    present = front.reshape(n, 9)
-    w, h = float(view.width), float(view.height)
-    u, v = uv[..., 0], uv[..., 1]
-    in_bounds = present & (u > 0.0) & (u < w) & (v > 0.0) & (v < h)
-    valid = in_bounds.any(axis=1)
-    center_in_view = in_bounds[:, 0]
+    front = front.reshape(n, 9)
+    inside = in_image(view, uv, front)
+    valid = inside.any(axis=1)
+    center_in_view = inside[:, 0]
 
     rect = np.full((n, 4), np.nan)
-    rect_unclipped = np.full((n, 4), np.nan)
     rect_area = np.zeros(n)
     if valid.any():
         sel = np.flatnonzero(valid)
-        us, vs, ps = u[sel], v[sel], present[sel]
-        x0 = np.where(ps, us, np.inf).min(axis=1)
-        x1 = np.where(ps, us, -np.inf).max(axis=1)
-        y0 = np.where(ps, vs, np.inf).min(axis=1)
-        y1 = np.where(ps, vs, -np.inf).max(axis=1)
-        cx0 = np.clip(x0, 0.0, w)
-        cx1 = np.clip(x1, 0.0, w)
-        cy0 = np.clip(y0, 0.0, h)
-        cy1 = np.clip(y1, 0.0, h)
-        rect[sel, 0] = 0.5 * (cx0 + cx1)
-        rect[sel, 1] = 0.5 * (cy0 + cy1)
-        rect[sel, 2] = cx1 - cx0
-        rect[sel, 3] = cy1 - cy0
-        rect_unclipped[sel, 0] = 0.5 * (x0 + x1)
-        rect_unclipped[sel, 1] = 0.5 * (y0 + y1)
-        rect_unclipped[sel, 2] = x1 - x0
-        rect_unclipped[sel, 3] = y1 - y0
+        us, vs, fs = uv[sel, :, 0], uv[sel, :, 1], front[sel]
+        w, h = float(view.width), float(view.height)
+        x0 = np.clip(np.where(fs, us, np.inf).min(axis=1), 0.0, w)
+        x1 = np.clip(np.where(fs, us, -np.inf).max(axis=1), 0.0, w)
+        y0 = np.clip(np.where(fs, vs, np.inf).min(axis=1), 0.0, h)
+        y1 = np.clip(np.where(fs, vs, -np.inf).max(axis=1), 0.0, h)
+        rect[sel, 0] = 0.5 * (x0 + x1)
+        rect[sel, 1] = 0.5 * (y0 + y1)
+        rect[sel, 2] = x1 - x0
+        rect[sel, 3] = y1 - y0
         rect_area[sel] = rect[sel, 2] * rect[sel, 3]
     return ViewProjection(
         view_id=view.view_id,
         uv=uv,
-        present=present,
-        in_bounds=in_bounds,
         valid=valid,
         center_in_view=center_in_view,
         rect=rect,
-        rect_unclipped=rect_unclipped,
         rect_area=rect_area,
-    )
-
-
-def project_anchor(view: CameraView, anchor: Anchor3D) -> ProjectedAnchor:
-    """Project one anchor into one view (see ProjectedAnchor)."""
-    vp = project_anchor_batch(view, anchor.as_array()[None, :])
-    valid = bool(vp.valid[0])
-    rect = None
-    rect_unclipped = None
-    if valid:
-        rect = Box2D(*(float(c) for c in vp.rect[0]), view_id=view.view_id)
-        rect_unclipped = Box2D(
-            *(float(c) for c in vp.rect_unclipped[0]), view_id=view.view_id
-        )
-    return ProjectedAnchor(
-        view_id=view.view_id,
-        uv=vp.uv[0],
-        present=vp.present[0],
-        in_bounds=vp.in_bounds[0],
-        valid=valid,
-        center_in_view=bool(vp.center_in_view[0]),
-        rect=rect,
-        rect_unclipped=rect_unclipped,
+        ref_point=np.where(center_in_view[:, None], uv[:, 0, :], rect[:, 0:2]),
     )
 
 

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._kernels import iou_matrix
-from .geometry import Box2D, CameraView, project_anchor_batch
+from .geometry import Box2D, CameraView, project_rig
 
 FOCAL_ALPHA = 0.25
 FOCAL_GAMMA = 2.0
@@ -384,14 +384,6 @@ def loss_total(
     return float(total)
 
 
-def projected_rect(view: CameraView, box9: np.ndarray) -> Optional[Box2D]:
-    """Clipped bounding rectangle of a 3D box in one view; None if invalid."""
-    vp = project_anchor_batch(view, np.asarray(box9, dtype=np.float64)[None, :])
-    if not vp.valid[0]:
-        return None
-    return Box2D(*(float(c) for c in vp.rect[0]), view_id=view.view_id)
-
-
 def candidate_match(
     pred3d: Pred3D,
     gt2d: GtBox2D,
@@ -415,10 +407,10 @@ def candidate_match(
     view = next((v for v in truth.rig if v.view_id == gt2d.box.view_id), None)
     if view is None:
         raise ValueError(f"truth rig lacks view {gt2d.box.view_id}")
-    rect = projected_rect(view, np.asarray(pred3d.box))
-    if rect is None:
+    vp = project_rig([view], np.asarray(pred3d.box, dtype=np.float64)[None, :])[0]
+    if not vp.valid[0]:
         return False
-    iou = iou_matrix(rect.as_array()[None, :], gt2d.box.as_array()[None, :])[0, 0]
+    iou = iou_matrix(vp.rect, gt2d.box.as_array()[None, :])[0, 0]
     return bool(iou >= params.tau_iou)
 
 
@@ -442,7 +434,6 @@ def aar(
     """
     params = params or MatchParams()
     n2d = len(truth.gt2d)
-    views = {v.view_id: v for v in truth.rig}
 
     # geometry reused across thresholds
     p_boxes = np.stack([np.asarray(p.box, dtype=np.float64) for p in preds3d]) if preds3d else np.zeros((0, 9))
@@ -455,17 +446,11 @@ def aar(
         dist = np.zeros((len(preds3d), len(truth.boxes3d)))
         cls_eq = np.zeros((len(preds3d), len(truth.boxes3d)), dtype=bool)
 
-    rects: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for view_id, view in views.items():
-        if len(preds3d):
-            vp = project_anchor_batch(view, p_boxes)
-            rects[view_id] = (vp.rect, vp.valid)
-        else:
-            rects[view_id] = (np.zeros((0, 4)), np.zeros(0, dtype=bool))
+    projections = {vp.view_id: vp for vp in project_rig(truth.rig, p_boxes)}
 
     gt_by_view: dict[int, list[int]] = {}
     for j, g in enumerate(truth.gt2d):
-        if g.box.view_id not in views:
+        if g.box.view_id not in projections:
             raise ValueError(
                 f"gt2d entry references view {g.box.view_id} missing from the rig"
             )
@@ -475,7 +460,7 @@ def aar(
     pair_iou: dict[int, np.ndarray] = {}
     pair_gate: dict[int, np.ndarray] = {}
     for view_id, j_list in gt_by_view.items():
-        rect, valid = rects[view_id]
+        rect, valid = projections[view_id].rect, projections[view_id].valid
         g_boxes = np.stack([truth.gt2d[j].box.as_array() for j in j_list])
         iou = np.zeros((len(preds3d), len(j_list)))
         if len(preds3d):
@@ -560,10 +545,15 @@ def ap_2d(
         cls_gt = [g for g in gt2d if g.class_id == cls]
         n_gt = len(cls_gt)
         # one iou_matrix call per view; per rank, its (GT index, IoU) pairs
+        ranks_by_view: dict[int, list[int]] = {}
+        for r, (_, p) in enumerate(cls_preds):
+            ranks_by_view.setdefault(p.box.view_id, []).append(r)
+        gt_by_view: dict[int, list[int]] = {}
+        for j, g in enumerate(cls_gt):
+            gt_by_view.setdefault(g.box.view_id, []).append(j)
         candidates = [[] for _ in cls_preds]
-        for view_id in {p.box.view_id for _, p in cls_preds}:
-            ranks = [r for r, (_, p) in enumerate(cls_preds) if p.box.view_id == view_id]
-            js = [j for j, g in enumerate(cls_gt) if g.box.view_id == view_id]
+        for view_id, ranks in ranks_by_view.items():
+            js = gt_by_view.get(view_id)
             if not js:
                 continue
             ious = iou_matrix(

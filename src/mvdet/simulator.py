@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from ._kernels import box_points
-from .geometry import Anchor3D, Box2D, CameraView, anchors_to_array, project_anchor_batch
+from .geometry import Anchor3D, Box2D, CameraView, anchors_to_array, project_rig
 from .groupattn import ViewFeatures
 from .metrics import FrameTruth, GtBox2D, Pred2D, Pred3D, detections_to_json_obj
 
@@ -193,12 +193,11 @@ def _bev_overlap(ca: np.ndarray, cb: np.ndarray) -> bool:
 def derive_gt2d(anchors: np.ndarray, classes: np.ndarray, rig: Sequence[CameraView]) -> list[GtBox2D]:
     """Projection-derived 2D ground truth (valid views, non-degenerate rects)."""
     out: list[GtBox2D] = []
-    for view in rig:
-        vp = project_anchor_batch(view, anchors)
+    for vp in project_rig(rig, anchors):
         for i in np.flatnonzero(vp.valid & (vp.rect_area > 0.0)):
             out.append(
                 GtBox2D(
-                    box=Box2D(*(float(c) for c in vp.rect[i]), view_id=view.view_id),
+                    box=Box2D(*(float(c) for c in vp.rect[i]), view_id=vp.view_id),
                     class_id=int(classes[i]),
                     box3d_index=int(i),
                 )
@@ -311,28 +310,23 @@ def render_features(
     anchors = scene.anchors_array()
     features: dict[int, ViewFeatures] = {}
     depths: dict[int, np.ndarray] = {}
-    for view in rig:
+    for view, vp in zip(rig, project_rig(rig, anchors)):
         maps = []
-        vp = project_anchor_batch(view, anchors) if len(anchors) else None
         for s in scales:
             hm = max(view.height // s, 1)
             wm = max(view.width // s, 1)
             fmap = np.zeros((hm, wm, channels))
-            if vp is not None:
-                gy, gx = np.mgrid[0:hm, 0:wm]
-                for i in np.flatnonzero(vp.valid):
-                    if vp.center_in_view[i]:
-                        u, v = vp.uv[i, 0]
-                    else:
-                        u, v = vp.rect[i, 0], vp.rect[i, 1]
-                    mx = u * (wm / view.width) - 0.5
-                    my = v * (hm / view.height) - 0.5
-                    sigma = max(float(vp.rect[i, 2]) * (wm / view.width) / 4.0, 0.75)
-                    amp = float(scene.boxes[i][1] + 1)
-                    bump = amp * np.exp(
-                        -((gx - mx) ** 2 + (gy - my) ** 2) / (2.0 * sigma * sigma)
-                    )
-                    fmap += bump[:, :, None]
+            gy, gx = np.mgrid[0:hm, 0:wm]
+            for i in np.flatnonzero(vp.valid):
+                u, v = vp.ref_point[i]
+                mx = u * (wm / view.width) - 0.5
+                my = v * (hm / view.height) - 0.5
+                sigma = max(float(vp.rect[i, 2]) * (wm / view.width) / 4.0, 0.75)
+                amp = float(scene.boxes[i][1] + 1)
+                bump = amp * np.exp(
+                    -((gx - mx) ** 2 + (gy - my) ** 2) / (2.0 * sigma * sigma)
+                )
+                fmap += bump[:, :, None]
             maps.append(fmap)
         features[view.view_id] = ViewFeatures(
             width=view.width, height=view.height, maps=maps
@@ -342,22 +336,21 @@ def render_features(
         hd = max(view.height // s0, 1)
         wd = max(view.width // s0, 1)
         dm = np.full((hd, wd), np.inf)
-        if vp is not None:
-            r = view.rotation
-            t = view.translation
-            for i in np.flatnonzero(vp.valid):
-                center = anchors[i, 0:3]
-                zc = r[2, 0] * center[0] + r[2, 1] * center[1] + r[2, 2] * center[2] + t[2]
-                if zc <= 0:
-                    continue
-                x0, y0, x1, y1 = Box2D(
-                    *(float(c) for c in vp.rect[i]), view_id=view.view_id
-                ).corners
-                j0 = int(np.clip(np.floor(x0 * wd / view.width), 0, wd - 1))
-                j1 = int(np.clip(np.ceil(x1 * wd / view.width), j0 + 1, wd))
-                i0 = int(np.clip(np.floor(y0 * hd / view.height), 0, hd - 1))
-                i1 = int(np.clip(np.ceil(y1 * hd / view.height), i0 + 1, hd))
-                region = dm[i0:i1, j0:j1]
-                np.minimum(region, zc, out=region)
+        r = view.rotation
+        t = view.translation
+        for i in np.flatnonzero(vp.valid):
+            center = anchors[i, 0:3]
+            zc = r[2, 0] * center[0] + r[2, 1] * center[1] + r[2, 2] * center[2] + t[2]
+            if zc <= 0:
+                continue
+            x0, y0, x1, y1 = Box2D(
+                *(float(c) for c in vp.rect[i]), view_id=view.view_id
+            ).corners
+            j0 = int(np.clip(np.floor(x0 * wd / view.width), 0, wd - 1))
+            j1 = int(np.clip(np.ceil(x1 * wd / view.width), j0 + 1, wd))
+            i0 = int(np.clip(np.floor(y0 * hd / view.height), 0, hd - 1))
+            i1 = int(np.clip(np.ceil(y1 * hd / view.height), i0 + 1, hd))
+            region = dm[i0:i1, j0:j1]
+            np.minimum(region, zc, out=region)
         depths[view.view_id] = dm
     return features, depths

@@ -24,8 +24,8 @@ from mvdet.geometry import (
     CameraView,
     corners_of,
     make_surround_rig,
-    project_anchor_batch,
     project_point,
+    project_rig,
     project_view_points,
 )
 from mvdet.groupattn import AttentionParams, GroupMask, attention
@@ -104,7 +104,7 @@ def test_criterion_2_validity_equivalence():
     for trial in range(10):
         view = random_view(rng, view_id=trial)
         anchors = random_anchors(rng, 1000)
-        vp = project_anchor_batch(view, anchors)
+        vp = project_rig([view], anchors)[0]
         for i in range(1000):
             expect = False
             for p in corners_of(Anchor3D.from_array(anchors[i])):
@@ -296,7 +296,7 @@ def straddling_truth(rig):
     )
     gt2d = []
     for view in rig:
-        vp = project_anchor_batch(view, a.as_array()[None, :])
+        vp = project_rig([view], a.as_array()[None, :])[0]
         if vp.valid[0] and vp.rect_area[0] > 0:
             gt2d.append(
                 GtBox2D(

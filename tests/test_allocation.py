@@ -188,10 +188,10 @@ def test_zero_area_column_dropped_and_flagged(front_view):
     # front: both visible corners share a pixel column, so the clipped
     # rectangle degenerates to zero width
     a = Anchor3D(center=(-1.0, -1.0, 1.5), size=(4.0, 6.0, 0.8), yaw=math.pi / 4)
-    from mvdet.geometry import project_anchor
+    from mvdet.geometry import project_rig
 
-    pa = project_anchor(front_view, a)
-    assert pa.valid and pa.rect.area == 0.0
+    pa = project_rig([front_view], a.as_array()[None])[0]
+    assert pa.valid[0] and pa.rect_area[0] == 0.0
     res = allocate([a], [front_view])
     assert res.mapping.n_2d == 0
     assert res.dropped == [(0, front_view.view_id)]

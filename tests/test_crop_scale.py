@@ -9,8 +9,8 @@ from mvdet.geometry import (
     Anchor3D,
     CameraView,
     make_surround_rig,
-    project_anchor,
     project_point,
+    project_rig,
     project_view_points,
 )
 
@@ -80,11 +80,11 @@ def test_distant_anchor_area_gain():
         rule = CropRule(source_view_id=0, scale_rate=rate)
         derived, _ = derive_view(view, rule)
         a = Anchor3D(center=(0.4, 0.2, 650.0), size=(0.4, 0.4, 0.4), yaw=0.3)
-        pa_src = project_anchor(view, a)
-        pa_der = project_anchor(derived, a)
-        assert pa_src.valid and pa_der.valid
-        assert pa_src.rect.area < 1.0  # subtends under a pixel in the source
-        ratio = pa_der.rect.area / pa_src.rect.area
+        pa_src = project_rig([view], a.as_array()[None])[0]
+        pa_der = project_rig([derived], a.as_array()[None])[0]
+        assert pa_src.valid[0] and pa_der.valid[0]
+        assert pa_src.rect_area[0] < 1.0  # subtends under a pixel in the source
+        ratio = pa_der.rect_area[0] / pa_src.rect_area[0]
         assert abs(ratio - rate**2) <= 0.01 * rate**2
 
 

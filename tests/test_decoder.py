@@ -150,6 +150,38 @@ def test_2d_output_rows_match_allocation(setup):
         assert layer.ref_points.shape == (m, 2)
 
 
+def test_cross_attention_3d_samples_views_where_center_is_in_view(rig6, monkeypatch):
+    import mvdet.decoder as decoder_mod
+    from mvdet.crop_scale import CropRule, extend_rig
+    from mvdet.geometry import project_rig
+
+    rig = extend_rig(rig6, [CropRule(source_view_id=0, scale_rate=2.0)])
+    scene = sample_scene(2, rig, n_boxes=8)
+    feats, _ = render_features(scene, rig, scales=(8, 16), channels=8)
+    dec = HybridDecoder(small_config(n_queries=200), rig)
+    queries = dec.initial_queries()
+    anchors = queries.anchors.copy()
+    anchors[:10, 0:3] = (0.0, 0.0, 40.0)  # overhead: in no camera's image
+    sampled = {}
+    view_of = {id(feats[v.view_id]): v.view_id for v in rig}
+    real = decoder_mod.mix_scales
+
+    def spy(vf, pts, params):
+        sampled[view_of[id(vf)]] = pts.copy()
+        return real(vf, pts, params)
+
+    monkeypatch.setattr(decoder_mod, "mix_scales", spy)
+    dec._cross_attention_3d(queries.features, anchors, feats, dec.layers_3d[0][0].cross)
+
+    n_views = np.zeros(queries.n, dtype=int)
+    for vp in project_rig(rig, anchors):
+        n_views += vp.center_in_view
+        if vp.center_in_view.any():
+            assert np.array_equal(sampled.pop(vp.view_id), vp.uv[vp.center_in_view, 0])
+    assert sampled == {}  # no view sampled beyond those
+    assert n_views.max() > 1 and n_views.min() == 0
+
+
 def test_view_drop_robustness(rig6):
     scene = sample_scene(2, rig6, n_boxes=8)
     feats, _ = render_features(scene, rig6, scales=(8, 16), channels=8)

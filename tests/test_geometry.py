@@ -13,11 +13,12 @@ from mvdet.geometry import (
     Box2D,
     CameraView,
     corners_of,
+    in_image,
     iou_2d,
     load_rig,
     make_surround_rig,
-    project_anchor,
     project_point,
+    project_rig,
     project_view_points,
     save_rig,
 )
@@ -145,13 +146,13 @@ def test_front_mask_matches_oracle_on_free_points():
     assert n_behind > 0  # the sample actually exercised behind-camera points
 
 
-# ------------------------------------------------------------ project_anchor
+# --------------------------------------------------------------- project_rig
 
 def test_anchor_fully_behind_view(front_view):
     a = Anchor3D(center=(-20.0, 0.0, 0.5), size=(2, 4, 1.5), yaw=0.0)
-    pa = project_anchor(front_view, a)
-    assert not pa.valid
-    assert pa.rect is None and pa.rect_unclipped is None
+    pa = project_rig([front_view], a.as_array()[None])[0]
+    assert not pa.valid[0]
+    assert np.isnan(pa.rect[0]).all() and pa.rect_area[0] == 0.0
 
 
 def test_anchor_single_corner_in_view(front_view):
@@ -164,10 +165,10 @@ def test_anchor_single_corner_in_view(front_view):
         size=(2.0, 4.0, 1.5),
         yaw=az,
     )
-    pa = project_anchor(front_view, a)
-    assert pa.valid
-    assert not pa.center_in_view
-    assert pa.rect is not None
+    pa = project_rig([front_view], a.as_array()[None])[0]
+    assert pa.valid[0]
+    assert not pa.center_in_view[0]
+    assert np.isfinite(pa.rect[0]).all()
     # dense surface sampling must also find visible surface points
     corners = corners_of(a)[1:]
     lo, hi = corners.min(axis=0), corners.max(axis=0)
@@ -191,9 +192,7 @@ def test_validity_matches_bruteforce_bounds_check():
         anchors[:, 0:3] = rng.uniform(-40, 40, size=(200, 3))
         anchors[:, 3:6] = rng.uniform(0.3, 6.0, size=(200, 3))
         anchors[:, 6] = rng.uniform(-np.pi, np.pi, 200)
-        from mvdet.geometry import project_anchor_batch
-
-        vp = project_anchor_batch(view, anchors)
+        vp = project_rig([view], anchors)[0]
         for i in range(200):
             a = Anchor3D.from_array(anchors[i])
             pts = corners_of(a)
@@ -211,13 +210,117 @@ def test_validity_matches_bruteforce_bounds_check():
 
 def test_rect_clipping_and_center_flag(front_view):
     a = Anchor3D(center=(8.0, 0.0, 0.75), size=(2, 4, 1.5), yaw=0.3)
-    pa = project_anchor(front_view, a)
-    assert pa.valid and pa.center_in_view
-    x0, y0, x1, y1 = pa.rect.corners
+    pa = project_rig([front_view], a.as_array()[None])[0]
+    assert pa.valid[0] and pa.center_in_view[0]
+    x0, y0, x1, y1 = Box2D(*pa.rect[0].tolist(), view_id=0).corners
     assert 0 <= x0 <= x1 <= front_view.width
     assert 0 <= y0 <= y1 <= front_view.height
-    ux0, uy0, ux1, uy1 = pa.rect_unclipped.corners
-    assert ux0 <= x0 and ux1 >= x1 and uy0 <= y0 and uy1 >= y1
+
+
+def test_in_image_is_strict_at_the_borders():
+    view = identity_view(width=704, height=256)
+    # with unit focal length and z = 1, (x, y) is the pixel itself
+    pix = np.array([
+        [0.0, 100.0], [704.0, 100.0], [300.0, 0.0], [300.0, 256.0],  # on a border
+        [1e-9, 100.0], [703.5, 255.5], [300.0, 100.0],               # inside
+    ])
+    pts = np.hstack([pix, np.ones((len(pix), 1))])
+    uv, front = project_view_points(view, pts)
+    assert np.array_equal(uv, pix)
+    assert in_image(view, uv, front).tolist() == [False] * 4 + [True] * 3
+    behind = pts * np.array([1.0, 1.0, -1.0])
+    assert not in_image(view, *project_view_points(view, behind)).any()
+
+
+def random_rig_with_crop(rng):
+    """Four random cameras plus a crop-and-scale view derived from the first."""
+    from mvdet.crop_scale import CropRule, extend_rig
+
+    views = [random_view(rng, view_id=i) for i in range(4)]
+    return extend_rig(views, [CropRule(source_view_id=0, scale_rate=2.0)])
+
+
+def random_anchor_array(rng, n):
+    """Anchors around the rig origin: many straddle or sit behind the cameras."""
+    anchors = np.zeros((n, 9))
+    anchors[:, 0:3] = rng.uniform(-15, 15, size=(n, 3))
+    anchors[:, 3:6] = rng.uniform(0.3, 6.0, size=(n, 3))
+    anchors[:, 6] = rng.uniform(-np.pi, np.pi, n)
+    return anchors
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_project_rig_equals_each_view_alone():
+    rng = np.random.default_rng(21)
+    rig = random_rig_with_crop(rng)
+    assert rig[-1].derived
+    anchors = random_anchor_array(rng, 400)
+    together = project_rig(rig, anchors)
+    assert [vp.view_id for vp in together] == [v.view_id for v in rig]
+    fields = ("uv", "valid", "center_in_view", "rect", "rect_area", "ref_point")
+    partly_behind = 0
+    for view, vp in zip(rig, together):
+        alone = project_rig([view], anchors)[0]
+        assert alone.view_id == vp.view_id
+        for name in fields:
+            assert same_bits(getattr(vp, name), getattr(alone, name)), (view.view_id, name)
+        behind = np.isnan(vp.uv[..., 0])
+        partly_behind += int((behind.any(axis=1) & ~behind.all(axis=1) & vp.valid).sum())
+    assert partly_behind > 0  # valid anchors with corners behind the camera occur
+
+
+def test_project_rig_builds_box_points_once(monkeypatch):
+    import mvdet.geometry as geometry
+
+    calls = []
+    real = geometry.box_points
+
+    def counting(anchors):
+        calls.append(len(anchors))
+        return real(anchors)
+
+    monkeypatch.setattr(geometry, "box_points", counting)
+    rng = np.random.default_rng(22)
+    rig = random_rig_with_crop(rng)
+    project_rig(rig, random_anchor_array(rng, 50))
+    assert calls == [50]
+    project_rig(rig[:1], random_anchor_array(rng, 3))
+    assert calls == [50, 3]
+
+
+def test_ref_point_matches_center_or_rect_center():
+    rng = np.random.default_rng(23)
+    rig = random_rig_with_crop(rng)
+    anchors = random_anchor_array(rng, 150)
+    seen = {"center": 0, "rect": 0, "invalid": 0}
+    for view, vp in zip(rig, project_rig(rig, anchors)):
+        for i in range(len(anchors)):
+            pts = [project_point(view, p) for p in corners_of(Anchor3D.from_array(anchors[i]))]
+            inside = [
+                p is not None and 0 < p[0] < view.width and 0 < p[1] < view.height
+                for p in pts
+            ]
+            if inside[0]:
+                expect = pts[0]
+                seen["center"] += 1
+            elif any(inside):
+                front = [p for p in pts if p is not None]
+                x0 = min(max(min(u for u, _ in front), 0.0), view.width)
+                x1 = min(max(max(u for u, _ in front), 0.0), view.width)
+                y0 = min(max(min(v for _, v in front), 0.0), view.height)
+                y1 = min(max(max(v for _, v in front), 0.0), view.height)
+                expect = (0.5 * (x0 + x1), 0.5 * (y0 + y1))
+                seen["rect"] += 1
+            else:
+                assert np.isnan(vp.ref_point[i]).all()
+                seen["invalid"] += 1
+                continue
+            assert np.abs(vp.ref_point[i] - np.asarray(expect)).max() <= 1e-9
+    assert min(seen.values()) > 0, seen
 
 
 # -------------------------------------------------------------------- iou_2d

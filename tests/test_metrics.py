@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mvdet.geometry import Anchor3D, Box2D, make_surround_rig, project_anchor
+from mvdet.geometry import Anchor3D, Box2D, make_surround_rig, project_rig
 from mvdet.metrics import (
     AARResult,
     FrameTruth,
@@ -30,7 +30,6 @@ from mvdet.metrics import (
     match_2d_per_camera,
     mean_ap,
     parse_detections,
-    projected_rect,
 )
 
 
@@ -272,9 +271,10 @@ def one_box_truth(rig, center=(15.0, 0.0, 0.8), cls=1):
     boxes3d = a.as_array()[None, :]
     gt2d = []
     for view in rig:
-        pa = project_anchor(view, a)
-        if pa.valid and pa.rect.area > 0:
-            gt2d.append(GtBox2D(box=pa.rect, class_id=cls, box3d_index=0))
+        pa = project_rig([view], a.as_array()[None])[0]
+        if pa.valid[0] and pa.rect_area[0] > 0:
+            box = Box2D(*pa.rect[0].tolist(), view_id=view.view_id)
+            gt2d.append(GtBox2D(box=box, class_id=cls, box3d_index=0))
     return FrameTruth(
         boxes3d=boxes3d,
         classes3d=np.array([cls]),
@@ -308,9 +308,10 @@ def straddling_truth(rig):
     )
     gt2d = []
     for view in rig:
-        pa = project_anchor(view, a)
-        if pa.valid and pa.rect.area > 0:
-            gt2d.append(GtBox2D(box=pa.rect, class_id=0, box3d_index=0))
+        pa = project_rig([view], a.as_array()[None])[0]
+        if pa.valid[0] and pa.rect_area[0] > 0:
+            box = Box2D(*pa.rect[0].tolist(), view_id=view.view_id)
+            gt2d.append(GtBox2D(box=box, class_id=0, box3d_index=0))
     assert len(gt2d) == 2
     truth = FrameTruth(
         boxes3d=a.as_array()[None, :],

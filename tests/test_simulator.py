@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mvdet.geometry import project_anchor
+from mvdet.geometry import project_rig
 from mvdet.metrics import MatchParams, aar, parse_detections
 from mvdet.simulator import (
     OracleNoise,
@@ -36,9 +36,10 @@ def test_gt2d_matches_projection_oracle(rig6):
     expected = set()
     for i, (anchor, cls) in enumerate(scene.boxes):
         for view in rig6:
-            pa = project_anchor(view, anchor)
-            if pa.valid and pa.rect.area > 0:
-                expected.add((i, view.view_id, round(pa.rect.cx, 9), round(pa.rect.cy, 9)))
+            pa = project_rig([view], anchor.as_array()[None])[0]
+            if pa.valid[0] and pa.rect_area[0] > 0:
+                cx, cy = pa.rect[0, 0:2].tolist()
+                expected.add((i, view.view_id, round(cx, 9), round(cy, 9)))
     got = {
         (g.box3d_index, g.box.view_id, round(g.box.cx, 9), round(g.box.cy, 9))
         for g in scene.gt2d
@@ -47,8 +48,9 @@ def test_gt2d_matches_projection_oracle(rig6):
     # and every entry satisfies the validity rule in its own view (no
     # hallucinated ground truth)
     for g in scene.gt2d:
-        pa = project_anchor(views[g.box.view_id], scene.boxes[g.box3d_index][0])
-        assert pa.valid
+        anchor = scene.boxes[g.box3d_index][0]
+        pa = project_rig([views[g.box.view_id]], anchor.as_array()[None])[0]
+        assert pa.valid[0]
 
 
 def test_boxes_do_not_overlap(rig6):
@@ -149,9 +151,9 @@ def test_feature_bump_peaks_at_projected_center(rig6):
         view = views[view_id]
         centers = []
         for anchor, _ in scene.boxes:
-            pa = project_anchor(view, anchor)
-            if pa.valid:
-                u, v = pa.uv[0] if pa.center_in_view else (pa.rect.cx, pa.rect.cy)
+            pa = project_rig([view], anchor.as_array()[None])[0]
+            if pa.valid[0]:
+                u, v = pa.uv[0, 0] if pa.center_in_view[0] else pa.rect[0, 0:2]
                 centers.append((u * fmap.shape[1] / view.width - 0.5,
                                 v * fmap.shape[0] / view.height - 0.5))
         d = min(
@@ -168,10 +170,10 @@ def test_depth_map_matches_camera_depth(rig6):
     for g in scene.gt2d:
         view = views[g.box.view_id]
         anchor = scene.boxes[g.box3d_index][0]
-        pa = project_anchor(view, anchor)
-        if not pa.center_in_view:
+        pa = project_rig([view], anchor.as_array()[None])[0]
+        if not pa.center_in_view[0]:
             continue
-        u, v = pa.uv[0]
+        u, v = pa.uv[0, 0]
         dm = depths[g.box.view_id]
         j = int(np.clip(u * dm.shape[1] / view.width, 0, dm.shape[1] - 1))
         i = int(np.clip(v * dm.shape[0] / view.height, 0, dm.shape[0] - 1))
