@@ -67,7 +67,7 @@ from .metrics import (
     loss_total,
     match_2d_per_camera,
 )
-from .simulator import OracleNoise, Scene, perturb, render_features, sample_scene
+from .simulator import OracleNoise, Scene, perturb, render_depths, render_features, sample_scene
 
 __version__ = "0.1.0"
 # The kernels have one NumPy implementation; benchmark environment records still read this.

@@ -165,8 +165,9 @@ def allocate(
 ) -> AllocationResult:
     """Build the mapping matrix and per-column data for one set of anchors.
 
-    One column is created per (anchor, view) pair that passes the validity
-    rule, iterating the rig in order so camera groups are contiguous.
+    One column is created per (view, anchor) pair that passes the validity
+    rule, in view-major order with ascending anchors, so camera groups are
+    contiguous.
     Within a camera, truncated candidates (anchor center not in the view)
     beyond the per-camera cap are discarded, keeping those with the largest
     clipped rectangle area (ties favor the lower anchor index).  Columns
@@ -177,61 +178,31 @@ def allocate(
         raise ValueError("empty rig")
     limits = limits or AllocationLimits()
     arr = anchors_to_array(anchors)
-    n = arr.shape[0]
+    proj = project_rig(rig, arr)
+    keep = proj.valid & (proj.rect_area > 0.0)
+    vi, ai = np.nonzero(proj.valid & ~keep)
+    dropped = list(zip(ai.tolist(), proj.view_ids[vi].tolist()))
 
-    rows: list[np.ndarray] = []
-    cams: list[np.ndarray] = []
-    refs: list[np.ndarray] = []
-    truncs: list[np.ndarray] = []
-    rects: list[np.ndarray] = []
-    dropped: list[tuple[int, int]] = []
+    truncated = keep & ~proj.center_in_view
+    cap = limits.max_truncated_per_camera
     capped: dict[int, int] = {}
+    for k in np.flatnonzero(truncated.sum(axis=1) > cap):
+        trunc_idx = np.flatnonzero(truncated[k])
+        # keep the largest clipped areas; lexsort's last key dominates,
+        # ties fall back to the lower anchor index
+        order = np.lexsort((trunc_idx, -proj.rect_area[k, trunc_idx]))
+        keep[k, trunc_idx[order[cap:]]] = False
+        capped[int(proj.view_ids[k])] = int(trunc_idx.size - cap)
 
-    for vp in project_rig(rig, arr):
-        usable = vp.valid & (vp.rect_area > 0.0)
-        for i in np.flatnonzero(vp.valid & ~usable):
-            dropped.append((int(i), vp.view_id))
-
-        trunc_idx = np.flatnonzero(usable & ~vp.center_in_view)
-        if trunc_idx.size > limits.max_truncated_per_camera:
-            # keep the largest clipped areas; lexsort's last key dominates,
-            # ties fall back to the lower anchor index
-            order = np.lexsort((trunc_idx, -vp.rect_area[trunc_idx]))
-            keep = np.sort(trunc_idx[order[: limits.max_truncated_per_camera]])
-            capped[vp.view_id] = int(trunc_idx.size - keep.size)
-            trunc_idx = keep
-        center_idx = np.flatnonzero(usable & vp.center_in_view)
-        idx = np.sort(np.concatenate([center_idx, trunc_idx])).astype(np.intp)
-        if idx.size == 0:
-            continue
-
-        rows.append(idx)
-        cams.append(np.full(idx.size, vp.view_id, dtype=np.intp))
-        refs.append(vp.ref_point[idx])
-        truncs.append(vp.center_in_view[idx])
-        rects.append(vp.rect[idx])
-
-    if rows:
-        all_rows = np.concatenate(rows)
-        all_cams = np.concatenate(cams)
-        all_refs = np.concatenate(refs, axis=0)
-        all_truncs = np.concatenate(truncs)
-        all_rects = np.concatenate(rects, axis=0)
-    else:
-        all_rows = np.zeros(0, dtype=np.intp)
-        all_cams = np.zeros(0, dtype=np.intp)
-        all_refs = np.zeros((0, 2))
-        all_truncs = np.zeros(0, dtype=bool)
-        all_rects = np.zeros((0, 4))
-
-    mapping = MappingMatrix(
-        n_3d=n, n_2d=all_rows.shape[0], rows=all_rows, camera_of_col=all_cams
-    )
+    # view-major with ascending anchors: the camera groups are contiguous
+    vi, ai = np.nonzero(keep)
     return AllocationResult(
-        mapping=mapping,
-        ref_points=all_refs,
-        truncation=all_truncs,
-        rects=all_rects,
+        mapping=MappingMatrix(
+            n_3d=arr.shape[0], n_2d=ai.size, rows=ai, camera_of_col=proj.view_ids[vi]
+        ),
+        ref_points=proj.ref_point[vi, ai],
+        truncation=proj.center_in_view[vi, ai],
+        rects=proj.rect[vi, ai],
         dropped=dropped,
         capped=capped,
     )

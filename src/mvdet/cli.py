@@ -12,6 +12,7 @@ import argparse
 import collections
 import concurrent.futures
 import contextlib
+import dataclasses
 import functools
 import json
 import logging
@@ -34,7 +35,7 @@ from .denoising import (
     make_noisy_anchors,
     restore_3d,
 )
-from .geometry import Box2D, CameraView, anchors_to_array, load_rig, make_surround_rig, save_rig
+from .geometry import Box2D, anchors_to_array, load_rig, make_surround_rig, rig_from_json_obj, save_rig
 from .groupattn import AttentionParams, GroupMask, attention
 from .metrics import (
     GtBox2D,
@@ -141,11 +142,10 @@ def _decoder_from_config(obj: dict) -> DecoderConfig:
 
 def _decoder_features(scene: Scene, rig, config: DecoderConfig):
     """The feature maps the decoder reads: one scale per level, 8 px upward."""
-    feats, _ = render_features(
+    return render_features(
         scene, rig, scales=tuple(8 * 2**s for s in range(config.n_scales)),
         channels=config.feature_channels,
     )
-    return feats
 
 
 def cmd_forward(args) -> int:
@@ -355,7 +355,7 @@ def cmd_denoise_demo(args) -> int:
 def _run_one_scene(payload: tuple) -> dict:
     """Worker: full per-scene pipeline; returns JSON-ready artifacts."""
     (idx, seed, rig_objs, decoder_obj, noise_obj, n_boxes) = payload
-    rig = [CameraView.from_json_obj(v) for v in rig_objs]
+    rig = rig_from_json_obj(rig_objs, f"rig of scene {idx}")
     config = DecoderConfig.from_json_obj(decoder_obj)
     scene = sample_scene(seed, rig, n_boxes=n_boxes, frame_id=idx)
     anchors = clamp_anchors(scene.anchors_array(), config.limits)
@@ -412,8 +412,26 @@ def _write_scene(out_dir: Path, r: dict) -> None:
         path.write_text(json.dumps(r[key]) + "\n")
 
 
+# The keys a run config may hold; those of its sections as "section.key".
+_RUN_KEYS = {
+    "out_dir", "preset", "decoder", "rig", "views", "crop_rules", "seeds", "boxes",
+    "noise", "tau_dis", "tau_iou_sweep", "seeds.base", "seeds.scenes", "decoder.preset",
+    *(f"decoder.{key}" for key in DecoderConfig().to_json_obj()),
+    *(f"noise.{f.name}" for f in dataclasses.fields(OracleNoise)),
+}
+
+
+def _check_run_keys(cfg: dict, source) -> None:
+    """Reject a key the run config does not read, naming the file and the key."""
+    keys = [*cfg, *(f"{s}.{k}" for s in ("seeds", "noise", "decoder") for k in cfg.get(s, {}))]
+    unknown = [key for key in keys if key not in _RUN_KEYS]
+    if unknown:
+        raise ValueError(f"{source}: unknown run config key {unknown[0]!r}")
+
+
 def cmd_run(args) -> int:
     cfg = _load_json(args.config)
+    _check_run_keys(cfg, args.config)
     out_dir = Path(args.out if args.out else cfg.get("out_dir", "mvdet-out"))
     preset = cfg.get("preset")
     if preset is not None and preset not in PRESETS:
@@ -439,7 +457,7 @@ def cmd_run(args) -> int:
     if base_seed < 0:
         source = "seeds.base" if args.seed is None else "--seed"
         raise ValueError(f"{source} must be non-negative, got {base_seed}")
-    n_scenes = int(seeds.get("scenes", cfg.get("scenes", 4)))
+    n_scenes = int(seeds.get("scenes", 4))
     n_boxes = int(cfg.get("boxes", 15))
     noise_obj = cfg.get("noise", {})
     taus = _parse_sweep(cfg.get("tau_iou_sweep", "0.1:0.9:0.1"))

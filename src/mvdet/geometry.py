@@ -187,24 +187,26 @@ class Box2D:
 
 
 @dataclass
-class ViewProjection:
-    """Projection of N anchors (center + 8 corners each) into one view.
+class RigProjection:
+    """Projection of N anchors (center + 8 corners each) into every view.
 
-    ``uv`` is NaN for points at or behind the image plane.  ``valid`` and
-    ``center_in_view`` follow the strict bounds rule (see ``in_image``):
-    any of the 9 points, or the center alone.  ``rect`` bounds the points in
-    front of the camera, clipped to the image; it is NaN, and ``rect_area``
-    0, where the anchor is not valid.  ``ref_point`` is the projected center
-    where it is in view, else the center of ``rect``.
+    Each array has a leading view axis in rig order, so row k of every
+    array belongs to ``view_ids[k]``.  ``uv`` is NaN for points at or
+    behind the image plane.  ``valid`` and ``center_in_view`` follow the
+    strict bounds rule (see ``in_image``): any of the 9 points, or the
+    center alone.  ``rect`` bounds the points in front of the camera,
+    clipped to the image; it is NaN, and ``rect_area`` 0, where the anchor
+    is not valid.  ``ref_point`` is the projected center where it is in
+    view, else the center of ``rect``.
     """
 
-    view_id: int
-    uv: np.ndarray           # (N, 9, 2)
-    valid: np.ndarray        # (N,) bool
-    center_in_view: np.ndarray  # (N,) bool
-    rect: np.ndarray         # (N, 4) cx, cy, w, h
-    rect_area: np.ndarray    # (N,)
-    ref_point: np.ndarray    # (N, 2)
+    view_ids: np.ndarray     # (V,)
+    uv: np.ndarray           # (V, N, 9, 2)
+    valid: np.ndarray        # (V, N) bool
+    center_in_view: np.ndarray  # (V, N) bool
+    rect: np.ndarray         # (V, N, 4) cx, cy, w, h
+    rect_area: np.ndarray    # (V, N)
+    ref_point: np.ndarray    # (V, N, 2)
 
 
 def corners_of(anchor: Anchor3D) -> np.ndarray:
@@ -220,11 +222,7 @@ def corners_of(anchor: Anchor3D) -> np.ndarray:
 
 def project_point(view: CameraView, p: Sequence[float]) -> Optional[tuple[float, float]]:
     """Project one ego-frame point; None when at or behind the image plane."""
-    pts = np.asarray(p, dtype=np.float64).reshape(1, 3)
-    uv, front = _project_points_raw(
-        pts, view.rotation, view.translation, view.fx, view.fy, view.cx, view.cy,
-        EPS_DEPTH,
-    )
+    uv, front = project_view_points(view, np.asarray(p, dtype=np.float64))
     if not front[0]:
         return None
     return (float(uv[0, 0]), float(uv[0, 1]))
@@ -247,50 +245,44 @@ def in_image(view: CameraView, uv: np.ndarray, front: np.ndarray) -> np.ndarray:
 
 def project_rig(
     views: Sequence[CameraView], anchors: np.ndarray | Sequence[Anchor3D]
-) -> list[ViewProjection]:
-    """Project N anchors into every view, one ViewProjection per view.
+) -> RigProjection:
+    """Project N anchors into every view as one (view, anchor) table.
 
     The 9 object points are built once; each view then projects them with
-    the same elementwise operations, so a view's result does not depend on
+    the same elementwise operations, so a view's row does not depend on
     which other views are projected alongside it.
     """
     arr = anchors_to_array(anchors)
-    n = arr.shape[0]
-    pts = box_points(arr).reshape(n * 9, 3)
-    return [_project_view(view, pts, n) for view in views]
+    pts = box_points(arr).reshape(-1, 3)
+    shape = (len(views), arr.shape[0], 9)
+    uv, front, inside = np.empty(shape + (2,)), np.empty(shape, bool), np.empty(shape, bool)
+    for k, view in enumerate(views):
+        uv_k, front_k = project_view_points(view, pts)
+        uv[k], front[k] = uv_k.reshape(shape[1:] + (2,)), front_k.reshape(shape[1:])
+        inside[k] = in_image(view, uv[k], front[k])
+    valid = inside.any(axis=2)
+    center_in_view = inside[:, :, 0]
 
-
-def _project_view(view: CameraView, pts: np.ndarray, n: int) -> ViewProjection:
-    uv, front = project_view_points(view, pts)
-    uv = uv.reshape(n, 9, 2)
-    front = front.reshape(n, 9)
-    inside = in_image(view, uv, front)
-    valid = inside.any(axis=1)
-    center_in_view = inside[:, 0]
-
-    rect = np.full((n, 4), np.nan)
-    rect_area = np.zeros(n)
-    if valid.any():
-        sel = np.flatnonzero(valid)
-        us, vs, fs = uv[sel, :, 0], uv[sel, :, 1], front[sel]
-        w, h = float(view.width), float(view.height)
-        x0 = np.clip(np.where(fs, us, np.inf).min(axis=1), 0.0, w)
-        x1 = np.clip(np.where(fs, us, -np.inf).max(axis=1), 0.0, w)
-        y0 = np.clip(np.where(fs, vs, np.inf).min(axis=1), 0.0, h)
-        y1 = np.clip(np.where(fs, vs, -np.inf).max(axis=1), 0.0, h)
-        rect[sel, 0] = 0.5 * (x0 + x1)
-        rect[sel, 1] = 0.5 * (y0 + y1)
-        rect[sel, 2] = x1 - x0
-        rect[sel, 3] = y1 - y0
-        rect_area[sel] = rect[sel, 2] * rect[sel, 3]
-    return ViewProjection(
-        view_id=view.view_id,
+    # rectangles of the valid (view, anchor) pairs only; lo and hi are the
+    # clipped (x0, y0) and (x1, y1), reduced over a contiguous point axis
+    rect = np.full(shape[:2] + (4,), np.nan)
+    rect_area = np.zeros(shape[:2])
+    vi, ai = np.nonzero(valid)
+    size = np.array([(v.width, v.height) for v in views], dtype=np.float64)[vi]
+    seen, pts_uv = front[vi, ai, None, :], uv[vi, ai].transpose(0, 2, 1).copy()
+    lo = np.clip(np.where(seen, pts_uv, np.inf).min(axis=2), 0.0, size)
+    hi = np.clip(np.where(seen, pts_uv, -np.inf).max(axis=2), 0.0, size)
+    rect[vi, ai, 0:2] = 0.5 * (lo + hi)
+    rect[vi, ai, 2:4] = hi - lo
+    rect_area[vi, ai] = rect[vi, ai, 2] * rect[vi, ai, 3]
+    return RigProjection(
+        view_ids=np.array([v.view_id for v in views], dtype=np.intp),
         uv=uv,
         valid=valid,
         center_in_view=center_in_view,
         rect=rect,
         rect_area=rect_area,
-        ref_point=np.where(center_in_view[:, None], uv[:, 0, :], rect[:, 0:2]),
+        ref_point=np.where(center_in_view[..., None], uv[:, :, 0, :], rect[..., 0:2]),
     )
 
 
@@ -350,7 +342,19 @@ def save_rig(views: Sequence[CameraView], path: str | Path, derived_rules=None) 
     Path(path).write_text(json.dumps(obj, indent=2) + "\n")
 
 
+def rig_from_json_obj(views: Sequence[dict], source: str) -> list[CameraView]:
+    """Cameras from a JSON view list; ``source`` names it in the error
+    raised when two views share an id."""
+    rig = [CameraView.from_json_obj(v) for v in views]
+    seen = set()
+    for view in rig:
+        if view.view_id in seen:
+            raise ValueError(f"{source}: view id {view.view_id} appears more than once")
+        seen.add(view.view_id)
+    return rig
+
+
 def load_rig(path: str | Path) -> list[CameraView]:
     """Read the base views of a rig JSON file (ignores derived_views)."""
     obj = json.loads(Path(path).read_text())
-    return [CameraView.from_json_obj(v) for v in obj["views"]]
+    return rig_from_json_obj(obj["views"], str(path))

@@ -407,10 +407,10 @@ def candidate_match(
     view = next((v for v in truth.rig if v.view_id == gt2d.box.view_id), None)
     if view is None:
         raise ValueError(f"truth rig lacks view {gt2d.box.view_id}")
-    vp = project_rig([view], np.asarray(pred3d.box, dtype=np.float64)[None, :])[0]
-    if not vp.valid[0]:
+    proj = project_rig([view], np.asarray(pred3d.box, dtype=np.float64)[None, :])
+    if not proj.valid[0, 0]:
         return False
-    iou = iou_matrix(vp.rect, gt2d.box.as_array()[None, :])[0, 0]
+    iou = iou_matrix(proj.rect[0], gt2d.box.as_array()[None, :])[0, 0]
     return bool(iou >= params.tau_iou)
 
 
@@ -446,11 +446,12 @@ def aar(
         dist = np.zeros((len(preds3d), len(truth.boxes3d)))
         cls_eq = np.zeros((len(preds3d), len(truth.boxes3d)), dtype=bool)
 
-    projections = {vp.view_id: vp for vp in project_rig(truth.rig, p_boxes)}
+    proj = project_rig(truth.rig, p_boxes)
+    row_of = {view_id: k for k, view_id in enumerate(proj.view_ids.tolist())}
 
     gt_by_view: dict[int, list[int]] = {}
     for j, g in enumerate(truth.gt2d):
-        if g.box.view_id not in projections:
+        if g.box.view_id not in row_of:
             raise ValueError(
                 f"gt2d entry references view {g.box.view_id} missing from the rig"
             )
@@ -460,7 +461,7 @@ def aar(
     pair_iou: dict[int, np.ndarray] = {}
     pair_gate: dict[int, np.ndarray] = {}
     for view_id, j_list in gt_by_view.items():
-        rect, valid = projections[view_id].rect, projections[view_id].valid
+        rect, valid = proj.rect[row_of[view_id]], proj.valid[row_of[view_id]]
         g_boxes = np.stack([truth.gt2d[j].box.as_array() for j in j_list])
         iou = np.zeros((len(preds3d), len(j_list)))
         if len(preds3d):

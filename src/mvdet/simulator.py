@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from ._kernels import box_points
-from .geometry import Anchor3D, Box2D, CameraView, anchors_to_array, project_rig
+from .geometry import Anchor3D, Box2D, CameraView, anchors_to_array, project_rig, rig_from_json_obj
 from .groupattn import ViewFeatures
 from .metrics import FrameTruth, GtBox2D, Pred2D, Pred3D, detections_to_json_obj
 
@@ -158,7 +158,7 @@ class Scene:
             )
             for g in obj["gt2d"]
         ]
-        rig = [CameraView.from_json_obj(v) for v in obj["rig"]]
+        rig = rig_from_json_obj(obj["rig"], f"scene frame {obj['frame_id']}")
         return cls(
             seed=int(obj["seed"]),
             frame_id=int(obj["frame_id"]),
@@ -192,17 +192,14 @@ def _bev_overlap(ca: np.ndarray, cb: np.ndarray) -> bool:
 
 def derive_gt2d(anchors: np.ndarray, classes: np.ndarray, rig: Sequence[CameraView]) -> list[GtBox2D]:
     """Projection-derived 2D ground truth (valid views, non-degenerate rects)."""
-    out: list[GtBox2D] = []
-    for vp in project_rig(rig, anchors):
-        for i in np.flatnonzero(vp.valid & (vp.rect_area > 0.0)):
-            out.append(
-                GtBox2D(
-                    box=Box2D(*(float(c) for c in vp.rect[i]), view_id=vp.view_id),
-                    class_id=int(classes[i]),
-                    box3d_index=int(i),
-                )
-            )
-    return out
+    proj = project_rig(rig, anchors)
+    vi, ai = np.nonzero(proj.valid & (proj.rect_area > 0.0))
+    return [
+        GtBox2D(box=Box2D(*rect, view_id=view_id), class_id=int(classes[i]), box3d_index=i)
+        for rect, view_id, i in zip(
+            proj.rect[vi, ai].tolist(), proj.view_ids[vi].tolist(), ai.tolist()
+        )
+    ]
 
 
 def sample_scene(
@@ -299,29 +296,26 @@ def render_features(
     rig: Sequence[CameraView],
     scales: Sequence[int] = (8, 16),
     channels: int = 16,
-) -> tuple[dict[int, ViewFeatures], dict[int, np.ndarray]]:
-    """Analytic per-view feature and depth maps.
+) -> dict[int, ViewFeatures]:
+    """Analytic per-view feature maps, one per scale.
 
-    Feature maps hold one Gaussian bump per visible box at its projected
-    center (amplitude class_id + 1, identical across channels); depth maps
-    (at the finest scale) hold the nearest covering box's camera-frame
-    center depth per cell, infinity elsewhere.
+    Each map holds one Gaussian bump per visible box at its reference point
+    (amplitude class_id + 1, identical across channels).
     """
-    anchors = scene.anchors_array()
+    proj = project_rig(rig, scene.anchors_array())
     features: dict[int, ViewFeatures] = {}
-    depths: dict[int, np.ndarray] = {}
-    for view, vp in zip(rig, project_rig(rig, anchors)):
+    for view, valid, ref_point, rect in zip(rig, proj.valid, proj.ref_point, proj.rect):
         maps = []
         for s in scales:
             hm = max(view.height // s, 1)
             wm = max(view.width // s, 1)
             fmap = np.zeros((hm, wm, channels))
             gy, gx = np.mgrid[0:hm, 0:wm]
-            for i in np.flatnonzero(vp.valid):
-                u, v = vp.ref_point[i]
+            for i in np.flatnonzero(valid):
+                u, v = ref_point[i]
                 mx = u * (wm / view.width) - 0.5
                 my = v * (hm / view.height) - 0.5
-                sigma = max(float(vp.rect[i, 2]) * (wm / view.width) / 4.0, 0.75)
+                sigma = max(float(rect[i, 2]) * (wm / view.width) / 4.0, 0.75)
                 amp = float(scene.boxes[i][1] + 1)
                 bump = amp * np.exp(
                     -((gx - mx) ** 2 + (gy - my) ** 2) / (2.0 * sigma * sigma)
@@ -331,21 +325,29 @@ def render_features(
         features[view.view_id] = ViewFeatures(
             width=view.width, height=view.height, maps=maps
         )
+    return features
 
-        s0 = scales[0]
-        hd = max(view.height // s0, 1)
-        wd = max(view.width // s0, 1)
+
+def render_depths(scene: Scene, rig: Sequence[CameraView], scale: int) -> dict[int, np.ndarray]:
+    """Analytic per-view depth maps at one scale.
+
+    Each cell holds the camera-frame center depth of the nearest box whose
+    clipped rectangle covers it, infinity elsewhere.
+    """
+    anchors = scene.anchors_array()
+    proj = project_rig(rig, anchors)
+    depths: dict[int, np.ndarray] = {}
+    for view, valid, rect in zip(rig, proj.valid, proj.rect):
+        hd = max(view.height // scale, 1)
+        wd = max(view.width // scale, 1)
         dm = np.full((hd, wd), np.inf)
-        r = view.rotation
-        t = view.translation
-        for i in np.flatnonzero(vp.valid):
+        r, t = view.rotation, view.translation
+        for i in np.flatnonzero(valid):
             center = anchors[i, 0:3]
             zc = r[2, 0] * center[0] + r[2, 1] * center[1] + r[2, 2] * center[2] + t[2]
             if zc <= 0:
                 continue
-            x0, y0, x1, y1 = Box2D(
-                *(float(c) for c in vp.rect[i]), view_id=view.view_id
-            ).corners
+            x0, y0, x1, y1 = Box2D(*(float(c) for c in rect[i]), view_id=view.view_id).corners
             j0 = int(np.clip(np.floor(x0 * wd / view.width), 0, wd - 1))
             j1 = int(np.clip(np.ceil(x1 * wd / view.width), j0 + 1, wd))
             i0 = int(np.clip(np.floor(y0 * hd / view.height), 0, hd - 1))
@@ -353,4 +355,4 @@ def render_features(
             region = dm[i0:i1, j0:j1]
             np.minimum(region, zc, out=region)
         depths[view.view_id] = dm
-    return features, depths
+    return depths

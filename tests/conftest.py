@@ -1,7 +1,10 @@
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from mvdet.geometry import CameraView, make_surround_rig
+from mvdet.geometry import CameraView, make_surround_rig, project_rig
 
 
 @pytest.fixture
@@ -48,3 +51,34 @@ def project_homogeneous(view: CameraView, pts: np.ndarray):
     with np.errstate(all="ignore"):
         uv = hom[:, :2] / depth[:, None]
     return uv, depth
+
+
+def project_one_view(view: CameraView, anchors) -> SimpleNamespace:
+    """Row 0 of ``project_rig([view], anchors)``: each array without its
+    view axis, plus the scalar ``view_id``."""
+    proj = project_rig([view], anchors)
+    row = {f.name: getattr(proj, f.name)[0] for f in dataclasses.fields(proj)}
+    row["view_id"] = int(row.pop("view_ids"))
+    return SimpleNamespace(**row)
+
+
+def random_rig_with_crop(rng):
+    """Four random cameras plus a crop-and-scale view derived from the first."""
+    from mvdet.crop_scale import CropRule, extend_rig
+
+    views = [random_view(rng, view_id=i) for i in range(4)]
+    return extend_rig(views, [CropRule(source_view_id=0, scale_rate=2.0)])
+
+
+def random_anchor_array(rng, n):
+    """Anchors around the rig origin: many straddle or sit behind the cameras."""
+    anchors = np.zeros((n, 9))
+    anchors[:, 0:3] = rng.uniform(-15, 15, size=(n, 3))
+    anchors[:, 3:6] = rng.uniform(0.3, 6.0, size=(n, 3))
+    anchors[:, 6] = rng.uniform(-np.pi, np.pi, n)
+    return anchors
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -25,7 +25,6 @@ from mvdet.geometry import (
     corners_of,
     make_surround_rig,
     project_point,
-    project_rig,
     project_view_points,
 )
 from mvdet.groupattn import AttentionParams, GroupMask, attention
@@ -47,7 +46,7 @@ from mvdet.metrics import (
 from mvdet.simulator import OracleNoise, perturb, render_features, sample_scene
 from mvdet.metrics import parse_detections
 
-from conftest import project_homogeneous, random_view
+from conftest import project_homogeneous, project_one_view, random_view
 
 
 def report(criterion: int, text: str) -> None:
@@ -104,7 +103,7 @@ def test_criterion_2_validity_equivalence():
     for trial in range(10):
         view = random_view(rng, view_id=trial)
         anchors = random_anchors(rng, 1000)
-        vp = project_rig([view], anchors)[0]
+        vp = project_one_view(view, anchors)
         for i in range(1000):
             expect = False
             for p in corners_of(Anchor3D.from_array(anchors[i])):
@@ -296,7 +295,7 @@ def straddling_truth(rig):
     )
     gt2d = []
     for view in rig:
-        vp = project_rig([view], a.as_array()[None, :])[0]
+        vp = project_one_view(view, a.as_array()[None, :])
         if vp.valid[0] and vp.rect_area[0] > 0:
             gt2d.append(
                 GtBox2D(
@@ -381,7 +380,7 @@ def test_criterion_10_decoder_structure(tmp_path):
     """Presets A-F execute 6 sub-layers; preset F taps; byte-identical runs."""
     rig = make_surround_rig(6)
     scene = sample_scene(1, rig, n_boxes=8)
-    feats, _ = render_features(scene, rig, scales=(8, 16), channels=8)
+    feats = render_features(scene, rig, scales=(8, 16), channels=8)
     for name, (l2, l3, lh) in PRESETS.items():
         cfg = DecoderConfig(n_queries=24, channels=16, heads=4, feature_channels=8,
                             l_2d=l2, l_3d=l3, l_hybrid=lh)

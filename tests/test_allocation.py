@@ -12,9 +12,16 @@ from mvdet.allocation import (
     gather_2d,
     scatter_mean,
 )
-from mvdet.geometry import Anchor3D, corners_of, make_surround_rig, project_point
+from mvdet._kernels import box_points
+from mvdet.geometry import EPS_DEPTH, Anchor3D, corners_of, make_surround_rig, project_point
 
-from conftest import random_view
+from conftest import (
+    project_one_view,
+    random_anchor_array,
+    random_rig_with_crop,
+    random_view,
+    same_bits,
+)
 
 
 # --------------------------------------------------------------------- clamp
@@ -188,14 +195,85 @@ def test_zero_area_column_dropped_and_flagged(front_view):
     # front: both visible corners share a pixel column, so the clipped
     # rectangle degenerates to zero width
     a = Anchor3D(center=(-1.0, -1.0, 1.5), size=(4.0, 6.0, 0.8), yaw=math.pi / 4)
-    from mvdet.geometry import project_rig
-
-    pa = project_rig([front_view], a.as_array()[None])[0]
+    pa = project_one_view(front_view, a.as_array()[None])
     assert pa.valid[0] and pa.rect_area[0] == 0.0
     res = allocate([a], [front_view])
     assert res.mapping.n_2d == 0
     assert res.dropped == [(0, front_view.view_id)]
     assert res.to_json_obj()["dropped_zero_area"] == [[0, front_view.view_id]]
+
+
+def per_view_reference(anchors, rig, limits):
+    """Allocation as a per-view loop over one-view projections, with the
+    columns gathered in per-view lists and concatenated at the end."""
+    rows, cams, refs, truncs, rects = [], [], [], [], []
+    dropped, capped = [], {}
+    for view in rig:
+        vp = project_one_view(view, anchors)
+        usable = vp.valid & (vp.rect_area > 0.0)
+        for i in np.flatnonzero(vp.valid & ~usable):
+            dropped.append((int(i), vp.view_id))
+        trunc_idx = np.flatnonzero(usable & ~vp.center_in_view)
+        if trunc_idx.size > limits.max_truncated_per_camera:
+            order = np.lexsort((trunc_idx, -vp.rect_area[trunc_idx]))
+            keep = np.sort(trunc_idx[order[: limits.max_truncated_per_camera]])
+            capped[vp.view_id] = int(trunc_idx.size - keep.size)
+            trunc_idx = keep
+        center_idx = np.flatnonzero(usable & vp.center_in_view)
+        idx = np.sort(np.concatenate([center_idx, trunc_idx])).astype(np.intp)
+        rows.append(idx)
+        cams.append(np.full(idx.size, vp.view_id, dtype=np.intp))
+        refs.append(vp.ref_point[idx])
+        truncs.append(vp.center_in_view[idx])
+        rects.append(vp.rect[idx])
+    return {
+        "rows": np.concatenate(rows),
+        "camera_of_col": np.concatenate(cams),
+        "ref_points": np.concatenate(refs, axis=0),
+        "truncation": np.concatenate(truncs),
+        "rects": np.concatenate(rects, axis=0),
+        "dropped": dropped,
+        "capped": list(capped.items()),
+    }
+
+
+def one_corner_anchor(view, rng):
+    """An anchor whose only point in front of ``view`` is one corner, on the
+    optical axis: valid there, with a zero-area clipped rectangle."""
+    anchor = random_anchor_array(rng, 1)[0]
+    anchor[0:3] = 0.0
+    axis = view.rotation[2]  # camera-frame depth direction in ego coordinates
+    reach = box_points(anchor[None])[0, 1:] @ axis
+    order = np.argsort(reach)
+    gap = reach[order[-1]] - reach[order[-2]]
+    camera = -view.rotation.T @ view.translation
+    corner = box_points(anchor[None])[0, 1 + order[-1]]
+    anchor[0:3] = camera + (EPS_DEPTH + 0.5 * gap) * axis - corner
+    return anchor
+
+
+@pytest.mark.parametrize("cap", [1, 3, 10, 100])
+def test_allocate_equals_per_view_reference(cap):
+    limits = AllocationLimits(max_truncated_per_camera=cap)
+    n_dropped = n_capped = 0
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        rig = random_rig_with_crop(rng)
+        anchors = np.vstack(
+            [random_anchor_array(rng, 2000)] + [one_corner_anchor(v, rng)[None] for v in rig]
+        )
+        anchors = anchors[rng.permutation(len(anchors))]
+        res = allocate(anchors, rig, limits)
+        ref = per_view_reference(anchors, rig, limits)
+        assert same_bits(res.mapping.rows, ref["rows"])
+        assert same_bits(res.mapping.camera_of_col, ref["camera_of_col"])
+        for name in ("ref_points", "truncation", "rects"):
+            assert same_bits(getattr(res, name), ref[name]), (seed, name)
+        assert res.dropped == ref["dropped"]
+        assert list(res.capped.items()) == ref["capped"]
+        n_dropped += len(res.dropped)
+        n_capped += len(res.capped)
+    assert n_dropped > 0 and n_capped > 0  # both rules are exercised at every cap
 
 
 def test_allocation_json_roundtrip(rig6):

@@ -33,3 +33,33 @@ def test_kernels_expose_traced_names(perfbench):
     assert names == {"project_points", "box_points", "bilinear_sample", "iou_matrix"}
     for name in names:
         assert callable(getattr(mvdet._kernels, name))
+
+
+def test_traced_run_attaches_to_the_package(tmp_path):
+    """The benchmark's trace wraps package functions by name; a rename or a
+    rebinding in the package must not silently drop a span."""
+    from test_golden_run import CONFIG
+
+    config = tmp_path / "golden_run.json"
+    config.write_text(json.dumps(CONFIG))
+    summary_path = tmp_path / "layers.json"
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "traced_run.py"),
+         "--src", str(PERFBENCH.parent / "src"), "--config", str(config),
+         "--out", str(tmp_path / "out"), "--seed", "0",
+         "--summary", str(summary_path), "--trace", str(tmp_path / "trace.json")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(summary_path.read_text())
+    assert summary["status"] == 0 and summary["errors"] == []
+    # the two attention entry points the benchmark still names were merged
+    # into groupattn.attention
+    assert [n for n in summary["notes"] if "not found" in n] == [
+        "mvdet.groupattn.masked_self_attention not found; "
+        "groupattn.masked_self_attention not traced",
+        "mvdet.groupattn.cross_attention not found; groupattn.cross_attention not traced",
+    ]
+    for span in ("kernels.project_points", "kernels.box_points", "allocation.allocate",
+                 "simulator.render_features", "metrics.aar", "metrics.ap"):
+        assert summary["calls"].get(span, 0) >= 1, span

@@ -345,6 +345,33 @@ def test_run_missing_rig_fails(tmp_path):
     assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "x")) == 1
 
 
+def test_run_rejects_repeated_view_ids(tmp_path, rig_file, capsys):
+    obj = json.loads(rig_file.read_text())
+    obj["views"][3]["view_id"] = 0
+    rig_file.write_text(json.dumps(obj))
+    cfg = run_config(tmp_path, rig=str(rig_file))
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "x")) == 1
+    assert f"{rig_file}: view id 0 appears more than once" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "over, key",
+    [
+        ({"tau_iou_swep": "0.5:0.5:0.1"}, "'tau_iou_swep'"),
+        ({"scenes": 3}, "'scenes'"),
+        ({"seeds": {"base": 5, "scene": 3}}, "'seeds.scene'"),
+        ({"noise": {"jitter": 1.0}}, "'noise.jitter'"),
+        ({"decoder": {"n_querys": 24}}, "'decoder.n_querys'"),
+    ],
+)
+def test_run_rejects_unknown_config_keys(tmp_path, capsys, over, key):
+    cfg = run_config(tmp_path, **over)
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "x")) == 1
+    assert f"{cfg}: unknown run config key {key}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_bad_preset_fails(tmp_path):
     cfg = run_config(tmp_path, preset="Q")
     assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "x")) == 1

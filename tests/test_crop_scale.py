@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,9 +12,10 @@ from mvdet.geometry import (
     CameraView,
     make_surround_rig,
     project_point,
-    project_rig,
     project_view_points,
 )
+
+from conftest import project_one_view
 
 
 def wide_view(view_id=0, width=1600, height=900, fx=1000.0, cx=None, cy=None):
@@ -80,8 +83,8 @@ def test_distant_anchor_area_gain():
         rule = CropRule(source_view_id=0, scale_rate=rate)
         derived, _ = derive_view(view, rule)
         a = Anchor3D(center=(0.4, 0.2, 650.0), size=(0.4, 0.4, 0.4), yaw=0.3)
-        pa_src = project_rig([view], a.as_array()[None])[0]
-        pa_der = project_rig([derived], a.as_array()[None])[0]
+        pa_src = project_one_view(view, a.as_array()[None])
+        pa_der = project_one_view(derived, a.as_array()[None])
         assert pa_src.valid[0] and pa_der.valid[0]
         assert pa_src.rect_area[0] < 1.0  # subtends under a pixel in the source
         ratio = pa_der.rect_area[0] / pa_src.rect_area[0]
@@ -151,6 +154,19 @@ def test_rig_file_with_derived_rules(tmp_path, rig6):
     save_rig(rig6, path)
     assert load_crop_rules(path) == []
     assert len(load_extended_rig(path)) == 6
+
+
+def test_extended_rig_rejects_repeated_view_ids(tmp_path, rig6):
+    from mvdet.crop_scale import load_extended_rig
+    from mvdet.geometry import save_rig
+
+    path = tmp_path / "rig.json"
+    save_rig(rig6, path, derived_rules=[CropRule(0)])
+    obj = json.loads(path.read_text())
+    obj["views"][3]["view_id"] = 0
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: view id 0 appears"):
+        load_extended_rig(path)
 
 
 def test_near_anchor_skips_derived_view(rig6):

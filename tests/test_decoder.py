@@ -25,7 +25,7 @@ def small_config(**over):
 @pytest.fixture
 def setup(rig6):
     scene = sample_scene(2, rig6, n_boxes=8)
-    feats, _ = render_features(scene, rig6, scales=(8, 16), channels=8)
+    feats = render_features(scene, rig6, scales=(8, 16), channels=8)
     return rig6, feats
 
 
@@ -157,7 +157,7 @@ def test_cross_attention_3d_samples_views_where_center_is_in_view(rig6, monkeypa
 
     rig = extend_rig(rig6, [CropRule(source_view_id=0, scale_rate=2.0)])
     scene = sample_scene(2, rig, n_boxes=8)
-    feats, _ = render_features(scene, rig, scales=(8, 16), channels=8)
+    feats = render_features(scene, rig, scales=(8, 16), channels=8)
     dec = HybridDecoder(small_config(n_queries=200), rig)
     queries = dec.initial_queries()
     anchors = queries.anchors.copy()
@@ -174,17 +174,18 @@ def test_cross_attention_3d_samples_views_where_center_is_in_view(rig6, monkeypa
     dec._cross_attention_3d(queries.features, anchors, feats, dec.layers_3d[0][0].cross)
 
     n_views = np.zeros(queries.n, dtype=int)
-    for vp in project_rig(rig, anchors):
-        n_views += vp.center_in_view
-        if vp.center_in_view.any():
-            assert np.array_equal(sampled.pop(vp.view_id), vp.uv[vp.center_in_view, 0])
+    proj = project_rig(rig, anchors)
+    for view_id, center_in_view, uv in zip(proj.view_ids, proj.center_in_view, proj.uv):
+        n_views += center_in_view
+        if center_in_view.any():
+            assert np.array_equal(sampled.pop(view_id), uv[center_in_view, 0])
     assert sampled == {}  # no view sampled beyond those
     assert n_views.max() > 1 and n_views.min() == 0
 
 
 def test_view_drop_robustness(rig6):
     scene = sample_scene(2, rig6, n_boxes=8)
-    feats, _ = render_features(scene, rig6, scales=(8, 16), channels=8)
+    feats = render_features(scene, rig6, scales=(8, 16), channels=8)
     cfg = small_config()
     dec_full = HybridDecoder(cfg, rig6)
     out_full, _ = dec_full.forward(feats, dec_full.initial_queries())

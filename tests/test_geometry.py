@@ -23,7 +23,14 @@ from mvdet.geometry import (
     save_rig,
 )
 
-from conftest import project_homogeneous, random_view
+from conftest import (
+    project_homogeneous,
+    project_one_view,
+    random_anchor_array,
+    random_rig_with_crop,
+    random_view,
+    same_bits,
+)
 
 
 def identity_view(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=704, height=256):
@@ -150,7 +157,7 @@ def test_front_mask_matches_oracle_on_free_points():
 
 def test_anchor_fully_behind_view(front_view):
     a = Anchor3D(center=(-20.0, 0.0, 0.5), size=(2, 4, 1.5), yaw=0.0)
-    pa = project_rig([front_view], a.as_array()[None])[0]
+    pa = project_one_view(front_view, a.as_array()[None])
     assert not pa.valid[0]
     assert np.isnan(pa.rect[0]).all() and pa.rect_area[0] == 0.0
 
@@ -165,7 +172,7 @@ def test_anchor_single_corner_in_view(front_view):
         size=(2.0, 4.0, 1.5),
         yaw=az,
     )
-    pa = project_rig([front_view], a.as_array()[None])[0]
+    pa = project_one_view(front_view, a.as_array()[None])
     assert pa.valid[0]
     assert not pa.center_in_view[0]
     assert np.isfinite(pa.rect[0]).all()
@@ -192,7 +199,7 @@ def test_validity_matches_bruteforce_bounds_check():
         anchors[:, 0:3] = rng.uniform(-40, 40, size=(200, 3))
         anchors[:, 3:6] = rng.uniform(0.3, 6.0, size=(200, 3))
         anchors[:, 6] = rng.uniform(-np.pi, np.pi, 200)
-        vp = project_rig([view], anchors)[0]
+        vp = project_one_view(view, anchors)
         for i in range(200):
             a = Anchor3D.from_array(anchors[i])
             pts = corners_of(a)
@@ -210,7 +217,7 @@ def test_validity_matches_bruteforce_bounds_check():
 
 def test_rect_clipping_and_center_flag(front_view):
     a = Anchor3D(center=(8.0, 0.0, 0.75), size=(2, 4, 1.5), yaw=0.3)
-    pa = project_rig([front_view], a.as_array()[None])[0]
+    pa = project_one_view(front_view, a.as_array()[None])
     assert pa.valid[0] and pa.center_in_view[0]
     x0, y0, x1, y1 = Box2D(*pa.rect[0].tolist(), view_id=0).corners
     assert 0 <= x0 <= x1 <= front_view.width
@@ -232,44 +239,29 @@ def test_in_image_is_strict_at_the_borders():
     assert not in_image(view, *project_view_points(view, behind)).any()
 
 
-def random_rig_with_crop(rng):
-    """Four random cameras plus a crop-and-scale view derived from the first."""
-    from mvdet.crop_scale import CropRule, extend_rig
-
-    views = [random_view(rng, view_id=i) for i in range(4)]
-    return extend_rig(views, [CropRule(source_view_id=0, scale_rate=2.0)])
-
-
-def random_anchor_array(rng, n):
-    """Anchors around the rig origin: many straddle or sit behind the cameras."""
-    anchors = np.zeros((n, 9))
-    anchors[:, 0:3] = rng.uniform(-15, 15, size=(n, 3))
-    anchors[:, 3:6] = rng.uniform(0.3, 6.0, size=(n, 3))
-    anchors[:, 6] = rng.uniform(-np.pi, np.pi, n)
-    return anchors
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 def test_project_rig_equals_each_view_alone():
     rng = np.random.default_rng(21)
     rig = random_rig_with_crop(rng)
     assert rig[-1].derived
     anchors = random_anchor_array(rng, 400)
     together = project_rig(rig, anchors)
-    assert [vp.view_id for vp in together] == [v.view_id for v in rig]
+    v, n = len(rig), len(anchors)
+    assert together.view_ids.tolist() == [view.view_id for view in rig]
+    assert together.uv.shape == (v, n, 9, 2)
+    assert together.rect.shape == (v, n, 4) and together.ref_point.shape == (v, n, 2)
+    assert together.valid.shape == together.center_in_view.shape == (v, n)
+    assert together.rect_area.shape == (v, n)
     fields = ("uv", "valid", "center_in_view", "rect", "rect_area", "ref_point")
     partly_behind = 0
-    for view, vp in zip(rig, together):
-        alone = project_rig([view], anchors)[0]
-        assert alone.view_id == vp.view_id
+    for k, view in enumerate(rig):
+        alone = project_one_view(view, anchors)
+        assert alone.view_id == together.view_ids[k]
         for name in fields:
-            assert same_bits(getattr(vp, name), getattr(alone, name)), (view.view_id, name)
-        behind = np.isnan(vp.uv[..., 0])
-        partly_behind += int((behind.any(axis=1) & ~behind.all(axis=1) & vp.valid).sum())
+            assert same_bits(getattr(together, name)[k], getattr(alone, name)), (k, name)
+        behind = np.isnan(together.uv[k, ..., 0])
+        partly_behind += int(
+            (behind.any(axis=1) & ~behind.all(axis=1) & together.valid[k]).sum()
+        )
     assert partly_behind > 0  # valid anchors with corners behind the camera occur
 
 
@@ -297,7 +289,7 @@ def test_ref_point_matches_center_or_rect_center():
     rig = random_rig_with_crop(rng)
     anchors = random_anchor_array(rng, 150)
     seen = {"center": 0, "rect": 0, "invalid": 0}
-    for view, vp in zip(rig, project_rig(rig, anchors)):
+    for view, ref_point in zip(rig, project_rig(rig, anchors).ref_point):
         for i in range(len(anchors)):
             pts = [project_point(view, p) for p in corners_of(Anchor3D.from_array(anchors[i]))]
             inside = [
@@ -316,10 +308,10 @@ def test_ref_point_matches_center_or_rect_center():
                 expect = (0.5 * (x0 + x1), 0.5 * (y0 + y1))
                 seen["rect"] += 1
             else:
-                assert np.isnan(vp.ref_point[i]).all()
+                assert np.isnan(ref_point[i]).all()
                 seen["invalid"] += 1
                 continue
-            assert np.abs(vp.ref_point[i] - np.asarray(expect)).max() <= 1e-9
+            assert np.abs(ref_point[i] - np.asarray(expect)).max() <= 1e-9
     assert min(seen.values()) > 0, seen
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mvdet.geometry import Anchor3D, Box2D, make_surround_rig, project_rig
+from mvdet.geometry import Anchor3D, Box2D, make_surround_rig
 from mvdet.metrics import (
     AARResult,
     FrameTruth,
@@ -31,6 +31,8 @@ from mvdet.metrics import (
     mean_ap,
     parse_detections,
 )
+
+from conftest import project_one_view
 
 
 # ----------------------------------------------------------------- hungarian
@@ -271,7 +273,7 @@ def one_box_truth(rig, center=(15.0, 0.0, 0.8), cls=1):
     boxes3d = a.as_array()[None, :]
     gt2d = []
     for view in rig:
-        pa = project_rig([view], a.as_array()[None])[0]
+        pa = project_one_view(view, a.as_array()[None])
         if pa.valid[0] and pa.rect_area[0] > 0:
             box = Box2D(*pa.rect[0].tolist(), view_id=view.view_id)
             gt2d.append(GtBox2D(box=box, class_id=cls, box3d_index=0))
@@ -308,7 +310,7 @@ def straddling_truth(rig):
     )
     gt2d = []
     for view in rig:
-        pa = project_rig([view], a.as_array()[None])[0]
+        pa = project_one_view(view, a.as_array()[None])
         if pa.valid[0] and pa.rect_area[0] > 0:
             box = Box2D(*pa.rect[0].tolist(), view_id=view.view_id)
             gt2d.append(GtBox2D(box=box, class_id=0, box3d_index=0))

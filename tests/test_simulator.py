@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from mvdet.geometry import project_rig
 from mvdet.metrics import MatchParams, aar, parse_detections
 from mvdet.simulator import (
     OracleNoise,
@@ -12,9 +11,12 @@ from mvdet.simulator import (
     _bev_corners,
     _bev_overlap,
     perturb,
+    render_depths,
     render_features,
     sample_scene,
 )
+
+from conftest import project_one_view
 
 
 def test_empty_scene(rig6):
@@ -36,7 +38,7 @@ def test_gt2d_matches_projection_oracle(rig6):
     expected = set()
     for i, (anchor, cls) in enumerate(scene.boxes):
         for view in rig6:
-            pa = project_rig([view], anchor.as_array()[None])[0]
+            pa = project_one_view(view, anchor.as_array()[None])
             if pa.valid[0] and pa.rect_area[0] > 0:
                 cx, cy = pa.rect[0, 0:2].tolist()
                 expected.add((i, view.view_id, round(cx, 9), round(cy, 9)))
@@ -49,7 +51,7 @@ def test_gt2d_matches_projection_oracle(rig6):
     # hallucinated ground truth)
     for g in scene.gt2d:
         anchor = scene.boxes[g.box3d_index][0]
-        pa = project_rig([views[g.box.view_id]], anchor.as_array()[None])[0]
+        pa = project_one_view(views[g.box.view_id], anchor.as_array()[None])
         assert pa.valid[0]
 
 
@@ -128,9 +130,17 @@ def test_perturb_per_view_drop(rig6):
     assert {p.box.view_id for p in p2d} == others
 
 
+def test_scene_rejects_repeated_view_ids(rig6):
+    obj = sample_scene(4, rig6, n_boxes=3, frame_id=9).to_json_obj()
+    obj["rig"][3]["view_id"] = 0
+    with pytest.raises(ValueError, match="^scene frame 9: view id 0 appears"):
+        Scene.from_json_obj(obj)
+
+
 def test_render_features_empty_scene(rig6):
     scene = sample_scene(0, rig6, n_boxes=0)
-    feats, depths = render_features(scene, rig6)
+    feats = render_features(scene, rig6)
+    depths = render_depths(scene, rig6, 8)
     for v in rig6:
         for fmap in feats[v.view_id].maps:
             assert np.all(fmap == 0.0)
@@ -139,7 +149,7 @@ def test_render_features_empty_scene(rig6):
 
 def test_feature_bump_peaks_at_projected_center(rig6):
     scene = sample_scene(21, rig6, n_boxes=6)
-    feats, _ = render_features(scene, rig6, scales=(8,))
+    feats = render_features(scene, rig6, scales=(8,))
     views = {v.view_id: v for v in rig6}
     # single-box view regions: the brightest cell must contain the
     # projected center of some box
@@ -151,7 +161,7 @@ def test_feature_bump_peaks_at_projected_center(rig6):
         view = views[view_id]
         centers = []
         for anchor, _ in scene.boxes:
-            pa = project_rig([view], anchor.as_array()[None])[0]
+            pa = project_one_view(view, anchor.as_array()[None])
             if pa.valid[0]:
                 u, v = pa.uv[0, 0] if pa.center_in_view[0] else pa.rect[0, 0:2]
                 centers.append((u * fmap.shape[1] / view.width - 0.5,
@@ -164,13 +174,13 @@ def test_feature_bump_peaks_at_projected_center(rig6):
 
 def test_depth_map_matches_camera_depth(rig6):
     scene = sample_scene(13, rig6, n_boxes=8)
-    _, depths = render_features(scene, rig6, scales=(8,))
+    depths = render_depths(scene, rig6, 8)
     views = {v.view_id: v for v in rig6}
     checked = 0
     for g in scene.gt2d:
         view = views[g.box.view_id]
         anchor = scene.boxes[g.box3d_index][0]
-        pa = project_rig([view], anchor.as_array()[None])[0]
+        pa = project_one_view(view, anchor.as_array()[None])
         if not pa.center_in_view[0]:
             continue
         u, v = pa.uv[0, 0]
