@@ -136,8 +136,26 @@ def cmd_allocate(args) -> int:
 
 # ------------------------------------------------------------------- forward
 
-def _decoder_from_config(obj: dict) -> DecoderConfig:
-    return DecoderConfig.from_json_obj(obj.get("decoder", obj))
+# The keys of a decoder config: its preset and every DecoderConfig entry.
+_DECODER_KEYS = {"preset", *DecoderConfig().to_json_obj()}
+
+
+def _reject_unknown_keys(keys, allowed, source, command: str) -> None:
+    """Raise on the first key not in ``allowed``, naming the file and the key."""
+    unknown = [key for key in keys if key not in allowed]
+    if unknown:
+        raise ValueError(f"{source}: unknown {command} config key {unknown[0]!r}")
+
+
+def _decoder_from_config(obj: dict, source) -> DecoderConfig:
+    """The decoder of a forward config: a "decoder" section or, without one,
+    decoder keys at the top level; "rig" may stand beside either."""
+    if "decoder" in obj:
+        _reject_unknown_keys(obj, {"decoder", "rig"}, source, "forward")
+        _reject_unknown_keys(obj["decoder"], _DECODER_KEYS, source, "forward")
+        return DecoderConfig.from_json_obj(obj["decoder"])
+    _reject_unknown_keys(obj, {"rig", *_DECODER_KEYS}, source, "forward")
+    return DecoderConfig.from_json_obj(obj)
 
 
 def _decoder_features(scene: Scene, rig, config: DecoderConfig):
@@ -150,12 +168,12 @@ def _decoder_features(scene: Scene, rig, config: DecoderConfig):
 
 def cmd_forward(args) -> int:
     cfg_obj = _load_json(args.config)
+    config = _decoder_from_config(cfg_obj, args.config)
     scene = load_scene(args.scene)
     if cfg_obj.get("rig"):
         rig = load_extended_rig(cfg_obj["rig"])
     else:
         rig = scene.rig
-    config = _decoder_from_config(cfg_obj)
     if args.seed is not None:
         config = DecoderConfig.from_json_obj({**config.to_json_obj(), "seed": args.seed})
     decoder = HybridDecoder(config, rig)
@@ -415,8 +433,8 @@ def _write_scene(out_dir: Path, r: dict) -> None:
 # The keys a run config may hold; those of its sections as "section.key".
 _RUN_KEYS = {
     "out_dir", "preset", "decoder", "rig", "views", "crop_rules", "seeds", "boxes",
-    "noise", "tau_dis", "tau_iou_sweep", "seeds.base", "seeds.scenes", "decoder.preset",
-    *(f"decoder.{key}" for key in DecoderConfig().to_json_obj()),
+    "noise", "tau_dis", "tau_iou_sweep", "seeds.base", "seeds.scenes",
+    *(f"decoder.{key}" for key in _DECODER_KEYS),
     *(f"noise.{f.name}" for f in dataclasses.fields(OracleNoise)),
 }
 
@@ -424,9 +442,7 @@ _RUN_KEYS = {
 def _check_run_keys(cfg: dict, source) -> None:
     """Reject a key the run config does not read, naming the file and the key."""
     keys = [*cfg, *(f"{s}.{k}" for s in ("seeds", "noise", "decoder") for k in cfg.get(s, {}))]
-    unknown = [key for key in keys if key not in _RUN_KEYS]
-    if unknown:
-        raise ValueError(f"{source}: unknown run config key {unknown[0]!r}")
+    _reject_unknown_keys(keys, _RUN_KEYS, source, "run")
 
 
 def cmd_run(args) -> int:

@@ -6,6 +6,11 @@ its 3D sub-layers (self-attention, reference-point sampling, 3D head).
 Heads are toy two-layer perceptrons with additive anchor refinement; all
 parameters come from one seeded initializer so a fixed seed and inputs give
 bit-identical outputs.
+
+The query state stays float64.  The two dense self-attentions over the N
+3D queries (the aggregate and the 3D sub-layer's) compute in float32, as
+the paper's PyTorch model does by default; 2D group attention, temporal
+attention and reference-point sampling stay float64.
 """
 
 from __future__ import annotations
@@ -448,7 +453,7 @@ class HybridDecoder:
             for p in self.layers_3d[li]:
                 if temporal is not None and temporal.n > 0:
                     q3 = q3 + attention(q3, p.temporal, kv=temporal.features)
-                q3 = q3 + attention(q3, p.self_attn)
+                q3 = q3 + attention(q3.astype(np.float32), p.self_attn)
                 q3 = q3 + self._cross_attention_3d(q3, anchors, features, p.cross)
                 raw = p.head3d.apply(q3)
                 anchors = self._refine_anchors(anchors, raw[:, 0:7])

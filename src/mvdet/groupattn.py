@@ -9,10 +9,18 @@ the same rule out as a dense additive mask for reference checks.
 
 Dense attention (each group, or every row over ``kv``) is head-batched:
 the score buffers of one call hold together as many heads as fit in
-``SCORE_BUDGET`` doubles (at least one), and the softmax runs in place.
+``SCORE_BUDGET`` elements (at least one), and the softmax runs in place.
 A call whose heads do not fit in one buffer splits them among threads,
 one buffer each, up to the number of usable cores; the threads end with
-the call.  The results are bit-identical to a per-head loop.
+the call.
+
+Attention computes in float32 when it is given float32 queries and in
+float64 otherwise, and always returns float64.  The float64 path is
+bit-identical to a per-head loop.  The float32 path fuses the softmax into
+the value product (a ones column in V carries the row sum); it is
+bit-identical across chunkings and thread counts, and differs from the
+float64 result by less than 1e-5 of the largest value entry.  The decoder
+runs its dense self-attentions over the 3D queries in float32.
 """
 
 from __future__ import annotations
@@ -30,9 +38,9 @@ from ._kernels import bilinear_sample
 # softmax weight is exactly 0.0 (holds for |unmasked logits| << 1e9).
 NEG_INF = -1e9
 
-# Doubles in all score buffers of one dense attention call together
-# (16 MiB): small calls batch all heads in one product; at N = M = 900 two
-# heads fit, one on each of two threads.
+# Elements in all score buffers of one dense attention call together
+# (16 MiB in float64, 8 MiB in float32): small calls batch all heads in one
+# product; at N = M = 900 two heads fit, one on each of two threads.
 SCORE_BUDGET = 1 << 21
 
 
@@ -139,15 +147,21 @@ def softmax_rows(scores: np.ndarray) -> np.ndarray:
 def _attend(x: np.ndarray, kv: np.ndarray, params: AttentionParams) -> np.ndarray:
     """Multi-head softmax(QK^T / sqrt(d)) V of every row of x over kv.
 
-    The budget of SCORE_BUDGET doubles (or one N x M head, when that is
+    Computes in the dtype of x (float32 or float64) and returns float64.
+    The budget of SCORE_BUDGET elements (or one N x M head, when that is
     larger) is shared by the score buffers of the call.  When all heads fit
     in it they run in one chunk on the calling thread.  Otherwise up to
     ``usable_cpus()`` workers each take a buffer of an equal share of the
     budget and run every workers-th chunk of heads through it; the calling
     thread is one of them.  Every head sees the same operations in the same
-    order as a per-head loop, so the output is bit-identical to it whatever
-    the chunking or thread count.  Query rows are never blocked: BLAS may
-    pick another kernel for the smaller products and change the last bits.
+    order whatever the chunking or thread count, so the output does not
+    depend on them; in float64 it is bit-identical to a per-head loop.
+    Query rows are never blocked: BLAS may pick another kernel for the
+    smaller products and change the last bits.
+
+    The float32 body scales q by 1/sqrt(d) before its cast and appends a
+    ones column to v, so one product yields both the softmax numerator and
+    its row sum (at least 1: the row maximum contributes exp(0)).
     """
     n, c = x.shape
     m = kv.shape[0]
@@ -158,21 +172,32 @@ def _attend(x: np.ndarray, kv: np.ndarray, params: AttentionParams) -> np.ndarra
     q = (x @ params.w_q).reshape(n, h, d).transpose(1, 0, 2)
     k = (kv @ params.w_k).reshape(m, h, d).transpose(1, 2, 0)
     v = (kv @ params.w_v).reshape(m, h, d).transpose(1, 0, 2)
+    scale = math.sqrt(d)
+    fused = x.dtype == np.float32
+    if fused:
+        q = (q / scale).astype(np.float32)
+        k = k.astype(np.float32)
+        v = np.concatenate([v, np.ones((h, m, 1))], axis=2, dtype=np.float32)
     out = np.empty((n, h, d))
     heads_out = out.transpose(1, 0, 2)
     fit = max(1, SCORE_BUDGET // max(1, n * m))  # heads the budget holds
     workers = 1 if fit >= h else min(usable_cpus(), fit)
     step = min(h, fit // workers)
     starts = range(0, h, step)
-    scale = math.sqrt(d)
 
     def run_chunks(first: int) -> None:
-        buf = np.empty((step, n, m))
+        buf = np.empty((step, n, m), dtype=x.dtype)
         for s in starts[first::workers]:
             e = min(h, s + step)
             scores = np.matmul(q[s:e], k[s:e], out=buf[: e - s])
-            np.divide(scores, scale, out=scores)
-            heads_out[s:e] = softmax_rows(scores) @ v[s:e]
+            if fused:
+                np.subtract(scores, scores.max(axis=-1, keepdims=True), out=scores)
+                np.exp(scores, out=scores)
+                num = scores @ v[s:e]
+                heads_out[s:e] = num[..., :d] / num[..., d:]
+            else:
+                np.divide(scores, scale, out=scores)
+                heads_out[s:e] = softmax_rows(scores) @ v[s:e]
 
     if workers == 1:
         run_chunks(0)
@@ -198,16 +223,20 @@ def attention(
     With ``groups`` a row attends only to the rows of x sharing its group
     id; each group is evaluated on its own, so its output rows depend only
     on that group's inputs -- perturbing or removing another group leaves
-    them bit-identical.  Raises on NaN input (fail fast), when C is not
+    them bit-identical.  Float32 x (and kv, cast to it) runs the fused
+    float32 body; any other input computes in float64.  The result is
+    float64 either way.  Raises on NaN input (fail fast), when C is not
     divisible by the head count, on a groups/x length mismatch, on a
     negative group id, and when both ``groups`` and ``kv`` are given.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
+    dtype = np.float32 if x.dtype == np.float32 else np.float64
+    x = x.astype(dtype, copy=False)
     if x.ndim != 2:
         raise ValueError(f"x must be (M, C), got {x.shape}")
     if groups is not None and kv is not None:
         raise ValueError("groups apply to self-attention only; got both groups and kv")
-    kv = x if kv is None else np.asarray(kv, dtype=np.float64)
+    kv = x if kv is None else np.asarray(kv, dtype=dtype)
     if np.isnan(x).any() or np.isnan(kv).any():
         raise ValueError("NaN in attention input")
     if x.shape[1] % params.heads:
@@ -221,7 +250,7 @@ def attention(
         raise ValueError("group id out of range")
     order = np.argsort(g, kind="stable")
     starts = np.flatnonzero(np.diff(g[order])) + 1
-    out = np.empty_like(x)
+    out = np.empty(x.shape)
     for rows in np.split(order, starts):
         if rows.size:  # an empty x splits into one empty block
             xr = x[rows]

@@ -300,7 +300,8 @@ def render_features(
     """Analytic per-view feature maps, one per scale.
 
     Each map holds one Gaussian bump per visible box at its reference point
-    (amplitude class_id + 1, identical across channels).
+    (amplitude class_id + 1, identical across channels): the bumps are
+    summed in one (H, W) plane, copied into every channel at the end.
     """
     proj = project_rig(rig, scene.anchors_array())
     features: dict[int, ViewFeatures] = {}
@@ -309,7 +310,8 @@ def render_features(
         for s in scales:
             hm = max(view.height // s, 1)
             wm = max(view.width // s, 1)
-            fmap = np.zeros((hm, wm, channels))
+            fmap = np.empty((hm, wm, channels))  # ahead of the bump temporaries: lower peak RSS
+            plane = np.zeros((hm, wm))
             gy, gx = np.mgrid[0:hm, 0:wm]
             for i in np.flatnonzero(valid):
                 u, v = ref_point[i]
@@ -320,7 +322,8 @@ def render_features(
                 bump = amp * np.exp(
                     -((gx - mx) ** 2 + (gy - my) ** 2) / (2.0 * sigma * sigma)
                 )
-                fmap += bump[:, :, None]
+                plane += bump
+            fmap[...] = plane[:, :, None]
             maps.append(fmap)
         features[view.view_id] = ViewFeatures(
             width=view.width, height=view.height, maps=maps

@@ -63,7 +63,8 @@ def test_aggregate_empty_mapping_is_plain_self_attention():
     m = mapping_of([], n_3d=5)
     attn = AttentionParams.seeded(8, 2, np.random.default_rng(9))
     out = aggregate(q3, np.zeros((0, 8)), m, attn)
-    want = attention(q3, attn, groups=GroupMask(np.zeros(5, dtype=int)))
+    # the aggregate attends in float32
+    want = attention(q3.astype(np.float32), attn, groups=GroupMask(np.zeros(5, dtype=int)))
     assert np.array_equal(out, want)
 
 

@@ -92,6 +92,26 @@ def test_forward_on_scene(tmp_path, sim_dir):
     assert len(obj["agg_taps"]) == 3
 
 
+@pytest.mark.parametrize(
+    "cfg_obj, key",
+    [
+        ({"preset": "F", "n_querys": 16}, "'n_querys'"),
+        ({"decoder": {"n_querys": 16, "preset": "F"}}, "'n_querys'"),
+        ({"decoder": {"preset": "F"}, "n_queries": 16}, "'n_queries'"),
+        ({"decoder": {"preset": "F"}, "rigg": "rig.json"}, "'rigg'"),
+    ],
+)
+def test_forward_rejects_unknown_config_keys(tmp_path, sim_dir, capsys, cfg_obj, key):
+    cfg = tmp_path / "decoder.json"
+    cfg.write_text(json.dumps(cfg_obj))
+    out = tmp_path / "fwd.json"
+    assert run_cli("forward", "--config", str(cfg),
+                   "--scene", str(sim_dir / "scene_0000.json"),
+                   "--out", str(out)) == 1
+    assert f"{cfg}: unknown forward config key {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_aar_zero_noise_perfect(tmp_path, sim_dir, capsys):
     from mvdet.simulator import load_scene, perturb
     from mvdet.metrics import detections_to_json_obj, parse_detections

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from mvdet import aggregation, decoder
+from mvdet.crop_scale import CropRule, extend_rig
 from mvdet.decoder import (
     PRESETS,
     DecoderConfig,
@@ -10,7 +12,7 @@ from mvdet.decoder import (
     propagate_topk,
     wrap_yaw,
 )
-from mvdet.groupattn import ViewFeatures
+from mvdet.groupattn import ViewFeatures, attention
 from mvdet.simulator import render_features, sample_scene
 
 
@@ -135,6 +137,36 @@ def test_forward_determinism(setup):
     for a, b in zip(o1.layers_3d + o1.agg_taps, o2.layers_3d + o2.agg_taps):
         assert np.array_equal(a.boxes3d, b.boxes3d)
         assert np.array_equal(a.logits, b.logits)
+
+
+def test_float32_query_attention_drift(rig6, monkeypatch):
+    # the README reference shape: preset F, 900 queries, six cameras plus a
+    # crop view; float64 3D-query attention is the reference
+    rig = extend_rig(rig6, [CropRule(source_view_id=0, scale_rate=2.0)])
+    scene = sample_scene(0, rig, n_boxes=15)
+    feats = render_features(scene, rig, scales=(8, 16), channels=16)
+
+    def run():
+        dec = HybridDecoder(DecoderConfig.from_preset("F"), rig)
+        return dec.forward(feats, dec.initial_queries())[0]
+
+    def float64_attention(x, params, **kw):
+        return attention(np.asarray(x, dtype=np.float64), params, **kw)
+
+    got = run()
+    monkeypatch.setattr(decoder, "attention", float64_attention)
+    monkeypatch.setattr(aggregation, "attention", float64_attention)
+    want = run()
+    for g, w in zip(got.layers_2d, want.layers_2d, strict=True):
+        assert np.array_equal(g.mapping.rows, w.mapping.rows)
+        assert np.array_equal(g.mapping.camera_of_col, w.mapping.camera_of_col)
+        assert np.array_equal(g.truncation, w.truncation)
+        assert np.abs(g.boxes2d - w.boxes2d).max() <= 2.5e-4  # px
+        assert np.abs(g.logits - w.logits).max() <= 1e-6
+    for g, w in zip(got.layers_3d + got.agg_taps, want.layers_3d + want.agg_taps, strict=True):
+        assert np.abs(g.boxes3d - w.boxes3d).max() <= 1e-6  # m
+        assert np.abs(g.logits - w.logits).max() <= 1e-6
+    assert not np.array_equal(got.layers_3d[-1].boxes3d, want.layers_3d[-1].boxes3d)
 
 
 def test_2d_output_rows_match_allocation(setup):

@@ -425,6 +425,105 @@ def test_softmax_rows_in_place():
     assert np.abs(got.sum(axis=-1) - 1.0).max() <= 1e-15
 
 
+# ------------------------------------------------ float32 dense attention
+
+# float32 drift from the float64 per-head loop, as a share of the output scale
+FLOAT32_REL_TOL = 1e-5
+
+
+def fused_per_head_reference(x, kv, params):
+    """The float32 formula as a per-head loop: q scaled before its cast, the
+    row sum carried by a ones column appended to v."""
+    h = params.heads
+    d = x.shape[1] // h
+    q = ((x @ params.w_q) / math.sqrt(d)).astype(np.float32)
+    k = (kv @ params.w_k).astype(np.float32)
+    v = (kv @ params.w_v).astype(np.float32)
+    ones = np.ones((kv.shape[0], 1), dtype=np.float32)
+    out = np.empty(x.shape)
+    for head in range(h):
+        sl = slice(head * d, (head + 1) * d)
+        scores = q[:, sl] @ k[:, sl].T
+        e = np.exp(scores - scores.max(axis=1, keepdims=True))
+        num = e @ np.concatenate([v[:, sl], ones], axis=1)
+        out[:, sl] = num[:, :d] / num[:, d:]
+    return out
+
+
+def float32_drift(x, kv, params):
+    """Largest |float32 - float64 per-head reference|, and the reference.
+
+    The float32 result must also equal the fused per-head loop bit for bit,
+    at every size."""
+    x32, kv32 = x.astype(np.float32), kv.astype(np.float32)
+    got = attention(x32, params, kv=kv32)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, fused_per_head_reference(x32, kv32, params))
+    want = per_head_reference(x, kv, params)
+    return np.abs(got - want).max(), want
+
+
+@pytest.mark.parametrize("feature_scale", [1.0, 3.0])
+def test_float32_attention_near_float64_at_decoder_size(feature_scale):
+    rng = np.random.default_rng(int(feature_scale))
+    x = feature_scale * rng.standard_normal((900, 64))
+    params = AttentionParams.seeded(64, 8, rng)
+    drift, want = float32_drift(x, x, params)
+    assert drift <= FLOAT32_REL_TOL * np.abs(want).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    m=st.integers(1, 40),
+    heads=st.sampled_from([1, 2, 4, 8]),
+    d=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_float32_attention_near_float64_property(n, m, heads, d, seed):
+    rng = np.random.default_rng(seed)
+    c = heads * d
+    x = 3.0 * rng.standard_normal((n, c))
+    kv = 3.0 * rng.standard_normal((m, c))
+    params = AttentionParams.seeded(c, heads, rng)
+    # an output row is a convex combination of value rows, which can cancel
+    # to near zero in a one-channel head: the bound scales with the values
+    for keys in (kv, x):
+        drift, _ = float32_drift(x, keys, params)
+        assert drift <= FLOAT32_REL_TOL * np.abs(keys @ params.w_v).max()
+
+
+def test_float32_attention_independent_of_chunks_and_threads(monkeypatch):
+    n, c, heads = 900, 64, 8
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((n, c)).astype(np.float32)
+    params = AttentionParams.seeded(c, heads, rng)
+    want = attention(x, params)
+    for budget in (heads * n * n, 2 * n * n, n * n):  # all heads, two, one fit
+        monkeypatch.setattr(groupattn, "SCORE_BUDGET", budget)
+        for cores in (1, 2, 8):
+            monkeypatch.setattr(groupattn, "usable_cpus", lambda: cores)
+            assert np.array_equal(attention(x, params), want), (budget, cores)
+
+
+def test_float32_attention_returns_float64_and_rejects_nan():
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((6, 8)).astype(np.float32)
+    params = seeded_params(8, heads=2)
+    assert attention(x, params).dtype == np.float64
+    assert attention(x, params, kv=x[:3]).dtype == np.float64
+    assert attention(x, params, groups=GroupMask(np.array([0, 0, 1, 1, 1, 2]))).dtype == np.float64
+    assert attention(x[:0], params).dtype == np.float64
+    bad = x.copy()
+    bad[2, 3] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        attention(bad, params)
+    with pytest.raises(ValueError, match="NaN"):
+        attention(x, params, kv=bad)
+    with pytest.raises(ValueError, match="NaN"):
+        attention(bad, params, groups=GroupMask(np.zeros(6, int)))
+
+
 # ------------------------------------------------- ref point cross attention
 
 def single_scale_params(c_feat, c, seed=0):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mvdet.geometry import project_rig
 from mvdet.metrics import MatchParams, aar, parse_detections
 from mvdet.simulator import (
     OracleNoise,
@@ -16,7 +17,7 @@ from mvdet.simulator import (
     sample_scene,
 )
 
-from conftest import project_one_view
+from conftest import project_one_view, random_rig_with_crop
 
 
 def test_empty_scene(rig6):
@@ -145,6 +146,47 @@ def test_render_features_empty_scene(rig6):
         for fmap in feats[v.view_id].maps:
             assert np.all(fmap == 0.0)
         assert np.all(np.isinf(depths[v.view_id]))
+
+
+def render_features_per_channel(scene, rig, scales=(8, 16), channels=16):
+    """Reference: every bump added to all channels of a (H, W, C) map."""
+    proj = project_rig(rig, scene.anchors_array())
+    features = {}
+    for view, valid, ref_point, rect in zip(rig, proj.valid, proj.ref_point, proj.rect):
+        maps = []
+        for s in scales:
+            hm = max(view.height // s, 1)
+            wm = max(view.width // s, 1)
+            fmap = np.zeros((hm, wm, channels))
+            gy, gx = np.mgrid[0:hm, 0:wm]
+            for i in np.flatnonzero(valid):
+                u, v = ref_point[i]
+                mx = u * (wm / view.width) - 0.5
+                my = v * (hm / view.height) - 0.5
+                sigma = max(float(rect[i, 2]) * (wm / view.width) / 4.0, 0.75)
+                amp = float(scene.boxes[i][1] + 1)
+                bump = amp * np.exp(
+                    -((gx - mx) ** 2 + (gy - my) ** 2) / (2.0 * sigma * sigma)
+                )
+                fmap += bump[:, :, None]
+            maps.append(fmap)
+        features[view.view_id] = maps
+    return features
+
+
+@pytest.mark.parametrize("rig_seed, scales, channels", [(0, (8, 16), 16), (7, (8,), 3),
+                                                        (None, (4, 16, 32), 1)])
+def test_render_features_matches_per_channel_loop(rig6, rig_seed, scales, channels):
+    # random four-camera rigs with a crop view, and the six-camera rig
+    rig = rig6 if rig_seed is None else random_rig_with_crop(np.random.default_rng(rig_seed))
+    scene = sample_scene(11, rig, n_boxes=15)
+    got = render_features(scene, rig, scales=scales, channels=channels)
+    want = render_features_per_channel(scene, rig, scales=scales, channels=channels)
+    assert sorted(got) == sorted(want)
+    for view_id, maps in want.items():
+        assert len(got[view_id].maps) == len(maps)
+        for g, w in zip(got[view_id].maps, maps):
+            assert g.shape == w.shape and np.array_equal(g, w)
 
 
 def test_feature_bump_peaks_at_projected_center(rig6):
