@@ -14,7 +14,6 @@ import concurrent.futures
 import contextlib
 import dataclasses
 import functools
-import json
 import logging
 import os
 import sys
@@ -35,7 +34,9 @@ from .denoising import (
     make_noisy_anchors,
     restore_3d,
 )
-from .geometry import Box2D, anchors_to_array, load_rig, make_surround_rig, rig_from_json_obj, save_rig
+from .geometry import (
+    Box2D, anchors_to_array, dump_json, load_json, load_rig, make_surround_rig, save_rig,
+)
 from .groupattn import AttentionParams, GroupMask, attention
 from .metrics import (
     GtBox2D,
@@ -57,18 +58,6 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _load_json(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())
-
-
-def _write_json(obj: dict, path: str | Path | None) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
-
-
 def _parse_sweep(spec: str) -> list[float]:
     """'0.1:0.9:0.1' -> [0.1, 0.2, ..., 0.9]."""
     try:
@@ -82,7 +71,7 @@ def _parse_sweep(spec: str) -> list[float]:
 
 
 def _load_gt_scenes(path: str | Path) -> list[Scene]:
-    obj = _load_json(path)
+    obj = load_json(path)
     if obj.get("format") == "mvdet-scene/1":
         return [Scene.from_json_obj(obj)]
     if obj.get("format") != "mvdet-scene-set/1":
@@ -107,10 +96,9 @@ def cmd_simulate(args) -> int:
     for i in range(args.scenes):
         scene = sample_scene(args.seed + i, rig, n_boxes=args.boxes, frame_id=i)
         scenes.append(scene.to_json_obj())
-        (out_dir / f"scene_{i:04d}.json").write_text(json.dumps(scenes[-1]) + "\n")
-    _write_json(
-        {"format": "mvdet-scene-set/1", "scenes": scenes}, out_dir / "scenes.json"
-    )
+        dump_json(scenes[-1], out_dir / f"scene_{i:04d}.json")
+    dump_json({"format": "mvdet-scene-set/1", "scenes": scenes}, out_dir / "scenes.json",
+              indent=True)
     print(f"wrote {args.scenes} scene(s) and rig.json to {out_dir}")
     return 0
 
@@ -119,7 +107,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_allocate(args) -> int:
     rig = load_extended_rig(args.rig)
-    obj = _load_json(args.anchors)
+    obj = load_json(args.anchors)
     anchors = anchors_to_array(np.asarray(obj["anchors"], dtype=np.float64))
     limits = AllocationLimits(max_truncated_per_camera=args.max_truncated)
     anchors = clamp_anchors(anchors, limits)
@@ -127,7 +115,7 @@ def cmd_allocate(args) -> int:
     out = res.to_json_obj()
     if res.dropped:
         log.warning("dropped %d zero-area column(s): %s", len(res.dropped), res.dropped)
-    _write_json(out, args.out)
+    dump_json(out, args.out, indent=True)
     if args.out:
         print(f"allocated {res.mapping.n_2d} 2D queries for {res.mapping.n_3d} anchors "
               f"-> {args.out}")
@@ -167,7 +155,7 @@ def _decoder_features(scene: Scene, rig, config: DecoderConfig):
 
 
 def cmd_forward(args) -> int:
-    cfg_obj = _load_json(args.config)
+    cfg_obj = load_json(args.config)
     config = _decoder_from_config(cfg_obj, args.config)
     scene = load_scene(args.scene)
     if cfg_obj.get("rig"):
@@ -183,7 +171,7 @@ def cmd_forward(args) -> int:
     report = out.to_json_obj()
     report["n_sublayers"] = out.n_sublayers
     report["final_scores"] = updated.scores.tolist() if updated.scores is not None else None
-    _write_json(report, args.out)
+    dump_json(report, args.out, indent=True)
     if args.out:
         print(f"forward: {out.n_sublayers} sub-layers, "
               f"{len(out.layers_2d)} 2D / {len(out.layers_3d)} 3D emissions -> {args.out}")
@@ -236,7 +224,7 @@ def _write_csv(lines: list[str], path: str | None) -> None:
 
 def cmd_eval_aar(args) -> int:
     scenes = _load_gt_scenes(args.gt)
-    frames = parse_detections(_load_json(args.pred), source=str(args.pred))
+    frames = parse_detections(load_json(args.pred), source=str(args.pred))
     det_by_frame = {fid: (p3d, p2d) for fid, p3d, p2d in frames}
     params = MatchParams(tau_dis=args.tau_dis)
     taus = _parse_sweep(args.tau_iou_sweep)
@@ -281,7 +269,7 @@ def _ap_inputs(scenes, det_by_frame):
 
 def cmd_eval_ap(args) -> int:
     scenes = _load_gt_scenes(args.gt)
-    frames = parse_detections(_load_json(args.pred), source=str(args.pred))
+    frames = parse_detections(load_json(args.pred), source=str(args.pred))
     det_by_frame = {fid: (p3d, p2d) for fid, p3d, p2d in frames}
     thresholds = [float(t) for t in args.iou_thresholds.split(",")]
     all_preds, all_gt = _ap_inputs(scenes, det_by_frame)
@@ -311,7 +299,7 @@ def cmd_crop_views(args) -> int:
         ]
     extended = extend_rig(views, rules)
     obj = {"views": [v.to_json_obj() for v in extended]}
-    _write_json(obj, args.out)
+    dump_json(obj, args.out, indent=True)
     if args.out:
         print(f"extended rig: {len(views)} -> {len(extended)} views -> {args.out}")
     return 0
@@ -359,7 +347,7 @@ def cmd_denoise_demo(args) -> int:
         "restored_shape": list(restored.shape),
         "leakage_free": leakage_free,
     }
-    _write_json(report, args.out)
+    dump_json(report, args.out, indent=True)
     if not leakage_free:
         print("ERROR: denoise queries leaked into match outputs", file=sys.stderr)
         return 1
@@ -371,9 +359,9 @@ def cmd_denoise_demo(args) -> int:
 # ----------------------------------------------------------------------- run
 
 def _run_one_scene(payload: tuple) -> dict:
-    """Worker: full per-scene pipeline; returns JSON-ready artifacts."""
-    (idx, seed, rig_objs, decoder_obj, noise_obj, n_boxes) = payload
-    rig = rig_from_json_obj(rig_objs, f"rig of scene {idx}")
+    """Worker: full per-scene pipeline; returns the sampled scene and the
+    JSON-ready allocation, head outputs and predictions."""
+    (idx, seed, rig, decoder_obj, noise_obj, n_boxes) = payload
     config = DecoderConfig.from_json_obj(decoder_obj)
     scene = sample_scene(seed, rig, n_boxes=n_boxes, frame_id=idx)
     anchors = clamp_anchors(scene.anchors_array(), config.limits)
@@ -386,7 +374,7 @@ def _run_one_scene(payload: tuple) -> dict:
     det = perturb(scene, noise, seed=seed + 1)
     return {
         "idx": idx,
-        "scene": scene.to_json_obj(),
+        "scene": scene,
         "alloc": alloc.to_json_obj(),
         "forward": head_out.to_json_obj(),
         "pred": det,
@@ -422,12 +410,11 @@ def _scene_results(payloads: list[tuple], jobs: int):
         pool.shutdown(cancel_futures=True)
 
 
-def _write_scene(out_dir: Path, r: dict) -> None:
+def _write_scene(out_dir: Path, r: dict, scene_obj: dict) -> None:
     """The scene, allocation, head-output and prediction files of one scene."""
-    for key, sub in (("scene", "scenes"), ("alloc", "alloc"), ("forward", "forward"),
-                     ("pred", "pred")):
-        path = out_dir / sub / f"{key}_{r['idx']:04d}.json"
-        path.write_text(json.dumps(r[key]) + "\n")
+    for key, sub, obj in (("scene", "scenes", scene_obj), ("alloc", "alloc", r["alloc"]),
+                          ("forward", "forward", r["forward"]), ("pred", "pred", r["pred"])):
+        dump_json(obj, out_dir / sub / f"{key}_{r['idx']:04d}.json")
 
 
 # The keys a run config may hold; those of its sections as "section.key".
@@ -446,7 +433,7 @@ def _check_run_keys(cfg: dict, source) -> None:
 
 
 def cmd_run(args) -> int:
-    cfg = _load_json(args.config)
+    cfg = load_json(args.config)
     _check_run_keys(cfg, args.config)
     out_dir = Path(args.out if args.out else cfg.get("out_dir", "mvdet-out"))
     preset = cfg.get("preset")
@@ -484,25 +471,22 @@ def cmd_run(args) -> int:
     save_rig(rig, out_dir / "rig.json")
 
     payloads = [
-        (i, base_seed + i, [v.to_json_obj() for v in rig], decoder_obj,
-         noise_obj, n_boxes)
-        for i in range(n_scenes)
+        (i, base_seed + i, rig, decoder_obj, noise_obj, n_boxes) for i in range(n_scenes)
     ]
-    # Only what the metrics need outlives a scene's result.
-    scenes = []
+    # Only what the metrics and gt_scenes.json need outlives a scene's result.
+    scenes, scene_objs = [], []
     det_frames = []
     no_2d = True
     with contextlib.closing(_scene_results(payloads, args.jobs)) as results:
         for r in results:
-            _write_scene(out_dir, r)
-            scenes.append(Scene.from_json_obj(r["scene"]))
+            scenes.append(r["scene"])
+            scene_objs.append(r["scene"].to_json_obj())
+            _write_scene(out_dir, r, scene_objs[-1])
             det_frames.extend(parse_detections(r["pred"]))
             no_2d = no_2d and not r["n_2d_emissions"]
             del r  # let the result go before the next scene is computed
-    _write_json(
-        {"format": "mvdet-scene-set/1", "scenes": [s.to_json_obj() for s in scenes]},
-        out_dir / "gt_scenes.json",
-    )
+    dump_json({"format": "mvdet-scene-set/1", "scenes": scene_objs},
+              out_dir / "gt_scenes.json", indent=True)
 
     det_by_frame = {fid: (p3d, p2d) for fid, p3d, p2d in det_frames}
     rows = _aar_curve_rows(scenes, det_by_frame, params, taus)
@@ -521,7 +505,7 @@ def cmd_run(args) -> int:
         "aar_at_0.5": next((a for t, a, *_ in rows if abs(t - 0.5) < 1e-9), None),
         "mean_ap": mean_ap(ap),
     }
-    _write_json(summary, out_dir / "summary.json")
+    dump_json(summary, out_dir / "summary.json", indent=True)
     print(f"run complete -> {out_dir}")
     if no_2d:
         print("note: no 2D outputs (allocation skipped: l_2d = 0)")

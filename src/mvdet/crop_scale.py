@@ -8,14 +8,13 @@ and treated like any other view.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import CameraView, load_rig
+from .geometry import CameraView, load_json, load_rig
 
 PLACEMENTS = ("centered-on-focal", "left-aligned-horizon", "right-aligned-horizon")
 
@@ -169,8 +168,7 @@ def extend_rig(
 
 def load_crop_rules(path: str | Path) -> list[CropRule]:
     """Read the derived_views rules of a rig JSON file (may be absent)."""
-    obj = json.loads(Path(path).read_text())
-    return [CropRule.from_json_obj(r) for r in obj.get("derived_views", [])]
+    return [CropRule.from_json_obj(r) for r in load_json(path).get("derived_views", [])]
 
 
 def load_extended_rig(path: str | Path) -> list[CameraView]:

@@ -2,14 +2,16 @@
 
 Anchor corner generation, point projection and the strict in-image rule,
 rig-wide anchor projection (validity, clipped rectangles, center flags and
-reference points), plus 2D IoU and the rig JSON format.  All operations are
-pure functions of their inputs.
+reference points), plus 2D IoU, the rig JSON format and the package's one
+JSON reader and writer (`load_json`, `dump_json`).  Every other operation is
+a pure function of its inputs.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -334,12 +336,41 @@ def make_surround_rig(
     return views
 
 
+def load_json(path: str | Path) -> dict:
+    """The JSON object in a file; raises ValueError naming the file when the
+    text is not JSON or its top level is not an object."""
+    try:
+        obj = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def dump_json(obj, path: str | Path | None, *, indent: bool = False) -> None:
+    """Write ``obj`` as JSON and a newline to ``path``, or to stdout when
+    ``path`` is None; compact, or indented by two spaces with ``indent``.
+
+    Floats are written in their shortest round-tripping form, NaN and
+    infinities as null.
+    """
+    import orjson  # imported on first write; `mvdet --version` never needs it
+
+    option = orjson.OPT_APPEND_NEWLINE | (orjson.OPT_INDENT_2 if indent else 0)
+    text = orjson.dumps(obj, option=option).decode()
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text)
+
+
 def save_rig(views: Sequence[CameraView], path: str | Path, derived_rules=None) -> None:
     """Write a rig JSON file; see README for the schema."""
     obj = {"views": [v.to_json_obj() for v in views]}
     if derived_rules:
         obj["derived_views"] = [r.to_json_obj() for r in derived_rules]
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+    dump_json(obj, path, indent=True)
 
 
 def rig_from_json_obj(views: Sequence[dict], source: str) -> list[CameraView]:
@@ -356,5 +387,4 @@ def rig_from_json_obj(views: Sequence[dict], source: str) -> list[CameraView]:
 
 def load_rig(path: str | Path) -> list[CameraView]:
     """Read the base views of a rig JSON file (ignores derived_views)."""
-    obj = json.loads(Path(path).read_text())
-    return rig_from_json_obj(obj["views"], str(path))
+    return rig_from_json_obj(load_json(path)["views"], str(path))

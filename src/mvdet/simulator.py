@@ -8,7 +8,6 @@ something to read.  Everything is deterministic under its seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -16,7 +15,9 @@ from typing import Sequence
 import numpy as np
 
 from ._kernels import box_points
-from .geometry import Anchor3D, Box2D, CameraView, anchors_to_array, project_rig, rig_from_json_obj
+from .geometry import (
+    Anchor3D, Box2D, CameraView, anchors_to_array, load_json, project_rig, rig_from_json_obj,
+)
 from .groupattn import ViewFeatures
 from .metrics import FrameTruth, GtBox2D, Pred2D, Pred3D, detections_to_json_obj
 
@@ -169,7 +170,7 @@ class Scene:
 
 
 def load_scene(path: str | Path) -> Scene:
-    return Scene.from_json_obj(json.loads(Path(path).read_text()))
+    return Scene.from_json_obj(load_json(path))
 
 
 def _bev_corners(anchor: np.ndarray) -> np.ndarray:

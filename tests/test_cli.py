@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import subprocess
@@ -231,6 +232,51 @@ def test_run_jobs_parallel_matches_serial(tmp_path):
     assert run_cli("run", "--config", str(cfg), "--out", str(out2), "--jobs", "2") == 0
     assert (out1 / "metrics" / "aar_curve.csv").read_bytes() == \
         (out2 / "metrics" / "aar_curve.csv").read_bytes()
+
+
+def test_run_builds_no_rig_or_scene_from_json(tmp_path, monkeypatch):
+    """Workers get the parent's camera objects and hand back the Scene they
+    sampled; neither is rebuilt from JSON inside ``run``."""
+    from mvdet import geometry
+    from mvdet.simulator import Scene, load_scene
+
+    calls = collections.Counter()
+    rig_from_json_obj = geometry.rig_from_json_obj
+    scene_from_json_obj = Scene.from_json_obj
+
+    def counting_rig(views, source):
+        calls["rig_from_json_obj"] += 1
+        return rig_from_json_obj(views, source)
+
+    def counting_scene(cls, obj):
+        calls["Scene.from_json_obj"] += 1
+        return scene_from_json_obj(obj)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("mvdet") and vars(mod).get("rig_from_json_obj") is rig_from_json_obj:
+            monkeypatch.setattr(mod, "rig_from_json_obj", counting_rig)
+    monkeypatch.setattr(Scene, "from_json_obj", classmethod(counting_scene))
+    cfg = run_config(tmp_path, seeds={"base": 5, "scenes": 3})
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(cfg), "--out", str(out), "--jobs", "1") == 0
+    assert len(list((out / "scenes").iterdir())) == 3
+    assert calls == {}
+    # the counters are live: reading a scene file back rebuilds both
+    load_scene(out / "scenes" / "scene_0000.json")
+    assert calls == {"rig_from_json_obj": 1, "Scene.from_json_obj": 1}
+
+
+@pytest.mark.parametrize(
+    "text, detail",
+    [('{"preset": "F",\n}', "not valid JSON: Expecting property name enclosed in double quotes"),
+     ('[{"preset": "F"}]', "expected a JSON object, got list")],
+)
+def test_run_names_the_config_file_on_bad_json(tmp_path, capsys, text, detail):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "x")) == 1
+    assert f"mvdet run: error: {cfg}: {detail}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 class InjectedFailure(Exception):

@@ -1,9 +1,11 @@
 import json
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvdet._kernels import iou_matrix
@@ -13,8 +15,10 @@ from mvdet.geometry import (
     Box2D,
     CameraView,
     corners_of,
+    dump_json,
     in_image,
     iou_2d,
+    load_json,
     load_rig,
     make_surround_rig,
     project_point,
@@ -393,3 +397,71 @@ def test_rig_json_roundtrip(tmp_path, rig6):
         assert np.array_equal(a.intrinsics, b.intrinsics)
         assert np.array_equal(a.extrinsic, b.extrinsic)
         assert (a.width, a.height) == (b.width, b.height)
+
+
+# JSON values with printable-ASCII strings, the only text the artifacts hold
+_text = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=8)
+
+
+def _json_values(floats):
+    leaves = (st.none() | st.booleans() | st.integers(-(2**63), 2**64 - 1) | floats
+              | _text)
+    return st.recursive(
+        leaves,
+        lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_text, kids, max_size=4),
+        max_leaves=24,
+    )
+
+
+def _tagged(v):
+    """``v`` with each scalar tagged by its type and each float by its bits,
+    so that equality means bit-exact (True != 1, -0.0 != 0.0)."""
+    if isinstance(v, dict):
+        return {k: _tagged(x) for k, x in v.items()}
+    if isinstance(v, list):
+        return [_tagged(x) for x in v]
+    if isinstance(v, float):
+        return ("float", struct.pack("<d", v))
+    return (type(v).__name__, v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values(st.floats(allow_nan=False, allow_infinity=False)), st.booleans())
+@example([-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308], False)
+@example({"a": [[], {}, [{}]], "b": {"c": []}, "t": True, "n": None, "i": -7}, True)
+def test_dump_json_round_trips_bit_exact(tmp_path_factory, obj, indent):
+    path = tmp_path_factory.mktemp("json") / "obj.json"
+    dump_json(obj, path, indent=indent)
+    text = path.read_text()
+    assert text.endswith("\n")
+    assert _tagged(json.loads(text)) == _tagged(obj)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_values(st.floats(-1e15, 1e15).filter(lambda x: "e" not in repr(x))))
+@example({"views": [{"view_id": 0, "intrinsics": [500.0, 0.0, 352.0]}], "notes": []})
+def test_dump_json_indent_matches_stdlib_layout(tmp_path_factory, obj):
+    # rig.json, summary.json and gt_scenes.json keep their indent=2 bytes
+    path = tmp_path_factory.mktemp("json") / "obj.json"
+    dump_json(obj, path, indent=True)
+    assert path.read_text() == json.dumps(obj, indent=2) + "\n"
+
+
+def test_dump_json_writes_stdout_without_path(capsys):
+    dump_json({"a": [1, 0.00001]}, None)
+    assert capsys.readouterr().out == '{"a":[1,0.00001]}\n'
+
+
+@pytest.mark.parametrize(
+    "text, detail",
+    [('{"views": [],\n}', "not valid JSON: Expecting property name"),
+     ('[{"views": []}]', "expected a JSON object, got list"),
+     ("", "not valid JSON")],
+)
+def test_load_json_names_the_file(tmp_path, text, detail):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {detail}")):
+        load_json(path)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_rig(path)
