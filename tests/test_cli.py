@@ -270,6 +270,7 @@ def test_run_builds_no_rig_or_scene_from_json(tmp_path, monkeypatch):
     "text, detail",
     [('{"preset": "F",\n}', "not valid JSON: Expecting property name enclosed in double quotes"),
      ('[{"preset": "F"}]', "expected a JSON object, got list")],
+    ids=["malformed", "list"],
 )
 def test_run_names_the_config_file_on_bad_json(tmp_path, capsys, text, detail):
     cfg = tmp_path / "bad.json"

@@ -457,6 +457,7 @@ def test_dump_json_writes_stdout_without_path(capsys):
     [('{"views": [],\n}', "not valid JSON: Expecting property name"),
      ('[{"views": []}]', "expected a JSON object, got list"),
      ("", "not valid JSON")],
+    ids=["malformed", "list", "empty"],
 )
 def test_load_json_names_the_file(tmp_path, text, detail):
     path = tmp_path / "bad.json"
