@@ -57,10 +57,6 @@ class MappingMatrix:
         if self.n_2d and (self.rows.min() < 0 or self.rows.max() >= self.n_3d):
             raise ValueError("row index out of range")
 
-    @property
-    def entries(self) -> list[tuple[int, int]]:
-        return [(int(r), j) for j, r in enumerate(self.rows)]
-
     def to_dense(self) -> np.ndarray:
         t = np.zeros((self.n_3d, self.n_2d))
         t[self.rows, np.arange(self.n_2d)] = 1.0

@@ -35,7 +35,8 @@ from .denoising import (
     restore_3d,
 )
 from .geometry import (
-    Box2D, anchors_to_array, dump_json, load_json, load_rig, make_surround_rig, save_rig,
+    Box2D, anchors_to_array, dump_json, load_json, load_rig, make_surround_rig,
+    naming_missing_keys, save_rig,
 )
 from .groupattn import AttentionParams, GroupMask, attention
 from .metrics import (
@@ -72,11 +73,12 @@ def _parse_sweep(spec: str) -> list[float]:
 
 def _load_gt_scenes(path: str | Path) -> list[Scene]:
     obj = load_json(path)
-    if obj.get("format") == "mvdet-scene/1":
-        return [Scene.from_json_obj(obj)]
-    if obj.get("format") != "mvdet-scene-set/1":
-        raise ValueError(f"unrecognized ground-truth format: {obj.get('format')!r}")
-    scenes = [Scene.from_json_obj(s) for s in obj["scenes"]]
+    with naming_missing_keys(path):
+        if obj.get("format") == "mvdet-scene/1":
+            return [Scene.from_json_obj(obj)]
+        if obj.get("format") != "mvdet-scene-set/1":
+            raise ValueError(f"unrecognized ground-truth format: {obj.get('format')!r}")
+        scenes = [Scene.from_json_obj(s) for s in obj["scenes"]]
     seen = set()
     for scene in scenes:
         if scene.frame_id in seen:
@@ -486,7 +488,7 @@ def cmd_run(args) -> int:
             no_2d = no_2d and not r["n_2d_emissions"]
             del r  # let the result go before the next scene is computed
     dump_json({"format": "mvdet-scene-set/1", "scenes": scene_objs},
-              out_dir / "gt_scenes.json", indent=True)
+              out_dir / "gt_scenes.json")
 
     det_by_frame = {fid: (p3d, p2d) for fid, p3d, p2d in det_frames}
     rows = _aar_curve_rows(scenes, det_by_frame, params, taus)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -66,7 +66,6 @@ class DenoiseLayout:
     col_view: np.ndarray    # (L,) camera view per noise column
     col_boxes: list[Box2D]
     kept_gt: list[int]
-    camera_spans: list[list[tuple[int, int, int]]] = field(default_factory=list)
 
     @property
     def n_noise(self) -> int:
@@ -168,7 +167,6 @@ def allocate_noise(
     col_view: list[int] = []
     col_boxes: list[Box2D] = []
     group_spans: list[tuple[int, int]] = []
-    camera_spans: list[list[tuple[int, int, int]]] = []
     pos = match_len
     for g in range(n_groups):
         start = pos
@@ -176,18 +174,14 @@ def allocate_noise(
         for ti, t in enumerate(kept_gt):
             for view_id, box in gt_2d_assoc[t]:
                 per_cam.setdefault(view_id, []).append((ti, box))
-        cams_here: list[tuple[int, int, int]] = []
         for view_id in sorted(per_cam):
-            cam_start = pos
             for ti, box in per_cam[view_id]:
                 col_group.append(g)
                 col_gt.append(ti)
                 col_view.append(view_id)
                 col_boxes.append(box)
                 pos += 1
-            cams_here.append((view_id, cam_start, pos - cam_start))
         group_spans.append((start, pos - start))
-        camera_spans.append(cams_here)
 
     return DenoiseLayout(
         match_len=match_len,
@@ -197,7 +191,6 @@ def allocate_noise(
         col_view=np.asarray(col_view, dtype=np.intp),
         col_boxes=col_boxes,
         kept_gt=kept_gt,
-        camera_spans=camera_spans,
     )
 
 

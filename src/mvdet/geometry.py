@@ -3,12 +3,13 @@
 Anchor corner generation, point projection and the strict in-image rule,
 rig-wide anchor projection (validity, clipped rectangles, center flags and
 reference points), plus 2D IoU, the rig JSON format and the package's one
-JSON reader and writer (`load_json`, `dump_json`).  Every other operation is
-a pure function of its inputs.
+JSON reader and writer (`load_json`, `dump_json`, `naming_missing_keys`).
+Every other operation is a pure function of its inputs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import sys
@@ -348,6 +349,16 @@ def load_json(path: str | Path) -> dict:
     return obj
 
 
+@contextlib.contextmanager
+def naming_missing_keys(source):
+    """Re-raise a KeyError from reading a JSON object as a ValueError that
+    names ``source`` (a file) and the missing key."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{source}: missing key {exc.args[0]!r}") from exc
+
+
 def dump_json(obj, path: str | Path | None, *, indent: bool = False) -> None:
     """Write ``obj`` as JSON and a newline to ``path``, or to stdout when
     ``path`` is None; compact, or indented by two spaces with ``indent``.
@@ -387,4 +398,5 @@ def rig_from_json_obj(views: Sequence[dict], source: str) -> list[CameraView]:
 
 def load_rig(path: str | Path) -> list[CameraView]:
     """Read the base views of a rig JSON file (ignores derived_views)."""
-    return rig_from_json_obj(load_json(path)["views"], str(path))
+    with naming_missing_keys(path):
+        return rig_from_json_obj(load_json(path)["views"], str(path))

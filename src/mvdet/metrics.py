@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._kernels import iou_matrix
-from .geometry import Box2D, CameraView, project_rig
+from .geometry import Box2D, CameraView, naming_missing_keys, project_rig
 
 FOCAL_ALPHA = 0.25
 FOCAL_GAMMA = 2.0
@@ -434,90 +434,53 @@ def aar(
     """
     params = params or MatchParams()
     n2d = len(truth.gt2d)
-
-    # geometry reused across thresholds
-    p_boxes = np.stack([np.asarray(p.box, dtype=np.float64) for p in preds3d]) if preds3d else np.zeros((0, 9))
+    p_boxes = np.array([np.asarray(p.box, dtype=np.float64) for p in preds3d]).reshape(-1, 9)
     p_cls = np.array([p.class_id for p in preds3d], dtype=np.intp)
-    g_centers = truth.boxes3d[:, :3] if len(truth.boxes3d) else np.zeros((0, 3))
-    if len(preds3d) and len(truth.boxes3d):
-        dist = np.linalg.norm(p_boxes[:, None, :3] - g_centers[None, :, :], axis=2)
-        cls_eq = p_cls[:, None] == truth.classes3d[None, :].astype(np.intp)
-    else:
-        dist = np.zeros((len(preds3d), len(truth.boxes3d)))
-        cls_eq = np.zeros((len(preds3d), len(truth.boxes3d)), dtype=bool)
+    g_boxes = np.array([g.box.as_array() for g in truth.gt2d]).reshape(-1, 4)
+    g_view, g_cls, links = np.array(
+        [(g.box.view_id, g.class_id, g.box3d_index) for g in truth.gt2d], dtype=np.intp
+    ).reshape(-1, 3).T
 
     proj = project_rig(truth.rig, p_boxes)
     row_of = {view_id: k for k, view_id in enumerate(proj.view_ids.tolist())}
+    for view_id in g_view.tolist():
+        if view_id not in row_of:
+            raise ValueError(f"gt2d entry references view {view_id} missing from the rig")
+    g_row = np.array([row_of[v] for v in g_view.tolist()], dtype=np.intp)
 
-    gt_by_view: dict[int, list[int]] = {}
-    for j, g in enumerate(truth.gt2d):
-        if g.box.view_id not in row_of:
-            raise ValueError(
-                f"gt2d entry references view {g.box.view_id} missing from the rig"
-            )
-        gt_by_view.setdefault(g.box.view_id, []).append(j)
+    # (P, G): IoU of each 3D prediction's rectangle in the 2D ground truth's
+    # own view (NaN rects of invalid pairs give 0), and the gate of center
+    # distance to the linked 3D box, 3D class and validity in that view
+    n_views, n_pred = proj.valid.shape
+    iou3 = iou_matrix(proj.rect.reshape(-1, 4), g_boxes).reshape(n_views, n_pred, n2d)
+    iou3 = iou3[g_row, :, np.arange(n2d)].T
+    g3 = np.asarray(truth.boxes3d, dtype=np.float64).reshape(-1, 9)[links]
+    gate = (
+        (np.linalg.norm(p_boxes[:, None, :3] - g3[None, :, :3], axis=2) <= params.tau_dis)
+        & (p_cls[:, None] == np.asarray(truth.classes3d, dtype=np.intp)[links])
+        & proj.valid[g_row].T
+    )
 
-    # IoU(pred3d rect, gt2d) and the distance/class gate per pair
-    pair_iou: dict[int, np.ndarray] = {}
-    pair_gate: dict[int, np.ndarray] = {}
-    for view_id, j_list in gt_by_view.items():
-        rect, valid = proj.rect[row_of[view_id]], proj.valid[row_of[view_id]]
-        g_boxes = np.stack([truth.gt2d[j].box.as_array() for j in j_list])
-        iou = np.zeros((len(preds3d), len(j_list)))
-        if len(preds3d):
-            iou[valid] = iou_matrix(rect[valid], g_boxes)
-        links = np.array([truth.gt2d[j].box3d_index for j in j_list], dtype=np.intp)
-        gate = np.zeros((len(preds3d), len(j_list)), dtype=bool)
-        if len(preds3d):
-            gate = (dist[:, links] <= params.tau_dis) & cls_eq[:, links]
-            gate &= valid[:, None]
-        pair_iou[view_id] = iou
-        pair_gate[view_id] = gate
+    # (K, G): IoU of each 2D prediction with each 2D ground truth, and
+    # whether the two share the view and the class
+    p2_view, p2_cls = np.array(
+        [(p.box.view_id, p.class_id) for p in preds2d], dtype=np.intp
+    ).reshape(-1, 2).T
+    same2d = (p2_view[:, None] == g_view) & (p2_cls[:, None] == g_cls)
+    iou2 = iou_matrix(np.array([p.box.as_array() for p in preds2d]).reshape(-1, 4), g_boxes)
 
-    # IoU(pred2d, gt2d) and 2D class equality per view
-    p2_by_view: dict[int, list[int]] = {}
-    for k, p in enumerate(preds2d):
-        p2_by_view.setdefault(p.box.view_id, []).append(k)
-    p2_iou: dict[int, np.ndarray] = {}
-    p2_cls: dict[int, np.ndarray] = {}
-    for view_id, j_list in gt_by_view.items():
-        k_list = p2_by_view.get(view_id, [])
-        g_boxes = np.stack([truth.gt2d[j].box.as_array() for j in j_list])
-        if k_list:
-            pk = np.stack([preds2d[k].box.as_array() for k in k_list])
-            p2_iou[view_id] = iou_matrix(pk, g_boxes)
-            p2_cls[view_id] = (
-                np.array([preds2d[k].class_id for k in k_list], dtype=np.intp)[:, None]
-                == np.array([truth.gt2d[j].class_id for j in j_list], dtype=np.intp)[None, :]
-            )
-        else:
-            p2_iou[view_id] = np.zeros((0, len(j_list)))
-            p2_cls[view_id] = np.zeros((0, len(j_list)), dtype=bool)
+    def row_at(tau: float) -> tuple[float, float, int, int]:
+        """(aar, recall, n_candidate, n_valid) at one threshold."""
+        phi = gate & (iou3 >= tau)
+        ok2d = same2d & (iou2 >= tau)
+        # psi(i, k): some j with phi(i, j) and ok2d(k, j); ok2d is false across views
+        c, v = int(phi.sum()), int((phi @ ok2d.T.astype(np.float64) > 0).sum())
+        return 100.0 * v / c if c else 0.0, 100.0 * c / n2d if n2d else 0.0, c, v
 
-    def counts_at(tau: float) -> tuple[int, int]:
-        n_cand = 0
-        n_valid = 0
-        for view_id, j_list in gt_by_view.items():
-            phi = pair_gate[view_id] & (pair_iou[view_id] >= tau)
-            n_cand += int(phi.sum())
-            ok2d = p2_cls[view_id] & (p2_iou[view_id] >= tau)  # (K, J)
-            # psi(i, k): exists j with phi(i, j) and ok2d(k, j)
-            n_valid += int((phi @ ok2d.T.astype(np.float64) > 0).sum())
-        return n_cand, n_valid
-
-    curve = []
-    for tau in taus:
-        c, v = counts_at(float(tau))
-        a = 100.0 * v / c if c else 0.0
-        r = 100.0 * c / n2d if n2d else 0.0
-        curve.append((float(tau), a, r, c, v))
-    c0, v0 = counts_at(params.tau_iou)
+    a0, r0, c0, v0 = row_at(params.tau_iou)
     return AARResult(
-        n_candidate=c0,
-        n_valid=v0,
-        aar=100.0 * v0 / c0 if c0 else 0.0,
-        recall=100.0 * c0 / n2d if n2d else 0.0,
-        curve=curve,
+        n_candidate=c0, n_valid=v0, aar=a0, recall=r0,
+        curve=[(float(tau), *row_at(float(tau))) for tau in taus],
         no_candidates=(c0 == 0),
     )
 
@@ -636,29 +599,30 @@ def parse_detections(
         raise ValueError(f"not a detections file: format={obj.get('format')!r}")
     frames = []
     seen = set()
-    for f in obj["frames"]:
-        frame_id = int(f.get("frame_id", 0))
-        if frame_id in seen:
-            raise ValueError(f"{source}: frame_id {frame_id} appears more than once")
-        seen.add(frame_id)
-        p3d = [
-            Pred3D(
-                box=np.asarray(b["box"], dtype=np.float64),
-                class_id=int(b["class_id"]),
-                score=float(b.get("score", 1.0)),
-            )
-            for b in f["boxes3d"]
-        ]
-        p2d = []
-        for view_id, entries in f.get("boxes2d", {}).items():
-            for b in entries:
-                cx, cy, w, h = (float(v) for v in b["box"])
-                p2d.append(
-                    Pred2D(
-                        box=Box2D(cx=cx, cy=cy, w=w, h=h, view_id=int(view_id)),
-                        class_id=int(b["class_id"]),
-                        score=float(b.get("score", 1.0)),
-                    )
+    with naming_missing_keys(source):
+        for f in obj["frames"]:
+            frame_id = int(f.get("frame_id", 0))
+            if frame_id in seen:
+                raise ValueError(f"{source}: frame_id {frame_id} appears more than once")
+            seen.add(frame_id)
+            p3d = [
+                Pred3D(
+                    box=np.asarray(b["box"], dtype=np.float64),
+                    class_id=int(b["class_id"]),
+                    score=float(b.get("score", 1.0)),
                 )
-        frames.append((frame_id, p3d, p2d))
+                for b in f["boxes3d"]
+            ]
+            p2d = []
+            for view_id, entries in f.get("boxes2d", {}).items():
+                for b in entries:
+                    cx, cy, w, h = (float(v) for v in b["box"])
+                    p2d.append(
+                        Pred2D(
+                            box=Box2D(cx=cx, cy=cy, w=w, h=h, view_id=int(view_id)),
+                            class_id=int(b["class_id"]),
+                            score=float(b.get("score", 1.0)),
+                        )
+                    )
+            frames.append((frame_id, p3d, p2d))
     return frames

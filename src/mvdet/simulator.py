@@ -16,7 +16,8 @@ import numpy as np
 
 from ._kernels import box_points
 from .geometry import (
-    Anchor3D, Box2D, CameraView, anchors_to_array, load_json, project_rig, rig_from_json_obj,
+    Anchor3D, Box2D, CameraView, anchors_to_array, load_json, naming_missing_keys, project_rig,
+    rig_from_json_obj,
 )
 from .groupattn import ViewFeatures
 from .metrics import FrameTruth, GtBox2D, Pred2D, Pred3D, detections_to_json_obj
@@ -170,7 +171,8 @@ class Scene:
 
 
 def load_scene(path: str | Path) -> Scene:
-    return Scene.from_json_obj(load_json(path))
+    with naming_missing_keys(path):
+        return Scene.from_json_obj(load_json(path))
 
 
 def _bev_corners(anchor: np.ndarray) -> np.ndarray:

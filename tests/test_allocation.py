@@ -73,7 +73,7 @@ def test_single_anchor_single_view(rig6):
     a = Anchor3D(center=(15.0, 0.0, 0.75), size=(2, 4, 1.5), yaw=0.0)
     res = allocate([a], rig6)
     assert res.mapping.n_2d == 1
-    assert res.mapping.entries == [(0, 0)]
+    assert res.mapping.rows.tolist() == [0]
     assert res.mapping.camera_of_col[0] == 0
     assert res.truncation.tolist() == [True]
 
@@ -280,7 +280,7 @@ def test_allocation_json_roundtrip(rig6):
     a = Anchor3D(center=(15.0, 0.0, 0.75), size=(2, 4, 1.5), yaw=0.0)
     res = allocate([a], rig6)
     back = AllocationResult.from_json_obj(res.to_json_obj())
-    assert back.mapping.entries == res.mapping.entries
+    assert np.array_equal(back.mapping.rows, res.mapping.rows)
     assert np.array_equal(back.ref_points, res.ref_points)
     assert back.rects.shape == (res.mapping.n_2d, 4)
     assert np.array_equal(back.rects, res.rects)

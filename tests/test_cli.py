@@ -210,6 +210,36 @@ def test_denoise_demo(tmp_path, sim_dir):
     assert obj["noise_columns"] > 0
 
 
+@pytest.mark.parametrize(
+    "command, flag, obj, key",
+    [
+        ("eval-aar", "--gt", {"format": "mvdet-scene/1", "seed": 0}, "'boxes'"),
+        ("eval-aar", "--pred", {"format": "mvdet-detections/1"}, "'frames'"),
+        ("denoise-demo", "--scene", {"format": "mvdet-scene/1", "seed": 0}, "'boxes'"),
+        ("crop-views", "--rig", {}, "'views'"),
+    ],
+)
+def test_missing_key_names_the_file(tmp_path, sim_dir, rig_file, capsys,
+                                    command, flag, obj, key):
+    from mvdet.simulator import load_scene
+
+    pred = tmp_path / "pred.json"
+    pred.write_text(json.dumps(perturb(load_scene(sim_dir / "scene_0000.json"), seed=0)))
+    inputs = {
+        "eval-aar": {"--gt": sim_dir / "scenes.json", "--pred": pred},
+        "denoise-demo": {"--scene": sim_dir / "scene_0000.json"},
+        "crop-views": {"--rig": rig_file},
+    }[command]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    inputs[flag] = bad
+    out = tmp_path / "out"
+    argv = [str(a) for item in inputs.items() for a in item]
+    assert run_cli(command, *argv, "--out", str(out)) == 1
+    assert f"{bad}: missing key {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_pipeline_and_reproducibility(tmp_path):
     cfg = run_config(tmp_path)
     out1 = tmp_path / "run1"

@@ -86,6 +86,15 @@ def test_mapping_ignores_noisy_projection():
     assert layout.col_view.tolist() == [0]
 
 
+def camera_runs(layout, g):
+    """(camera, first column, length) of each run of equal cameras in
+    denoise group g, read from ``col_view``."""
+    start, length = layout.group_spans[g]
+    views = layout.col_view[start - layout.match_len :][:length]
+    cuts = (np.flatnonzero(np.diff(views)) + 1).tolist()
+    return [(int(views[a]), start + a, b - a) for a, b in zip([0, *cuts], [*cuts, length])]
+
+
 def test_layout_hand_enumeration():
     # GT0 seen in views {0, 1}, GT1 in {1}; 3 groups
     assoc = [[(0, box(0)), (1, box(1))], [(1, box(1, cx=10.0))]]
@@ -99,7 +108,10 @@ def test_layout_hand_enumeration():
     assert layout.col_view.tolist() == [0, 1, 1] * 3
     assert layout.col_gt.tolist() == [0, 0, 1] * 3
     assert layout.col_group.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
-    assert layout.camera_spans[0] == [(0, 4, 1), (1, 5, 2)]
+    assert camera_runs(layout, 0) == [(0, 4, 1), (1, 5, 2)]
+    for g in range(layout.n_groups):
+        cams = [cam for cam, _, _ in camera_runs(layout, g)]
+        assert cams == sorted(set(cams))  # one contiguous run per camera
     layout.validate()
 
 

@@ -441,7 +441,8 @@ def test_dump_json_round_trips_bit_exact(tmp_path_factory, obj, indent):
 @given(_json_values(st.floats(-1e15, 1e15).filter(lambda x: "e" not in repr(x))))
 @example({"views": [{"view_id": 0, "intrinsics": [500.0, 0.0, 352.0]}], "notes": []})
 def test_dump_json_indent_matches_stdlib_layout(tmp_path_factory, obj):
-    # rig.json, summary.json and gt_scenes.json keep their indent=2 bytes
+    # rig.json, summary.json and the one-file command outputs keep their
+    # indent=2 bytes
     path = tmp_path_factory.mktemp("json") / "obj.json"
     dump_json(obj, path, indent=True)
     assert path.read_text() == json.dumps(obj, indent=2) + "\n"

@@ -363,7 +363,7 @@ def test_aar_rejects_gt_views_missing_from_rig(rig6):
                       class_id=0, box3d_index=0)],
         rig=truth.rig,
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="view 99 missing from the rig"):
         aar([Pred3D(box=a.as_array(), class_id=0)], [], broken)
 
 
@@ -384,6 +384,50 @@ def test_aar_valid_implies_candidate_and_monotone(rig6):
         assert all(x >= y - 1e-9 for x, y in zip(recalls, recalls[1:]))
         cands = [row[3] for row in res.curve]
         assert all(x >= y for x, y in zip(cands, cands[1:]))
+
+
+def aar_pairwise_reference(preds3d, preds2d, truth, tau):
+    """(n_candidate, n_valid) at tau_iou = tau, one predicate call per pair."""
+    from mvdet._kernels import iou_matrix
+
+    params = MatchParams(tau_iou=tau)
+    cand = [[candidate_match(p, g, truth, params) for g in truth.gt2d] for p in preds3d]
+
+    def ok2d(q, g):
+        if q.box.view_id != g.box.view_id or q.class_id != g.class_id:
+            return False
+        return iou_matrix(q.box.as_array()[None], g.box.as_array()[None])[0, 0] >= tau
+
+    n_valid = sum(
+        any(cand[i][j] and ok2d(q, g) for j, g in enumerate(truth.gt2d))
+        for i in range(len(preds3d)) for q in preds2d
+    )
+    return sum(map(sum, cand)), n_valid
+
+
+def test_aar_matches_pairwise_reference(rig6):
+    from mvdet.simulator import OracleNoise, perturb, sample_scene
+
+    # 3D drops, 2D drops (all of view 3) and jitter large enough that some
+    # pairs pass at low thresholds only
+    noise = OracleNoise(drop_prob={0: 0.3, 1: 0.3, 2: 0.3, 3: 1.0, 4: 0.3, 5: 0.3},
+                        jitter_px=8.0, jitter_m=0.8, drop_prob_3d=0.25)
+    taus = (0.1, 0.3, 0.5, 0.7, 0.9)
+    n_straddling = 0
+    for seed in range(40):
+        scene = sample_scene(seed, rig6, n_boxes=12)
+        truth = scene.truth()
+        _, p3d, p2d = parse_detections(perturb(scene, noise, seed=seed + 100))[0]
+        # relabelled copies, so that both class tests decide some pairs
+        p3d += [Pred3D(box=p.box, class_id=p.class_id + 1) for p in p3d[::3]]
+        p2d += [Pred2D(box=p.box, class_id=p.class_id + 1) for p in p2d[::3]]
+        links = [g.box3d_index for g in truth.gt2d]
+        n_straddling += len(links) - len(set(links))
+        res = aar(p3d, p2d, truth, MatchParams(), taus=taus)
+        assert [row[0] for row in res.curve] == list(taus)
+        for tau, _, _, c, v in res.curve:
+            assert (c, v) == aar_pairwise_reference(p3d, p2d, truth, tau), (seed, tau)
+    assert n_straddling > 0  # some boxes are seen in two views
 
 
 # ---------------------------------------------------------------------- ap_2d
