@@ -30,7 +30,7 @@ from .allocation import (
 from .groupattn import (
     AttentionParams,
     GroupMask,
-    ViewFeatures,
+    RigFeatures,
     attention,
     build_mask,
     ref_point_cross_attention,

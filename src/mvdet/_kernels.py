@@ -4,32 +4,28 @@ import numpy as np
 
 
 def project_points(points, rot, trans, fx, fy, cx, cy, eps_depth):
-    """Project ego-frame 3D points through one pinhole camera.
+    """Project (P, 3) float64 ego-frame points through pinhole cameras.
 
-    Args:
-        points: (P, 3) float64 ego-frame points.
-        rot: (3, 3) ego-to-camera rotation.
-        trans: (3,) ego-to-camera translation.
-        fx, fy, cx, cy: pinhole intrinsics in pixels.
-        eps_depth: camera-frame depth cutoff; points at or below it are
-            reported as not-in-front and get NaN pixel coordinates.
-
-    Returns:
-        (uv, front): uv is (P, 2) pixel coordinates (NaN where not in
-        front), front is a (P,) bool mask of camera-frame depth > eps_depth.
+    One camera is a (3, 3) ego-to-camera rotation, a (3,) translation and
+    scalar intrinsics in pixels; V stacked cameras give (V, 3, 3), (V, 3)
+    and (V,) and add a leading view axis to the results, each view keeping
+    the bits of its camera alone.  Returns (uv, front): (P, 2) pixel
+    coordinates and the (P,) mask of camera-frame depth > eps_depth; uv is
+    NaN where the point is not in front.
     """
-    pts = np.ascontiguousarray(points, dtype=np.float64)
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    xc = rot[0, 0] * x + rot[0, 1] * y + rot[0, 2] * z + trans[0]
-    yc = rot[1, 0] * x + rot[1, 1] * y + rot[1, 2] * z + trans[1]
-    zc = rot[2, 0] * x + rot[2, 1] * y + rot[2, 2] * z + trans[2]
+    x, y, z = np.ascontiguousarray(np.asarray(points, dtype=np.float64).T)
+    # a trailing axis on every camera parameter broadcasts it over the points
+    rot, trans, fx, fy, cx, cy = (np.asarray(a)[..., None] for a in (rot, trans, fx, fy, cx, cy))
+    xc = rot[..., 0, 0, :] * x + rot[..., 0, 1, :] * y + rot[..., 0, 2, :] * z + trans[..., 0, :]
+    yc = rot[..., 1, 0, :] * x + rot[..., 1, 1, :] * y + rot[..., 1, 2, :] * z + trans[..., 1, :]
+    zc = rot[..., 2, 0, :] * x + rot[..., 2, 1, :] * y + rot[..., 2, 2, :] * z + trans[..., 2, :]
     front = zc > eps_depth
     inv = 1.0 / np.where(front, zc, 1.0)
     u = fx * (xc * inv) + cx
     v = fy * (yc * inv) + cy
-    uv = np.empty((pts.shape[0], 2), dtype=np.float64)
-    uv[:, 0] = np.where(front, u, np.nan)
-    uv[:, 1] = np.where(front, v, np.nan)
+    uv = np.empty(front.shape + (2,), dtype=np.float64)
+    uv[..., 0] = np.where(front, u, np.nan)
+    uv[..., 1] = np.where(front, v, np.nan)
     return uv, front
 
 
@@ -80,31 +76,29 @@ def box_points(anchors):
     return out
 
 
-def bilinear_sample(fmap, pts):
-    """Bilinearly sample a feature map at fractional grid coordinates.
+def bilinear_sample(atlas, pts, start, width, height):
+    """Bilinearly sample (H, W, C) maps stored row-major in one (R, C) atlas.
 
-    Args:
-        fmap: (H, W, C) float64 map.
-        pts: (P, 2) float64 (x, y) grid coordinates; clamped to the map.
-
-    Returns:
-        (P, C) sampled values.
+    Point i reads the W x H map starting at atlas row ``start[i]`` at grid
+    coordinates ``pts[i]`` = (x, y), clamped to the map; ``start``,
+    ``width`` and ``height`` are (P,) or scalars.  A single map is the call
+    ``(fmap.reshape(-1, C), pts, 0, W, H)``.  Returns (P, C) samples.
     """
-    fmap = np.ascontiguousarray(fmap, dtype=np.float64)
+    atlas = np.ascontiguousarray(atlas, dtype=np.float64)
     pts = np.ascontiguousarray(pts, dtype=np.float64)
-    h, w = fmap.shape[0], fmap.shape[1]
-    x = np.clip(pts[:, 0], 0.0, float(w - 1))
-    y = np.clip(pts[:, 1], 0.0, float(h - 1))
-    x0 = np.minimum(np.floor(x), float(max(w - 2, 0))).astype(np.intp)
-    y0 = np.minimum(np.floor(y), float(max(h - 2, 0))).astype(np.intp)
+    w, h = np.asarray(width, dtype=np.intp), np.asarray(height, dtype=np.intp)
+    x = np.clip(pts[:, 0], 0.0, w - 1)
+    y = np.clip(pts[:, 1], 0.0, h - 1)
+    x0 = np.minimum(np.floor(x), np.maximum(w - 2, 0)).astype(np.intp)
+    y0 = np.minimum(np.floor(y), np.maximum(h - 2, 0)).astype(np.intp)
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
     tx = (x - x0)[:, None]
     ty = (y - y0)[:, None]
-    f00 = fmap[y0, x0]
-    f01 = fmap[y0, x1]
-    f10 = fmap[y1, x0]
-    f11 = fmap[y1, x1]
+    f00 = atlas[start + y0 * w + x0]
+    f01 = atlas[start + y0 * w + x1]
+    f10 = atlas[start + y1 * w + x0]
+    f11 = atlas[start + y1 * w + x1]
     return (1.0 - ty) * ((1.0 - tx) * f00 + tx * f01) + ty * (
         (1.0 - tx) * f10 + tx * f11
     )

@@ -109,8 +109,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_allocate(args) -> int:
     rig = load_extended_rig(args.rig)
-    obj = load_json(args.anchors)
-    anchors = anchors_to_array(np.asarray(obj["anchors"], dtype=np.float64))
+    with naming_missing_keys(args.anchors):
+        anchors = anchors_to_array(np.asarray(load_json(args.anchors)["anchors"], dtype=np.float64))
     limits = AllocationLimits(max_truncated_per_camera=args.max_truncated)
     anchors = clamp_anchors(anchors, limits)
     res = allocate(anchors, rig, limits)
@@ -453,7 +453,8 @@ def cmd_run(args) -> int:
         rig = load_extended_rig(rig_path)
     else:
         rig = make_surround_rig(int(cfg.get("views", 6)))
-    rules = [CropRule.from_json_obj(r) for r in cfg.get("crop_rules", [])]
+    with naming_missing_keys(args.config):
+        rules = [CropRule.from_json_obj(r) for r in cfg.get("crop_rules", [])]
     if rules:
         rig = extend_rig(rig, rules)
 

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import CameraView, load_json, load_rig
+from .geometry import CameraView, load_json, load_rig, naming_missing_keys
 
 PLACEMENTS = ("centered-on-focal", "left-aligned-horizon", "right-aligned-horizon")
 
@@ -168,7 +168,8 @@ def extend_rig(
 
 def load_crop_rules(path: str | Path) -> list[CropRule]:
     """Read the derived_views rules of a rig JSON file (may be absent)."""
-    return [CropRule.from_json_obj(r) for r in load_json(path).get("derived_views", [])]
+    with naming_missing_keys(path):
+        return [CropRule.from_json_obj(r) for r in load_json(path).get("derived_views", [])]
 
 
 def load_extended_rig(path: str | Path) -> list[CameraView]:

@@ -23,15 +23,15 @@ import numpy as np
 
 from .aggregation import GateParams, aggregate, gate_truncation, sigmoid
 from .allocation import AllocationLimits, MappingMatrix, allocate, clamp_anchors, gather_2d
-from .geometry import CameraView, anchors_to_array, in_image, project_view_points
+from .geometry import CameraView, anchors_to_array, project_views
 from .groupattn import (
     AttentionParams,
     CrossAttentionParams,
     GroupMask,
-    ViewFeatures,
+    RigFeatures,
     attention,
-    mix_scales,
     ref_point_cross_attention,
+    sample_views,
 )
 
 # Table-style layer arrangements: letter -> (l_2d, l_3d, l_hybrid); every
@@ -294,6 +294,7 @@ class HybridDecoder:
             raise ValueError("empty rig")
         self.config = config
         self.rig = list(rig)
+        self.view_ids = np.array([view.view_id for view in self.rig])
         rng = np.random.default_rng(config.seed)
         c, h = config.channels, config.heads
         cf, ns, k = config.feature_channels, config.n_scales, config.n_classes
@@ -353,17 +354,6 @@ class HybridDecoder:
         anchors[:, 6] = rng.uniform(-np.pi, np.pi, cfg.n_queries)
         return QuerySet(features=feats, anchors=anchors)
 
-    def _check_features(self, features: dict[int, ViewFeatures]) -> None:
-        for view in self.rig:
-            vf = features.get(view.view_id)
-            if vf is None:
-                raise ValueError(f"missing feature maps for view {view.view_id}")
-            if len(vf.maps) != self.config.n_scales:
-                raise ValueError(
-                    f"view {view.view_id}: expected {self.config.n_scales} scales, "
-                    f"got {len(vf.maps)}"
-                )
-
     def _refine_anchors(self, anchors: np.ndarray, deltas: np.ndarray) -> np.ndarray:
         out = anchors.copy()
         out[:, 0:3] = out[:, 0:3] + deltas[:, 0:3]
@@ -375,28 +365,23 @@ class HybridDecoder:
         self,
         q3: np.ndarray,
         anchors: np.ndarray,
-        features: dict[int, ViewFeatures],
+        features: RigFeatures,
         params: CrossAttentionParams,
     ) -> np.ndarray:
-        """Anchor centers sample every view they fall into; mean over views."""
+        """Anchor centers sample every view they fall into; mean over views,
+        each anchor's samples summed in rig order."""
         n = q3.shape[0]
+        uv, _, inside = project_views(self.rig, anchors[:, 0:3])
+        vi, ai = np.nonzero(inside)  # view-major: np.add.at keeps the rig order
         acc = np.zeros((n, params.w_proj.shape[0]))
-        cnt = np.zeros(n)
-        centers = anchors[:, 0:3]
-        for view in self.rig:
-            uv, front = project_view_points(view, centers)
-            idx = np.flatnonzero(in_image(view, uv, front))
-            if idx.size == 0:
-                continue
-            acc[idx] += mix_scales(features[view.view_id], uv[idx], params)
-            cnt[idx] += 1.0
-        seen = cnt > 0
-        acc[seen] = acc[seen] / cnt[seen, None]
+        np.add.at(acc, ai, sample_views(features, self.view_ids[vi], uv[vi, ai], params))
+        cnt = np.bincount(ai, minlength=n)[:, None]
+        np.divide(acc, cnt, out=acc, where=cnt > 0)
         return acc @ params.w_proj
 
     def forward(
         self,
-        features: dict[int, ViewFeatures],
+        features: RigFeatures,
         queries: QuerySet,
         temporal: Optional[QuerySet] = None,
     ) -> tuple[HeadOutputs, QuerySet]:
@@ -410,7 +395,7 @@ class HybridDecoder:
             raise ValueError(
                 f"query set has {queries.n} rows, config expects {cfg.n_queries}"
             )
-        self._check_features(features)
+        features.rows(self.view_ids, cfg.n_scales)  # every view has all its maps
         q3 = np.asarray(queries.features, dtype=np.float64).copy()
         anchors = queries.anchors.copy()
         out = HeadOutputs()
@@ -472,7 +457,7 @@ class HybridDecoder:
 def forward(
     config: DecoderConfig,
     rig: Sequence[CameraView],
-    features: dict[int, ViewFeatures],
+    features: RigFeatures,
     queries: QuerySet,
     temporal: Optional[QuerySet] = None,
 ) -> tuple[HeadOutputs, QuerySet]:

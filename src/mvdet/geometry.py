@@ -225,25 +225,27 @@ def corners_of(anchor: Anchor3D) -> np.ndarray:
 
 def project_point(view: CameraView, p: Sequence[float]) -> Optional[tuple[float, float]]:
     """Project one ego-frame point; None when at or behind the image plane."""
-    uv, front = project_view_points(view, np.asarray(p, dtype=np.float64))
-    if not front[0]:
-        return None
-    return (float(uv[0, 0]), float(uv[0, 1]))
+    uv, front, _ = project_views([view], p)
+    return (float(uv[0, 0, 0]), float(uv[0, 0, 1])) if front[0, 0] else None
 
 
-def project_view_points(view: CameraView, points: np.ndarray):
-    """Batch point projection: returns ((P, 2) uv, (P,) front mask)."""
-    pts = np.ascontiguousarray(points, dtype=np.float64).reshape(-1, 3)
-    return _project_points_raw(
-        pts, view.rotation, view.translation, view.fx, view.fy, view.cx, view.cy,
-        EPS_DEPTH,
-    )
+def in_image(uv: np.ndarray, front: np.ndarray, size) -> np.ndarray:
+    """Strict bounds rule: in front of the camera, 0 < u < W and 0 < v < H,
+    with the image (W, H) on the last axis of ``size``, broadcast to ``uv``."""
+    (u, v), (w, h) = np.moveaxis(uv, -1, 0), np.moveaxis(np.asarray(size), -1, 0)
+    return front & (u > 0.0) & (u < w) & (v > 0.0) & (v < h)
 
 
-def in_image(view: CameraView, uv: np.ndarray, front: np.ndarray) -> np.ndarray:
-    """Strict bounds rule: in front of the camera, 0 < u < W and 0 < v < H."""
-    u, v = uv[..., 0], uv[..., 1]
-    return front & (u > 0.0) & (u < view.width) & (v > 0.0) & (v < view.height)
+def project_views(views: Sequence[CameraView], points: np.ndarray):
+    """Project (P, 3) ego-frame points into every view with one kernel call.
+
+    Returns ((V, P, 2) uv, (V, P) front mask, (V, P) in-image mask).  Each
+    view's rows keep the bits of projecting into that view alone.
+    """
+    k, e = np.stack([v.intrinsics for v in views]), np.stack([v.extrinsic for v in views])
+    uv, front = _project_points_raw(np.reshape(points, (-1, 3)), e[:, :3, :3], e[:, :3, 3],
+                                    k[:, 0, 0], k[:, 1, 1], k[:, 0, 2], k[:, 1, 2], EPS_DEPTH)
+    return uv, front, in_image(uv, front, [[(v.width, v.height)] for v in views])
 
 
 def project_rig(
@@ -251,18 +253,14 @@ def project_rig(
 ) -> RigProjection:
     """Project N anchors into every view as one (view, anchor) table.
 
-    The 9 object points are built once; each view then projects them with
-    the same elementwise operations, so a view's row does not depend on
-    which other views are projected alongside it.
+    The 9 object points are built once and projected into all views in one
+    call, with the same elementwise operations per view, so a view's row
+    does not depend on which other views are projected alongside it.
     """
     arr = anchors_to_array(anchors)
-    pts = box_points(arr).reshape(-1, 3)
     shape = (len(views), arr.shape[0], 9)
-    uv, front, inside = np.empty(shape + (2,)), np.empty(shape, bool), np.empty(shape, bool)
-    for k, view in enumerate(views):
-        uv_k, front_k = project_view_points(view, pts)
-        uv[k], front[k] = uv_k.reshape(shape[1:] + (2,)), front_k.reshape(shape[1:])
-        inside[k] = in_image(view, uv[k], front[k])
+    uv, front, inside = project_views(views, box_points(arr).reshape(-1, 3))
+    uv, front, inside = uv.reshape(shape + (2,)), front.reshape(shape), inside.reshape(shape)
     valid = inside.any(axis=2)
     center_in_view = inside[:, :, 0]
 

@@ -102,13 +102,40 @@ class CrossAttentionParams:
         )
 
 
-@dataclass(frozen=True)
-class ViewFeatures:
-    """Multi-scale feature maps of one camera view, with its pixel size."""
+class RigFeatures:
+    """Multi-scale feature maps of every view of a rig, one flat atlas per scale.
 
-    width: int
-    height: int
-    maps: list[np.ndarray]  # each (H_s, W_s, C_feat)
+    ``atlas[s]`` holds each view's (H, W, C) map row-major, one view after
+    another: view k (id ``view_ids[k]``, ``image_size[k]`` = (W, H) pixels)
+    starts at row ``start[s, k]`` with a map of ``map_size[s, k]`` = (W, H).
+    Built unfilled from ``views`` (each with a view_id, width and height)
+    and ``map_size[s][k]``; ``view_map`` gives a view's map to write.
+    """
+
+    def __init__(self, views, map_size, channels: int):
+        self.view_ids = np.array([v.view_id for v in views], dtype=np.intp)
+        self.image_size = np.array([(v.width, v.height) for v in views], dtype=np.intp)
+        self.map_size = np.asarray(map_size, dtype=np.intp).reshape(-1, len(views), 2)
+        cells = self.map_size.prod(axis=2)
+        self.start = np.cumsum(cells, axis=1) - cells
+        self.atlas = [np.empty((n, channels)) for n in cells.sum(axis=1)]
+
+    def view_map(self, s: int, k: int) -> np.ndarray:
+        """View k's (H, W, C) map at scale s; writing to it writes its atlas rows."""
+        (w, h), first = self.map_size[s, k], self.start[s, k]
+        return self.atlas[s][first : first + w * h].reshape(h, w, -1)
+
+    def rows(self, view_ids, n_scales: int) -> np.ndarray:
+        """The index k of each given view id.  Raises naming the lowest id
+        without maps, or the first id when there are not n_scales scales."""
+        ids = np.asarray(view_ids, dtype=np.intp)
+        known = np.isin(ids, self.view_ids)  # np.setdiff1d would import numpy.ma
+        if not known.all():
+            raise ValueError(f"missing feature maps for view {ids[~known].min()}")
+        if ids.size and len(self.atlas) != n_scales:
+            raise ValueError(f"view {ids[0]}: expected {n_scales} scales, got {len(self.atlas)}")
+        order = np.argsort(self.view_ids)
+        return order[np.searchsorted(self.view_ids, ids, sorter=order)]
 
 
 def build_mask(groups: GroupMask, denoise=None) -> np.ndarray:
@@ -258,27 +285,30 @@ def attention(
     return out
 
 
-def mix_scales(vf: ViewFeatures, pts: np.ndarray, params: CrossAttentionParams) -> np.ndarray:
-    """Softmax-weighted sum over scales of one bilinear sample per point.
+def sample_views(features: RigFeatures, view_ids, pts, params: CrossAttentionParams) -> np.ndarray:
+    """Softmax-weighted sum over scales of one bilinear sample per pair.
 
-    ``pts`` are (P, 2) view pixel coordinates; view pixel u covers map
-    coordinate u * W_s / W - 0.5 on a scale of width W_s.  Returns
-    (P, C_feat), before the projection.
+    Pair i reads view ``view_ids[i]`` at view pixel ``pts[i]``; view pixel
+    u covers map coordinate u * W_s / W - 0.5 on a scale of width W_s.
+    Each scale takes one gather over all pairs.  Returns (P, C_feat),
+    before the projection.
     """
+    k = features.rows(view_ids, params.scale_logits.shape[0])
     weights = softmax_rows(params.scale_logits[None, :].copy())[0]
+    image_size = features.image_size[k]
     combined = np.zeros((pts.shape[0], params.w_proj.shape[0]))
-    for s, fmap in enumerate(vf.maps):
-        hs, ws = fmap.shape[0], fmap.shape[1]
-        mx = pts[:, 0] * (ws / vf.width) - 0.5
-        my = pts[:, 1] * (hs / vf.height) - 0.5
-        combined = combined + weights[s] * bilinear_sample(fmap, np.stack([mx, my], axis=1))
+    for s, atlas in enumerate(features.atlas):
+        map_size = features.map_size[s, k]
+        grid = pts * (map_size / image_size) - 0.5
+        sample = bilinear_sample(atlas, grid, features.start[s, k], *map_size.T)
+        combined = combined + weights[s] * sample
     return combined
 
 
 def ref_point_cross_attention(
     x: np.ndarray,
     ref_points: np.ndarray,
-    features: dict[int, ViewFeatures],
+    features: RigFeatures,
     groups: GroupMask,
     params: CrossAttentionParams,
 ) -> np.ndarray:
@@ -289,21 +319,14 @@ def ref_point_cross_attention(
     reads another view's features, so perturbing the maps of view v can
     only change the outputs of group v.
     """
-    x = np.asarray(x, dtype=np.float64)
     ref_points = np.asarray(ref_points, dtype=np.float64).reshape(-1, 2)
-    m = x.shape[0]
+    m = np.shape(x)[0]
     if ref_points.shape[0] != m or groups.size != m:
         raise ValueError("x, ref_points and groups must agree in length")
+    mixed = sample_views(features, groups.group_of, ref_points, params)
     out = np.zeros((m, params.w_proj.shape[1]))
+    # one product per camera group: BLAS may round a product over more rows differently
     for view_id in np.unique(groups.group_of):
         idx = np.flatnonzero(groups.group_of == view_id)
-        vf = features.get(int(view_id))
-        if vf is None:
-            raise ValueError(f"missing feature maps for view {view_id}")
-        if len(vf.maps) != params.scale_logits.shape[0]:
-            raise ValueError(
-                f"view {view_id} has {len(vf.maps)} scales, "
-                f"params expect {params.scale_logits.shape[0]}"
-            )
-        out[idx] = mix_scales(vf, ref_points[idx], params) @ params.w_proj
+        out[idx] = mixed[idx] @ params.w_proj
     return out

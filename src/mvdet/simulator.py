@@ -19,7 +19,7 @@ from .geometry import (
     Anchor3D, Box2D, CameraView, anchors_to_array, load_json, naming_missing_keys, project_rig,
     rig_from_json_obj,
 )
-from .groupattn import ViewFeatures
+from .groupattn import RigFeatures
 from .metrics import FrameTruth, GtBox2D, Pred2D, Pred3D, detections_to_json_obj
 
 # (name, mean size (w, l, h), log-size jitter, max |velocity|)
@@ -299,21 +299,22 @@ def render_features(
     rig: Sequence[CameraView],
     scales: Sequence[int] = (8, 16),
     channels: int = 16,
-) -> dict[int, ViewFeatures]:
-    """Analytic per-view feature maps, one per scale.
+) -> RigFeatures:
+    """Analytic feature maps of every view, one per scale.
 
     Each map holds one Gaussian bump per visible box at its reference point
     (amplitude class_id + 1, identical across channels): the bumps are
-    summed in one (H, W) plane, copied into every channel at the end.
+    summed in one (H, W) plane, copied into every channel of the view's
+    atlas rows at the end.
     """
     proj = project_rig(rig, scene.anchors_array())
-    features: dict[int, ViewFeatures] = {}
-    for view, valid, ref_point, rect in zip(rig, proj.valid, proj.ref_point, proj.rect):
-        maps = []
-        for s in scales:
-            hm = max(view.height // s, 1)
-            wm = max(view.width // s, 1)
-            fmap = np.empty((hm, wm, channels))  # ahead of the bump temporaries: lower peak RSS
+    sizes = [[(max(v.width // s, 1), max(v.height // s, 1)) for v in rig] for s in scales]
+    features = RigFeatures(rig, sizes, channels)
+    for k, view in enumerate(rig):
+        valid, ref_point, rect = proj.valid[k], proj.ref_point[k], proj.rect[k]
+        for si in range(len(scales)):
+            fmap = features.view_map(si, k)
+            hm, wm = fmap.shape[0], fmap.shape[1]
             plane = np.zeros((hm, wm))
             gy, gx = np.mgrid[0:hm, 0:wm]
             for i in np.flatnonzero(valid):
@@ -327,10 +328,6 @@ def render_features(
                 )
                 plane += bump
             fmap[...] = plane[:, :, None]
-            maps.append(fmap)
-        features[view.view_id] = ViewFeatures(
-            width=view.width, height=view.height, maps=maps
-        )
     return features
 
 

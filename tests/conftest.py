@@ -4,7 +4,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mvdet.geometry import CameraView, make_surround_rig, project_rig
+from mvdet._kernels import project_points
+from mvdet.geometry import EPS_DEPTH, CameraView, make_surround_rig, project_rig
+from mvdet.groupattn import RigFeatures, softmax_rows
 
 
 @pytest.fixture
@@ -82,3 +84,105 @@ def random_anchor_array(rng, n):
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def rig_features(maps_by_view):
+    """RigFeatures from {view_id: (width, height, [(H, W, C) map per scale])},
+    each map copied into its view's atlas rows."""
+    views = [SimpleNamespace(view_id=v, width=w, height=h)
+             for v, (w, h, _) in maps_by_view.items()]
+    per_view = [maps for _, _, maps in maps_by_view.values()]
+    sizes = [[maps[s].shape[1::-1] for maps in per_view] for s in range(len(per_view[0]))]
+    feats = RigFeatures(views, sizes, per_view[0][0].shape[2])
+    for k, maps in enumerate(per_view):
+        for s, fmap in enumerate(maps):
+            feats.view_map(s, k)[...] = fmap
+    return feats
+
+
+def view_maps(features, view_id):
+    """(width, height, [(H, W, C) map per scale]) of one view of a RigFeatures."""
+    k = int(np.flatnonzero(features.view_ids == view_id)[0])
+    width, height = features.image_size[k].tolist()
+    return width, height, [features.view_map(s, k) for s in range(len(features.atlas))]
+
+
+# ------------------------------------------------------------------------------
+# The per-view loops that the rig-wide projection and feature sampler replaced,
+# kept as bit-for-bit references.
+
+def project_view_points(view: CameraView, points):
+    """Single-camera projection: ((P, 2) uv, (P,) front mask)."""
+    pts = np.ascontiguousarray(points, dtype=np.float64).reshape(-1, 3)
+    return project_points(
+        pts, view.rotation, view.translation, view.fx, view.fy, view.cx, view.cy, EPS_DEPTH,
+    )
+
+
+def in_image_per_view(view: CameraView, uv, front):
+    """Strict bounds rule of one view: in front, 0 < u < W and 0 < v < H."""
+    u, v = uv[..., 0], uv[..., 1]
+    return front & (u > 0.0) & (u < view.width) & (v > 0.0) & (v < view.height)
+
+
+def bilinear_per_map(fmap, pts):
+    """Bilinear sample of one (H, W, C) map at (P, 2) clamped grid coordinates."""
+    fmap = np.ascontiguousarray(fmap, dtype=np.float64)
+    pts = np.ascontiguousarray(pts, dtype=np.float64)
+    h, w = fmap.shape[0], fmap.shape[1]
+    x = np.clip(pts[:, 0], 0.0, float(w - 1))
+    y = np.clip(pts[:, 1], 0.0, float(h - 1))
+    x0 = np.minimum(np.floor(x), float(max(w - 2, 0))).astype(np.intp)
+    y0 = np.minimum(np.floor(y), float(max(h - 2, 0))).astype(np.intp)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    tx = (x - x0)[:, None]
+    ty = (y - y0)[:, None]
+    f00 = fmap[y0, x0]
+    f01 = fmap[y0, x1]
+    f10 = fmap[y1, x0]
+    f11 = fmap[y1, x1]
+    return (1.0 - ty) * ((1.0 - tx) * f00 + tx * f01) + ty * (
+        (1.0 - tx) * f10 + tx * f11
+    )
+
+
+def mix_scales(vf, pts, params):
+    """Scale-mixed samples of one view; ``vf`` is (width, height, maps)."""
+    width, height, maps = vf
+    weights = softmax_rows(params.scale_logits[None, :].copy())[0]
+    combined = np.zeros((pts.shape[0], params.w_proj.shape[0]))
+    for s, fmap in enumerate(maps):
+        hs, ws = fmap.shape[0], fmap.shape[1]
+        mx = pts[:, 0] * (ws / width) - 0.5
+        my = pts[:, 1] * (hs / height) - 0.5
+        combined = combined + weights[s] * bilinear_per_map(fmap, np.stack([mx, my], axis=1))
+    return combined
+
+
+def ref_point_cross_attention_per_view(x, ref_points, features, groups, params):
+    """Reference-point sampling, one camera group at a time."""
+    out = np.zeros((np.shape(x)[0], params.w_proj.shape[1]))
+    for view_id in np.unique(groups.group_of):
+        idx = np.flatnonzero(groups.group_of == view_id)
+        vf = view_maps(features, view_id)
+        out[idx] = mix_scales(vf, ref_points[idx], params) @ params.w_proj
+    return out
+
+
+def cross_attention_3d_per_view(rig, anchors, features, params):
+    """3D-query sampling, one view at a time: each anchor center samples the
+    views it falls into, and the samples are averaged."""
+    n = anchors.shape[0]
+    acc = np.zeros((n, params.w_proj.shape[0]))
+    cnt = np.zeros(n)
+    for view in rig:
+        uv, front = project_view_points(view, anchors[:, 0:3])
+        idx = np.flatnonzero(in_image_per_view(view, uv, front))
+        if idx.size == 0:
+            continue
+        acc[idx] += mix_scales(view_maps(features, view.view_id), uv[idx], params)
+        cnt[idx] += 1.0
+    seen = cnt > 0
+    acc[seen] = acc[seen] / cnt[seen, None]
+    return acc @ params.w_proj

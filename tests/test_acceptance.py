@@ -25,7 +25,6 @@ from mvdet.geometry import (
     corners_of,
     make_surround_rig,
     project_point,
-    project_view_points,
 )
 from mvdet.groupattn import AttentionParams, GroupMask, attention
 from mvdet.metrics import (
@@ -46,7 +45,7 @@ from mvdet.metrics import (
 from mvdet.simulator import OracleNoise, perturb, render_features, sample_scene
 from mvdet.metrics import parse_detections
 
-from conftest import project_homogeneous, project_one_view, random_view
+from conftest import project_homogeneous, project_one_view, project_view_points, random_view
 
 
 def report(criterion: int, text: str) -> None:

@@ -60,6 +60,7 @@ def test_traced_run_attaches_to_the_package(tmp_path):
         "groupattn.masked_self_attention not traced",
         "mvdet.groupattn.cross_attention not found; groupattn.cross_attention not traced",
     ]
-    for span in ("kernels.project_points", "kernels.box_points", "allocation.allocate",
+    for span in ("kernels.project_points", "kernels.box_points", "kernels.bilinear_sample",
+                 "groupattn.ref_point_cross_attention", "allocation.allocate",
                  "simulator.render_features", "metrics.aar", "metrics.ap"):
         assert summary["calls"].get(span, 0) >= 1, span

@@ -217,6 +217,11 @@ def test_denoise_demo(tmp_path, sim_dir):
         ("eval-aar", "--pred", {"format": "mvdet-detections/1"}, "'frames'"),
         ("denoise-demo", "--scene", {"format": "mvdet-scene/1", "seed": 0}, "'boxes'"),
         ("crop-views", "--rig", {}, "'views'"),
+        ("crop-views", "--rig",
+         {"views": [v.to_json_obj() for v in make_surround_rig(6)], "derived_views": [{}]},
+         "'source_view_id'"),
+        ("allocate", "--anchors", {}, "'anchors'"),
+        ("run", "--config", {"crop_rules": [{}]}, "'source_view_id'"),
     ],
 )
 def test_missing_key_names_the_file(tmp_path, sim_dir, rig_file, capsys,
@@ -229,6 +234,8 @@ def test_missing_key_names_the_file(tmp_path, sim_dir, rig_file, capsys,
         "eval-aar": {"--gt": sim_dir / "scenes.json", "--pred": pred},
         "denoise-demo": {"--scene": sim_dir / "scene_0000.json"},
         "crop-views": {"--rig": rig_file},
+        "allocate": {"--rig": rig_file, "--anchors": None},
+        "run": {"--config": None},
     }[command]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))

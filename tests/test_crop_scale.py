@@ -12,10 +12,9 @@ from mvdet.geometry import (
     CameraView,
     make_surround_rig,
     project_point,
-    project_view_points,
 )
 
-from conftest import project_one_view
+from conftest import project_one_view, project_view_points
 
 
 def wide_view(view_id=0, width=1600, height=900, fx=1000.0, cx=None, cy=None):

@@ -12,8 +12,10 @@ from mvdet.decoder import (
     propagate_topk,
     wrap_yaw,
 )
-from mvdet.groupattn import ViewFeatures, attention
+from mvdet.groupattn import attention
 from mvdet.simulator import render_features, sample_scene
+
+from conftest import cross_attention_3d_per_view, ref_point_cross_attention_per_view, rig_features
 
 
 def small_config(**over):
@@ -106,14 +108,12 @@ def test_zero_heads_leave_anchors_unchanged(rig6):
     dec = HybridDecoder(cfg, rig6)
     dec.zero_heads()
     queries = dec.initial_queries()
-    zero_feats = {
-        v.view_id: ViewFeatures(
-            width=v.width, height=v.height,
-            maps=[np.zeros((v.height // 8, v.width // 8, cfg.feature_channels)),
-                  np.zeros((v.height // 16, v.width // 16, cfg.feature_channels))],
-        )
+    zero_feats = rig_features({
+        v.view_id: (v.width, v.height,
+                    [np.zeros((v.height // 8, v.width // 8, cfg.feature_channels)),
+                     np.zeros((v.height // 16, v.width // 16, cfg.feature_channels))])
         for v in rig6
-    }
+    })
     out, updated = dec.forward(zero_feats, queries)
     assert np.array_equal(updated.anchors, queries.anchors)
     for layer in out.layers_3d + out.agg_taps:
@@ -194,16 +194,18 @@ def test_cross_attention_3d_samples_views_where_center_is_in_view(rig6, monkeypa
     queries = dec.initial_queries()
     anchors = queries.anchors.copy()
     anchors[:10, 0:3] = (0.0, 0.0, 40.0)  # overhead: in no camera's image
-    sampled = {}
-    view_of = {id(feats[v.view_id]): v.view_id for v in rig}
-    real = decoder_mod.mix_scales
+    calls = []
+    real = decoder_mod.sample_views
 
-    def spy(vf, pts, params):
-        sampled[view_of[id(vf)]] = pts.copy()
-        return real(vf, pts, params)
+    def spy(features, view_ids, pts, params):
+        calls.append((np.asarray(view_ids).copy(), pts.copy()))
+        return real(features, view_ids, pts, params)
 
-    monkeypatch.setattr(decoder_mod, "mix_scales", spy)
+    monkeypatch.setattr(decoder_mod, "sample_views", spy)
     dec._cross_attention_3d(queries.features, anchors, feats, dec.layers_3d[0][0].cross)
+    [(view_ids, pts)] = calls  # one sampler call for every (view, anchor) pair
+    assert np.all(np.diff(np.searchsorted([v.view_id for v in rig], view_ids)) >= 0)
+    sampled = {int(v): pts[view_ids == v] for v in np.unique(view_ids)}
 
     n_views = np.zeros(queries.n, dtype=int)
     proj = project_rig(rig, anchors)
@@ -213,6 +215,37 @@ def test_cross_attention_3d_samples_views_where_center_is_in_view(rig6, monkeypa
             assert np.array_equal(sampled.pop(view_id), uv[center_in_view, 0])
     assert sampled == {}  # no view sampled beyond those
     assert n_views.max() > 1 and n_views.min() == 0
+
+
+def test_multiview_sampling_matches_per_view_loops(rig6, monkeypatch):
+    # a crop view whose image size differs from the base cameras'
+    rig = extend_rig(rig6, [CropRule(source_view_id=0, scale_rate=2.0,
+                                     out_width=352, out_height=128)])
+    scene = sample_scene(3, rig, n_boxes=15)
+    feats = render_features(scene, rig, scales=(8, 16), channels=8)
+    dec = HybridDecoder(small_config(n_queries=300, l_2d=1, l_3d=1, l_hybrid=3), rig)
+    queries = dec.initial_queries()
+    cross = dec.layers_3d[0][0].cross
+    got = dec._cross_attention_3d(queries.features, queries.anchors, feats, cross)
+    assert np.array_equal(got, cross_attention_3d_per_view(rig, queries.anchors, feats, cross))
+
+    def run():
+        return dec.forward(feats, queries)
+
+    out, updated = run()
+    monkeypatch.setattr(decoder, "ref_point_cross_attention", ref_point_cross_attention_per_view)
+    monkeypatch.setattr(HybridDecoder, "_cross_attention_3d",
+                        lambda self, q3, anchors, features, params:
+                        cross_attention_3d_per_view(self.rig, anchors, features, params))
+    want_out, want = run()
+    assert {int(v) for l in out.layers_2d for v in l.mapping.camera_of_col} >= {6}
+    assert np.array_equal(updated.features, want.features)
+    assert np.array_equal(updated.anchors, want.anchors)
+    for g, w in zip(out.layers_2d, want_out.layers_2d, strict=True):
+        assert np.array_equal(g.boxes2d, w.boxes2d) and np.array_equal(g.logits, w.logits)
+    for g, w in zip(out.layers_3d + out.agg_taps, want_out.layers_3d + want_out.agg_taps,
+                    strict=True):
+        assert np.array_equal(g.boxes3d, w.boxes3d) and np.array_equal(g.logits, w.logits)
 
 
 def test_view_drop_robustness(rig6):
@@ -248,8 +281,11 @@ def test_forward_errors(setup):
     rig, feats = setup
     cfg = small_config()
     dec = HybridDecoder(cfg, rig)
-    with pytest.raises(ValueError):
-        dec.forward({}, dec.initial_queries())  # missing features
+    scene = sample_scene(2, rig, n_boxes=8)
+    with pytest.raises(ValueError, match=f"missing feature maps for view {rig[-1].view_id}"):
+        dec.forward(render_features(scene, rig[:-1], channels=8), dec.initial_queries())
+    with pytest.raises(ValueError, match=f"view {rig[0].view_id}: expected 2 scales, got 1"):
+        dec.forward(render_features(scene, rig, scales=(8,), channels=8), dec.initial_queries())
     bad = QuerySet(features=np.zeros((3, cfg.channels)), anchors=np.zeros((3, 9)) + [0, 0, 0, 1, 1, 1, 0, 0, 0])
     with pytest.raises(ValueError):
         dec.forward(feats, bad)  # row count mismatch

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mvdet._kernels import iou_matrix
+from mvdet._kernels import iou_matrix, project_points
 from mvdet.geometry import (
     EPS_DEPTH,
     Anchor3D,
@@ -23,13 +23,15 @@ from mvdet.geometry import (
     make_surround_rig,
     project_point,
     project_rig,
-    project_view_points,
+    project_views,
     save_rig,
 )
 
 from conftest import (
     project_homogeneous,
+    in_image_per_view,
     project_one_view,
+    project_view_points,
     random_anchor_array,
     random_rig_with_crop,
     random_view,
@@ -157,6 +159,30 @@ def test_front_mask_matches_oracle_on_free_points():
     assert n_behind > 0  # the sample actually exercised behind-camera points
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_views=st.integers(1, 7), n_pts=st.integers(0, 60))
+def test_stacked_projection_matches_per_view_calls(seed, n_views, n_pts):
+    rng = np.random.default_rng(seed)
+    views = [random_view(rng, view_id=k) for k in range(n_views)]
+    # free points around the rig, plus one straight behind each camera
+    behind = [-v.rotation.T @ v.translation - 5.0 * v.rotation[2] for v in views]
+    pts = np.concatenate([rng.uniform(-30, 30, size=(n_pts, 3)), behind])
+    k = np.stack([v.intrinsics for v in views])
+    e = np.stack([v.extrinsic for v in views])
+    uv, front = project_points(pts, e[:, :3, :3], e[:, :3, 3], k[:, 0, 0], k[:, 1, 1],
+                               k[:, 0, 2], k[:, 1, 2], EPS_DEPTH)
+    assert uv.shape == (n_views, len(pts), 2) and front.shape == (n_views, len(pts))
+    assert not front[np.arange(n_views), n_pts + np.arange(n_views)].any()
+    uv_all, front_all, inside_all = project_views(views, pts)
+    for i, view in enumerate(views):
+        uv_i, front_i = project_view_points(view, pts)
+        assert np.array_equal(uv[i], uv_i, equal_nan=True)
+        assert np.array_equal(front[i], front_i)
+        assert np.array_equal(uv_all[i], uv_i, equal_nan=True)
+        assert np.array_equal(front_all[i], front_i)
+        assert np.array_equal(inside_all[i], in_image_per_view(view, uv_i, front_i))
+
+
 # --------------------------------------------------------------- project_rig
 
 def test_anchor_fully_behind_view(front_view):
@@ -238,9 +264,10 @@ def test_in_image_is_strict_at_the_borders():
     pts = np.hstack([pix, np.ones((len(pix), 1))])
     uv, front = project_view_points(view, pts)
     assert np.array_equal(uv, pix)
-    assert in_image(view, uv, front).tolist() == [False] * 4 + [True] * 3
+    assert in_image(uv, front, (view.width, view.height)).tolist() == [False] * 4 + [True] * 3
     behind = pts * np.array([1.0, 1.0, -1.0])
-    assert not in_image(view, *project_view_points(view, behind)).any()
+    assert not in_image(*project_view_points(view, behind), (view.width, view.height)).any()
+    assert not project_views([view], behind)[2].any()
 
 
 def test_project_rig_equals_each_view_alone():

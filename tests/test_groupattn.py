@@ -1,3 +1,4 @@
+import copy
 import math
 import threading
 import tracemalloc
@@ -16,12 +17,13 @@ from mvdet.groupattn import (
     AttentionParams,
     CrossAttentionParams,
     GroupMask,
-    ViewFeatures,
     attention,
     build_mask,
     ref_point_cross_attention,
     softmax_rows,
 )
+
+from conftest import bilinear_per_map, ref_point_cross_attention_per_view, rig_features
 
 
 def seeded_params(c, heads=1, seed=0):
@@ -534,13 +536,19 @@ def single_scale_params(c_feat, c, seed=0):
     )
 
 
+def one_view(fmap, pts):
+    """The one-view atlas call on an (H, W, C) map."""
+    h, w, c = fmap.shape
+    return bilinear_sample(fmap.reshape(-1, c), pts, 0, w, h)
+
+
 def test_constant_map_sampling():
     fmap = np.full((5, 7, 3), 4.25)
-    vf = ViewFeatures(width=70, height=50, maps=[fmap])
+    feats = rig_features({0: (70, 50, [fmap])})
     params = single_scale_params(3, 3)
     x = np.zeros((4, 3))
     refs = np.array([[1.0, 1.0], [35.0, 25.0], [69.0, 49.0], [200.0, -10.0]])
-    out = ref_point_cross_attention(x, refs, {0: vf}, GroupMask(np.zeros(4, int)), params)
+    out = ref_point_cross_attention(x, refs, feats, GroupMask(np.zeros(4, int)), params)
     want = np.full((4, 3), 4.25) @ params.w_proj
     assert np.abs(out - want).max() <= 1e-12
 
@@ -548,7 +556,7 @@ def test_constant_map_sampling():
 def test_grid_node_sampling_exact():
     fmap = np.arange(12, dtype=float).reshape(3, 4, 1)
     pts = np.array([[2.0, 1.0]])  # exactly on node (row 1, col 2)
-    assert bilinear_sample(fmap, pts)[0, 0] == fmap[1, 2, 0]
+    assert one_view(fmap, pts)[0, 0] == fmap[1, 2, 0]
 
 
 def tent_bilinear(fmap, pts):
@@ -566,15 +574,20 @@ def tent_bilinear(fmap, pts):
     return out
 
 
+def sample_points(rng, h, w):
+    """Fractional and integer grid points in and around an h x w map."""
+    return np.concatenate([
+        rng.uniform(-2, max(h, w) + 2, size=(200, 2)),
+        rng.integers(-2, max(h, w) + 2, size=(50, 2)).astype(float),
+    ])
+
+
 @pytest.mark.parametrize("h,w,c", [(1, 1, 2), (1, 5, 3), (7, 1, 1), (16, 24, 4)])
 def test_bilinear_matches_tent_formula(h, w, c):
     rng = np.random.default_rng(2024)
     fmap = rng.standard_normal((h, w, c))
-    pts = np.concatenate([
-        rng.uniform(-2, max(h, w) + 2, size=(200, 2)),
-        rng.integers(-2, max(h, w) + 2, size=(50, 2)).astype(float),
-    ])
-    got = bilinear_sample(fmap, pts)
+    pts = sample_points(rng, h, w)
+    got = one_view(fmap, pts)
     want = tent_bilinear(fmap, pts)
     # where the clamped point is a map node (always on a 1x1 map) both
     # reduce to that node's value times one
@@ -582,16 +595,36 @@ def test_bilinear_matches_tent_formula(h, w, c):
     assert node.sum() >= 50
     assert np.array_equal(got[node], want[node])
     assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
+    assert np.array_equal(got, bilinear_per_map(fmap, pts))  # the per-map kernel's bits
+
+
+def test_two_view_atlas_reads_each_points_own_map():
+    rng = np.random.default_rng(7)
+    maps = [rng.standard_normal((5, 9, 3)), rng.standard_normal((12, 4, 3))]
+    atlas = np.concatenate([m.reshape(-1, 3) for m in maps])
+    pts = [sample_points(rng, *m.shape[:2]) for m in maps]
+    view = np.repeat([1, 0], [len(pts[1]), len(pts[0])])  # view 1's points first
+    all_pts = np.concatenate([pts[1], pts[0]])
+    start = np.array([0, maps[0].shape[0] * maps[0].shape[1]])[view]
+    width = np.array([m.shape[1] for m in maps])[view]
+    height = np.array([m.shape[0] for m in maps])[view]
+    got = bilinear_sample(atlas, all_pts, start, width, height)
+    for k in (0, 1):
+        mine = view == k
+        assert np.max(np.abs(got[mine] - tent_bilinear(maps[k], pts[k]))) <= 1e-12
+        assert np.array_equal(got[mine], bilinear_per_map(maps[k], pts[k]))
+        # the other view's map gives other values: nothing leaks across views
+        assert not np.allclose(got[mine], tent_bilinear(maps[1 - k], pts[k]))
 
 
 def test_bilinear_cell_center():
     fmap = np.array([[0.0, 1.0], [2.0, 3.0]])[:, :, None]
-    assert bilinear_sample(fmap, np.array([[0.5, 0.5]]))[0, 0] == 1.5
+    assert one_view(fmap, np.array([[0.5, 0.5]]))[0, 0] == 1.5
     # via the view-coordinate path: the view center lands mid-cell on a 2x2 map
-    vf = ViewFeatures(width=100, height=80, maps=[fmap])
+    feats = rig_features({0: (100, 80, [fmap])})
     params = CrossAttentionParams(scale_logits=np.zeros(1), w_proj=np.eye(1))
     out = ref_point_cross_attention(
-        np.zeros((1, 1)), np.array([[50.0, 40.0]]), {0: vf},
+        np.zeros((1, 1)), np.array([[50.0, 40.0]]), feats,
         GroupMask(np.zeros(1, int)), params,
     )
     assert out[0, 0] == 1.5
@@ -599,10 +632,25 @@ def test_bilinear_cell_center():
 
 def test_missing_view_features_error():
     params = single_scale_params(2, 2)
-    with pytest.raises(ValueError):
+    feats = rig_features({1: (16, 16, [np.zeros((2, 2, 2))])})
+    with pytest.raises(ValueError, match="missing feature maps for view 0"):
         ref_point_cross_attention(
-            np.zeros((1, 2)), np.zeros((1, 2)), {}, GroupMask(np.zeros(1, int)), params
+            np.zeros((1, 2)), np.zeros((1, 2)), feats, GroupMask(np.zeros(1, int)), params
         )
+    with pytest.raises(ValueError, match="view 1: expected 2 scales, got 1"):
+        ref_point_cross_attention(
+            np.zeros((1, 2)), np.zeros((1, 2)), feats, GroupMask(np.ones(1, int)),
+            CrossAttentionParams(scale_logits=np.zeros(2), w_proj=params.w_proj),
+        )
+
+
+def random_features(rng, c_feat, sizes):
+    """{view_id: (width, height, [maps])}: random (H/8, W/8) and (H/16, W/16) maps."""
+    return {
+        v: (w, h, [rng.standard_normal((h // 8, w // 8, c_feat)),
+                   rng.standard_normal((h // 16, w // 16, c_feat))])
+        for v, (w, h) in sizes.items()
+    }
 
 
 def test_view_isolation_bitwise():
@@ -615,18 +663,30 @@ def test_view_isolation_bitwise():
         scale_logits=rng.standard_normal(2),
         w_proj=rng.standard_normal((c_feat, c)),
     )
-    feats = {
-        v: ViewFeatures(width=64, height=64, maps=[rng.standard_normal((8, 8, c_feat)),
-                                                   rng.standard_normal((4, 4, c_feat))])
-        for v in (0, 1)
-    }
+    feats = rig_features(random_features(rng, c_feat, {0: (64, 64), 1: (64, 64)}))
     logits = params.scale_logits.copy()
     out = ref_point_cross_attention(x, refs, feats, groups, params)
     assert np.array_equal(params.scale_logits, logits)  # in-place softmax on a copy
-    feats2 = dict(feats)
-    feats2[1] = ViewFeatures(width=64, height=64,
-                             maps=[m_ + 1.0 for m_ in feats[1].maps])
+    feats2 = copy.deepcopy(feats)
+    for s in range(len(feats2.atlas)):
+        feats2.view_map(s, 1)[...] += 1.0  # view 1's atlas rows only
     out2 = ref_point_cross_attention(x, refs, feats2, groups, params)
     g = groups.group_of
     assert np.array_equal(out[g == 0], out2[g == 0])
     assert not np.array_equal(out[g == 1], out2[g == 1])
+
+
+def test_ref_point_sampling_matches_per_view_loop():
+    # view ids out of order and image sizes that differ between views
+    rng = np.random.default_rng(9)
+    m, c, c_feat = 300, 8, 5
+    sizes = {4: (704, 256), 1: (352, 128), 7: (640, 480)}
+    feats = rig_features(random_features(rng, c_feat, sizes))
+    groups = GroupMask(rng.choice(list(sizes), size=m))
+    refs = rng.uniform(-20, 720, size=(m, 2))
+    params = CrossAttentionParams(
+        scale_logits=rng.standard_normal(2), w_proj=rng.standard_normal((c_feat, c)),
+    )
+    x = np.zeros((m, c))
+    got = ref_point_cross_attention(x, refs, feats, groups, params)
+    assert np.array_equal(got, ref_point_cross_attention_per_view(x, refs, feats, groups, params))

@@ -17,7 +17,7 @@ from mvdet.simulator import (
     sample_scene,
 )
 
-from conftest import project_one_view, random_rig_with_crop
+from conftest import project_one_view, random_rig_with_crop, view_maps
 
 
 def test_empty_scene(rig6):
@@ -143,7 +143,7 @@ def test_render_features_empty_scene(rig6):
     feats = render_features(scene, rig6)
     depths = render_depths(scene, rig6, 8)
     for v in rig6:
-        for fmap in feats[v.view_id].maps:
+        for fmap in view_maps(feats, v.view_id)[2]:
             assert np.all(fmap == 0.0)
         assert np.all(np.isinf(depths[v.view_id]))
 
@@ -182,10 +182,15 @@ def test_render_features_matches_per_channel_loop(rig6, rig_seed, scales, channe
     scene = sample_scene(11, rig, n_boxes=15)
     got = render_features(scene, rig, scales=scales, channels=channels)
     want = render_features_per_channel(scene, rig, scales=scales, channels=channels)
-    assert sorted(got) == sorted(want)
+    assert got.view_ids.tolist() == [v.view_id for v in rig]
+    assert [len(a) for a in got.atlas] == [  # the atlas holds the maps and nothing else
+        sum(m[s].shape[0] * m[s].shape[1] for m in want.values()) for s in range(len(scales))
+    ]
     for view_id, maps in want.items():
-        assert len(got[view_id].maps) == len(maps)
-        for g, w in zip(got[view_id].maps, maps):
+        width, height, got_maps = view_maps(got, view_id)
+        assert (width, height) == next((v.width, v.height) for v in rig if v.view_id == view_id)
+        assert len(got_maps) == len(maps)
+        for g, w in zip(got_maps, maps):
             assert g.shape == w.shape and np.array_equal(g, w)
 
 
@@ -195,8 +200,8 @@ def test_feature_bump_peaks_at_projected_center(rig6):
     views = {v.view_id: v for v in rig6}
     # single-box view regions: the brightest cell must contain the
     # projected center of some box
-    for view_id, vf in feats.items():
-        fmap = vf.maps[0][:, :, 0]
+    for view_id in feats.view_ids.tolist():
+        fmap = view_maps(feats, view_id)[2][0][:, :, 0]
         if fmap.max() <= 0:
             continue
         iy, ix = np.unravel_index(np.argmax(fmap), fmap.shape)
