@@ -104,30 +104,6 @@ class AllocationResult:
             "capped_per_view": {str(k): int(v) for k, v in self.capped.items()},
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "AllocationResult":
-        mapping = MappingMatrix(
-            n_3d=int(obj["n_3d"]),
-            n_2d=int(obj["n_2d"]),
-            rows=np.asarray(obj["rows"], dtype=np.intp),
-            camera_of_col=np.asarray(obj["camera_of_col"], dtype=np.intp),
-        )
-        rects = np.asarray(obj["rects"], dtype=np.float64).reshape(-1, 5)
-        if rects.shape[0] != mapping.n_2d:
-            raise ValueError(f"{rects.shape[0]} rects for {mapping.n_2d} columns")
-        if not np.array_equal(rects[:, 4], mapping.camera_of_col):
-            raise ValueError("rect view ids disagree with camera_of_col")
-        if (rects[:, 2:4] < 0.0).any():
-            raise ValueError("rect sizes must be non-negative")
-        return cls(
-            mapping=mapping,
-            ref_points=np.asarray(obj["ref_points"], dtype=np.float64).reshape(-1, 2),
-            truncation=np.asarray(obj["truncation"], dtype=bool),
-            rects=rects[:, 0:4].copy(),
-            dropped=[(int(i), int(v)) for i, v in obj.get("dropped_zero_area", [])],
-            capped={int(k): int(v) for k, v in obj.get("capped_per_view", {}).items()},
-        )
-
 
 def clamp_anchors(
     anchors: Sequence[Anchor3D] | np.ndarray, limits: AllocationLimits | None = None

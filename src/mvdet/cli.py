@@ -45,6 +45,7 @@ from .metrics import (
     Pred2D,
     aar,
     ap_2d,
+    detections_to_json_obj,
     mean_ap,
     parse_detections,
 )
@@ -165,7 +166,7 @@ def cmd_forward(args) -> int:
     else:
         rig = scene.rig
     if args.seed is not None:
-        config = DecoderConfig.from_json_obj({**config.to_json_obj(), "seed": args.seed})
+        config = dataclasses.replace(config, seed=args.seed)
     decoder = HybridDecoder(config, rig)
     out, updated = decoder.forward(
         _decoder_features(scene, rig, config), decoder.initial_queries()
@@ -226,8 +227,7 @@ def _write_csv(lines: list[str], path: str | None) -> None:
 
 def cmd_eval_aar(args) -> int:
     scenes = _load_gt_scenes(args.gt)
-    frames = parse_detections(load_json(args.pred), source=str(args.pred))
-    det_by_frame = {fid: (p3d, p2d) for fid, p3d, p2d in frames}
+    det_by_frame = parse_detections(load_json(args.pred), source=str(args.pred))
     params = MatchParams(tau_dis=args.tau_dis)
     taus = _parse_sweep(args.tau_iou_sweep)
     rows = _aar_curve_rows(scenes, det_by_frame, params, taus)
@@ -271,8 +271,7 @@ def _ap_inputs(scenes, det_by_frame):
 
 def cmd_eval_ap(args) -> int:
     scenes = _load_gt_scenes(args.gt)
-    frames = parse_detections(load_json(args.pred), source=str(args.pred))
-    det_by_frame = {fid: (p3d, p2d) for fid, p3d, p2d in frames}
+    det_by_frame = parse_detections(load_json(args.pred), source=str(args.pred))
     thresholds = [float(t) for t in args.iou_thresholds.split(",")]
     all_preds, all_gt = _ap_inputs(scenes, det_by_frame)
     ap = ap_2d(all_preds, all_gt, thresholds)
@@ -360,31 +359,19 @@ def cmd_denoise_demo(args) -> int:
 
 # ----------------------------------------------------------------------- run
 
-def _run_one_scene(payload: tuple) -> dict:
-    """Worker: full per-scene pipeline; returns the sampled scene and the
-    JSON-ready allocation, head outputs and predictions."""
-    (idx, seed, rig, decoder_obj, noise_obj, n_boxes) = payload
-    config = DecoderConfig.from_json_obj(decoder_obj)
+def _run_one_scene(payload: tuple) -> tuple:
+    """Worker: full per-scene pipeline on the run's one decoder; returns the
+    sampled scene, its allocation, head outputs and (p3d, p2d) detections."""
+    (idx, seed, decoder, queries, noise, n_boxes) = payload
+    config, rig = decoder.config, decoder.rig
     scene = sample_scene(seed, rig, n_boxes=n_boxes, frame_id=idx)
     anchors = clamp_anchors(scene.anchors_array(), config.limits)
     alloc = allocate(anchors, rig, config.limits)
-    decoder = HybridDecoder(config, rig)
-    head_out, _ = decoder.forward(
-        _decoder_features(scene, rig, config), decoder.initial_queries()
-    )
-    noise = OracleNoise.from_json_obj(noise_obj)
-    det = perturb(scene, noise, seed=seed + 1)
-    return {
-        "idx": idx,
-        "scene": scene,
-        "alloc": alloc.to_json_obj(),
-        "forward": head_out.to_json_obj(),
-        "pred": det,
-        "n_2d_emissions": len(head_out.layers_2d),
-    }
+    head_out, _ = decoder.forward(_decoder_features(scene, rig, config), queries)
+    return scene, alloc, head_out, perturb(scene, noise, seed=seed + 1)
 
 
-def _scene_result(payload: tuple, result) -> dict:
+def _scene_result(payload: tuple, result) -> tuple:
     """``result()`` of one scene; a failure names the scene and its seed."""
     try:
         return result()
@@ -394,7 +381,7 @@ def _scene_result(payload: tuple, result) -> dict:
 
 
 def _scene_results(payloads: list[tuple], jobs: int):
-    """Each scene's artifacts in scene order, each as soon as it is ready.
+    """Each scene's results in scene order, each as soon as it is ready.
 
     With ``jobs > 1`` the scenes run in a process pool; when one fails,
     the scenes not yet started are cancelled before the error propagates.
@@ -412,11 +399,17 @@ def _scene_results(payloads: list[tuple], jobs: int):
         pool.shutdown(cancel_futures=True)
 
 
-def _write_scene(out_dir: Path, r: dict, scene_obj: dict) -> None:
-    """The scene, allocation, head-output and prediction files of one scene."""
-    for key, sub, obj in (("scene", "scenes", scene_obj), ("alloc", "alloc", r["alloc"]),
-                          ("forward", "forward", r["forward"]), ("pred", "pred", r["pred"])):
-        dump_json(obj, out_dir / sub / f"{key}_{r['idx']:04d}.json")
+def _write_scene(out_dir: Path, result: tuple) -> dict:
+    """Write the scene, allocation, head-output and prediction files of one
+    scene; returns the scene's JSON object (for gt_scenes.json)."""
+    scene, alloc, head_out, det = result
+    scene_obj = scene.to_json_obj()
+    name = f"{scene.frame_id:04d}.json"
+    dump_json(scene_obj, out_dir / "scenes" / f"scene_{name}")
+    dump_json(alloc.to_json_obj(), out_dir / "alloc" / f"alloc_{name}")
+    dump_json(head_out.to_json_obj(), out_dir / "forward" / f"forward_{name}")
+    dump_json(detections_to_json_obj({scene.frame_id: det}), out_dir / "pred" / f"pred_{name}")
+    return scene_obj
 
 
 # The keys a run config may hold; those of its sections as "section.key".
@@ -434,17 +427,45 @@ def _check_run_keys(cfg: dict, source) -> None:
     _reject_unknown_keys(keys, _RUN_KEYS, source, "run")
 
 
+@contextlib.contextmanager
+def _naming_file(source):
+    """Re-raise a missing key or bad value read from ``source`` as a
+    ValueError that names the file, unless the message names it already."""
+    prefix = f"{source}: "
+    try:
+        with naming_missing_keys(source):
+            yield
+    except (TypeError, ValueError) as exc:
+        if str(exc).startswith(prefix):
+            raise
+        raise ValueError(f"{prefix}{exc}") from exc
+
+
 def cmd_run(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     cfg = load_json(args.config)
-    _check_run_keys(cfg, args.config)
+    with _naming_file(args.config):
+        _check_run_keys(cfg, args.config)
+        preset = cfg.get("preset")
+        if preset is not None and preset not in PRESETS:
+            raise ValueError(f"unknown preset {preset!r}; expected one of {sorted(PRESETS)}")
+        decoder_obj = dict(cfg.get("decoder", {}))
+        if preset:
+            decoder_obj["preset"] = preset
+        config = DecoderConfig.from_json_obj(decoder_obj)
+        n_views = int(cfg.get("views", 6))
+        rules = [CropRule.from_json_obj(r) for r in cfg.get("crop_rules", [])]
+        seeds = cfg.get("seeds", {})
+        base_seed = int(seeds.get("base", 0)) if args.seed is None else args.seed
+        if base_seed < 0:
+            raise ValueError(f"seeds.base must be non-negative, got {base_seed}")
+        n_scenes = int(seeds.get("scenes", 4))
+        n_boxes = int(cfg.get("boxes", 15))
+        noise = OracleNoise.from_json_obj(cfg.get("noise", {}))
+        taus = _parse_sweep(cfg.get("tau_iou_sweep", "0.1:0.9:0.1"))
+        params = MatchParams(tau_dis=float(cfg.get("tau_dis", 2.0)))
     out_dir = Path(args.out if args.out else cfg.get("out_dir", "mvdet-out"))
-    preset = cfg.get("preset")
-    if preset is not None and preset not in PRESETS:
-        raise ValueError(f"unknown preset {preset!r}; expected one of {sorted(PRESETS)}")
-    decoder_obj = dict(cfg.get("decoder", {}))
-    if preset:
-        decoder_obj["preset"] = preset
-    config = DecoderConfig.from_json_obj(decoder_obj)
 
     if cfg.get("rig"):
         rig_path = Path(cfg["rig"])
@@ -452,46 +473,31 @@ def cmd_run(args) -> int:
             raise FileNotFoundError(f"rig file not found: {rig_path}")
         rig = load_extended_rig(rig_path)
     else:
-        rig = make_surround_rig(int(cfg.get("views", 6)))
-    with naming_missing_keys(args.config):
-        rules = [CropRule.from_json_obj(r) for r in cfg.get("crop_rules", [])]
+        rig = make_surround_rig(n_views)
     if rules:
         rig = extend_rig(rig, rules)
-
-    seeds = cfg.get("seeds", {})
-    base_seed = int(seeds.get("base", 0)) if args.seed is None else args.seed
-    if base_seed < 0:
-        source = "seeds.base" if args.seed is None else "--seed"
-        raise ValueError(f"{source} must be non-negative, got {base_seed}")
-    n_scenes = int(seeds.get("scenes", 4))
-    n_boxes = int(cfg.get("boxes", 15))
-    noise_obj = cfg.get("noise", {})
-    taus = _parse_sweep(cfg.get("tau_iou_sweep", "0.1:0.9:0.1"))
-    params = MatchParams(tau_dis=float(cfg.get("tau_dis", 2.0)))
+    decoder = HybridDecoder(config, rig)
+    queries = decoder.initial_queries()
 
     for sub in ("scenes", "alloc", "forward", "pred", "metrics"):
         (out_dir / sub).mkdir(parents=True, exist_ok=True)
     save_rig(rig, out_dir / "rig.json")
 
     payloads = [
-        (i, base_seed + i, rig, decoder_obj, noise_obj, n_boxes) for i in range(n_scenes)
+        (i, base_seed + i, decoder, queries, noise, n_boxes) for i in range(n_scenes)
     ]
     # Only what the metrics and gt_scenes.json need outlives a scene's result.
-    scenes, scene_objs = [], []
-    det_frames = []
-    no_2d = True
+    scenes, scene_objs, det_by_frame = [], [], {}
     with contextlib.closing(_scene_results(payloads, args.jobs)) as results:
         for r in results:
-            scenes.append(r["scene"])
-            scene_objs.append(r["scene"].to_json_obj())
-            _write_scene(out_dir, r, scene_objs[-1])
-            det_frames.extend(parse_detections(r["pred"]))
-            no_2d = no_2d and not r["n_2d_emissions"]
+            scene = r[0]
+            scenes.append(scene)
+            det_by_frame[scene.frame_id] = r[3]
+            scene_objs.append(_write_scene(out_dir, r))
             del r  # let the result go before the next scene is computed
     dump_json({"format": "mvdet-scene-set/1", "scenes": scene_objs},
               out_dir / "gt_scenes.json")
 
-    det_by_frame = {fid: (p3d, p2d) for fid, p3d, p2d in det_frames}
     rows = _aar_curve_rows(scenes, det_by_frame, params, taus)
     _write_csv(_aar_csv_lines(rows), str(out_dir / "metrics" / "aar_curve.csv"))
 
@@ -499,6 +505,7 @@ def cmd_run(args) -> int:
     ap = ap_2d(all_p2d, all_gt, [0.5, 0.75])
     _write_csv(_ap_csv_lines(ap), str(out_dir / "metrics" / "ap.csv"))
 
+    no_2d = config.l_2d == 0
     summary = {
         "scenes": n_scenes,
         "views": len(rig),

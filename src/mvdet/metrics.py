@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -565,8 +565,10 @@ def mean_ap(ap: dict[int, dict[float, float]]) -> float:
 # detections interchange JSON ("mvdet-detections/1")
 
 def detections_to_json_obj(
-    frames: Sequence[tuple[int, Sequence[Pred3D], Sequence[Pred2D]]]
+    frames: Mapping[int, tuple[Sequence[Pred3D], Sequence[Pred2D]]]
 ) -> dict:
+    """The detections object of ``{frame_id: (p3d, p2d)}``; 2D boxes are
+    grouped by view id."""
     def p3(p: Pred3D) -> dict:
         return {
             "box": [float(v) for v in np.asarray(p.box).reshape(9)],
@@ -575,7 +577,7 @@ def detections_to_json_obj(
         }
 
     out_frames = []
-    for frame_id, p3d, p2d in frames:
+    for frame_id, (p3d, p2d) in frames.items():
         by_view: dict[str, list] = {}
         for p in p2d:
             by_view.setdefault(str(p.box.view_id), []).append(
@@ -593,18 +595,17 @@ def detections_to_json_obj(
 
 def parse_detections(
     obj: dict, source: str = "detections"
-) -> list[tuple[int, list[Pred3D], list[Pred2D]]]:
-    """Frames of a detections object; ``source`` names it in errors."""
+) -> dict[int, tuple[list[Pred3D], list[Pred2D]]]:
+    """``{frame_id: (p3d, p2d)}`` of a detections object; ``source`` names
+    it in errors."""
     if obj.get("format") != "mvdet-detections/1":
         raise ValueError(f"not a detections file: format={obj.get('format')!r}")
-    frames = []
-    seen = set()
+    frames = {}
     with naming_missing_keys(source):
         for f in obj["frames"]:
             frame_id = int(f.get("frame_id", 0))
-            if frame_id in seen:
+            if frame_id in frames:
                 raise ValueError(f"{source}: frame_id {frame_id} appears more than once")
-            seen.add(frame_id)
             p3d = [
                 Pred3D(
                     box=np.asarray(b["box"], dtype=np.float64),
@@ -624,5 +625,5 @@ def parse_detections(
                             score=float(b.get("score", 1.0)),
                         )
                     )
-            frames.append((frame_id, p3d, p2d))
+            frames[frame_id] = (p3d, p2d)
     return frames

@@ -20,7 +20,7 @@ from .geometry import (
     rig_from_json_obj,
 )
 from .groupattn import RigFeatures
-from .metrics import FrameTruth, GtBox2D, Pred2D, Pred3D, detections_to_json_obj
+from .metrics import FrameTruth, GtBox2D, Pred2D, Pred3D
 
 # (name, mean size (w, l, h), log-size jitter, max |velocity|)
 CLASS_PRIORS = (
@@ -259,8 +259,10 @@ def sample_scene(
     return Scene(seed=seed, frame_id=frame_id, boxes=boxes, gt2d=gt2d, rig=list(rig))
 
 
-def perturb(scene: Scene, noise: OracleNoise | None = None, seed: int = 0) -> dict:
-    """Drop/perturb ground truth into scored pseudo-detections (JSON dict).
+def perturb(
+    scene: Scene, noise: OracleNoise | None = None, seed: int = 0
+) -> tuple[list[Pred3D], list[Pred2D]]:
+    """Drop/perturb ground truth into scored pseudo-detections (p3d, p2d).
 
     Zero noise reproduces the ground truth exactly with score 1.0.
     """
@@ -291,7 +293,7 @@ def perturb(scene: Scene, noise: OracleNoise | None = None, seed: int = 0) -> di
                 score=score(),
             )
         )
-    return detections_to_json_obj([(scene.frame_id, p3d, p2d)])
+    return p3d, p2d
 
 
 def render_features(

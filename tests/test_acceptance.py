@@ -43,7 +43,6 @@ from mvdet.metrics import (
     loss_total,
 )
 from mvdet.simulator import OracleNoise, perturb, render_features, sample_scene
-from mvdet.metrics import parse_detections
 
 from conftest import project_homogeneous, project_one_view, project_view_points, random_view
 
@@ -323,7 +322,7 @@ def test_criterion_8_aar_cases_and_monotonicity():
     noise = OracleNoise(drop_prob=0.25, jitter_px=5.0, jitter_m=0.5, score_spread=0.3)
     for seed in range(20):
         scene = sample_scene(seed, rig, n_boxes=10)
-        _, p3d, p2d = parse_detections(perturb(scene, noise, seed=seed + 1000))[0]
+        p3d, p2d = perturb(scene, noise, seed=seed + 1000)
         res = aar(p3d, p2d, scene.truth())
         aars = [row[1] for row in res.curve]
         recalls = [row[2] for row in res.curve]

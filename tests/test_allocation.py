@@ -5,7 +5,6 @@ import pytest
 
 from mvdet.allocation import (
     AllocationLimits,
-    AllocationResult,
     MappingMatrix,
     allocate,
     clamp_anchors,
@@ -274,29 +273,6 @@ def test_allocate_equals_per_view_reference(cap):
         n_dropped += len(res.dropped)
         n_capped += len(res.capped)
     assert n_dropped > 0 and n_capped > 0  # both rules are exercised at every cap
-
-
-def test_allocation_json_roundtrip(rig6):
-    a = Anchor3D(center=(15.0, 0.0, 0.75), size=(2, 4, 1.5), yaw=0.0)
-    res = allocate([a], rig6)
-    back = AllocationResult.from_json_obj(res.to_json_obj())
-    assert np.array_equal(back.mapping.rows, res.mapping.rows)
-    assert np.array_equal(back.ref_points, res.ref_points)
-    assert back.rects.shape == (res.mapping.n_2d, 4)
-    assert np.array_equal(back.rects, res.rects)
-    assert back.to_json_obj() == res.to_json_obj()  # view ids included
-
-
-def test_allocation_json_rejects_bad_rects(rig6):
-    a = Anchor3D(center=(15.0, 0.0, 0.75), size=(2, 4, 1.5), yaw=0.0)
-    obj = allocate([a], rig6).to_json_obj()
-    for bad, match in [
-        ({"rects": []}, "columns"),
-        ({"rects": [obj["rects"][0][:4] + [3]]}, "view ids"),
-        ({"rects": [obj["rects"][0][:2] + [-1.0, 5.0, 0]]}, "non-negative"),
-    ]:
-        with pytest.raises(ValueError, match=match):
-            AllocationResult.from_json_obj({**obj, **bad})
 
 
 # ---------------------------------------------------------- gather / scatter

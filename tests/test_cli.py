@@ -11,6 +11,7 @@ import pytest
 
 from mvdet.cli import main
 from mvdet.geometry import make_surround_rig, save_rig
+from mvdet.metrics import detections_to_json_obj
 from mvdet.simulator import perturb
 
 
@@ -115,12 +116,11 @@ def test_forward_rejects_unknown_config_keys(tmp_path, sim_dir, capsys, cfg_obj,
 
 def test_eval_aar_zero_noise_perfect(tmp_path, sim_dir, capsys):
     from mvdet.simulator import load_scene, perturb
-    from mvdet.metrics import detections_to_json_obj, parse_detections
 
-    frames = []
+    frames = {}
     for i in range(2):
         scene = load_scene(sim_dir / f"scene_{i:04d}.json")
-        frames.extend(parse_detections(perturb(scene, seed=i)))
+        frames[scene.frame_id] = perturb(scene, seed=i)
     pred = tmp_path / "pred.json"
     pred.write_text(json.dumps(detections_to_json_obj(frames)))
     out = tmp_path / "aar.csv"
@@ -138,12 +138,11 @@ def test_eval_aar_zero_noise_perfect(tmp_path, sim_dir, capsys):
 
 def test_eval_ap(tmp_path, sim_dir):
     from mvdet.simulator import load_scene, perturb
-    from mvdet.metrics import detections_to_json_obj, parse_detections
 
-    frames = []
+    frames = {}
     for i in range(2):
         scene = load_scene(sim_dir / f"scene_{i:04d}.json")
-        frames.extend(parse_detections(perturb(scene, seed=i)))
+        frames[scene.frame_id] = perturb(scene, seed=i)
     pred = tmp_path / "pred.json"
     pred.write_text(json.dumps(detections_to_json_obj(frames)))
     out = tmp_path / "ap.csv"
@@ -164,7 +163,8 @@ def test_eval_rejects_repeated_detection_frame(tmp_path, sim_dir, capsys, comman
 
     # perfect boxes for frame 0, then an empty entry for frame 0 that
     # would silently replace them
-    obj = perturb(load_scene(sim_dir / "scene_0000.json"), seed=0)
+    scene = load_scene(sim_dir / "scene_0000.json")
+    obj = detections_to_json_obj({scene.frame_id: perturb(scene, seed=0)})
     obj["frames"].append({"frame_id": 0, "boxes3d": [], "boxes2d": {}})
     pred = tmp_path / "pred.json"
     pred.write_text(json.dumps(obj))
@@ -184,7 +184,7 @@ def test_eval_rejects_repeated_gt_frame(tmp_path, sim_dir, capsys, command):
     gt.write_text(json.dumps({"format": "mvdet-scene-set/1",
                               "scenes": [scene.to_json_obj(), scene.to_json_obj()]}))
     pred = tmp_path / "pred.json"
-    pred.write_text(json.dumps(perturb(scene, seed=0)))
+    pred.write_text(json.dumps(detections_to_json_obj({scene.frame_id: perturb(scene, seed=0)})))
     out = tmp_path / "out.csv"
     assert run_cli(command, "--gt", str(gt), "--pred", str(pred),
                    *EVAL_ARGS[command], "--out", str(out)) == 1
@@ -229,7 +229,8 @@ def test_missing_key_names_the_file(tmp_path, sim_dir, rig_file, capsys,
     from mvdet.simulator import load_scene
 
     pred = tmp_path / "pred.json"
-    pred.write_text(json.dumps(perturb(load_scene(sim_dir / "scene_0000.json"), seed=0)))
+    scene = load_scene(sim_dir / "scene_0000.json")
+    pred.write_text(json.dumps(detections_to_json_obj({scene.frame_id: perturb(scene, seed=0)})))
     inputs = {
         "eval-aar": {"--gt": sim_dir / "scenes.json", "--pred": pred},
         "denoise-demo": {"--scene": sim_dir / "scene_0000.json"},
@@ -267,40 +268,56 @@ def test_run_jobs_parallel_matches_serial(tmp_path):
     out2 = tmp_path / "parallel"
     assert run_cli("run", "--config", str(cfg), "--out", str(out1)) == 0
     assert run_cli("run", "--config", str(cfg), "--out", str(out2), "--jobs", "2") == 0
-    assert (out1 / "metrics" / "aar_curve.csv").read_bytes() == \
-        (out2 / "metrics" / "aar_curve.csv").read_bytes()
+    files = sorted(p.relative_to(out1) for p in out1.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(out2) for p in out2.rglob("*") if p.is_file())
+    assert len(files) == 13  # rig, gt_scenes, summary, two metrics, 4 x 2 scene files
+    for rel in files:
+        assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
 
 
 def test_run_builds_no_rig_or_scene_from_json(tmp_path, monkeypatch):
     """Workers get the parent's camera objects and hand back the Scene they
-    sampled; neither is rebuilt from JSON inside ``run``."""
-    from mvdet import geometry
+    sampled; neither is rebuilt from JSON inside ``run``.  The run builds
+    one decoder and one initial query set, and keeps its detections as
+    objects."""
+    from mvdet import geometry, metrics
+    from mvdet.decoder import HybridDecoder
     from mvdet.simulator import Scene, load_scene
 
     calls = collections.Counter()
     rig_from_json_obj = geometry.rig_from_json_obj
     scene_from_json_obj = Scene.from_json_obj
+    parse_detections = metrics.parse_detections
 
-    def counting_rig(views, source):
-        calls["rig_from_json_obj"] += 1
-        return rig_from_json_obj(views, source)
-
-    def counting_scene(cls, obj):
-        calls["Scene.from_json_obj"] += 1
-        return scene_from_json_obj(obj)
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
 
     for name, mod in list(sys.modules.items()):
-        if name.startswith("mvdet") and vars(mod).get("rig_from_json_obj") is rig_from_json_obj:
-            monkeypatch.setattr(mod, "rig_from_json_obj", counting_rig)
-    monkeypatch.setattr(Scene, "from_json_obj", classmethod(counting_scene))
+        if not name.startswith("mvdet"):
+            continue
+        for attr, fn in (("rig_from_json_obj", rig_from_json_obj),
+                         ("parse_detections", parse_detections)):
+            if vars(mod).get(attr) is fn:
+                monkeypatch.setattr(mod, attr, counting(attr, fn))
+    monkeypatch.setattr(Scene, "from_json_obj", classmethod(
+        counting("Scene.from_json_obj", lambda cls, obj: scene_from_json_obj(obj))))
+    for method in ("__init__", "initial_queries"):
+        monkeypatch.setattr(HybridDecoder, method,
+                            counting(f"HybridDecoder.{method}", vars(HybridDecoder)[method]))
     cfg = run_config(tmp_path, seeds={"base": 5, "scenes": 3})
     out = tmp_path / "out"
     assert run_cli("run", "--config", str(cfg), "--out", str(out), "--jobs", "1") == 0
     assert len(list((out / "scenes").iterdir())) == 3
-    assert calls == {}
-    # the counters are live: reading a scene file back rebuilds both
+    assert calls == {"HybridDecoder.__init__": 1, "HybridDecoder.initial_queries": 1}
+    # the counters are live: reading a scene file back rebuilds both, and
+    # reading the predictions parses them
     load_scene(out / "scenes" / "scene_0000.json")
-    assert calls == {"rig_from_json_obj": 1, "Scene.from_json_obj": 1}
+    metrics.parse_detections(geometry.load_json(out / "pred" / "pred_0000.json"))
+    assert calls == {"HybridDecoder.__init__": 1, "HybridDecoder.initial_queries": 1,
+                     "rig_from_json_obj": 1, "Scene.from_json_obj": 1, "parse_detections": 1}
 
 
 @pytest.mark.parametrize(
@@ -384,6 +401,26 @@ def test_run_rejects_negative_seed(tmp_path, capsys):
     assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "x"),
                    "--seed", "-1") == 1
     assert "--seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "scenes").exists()
+
+
+@pytest.mark.parametrize(
+    "over, message",
+    [
+        ({"noise": {"drop_prob": 2.0}}, "drop probabilities must lie in [0, 1]"),
+        ({"noise": {"jitter_px": "abc"}}, "could not convert string to float: 'abc'"),
+        ({"decoder": {"n_queries": 0}}, "n_queries must be positive"),
+        ({"boxes": "many"}, "invalid literal for int() with base 10: 'many'"),
+        ({"seeds": {"scenes": "x"}}, "invalid literal for int() with base 10: 'x'"),
+        ({"tau_dis": -1}, "tau_dis must be positive"),
+    ],
+    ids=["drop_prob", "jitter_px", "n_queries", "boxes", "scenes", "tau_dis"],
+)
+def test_run_bad_config_value_names_the_file(tmp_path, capsys, over, message):
+    cfg = run_config(tmp_path, **over)
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "x")) == 1
+    err = capsys.readouterr().err
+    assert f"mvdet run: error: {cfg}: {message}\n" == err
     assert not (tmp_path / "x" / "scenes").exists()
 
 

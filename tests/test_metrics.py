@@ -374,8 +374,7 @@ def test_aar_valid_implies_candidate_and_monotone(rig6):
     for seed in range(6):
         scene = sample_scene(seed, rig6, n_boxes=8)
         noise = OracleNoise(drop_prob=0.3, jitter_px=4.0, jitter_m=0.4, score_spread=0.2)
-        det = parse_detections(perturb(scene, noise, seed=seed + 100))
-        _, p3d, p2d = det[0]
+        p3d, p2d = perturb(scene, noise, seed=seed + 100)
         res = aar(p3d, p2d, scene.truth(), MatchParams())
         assert res.n_valid <= res.n_candidate
         assert res.aar <= 100.0
@@ -417,7 +416,7 @@ def test_aar_matches_pairwise_reference(rig6):
     for seed in range(40):
         scene = sample_scene(seed, rig6, n_boxes=12)
         truth = scene.truth()
-        _, p3d, p2d = parse_detections(perturb(scene, noise, seed=seed + 100))[0]
+        p3d, p2d = perturb(scene, noise, seed=seed + 100)
         # relabelled copies, so that both class tests decide some pairs
         p3d += [Pred3D(box=p.box, class_id=p.class_id + 1) for p in p3d[::3]]
         p2d += [Pred2D(box=p.box, class_id=p.class_id + 1) for p in p2d[::3]]
@@ -531,11 +530,9 @@ def test_ap_matches_pairwise_reference():
 def test_detections_roundtrip():
     p3 = [Pred3D(box=np.arange(9.0), class_id=2, score=0.75)]
     p2 = [Pred2D(box=Box2D(cx=1.5, cy=2.5, w=3.0, h=4.0, view_id=3), class_id=1, score=0.5)]
-    obj = detections_to_json_obj([(7, p3, p2)])
-    frames = parse_detections(obj)
-    assert len(frames) == 1
-    fid, b3, b2 = frames[0]
-    assert fid == 7
+    frames = parse_detections(detections_to_json_obj({7: (p3, p2)}))
+    assert list(frames) == [7]
+    b3, b2 = frames[7]
     assert np.array_equal(b3[0].box, p3[0].box)
     assert b2[0].box == p2[0].box
     assert b2[0].class_id == 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mvdet.geometry import project_rig
-from mvdet.metrics import MatchParams, aar, parse_detections
+from mvdet.metrics import MatchParams, aar
 from mvdet.simulator import (
     OracleNoise,
     Scene,
@@ -82,8 +82,7 @@ def test_scene_json_roundtrip(rig6):
 
 def test_zero_noise_perturb_reproduces_gt(rig6):
     scene = sample_scene(5, rig6, n_boxes=10)
-    det = parse_detections(perturb(scene, OracleNoise(), seed=1))
-    _, p3d, p2d = det[0]
+    p3d, p2d = perturb(scene, OracleNoise(), seed=1)
     assert len(p3d) == len(scene.boxes)
     for p, (a, cls) in zip(p3d, scene.boxes):
         assert np.array_equal(p.box, a.as_array())
@@ -96,8 +95,7 @@ def test_zero_noise_perturb_reproduces_gt(rig6):
 def test_full_drop_empties_predictions(rig6):
     scene = sample_scene(5, rig6, n_boxes=10)
     noise = OracleNoise(drop_prob=1.0, drop_prob_3d=1.0)
-    det = parse_detections(perturb(scene, noise, seed=1))
-    _, p3d, p2d = det[0]
+    p3d, p2d = perturb(scene, noise, seed=1)
     assert p3d == [] and p2d == []
 
 
@@ -124,8 +122,7 @@ def test_perturb_per_view_drop(rig6):
     views_present = {g.box.view_id for g in scene.gt2d}
     target = sorted(views_present)[0]
     noise = OracleNoise(drop_prob={target: 1.0})
-    det = parse_detections(perturb(scene, noise, seed=3))
-    _, _, p2d = det[0]
+    _, p2d = perturb(scene, noise, seed=3)
     assert all(p.box.view_id != target for p in p2d)
     others = {g.box.view_id for g in scene.gt2d if g.box.view_id != target}
     assert {p.box.view_id for p in p2d} == others
