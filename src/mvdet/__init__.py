@@ -12,7 +12,6 @@ from .geometry import (
     Box2D,
     CameraView,
     corners_of,
-    iou_2d,
     load_rig,
     make_surround_rig,
     project_point,
@@ -43,7 +42,6 @@ from .decoder import (
     HeadOutputs,
     HybridDecoder,
     QuerySet,
-    forward,
     propagate_topk,
 )
 from .denoising import (
@@ -60,7 +58,6 @@ from .metrics import (
     MatchParams,
     aar,
     ap_2d,
-    candidate_match,
     hungarian,
     loss_2d,
     loss_alpha,

@@ -52,23 +52,6 @@ class GateParams:
             b2=rng.uniform(-bound, bound, size=channels),
         )
 
-    @classmethod
-    def constant(cls, channels: int, hidden: int, value: float) -> "GateParams":
-        """Parameters forcing the gate to a constant (0.5 exact at value=0.5;
-        values >= 1 or <= 0 saturate the sigmoid)."""
-        if value >= 1.0:
-            b2 = 50.0
-        elif value <= 0.0:
-            b2 = -800.0
-        else:
-            b2 = math.log(value / (1.0 - value))
-        return cls(
-            w1=np.zeros((channels + 1, hidden)),
-            b1=np.zeros(hidden),
-            w2=np.zeros((hidden, channels)),
-            b2=np.full(channels, b2),
-        )
-
 
 def gate_values(q2d: np.ndarray, truncation: np.ndarray, params: GateParams) -> np.ndarray:
     """Gate in (0, 1) per 2D query row: MLP(concat(row, center indicator)).

@@ -57,14 +57,6 @@ class MappingMatrix:
         if self.n_2d and (self.rows.min() < 0 or self.rows.max() >= self.n_3d):
             raise ValueError("row index out of range")
 
-    def to_dense(self) -> np.ndarray:
-        t = np.zeros((self.n_3d, self.n_2d))
-        t[self.rows, np.arange(self.n_2d)] = 1.0
-        return t
-
-    def cols_of_view(self, view_id: int) -> np.ndarray:
-        return np.flatnonzero(self.camera_of_col == view_id)
-
 
 @dataclass
 class AllocationResult:
@@ -105,29 +97,13 @@ class AllocationResult:
         }
 
 
-def clamp_anchors(
-    anchors: Sequence[Anchor3D] | np.ndarray, limits: AllocationLimits | None = None
-) -> list[Anchor3D] | np.ndarray:
-    """Clamp anchor sizes elementwise to the configured maximum.
-
-    Centers, yaw and velocity are untouched.  Lists of Anchor3D come back
-    as lists; (N, 9) arrays come back as arrays.
-    """
+def clamp_anchors(anchors: np.ndarray, limits: AllocationLimits | None = None) -> np.ndarray:
+    """Clamp the sizes of (N, 9) anchors elementwise to the configured
+    maximum, in a copy; centers, yaw and velocity are untouched."""
     limits = limits or AllocationLimits()
-    clamp = np.asarray(limits.size_clamp, dtype=np.float64)
-    if isinstance(anchors, np.ndarray):
-        out = anchors_to_array(anchors).copy()
-        out[:, 3:6] = np.minimum(out[:, 3:6], clamp)
-        return out
-    return [
-        Anchor3D(
-            center=a.center,
-            size=tuple(float(min(s, c)) for s, c in zip(a.size, clamp)),
-            yaw=a.yaw,
-            velocity=a.velocity,
-        )
-        for a in anchors
-    ]
+    out = anchors_to_array(anchors).copy()
+    out[:, 3:6] = np.minimum(out[:, 3:6], np.asarray(limits.size_clamp, dtype=np.float64))
+    return out
 
 
 def allocate(

@@ -88,6 +88,20 @@ def _load_gt_scenes(path: str | Path) -> list[Scene]:
     return scenes
 
 
+@contextlib.contextmanager
+def _naming_file(source):
+    """Re-raise a missing key or bad value read from ``source`` as a
+    ValueError that names the file, unless the message names it already."""
+    prefix = f"{source}: "
+    try:
+        with naming_missing_keys(source):
+            yield
+    except (TypeError, ValueError) as exc:
+        if str(exc).startswith(prefix):
+            raise
+        raise ValueError(f"{prefix}{exc}") from exc
+
+
 # ------------------------------------------------------------------ simulate
 
 def cmd_simulate(args) -> int:
@@ -110,8 +124,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_allocate(args) -> int:
     rig = load_extended_rig(args.rig)
-    with naming_missing_keys(args.anchors):
+    with _naming_file(args.anchors):
         anchors = anchors_to_array(np.asarray(load_json(args.anchors)["anchors"], dtype=np.float64))
+        rows = np.flatnonzero(~np.isfinite(anchors).all(axis=1))
+        if rows.size:
+            raise ValueError(f"anchor row {rows[0]} is not finite")
+        rows = np.flatnonzero((anchors[:, 3:6] <= 0.0).any(axis=1))
+        if rows.size:
+            raise ValueError(f"anchor row {rows[0]} has a non-positive size")
     limits = AllocationLimits(max_truncated_per_camera=args.max_truncated)
     anchors = clamp_anchors(anchors, limits)
     res = allocate(anchors, rig, limits)
@@ -315,10 +335,9 @@ def cmd_denoise_demo(args) -> int:
     gt_anchors = [a for a, _ in scene.boxes]
     if not gt_anchors:
         raise ValueError("scene has no ground-truth boxes to denoise")
+    gt_array = scene.anchors_array()
     limits = AllocationLimits()
-    match_alloc = allocate(
-        anchors_to_array(clamp_anchors(gt_anchors, limits)), rig, limits
-    )
+    match_alloc = allocate(clamp_anchors(gt_array, limits), rig, limits)
     m = match_alloc.mapping.n_2d
     noise_cfg = NoiseConfig(n_groups=args.groups)
     noisy, negative = make_noisy_anchors(gt_anchors, noise_cfg, seed=args.seed)
@@ -326,7 +345,7 @@ def cmd_denoise_demo(args) -> int:
     cams = GroupMask(match_alloc.mapping.camera_of_col)
     groups = denoise_groups(layout, cams)
 
-    owner_anchors = anchors_to_array(gt_anchors)[match_alloc.mapping.rows]
+    owner_anchors = gt_array[match_alloc.mapping.rows]
     x_match = encode_anchor_features(owner_anchors, channels)
     group_feats = np.stack(
         [encode_anchor_features(anchors_to_array(g), channels) for g in noisy]
@@ -427,20 +446,6 @@ def _check_run_keys(cfg: dict, source) -> None:
     _reject_unknown_keys(keys, _RUN_KEYS, source, "run")
 
 
-@contextlib.contextmanager
-def _naming_file(source):
-    """Re-raise a missing key or bad value read from ``source`` as a
-    ValueError that names the file, unless the message names it already."""
-    prefix = f"{source}: "
-    try:
-        with naming_missing_keys(source):
-            yield
-    except (TypeError, ValueError) as exc:
-        if str(exc).startswith(prefix):
-            raise
-        raise ValueError(f"{prefix}{exc}") from exc
-
-
 def cmd_run(args) -> int:
     if args.seed is not None and args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
@@ -461,22 +466,25 @@ def cmd_run(args) -> int:
         if base_seed < 0:
             raise ValueError(f"seeds.base must be non-negative, got {base_seed}")
         n_scenes = int(seeds.get("scenes", 4))
+        if n_scenes < 1:
+            raise ValueError(f"seeds.scenes must be positive, got {n_scenes}")
         n_boxes = int(cfg.get("boxes", 15))
+        if n_boxes < 0:
+            raise ValueError(f"boxes must be non-negative, got {n_boxes}")
         noise = OracleNoise.from_json_obj(cfg.get("noise", {}))
         taus = _parse_sweep(cfg.get("tau_iou_sweep", "0.1:0.9:0.1"))
         params = MatchParams(tau_dis=float(cfg.get("tau_dis", 2.0)))
+        if cfg.get("rig"):
+            rig_path = Path(cfg["rig"])
+            if not rig_path.exists():
+                raise FileNotFoundError(f"rig file not found: {rig_path}")
+            rig = load_extended_rig(rig_path)
+        else:
+            rig = make_surround_rig(n_views)
+        if rules:
+            rig = extend_rig(rig, rules)
+        decoder = HybridDecoder(config, rig)
     out_dir = Path(args.out if args.out else cfg.get("out_dir", "mvdet-out"))
-
-    if cfg.get("rig"):
-        rig_path = Path(cfg["rig"])
-        if not rig_path.exists():
-            raise FileNotFoundError(f"rig file not found: {rig_path}")
-        rig = load_extended_rig(rig_path)
-    else:
-        rig = make_surround_rig(n_views)
-    if rules:
-        rig = extend_rig(rig, rules)
-    decoder = HybridDecoder(config, rig)
     queries = decoder.initial_queries()
 
     for sub in ("scenes", "alloc", "forward", "pred", "metrics"):

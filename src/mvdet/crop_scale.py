@@ -83,7 +83,7 @@ class PixelMap:
 
 
 def derive_view(
-    original: CameraView, rule: CropRule, new_view_id: Optional[int] = None
+    original: CameraView, rule: CropRule, new_view_id: int
 ) -> tuple[CameraView, PixelMap]:
     """Derive a zoomed long-range view from a source camera.
 
@@ -92,7 +92,8 @@ def derive_view(
     or right image edge with the crop's vertical center on the horizon row
     (the principal point's v).  Derived intrinsics: fx' = s fx, fy' = s fy,
     cx' = s (cx - ox), cy' = s (cy - oy) with s the crop-to-output scale.
-    Raises when the crop does not fit inside the source image.
+    The derived view has id ``new_view_id``.  Raises when the crop does
+    not fit inside the source image.
     """
     w_o, h_o = float(original.width), float(original.height)
     out_w = rule.out_width if rule.out_width is not None else original.width
@@ -126,8 +127,6 @@ def derive_view(
             [0.0, 0.0, 1.0],
         ]
     )
-    if new_view_id is None:
-        new_view_id = 1000 + original.view_id
     view = CameraView(
         view_id=new_view_id,
         intrinsics=k,
@@ -160,7 +159,7 @@ def extend_rig(
     out = list(rig)
     next_id = max(by_id) + 1 if by_id else 0
     for rule in rules:
-        view, _ = derive_view(by_id[rule.source_view_id], rule, new_view_id=next_id)
+        view, _ = derive_view(by_id[rule.source_view_id], rule, next_id)
         out.append(view)
         next_id += 1
     return out

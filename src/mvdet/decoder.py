@@ -46,6 +46,7 @@ PRESETS = {
 }
 
 MIN_BOX_SIZE = 0.01  # meters; floor applied after additive size refinement
+BEV_RANGE = 55.0  # meters; initial anchor centers lie within +-BEV_RANGE in x and y
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,6 @@ class DecoderConfig:
     l_2d: int = 1
     l_3d: int = 1
     l_hybrid: int = 3
-    top_k_temporal: int = 256
     heads: int = 8
     seed: int = 0
     n_classes: int = 5
@@ -72,12 +72,11 @@ class DecoderConfig:
             raise ValueError("layer counts must be non-negative, l_hybrid >= 1")
         if self.l_2d + self.l_3d == 0:
             raise ValueError("at least one sub-layer per hybrid layer")
+        for name in ("heads", "channels", "n_classes", "feature_channels", "n_scales"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.channels % self.heads:
             raise ValueError("channels must be divisible by heads")
-
-    @property
-    def total_sublayers(self) -> int:
-        return (self.l_2d + self.l_3d) * self.l_hybrid
 
     @classmethod
     def from_preset(cls, name: str, **overrides) -> "DecoderConfig":
@@ -86,12 +85,6 @@ class DecoderConfig:
         l_2d, l_3d, l_hybrid = PRESETS[name]
         return cls(l_2d=l_2d, l_3d=l_3d, l_hybrid=l_hybrid, **overrides)
 
-    @classmethod
-    def high_res(cls, **overrides) -> "DecoderConfig":
-        """The 1200-query profile used with the larger input resolution."""
-        overrides.setdefault("n_queries", 1200)
-        return cls(**overrides)
-
     def to_json_obj(self) -> dict:
         return {
             "n_queries": self.n_queries,
@@ -99,7 +92,6 @@ class DecoderConfig:
             "l_2d": self.l_2d,
             "l_3d": self.l_3d,
             "l_hybrid": self.l_hybrid,
-            "top_k_temporal": self.top_k_temporal,
             "heads": self.heads,
             "seed": self.seed,
             "n_classes": self.n_classes,
@@ -122,9 +114,8 @@ class DecoderConfig:
         known = {
             k: obj[k]
             for k in (
-                "n_queries", "channels", "l_2d", "l_3d", "l_hybrid",
-                "top_k_temporal", "heads", "seed", "n_classes",
-                "feature_channels", "n_scales",
+                "n_queries", "channels", "l_2d", "l_3d", "l_hybrid", "heads",
+                "seed", "n_classes", "feature_channels", "n_scales",
             )
             if k in obj
         }
@@ -177,18 +168,6 @@ class Layer2DOutput:
     boxes2d: np.ndarray  # (M, 4) cx, cy, w, h in pixels
     logits: np.ndarray   # (M, K)
     alphas: np.ndarray   # (M, 2) predicted (sin, cos)
-
-    def by_camera(self) -> dict[int, dict[str, np.ndarray]]:
-        out = {}
-        for view_id in np.unique(self.mapping.camera_of_col):
-            cols = self.mapping.cols_of_view(int(view_id))
-            out[int(view_id)] = {
-                "cols": cols,
-                "boxes": self.boxes2d[cols],
-                "logits": self.logits[cols],
-                "alphas": self.alphas[cols],
-            }
-        return out
 
 
 @dataclass
@@ -250,10 +229,6 @@ class MlpParams:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return np.maximum(x @ self.w1 + self.b1, 0.0) @ self.w2 + self.b2
-
-    def zero_(self) -> None:
-        for a in (self.w1, self.b1, self.w2, self.b2):
-            a[...] = 0.0
 
 
 def wrap_yaw(theta: np.ndarray) -> np.ndarray:
@@ -326,27 +301,16 @@ class HybridDecoder:
             self.layers_2d.append(p2)
             self.layers_3d.append(p3)
 
-    def zero_heads(self) -> None:
-        """Zero every head MLP (refinements become no-ops)."""
-        for layer in self.layers_2d:
-            for p in layer:
-                p.head2d.zero_()
-                p.agg_head3d.zero_()
-        for layer in self.layers_3d:
-            for p in layer:
-                p.head3d.zero_()
-
-    def initial_queries(
-        self, bev_range: float = 55.0, rng_seed: Optional[int] = None
-    ) -> QuerySet:
-        """Seeded initial query set: BEV-spread anchors, uniform features."""
+    def initial_queries(self, rng_seed: Optional[int] = None) -> QuerySet:
+        """Seeded initial query set: anchors spread over the BEV square of
+        half-width BEV_RANGE, uniform features."""
         cfg = self.config
         rng = np.random.default_rng(cfg.seed if rng_seed is None else rng_seed)
         bound = 1.0 / math.sqrt(cfg.channels)
         feats = rng.uniform(-bound, bound, size=(cfg.n_queries, cfg.channels))
         anchors = np.zeros((cfg.n_queries, 9))
-        anchors[:, 0] = rng.uniform(-bev_range, bev_range, cfg.n_queries)
-        anchors[:, 1] = rng.uniform(-bev_range, bev_range, cfg.n_queries)
+        anchors[:, 0] = rng.uniform(-BEV_RANGE, BEV_RANGE, cfg.n_queries)
+        anchors[:, 1] = rng.uniform(-BEV_RANGE, BEV_RANGE, cfg.n_queries)
         anchors[:, 2] = rng.uniform(0.2, 1.2, cfg.n_queries)
         anchors[:, 3] = rng.uniform(0.6, 2.2, cfg.n_queries)
         anchors[:, 4] = rng.uniform(0.6, 5.0, cfg.n_queries)
@@ -452,17 +416,6 @@ class HybridDecoder:
             scores = sigmoid(last_logits.max(axis=1))
         updated = QuerySet(features=q3, anchors=anchors, scores=scores)
         return out, updated
-
-
-def forward(
-    config: DecoderConfig,
-    rig: Sequence[CameraView],
-    features: RigFeatures,
-    queries: QuerySet,
-    temporal: Optional[QuerySet] = None,
-) -> tuple[HeadOutputs, QuerySet]:
-    """One-shot decoder forward (constructs the seeded decoder internally)."""
-    return HybridDecoder(config, rig).forward(features, queries, temporal)
 
 
 def propagate_topk(queries: QuerySet, k: int) -> QuerySet:

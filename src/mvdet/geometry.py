@@ -2,7 +2,7 @@
 
 Anchor corner generation, point projection and the strict in-image rule,
 rig-wide anchor projection (validity, clipped rectangles, center flags and
-reference points), plus 2D IoU, the rig JSON format and the package's one
+reference points), plus the rig JSON format and the package's one
 JSON reader and writer (`load_json`, `dump_json`, `naming_missing_keys`).
 Every other operation is a pure function of its inputs.
 """
@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._kernels import box_points, iou_matrix, project_points as _project_points_raw
+from ._kernels import box_points, project_points as _project_points_raw
 
 # Camera-frame depth cutoff in meters.  The image-bounds validity test alone
 # would accept points behind the camera (they can still project inside the
@@ -172,10 +172,6 @@ class Box2D:
             raise ValueError(f"box sizes must be non-negative, got {self.w}x{self.h}")
 
     @property
-    def area(self) -> float:
-        return self.w * self.h
-
-    @property
     def corners(self) -> tuple[float, float, float, float]:
         """(x0, y0, x1, y1)."""
         return (
@@ -287,33 +283,14 @@ def project_rig(
     )
 
 
-def iou_2d(a: Box2D, b: Box2D) -> float:
-    """Intersection-over-union of two boxes in the same view.
-
-    Raises ValueError for boxes from different views (cross-view IoU is
-    undefined).  Returns 0 when the union is empty.
-    """
-    if a.view_id != b.view_id:
-        raise ValueError(
-            f"cross-view IoU undefined (views {a.view_id} and {b.view_id})"
-        )
-    return float(iou_matrix(a.as_array()[None, :], b.as_array()[None, :])[0, 0])
-
-
-def make_surround_rig(
-    n_views: int = 6,
-    width: int = 704,
-    height: int = 256,
-    fx: float = 500.0,
-    fy: float = 500.0,
-    cam_height: float = 1.5,
-    radius: float = 0.5,
-) -> list[CameraView]:
+def make_surround_rig(n_views: int = 6) -> list[CameraView]:
     """Evenly spaced horizontal surround rig (view 0 looks along ego +x).
 
-    Cameras sit on a circle of the given radius at cam_height above the
-    ego origin, yawed in equal steps; principal point at the image center.
+    Cameras of 704x256 pixels and 500 px focal length sit on a 0.5 m
+    circle 1.5 m above the ego origin, yawed in equal steps; principal
+    point at the image center.
     """
+    width, height, fx, fy, cam_height, radius = 704, 256, 500.0, 500.0, 1.5, 0.5
     views = []
     for i in range(n_views):
         yaw = 2.0 * math.pi * i / n_views

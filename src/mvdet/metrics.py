@@ -384,36 +384,6 @@ def loss_total(
     return float(total)
 
 
-def candidate_match(
-    pred3d: Pred3D,
-    gt2d: GtBox2D,
-    truth: FrameTruth,
-    params: MatchParams | None = None,
-) -> bool:
-    """Candidate predicate: center distance, projected IoU and class tests.
-
-    True iff the 3D centers of the prediction and the 2D box's linked 3D
-    ground truth are within tau_dis, the prediction's projected rectangle
-    overlaps the 2D ground truth with IoU >= tau_iou, and the 3D classes
-    agree.
-    """
-    params = params or MatchParams()
-    g3 = truth.boxes3d[gt2d.box3d_index]
-    if int(truth.classes3d[gt2d.box3d_index]) != pred3d.class_id:
-        return False
-    d = float(np.linalg.norm(np.asarray(pred3d.box[:3]) - g3[:3]))
-    if d > params.tau_dis:
-        return False
-    view = next((v for v in truth.rig if v.view_id == gt2d.box.view_id), None)
-    if view is None:
-        raise ValueError(f"truth rig lacks view {gt2d.box.view_id}")
-    proj = project_rig([view], np.asarray(pred3d.box, dtype=np.float64)[None, :])
-    if not proj.valid[0, 0]:
-        return False
-    iou = iou_matrix(proj.rect[0], gt2d.box.as_array()[None, :])[0, 0]
-    return bool(iou >= params.tau_iou)
-
-
 DEFAULT_TAUS = tuple(round(0.1 * i, 1) for i in range(1, 10))
 
 
@@ -427,7 +397,10 @@ def aar(
     """Association accuracy rate and recall, with a tau_iou sweep.
 
     Candidates count every (3D prediction, 2D ground truth) pair passing
-    the candidate predicate; valid matches count (3D prediction, 2D
+    the candidate predicate: the prediction's center lies within tau_dis
+    of the ground truth's linked 3D box, the 3D classes agree, and the
+    prediction's projected rectangle in the ground truth's view overlaps
+    it with IoU >= tau_iou.  Valid matches count (3D prediction, 2D
     prediction) pairs that share a passing ground-truth box and whose 2D
     prediction also overlaps it at tau_iou with the right class.  Recall
     divides candidates by the number of 2D ground-truth boxes.

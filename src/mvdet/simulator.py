@@ -209,7 +209,6 @@ def sample_scene(
     seed: int,
     rig: Sequence[CameraView],
     ranges: SceneRanges | None = None,
-    class_priors=CLASS_PRIORS,
     n_boxes: int = 20,
     frame_id: int = 0,
     max_attempts_per_box: int = 200,
@@ -236,8 +235,8 @@ def sample_scene(
                 "scene too dense for the sampling ranges"
             )
         attempts += 1
-        cls = int(rng.integers(len(class_priors)))
-        _, mean_size, jitter, vmax = class_priors[cls]
+        cls = int(rng.integers(len(CLASS_PRIORS)))
+        _, mean_size, jitter, vmax = CLASS_PRIORS[cls]
         size = np.asarray(mean_size) * np.exp(jitter * rng.uniform(-1.0, 1.0, 3))
         x = rng.uniform(*ranges.x)
         y = rng.uniform(*ranges.y)

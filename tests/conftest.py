@@ -4,9 +4,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mvdet._kernels import project_points
+from mvdet._kernels import iou_matrix, project_points
 from mvdet.geometry import EPS_DEPTH, CameraView, make_surround_rig, project_rig
 from mvdet.groupattn import RigFeatures, softmax_rows
+from mvdet.metrics import MatchParams
 
 
 @pytest.fixture
@@ -186,3 +187,40 @@ def cross_attention_3d_per_view(rig, anchors, features, params):
     seen = cnt > 0
     acc[seen] = acc[seen] / cnt[seen, None]
     return acc @ params.w_proj
+
+
+# ------------------------------------------------------------------------------
+# Per-pair and dense forms of the mapping and the association metric, kept as
+# references for the sparse and whole-frame code.
+
+def to_dense(mapping) -> np.ndarray:
+    """The (n_3d, n_2d) 0/1 matrix T of a MappingMatrix: T[row, col] = 1
+    where ``row`` owns column ``col``."""
+    t = np.zeros((mapping.n_3d, mapping.n_2d))
+    t[mapping.rows, np.arange(mapping.n_2d)] = 1.0
+    return t
+
+
+def candidate_match(pred3d, gt2d, truth, params=None) -> bool:
+    """Candidate predicate of one (3D prediction, 2D ground truth) pair.
+
+    True iff the 3D centers of the prediction and the 2D box's linked 3D
+    ground truth are within tau_dis, the prediction's projected rectangle
+    overlaps the 2D ground truth with IoU >= tau_iou, and the 3D classes
+    agree.
+    """
+    params = params or MatchParams()
+    g3 = truth.boxes3d[gt2d.box3d_index]
+    if int(truth.classes3d[gt2d.box3d_index]) != pred3d.class_id:
+        return False
+    d = float(np.linalg.norm(np.asarray(pred3d.box[:3]) - g3[:3]))
+    if d > params.tau_dis:
+        return False
+    view = next((v for v in truth.rig if v.view_id == gt2d.box.view_id), None)
+    if view is None:
+        raise ValueError(f"truth rig lacks view {gt2d.box.view_id}")
+    proj = project_rig([view], np.asarray(pred3d.box, dtype=np.float64)[None, :])
+    if not proj.valid[0, 0]:
+        return False
+    iou = iou_matrix(proj.rect[0], gt2d.box.as_array()[None, :])[0, 0]
+    return bool(iou >= params.tau_iou)

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from mvdet.aggregation import GateParams, aggregate, gate_truncation, gate_values
 from mvdet.allocation import MappingMatrix, scatter_mean
 from mvdet.groupattn import AttentionParams, GroupMask, attention
+
+from conftest import to_dense
 
 
 def mapping_of(rows, n_3d, cams=None):
@@ -12,18 +16,31 @@ def mapping_of(rows, n_3d, cams=None):
     return MappingMatrix(n_3d=n_3d, n_2d=len(rows), rows=rows, camera_of_col=cams)
 
 
+def constant_gate(channels: int, hidden: int, value: float) -> GateParams:
+    """Parameters forcing the gate to a constant (0.5 exact at value=0.5;
+    values >= 1 or <= 0 saturate the sigmoid)."""
+    if value >= 1.0:
+        b2 = 50.0
+    elif value <= 0.0:
+        b2 = -800.0
+    else:
+        b2 = math.log(value / (1.0 - value))
+    return GateParams(w1=np.zeros((channels + 1, hidden)), b1=np.zeros(hidden),
+                      w2=np.zeros((hidden, channels)), b2=np.full(channels, b2))
+
+
 def test_saturated_gate_is_identity():
     rng = np.random.default_rng(0)
     q = rng.standard_normal((6, 8))
     trunc = np.array([True, False, True, True, False, True])
-    params = GateParams.constant(8, 8, 1.0)
+    params = constant_gate(8, 8, 1.0)
     assert np.array_equal(gate_truncation(q, trunc, params), q)
 
 
 def test_half_gate_halves():
     rng = np.random.default_rng(1)
     q = rng.standard_normal((4, 8))
-    params = GateParams.constant(8, 8, 0.5)
+    params = constant_gate(8, 8, 0.5)
     assert np.array_equal(gate_truncation(q, np.ones(4, bool), params), q / 2.0)
 
 
@@ -85,7 +102,7 @@ def test_fusion_matches_dense_reference():
     m = mapping_of(rows, n_3d=n)
     q3 = rng.standard_normal((n, c))
     q2 = rng.standard_normal((m_cols, c))
-    t = m.to_dense()
+    t = to_dense(m)
     colsum = t.sum(axis=1)
     dense = np.zeros((n, c))
     owned = colsum > 0

@@ -20,6 +20,7 @@ from conftest import (
     random_rig_with_crop,
     random_view,
     same_bits,
+    to_dense,
 )
 
 
@@ -27,27 +28,27 @@ from conftest import (
 
 def test_clamp_oversized():
     a = Anchor3D(center=(0, 0, 0), size=(40, 40, 12), yaw=0.0)
-    out = clamp_anchors([a])[0]
+    out = Anchor3D.from_array(clamp_anchors(a.as_array()[None, :])[0])
     assert out.size == (35.0, 35.0, 10.0)
     assert out.center == a.center and out.yaw == a.yaw
 
 
 def test_clamp_under_limit_unchanged():
     a = Anchor3D(center=(1, 2, 3), size=(2, 4, 1.5), yaw=0.4, velocity=(1, -1))
-    out = clamp_anchors([a])[0]
+    out = Anchor3D.from_array(clamp_anchors(a.as_array()[None, :])[0])
     assert out == a
 
 
 def test_clamp_batch_order_and_length():
-    anchors = [
-        Anchor3D(center=(i, 0, 0), size=(40 + i, 2, 12), yaw=0.0) for i in range(5)
-    ]
+    anchors = np.stack([
+        Anchor3D(center=(i, 0, 0), size=(40 + i, 2, 12), yaw=0.0).as_array() for i in range(5)
+    ])
     out = clamp_anchors(anchors)
-    assert len(out) == 5
-    assert [a.center[0] for a in out] == [0, 1, 2, 3, 4]
-    assert all(a.size[0] == 35.0 for a in out)
-    arr_out = clamp_anchors(np.stack([a.as_array() for a in anchors]))
-    assert np.array_equal(arr_out, np.stack([a.as_array() for a in out]))
+    assert out.shape == (5, 9)
+    assert out[:, 0].tolist() == [0, 1, 2, 3, 4]
+    assert np.all(out[:, 3] == 35.0)
+    assert np.array_equal(out[:, [0, 1, 2, 4, 6, 7, 8]], anchors[:, [0, 1, 2, 4, 6, 7, 8]])
+    assert np.array_equal(out[:, 5], np.full(5, 10.0))
 
 
 # ------------------------------------------------------------------ allocate
@@ -302,7 +303,7 @@ def test_gather_matches_dense():
     rows = rng.integers(0, n, size=23)
     m = mapping_of([(int(r), j) for j, r in enumerate(rows)], n_3d=n)
     q = rng.standard_normal((n, c))
-    dense = m.to_dense().T @ q
+    dense = to_dense(m).T @ q
     assert np.array_equal(gather_2d(m, q), dense)
 
 
@@ -333,7 +334,7 @@ def test_scatter_mean_matches_dense():
         rows = rng.integers(0, n, size=m_cols)
         m = mapping_of([(int(r), j) for j, r in enumerate(rows)], n_3d=n)
         q = rng.standard_normal((m_cols, 5))
-        t = m.to_dense()
+        t = to_dense(m)
         colsum = t.sum(axis=1)
         dense = np.zeros((n, 5))
         owned = colsum > 0

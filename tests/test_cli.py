@@ -79,6 +79,29 @@ def test_allocate_roundtrip(tmp_path, rig_file):
     assert obj["n_2d"] == 1
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"anchors": [[15.0, 0.0, 0.75, -2.0, 4.0, 1.5, 0.0, 0.0, 0.0]]}',
+         "anchor row 0 has a non-positive size"),
+        ('{"anchors": [[15.0, 0.0, 0.75, 2.0, 4.0, 1.5, 0.0, 0.0, 0.0], '
+         '[NaN, 0.0, 0.75, 2.0, 4.0, 1.5, 0.0, 0.0, 0.0]]}',
+         "anchor row 1 is not finite"),
+        ('{"anchors": [[15.0, 0.0, 0.75, 2.0, 4.0, 1.5]]}',
+         "anchor array must be (N, 9), got (1, 6)"),
+    ],
+    ids=["negative_width", "nan_center", "six_floats"],
+)
+def test_allocate_rejects_bad_anchors(tmp_path, rig_file, capsys, text, message):
+    apath = tmp_path / "anchors.json"
+    apath.write_text(text)
+    out = tmp_path / "alloc.json"
+    assert run_cli("allocate", "--rig", str(rig_file), "--anchors", str(apath),
+                   "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"mvdet allocate: error: {apath}: {message}\n"
+    assert not out.exists()
+
+
 def test_forward_on_scene(tmp_path, sim_dir):
     cfg = tmp_path / "decoder.json"
     cfg.write_text(json.dumps(
@@ -101,6 +124,8 @@ def test_forward_on_scene(tmp_path, sim_dir):
         ({"decoder": {"n_querys": 16, "preset": "F"}}, "'n_querys'"),
         ({"decoder": {"preset": "F"}, "n_queries": 16}, "'n_queries'"),
         ({"decoder": {"preset": "F"}, "rigg": "rig.json"}, "'rigg'"),
+        ({"preset": "F", "top_k_temporal": 256}, "'top_k_temporal'"),
+        ({"decoder": {"preset": "F", "top_k_temporal": 256}}, "'top_k_temporal'"),
     ],
 )
 def test_forward_rejects_unknown_config_keys(tmp_path, sim_dir, capsys, cfg_obj, key):
@@ -413,8 +438,21 @@ def test_run_rejects_negative_seed(tmp_path, capsys):
         ({"boxes": "many"}, "invalid literal for int() with base 10: 'many'"),
         ({"seeds": {"scenes": "x"}}, "invalid literal for int() with base 10: 'x'"),
         ({"tau_dis": -1}, "tau_dis must be positive"),
+        ({"views": 0}, "empty rig"),
+        ({"crop_rules": [{"source_view_id": 99}]}, "rule references unknown view 99"),
+        ({"boxes": -3}, "boxes must be non-negative, got -3"),
+        ({"seeds": {"scenes": -2}}, "seeds.scenes must be positive, got -2"),
+        ({"seeds": {"scenes": 0}}, "seeds.scenes must be positive, got 0"),
+        ({"decoder": {"heads": 0}}, "heads must be positive, got 0"),
+        ({"decoder": {"channels": 0}}, "channels must be positive, got 0"),
+        ({"decoder": {"n_classes": 0}}, "n_classes must be positive, got 0"),
+        ({"decoder": {"n_scales": 0}}, "n_scales must be positive, got 0"),
+        ({"decoder": {"n_scales": -1}}, "n_scales must be positive, got -1"),
+        ({"decoder": {"feature_channels": 0}}, "feature_channels must be positive, got 0"),
     ],
-    ids=["drop_prob", "jitter_px", "n_queries", "boxes", "scenes", "tau_dis"],
+    ids=["drop_prob", "jitter_px", "n_queries", "boxes", "scenes", "tau_dis", "views_0",
+         "crop_source", "boxes_negative", "scenes_negative", "scenes_0", "heads_0",
+         "channels_0", "n_classes_0", "n_scales_0", "n_scales_negative", "feature_channels_0"],
 )
 def test_run_bad_config_value_names_the_file(tmp_path, capsys, over, message):
     cfg = run_config(tmp_path, **over)
@@ -504,6 +542,7 @@ def test_run_rejects_repeated_view_ids(tmp_path, rig_file, capsys):
         ({"seeds": {"base": 5, "scene": 3}}, "'seeds.scene'"),
         ({"noise": {"jitter": 1.0}}, "'noise.jitter'"),
         ({"decoder": {"n_querys": 24}}, "'decoder.n_querys'"),
+        ({"decoder": {"top_k_temporal": 256}}, "'decoder.top_k_temporal'"),
     ],
 )
 def test_run_rejects_unknown_config_keys(tmp_path, capsys, over, key):

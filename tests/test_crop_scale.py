@@ -29,7 +29,7 @@ def test_pure_translation_crop():
     # output size equals the crop size, so the scale factor is exactly 1
     view = wide_view(fx=1000.0, cx=800.0, cy=450.0)
     rule = CropRule(source_view_id=0, scale_rate=2.0, out_width=800, out_height=450)
-    derived, pmap = derive_view(view, rule)
+    derived, pmap = derive_view(view, rule, 1)
     assert pmap.scale == 1.0
     assert derived.fx == 1000.0
     assert derived.cx == 400.0  # cx - ox = 800 - 400
@@ -40,7 +40,7 @@ def test_focal_center_fixed_point():
     view = wide_view()
     for placement in PLACEMENTS:
         rule = CropRule(source_view_id=0, placement=placement, scale_rate=2.0)
-        derived, _ = derive_view(view, rule)
+        derived, _ = derive_view(view, rule, 1)
         # a point on the source principal ray projects to (cx, cy) in the
         # source and must land on the derived view's principal point
         p = (0.0, 0.0, 12.0)  # identity extrinsic: camera frame == ego frame
@@ -65,7 +65,7 @@ def test_two_path_projection_consistency():
     view = wide_view()
     for placement in PLACEMENTS:
         rule = CropRule(source_view_id=0, placement=placement, scale_rate=2.0)
-        derived, pmap = derive_view(view, rule)
+        derived, pmap = derive_view(view, rule, 1)
         pts = sample_visible_points(derived, rng, 2000)
         uv_direct, front_d = project_view_points(derived, pts)
         uv_src, front_s = project_view_points(view, pts)
@@ -80,7 +80,7 @@ def test_distant_anchor_area_gain():
     view = wide_view()
     for rate in (1.5, 2.0, 2.5):
         rule = CropRule(source_view_id=0, scale_rate=rate)
-        derived, _ = derive_view(view, rule)
+        derived, _ = derive_view(view, rule, 1)
         a = Anchor3D(center=(0.4, 0.2, 650.0), size=(0.4, 0.4, 0.4), yaw=0.3)
         pa_src = project_one_view(view, a.as_array()[None])
         pa_der = project_one_view(derived, a.as_array()[None])
@@ -92,10 +92,10 @@ def test_distant_anchor_area_gain():
 
 def test_horizon_alignment_edges():
     view = wide_view()
-    left, _ = derive_view(view, CropRule(0, placement="left-aligned-horizon"))
-    right, pmap_r = derive_view(view, CropRule(0, placement="right-aligned-horizon"))
+    left, _ = derive_view(view, CropRule(0, placement="left-aligned-horizon"), 1)
+    right, pmap_r = derive_view(view, CropRule(0, placement="right-aligned-horizon"), 1)
     # left-aligned: source (0, cy) maps to the derived left edge
-    lm = derive_view(view, CropRule(0, placement="left-aligned-horizon"))[1]
+    lm = derive_view(view, CropRule(0, placement="left-aligned-horizon"), 1)[1]
     assert np.allclose(lm.apply(np.array([[0.0, view.cy]])), [[0.0, lm.scale * (view.cy - lm.oy)]])
     assert lm.ox == 0.0
     # right-aligned: source right edge maps to the derived right edge
@@ -106,7 +106,7 @@ def test_horizon_alignment_edges():
 def test_crop_must_fit():
     view = wide_view(cx=100.0)  # principal point near the left edge
     with pytest.raises(ValueError):
-        derive_view(view, CropRule(0, placement="centered-on-focal", scale_rate=2.0))
+        derive_view(view, CropRule(0, placement="centered-on-focal", scale_rate=2.0), 1)
 
 
 def test_rule_validation():

@@ -1,14 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mvdet import aggregation, decoder
+from mvdet.allocation import AllocationLimits, allocate, clamp_anchors
 from mvdet.crop_scale import CropRule, extend_rig
 from mvdet.decoder import (
     PRESETS,
     DecoderConfig,
     HybridDecoder,
     QuerySet,
-    forward,
     propagate_topk,
     wrap_yaw,
 )
@@ -47,7 +49,7 @@ def test_preset_table():
     }
     for name in PRESETS:
         cfg = DecoderConfig.from_preset(name)
-        assert cfg.total_sublayers == 6
+        assert (cfg.l_2d + cfg.l_3d) * cfg.l_hybrid == 6
 
 
 def test_config_validation():
@@ -57,7 +59,37 @@ def test_config_validation():
         small_config(l_2d=0, l_3d=0)
     with pytest.raises(ValueError):
         DecoderConfig.from_preset("Z")
-    assert DecoderConfig.high_res().n_queries == 1200
+
+
+def test_every_decoder_config_field_changes_forward(setup):
+    """Guard against dead options: changing any one DecoderConfig field
+    changes a small preset-F forward."""
+    rig, _ = setup
+    scene = sample_scene(2, rig, n_boxes=8)
+    base = small_config(n_queries=64, l_2d=1, l_3d=1, l_hybrid=3)
+
+    def run(cfg):
+        dec = HybridDecoder(cfg, rig)
+        scales = tuple(8 * 2**s for s in range(cfg.n_scales))
+        feats = render_features(scene, rig, scales=scales, channels=cfg.feature_channels)
+        out, updated = dec.forward(feats, dec.initial_queries())
+        return out.to_json_obj(), updated.features.tolist(), updated.anchors.tolist()
+
+    # a cap of one truncated column per camera and a 1 m size clamp both bind
+    # on the initial anchors
+    cap, clamp = AllocationLimits(max_truncated_per_camera=1), AllocationLimits(size_clamp=(1, 1, 1))
+    anchors = HybridDecoder(base, rig).initial_queries().anchors
+    assert allocate(clamp_anchors(anchors, cap), rig, cap).capped
+    assert not np.array_equal(clamp_anchors(anchors, clamp), clamp_anchors(anchors, base.limits))
+
+    changed = {"n_queries": [65], "channels": [32], "l_2d": [2], "l_3d": [2], "l_hybrid": [2],
+               "heads": [2], "seed": [1], "n_classes": [3], "feature_channels": [4],
+               "n_scales": [1], "limits": [cap, clamp]}
+    want = run(base)
+    for field in dataclasses.fields(DecoderConfig):
+        values = changed[field.name] if field.name in changed else [getattr(base, field.name) + 1]
+        for value in values:
+            assert run(dataclasses.replace(base, **{field.name: value})) != want, field.name
 
 
 def test_config_json_roundtrip():
@@ -97,16 +129,21 @@ def test_preset_f_taps_and_camera_groups(setup):
     out, _ = dec.forward(feats, dec.initial_queries())
     assert len(out.agg_taps) == 3
     for layer in out.layers_2d:
-        by_cam = layer.by_camera()
-        assert by_cam  # per-camera 2D outputs exist
-        for view_id, entry in by_cam.items():
-            assert entry["boxes"].shape[0] == len(entry["cols"])
+        cams = np.unique(layer.mapping.camera_of_col)
+        assert cams.size  # per-camera 2D outputs exist
+        for view_id in cams:
+            cols = np.flatnonzero(layer.mapping.camera_of_col == view_id)
+            assert layer.boxes2d[cols].shape[0] == len(cols)
 
 
 def test_zero_heads_leave_anchors_unchanged(rig6):
     cfg = small_config()
     dec = HybridDecoder(cfg, rig6)
-    dec.zero_heads()
+    heads = [mlp for layer in dec.layers_2d for p in layer for mlp in (p.head2d, p.agg_head3d)]
+    heads += [p.head3d for layer in dec.layers_3d for p in layer]
+    for mlp in heads:  # every refinement becomes a no-op
+        for a in (mlp.w1, mlp.b1, mlp.w2, mlp.b2):
+            a[...] = 0.0
     queries = dec.initial_queries()
     zero_feats = rig_features({
         v.view_id: (v.width, v.height,

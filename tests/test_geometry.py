@@ -17,7 +17,6 @@ from mvdet.geometry import (
     corners_of,
     dump_json,
     in_image,
-    iou_2d,
     load_json,
     load_rig,
     make_surround_rig,
@@ -346,26 +345,23 @@ def test_ref_point_matches_center_or_rect_center():
     assert min(seen.values()) > 0, seen
 
 
-# -------------------------------------------------------------------- iou_2d
+# ---------------------------------------------------------------- iou_matrix
+
+def iou_of(a: Box2D, b: Box2D) -> float:
+    return float(iou_matrix(a.as_array()[None, :], b.as_array()[None, :])[0, 0])
+
 
 def test_iou_identical_and_disjoint():
     a = Box2D(cx=10, cy=10, w=4, h=4, view_id=0)
-    assert iou_2d(a, a) == 1.0
+    assert iou_of(a, a) == 1.0
     b = Box2D(cx=100, cy=100, w=4, h=4, view_id=0)
-    assert iou_2d(a, b) == 0.0
+    assert iou_of(a, b) == 0.0
 
 
 def test_iou_hand_case():
     a = Box2D(cx=0, cy=0, w=2, h=2, view_id=0)
     b = Box2D(cx=1, cy=0, w=2, h=2, view_id=0)
-    assert abs(iou_2d(a, b) - 1.0 / 3.0) <= 1e-12
-
-
-def test_iou_cross_view_error():
-    a = Box2D(cx=0, cy=0, w=2, h=2, view_id=0)
-    b = Box2D(cx=0, cy=0, w=2, h=2, view_id=1)
-    with pytest.raises(ValueError):
-        iou_2d(a, b)
+    assert abs(iou_of(a, b) - 1.0 / 3.0) <= 1e-12
 
 
 @settings(max_examples=200, deadline=None)
@@ -378,8 +374,8 @@ def test_iou_cross_view_error():
 def test_iou_symmetric_bounded(ca, sa, cb, sb):
     a = Box2D(cx=ca[0], cy=ca[1], w=sa[0], h=sa[1], view_id=0)
     b = Box2D(cx=cb[0], cy=cb[1], w=sb[0], h=sb[1], view_id=0)
-    iab = iou_2d(a, b)
-    iba = iou_2d(b, a)
+    iab = iou_of(a, b)
+    iba = iou_of(b, a)
     assert iab == iba
     assert 0.0 <= iab <= 1.0
     # a box covers itself exactly, unless its corner span has no area

@@ -15,7 +15,6 @@ from mvdet.metrics import (
     Pred3D,
     aar,
     ap_2d,
-    candidate_match,
     class_nll,
     detections_to_json_obj,
     focal_loss,
@@ -32,7 +31,7 @@ from mvdet.metrics import (
     parse_detections,
 )
 
-from conftest import project_one_view
+from conftest import candidate_match, project_one_view
 
 
 # ----------------------------------------------------------------- hungarian
