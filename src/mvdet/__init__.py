@@ -8,10 +8,8 @@ on synthetic multi-camera scenes.
 """
 
 from .geometry import (
-    Anchor3D,
-    Box2D,
+    Boxes2D,
     CameraView,
-    corners_of,
     load_rig,
     make_surround_rig,
     project_point,
@@ -54,6 +52,7 @@ from .denoising import (
 )
 from .metrics import (
     AARResult,
+    Detections,
     LossWeights,
     MatchParams,
     aar,

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Anchor3D, CameraView, anchors_to_array, project_rig
+from .geometry import CameraView, anchors_to_array, project_rig
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def clamp_anchors(anchors: np.ndarray, limits: AllocationLimits | None = None) -
 
 
 def allocate(
-    anchors: Sequence[Anchor3D] | np.ndarray,
+    anchors: np.ndarray,
     rig: Sequence[CameraView],
     limits: AllocationLimits | None = None,
 ) -> AllocationResult:

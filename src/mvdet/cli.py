@@ -35,14 +35,13 @@ from .denoising import (
     restore_3d,
 )
 from .geometry import (
-    Box2D, anchors_to_array, dump_json, load_json, load_rig, make_surround_rig,
-    naming_missing_keys, save_rig,
+    Boxes2D, anchors_to_array, dump_json, load_json, load_rig, make_surround_rig, naming_file,
+    save_rig,
 )
 from .groupattn import AttentionParams, GroupMask, attention
 from .metrics import (
-    GtBox2D,
+    Detections,
     MatchParams,
-    Pred2D,
     aar,
     ap_2d,
     detections_to_json_obj,
@@ -74,12 +73,14 @@ def _parse_sweep(spec: str) -> list[float]:
 
 def _load_gt_scenes(path: str | Path) -> list[Scene]:
     obj = load_json(path)
-    with naming_missing_keys(path):
+    with naming_file(path):
         if obj.get("format") == "mvdet-scene/1":
             return [Scene.from_json_obj(obj)]
         if obj.get("format") != "mvdet-scene-set/1":
             raise ValueError(f"unrecognized ground-truth format: {obj.get('format')!r}")
         scenes = [Scene.from_json_obj(s) for s in obj["scenes"]]
+        if not scenes:
+            raise ValueError("holds no scenes")
     seen = set()
     for scene in scenes:
         if scene.frame_id in seen:
@@ -88,23 +89,13 @@ def _load_gt_scenes(path: str | Path) -> list[Scene]:
     return scenes
 
 
-@contextlib.contextmanager
-def _naming_file(source):
-    """Re-raise a missing key or bad value read from ``source`` as a
-    ValueError that names the file, unless the message names it already."""
-    prefix = f"{source}: "
-    try:
-        with naming_missing_keys(source):
-            yield
-    except (TypeError, ValueError) as exc:
-        if str(exc).startswith(prefix):
-            raise
-        raise ValueError(f"{prefix}{exc}") from exc
-
-
 # ------------------------------------------------------------------ simulate
 
 def cmd_simulate(args) -> int:
+    if args.scenes < 1:
+        raise ValueError(f"--scenes must be positive, got {args.scenes}")
+    if args.boxes < 0:
+        raise ValueError(f"--boxes must be non-negative, got {args.boxes}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rig = load_extended_rig(args.rig) if args.rig else make_surround_rig(args.views)
@@ -124,7 +115,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_allocate(args) -> int:
     rig = load_extended_rig(args.rig)
-    with _naming_file(args.anchors):
+    with naming_file(args.anchors):
         anchors = anchors_to_array(np.asarray(load_json(args.anchors)["anchors"], dtype=np.float64))
         rows = np.flatnonzero(~np.isfinite(anchors).all(axis=1))
         if rows.size:
@@ -179,7 +170,8 @@ def _decoder_features(scene: Scene, rig, config: DecoderConfig):
 
 def cmd_forward(args) -> int:
     cfg_obj = load_json(args.config)
-    config = _decoder_from_config(cfg_obj, args.config)
+    with naming_file(args.config):
+        config = _decoder_from_config(cfg_obj, args.config)
     scene = load_scene(args.scene)
     if cfg_obj.get("rig"):
         rig = load_extended_rig(cfg_obj["rig"])
@@ -207,8 +199,8 @@ def _aar_curve_rows(scenes, det_by_frame, params, taus):
     per_tau = {t: [0, 0] for t in taus}
     total_gt2d = 0
     for scene in scenes:
-        p3d, p2d = det_by_frame.get(scene.frame_id, ([], []))
-        res = aar(p3d, p2d, scene.truth(), params, taus=taus)
+        det = det_by_frame.get(scene.frame_id) or Detections.empty()
+        res = aar(det, scene, params, taus=taus)
         total_gt2d += len(scene.gt2d)
         for tau, _, _, c, v in res.curve:
             per_tau[tau][0] += c
@@ -258,43 +250,35 @@ def cmd_eval_aar(args) -> int:
 
 
 def _ap_inputs(scenes, det_by_frame):
-    """Pool 2D predictions/GT across frames, one view id per (frame, view).
+    """Pool 2D predictions, their scores and the 2D GT across frames, one
+    view id per (frame, view).
 
     Greedy AP matching pairs boxes within a view id, so every (frame, view)
     pair gets its own id, numbered densely in sorted pair order; matches
     stay inside their own frame.
     """
-    frames = []
-    for scene in scenes:
-        _, p2d = det_by_frame.get(scene.frame_id, ([], []))
-        frames.append((scene.frame_id, p2d, scene.gt2d))
-    keys = sorted({(f, b.box.view_id) for f, p2d, gt2d in frames for b in (*p2d, *gt2d)})
-    dense = {key: i for i, key in enumerate(keys)}
+    dets = [det_by_frame.get(scene.frame_id) or Detections.empty() for scene in scenes]
+    tables = [det.boxes2d for det in dets] + [scene.gt2d for scene in scenes]
+    frame_ids = [scene.frame_id for scene in scenes] * 2
+    keys = np.stack([np.repeat(frame_ids, [len(t) for t in tables]).astype(np.intp),
+                     np.concatenate([t.view_id for t in tables])], axis=1)
+    dense = np.unique(keys, axis=0, return_inverse=True)[1].reshape(-1)
+    n_pred = sum(len(det.boxes2d) for det in dets)
 
-    def pooled_box(box: Box2D, frame_id: int) -> Box2D:
-        return Box2D(cx=box.cx, cy=box.cy, w=box.w, h=box.h,
-                     view_id=dense[(frame_id, box.view_id)])
+    def pooled(parts, ids):
+        return Boxes2D(np.concatenate([t.rect for t in parts]), ids,
+                       np.concatenate([t.class_id for t in parts]))
 
-    all_preds, all_gt = [], []
-    for frame_id, p2d, gt2d in frames:
-        all_preds.extend(
-            Pred2D(box=pooled_box(p.box, frame_id), class_id=p.class_id, score=p.score)
-            for p in p2d
-        )
-        all_gt.extend(
-            GtBox2D(box=pooled_box(g.box, frame_id), class_id=g.class_id,
-                    box3d_index=g.box3d_index)
-            for g in gt2d
-        )
-    return all_preds, all_gt
+    return (pooled(tables[:len(dets)], dense[:n_pred]),
+            np.concatenate([det.scores2d for det in dets]),
+            pooled(tables[len(dets):], dense[n_pred:]))
 
 
 def cmd_eval_ap(args) -> int:
     scenes = _load_gt_scenes(args.gt)
     det_by_frame = parse_detections(load_json(args.pred), source=str(args.pred))
     thresholds = [float(t) for t in args.iou_thresholds.split(",")]
-    all_preds, all_gt = _ap_inputs(scenes, det_by_frame)
-    ap = ap_2d(all_preds, all_gt, thresholds)
+    ap = ap_2d(*_ap_inputs(scenes, det_by_frame), thresholds)
     _write_csv(_ap_csv_lines(ap), args.out)
     if args.out:
         print(f"AP table -> {args.out}")
@@ -332,24 +316,21 @@ def cmd_denoise_demo(args) -> int:
     scene = load_scene(args.scene)
     rig = scene.rig
     channels = args.channels
-    gt_anchors = [a for a, _ in scene.boxes]
-    if not gt_anchors:
+    gt_array = scene.anchors
+    if not len(gt_array):
         raise ValueError("scene has no ground-truth boxes to denoise")
-    gt_array = scene.anchors_array()
     limits = AllocationLimits()
     match_alloc = allocate(clamp_anchors(gt_array, limits), rig, limits)
     m = match_alloc.mapping.n_2d
     noise_cfg = NoiseConfig(n_groups=args.groups)
-    noisy, negative = make_noisy_anchors(gt_anchors, noise_cfg, seed=args.seed)
-    layout = allocate_noise(scene.gt2d_assoc(), noisy, match_len=m)
+    noisy, negative = make_noisy_anchors(gt_array, noise_cfg, seed=args.seed)
+    layout = allocate_noise(scene.gt2d, scene.gt2d_link, noisy, match_len=m)
     cams = GroupMask(match_alloc.mapping.camera_of_col)
     groups = denoise_groups(layout, cams)
 
     owner_anchors = gt_array[match_alloc.mapping.rows]
     x_match = encode_anchor_features(owner_anchors, channels)
-    group_feats = np.stack(
-        [encode_anchor_features(anchors_to_array(g), channels) for g in noisy]
-    )[:, layout.kept_gt, :]
+    group_feats = encode_anchor_features(noisy, channels)[:, layout.kept_gt, :]
     x_noise = gather_noise(layout, group_feats)
     params = AttentionParams.seeded(channels, args.heads, np.random.default_rng(args.seed))
     out_full = attention(np.vstack([x_match, x_noise]), params, groups=groups)
@@ -363,7 +344,7 @@ def cmd_denoise_demo(args) -> int:
         "groups": args.groups,
         "negative_groups": [bool(n) for n in negative],
         "kept_gt": layout.kept_gt,
-        "skipped_gt": [i for i in range(len(gt_anchors)) if i not in layout.kept_gt],
+        "skipped_gt": [i for i in range(len(gt_array)) if i not in layout.kept_gt],
         "restored_shape": list(restored.shape),
         "leakage_free": leakage_free,
     }
@@ -380,11 +361,11 @@ def cmd_denoise_demo(args) -> int:
 
 def _run_one_scene(payload: tuple) -> tuple:
     """Worker: full per-scene pipeline on the run's one decoder; returns the
-    sampled scene, its allocation, head outputs and (p3d, p2d) detections."""
+    sampled scene, its allocation, head outputs and detections."""
     (idx, seed, decoder, queries, noise, n_boxes) = payload
     config, rig = decoder.config, decoder.rig
     scene = sample_scene(seed, rig, n_boxes=n_boxes, frame_id=idx)
-    anchors = clamp_anchors(scene.anchors_array(), config.limits)
+    anchors = clamp_anchors(scene.anchors, config.limits)
     alloc = allocate(anchors, rig, config.limits)
     head_out, _ = decoder.forward(_decoder_features(scene, rig, config), queries)
     return scene, alloc, head_out, perturb(scene, noise, seed=seed + 1)
@@ -450,7 +431,7 @@ def cmd_run(args) -> int:
     if args.seed is not None and args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
     cfg = load_json(args.config)
-    with _naming_file(args.config):
+    with naming_file(args.config):
         _check_run_keys(cfg, args.config)
         preset = cfg.get("preset")
         if preset is not None and preset not in PRESETS:
@@ -509,8 +490,7 @@ def cmd_run(args) -> int:
     rows = _aar_curve_rows(scenes, det_by_frame, params, taus)
     _write_csv(_aar_csv_lines(rows), str(out_dir / "metrics" / "aar_curve.csv"))
 
-    all_p2d, all_gt = _ap_inputs(scenes, det_by_frame)
-    ap = ap_2d(all_p2d, all_gt, [0.5, 0.75])
+    ap = ap_2d(*_ap_inputs(scenes, det_by_frame), [0.5, 0.75])
     _write_csv(_ap_csv_lines(ap), str(out_dir / "metrics" / "ap.csv"))
 
     no_2d = config.l_2d == 0

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import CameraView, load_json, load_rig, naming_missing_keys
+from .geometry import CameraView, load_json, load_rig, naming_file
 
 PLACEMENTS = ("centered-on-focal", "left-aligned-horizon", "right-aligned-horizon")
 
@@ -167,7 +167,7 @@ def extend_rig(
 
 def load_crop_rules(path: str | Path) -> list[CropRule]:
     """Read the derived_views rules of a rig JSON file (may be absent)."""
-    with naming_missing_keys(path):
+    with naming_file(path):
         return [CropRule.from_json_obj(r) for r in load_json(path).get("derived_views", [])]
 
 

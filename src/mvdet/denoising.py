@@ -12,12 +12,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .allocation import mean_of_copies
-from .geometry import Anchor3D, Box2D
+from .geometry import Boxes2D
 from .groupattn import GroupMask
 
 log = logging.getLogger(__name__)
@@ -56,7 +55,8 @@ class DenoiseLayout:
     contiguous span after it, internally ordered by (camera, ground-truth
     index).  Per noise column the layout records its group, the index of
     the ground-truth box (into ``kept_gt``) and its camera view, plus the
-    associated ground-truth 2D box whose center serves as reference point.
+    rectangle of the associated ground-truth 2D box, whose center serves as
+    reference point.
     """
 
     match_len: int
@@ -64,7 +64,7 @@ class DenoiseLayout:
     col_group: np.ndarray   # (L,) denoise group per noise column
     col_gt: np.ndarray      # (L,) kept-GT index per noise column
     col_view: np.ndarray    # (L,) camera view per noise column
-    col_boxes: list[Box2D]
+    col_rects: np.ndarray   # (L, 4) cx, cy, w, h per noise column
     kept_gt: list[int]
 
     @property
@@ -98,98 +98,70 @@ class DenoiseLayout:
 
     def ref_points(self) -> np.ndarray:
         """(L, 2) reference points: centers of the associated GT 2D boxes."""
-        if not self.col_boxes:
-            return np.zeros((0, 2))
-        return np.array([[b.cx, b.cy] for b in self.col_boxes])
+        return self.col_rects[:, 0:2].copy()
 
 
 def make_noisy_anchors(
-    gt: Sequence[Anchor3D], cfg: NoiseConfig, seed: int
-) -> tuple[list[list[Anchor3D]], list[bool]]:
-    """One perturbed copy of every ground-truth box per denoise group.
+    gt: np.ndarray, cfg: NoiseConfig, seed: int
+) -> tuple[np.ndarray, list[bool]]:
+    """(n_groups, G, 9) perturbed copies of the (G, 9) ground-truth boxes,
+    one copy of each box per denoise group, and which groups are negative.
 
     Negative groups (the trailing ``negative_ratio`` fraction) use doubled
     noise scales.  Velocities are copied unperturbed.  Deterministic under
-    the seed; with all scales zero the copies equal the ground truth
+    the seed: per group and box, three center draws, three size draws and
+    one yaw draw.  With all scales zero the copies equal the ground truth
     exactly.
     """
+    gt = np.asarray(gt, dtype=np.float64).reshape(-1, 9)
     rng = np.random.default_rng(seed)
     n_neg = int(round(cfg.n_groups * cfg.negative_ratio))
     negative = [g >= cfg.n_groups - n_neg for g in range(cfg.n_groups)]
-    groups: list[list[Anchor3D]] = []
-    for g in range(cfg.n_groups):
-        factor = 2.0 if negative[g] else 1.0
-        members = []
-        for box in gt:
-            size = np.asarray(box.size)
-            shift = factor * cfg.center_noise_scale * size * rng.uniform(-1.0, 1.0, 3)
-            scale = np.exp(factor * cfg.size_noise_scale * rng.uniform(-1.0, 1.0, 3))
-            dyaw = factor * cfg.yaw_noise * rng.uniform(-1.0, 1.0)
-            members.append(
-                Anchor3D(
-                    center=tuple(float(c + d) for c, d in zip(box.center, shift)),
-                    size=tuple(float(s * f) for s, f in zip(size, scale)),
-                    yaw=float(box.yaw + dyaw),
-                    velocity=box.velocity,
-                )
-            )
-        groups.append(members)
-    return groups, negative
+    factor = np.where(negative, 2.0, 1.0)[:, None, None]
+    u = rng.uniform(-1.0, 1.0, (cfg.n_groups, gt.shape[0], 7))
+    size = gt[:, 3:6]
+    noisy = np.broadcast_to(gt, u.shape[:2] + (9,)).copy()
+    noisy[..., 0:3] += factor * cfg.center_noise_scale * size * u[..., 0:3]
+    noisy[..., 3:6] = size * np.exp(factor * cfg.size_noise_scale * u[..., 3:6])
+    noisy[..., 6] += factor[..., 0] * cfg.yaw_noise * u[..., 6]
+    return noisy, negative
 
 
 def allocate_noise(
-    gt_2d_assoc: Sequence[Sequence[tuple[int, Box2D]]],
-    noisy: Sequence[Sequence[Anchor3D]],
+    gt2d: Boxes2D,
+    gt2d_link: np.ndarray,
+    noisy: np.ndarray,
     match_len: int = 0,
 ) -> DenoiseLayout:
     """Lay out grouped 2D noisy queries from ground-truth associations.
 
+    Row j of ``gt2d`` associates ground-truth box ``gt2d_link[j]`` with a
+    view; ``noisy`` holds (n_groups, G, 9) noisy copies of the G boxes.
     Each noisy 3D anchor spawns one 2D noisy query per view its ground
     truth is associated with -- the mapping intentionally ignores where the
     noisy anchor itself would project.  Ground truth without any view
     association is skipped with a warning.  Columns within a group are
-    ordered by (camera, ground-truth index) so camera sub-groups are
-    contiguous.
+    ordered by (camera, ground-truth index, row of ``gt2d``) so camera
+    sub-groups are contiguous.
     """
-    n_groups = len(noisy)
-    kept_gt = [t for t, assoc in enumerate(gt_2d_assoc) if len(assoc) > 0]
-    skipped = [t for t in range(len(gt_2d_assoc)) if t not in kept_gt]
+    n_groups, n_gt = np.shape(noisy)[:2]
+    link = np.asarray(gt2d_link, dtype=np.intp)
+    if link.size and not (0 <= link.min() and link.max() < n_gt):
+        raise ValueError(f"gt2d links {link.min()}..{link.max()} fall outside {n_gt} GT boxes")
+    kept_gt = np.unique(link).tolist()
+    skipped = sorted(set(range(n_gt)) - set(kept_gt))
     if skipped:
         log.warning("denoising skips GT without view association: %s", skipped)
-    for g, members in enumerate(noisy):
-        if len(members) != len(gt_2d_assoc):
-            raise ValueError(
-                f"group {g} has {len(members)} anchors for {len(gt_2d_assoc)} GT boxes"
-            )
 
-    col_group: list[int] = []
-    col_gt: list[int] = []
-    col_view: list[int] = []
-    col_boxes: list[Box2D] = []
-    group_spans: list[tuple[int, int]] = []
-    pos = match_len
-    for g in range(n_groups):
-        start = pos
-        per_cam: dict[int, list[tuple[int, Box2D]]] = {}
-        for ti, t in enumerate(kept_gt):
-            for view_id, box in gt_2d_assoc[t]:
-                per_cam.setdefault(view_id, []).append((ti, box))
-        for view_id in sorted(per_cam):
-            for ti, box in per_cam[view_id]:
-                col_group.append(g)
-                col_gt.append(ti)
-                col_view.append(view_id)
-                col_boxes.append(box)
-                pos += 1
-        group_spans.append((start, pos - start))
-
+    order = np.lexsort((link, gt2d.view_id))  # stable: ties keep gt2d row order
+    per_group = len(order)
     return DenoiseLayout(
         match_len=match_len,
-        group_spans=group_spans,
-        col_group=np.asarray(col_group, dtype=np.intp),
-        col_gt=np.asarray(col_gt, dtype=np.intp),
-        col_view=np.asarray(col_view, dtype=np.intp),
-        col_boxes=col_boxes,
+        group_spans=[(match_len + g * per_group, per_group) for g in range(n_groups)],
+        col_group=np.repeat(np.arange(n_groups, dtype=np.intp), per_group),
+        col_gt=np.tile(np.searchsorted(kept_gt, link[order]), n_groups).astype(np.intp),
+        col_view=np.tile(gt2d.view_id[order], n_groups),
+        col_rects=np.tile(gt2d.rect[order], (n_groups, 1)),
         kept_gt=kept_gt,
     )
 

@@ -1,9 +1,9 @@
 """Pinhole multi-camera geometry.
 
-Anchor corner generation, point projection and the strict in-image rule,
-rig-wide anchor projection (validity, clipped rectangles, center flags and
-reference points), plus the rig JSON format and the package's one
-JSON reader and writer (`load_json`, `dump_json`, `naming_missing_keys`).
+Point projection and the strict in-image rule, rig-wide anchor projection
+(validity, clipped rectangles, center flags and reference points), the
+`Boxes2D` table of image boxes, plus the rig JSON format and the package's
+one JSON reader and writer (`load_json`, `dump_json`, `naming_file`).
 Every other operation is a pure function of its inputs.
 """
 
@@ -115,74 +115,68 @@ class CameraView:
         )
 
 
-@dataclass(frozen=True)
-class Anchor3D:
-    """3D box hypothesis: center, size (w, l, h), yaw and BEV velocity."""
-
-    center: tuple[float, float, float]
-    size: tuple[float, float, float]
-    yaw: float
-    velocity: tuple[float, float] = (0.0, 0.0)
-
-    def __post_init__(self):
-        if not all(s > 0.0 for s in self.size):
-            raise ValueError(f"anchor sizes must be positive, got {self.size}")
-
-    def as_array(self) -> np.ndarray:
-        x, y, z = self.center
-        w, l, h = self.size
-        vx, vy = self.velocity
-        return np.array([x, y, z, w, l, h, self.yaw, vx, vy], dtype=np.float64)
-
-    @classmethod
-    def from_array(cls, a: Sequence[float]) -> "Anchor3D":
-        a = np.asarray(a, dtype=np.float64).reshape(9)
-        return cls(
-            center=(float(a[0]), float(a[1]), float(a[2])),
-            size=(float(a[3]), float(a[4]), float(a[5])),
-            yaw=float(a[6]),
-            velocity=(float(a[7]), float(a[8])),
-        )
+def anchors_to_array(anchors: np.ndarray) -> np.ndarray:
+    """The (N, 9) float64 array of ``anchors``, C-contiguous."""
+    arr = np.ascontiguousarray(anchors, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] != 9:
+        raise ValueError(f"anchor array must be (N, 9), got {arr.shape}")
+    return arr
 
 
-def anchors_to_array(anchors: Sequence[Anchor3D] | np.ndarray) -> np.ndarray:
-    """(N, 9) float64 array from a list of anchors (arrays pass through)."""
-    if isinstance(anchors, np.ndarray):
-        arr = np.ascontiguousarray(anchors, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != 9:
-            raise ValueError(f"anchor array must be (N, 9), got {arr.shape}")
-        return arr
-    if len(anchors) == 0:
-        return np.zeros((0, 9), dtype=np.float64)
-    return np.stack([a.as_array() for a in anchors])
+def finite_rows(values, width: int, what: str) -> np.ndarray:
+    """(N, ``width``) float64 array of ``values``, an array or a sequence
+    of rows (an empty one gives N = 0); raises ValueError naming ``what``
+    on another shape or on a row that is not finite."""
+    if not isinstance(values, np.ndarray):
+        for i, row in enumerate(values):
+            if len(row) != width:
+                raise ValueError(f"{what} {i} holds {len(row)} values, expected {width}")
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.shape == (0,):
+        arr = arr.reshape(0, width)
+    if arr.ndim != 2 or arr.shape[1] != width:
+        raise ValueError(f"each {what} must hold {width} values, got shape {arr.shape}")
+    bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{what} {bad[0]} is not finite: {arr[bad[0]].tolist()}")
+    return arr
 
 
-@dataclass(frozen=True)
-class Box2D:
-    """Axis-aligned image box: center (cx, cy) and size, in pixels."""
+def column(values, dtype, n: int, what: str) -> np.ndarray:
+    """``values`` as a 1-D array of ``dtype``; raises ValueError naming
+    ``what`` unless it holds ``n`` entries, one per box."""
+    arr = np.asarray(values, dtype=dtype).reshape(-1)
+    if arr.shape[0] != n:
+        raise ValueError(f"{arr.shape[0]} {what} entries for {n} boxes")
+    return arr
 
-    cx: float
-    cy: float
-    w: float
-    h: float
-    view_id: int
+
+@dataclass(frozen=True, eq=False)
+class Boxes2D:
+    """Axis-aligned image boxes as one table: row i is a box in view
+    ``view_id[i]`` of class ``class_id[i]``, with center (cx, cy) and size
+    (w, h) in pixels as ``rect[i]``.
+
+    The constructor takes array-likes and checks them: ``rect`` must be
+    (M, 4), finite, with non-negative sizes, and the id arrays (M,).
+    """
+
+    rect: np.ndarray      # (M, 4) float64
+    view_id: np.ndarray   # (M,) intp
+    class_id: np.ndarray  # (M,) intp
 
     def __post_init__(self):
-        if self.w < 0.0 or self.h < 0.0:
-            raise ValueError(f"box sizes must be non-negative, got {self.w}x{self.h}")
+        rect = finite_rows(self.rect, 4, "2D box")
+        neg = np.flatnonzero((rect[:, 2:4] < 0.0).any(axis=1))
+        if neg.size:
+            w, h = rect[neg[0], 2:4].tolist()
+            raise ValueError(f"2D box sizes must be non-negative, got {w}x{h}")
+        object.__setattr__(self, "rect", rect)
+        for name in ("view_id", "class_id"):
+            object.__setattr__(self, name, column(getattr(self, name), np.intp, len(rect), name))
 
-    @property
-    def corners(self) -> tuple[float, float, float, float]:
-        """(x0, y0, x1, y1)."""
-        return (
-            self.cx - 0.5 * self.w,
-            self.cy - 0.5 * self.h,
-            self.cx + 0.5 * self.w,
-            self.cy + 0.5 * self.h,
-        )
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.cx, self.cy, self.w, self.h], dtype=np.float64)
+    def __len__(self) -> int:
+        return self.rect.shape[0]
 
 
 @dataclass
@@ -206,17 +200,6 @@ class RigProjection:
     rect: np.ndarray         # (V, N, 4) cx, cy, w, h
     rect_area: np.ndarray    # (V, N)
     ref_point: np.ndarray    # (V, N, 2)
-
-
-def corners_of(anchor: Anchor3D) -> np.ndarray:
-    """Center plus the eight corners of an anchor as a (9, 3) array.
-
-    Row 0 is the center; rows 1-8 are the yaw-rotated cuboid corners,
-    bottom face counter-clockwise starting at local (+x, +y), then the top
-    face in the same order.  Local x spans the length l, local y the width
-    w, z the height h.
-    """
-    return box_points(anchor.as_array()[None, :])[0]
 
 
 def project_point(view: CameraView, p: Sequence[float]) -> Optional[tuple[float, float]]:
@@ -244,9 +227,7 @@ def project_views(views: Sequence[CameraView], points: np.ndarray):
     return uv, front, in_image(uv, front, [[(v.width, v.height)] for v in views])
 
 
-def project_rig(
-    views: Sequence[CameraView], anchors: np.ndarray | Sequence[Anchor3D]
-) -> RigProjection:
+def project_rig(views: Sequence[CameraView], anchors: np.ndarray) -> RigProjection:
     """Project N anchors into every view as one (view, anchor) table.
 
     The 9 object points are built once and projected into all views in one
@@ -325,13 +306,18 @@ def load_json(path: str | Path) -> dict:
 
 
 @contextlib.contextmanager
-def naming_missing_keys(source):
-    """Re-raise a KeyError from reading a JSON object as a ValueError that
-    names ``source`` (a file) and the missing key."""
+def naming_file(source):
+    """Re-raise a missing key or a bad value read from ``source`` (a file)
+    as a ValueError that names it, unless the message names it already."""
+    prefix = f"{source}: "
     try:
         yield
     except KeyError as exc:
-        raise ValueError(f"{source}: missing key {exc.args[0]!r}") from exc
+        raise ValueError(f"{prefix}missing key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        if str(exc).startswith(prefix):
+            raise
+        raise ValueError(f"{prefix}{exc}") from exc
 
 
 def dump_json(obj, path: str | Path | None, *, indent: bool = False) -> None:
@@ -373,5 +359,5 @@ def rig_from_json_obj(views: Sequence[dict], source: str) -> list[CameraView]:
 
 def load_rig(path: str | Path) -> list[CameraView]:
     """Read the base views of a rig JSON file (ignores derived_views)."""
-    with naming_missing_keys(path):
+    with naming_file(path):
         return rig_from_json_obj(load_json(path)["views"], str(path))

@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 import numpy as np
 
 from ._kernels import iou_matrix
-from .geometry import Box2D, CameraView, naming_missing_keys, project_rig
+from .geometry import Boxes2D, column, finite_rows, naming_file, project_rig
+
+if TYPE_CHECKING:
+    from .simulator import Scene
 
 FOCAL_ALPHA = 0.25
 FOCAL_GAMMA = 2.0
@@ -60,37 +63,33 @@ class LossWeights:
                 raise ValueError(f"{name} must be non-negative")
 
 
-@dataclass(frozen=True)
-class Pred3D:
-    box: np.ndarray  # (9,) anchor vector
-    class_id: int
-    score: float = 1.0
+@dataclass(frozen=True, eq=False)
+class Detections:
+    """Scored detections of one frame: (N, 9) 3D boxes with their class ids
+    and scores, and a `Boxes2D` table with its scores.
 
+    The constructor takes array-likes and checks them: the 3D boxes must
+    be (N, 9) and finite, and every other array must hold one entry per
+    box.
+    """
 
-@dataclass(frozen=True)
-class Pred2D:
-    box: Box2D
-    class_id: int
-    score: float = 1.0
+    boxes3d: np.ndarray    # (N, 9)
+    classes3d: np.ndarray  # (N,)
+    scores3d: np.ndarray   # (N,)
+    boxes2d: Boxes2D
+    scores2d: np.ndarray   # (M,)
 
+    def __post_init__(self):
+        boxes3d = finite_rows(self.boxes3d, 9, "3D box")
+        object.__setattr__(self, "boxes3d", boxes3d)
+        for name, dtype, n in (("classes3d", np.intp, len(boxes3d)),
+                               ("scores3d", np.float64, len(boxes3d)),
+                               ("scores2d", np.float64, len(self.boxes2d))):
+            object.__setattr__(self, name, column(getattr(self, name), dtype, n, name))
 
-@dataclass(frozen=True)
-class GtBox2D:
-    """Projection-derived 2D ground truth with its 3D back-link."""
-
-    box: Box2D
-    class_id: int
-    box3d_index: int
-
-
-@dataclass
-class FrameTruth:
-    """Ground truth of one frame in the form the metrics consume."""
-
-    boxes3d: np.ndarray    # (G, 9)
-    classes3d: np.ndarray  # (G,)
-    gt2d: list[GtBox2D]
-    rig: list[CameraView]
+    @classmethod
+    def empty(cls) -> "Detections":
+        return cls(np.zeros((0, 9)), [], [], Boxes2D(np.zeros((0, 4)), [], []), [])
 
 
 @dataclass
@@ -388,9 +387,8 @@ DEFAULT_TAUS = tuple(round(0.1 * i, 1) for i in range(1, 10))
 
 
 def aar(
-    preds3d: Sequence[Pred3D],
-    preds2d: Sequence[Pred2D],
-    truth: FrameTruth,
+    det: Detections,
+    scene: "Scene",
     params: MatchParams | None = None,
     taus: Sequence[float] = DEFAULT_TAUS,
 ) -> AARResult:
@@ -406,41 +404,33 @@ def aar(
     divides candidates by the number of 2D ground-truth boxes.
     """
     params = params or MatchParams()
-    n2d = len(truth.gt2d)
-    p_boxes = np.array([np.asarray(p.box, dtype=np.float64) for p in preds3d]).reshape(-1, 9)
-    p_cls = np.array([p.class_id for p in preds3d], dtype=np.intp)
-    g_boxes = np.array([g.box.as_array() for g in truth.gt2d]).reshape(-1, 4)
-    g_view, g_cls, links = np.array(
-        [(g.box.view_id, g.class_id, g.box3d_index) for g in truth.gt2d], dtype=np.intp
-    ).reshape(-1, 3).T
-
-    proj = project_rig(truth.rig, p_boxes)
+    gt, links = scene.gt2d, scene.gt2d_link
+    n2d = len(gt)
+    proj = project_rig(scene.rig, det.boxes3d)
     row_of = {view_id: k for k, view_id in enumerate(proj.view_ids.tolist())}
-    for view_id in g_view.tolist():
+    for view_id in gt.view_id.tolist():
         if view_id not in row_of:
             raise ValueError(f"gt2d entry references view {view_id} missing from the rig")
-    g_row = np.array([row_of[v] for v in g_view.tolist()], dtype=np.intp)
+    g_row = np.array([row_of[v] for v in gt.view_id.tolist()], dtype=np.intp)
 
     # (P, G): IoU of each 3D prediction's rectangle in the 2D ground truth's
     # own view (NaN rects of invalid pairs give 0), and the gate of center
     # distance to the linked 3D box, 3D class and validity in that view
     n_views, n_pred = proj.valid.shape
-    iou3 = iou_matrix(proj.rect.reshape(-1, 4), g_boxes).reshape(n_views, n_pred, n2d)
+    iou3 = iou_matrix(proj.rect.reshape(-1, 4), gt.rect).reshape(n_views, n_pred, n2d)
     iou3 = iou3[g_row, :, np.arange(n2d)].T
-    g3 = np.asarray(truth.boxes3d, dtype=np.float64).reshape(-1, 9)[links]
+    g3 = scene.anchors[links]
     gate = (
-        (np.linalg.norm(p_boxes[:, None, :3] - g3[None, :, :3], axis=2) <= params.tau_dis)
-        & (p_cls[:, None] == np.asarray(truth.classes3d, dtype=np.intp)[links])
+        (np.linalg.norm(det.boxes3d[:, None, :3] - g3[None, :, :3], axis=2) <= params.tau_dis)
+        & (det.classes3d[:, None] == scene.classes[links])
         & proj.valid[g_row].T
     )
 
     # (K, G): IoU of each 2D prediction with each 2D ground truth, and
     # whether the two share the view and the class
-    p2_view, p2_cls = np.array(
-        [(p.box.view_id, p.class_id) for p in preds2d], dtype=np.intp
-    ).reshape(-1, 2).T
-    same2d = (p2_view[:, None] == g_view) & (p2_cls[:, None] == g_cls)
-    iou2 = iou_matrix(np.array([p.box.as_array() for p in preds2d]).reshape(-1, 4), g_boxes)
+    p2 = det.boxes2d
+    same2d = (p2.view_id[:, None] == gt.view_id) & (p2.class_id[:, None] == gt.class_id)
+    iou2 = iou_matrix(p2.rect, gt.rect)
 
     def row_at(tau: float) -> tuple[float, float, int, int]:
         """(aar, recall, n_candidate, n_valid) at one threshold."""
@@ -459,8 +449,9 @@ def aar(
 
 
 def ap_2d(
-    preds2d: Sequence[Pred2D],
-    gt2d: Sequence[GtBox2D],
+    preds: Boxes2D,
+    scores: np.ndarray,
+    gt: Boxes2D,
     iou_thresholds: Sequence[float] = (0.5,),
 ) -> dict[int, dict[float, float]]:
     """11-point interpolated AP per class and IoU threshold.
@@ -469,42 +460,28 @@ def ap_2d(
     order) and matched greedily to the best unused same-view ground truth.
     Classes appearing in either predictions or ground truth are reported.
     """
-    classes = sorted(
-        {p.class_id for p in preds2d} | {g.class_id for g in gt2d}
-    )
+    scores = np.asarray(scores, dtype=np.float64)
     out: dict[int, dict[float, float]] = {}
     recall_pts = np.linspace(0.0, 1.0, 11)
-    for cls in classes:
-        cls_preds = [
-            (k, p) for k, p in enumerate(preds2d) if p.class_id == cls
-        ]
-        cls_preds.sort(key=lambda kp: (-kp[1].score, kp[1].box.view_id, kp[0]))
-        cls_gt = [g for g in gt2d if g.class_id == cls]
+    for cls in np.union1d(preds.class_id, gt.class_id).tolist():
+        ranked = np.flatnonzero(preds.class_id == cls)
+        ranked = ranked[np.lexsort((ranked, preds.view_id[ranked], -scores[ranked]))]
+        cls_gt = np.flatnonzero(gt.class_id == cls)
+        p_view, g_view = preds.view_id[ranked], gt.view_id[cls_gt]
         n_gt = len(cls_gt)
         # one iou_matrix call per view; per rank, its (GT index, IoU) pairs
-        ranks_by_view: dict[int, list[int]] = {}
-        for r, (_, p) in enumerate(cls_preds):
-            ranks_by_view.setdefault(p.box.view_id, []).append(r)
-        gt_by_view: dict[int, list[int]] = {}
-        for j, g in enumerate(cls_gt):
-            gt_by_view.setdefault(g.box.view_id, []).append(j)
-        candidates = [[] for _ in cls_preds]
-        for view_id, ranks in ranks_by_view.items():
-            js = gt_by_view.get(view_id)
-            if not js:
-                continue
-            ious = iou_matrix(
-                np.array([cls_preds[r][1].box.as_array() for r in ranks]),
-                np.array([cls_gt[j].box.as_array() for j in js]),
-            )
-            for r, row in zip(ranks, ious):
-                candidates[r] = list(zip(js, row))
+        candidates = [[] for _ in ranked]
+        for view_id in np.intersect1d(p_view, g_view).tolist():
+            ranks, js = np.flatnonzero(p_view == view_id), np.flatnonzero(g_view == view_id)
+            ious = iou_matrix(preds.rect[ranked[ranks]], gt.rect[cls_gt[js]])
+            for r, row in zip(ranks.tolist(), ious.tolist()):
+                candidates[r] = list(zip(js.tolist(), row))
         out[cls] = {}
         for thr in iou_thresholds:
             used = [False] * n_gt
-            tp = np.zeros(len(cls_preds))
-            fp = np.zeros(len(cls_preds))
-            for rank in range(len(cls_preds)):
+            tp = np.zeros(len(ranked))
+            fp = np.zeros(len(ranked))
+            for rank in range(len(ranked)):
                 best_iou, best_j = 0.0, -1
                 for j, iou in candidates[rank]:
                     if not used[j] and iou >= thr and iou > best_iou:
@@ -514,7 +491,7 @@ def ap_2d(
                     tp[rank] = 1.0
                 else:
                     fp[rank] = 1.0
-            if n_gt == 0 or len(cls_preds) == 0:
+            if n_gt == 0 or len(ranked) == 0:
                 out[cls][float(thr)] = 0.0
                 continue
             ctp = np.cumsum(tp)
@@ -537,66 +514,45 @@ def mean_ap(ap: dict[int, dict[float, float]]) -> float:
 # ---------------------------------------------------------------------------
 # detections interchange JSON ("mvdet-detections/1")
 
-def detections_to_json_obj(
-    frames: Mapping[int, tuple[Sequence[Pred3D], Sequence[Pred2D]]]
-) -> dict:
-    """The detections object of ``{frame_id: (p3d, p2d)}``; 2D boxes are
-    grouped by view id."""
-    def p3(p: Pred3D) -> dict:
-        return {
-            "box": [float(v) for v in np.asarray(p.box).reshape(9)],
-            "class_id": int(p.class_id),
-            "score": float(p.score),
-        }
-
+def detections_to_json_obj(frames: Mapping[int, Detections]) -> dict:
+    """The detections object of ``{frame_id: detections}``; 2D boxes are
+    grouped by view id, in the order each view first appears."""
     out_frames = []
-    for frame_id, (p3d, p2d) in frames.items():
+    for frame_id, det in frames.items():
+        boxes3d = [
+            {"box": box, "class_id": c, "score": s}
+            for box, c, s in zip(det.boxes3d.tolist(), det.classes3d.tolist(),
+                                 det.scores3d.tolist())
+        ]
         by_view: dict[str, list] = {}
-        for p in p2d:
-            by_view.setdefault(str(p.box.view_id), []).append(
-                {
-                    "box": [p.box.cx, p.box.cy, p.box.w, p.box.h],
-                    "class_id": int(p.class_id),
-                    "score": float(p.score),
-                }
-            )
-        out_frames.append(
-            {"frame_id": int(frame_id), "boxes3d": [p3(p) for p in p3d], "boxes2d": by_view}
-        )
+        b2 = det.boxes2d
+        for box, view_id, c, s in zip(b2.rect.tolist(), b2.view_id.tolist(),
+                                      b2.class_id.tolist(), det.scores2d.tolist()):
+            by_view.setdefault(str(view_id), []).append({"box": box, "class_id": c, "score": s})
+        out_frames.append({"frame_id": int(frame_id), "boxes3d": boxes3d, "boxes2d": by_view})
     return {"format": "mvdet-detections/1", "frames": out_frames}
 
 
-def parse_detections(
-    obj: dict, source: str = "detections"
-) -> dict[int, tuple[list[Pred3D], list[Pred2D]]]:
-    """``{frame_id: (p3d, p2d)}`` of a detections object; ``source`` names
+def parse_detections(obj: dict, source: str = "detections") -> dict[int, Detections]:
+    """``{frame_id: detections}`` of a detections object; ``source`` names
     it in errors."""
-    if obj.get("format") != "mvdet-detections/1":
-        raise ValueError(f"not a detections file: format={obj.get('format')!r}")
     frames = {}
-    with naming_missing_keys(source):
+    with naming_file(source):
+        if obj.get("format") != "mvdet-detections/1":
+            raise ValueError(f"not a detections file: format={obj.get('format')!r}")
         for f in obj["frames"]:
             frame_id = int(f.get("frame_id", 0))
             if frame_id in frames:
-                raise ValueError(f"{source}: frame_id {frame_id} appears more than once")
-            p3d = [
-                Pred3D(
-                    box=np.asarray(b["box"], dtype=np.float64),
-                    class_id=int(b["class_id"]),
-                    score=float(b.get("score", 1.0)),
-                )
-                for b in f["boxes3d"]
-            ]
-            p2d = []
-            for view_id, entries in f.get("boxes2d", {}).items():
-                for b in entries:
-                    cx, cy, w, h = (float(v) for v in b["box"])
-                    p2d.append(
-                        Pred2D(
-                            box=Box2D(cx=cx, cy=cy, w=w, h=h, view_id=int(view_id)),
-                            class_id=int(b["class_id"]),
-                            score=float(b.get("score", 1.0)),
-                        )
-                    )
-            frames[frame_id] = (p3d, p2d)
+                raise ValueError(f"frame_id {frame_id} appears more than once")
+            b3 = f["boxes3d"]
+            b2 = [(int(view_id), b) for view_id, entries in f.get("boxes2d", {}).items()
+                  for b in entries]
+            frames[frame_id] = Detections(
+                boxes3d=[b["box"] for b in b3],
+                classes3d=[int(b["class_id"]) for b in b3],
+                scores3d=[float(b.get("score", 1.0)) for b in b3],
+                boxes2d=Boxes2D([b["box"] for _, b in b2], [v for v, _ in b2],
+                                [int(b["class_id"]) for _, b in b2]),
+                scores2d=[float(b.get("score", 1.0)) for _, b in b2],
+            )
     return frames

@@ -16,11 +16,11 @@ import numpy as np
 
 from ._kernels import box_points
 from .geometry import (
-    Anchor3D, Box2D, CameraView, anchors_to_array, load_json, naming_missing_keys, project_rig,
+    Boxes2D, CameraView, column, finite_rows, load_json, naming_file, project_rig,
     rig_from_json_obj,
 )
 from .groupattn import RigFeatures
-from .metrics import FrameTruth, GtBox2D, Pred2D, Pred3D
+from .metrics import Detections
 
 # (name, mean size (w, l, h), log-size jitter, max |velocity|)
 CLASS_PRIORS = (
@@ -87,55 +87,53 @@ class OracleNoise:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class Scene:
-    """One synthetic frame: classed 3D boxes and projection-derived 2D GT."""
+    """One synthetic frame: classed 3D boxes and projection-derived 2D GT.
+
+    ``anchors`` holds the (N, 9) boxes and ``classes`` their class ids; row
+    j of ``gt2d`` is a 2D box of anchor ``gt2d_link[j]``.  The constructor
+    takes array-likes and checks them: the boxes must be finite with
+    positive sizes, and every link must name one of them.
+    """
 
     seed: int
     frame_id: int
-    boxes: list[tuple[Anchor3D, int]]
-    gt2d: list[GtBox2D]
+    anchors: np.ndarray    # (N, 9)
+    classes: np.ndarray    # (N,)
+    gt2d: Boxes2D
+    gt2d_link: np.ndarray  # (M,)
     rig: list[CameraView]
 
-    def anchors_array(self) -> np.ndarray:
-        return anchors_to_array([a for a, _ in self.boxes])
-
-    def classes_array(self) -> np.ndarray:
-        return np.array([c for _, c in self.boxes], dtype=np.intp)
-
-    def truth(self) -> FrameTruth:
-        return FrameTruth(
-            boxes3d=self.anchors_array(),
-            classes3d=self.classes_array(),
-            gt2d=list(self.gt2d),
-            rig=list(self.rig),
-        )
-
-    def gt2d_assoc(self) -> list[list[tuple[int, Box2D]]]:
-        """Per-3D-box view associations, as the denoising module expects."""
-        assoc: list[list[tuple[int, Box2D]]] = [[] for _ in self.boxes]
-        for g in self.gt2d:
-            assoc[g.box3d_index].append((g.box.view_id, g.box))
-        return assoc
+    def __post_init__(self):
+        self.anchors = finite_rows(self.anchors, 9, "3D box")
+        bad = np.flatnonzero((self.anchors[:, 3:6] <= 0.0).any(axis=1))
+        if bad.size:
+            raise ValueError(f"3D box {bad[0]} sizes must be positive, "
+                             f"got {self.anchors[bad[0], 3:6].tolist()}")
+        n = len(self.anchors)
+        self.classes = column(self.classes, np.intp, n, "class_id")
+        self.gt2d_link = column(self.gt2d_link, np.intp, len(self.gt2d), "box3d_index")
+        bad = np.flatnonzero((self.gt2d_link < 0) | (self.gt2d_link >= n))
+        if bad.size:
+            raise ValueError(f"gt2d box {bad[0]} links to 3D box {self.gt2d_link[bad[0]]}; "
+                             f"the scene has {n}")
 
     def to_json_obj(self) -> dict:
+        gt = self.gt2d
         return {
             "format": "mvdet-scene/1",
             "seed": int(self.seed),
             "frame_id": int(self.frame_id),
             "rig": [v.to_json_obj() for v in self.rig],
             "boxes": [
-                {"box": [float(x) for x in a.as_array()], "class_id": int(c)}
-                for a, c in self.boxes
+                {"box": box, "class_id": c}
+                for box, c in zip(self.anchors.tolist(), self.classes.tolist())
             ],
             "gt2d": [
-                {
-                    "box": [g.box.cx, g.box.cy, g.box.w, g.box.h],
-                    "view_id": int(g.box.view_id),
-                    "class_id": int(g.class_id),
-                    "box3d_index": int(g.box3d_index),
-                }
-                for g in self.gt2d
+                {"box": rect, "view_id": v, "class_id": c, "box3d_index": i}
+                for rect, v, c, i in zip(gt.rect.tolist(), gt.view_id.tolist(),
+                                         gt.class_id.tolist(), self.gt2d_link.tolist())
             ],
         }
 
@@ -143,35 +141,27 @@ class Scene:
     def from_json_obj(cls, obj: dict) -> "Scene":
         if obj.get("format") != "mvdet-scene/1":
             raise ValueError(f"not a scene file: format={obj.get('format')!r}")
-        boxes = [
-            (Anchor3D.from_array(b["box"]), int(b["class_id"])) for b in obj["boxes"]
-        ]
-        gt2d = [
-            GtBox2D(
-                box=Box2D(
-                    cx=float(g["box"][0]),
-                    cy=float(g["box"][1]),
-                    w=float(g["box"][2]),
-                    h=float(g["box"][3]),
-                    view_id=int(g["view_id"]),
-                ),
-                class_id=int(g["class_id"]),
-                box3d_index=int(g["box3d_index"]),
-            )
-            for g in obj["gt2d"]
-        ]
+        boxes, gt2d = obj["boxes"], obj["gt2d"]
+        anchors = [b["box"] for b in boxes]
+        classes = [int(b["class_id"]) for b in boxes]
+        rect = [g["box"] for g in gt2d]
+        view_id = [int(g["view_id"]) for g in gt2d]
+        class_id = [int(g["class_id"]) for g in gt2d]
+        link = [int(g["box3d_index"]) for g in gt2d]
         rig = rig_from_json_obj(obj["rig"], f"scene frame {obj['frame_id']}")
         return cls(
             seed=int(obj["seed"]),
             frame_id=int(obj["frame_id"]),
-            boxes=boxes,
-            gt2d=gt2d,
+            anchors=anchors,
+            classes=classes,
+            gt2d=Boxes2D(rect, view_id, class_id),
+            gt2d_link=link,
             rig=rig,
         )
 
 
 def load_scene(path: str | Path) -> Scene:
-    with naming_missing_keys(path):
+    with naming_file(path):
         return Scene.from_json_obj(load_json(path))
 
 
@@ -193,16 +183,14 @@ def _bev_overlap(ca: np.ndarray, cb: np.ndarray) -> bool:
     return True
 
 
-def derive_gt2d(anchors: np.ndarray, classes: np.ndarray, rig: Sequence[CameraView]) -> list[GtBox2D]:
-    """Projection-derived 2D ground truth (valid views, non-degenerate rects)."""
+def derive_gt2d(
+    anchors: np.ndarray, classes: np.ndarray, rig: Sequence[CameraView]
+) -> tuple[Boxes2D, np.ndarray]:
+    """Projection-derived 2D ground truth (valid views, non-degenerate
+    rects) and the anchor index of each of its boxes."""
     proj = project_rig(rig, anchors)
     vi, ai = np.nonzero(proj.valid & (proj.rect_area > 0.0))
-    return [
-        GtBox2D(box=Box2D(*rect, view_id=view_id), class_id=int(classes[i]), box3d_index=i)
-        for rect, view_id, i in zip(
-            proj.rect[vi, ai].tolist(), proj.view_ids[vi].tolist(), ai.tolist()
-        )
-    ]
+    return Boxes2D(proj.rect[vi, ai], proj.view_ids[vi], np.asarray(classes)[ai]), ai
 
 
 def sample_scene(
@@ -252,16 +240,13 @@ def sample_scene(
         placed_corners.append(corners)
         classes.append(cls)
     anchors = np.stack(placed) if placed else np.zeros((0, 9))
-    cls_arr = np.asarray(classes, dtype=np.intp)
-    boxes = [(Anchor3D.from_array(a), int(c)) for a, c in zip(placed, classes)]
-    gt2d = derive_gt2d(anchors, cls_arr, rig) if placed else []
-    return Scene(seed=seed, frame_id=frame_id, boxes=boxes, gt2d=gt2d, rig=list(rig))
+    gt2d, link = derive_gt2d(anchors, classes, rig)
+    return Scene(seed=seed, frame_id=frame_id, anchors=anchors, classes=classes,
+                 gt2d=gt2d, gt2d_link=link, rig=list(rig))
 
 
-def perturb(
-    scene: Scene, noise: OracleNoise | None = None, seed: int = 0
-) -> tuple[list[Pred3D], list[Pred2D]]:
-    """Drop/perturb ground truth into scored pseudo-detections (p3d, p2d).
+def perturb(scene: Scene, noise: OracleNoise | None = None, seed: int = 0) -> Detections:
+    """Drop/perturb ground truth into scored pseudo-detections.
 
     Zero noise reproduces the ground truth exactly with score 1.0.
     """
@@ -271,28 +256,30 @@ def perturb(
     def score() -> float:
         return float(1.0 - noise.score_spread * rng.uniform())
 
-    p3d: list[Pred3D] = []
-    for anchor, cls in scene.boxes:
+    keep3, centers, scores3 = [], [], []
+    for i, box in enumerate(scene.anchors):
         if noise.drop_prob_3d > 0.0 and rng.uniform() < noise.drop_prob_3d:
             continue
-        box = anchor.as_array()
-        box[0:3] = box[0:3] + noise.jitter_m * rng.uniform(-1.0, 1.0, 3)
-        p3d.append(Pred3D(box=box, class_id=cls, score=score()))
-    p2d: list[Pred2D] = []
-    for g in scene.gt2d:
-        drop = noise.drop_for(g.box.view_id)
+        keep3.append(i)
+        centers.append(box[0:3] + noise.jitter_m * rng.uniform(-1.0, 1.0, 3))
+        scores3.append(score())
+    boxes3d = scene.anchors[keep3]
+    boxes3d[:, 0:3] = np.reshape(centers, (-1, 3))
+    gt = scene.gt2d
+    keep2, rect, scores2 = [], [], []
+    for j, ((cx, cy, w, h), view_id) in enumerate(zip(gt.rect.tolist(), gt.view_id.tolist())):
+        drop = noise.drop_for(view_id)
         if drop > 0.0 and rng.uniform() < drop:
             continue
-        cx = g.box.cx + noise.jitter_px * rng.uniform(-1.0, 1.0)
-        cy = g.box.cy + noise.jitter_px * rng.uniform(-1.0, 1.0)
-        p2d.append(
-            Pred2D(
-                box=Box2D(cx=cx, cy=cy, w=g.box.w, h=g.box.h, view_id=g.box.view_id),
-                class_id=g.class_id,
-                score=score(),
-            )
-        )
-    return p3d, p2d
+        keep2.append(j)
+        cx = cx + noise.jitter_px * rng.uniform(-1.0, 1.0)
+        cy = cy + noise.jitter_px * rng.uniform(-1.0, 1.0)
+        rect.append((cx, cy, w, h))
+        scores2.append(score())
+    return Detections(
+        boxes3d=boxes3d, classes3d=scene.classes[keep3], scores3d=scores3,
+        boxes2d=Boxes2D(rect, gt.view_id[keep2], gt.class_id[keep2]), scores2d=scores2,
+    )
 
 
 def render_features(
@@ -308,7 +295,8 @@ def render_features(
     summed in one (H, W) plane, copied into every channel of the view's
     atlas rows at the end.
     """
-    proj = project_rig(rig, scene.anchors_array())
+    proj = project_rig(rig, scene.anchors)
+    amps = (scene.classes + 1).tolist()
     sizes = [[(max(v.width // s, 1), max(v.height // s, 1)) for v in rig] for s in scales]
     features = RigFeatures(rig, sizes, channels)
     for k, view in enumerate(rig):
@@ -323,8 +311,7 @@ def render_features(
                 mx = u * (wm / view.width) - 0.5
                 my = v * (hm / view.height) - 0.5
                 sigma = max(float(rect[i, 2]) * (wm / view.width) / 4.0, 0.75)
-                amp = float(scene.boxes[i][1] + 1)
-                bump = amp * np.exp(
+                bump = amps[i] * np.exp(
                     -((gx - mx) ** 2 + (gy - my) ** 2) / (2.0 * sigma * sigma)
                 )
                 plane += bump
@@ -338,7 +325,7 @@ def render_depths(scene: Scene, rig: Sequence[CameraView], scale: int) -> dict[i
     Each cell holds the camera-frame center depth of the nearest box whose
     clipped rectangle covers it, infinity elsewhere.
     """
-    anchors = scene.anchors_array()
+    anchors = scene.anchors
     proj = project_rig(rig, anchors)
     depths: dict[int, np.ndarray] = {}
     for view, valid, rect in zip(rig, proj.valid, proj.rect):
@@ -351,7 +338,8 @@ def render_depths(scene: Scene, rig: Sequence[CameraView], scale: int) -> dict[i
             zc = r[2, 0] * center[0] + r[2, 1] * center[1] + r[2, 2] * center[2] + t[2]
             if zc <= 0:
                 continue
-            x0, y0, x1, y1 = Box2D(*(float(c) for c in rect[i]), view_id=view.view_id).corners
+            cx, cy, w, h = rect[i].tolist()
+            x0, y0, x1, y1 = cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h
             j0 = int(np.clip(np.floor(x0 * wd / view.width), 0, wd - 1))
             j1 = int(np.clip(np.ceil(x1 * wd / view.width), j0 + 1, wd))
             i0 = int(np.clip(np.floor(y0 * hd / view.height), 0, hd - 1))

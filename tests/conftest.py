@@ -4,10 +4,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mvdet._kernels import iou_matrix, project_points
-from mvdet.geometry import EPS_DEPTH, CameraView, make_surround_rig, project_rig
+from mvdet._kernels import box_points, iou_matrix, project_points
+from mvdet.geometry import EPS_DEPTH, Boxes2D, CameraView, make_surround_rig, project_rig
 from mvdet.groupattn import RigFeatures, softmax_rows
-from mvdet.metrics import MatchParams
+from mvdet.metrics import Detections, MatchParams
+from mvdet.simulator import Scene
 
 
 @pytest.fixture
@@ -19,6 +20,40 @@ def rig6():
 def front_view():
     """Single forward-looking 704x256 camera at the ego origin height 1.5 m."""
     return make_surround_rig(1)[0]
+
+
+def box9(center, size, yaw=0.0, velocity=(0.0, 0.0)) -> np.ndarray:
+    """One 3D box as the (9,) row [x, y, z, w, l, h, yaw, vx, vy]."""
+    return np.array([*center, *size, yaw, *velocity], dtype=np.float64)
+
+
+def corners(box) -> np.ndarray:
+    """(9, 3) center and eight corners of one (9,) box, in `box_points` order."""
+    return box_points(np.asarray(box, dtype=np.float64)[None, :])[0]
+
+
+def take(boxes: Boxes2D, rows) -> Boxes2D:
+    """The given rows of a Boxes2D table."""
+    return Boxes2D(boxes.rect[rows], boxes.view_id[rows], boxes.class_id[rows])
+
+
+def scored(boxes3d, classes3d, boxes2d: Boxes2D) -> Detections:
+    """Detections with every score 1."""
+    return Detections(boxes3d, classes3d, np.ones(len(classes3d)), boxes2d, np.ones(len(boxes2d)))
+
+
+def one_box_scene(rig, box, cls) -> Scene:
+    """Scene of one (9,) box of class ``cls``, with a 2D ground-truth box in
+    every view where its projected rectangle has area, found view by view."""
+    rect, views = [], []
+    for view in rig:
+        pa = project_one_view(view, np.asarray(box)[None])
+        if pa.valid[0] and pa.rect_area[0] > 0:
+            rect.append(pa.rect[0])
+            views.append(view.view_id)
+    return Scene(seed=0, frame_id=0, anchors=[box], classes=[cls],
+                 gt2d=Boxes2D(rect, views, [cls] * len(views)), gt2d_link=[0] * len(views),
+                 rig=list(rig))
 
 
 def random_view(rng: np.random.Generator, view_id: int = 0,
@@ -201,8 +236,10 @@ def to_dense(mapping) -> np.ndarray:
     return t
 
 
-def candidate_match(pred3d, gt2d, truth, params=None) -> bool:
-    """Candidate predicate of one (3D prediction, 2D ground truth) pair.
+def candidate_match(box, class_id, j, scene, params=None) -> bool:
+    """Candidate predicate of one (3D prediction, 2D ground truth) pair: the
+    (9,) predicted ``box`` of class ``class_id`` and row ``j`` of
+    ``scene.gt2d``.
 
     True iff the 3D centers of the prediction and the 2D box's linked 3D
     ground truth are within tau_dis, the prediction's projected rectangle
@@ -210,17 +247,19 @@ def candidate_match(pred3d, gt2d, truth, params=None) -> bool:
     agree.
     """
     params = params or MatchParams()
-    g3 = truth.boxes3d[gt2d.box3d_index]
-    if int(truth.classes3d[gt2d.box3d_index]) != pred3d.class_id:
+    link = int(scene.gt2d_link[j])
+    g3 = scene.anchors[link]
+    if int(scene.classes[link]) != class_id:
         return False
-    d = float(np.linalg.norm(np.asarray(pred3d.box[:3]) - g3[:3]))
+    d = float(np.linalg.norm(np.asarray(box[:3]) - g3[:3]))
     if d > params.tau_dis:
         return False
-    view = next((v for v in truth.rig if v.view_id == gt2d.box.view_id), None)
+    view_id = int(scene.gt2d.view_id[j])
+    view = next((v for v in scene.rig if v.view_id == view_id), None)
     if view is None:
-        raise ValueError(f"truth rig lacks view {gt2d.box.view_id}")
-    proj = project_rig([view], np.asarray(pred3d.box, dtype=np.float64)[None, :])
+        raise ValueError(f"scene rig lacks view {view_id}")
+    proj = project_rig([view], np.asarray(box, dtype=np.float64)[None, :])
     if not proj.valid[0, 0]:
         return False
-    iou = iou_matrix(proj.rect[0], gt2d.box.as_array()[None, :])[0, 0]
+    iou = iou_matrix(proj.rect[0], scene.gt2d.rect[j][None, :])[0, 0]
     return bool(iou >= params.tau_iou)

@@ -17,23 +17,12 @@ from mvdet.cli import main as cli_main
 from mvdet.crop_scale import PLACEMENTS, CropRule, derive_view
 from mvdet.decoder import PRESETS, DecoderConfig, HybridDecoder
 from mvdet.denoising import NoiseConfig, allocate_noise, denoise_groups, make_noisy_anchors
-from mvdet.geometry import (
-    EPS_DEPTH,
-    Anchor3D,
-    Box2D,
-    CameraView,
-    corners_of,
-    make_surround_rig,
-    project_point,
-)
+from mvdet.geometry import EPS_DEPTH, Boxes2D, CameraView, make_surround_rig, project_point
 from mvdet.groupattn import AttentionParams, GroupMask, attention
 from mvdet.metrics import (
-    GtBox2D,
-    FrameTruth,
+    Detections,
     LossWeights,
     MatchParams,
-    Pred2D,
-    Pred3D,
     aar,
     focal_loss,
     hungarian,
@@ -45,7 +34,8 @@ from mvdet.metrics import (
 from mvdet.simulator import OracleNoise, perturb, render_features, sample_scene
 
 from conftest import (
-    project_homogeneous, project_one_view, project_view_points, random_view, to_dense,
+    box9, corners, one_box_scene, project_homogeneous, project_one_view, project_view_points,
+    random_view, scored, take, to_dense,
 )
 
 
@@ -106,7 +96,7 @@ def test_criterion_2_validity_equivalence():
         vp = project_one_view(view, anchors)
         for i in range(1000):
             expect = False
-            for p in corners_of(Anchor3D.from_array(anchors[i])):
+            for p in corners(anchors[i]):
                 got = project_point(view, p)
                 if got is None:
                     continue
@@ -194,25 +184,27 @@ def test_criterion_5_group_isolation():
         out2 = attention(x2, params, groups=GroupMask(groups))
         assert np.array_equal(out[~sel], out2[~sel]), f"camera case {case}"
 
-    def rand_box(view):
-        return Box2D(cx=float(rng.uniform(0, 700)), cy=float(rng.uniform(0, 250)),
-                     w=float(rng.uniform(4, 60)), h=float(rng.uniform(4, 60)),
-                     view_id=view)
+    def rand_box():
+        return [float(rng.uniform(0, 700)), float(rng.uniform(0, 250)),
+                float(rng.uniform(4, 60)), float(rng.uniform(4, 60))]
 
     for case in range(50):
         n_gt = int(rng.integers(1, 5))
-        gt = [
-            Anchor3D(center=(float(rng.uniform(-30, 30)), float(rng.uniform(-30, 30)), 0.8),
-                     size=(2.0, 4.0, 1.6), yaw=float(rng.uniform(-3, 3)))
+        gt = np.stack([
+            box9(center=(float(rng.uniform(-30, 30)), float(rng.uniform(-30, 30)), 0.8),
+                 size=(2.0, 4.0, 1.6), yaw=float(rng.uniform(-3, 3)))
             for _ in range(n_gt)
-        ]
-        assoc = []
-        for _ in range(n_gt):
-            views = sorted(rng.choice(3, size=int(rng.integers(1, 4)), replace=False))
-            assoc.append([(int(v), rand_box(int(v))) for v in views])
+        ])
+        rects, views, links = [], [], []
+        for t in range(n_gt):
+            for v in sorted(rng.choice(3, size=int(rng.integers(1, 4)), replace=False)):
+                rects.append(rand_box())
+                views.append(int(v))
+                links.append(t)
         noisy, _ = make_noisy_anchors(gt, NoiseConfig(n_groups=int(rng.integers(1, 4))), seed=case)
         m = int(rng.integers(2, 12))
-        layout = allocate_noise(assoc, noisy, match_len=m)
+        layout = allocate_noise(Boxes2D(rects, views, [0] * len(views)), links, noisy,
+                                match_len=m)
         cams_match = GroupMask(np.sort(rng.integers(0, 3, size=m)))
         c = 16
         x_match = rng.standard_normal((m, c))
@@ -288,44 +280,31 @@ def test_criterion_7_hungarian_optimality():
 
 def straddling_truth(rig):
     az = math.radians(20.0)
-    a = Anchor3D(
+    a = box9(
         center=(10.0 * math.cos(az), 10.0 * math.sin(az), 0.75),
         size=(2.0, 14.0, 1.5),
         yaw=az + math.pi / 2,
     )
-    gt2d = []
-    for view in rig:
-        vp = project_one_view(view, a.as_array()[None, :])
-        if vp.valid[0] and vp.rect_area[0] > 0:
-            gt2d.append(
-                GtBox2D(
-                    box=Box2D(*(float(x) for x in vp.rect[0]), view_id=view.view_id),
-                    class_id=0,
-                    box3d_index=0,
-                )
-            )
-    assert len(gt2d) == 2
-    return FrameTruth(boxes3d=a.as_array()[None, :], classes3d=np.array([0]),
-                      gt2d=gt2d, rig=list(rig)), a
+    truth = one_box_scene(rig, a, 0)
+    assert len(truth.gt2d) == 2
+    return truth, a
 
 
 def test_criterion_8_aar_cases_and_monotonicity():
     """AAR hand cases (100%, 50%, degenerate) and the monotone sweep."""
     rig = make_surround_rig(6)
     truth, a = straddling_truth(rig)
-    p3 = [Pred3D(box=a.as_array(), class_id=0)]
-    perfect = aar(p3, [Pred2D(box=g.box, class_id=0) for g in truth.gt2d], truth)
+    perfect = aar(scored([a], [0], truth.gt2d), truth)
     assert (perfect.aar, perfect.recall) == (100.0, 100.0)
-    half = aar(p3, [Pred2D(box=truth.gt2d[0].box, class_id=0)], truth)
+    half = aar(scored([a], [0], take(truth.gt2d, [0])), truth)
     assert (half.n_candidate, half.n_valid) == (2, 1) and half.aar == 50.0
-    empty = aar([], [], truth)
+    empty = aar(Detections.empty(), truth)
     assert empty.no_candidates and empty.aar == 0.0 and empty.n_candidate == 0
 
     noise = OracleNoise(drop_prob=0.25, jitter_px=5.0, jitter_m=0.5, score_spread=0.3)
     for seed in range(20):
         scene = sample_scene(seed, rig, n_boxes=10)
-        p3d, p2d = perturb(scene, noise, seed=seed + 1000)
-        res = aar(p3d, p2d, scene.truth())
+        res = aar(perturb(scene, noise, seed=seed + 1000), scene)
         aars = [row[1] for row in res.curve]
         recalls = [row[2] for row in res.curve]
         cands = [row[3] for row in res.curve]

@@ -12,9 +12,11 @@ from mvdet.allocation import (
     scatter_mean,
 )
 from mvdet._kernels import box_points
-from mvdet.geometry import EPS_DEPTH, Anchor3D, corners_of, make_surround_rig, project_point
+from mvdet.geometry import EPS_DEPTH, make_surround_rig, project_point
 
 from conftest import (
+    box9,
+    corners,
     project_one_view,
     random_anchor_array,
     random_rig_with_crop,
@@ -27,21 +29,21 @@ from conftest import (
 # --------------------------------------------------------------------- clamp
 
 def test_clamp_oversized():
-    a = Anchor3D(center=(0, 0, 0), size=(40, 40, 12), yaw=0.0)
-    out = Anchor3D.from_array(clamp_anchors(a.as_array()[None, :])[0])
-    assert out.size == (35.0, 35.0, 10.0)
-    assert out.center == a.center and out.yaw == a.yaw
+    a = box9(center=(0, 0, 0), size=(40, 40, 12), yaw=0.0)
+    out = clamp_anchors(a[None, :])[0]
+    assert out[3:6].tolist() == [35.0, 35.0, 10.0]
+    assert np.array_equal(out[0:3], a[0:3]) and out[6] == a[6]
 
 
 def test_clamp_under_limit_unchanged():
-    a = Anchor3D(center=(1, 2, 3), size=(2, 4, 1.5), yaw=0.4, velocity=(1, -1))
-    out = Anchor3D.from_array(clamp_anchors(a.as_array()[None, :])[0])
-    assert out == a
+    a = box9(center=(1, 2, 3), size=(2, 4, 1.5), yaw=0.4, velocity=(1, -1))
+    out = clamp_anchors(a[None, :])[0]
+    assert np.array_equal(out, a)
 
 
 def test_clamp_batch_order_and_length():
     anchors = np.stack([
-        Anchor3D(center=(i, 0, 0), size=(40 + i, 2, 12), yaw=0.0).as_array() for i in range(5)
+        box9(center=(i, 0, 0), size=(40 + i, 2, 12), yaw=0.0) for i in range(5)
     ])
     out = clamp_anchors(anchors)
     assert out.shape == (5, 9)
@@ -58,7 +60,7 @@ def brute_force_alloc(anchors, rig):
     cols = []
     for view in rig:
         for i, a in enumerate(anchors):
-            pts = corners_of(a)
+            pts = corners(a)
             in_bounds = []
             for p in pts:
                 uv = project_point(view, p)
@@ -70,7 +72,7 @@ def brute_force_alloc(anchors, rig):
 
 
 def test_single_anchor_single_view(rig6):
-    a = Anchor3D(center=(15.0, 0.0, 0.75), size=(2, 4, 1.5), yaw=0.0)
+    a = box9(center=(15.0, 0.0, 0.75), size=(2, 4, 1.5), yaw=0.0)
     res = allocate([a], rig6)
     assert res.mapping.n_2d == 1
     assert res.mapping.rows.tolist() == [0]
@@ -82,7 +84,7 @@ def test_straddling_anchor_two_views(rig6):
     # long box centered well inside view 0 whose tail crosses into view 1
     az = math.radians(20.0)
     c = (10.0 * math.cos(az), 10.0 * math.sin(az), 0.75)
-    a = Anchor3D(center=c, size=(2.0, 14.0, 1.5), yaw=az + math.pi / 2)
+    a = box9(center=c, size=(2.0, 14.0, 1.5), yaw=az + math.pi / 2)
     oracle = brute_force_alloc([a], rig6)
     views_hit = {v for _, v, _ in oracle}
     assert views_hit == {0, 1}, f"construction should straddle views 0/1, got {views_hit}"
@@ -100,7 +102,7 @@ def test_allocation_matches_bruteforce(rig6):
     anchors = []
     for _ in range(40):
         anchors.append(
-            Anchor3D(
+            box9(
                 center=(rng.uniform(-30, 30), rng.uniform(-30, 30), rng.uniform(0.2, 1.5)),
                 size=tuple(rng.uniform(0.5, 5.0, 3)),
                 yaw=rng.uniform(-np.pi, np.pi),
@@ -127,7 +129,7 @@ def test_empty_rig_error():
 
 
 def test_allocate_zero_anchors(rig6):
-    res = allocate([], rig6)
+    res = allocate(np.zeros((0, 9)), rig6)
     assert res.mapping.n_3d == 0 and res.mapping.n_2d == 0
     assert gather_2d(res.mapping, np.zeros((0, 4))).shape == (0, 4)
 
@@ -142,7 +144,7 @@ def test_truncated_cap_keeps_largest_areas(front_view):
         az = half_fov + rng.uniform(0.02, 0.10)
         dist = rng.uniform(8.0, 30.0)
         anchors.append(
-            Anchor3D(
+            box9(
                 center=(dist * math.cos(az), dist * math.sin(az), 0.75),
                 size=(2.0, 4.5, 1.5),
                 yaw=az,
@@ -194,8 +196,8 @@ def test_zero_area_column_dropped_and_flagged(front_view):
     # box straddling the image plane with exactly one vertical edge in
     # front: both visible corners share a pixel column, so the clipped
     # rectangle degenerates to zero width
-    a = Anchor3D(center=(-1.0, -1.0, 1.5), size=(4.0, 6.0, 0.8), yaw=math.pi / 4)
-    pa = project_one_view(front_view, a.as_array()[None])
+    a = box9(center=(-1.0, -1.0, 1.5), size=(4.0, 6.0, 0.8), yaw=math.pi / 4)
+    pa = project_one_view(front_view, a[None])
     assert pa.valid[0] and pa.rect_area[0] == 0.0
     res = allocate([a], [front_view])
     assert res.mapping.n_2d == 0

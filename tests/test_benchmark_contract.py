@@ -54,12 +54,15 @@ def test_traced_run_attaches_to_the_package(tmp_path):
     summary = json.loads(summary_path.read_text())
     assert summary["status"] == 0 and summary["errors"] == []
     # the two attention entry points the benchmark still names were merged
-    # into groupattn.attention
-    assert [n for n in summary["notes"] if "not found" in n] == [
+    # into groupattn.attention; no other span is missing and no count hook failed
+    assert summary["notes"] == [
         "mvdet.groupattn.masked_self_attention not found; "
         "groupattn.masked_self_attention not traced",
         "mvdet.groupattn.cross_attention not found; groupattn.cross_attention not traced",
     ]
+    gt_scenes = json.loads((tmp_path / "out" / "gt_scenes.json").read_text())["scenes"]
+    n_gt2d = sum(len(scene["gt2d"]) for scene in gt_scenes)
+    assert n_gt2d > 0 and summary["counts"]["simulator.gt2d"] == n_gt2d
     for span in ("kernels.project_points", "kernels.box_points", "kernels.bilinear_sample",
                  "groupattn.ref_point_cross_attention", "allocation.allocate",
                  "simulator.render_features", "metrics.aar", "metrics.ap"):

@@ -58,6 +58,20 @@ def test_help_and_unknown_flag(capsys):
     assert e.value.code != 0
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--scenes", "-2", "--scenes must be positive, got -2"),
+     ("--scenes", "0", "--scenes must be positive, got 0"),
+     ("--boxes", "-3", "--boxes must be non-negative, got -3")],
+    ids=["scenes_negative", "scenes_0", "boxes_negative"],
+)
+def test_simulate_rejects_bad_counts(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "sim"
+    assert run_cli("simulate", "--out", str(out), flag, value) == 1
+    assert capsys.readouterr().err == f"mvdet simulate: error: {message}\n"
+    assert not out.exists()
+
+
 def test_simulate_outputs(sim_dir):
     assert (sim_dir / "rig.json").exists()
     assert (sim_dir / "scene_0000.json").exists()
@@ -115,6 +129,32 @@ def test_forward_on_scene(tmp_path, sim_dir):
     obj = json.loads(out.read_text())
     assert obj["n_sublayers"] == 6
     assert len(obj["agg_taps"]) == 3
+
+
+# Decoder values a config may not hold: (decoder entries, message, test id).
+BAD_DECODER_VALUES = [
+    ({"n_queries": 0}, "n_queries must be positive", "n_queries"),
+    ({"heads": 0}, "heads must be positive, got 0", "heads_0"),
+    ({"channels": 0}, "channels must be positive, got 0", "channels_0"),
+    ({"n_classes": 0}, "n_classes must be positive, got 0", "n_classes_0"),
+    ({"n_scales": 0}, "n_scales must be positive, got 0", "n_scales_0"),
+    ({"n_scales": -1}, "n_scales must be positive, got -1", "n_scales_negative"),
+    ({"feature_channels": 0}, "feature_channels must be positive, got 0", "feature_channels_0"),
+]
+
+
+@pytest.mark.parametrize(
+    "decoder, message", [pytest.param(d, m, id=i) for d, m, i in BAD_DECODER_VALUES]
+)
+def test_forward_bad_config_value_names_the_file(tmp_path, sim_dir, capsys, decoder, message):
+    cfg = tmp_path / "decoder.json"
+    cfg.write_text(json.dumps({"preset": "F", **decoder}))
+    out = tmp_path / "fwd.json"
+    assert run_cli("forward", "--config", str(cfg),
+                   "--scene", str(sim_dir / "scene_0000.json"),
+                   "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"mvdet forward: error: {cfg}: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -271,6 +311,92 @@ def test_missing_key_names_the_file(tmp_path, sim_dir, rig_file, capsys,
     assert run_cli(command, *argv, "--out", str(out)) == 1
     assert f"{bad}: missing key {key}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def detections_file(boxes3d=(), boxes2d=None):
+    """A detections object of one frame, frame 0."""
+    return {"format": "mvdet-detections/1",
+            "frames": [{"frame_id": 0, "boxes3d": list(boxes3d), "boxes2d": boxes2d or {}}]}
+
+
+def scene_file_with(sim_dir, section, value):
+    """Scene 0 of ``sim_dir`` with the box of the first entry of ``section``
+    replaced by ``value``."""
+    obj = json.loads((sim_dir / "scene_0000.json").read_text())
+    obj[section][0]["box"] = value
+    return obj
+
+
+@pytest.mark.parametrize(
+    "command, flag, make_obj, message",
+    [
+        ("eval-ap", "--pred",
+         lambda sim: detections_file(boxes2d={"0": [{"box": [1.0, 2.0, -5.0, 4.0], "class_id": 0}]}),
+         "2D box sizes must be non-negative, got -5.0x4.0"),
+        ("eval-aar", "--pred",
+         lambda sim: detections_file(boxes2d={"0": [{"box": [float("nan"), 2.0, 5.0, 4.0],
+                                                     "class_id": 0}]}),
+         "2D box 0 is not finite: [nan, 2.0, 5.0, 4.0]"),
+        ("eval-ap", "--pred",
+         lambda sim: detections_file(boxes2d={"0": [{"box": [1.0, 2.0, 3.0], "class_id": 0}]}),
+         "2D box 0 holds 3 values, expected 4"),
+        ("eval-aar", "--pred",
+         lambda sim: detections_file(boxes3d=[{"box": [1.0, 2.0, 3.0], "class_id": 0}]),
+         "3D box 0 holds 3 values, expected 9"),
+        ("eval-aar", "--gt",
+         lambda sim: scene_file_with(sim, "boxes", [10.0, 0.0, 0.8, 0.0, 4.0, 1.5, 0.0, 0.0, 0.0]),
+         "3D box 0 sizes must be positive, got [0.0, 4.0, 1.5]"),
+        ("eval-ap", "--gt", lambda sim: scene_file_with(sim, "gt2d", [50.0, 60.0, -5.0, 4.0]),
+         "2D box sizes must be non-negative, got -5.0x4.0"),
+        ("denoise-demo", "--scene",
+         lambda sim: scene_file_with(sim, "boxes", [10.0, 0.0, 0.8, 2.0, 4.0, 1.5, 0.0]),
+         "3D box 0 holds 7 values, expected 9"),
+        ("eval-aar", "--gt", lambda sim: {"format": "mvdet-scene-set/1", "scenes": []},
+         "holds no scenes"),
+    ],
+    ids=["pred2d_negative_width", "pred2d_nan_center", "pred2d_three_floats",
+         "pred3d_three_floats", "scene_zero_size", "gt2d_negative_width",
+         "scene_seven_floats", "no_scenes"],
+)
+def test_bad_box_value_names_the_file(tmp_path, sim_dir, capsys, command, flag, make_obj,
+                                      message):
+    pred = tmp_path / "pred.json"
+    pred.write_text(json.dumps(detections_file()))
+    inputs = {
+        "eval-aar": {"--gt": sim_dir / "scene_0000.json", "--pred": pred},
+        "eval-ap": {"--gt": sim_dir / "scene_0000.json", "--pred": pred},
+        "denoise-demo": {"--scene": sim_dir / "scene_0000.json"},
+    }[command]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(make_obj(sim_dir)))
+    inputs[flag] = bad
+    out = tmp_path / "out"
+    argv = [str(a) for item in inputs.items() for a in item]
+    assert run_cli(command, *argv, "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"mvdet {command}: error: {bad}: {message}\n"
+    assert not out.exists()
+
+
+def test_metrics_from_files_match_the_run(tmp_path):
+    """`eval-aar` and `eval-ap` on a run's own files reproduce the metrics
+    that `run` computed in memory, byte for byte."""
+    noise = {"drop_prob": 0.2, "drop_prob_3d": 0.1, "jitter_px": 3.0, "jitter_m": 0.3,
+             "score_spread": 0.4}
+    cfg = run_config(tmp_path, noise=noise, seeds={"base": 5, "scenes": 3})
+    out = tmp_path / "run"
+    assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 0
+    frames = [f for path in sorted((out / "pred").iterdir())
+              for f in json.loads(path.read_text())["frames"]]
+    pred = tmp_path / "pred.json"
+    pred.write_text(json.dumps({"format": "mvdet-detections/1", "frames": frames}))
+    gt = str(out / "gt_scenes.json")
+    assert run_cli("eval-aar", "--gt", gt, "--pred", str(pred),
+                   "--out", str(tmp_path / "aar.csv")) == 0
+    assert run_cli("eval-ap", "--gt", gt, "--pred", str(pred), "--iou-thresholds", "0.5,0.75",
+                   "--out", str(tmp_path / "ap.csv")) == 0
+    assert (tmp_path / "aar.csv").read_bytes() == (out / "metrics" / "aar_curve.csv").read_bytes()
+    assert (tmp_path / "ap.csv").read_bytes() == (out / "metrics" / "ap.csv").read_bytes()
+    assert len(set((tmp_path / "ap.csv").read_text().splitlines())) > 3  # not all zeros
 
 
 def test_run_pipeline_and_reproducibility(tmp_path):
@@ -432,27 +558,25 @@ def test_run_rejects_negative_seed(tmp_path, capsys):
 @pytest.mark.parametrize(
     "over, message",
     [
-        ({"noise": {"drop_prob": 2.0}}, "drop probabilities must lie in [0, 1]"),
-        ({"noise": {"jitter_px": "abc"}}, "could not convert string to float: 'abc'"),
-        ({"decoder": {"n_queries": 0}}, "n_queries must be positive"),
-        ({"boxes": "many"}, "invalid literal for int() with base 10: 'many'"),
-        ({"seeds": {"scenes": "x"}}, "invalid literal for int() with base 10: 'x'"),
-        ({"tau_dis": -1}, "tau_dis must be positive"),
-        ({"views": 0}, "empty rig"),
-        ({"crop_rules": [{"source_view_id": 99}]}, "rule references unknown view 99"),
-        ({"boxes": -3}, "boxes must be non-negative, got -3"),
-        ({"seeds": {"scenes": -2}}, "seeds.scenes must be positive, got -2"),
-        ({"seeds": {"scenes": 0}}, "seeds.scenes must be positive, got 0"),
-        ({"decoder": {"heads": 0}}, "heads must be positive, got 0"),
-        ({"decoder": {"channels": 0}}, "channels must be positive, got 0"),
-        ({"decoder": {"n_classes": 0}}, "n_classes must be positive, got 0"),
-        ({"decoder": {"n_scales": 0}}, "n_scales must be positive, got 0"),
-        ({"decoder": {"n_scales": -1}}, "n_scales must be positive, got -1"),
-        ({"decoder": {"feature_channels": 0}}, "feature_channels must be positive, got 0"),
+        pytest.param({"noise": {"drop_prob": 2.0}}, "drop probabilities must lie in [0, 1]",
+                     id="drop_prob"),
+        pytest.param({"noise": {"jitter_px": "abc"}}, "could not convert string to float: 'abc'",
+                     id="jitter_px"),
+        pytest.param({"boxes": "many"}, "invalid literal for int() with base 10: 'many'",
+                     id="boxes"),
+        pytest.param({"seeds": {"scenes": "x"}}, "invalid literal for int() with base 10: 'x'",
+                     id="scenes"),
+        pytest.param({"tau_dis": -1}, "tau_dis must be positive", id="tau_dis"),
+        pytest.param({"views": 0}, "empty rig", id="views_0"),
+        pytest.param({"crop_rules": [{"source_view_id": 99}]}, "rule references unknown view 99",
+                     id="crop_source"),
+        pytest.param({"boxes": -3}, "boxes must be non-negative, got -3", id="boxes_negative"),
+        pytest.param({"seeds": {"scenes": -2}}, "seeds.scenes must be positive, got -2",
+                     id="scenes_negative"),
+        pytest.param({"seeds": {"scenes": 0}}, "seeds.scenes must be positive, got 0",
+                     id="scenes_0"),
+        *(pytest.param({"decoder": d}, m, id=i) for d, m, i in BAD_DECODER_VALUES),
     ],
-    ids=["drop_prob", "jitter_px", "n_queries", "boxes", "scenes", "tau_dis", "views_0",
-         "crop_source", "boxes_negative", "scenes_negative", "scenes_0", "heads_0",
-         "channels_0", "n_classes_0", "n_scales_0", "n_scales_negative", "feature_channels_0"],
 )
 def test_run_bad_config_value_names_the_file(tmp_path, capsys, over, message):
     cfg = run_config(tmp_path, **over)
@@ -475,25 +599,21 @@ def ap_of_two_frames(view0, view1):
     """AP when frame 1's only prediction sits exactly on frame 0's ground
     truth; frame 0's box is in view ``view0``, frame 1's in ``view1``."""
     from mvdet.cli import _ap_inputs
-    from mvdet.geometry import Anchor3D, Box2D, make_surround_rig
-    from mvdet.metrics import GtBox2D, Pred2D, ap_2d
+    from mvdet.geometry import Boxes2D, make_surround_rig
+    from mvdet.metrics import Detections, ap_2d
     from mvdet.simulator import Scene
 
     rig = make_surround_rig(1)
-    box_a = Anchor3D(center=(10, 0, 0.8), size=(2, 4, 1.5), yaw=0.0)
+    box_a = [10, 0, 0.8, 2, 4, 1.5, 0.0, 0.0, 0.0]
 
-    def scene(fid, gt_box):
-        return Scene(seed=0, frame_id=fid, boxes=[(box_a, 0)],
-                     gt2d=[GtBox2D(box=gt_box, class_id=0, box3d_index=0)],
-                     rig=rig)
+    def scene(fid, gt_rect, view_id):
+        return Scene(seed=0, frame_id=fid, anchors=[box_a], classes=[0],
+                     gt2d=Boxes2D([gt_rect], [view_id], [0]), gt2d_link=[0], rig=rig)
 
-    g0 = Box2D(cx=50, cy=50, w=10, h=10, view_id=view0)
-    g1 = Box2D(cx=200, cy=200, w=10, h=10, view_id=view1)
-    pred = Box2D(cx=50, cy=50, w=10, h=10, view_id=view1)
-    scenes = [scene(0, g0), scene(1, g1)]
-    det = {0: ([], []), 1: ([], [Pred2D(box=pred, class_id=0, score=1.0)])}
-    preds, gt = _ap_inputs(scenes, det)
-    return ap_2d(preds, gt, (0.5,))[0][0.5]
+    scenes = [scene(0, [50, 50, 10, 10], view0), scene(1, [200, 200, 10, 10], view1)]
+    pred = Boxes2D([[50, 50, 10, 10]], [view1], [0])
+    det = {0: Detections.empty(), 1: Detections(np.zeros((0, 9)), [], [], pred, [1.0])}
+    return ap_2d(*_ap_inputs(scenes, det), (0.5,))[0][0.5]
 
 
 def test_ap_pooling_keeps_frames_apart():

@@ -8,13 +8,12 @@ import pytest
 from mvdet.allocation import allocate
 from mvdet.crop_scale import PLACEMENTS, CropRule, derive_view, extend_rig
 from mvdet.geometry import (
-    Anchor3D,
     CameraView,
     make_surround_rig,
     project_point,
 )
 
-from conftest import project_one_view, project_view_points
+from conftest import box9, project_one_view, project_view_points
 
 
 def wide_view(view_id=0, width=1600, height=900, fx=1000.0, cx=None, cy=None):
@@ -81,9 +80,9 @@ def test_distant_anchor_area_gain():
     for rate in (1.5, 2.0, 2.5):
         rule = CropRule(source_view_id=0, scale_rate=rate)
         derived, _ = derive_view(view, rule, 1)
-        a = Anchor3D(center=(0.4, 0.2, 650.0), size=(0.4, 0.4, 0.4), yaw=0.3)
-        pa_src = project_one_view(view, a.as_array()[None])
-        pa_der = project_one_view(derived, a.as_array()[None])
+        a = box9(center=(0.4, 0.2, 650.0), size=(0.4, 0.4, 0.4), yaw=0.3)
+        pa_src = project_one_view(view, a[None])
+        pa_der = project_one_view(derived, a[None])
         assert pa_src.valid[0] and pa_der.valid[0]
         assert pa_src.rect_area[0] < 1.0  # subtends under a pixel in the source
         ratio = pa_der.rect_area[0] / pa_src.rect_area[0]
@@ -172,8 +171,8 @@ def test_near_anchor_skips_derived_view(rig6):
     rig8 = extend_rig(rig6, [CropRule(0)])
     # a close off-axis target falls outside the zoomed crop's frustum but
     # stays visible in the source view
-    near = Anchor3D(center=(6.0, 2.5, 0.4), size=(0.5, 0.5, 0.8), yaw=0.0)
-    far = Anchor3D(center=(45.0, 0.0, 0.75), size=(2, 4, 1.5), yaw=0.0)
+    near = box9(center=(6.0, 2.5, 0.4), size=(0.5, 0.5, 0.8), yaw=0.0)
+    far = box9(center=(45.0, 0.0, 0.75), size=(2, 4, 1.5), yaw=0.0)
     res = allocate([near, far], rig8)
     derived_id = rig8[-1].view_id
     by_anchor = {}

@@ -13,19 +13,28 @@ from mvdet.denoising import (
     make_noisy_anchors,
     restore_3d,
 )
-from mvdet.geometry import Anchor3D, Box2D
+from mvdet.geometry import Boxes2D
 from mvdet.groupattn import AttentionParams, GroupMask, attention, build_mask
+
+from conftest import box9
 
 
 def gt_boxes():
-    return [
-        Anchor3D(center=(10.0, 0.0, 0.8), size=(2.0, 4.0, 1.6), yaw=0.2, velocity=(3, 0)),
-        Anchor3D(center=(-5.0, 8.0, 0.9), size=(0.6, 0.6, 1.7), yaw=-1.0),
-    ]
+    return np.stack([
+        box9(center=(10.0, 0.0, 0.8), size=(2.0, 4.0, 1.6), yaw=0.2, velocity=(3, 0)),
+        box9(center=(-5.0, 8.0, 0.9), size=(0.6, 0.6, 1.7), yaw=-1.0),
+    ])
 
 
 def box(view_id, cx=100.0, cy=50.0, w=30.0, h=20.0):
-    return Box2D(cx=cx, cy=cy, w=w, h=h, view_id=view_id)
+    return view_id, [cx, cy, w, h]
+
+
+def assoc(*per_gt):
+    """(gt2d, gt2d_link) of per-GT lists of (view_id, rect) associations."""
+    rows = [(view_id, rect, t) for t, entries in enumerate(per_gt) for view_id, rect in entries]
+    return (Boxes2D([r for _, r, _ in rows], [v for v, _, _ in rows], [0] * len(rows)),
+            [t for _, _, t in rows])
 
 
 # ---------------------------------------------------------- make_noisy_anchors
@@ -33,30 +42,30 @@ def box(view_id, cx=100.0, cy=50.0, w=30.0, h=20.0):
 def test_zero_noise_reproduces_gt():
     cfg = NoiseConfig(n_groups=3, center_noise_scale=0.0, size_noise_scale=0.0, yaw_noise=0.0)
     groups, negative = make_noisy_anchors(gt_boxes(), cfg, seed=1)
-    assert len(groups) == 3
+    assert groups.shape == (3, 2, 9)
     for members in groups:
-        assert members == gt_boxes()
+        assert np.array_equal(members, gt_boxes())
     assert negative == [False, True, True]  # round(0.5 * 3) = 2 trailing negatives
 
 
 def test_center_shift_bound():
     cfg = NoiseConfig(n_groups=1, center_noise_scale=0.1, size_noise_scale=0.0,
                       yaw_noise=0.0, negative_ratio=0.0)
-    base = Anchor3D(center=(0.0, 0.0, 0.0), size=(2.0, 4.0, 1.5), yaw=0.0)
+    base = box9(center=(0.0, 0.0, 0.0), size=(2.0, 4.0, 1.5), yaw=0.0)
     for seed in range(40):
-        noisy = make_noisy_anchors([base], cfg, seed)[0][0][0]
-        dx, dy, dz = np.abs(np.asarray(noisy.center))
+        noisy = make_noisy_anchors(base[None], cfg, seed)[0][0][0]
+        dx, dy, dz = np.abs(noisy[0:3])
         assert dx <= 0.1 * 2.0 and dy <= 0.1 * 4.0 and dz <= 0.1 * 1.5
-        assert noisy.size == base.size and noisy.yaw == base.yaw
+        assert np.array_equal(noisy[3:6], base[3:6]) and noisy[6] == base[6]
 
 
 def test_seed_determinism():
     cfg = NoiseConfig(n_groups=4)
     a, _ = make_noisy_anchors(gt_boxes(), cfg, seed=9)
     b, _ = make_noisy_anchors(gt_boxes(), cfg, seed=9)
-    assert a == b
+    assert np.array_equal(a, b)
     c, _ = make_noisy_anchors(gt_boxes(), cfg, seed=10)
-    assert a != c
+    assert not np.array_equal(a, c)
 
 
 def test_negative_groups_use_larger_scales():
@@ -68,9 +77,8 @@ def test_negative_groups_use_larger_scales():
 # -------------------------------------------------------------- allocate_noise
 
 def test_columns_follow_gt_associations():
-    assoc = [[(0, box(0)), (1, box(1))]]
     noisy, _ = make_noisy_anchors(gt_boxes()[:1], NoiseConfig(n_groups=1), seed=0)
-    layout = allocate_noise(assoc, noisy)
+    layout = allocate_noise(*assoc([box(0), box(1)]), noisy)
     assert layout.n_noise == 2
     assert layout.col_view.tolist() == [0, 1]
     assert layout.col_gt.tolist() == [0, 0]
@@ -79,9 +87,8 @@ def test_columns_follow_gt_associations():
 def test_mapping_ignores_noisy_projection():
     # noisy anchors pushed far outside any plausible frustum still get the
     # ground truth's views
-    assoc = [[(0, box(0))]]
-    far = [[Anchor3D(center=(1e6, 1e6, 1e6), size=(1, 1, 1), yaw=0.0)]]
-    layout = allocate_noise(assoc, far)
+    far = box9(center=(1e6, 1e6, 1e6), size=(1, 1, 1), yaw=0.0)[None, None]
+    layout = allocate_noise(*assoc([box(0)]), far)
     assert layout.n_noise == 1
     assert layout.col_view.tolist() == [0]
 
@@ -97,9 +104,8 @@ def camera_runs(layout, g):
 
 def test_layout_hand_enumeration():
     # GT0 seen in views {0, 1}, GT1 in {1}; 3 groups
-    assoc = [[(0, box(0)), (1, box(1))], [(1, box(1, cx=10.0))]]
     noisy, _ = make_noisy_anchors(gt_boxes(), NoiseConfig(n_groups=3), seed=0)
-    layout = allocate_noise(assoc, noisy, match_len=4)
+    layout = allocate_noise(*assoc([box(0), box(1)], [box(1, cx=10.0)]), noisy, match_len=4)
     assert layout.match_len == 4
     assert layout.kept_gt == [0, 1]
     assert layout.n_noise == 9
@@ -108,6 +114,7 @@ def test_layout_hand_enumeration():
     assert layout.col_view.tolist() == [0, 1, 1] * 3
     assert layout.col_gt.tolist() == [0, 0, 1] * 3
     assert layout.col_group.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+    assert layout.ref_points().tolist() == [[100.0, 50.0], [100.0, 50.0], [10.0, 50.0]] * 3
     assert camera_runs(layout, 0) == [(0, 4, 1), (1, 5, 2)]
     for g in range(layout.n_groups):
         cams = [cam for cam, _, _ in camera_runs(layout, g)]
@@ -116,10 +123,9 @@ def test_layout_hand_enumeration():
 
 
 def test_gt_without_association_skipped(caplog):
-    assoc = [[(0, box(0))], []]
     noisy, _ = make_noisy_anchors(gt_boxes(), NoiseConfig(n_groups=2), seed=0)
     with caplog.at_level(logging.WARNING):
-        layout = allocate_noise(assoc, noisy)
+        layout = allocate_noise(*assoc([box(0)], []), noisy)
     assert layout.kept_gt == [0]
     assert "skips GT" in caplog.text
 
@@ -127,16 +133,14 @@ def test_gt_without_association_skipped(caplog):
 # -------------------------------------------------------------- denoise_groups
 
 def test_no_denoise_groups_reduces_to_camera_mask():
-    assoc = [[(0, box(0))]]
-    layout = allocate_noise(assoc, [], match_len=3)
+    layout = allocate_noise(*assoc([box(0)]), np.zeros((0, 1, 9)), match_len=3)
     cams = GroupMask(np.array([0, 0, 1]))
     assert np.array_equal(denoise_groups(layout, cams).group_of, cams.group_of)
 
 
 def test_match_denoise_blocked_both_ways():
-    assoc = [[(0, box(0))]]
     noisy, _ = make_noisy_anchors(gt_boxes()[:1], NoiseConfig(n_groups=1), seed=0)
-    layout = allocate_noise(assoc, noisy, match_len=2)
+    layout = allocate_noise(*assoc([box(0)]), noisy, match_len=2)
     cams = GroupMask(np.array([0, 0]))  # match queries also in camera 0
     mask = build_mask(denoise_groups(layout, cams))
     assert mask.shape == (3, 3)
@@ -147,9 +151,8 @@ def test_match_denoise_blocked_both_ways():
 
 def test_mask_pair_predicate_oracle():
     # 10-query layout: 4 match (cams 0,0,1,1) + 2 groups of 3 noise columns
-    assoc = [[(0, box(0)), (1, box(1))], [(1, box(1, cx=5.0))]]
     noisy, _ = make_noisy_anchors(gt_boxes(), NoiseConfig(n_groups=2), seed=0)
-    layout = allocate_noise(assoc, noisy, match_len=4)
+    layout = allocate_noise(*assoc([box(0), box(1)], [box(1, cx=5.0)]), noisy, match_len=4)
     cams_match = np.array([0, 0, 1, 1])
     mask = build_mask(denoise_groups(layout, GroupMask(cams_match)))
     cams = np.concatenate([cams_match, layout.col_view])
@@ -161,9 +164,8 @@ def test_mask_pair_predicate_oracle():
 
 
 def test_mask_size_mismatch_rejected():
-    assoc = [[(0, box(0))]]
     noisy, _ = make_noisy_anchors(gt_boxes()[:1], NoiseConfig(n_groups=1), seed=0)
-    layout = allocate_noise(assoc, noisy, match_len=2)
+    layout = allocate_noise(*assoc([box(0)]), noisy, match_len=2)
     with pytest.raises(ValueError):
         denoise_groups(layout, GroupMask(np.array([0, 0, 0])))
 
@@ -175,7 +177,7 @@ def test_overlapping_spans_rejected():
         col_group=np.array([0, 0, 1]),
         col_gt=np.zeros(3, dtype=np.intp),
         col_view=np.zeros(3, dtype=np.intp),
-        col_boxes=[box(0)] * 3,
+        col_rects=np.array([box(0)[1]] * 3),
         kept_gt=[0],
     )
     with pytest.raises(ValueError):
@@ -185,9 +187,8 @@ def test_overlapping_spans_rejected():
 # ------------------------------------------------------------------ restore_3d
 
 def two_copy_layout():
-    assoc = [[(0, box(0)), (1, box(1))]]
     noisy, _ = make_noisy_anchors(gt_boxes()[:1], NoiseConfig(n_groups=1), seed=0)
-    return allocate_noise(assoc, noisy)
+    return allocate_noise(*assoc([box(0), box(1)]), noisy)
 
 
 def test_restore_mean_hand_case():
@@ -198,18 +199,16 @@ def test_restore_mean_hand_case():
 
 
 def test_restore_single_copy_identity():
-    assoc = [[(0, box(0))]]
     noisy, _ = make_noisy_anchors(gt_boxes()[:1], NoiseConfig(n_groups=1), seed=0)
-    layout = allocate_noise(assoc, noisy)
+    layout = allocate_noise(*assoc([box(0)]), noisy)
     q = np.random.default_rng(0).standard_normal((1, 5))
     assert np.array_equal(restore_3d(q, layout)[0], q)
 
 
 def test_restore_matches_dense_mean():
     rng = np.random.default_rng(6)
-    assoc = [[(0, box(0)), (1, box(1)), (2, box(2))], [(1, box(1, cx=9.0))]]
     noisy, _ = make_noisy_anchors(gt_boxes(), NoiseConfig(n_groups=3), seed=0)
-    layout = allocate_noise(assoc, noisy)
+    layout = allocate_noise(*assoc([box(0), box(1), box(2)], [box(1, cx=9.0)]), noisy)
     q = rng.standard_normal((layout.n_noise, 7))
     got = restore_3d(q, layout)
     for g in range(3):
@@ -232,11 +231,8 @@ def test_zero_noise_fixed_point():
     gt = gt_boxes()
     cfg = NoiseConfig(n_groups=2, center_noise_scale=0.0, size_noise_scale=0.0, yaw_noise=0.0)
     noisy, _ = make_noisy_anchors(gt, cfg, seed=4)
-    assoc = [[(0, box(0)), (1, box(1))], [(1, box(1, cx=7.0))]]
-    layout = allocate_noise(assoc, noisy)
-    feats = np.stack(
-        [encode_anchor_features(np.stack([a.as_array() for a in g]), 6) for g in noisy]
-    )
+    layout = allocate_noise(*assoc([box(0), box(1)], [box(1, cx=7.0)]), noisy)
+    feats = np.stack([encode_anchor_features(g, 6) for g in noisy])
     q2 = gather_noise(layout, feats)
     restored = restore_3d(q2, layout)
     assert np.array_equal(restored, feats)
@@ -248,9 +244,8 @@ def test_match_part_unaffected_by_denoise_queries():
     rng = np.random.default_rng(11)
     gt = gt_boxes()
     noisy, _ = make_noisy_anchors(gt, NoiseConfig(n_groups=2), seed=2)
-    assoc = [[(0, box(0)), (1, box(1))], [(1, box(1, cx=3.0))]]
     m = 6
-    layout = allocate_noise(assoc, noisy, match_len=m)
+    layout = allocate_noise(*assoc([box(0), box(1)], [box(1, cx=3.0)]), noisy, match_len=m)
     cams_match = GroupMask(np.array([0, 0, 0, 1, 1, 1]))
     x_match = rng.standard_normal((m, 8))
     x_noise = rng.standard_normal((layout.n_noise, 8))

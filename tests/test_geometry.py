@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 from mvdet._kernels import iou_matrix, project_points
 from mvdet.geometry import (
     EPS_DEPTH,
-    Anchor3D,
-    Box2D,
+    Boxes2D,
     CameraView,
-    corners_of,
     dump_json,
     in_image,
     load_json,
@@ -27,6 +25,8 @@ from mvdet.geometry import (
 )
 
 from conftest import (
+    box9,
+    corners,
     project_homogeneous,
     in_image_per_view,
     project_one_view,
@@ -43,24 +43,24 @@ def identity_view(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=704, height=256):
     return CameraView(view_id=0, intrinsics=k, extrinsic=np.eye(4), width=width, height=height)
 
 
-# ---------------------------------------------------------------- corners_of
+# ---------------------------------------------------------------- box corners
 
-def corner_oracle(anchor: Anchor3D) -> np.ndarray:
+def corner_oracle(anchor: np.ndarray) -> np.ndarray:
     """Independent corner construction: explicit Rz(yaw) on local corners."""
-    w, l, h = anchor.size
+    w, l, h = anchor[3:6]
     signs = [
         (+1, +1, -1), (-1, +1, -1), (-1, -1, -1), (+1, -1, -1),
         (+1, +1, +1), (-1, +1, +1), (-1, -1, +1), (+1, -1, +1),
     ]
     local = np.array([[sx * l / 2, sy * w / 2, sz * h / 2] for sx, sy, sz in signs])
-    c, s = math.cos(anchor.yaw), math.sin(anchor.yaw)
+    c, s = math.cos(anchor[6]), math.sin(anchor[6])
     rz = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
-    return (rz @ local.T).T + np.asarray(anchor.center)
+    return (rz @ local.T).T + anchor[0:3]
 
 
 def test_unit_cube_corners():
-    a = Anchor3D(center=(0, 0, 0), size=(1, 1, 1), yaw=0.0)
-    pts = corners_of(a)
+    a = box9(center=(0, 0, 0), size=(1, 1, 1), yaw=0.0)
+    pts = corners(a)
     assert pts.shape == (9, 3)
     assert np.allclose(pts[0], 0.0)
     got = {tuple(p) for p in np.round(pts[1:], 12)}
@@ -69,30 +69,58 @@ def test_unit_cube_corners():
 
 
 def test_unit_cube_quarter_turn_same_corner_set():
-    a0 = Anchor3D(center=(0, 0, 0), size=(1, 1, 1), yaw=0.0)
-    a1 = Anchor3D(center=(0, 0, 0), size=(1, 1, 1), yaw=math.pi / 2)
-    c0 = {tuple(p) for p in np.round(corners_of(a0)[1:], 9)}
-    c1 = {tuple(p) for p in np.round(corners_of(a1)[1:], 9)}
+    a0 = box9(center=(0, 0, 0), size=(1, 1, 1), yaw=0.0)
+    a1 = box9(center=(0, 0, 0), size=(1, 1, 1), yaw=math.pi / 2)
+    c0 = {tuple(p) for p in np.round(corners(a0)[1:], 9)}
+    c1 = {tuple(p) for p in np.round(corners(a1)[1:], 9)}
     assert c0 == c1
-    assert not np.allclose(corners_of(a0)[1:], corners_of(a1)[1:])  # permuted order
+    assert not np.allclose(corners(a0)[1:], corners(a1)[1:])  # permuted order
 
 
 def test_corners_vs_rotation_oracle():
-    a = Anchor3D(center=(1, 2, 0), size=(2, 4, 2), yaw=math.pi / 4)
-    got = corners_of(a)[1:]
+    a = box9(center=(1, 2, 0), size=(2, 4, 2), yaw=math.pi / 4)
+    got = corners(a)[1:]
     want = corner_oracle(a)
     assert np.abs(got - want).max() <= 1e-12
 
 
 def test_full_turn_keeps_corner_order():
-    a = Anchor3D(center=(3.0, -1.0, 0.5), size=(1.5, 3.0, 1.2), yaw=0.7)
-    b = Anchor3D(center=a.center, size=a.size, yaw=a.yaw + 2 * math.pi)
-    assert np.abs(corners_of(a) - corners_of(b)).max() <= 1e-9
+    a = box9(center=(3.0, -1.0, 0.5), size=(1.5, 3.0, 1.2), yaw=0.7)
+    b = box9(center=a[0:3], size=a[3:6], yaw=a[6] + 2 * math.pi)
+    assert np.abs(corners(a) - corners(b)).max() <= 1e-9
 
 
-def test_anchor_invariants():
-    with pytest.raises(ValueError):
-        Anchor3D(center=(0, 0, 0), size=(0.0, 1, 1), yaw=0.0)
+def test_anchor_invariants(rig6):
+    from mvdet.simulator import Scene
+
+    def scene(anchors):
+        return Scene(seed=0, frame_id=0, anchors=anchors, classes=[0] * len(anchors),
+                     gt2d=Boxes2D(np.zeros((0, 4)), [], []), gt2d_link=[], rig=rig6)
+
+    assert len(scene([box9(center=(0, 0, 0), size=(1, 1, 1), yaw=0.0)]).anchors) == 1
+    with pytest.raises(ValueError, match=r"^3D box 0 sizes must be positive, got \[0.0, 1.0, 1.0\]$"):
+        scene([box9(center=(0, 0, 0), size=(0.0, 1, 1), yaw=0.0)])
+    with pytest.raises(ValueError, match=r"^3D box 1 is not finite"):
+        scene([box9((0, 0, 0), (1, 1, 1)), box9((np.nan, 0, 0), (1, 1, 1))])
+    with pytest.raises(ValueError, match=r"^3D box 0 holds 3 values, expected 9$"):
+        scene([[1.0, 2.0, 3.0]])
+    with pytest.raises(ValueError, match=r"^each 3D box must hold 9 values, got shape \(2, 3\)$"):
+        scene(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("rect, message", [
+    ([[1.0, 2.0, -5.0, 4.0]], r"^2D box sizes must be non-negative, got -5.0x4.0$"),
+    ([[np.nan, 2.0, 5.0, 4.0]], r"^2D box 0 is not finite"),
+    ([[1.0, 2.0, 3.0]], r"^2D box 0 holds 3 values, expected 4$"),
+    (np.ones((1, 3)), r"^each 2D box must hold 4 values, got shape \(1, 3\)$"),
+], ids=["negative_width", "nan_center", "three_floats", "three_columns"])
+def test_boxes2d_checks_its_values(rect, message):
+    with pytest.raises(ValueError, match=message):
+        Boxes2D(rect, [0], [0])
+    boxes = Boxes2D([[1.0, 2.0, 0.0, 4.0]], [3], [1])
+    assert len(boxes) == 1 and boxes.view_id.tolist() == [3] and boxes.class_id.tolist() == [1]
+    with pytest.raises(ValueError, match="^2 view_id entries for 1 boxes$"):
+        Boxes2D([[1.0, 2.0, 0.0, 4.0]], [3, 4], [1])
 
 
 # ------------------------------------------------------------- project_point
@@ -185,8 +213,8 @@ def test_stacked_projection_matches_per_view_calls(seed, n_views, n_pts):
 # --------------------------------------------------------------- project_rig
 
 def test_anchor_fully_behind_view(front_view):
-    a = Anchor3D(center=(-20.0, 0.0, 0.5), size=(2, 4, 1.5), yaw=0.0)
-    pa = project_one_view(front_view, a.as_array()[None])
+    a = box9(center=(-20.0, 0.0, 0.5), size=(2, 4, 1.5), yaw=0.0)
+    pa = project_one_view(front_view, a[None])
     assert not pa.valid[0]
     assert np.isnan(pa.rect[0]).all() and pa.rect_area[0] == 0.0
 
@@ -196,18 +224,18 @@ def test_anchor_single_corner_in_view(front_view):
     half_fov = math.atan(front_view.width / (2 * front_view.fx))
     az = half_fov + 0.05
     dist = 12.0
-    a = Anchor3D(
+    a = box9(
         center=(dist * math.cos(az), dist * math.sin(az), 0.75),
         size=(2.0, 4.0, 1.5),
         yaw=az,
     )
-    pa = project_one_view(front_view, a.as_array()[None])
+    pa = project_one_view(front_view, a[None])
     assert pa.valid[0]
     assert not pa.center_in_view[0]
     assert np.isfinite(pa.rect[0]).all()
     # dense surface sampling must also find visible surface points
-    corners = corners_of(a)[1:]
-    lo, hi = corners.min(axis=0), corners.max(axis=0)
+    pts = corners(a)[1:]
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
     grid = np.stack(
         np.meshgrid(*[np.linspace(lo[i], hi[i], 12) for i in range(3)]), axis=-1
     ).reshape(-1, 3)
@@ -230,8 +258,8 @@ def test_validity_matches_bruteforce_bounds_check():
         anchors[:, 6] = rng.uniform(-np.pi, np.pi, 200)
         vp = project_one_view(view, anchors)
         for i in range(200):
-            a = Anchor3D.from_array(anchors[i])
-            pts = corners_of(a)
+            a = anchors[i]
+            pts = corners(a)
             expect = False
             for p in pts:
                 got = project_point(view, p)
@@ -245,10 +273,11 @@ def test_validity_matches_bruteforce_bounds_check():
 
 
 def test_rect_clipping_and_center_flag(front_view):
-    a = Anchor3D(center=(8.0, 0.0, 0.75), size=(2, 4, 1.5), yaw=0.3)
-    pa = project_one_view(front_view, a.as_array()[None])
+    a = box9(center=(8.0, 0.0, 0.75), size=(2, 4, 1.5), yaw=0.3)
+    pa = project_one_view(front_view, a[None])
     assert pa.valid[0] and pa.center_in_view[0]
-    x0, y0, x1, y1 = Box2D(*pa.rect[0].tolist(), view_id=0).corners
+    cx, cy, w, h = pa.rect[0].tolist()
+    x0, y0, x1, y1 = cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h
     assert 0 <= x0 <= x1 <= front_view.width
     assert 0 <= y0 <= y1 <= front_view.height
 
@@ -321,7 +350,7 @@ def test_ref_point_matches_center_or_rect_center():
     seen = {"center": 0, "rect": 0, "invalid": 0}
     for view, ref_point in zip(rig, project_rig(rig, anchors).ref_point):
         for i in range(len(anchors)):
-            pts = [project_point(view, p) for p in corners_of(Anchor3D.from_array(anchors[i]))]
+            pts = [project_point(view, p) for p in corners(anchors[i])]
             inside = [
                 p is not None and 0 < p[0] < view.width and 0 < p[1] < view.height
                 for p in pts
@@ -347,20 +376,21 @@ def test_ref_point_matches_center_or_rect_center():
 
 # ---------------------------------------------------------------- iou_matrix
 
-def iou_of(a: Box2D, b: Box2D) -> float:
-    return float(iou_matrix(a.as_array()[None, :], b.as_array()[None, :])[0, 0])
+def iou_of(a, b) -> float:
+    """IoU of two [cx, cy, w, h] boxes."""
+    return float(iou_matrix(np.array([a], dtype=np.float64), np.array([b], dtype=np.float64))[0, 0])
 
 
 def test_iou_identical_and_disjoint():
-    a = Box2D(cx=10, cy=10, w=4, h=4, view_id=0)
+    a = [10, 10, 4, 4]
     assert iou_of(a, a) == 1.0
-    b = Box2D(cx=100, cy=100, w=4, h=4, view_id=0)
+    b = [100, 100, 4, 4]
     assert iou_of(a, b) == 0.0
 
 
 def test_iou_hand_case():
-    a = Box2D(cx=0, cy=0, w=2, h=2, view_id=0)
-    b = Box2D(cx=1, cy=0, w=2, h=2, view_id=0)
+    a = [0, 0, 2, 2]
+    b = [1, 0, 2, 2]
     assert abs(iou_of(a, b) - 1.0 / 3.0) <= 1e-12
 
 
@@ -372,15 +402,16 @@ def test_iou_hand_case():
     st.tuples(*[st.floats(0, 50) for _ in range(2)]),
 )
 def test_iou_symmetric_bounded(ca, sa, cb, sb):
-    a = Box2D(cx=ca[0], cy=ca[1], w=sa[0], h=sa[1], view_id=0)
-    b = Box2D(cx=cb[0], cy=cb[1], w=sb[0], h=sb[1], view_id=0)
+    a = [*ca, *sa]
+    b = [*cb, *sb]
     iab = iou_of(a, b)
     iba = iou_of(b, a)
     assert iab == iba
     assert 0.0 <= iab <= 1.0
     # a box covers itself exactly, unless its corner span has no area
-    boxes = np.array([a.as_array(), b.as_array()])
-    x0, y0, x1, y1 = np.array([a.corners, b.corners]).T
+    boxes = np.array([a, b])
+    x0, y0 = (boxes[:, 0:2] - 0.5 * boxes[:, 2:4]).T
+    x1, y1 = (boxes[:, 0:2] + 0.5 * boxes[:, 2:4]).T
     assert np.array_equal(np.diag(iou_matrix(boxes, boxes)),
                           np.where((x1 - x0) * (y1 - y0) > 0.0, 1.0, 0.0))
 

@@ -23,7 +23,7 @@ from mvdet.groupattn import (
     softmax_rows,
 )
 
-from conftest import bilinear_per_map, ref_point_cross_attention_per_view, rig_features
+from conftest import bilinear_per_map, box9, ref_point_cross_attention_per_view, rig_features
 
 
 def seeded_params(c, heads=1, seed=0):
@@ -59,12 +59,12 @@ def test_mask_diagonal_always_allowed():
 def test_mask_with_denoise_groups_enumerated():
     # camera groups of sizes (2, 2) plus two one-column denoise groups
     from mvdet.denoising import allocate_noise, make_noisy_anchors, NoiseConfig
-    from mvdet.geometry import Anchor3D, Box2D
+    from mvdet.geometry import Boxes2D
 
-    gt = [Anchor3D(center=(10.0, 0.0, 0.8), size=(2, 4, 1.6), yaw=0.0)]
-    assoc = [[(0, Box2D(cx=50, cy=50, w=20, h=10, view_id=0))]]
+    gt = box9(center=(10.0, 0.0, 0.8), size=(2, 4, 1.6), yaw=0.0)[None]
+    gt2d = Boxes2D([[50, 50, 20, 10]], [0], [0])
     noisy, _ = make_noisy_anchors(gt, NoiseConfig(n_groups=2), seed=0)
-    layout = allocate_noise(assoc, noisy, match_len=4)
+    layout = allocate_noise(gt2d, [0], noisy, match_len=4)
     cams = np.array([0, 0, 1, 1])
     ids = denoise_groups(layout, GroupMask(cams)).group_of
     cam_all = np.concatenate([cams, layout.col_view])

@@ -4,15 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from mvdet.geometry import Anchor3D, Box2D, make_surround_rig
+from mvdet.geometry import Boxes2D
 from mvdet.metrics import (
-    AARResult,
-    FrameTruth,
-    GtBox2D,
+    Detections,
     LossWeights,
     MatchParams,
-    Pred2D,
-    Pred3D,
     aar,
     ap_2d,
     class_nll,
@@ -31,7 +27,7 @@ from mvdet.metrics import (
     parse_detections,
 )
 
-from conftest import candidate_match, project_one_view
+from conftest import box9, candidate_match, one_box_scene, scored, take
 
 
 # ----------------------------------------------------------------- hungarian
@@ -268,33 +264,18 @@ def test_default_weights_match_config():
 # ----------------------------------------------------------- candidate match
 
 def one_box_truth(rig, center=(15.0, 0.0, 0.8), cls=1):
-    a = Anchor3D(center=center, size=(2.0, 4.0, 1.6), yaw=0.1)
-    boxes3d = a.as_array()[None, :]
-    gt2d = []
-    for view in rig:
-        pa = project_one_view(view, a.as_array()[None])
-        if pa.valid[0] and pa.rect_area[0] > 0:
-            box = Box2D(*pa.rect[0].tolist(), view_id=view.view_id)
-            gt2d.append(GtBox2D(box=box, class_id=cls, box3d_index=0))
-    return FrameTruth(
-        boxes3d=boxes3d,
-        classes3d=np.array([cls]),
-        gt2d=gt2d,
-        rig=list(rig),
-    ), a
+    a = box9(center=center, size=(2.0, 4.0, 1.6), yaw=0.1)
+    return one_box_scene(rig, a, cls), a
 
 
 def test_candidate_match_cases(rig6):
     truth, a = one_box_truth(rig6)
-    pred = Pred3D(box=a.as_array(), class_id=1)
     for tau in (0.1, 0.5, 0.9):
-        assert candidate_match(pred, truth.gt2d[0], truth, MatchParams(tau_iou=tau))
-    wrong_cls = Pred3D(box=a.as_array(), class_id=0)
-    assert not candidate_match(wrong_cls, truth.gt2d[0], truth)
-    off = a.as_array()
+        assert candidate_match(a, 1, 0, truth, MatchParams(tau_iou=tau))
+    assert not candidate_match(a, 0, 0, truth)  # wrong class
+    off = a.copy()
     off[0] += 2.1
-    far = Pred3D(box=off, class_id=1)
-    assert not candidate_match(far, truth.gt2d[0], truth, MatchParams(tau_dis=2.0))
+    assert not candidate_match(off, 1, 0, truth, MatchParams(tau_dis=2.0))
 
 
 # --------------------------------------------------------------------- aar
@@ -302,32 +283,19 @@ def test_candidate_match_cases(rig6):
 def straddling_truth(rig):
     """One GT visible in two views."""
     az = math.radians(20.0)
-    a = Anchor3D(
+    a = box9(
         center=(10.0 * math.cos(az), 10.0 * math.sin(az), 0.75),
         size=(2.0, 14.0, 1.5),
         yaw=az + math.pi / 2,
     )
-    gt2d = []
-    for view in rig:
-        pa = project_one_view(view, a.as_array()[None])
-        if pa.valid[0] and pa.rect_area[0] > 0:
-            box = Box2D(*pa.rect[0].tolist(), view_id=view.view_id)
-            gt2d.append(GtBox2D(box=box, class_id=0, box3d_index=0))
-    assert len(gt2d) == 2
-    truth = FrameTruth(
-        boxes3d=a.as_array()[None, :],
-        classes3d=np.array([0]),
-        gt2d=gt2d,
-        rig=list(rig),
-    )
+    truth = one_box_scene(rig, a, 0)
+    assert len(truth.gt2d) == 2
     return truth, a
 
 
 def test_aar_perfect(rig6):
     truth, a = straddling_truth(rig6)
-    preds3d = [Pred3D(box=a.as_array(), class_id=0)]
-    preds2d = [Pred2D(box=g.box, class_id=0) for g in truth.gt2d]
-    res = aar(preds3d, preds2d, truth, MatchParams())
+    res = aar(scored([a], [0], truth.gt2d), truth, MatchParams())
     assert res.n_candidate == 2
     assert res.n_valid == 2
     assert res.aar == 100.0
@@ -336,9 +304,7 @@ def test_aar_perfect(rig6):
 
 def test_aar_missing_one_view_prediction(rig6):
     truth, a = straddling_truth(rig6)
-    preds3d = [Pred3D(box=a.as_array(), class_id=0)]
-    preds2d = [Pred2D(box=truth.gt2d[0].box, class_id=0)]  # one view missing
-    res = aar(preds3d, preds2d, truth, MatchParams())
+    res = aar(scored([a], [0], take(truth.gt2d, [0])), truth, MatchParams())  # one view missing
     assert res.n_candidate == 2
     assert res.n_valid == 1
     assert res.aar == 50.0
@@ -346,7 +312,7 @@ def test_aar_missing_one_view_prediction(rig6):
 
 def test_aar_no_predictions(rig6):
     truth, _ = straddling_truth(rig6)
-    res = aar([], [], truth, MatchParams())
+    res = aar(Detections.empty(), truth, MatchParams())
     assert res.no_candidates
     assert res.aar == 0.0
     assert res.recall == 0.0
@@ -355,52 +321,57 @@ def test_aar_no_predictions(rig6):
 
 def test_aar_rejects_gt_views_missing_from_rig(rig6):
     truth, a = straddling_truth(rig6)
-    broken = FrameTruth(
-        boxes3d=truth.boxes3d,
-        classes3d=truth.classes3d,
-        gt2d=[GtBox2D(box=Box2D(cx=1, cy=1, w=2, h=2, view_id=99),
-                      class_id=0, box3d_index=0)],
-        rig=truth.rig,
-    )
+    truth.gt2d, truth.gt2d_link = Boxes2D([[1, 1, 2, 2]], [99], [0]), np.array([0])
     with pytest.raises(ValueError, match="view 99 missing from the rig"):
-        aar([Pred3D(box=a.as_array(), class_id=0)], [], broken)
+        aar(scored([a], [0], take(truth.gt2d, [])), truth)
 
 
 def test_aar_valid_implies_candidate_and_monotone(rig6):
-    rng = np.random.default_rng(5)
     from mvdet.simulator import OracleNoise, perturb, sample_scene
 
     for seed in range(6):
         scene = sample_scene(seed, rig6, n_boxes=8)
         noise = OracleNoise(drop_prob=0.3, jitter_px=4.0, jitter_m=0.4, score_spread=0.2)
-        p3d, p2d = perturb(scene, noise, seed=seed + 100)
-        res = aar(p3d, p2d, scene.truth(), MatchParams())
+        res = aar(perturb(scene, noise, seed=seed + 100), scene, MatchParams())
         assert res.n_valid <= res.n_candidate
         assert res.aar <= 100.0
-        aars = [row[1] for row in res.curve]
         recalls = [row[2] for row in res.curve]
         assert all(x >= y - 1e-9 for x, y in zip(recalls, recalls[1:]))
         cands = [row[3] for row in res.curve]
         assert all(x >= y for x, y in zip(cands, cands[1:]))
 
 
-def aar_pairwise_reference(preds3d, preds2d, truth, tau):
+def aar_pairwise_reference(det, scene, tau):
     """(n_candidate, n_valid) at tau_iou = tau, one predicate call per pair."""
     from mvdet._kernels import iou_matrix
 
     params = MatchParams(tau_iou=tau)
-    cand = [[candidate_match(p, g, truth, params) for g in truth.gt2d] for p in preds3d]
+    gt, p2 = scene.gt2d, det.boxes2d
+    cand = [[candidate_match(box, int(c), j, scene, params) for j in range(len(gt))]
+            for box, c in zip(det.boxes3d, det.classes3d)]
 
-    def ok2d(q, g):
-        if q.box.view_id != g.box.view_id or q.class_id != g.class_id:
+    def ok2d(k, j):
+        if p2.view_id[k] != gt.view_id[j] or p2.class_id[k] != gt.class_id[j]:
             return False
-        return iou_matrix(q.box.as_array()[None], g.box.as_array()[None])[0, 0] >= tau
+        return iou_matrix(p2.rect[k][None], gt.rect[j][None])[0, 0] >= tau
 
     n_valid = sum(
-        any(cand[i][j] and ok2d(q, g) for j, g in enumerate(truth.gt2d))
-        for i in range(len(preds3d)) for q in preds2d
+        any(cand[i][j] and ok2d(k, j) for j in range(len(gt)))
+        for i in range(len(cand)) for k in range(len(p2))
     )
     return sum(map(sum, cand)), n_valid
+
+
+def with_relabelled_copies(det):
+    """``det`` plus every third 3D and 2D box again, with class id + 1."""
+    b2 = det.boxes2d
+    return scored(
+        np.concatenate([det.boxes3d, det.boxes3d[::3]]),
+        np.concatenate([det.classes3d, det.classes3d[::3] + 1]),
+        Boxes2D(np.concatenate([b2.rect, b2.rect[::3]]),
+                np.concatenate([b2.view_id, b2.view_id[::3]]),
+                np.concatenate([b2.class_id, b2.class_id[::3] + 1])),
+    )
 
 
 def test_aar_matches_pairwise_reference(rig6):
@@ -414,33 +385,29 @@ def test_aar_matches_pairwise_reference(rig6):
     n_straddling = 0
     for seed in range(40):
         scene = sample_scene(seed, rig6, n_boxes=12)
-        truth = scene.truth()
-        p3d, p2d = perturb(scene, noise, seed=seed + 100)
         # relabelled copies, so that both class tests decide some pairs
-        p3d += [Pred3D(box=p.box, class_id=p.class_id + 1) for p in p3d[::3]]
-        p2d += [Pred2D(box=p.box, class_id=p.class_id + 1) for p in p2d[::3]]
-        links = [g.box3d_index for g in truth.gt2d]
+        det = with_relabelled_copies(perturb(scene, noise, seed=seed + 100))
+        links = scene.gt2d_link.tolist()
         n_straddling += len(links) - len(set(links))
-        res = aar(p3d, p2d, truth, MatchParams(), taus=taus)
+        res = aar(det, scene, MatchParams(), taus=taus)
         assert [row[0] for row in res.curve] == list(taus)
         for tau, _, _, c, v in res.curve:
-            assert (c, v) == aar_pairwise_reference(p3d, p2d, truth, tau), (seed, tau)
+            assert (c, v) == aar_pairwise_reference(det, scene, tau), (seed, tau)
     assert n_straddling > 0  # some boxes are seen in two views
 
 
 # ---------------------------------------------------------------------- ap_2d
 
 def test_ap_perfect_single_prediction():
-    g = GtBox2D(box=Box2D(cx=10, cy=10, w=4, h=4, view_id=0), class_id=0, box3d_index=0)
-    p = Pred2D(box=g.box, class_id=0, score=0.9)
-    ap = ap_2d([p], [g])
+    g = Boxes2D([[10, 10, 4, 4]], [0], [0])
+    ap = ap_2d(g, [0.9], g)
     assert ap[0][0.5] == 1.0
 
 
 def test_ap_all_wrong_class():
-    g = GtBox2D(box=Box2D(cx=10, cy=10, w=4, h=4, view_id=0), class_id=0, box3d_index=0)
-    p = Pred2D(box=g.box, class_id=1, score=0.9)
-    ap = ap_2d([p], [g])
+    g = Boxes2D([[10, 10, 4, 4]], [0], [0])
+    p = Boxes2D(g.rect, [0], [1])
+    ap = ap_2d(p, [0.9], g)
     assert ap[0][0.5] == 0.0
     assert ap[1][0.5] == 0.0
     assert mean_ap(ap) == 0.0
@@ -449,44 +416,36 @@ def test_ap_all_wrong_class():
 def test_ap_ranked_hand_case():
     # 3 predictions, 2 gt, one false positive ranked between the true ones:
     # ranks: TP(0.9), FP(0.8), TP(0.7) -> precision at recalls .5, 1 = 1, 2/3
-    gt = [
-        GtBox2D(box=Box2D(cx=10, cy=10, w=4, h=4, view_id=0), class_id=0, box3d_index=0),
-        GtBox2D(box=Box2D(cx=40, cy=10, w=4, h=4, view_id=0), class_id=0, box3d_index=1),
-    ]
-    preds = [
-        Pred2D(box=gt[0].box, class_id=0, score=0.9),
-        Pred2D(box=Box2D(cx=80, cy=40, w=4, h=4, view_id=0), class_id=0, score=0.8),
-        Pred2D(box=gt[1].box, class_id=0, score=0.7),
-    ]
-    ap = ap_2d(preds, gt)[0][0.5]
+    gt = Boxes2D([[10, 10, 4, 4], [40, 10, 4, 4]], [0, 0], [0, 0])
+    preds = Boxes2D([[10, 10, 4, 4], [80, 40, 4, 4], [40, 10, 4, 4]], [0, 0, 0], [0, 0, 0])
+    ap = ap_2d(preds, [0.9, 0.8, 0.7], gt)[0][0.5]
     # 11-point interpolation: recalls 0..0.5 see precision 1, .6..1.0 see 2/3
     want = (6 * 1.0 + 5 * (2.0 / 3.0)) / 11.0
     assert abs(ap - want) <= 1e-12
 
 
-
-def ap_2d_pairwise_reference(preds2d, gt2d, thresholds):
+def ap_2d_pairwise_reference(preds, scores, gt, thresholds):
     """Greedy matching with one IoU evaluation per (prediction, GT) pair."""
     from mvdet._kernels import iou_matrix
 
-    classes = sorted({p.class_id for p in preds2d} | {g.class_id for g in gt2d})
+    classes = sorted(set(preds.class_id.tolist()) | set(gt.class_id.tolist()))
     out = {}
     for cls in classes:
         ranked = sorted(
-            [(k, p) for k, p in enumerate(preds2d) if p.class_id == cls],
-            key=lambda kp: (-kp[1].score, kp[1].box.view_id, kp[0]),
+            [k for k in range(len(preds)) if preds.class_id[k] == cls],
+            key=lambda k: (-scores[k], preds.view_id[k], k),
         )
-        cls_gt = [g for g in gt2d if g.class_id == cls]
+        cls_gt = [j for j in range(len(gt)) if gt.class_id[j] == cls]
         out[cls] = {}
         for thr in thresholds:
             used = [False] * len(cls_gt)
             tp = np.zeros(len(ranked))
-            for rank, (_, p) in enumerate(ranked):
+            for rank, k in enumerate(ranked):
                 best_iou, best_j = 0.0, -1
                 for j, g in enumerate(cls_gt):
-                    if used[j] or g.box.view_id != p.box.view_id:
+                    if used[j] or gt.view_id[g] != preds.view_id[k]:
                         continue
-                    iou = iou_matrix(p.box.as_array()[None], g.box.as_array()[None])[0, 0]
+                    iou = iou_matrix(preds.rect[k][None], gt.rect[g][None])[0, 0]
                     if iou >= thr and iou > best_iou:
                         best_iou, best_j = iou, j
                 if best_j >= 0:
@@ -511,29 +470,36 @@ def test_ap_matches_pairwise_reference():
     rng = np.random.default_rng(17)
     for _ in range(20):
         def rand_box():
-            return Box2D(cx=float(rng.uniform(0, 60)), cy=float(rng.uniform(0, 40)),
-                         w=float(rng.uniform(2, 20)), h=float(rng.uniform(2, 20)),
-                         view_id=int(rng.integers(0, 3)))
+            box = [float(rng.uniform(0, 60)), float(rng.uniform(0, 40)),
+                   float(rng.uniform(2, 20)), float(rng.uniform(2, 20))]
+            return box, int(rng.integers(0, 3))
 
-        gt = [GtBox2D(box=rand_box(), class_id=int(rng.integers(0, 3)), box3d_index=i)
-              for i in range(int(rng.integers(0, 15)))]
-        preds = [Pred2D(box=rand_box(), class_id=int(rng.integers(0, 3)),
-                        score=float(rng.choice([0.3, 0.5, 0.9])))
+        gt = [(*rand_box(), int(rng.integers(0, 3))) for _ in range(int(rng.integers(0, 15)))]
+        preds = [(*rand_box(), int(rng.integers(0, 3)), float(rng.choice([0.3, 0.5, 0.9])))
                  for _ in range(int(rng.integers(0, 25)))]
-        preds += [Pred2D(box=g.box, class_id=g.class_id, score=0.7) for g in gt[::2]]
+        preds += [(*g, 0.7) for g in gt[::2]]
+
+        def table(rows):
+            return Boxes2D([r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows])
+
+        scores = np.array([p[3] for p in preds])
         thresholds = (0.1, 0.3, 0.5, 0.7)
-        assert ap_2d(preds, gt, thresholds) == ap_2d_pairwise_reference(preds, gt, thresholds)
+        assert (ap_2d(table(preds), scores, table(gt), thresholds)
+                == ap_2d_pairwise_reference(table(preds), scores, table(gt), thresholds))
 
 # ------------------------------------------------------------ detections JSON
 
 def test_detections_roundtrip():
-    p3 = [Pred3D(box=np.arange(9.0), class_id=2, score=0.75)]
-    p2 = [Pred2D(box=Box2D(cx=1.5, cy=2.5, w=3.0, h=4.0, view_id=3), class_id=1, score=0.5)]
-    frames = parse_detections(detections_to_json_obj({7: (p3, p2)}))
+    det = Detections(boxes3d=[np.arange(9.0)], classes3d=[2], scores3d=[0.75],
+                     boxes2d=Boxes2D([[1.5, 2.5, 3.0, 4.0]], [3], [1]), scores2d=[0.5])
+    frames = parse_detections(detections_to_json_obj({7: det}))
     assert list(frames) == [7]
-    b3, b2 = frames[7]
-    assert np.array_equal(b3[0].box, p3[0].box)
-    assert b2[0].box == p2[0].box
-    assert b2[0].class_id == 1
+    back = frames[7]
+    assert np.array_equal(back.boxes3d, det.boxes3d)
+    assert back.classes3d.tolist() == [2] and back.scores3d.tolist() == [0.75]
+    assert np.array_equal(back.boxes2d.rect, det.boxes2d.rect)
+    assert back.boxes2d.view_id.tolist() == [3]
+    assert back.boxes2d.class_id.tolist() == [1]
+    assert back.scores2d.tolist() == [0.5]
     with pytest.raises(ValueError):
         parse_detections({"format": "something-else"})

@@ -17,12 +17,13 @@ from mvdet.simulator import (
     sample_scene,
 )
 
-from conftest import project_one_view, random_rig_with_crop, view_maps
+from conftest import project_one_view, random_rig_with_crop, scored, take, view_maps
 
 
 def test_empty_scene(rig6):
     scene = sample_scene(0, rig6, n_boxes=0)
-    assert scene.boxes == [] and scene.gt2d == []
+    assert scene.anchors.shape == (0, 9) and len(scene.classes) == 0
+    assert len(scene.gt2d) == 0 and len(scene.gt2d_link) == 0
 
 
 def test_seed_determinism(rig6):
@@ -37,28 +38,30 @@ def test_gt2d_matches_projection_oracle(rig6):
     scene = sample_scene(3, rig6, n_boxes=15)
     views = {v.view_id: v for v in rig6}
     expected = set()
-    for i, (anchor, cls) in enumerate(scene.boxes):
+    for i, anchor in enumerate(scene.anchors):
         for view in rig6:
-            pa = project_one_view(view, anchor.as_array()[None])
+            pa = project_one_view(view, anchor[None])
             if pa.valid[0] and pa.rect_area[0] > 0:
                 cx, cy = pa.rect[0, 0:2].tolist()
                 expected.add((i, view.view_id, round(cx, 9), round(cy, 9)))
+    gt = scene.gt2d
     got = {
-        (g.box3d_index, g.box.view_id, round(g.box.cx, 9), round(g.box.cy, 9))
-        for g in scene.gt2d
+        (link, view_id, round(cx, 9), round(cy, 9))
+        for link, view_id, (cx, cy) in zip(scene.gt2d_link.tolist(), gt.view_id.tolist(),
+                                           gt.rect[:, 0:2].tolist())
     }
     assert got == expected
+    assert gt.class_id.tolist() == scene.classes[scene.gt2d_link].tolist()
     # and every entry satisfies the validity rule in its own view (no
     # hallucinated ground truth)
-    for g in scene.gt2d:
-        anchor = scene.boxes[g.box3d_index][0]
-        pa = project_one_view(views[g.box.view_id], anchor.as_array()[None])
+    for link, view_id in zip(scene.gt2d_link.tolist(), gt.view_id.tolist()):
+        pa = project_one_view(views[view_id], scene.anchors[link][None])
         assert pa.valid[0]
 
 
 def test_boxes_do_not_overlap(rig6):
     scene = sample_scene(7, rig6, n_boxes=25)
-    arr = scene.anchors_array()
+    arr = scene.anchors
     for i in range(len(arr)):
         for j in range(i + 1, len(arr)):
             assert not _bev_overlap(_bev_corners(arr[i]), _bev_corners(arr[j]))
@@ -76,56 +79,55 @@ def test_scene_json_roundtrip(rig6):
     scene = sample_scene(11, rig6, n_boxes=10)
     back = Scene.from_json_obj(json.loads(json.dumps(scene.to_json_obj())))
     assert back.to_json_obj() == scene.to_json_obj()
-    assert back.boxes == scene.boxes
-    assert back.gt2d == scene.gt2d
+    assert np.array_equal(back.anchors, scene.anchors)
+    assert np.array_equal(back.classes, scene.classes)
+    assert np.array_equal(back.gt2d.rect, scene.gt2d.rect)
+    assert np.array_equal(back.gt2d.view_id, scene.gt2d.view_id)
+    assert np.array_equal(back.gt2d.class_id, scene.gt2d.class_id)
+    assert np.array_equal(back.gt2d_link, scene.gt2d_link)
 
 
 def test_zero_noise_perturb_reproduces_gt(rig6):
     scene = sample_scene(5, rig6, n_boxes=10)
-    p3d, p2d = perturb(scene, OracleNoise(), seed=1)
-    assert len(p3d) == len(scene.boxes)
-    for p, (a, cls) in zip(p3d, scene.boxes):
-        assert np.array_equal(p.box, a.as_array())
-        assert p.class_id == cls and p.score == 1.0
-    assert len(p2d) == len(scene.gt2d)
-    res = aar(p3d, p2d, scene.truth(), MatchParams())
+    det = perturb(scene, OracleNoise(), seed=1)
+    assert np.array_equal(det.boxes3d, scene.anchors)
+    assert np.array_equal(det.classes3d, scene.classes) and np.all(det.scores3d == 1.0)
+    assert np.array_equal(det.boxes2d.rect, scene.gt2d.rect)
+    assert np.array_equal(det.boxes2d.view_id, scene.gt2d.view_id)
+    assert np.array_equal(det.boxes2d.class_id, scene.gt2d.class_id)
+    assert np.all(det.scores2d == 1.0)
+    res = aar(det, scene, MatchParams())
     assert res.aar == 100.0 and res.recall == 100.0
 
 
 def test_full_drop_empties_predictions(rig6):
     scene = sample_scene(5, rig6, n_boxes=10)
     noise = OracleNoise(drop_prob=1.0, drop_prob_3d=1.0)
-    p3d, p2d = perturb(scene, noise, seed=1)
-    assert p3d == [] and p2d == []
+    det = perturb(scene, noise, seed=1)
+    assert det.boxes3d.shape == (0, 9) and len(det.classes3d) == len(det.scores3d) == 0
+    assert len(det.boxes2d) == len(det.scores2d) == 0
 
 
 def test_fixed_drop_pattern_hand_aar(rig6):
     # craft a scene-like truth with one straddling box, drop one view's 2D
     from test_metrics import straddling_truth
-    from mvdet.metrics import Pred2D, Pred3D
 
     truth, a = straddling_truth(rig6)
-    preds3d = [Pred3D(box=a.as_array(), class_id=0)]
-    view_to_drop = truth.gt2d[1].box.view_id
-    preds2d = [
-        Pred2D(box=g.box, class_id=0)
-        for g in truth.gt2d
-        if g.box.view_id != view_to_drop
-    ]
-    res = aar(preds3d, preds2d, truth, MatchParams())
+    view_to_drop = truth.gt2d.view_id[1]
+    kept = take(truth.gt2d, truth.gt2d.view_id != view_to_drop)
+    res = aar(scored([a], [0], kept), truth, MatchParams())
     assert (res.n_candidate, res.n_valid) == (2, 1)
     assert res.aar == 50.0
 
 
 def test_perturb_per_view_drop(rig6):
     scene = sample_scene(9, rig6, n_boxes=12)
-    views_present = {g.box.view_id for g in scene.gt2d}
+    views_present = set(scene.gt2d.view_id.tolist())
     target = sorted(views_present)[0]
     noise = OracleNoise(drop_prob={target: 1.0})
-    _, p2d = perturb(scene, noise, seed=3)
-    assert all(p.box.view_id != target for p in p2d)
-    others = {g.box.view_id for g in scene.gt2d if g.box.view_id != target}
-    assert {p.box.view_id for p in p2d} == others
+    p2d = perturb(scene, noise, seed=3).boxes2d
+    assert all(view_id != target for view_id in p2d.view_id.tolist())
+    assert set(p2d.view_id.tolist()) == views_present - {target}
 
 
 def test_scene_rejects_repeated_view_ids(rig6):
@@ -147,7 +149,7 @@ def test_render_features_empty_scene(rig6):
 
 def render_features_per_channel(scene, rig, scales=(8, 16), channels=16):
     """Reference: every bump added to all channels of a (H, W, C) map."""
-    proj = project_rig(rig, scene.anchors_array())
+    proj = project_rig(rig, scene.anchors)
     features = {}
     for view, valid, ref_point, rect in zip(rig, proj.valid, proj.ref_point, proj.rect):
         maps = []
@@ -161,7 +163,7 @@ def render_features_per_channel(scene, rig, scales=(8, 16), channels=16):
                 mx = u * (wm / view.width) - 0.5
                 my = v * (hm / view.height) - 0.5
                 sigma = max(float(rect[i, 2]) * (wm / view.width) / 4.0, 0.75)
-                amp = float(scene.boxes[i][1] + 1)
+                amp = float(scene.classes[i] + 1)
                 bump = amp * np.exp(
                     -((gx - mx) ** 2 + (gy - my) ** 2) / (2.0 * sigma * sigma)
                 )
@@ -204,8 +206,8 @@ def test_feature_bump_peaks_at_projected_center(rig6):
         iy, ix = np.unravel_index(np.argmax(fmap), fmap.shape)
         view = views[view_id]
         centers = []
-        for anchor, _ in scene.boxes:
-            pa = project_one_view(view, anchor.as_array()[None])
+        for anchor in scene.anchors:
+            pa = project_one_view(view, anchor[None])
             if pa.valid[0]:
                 u, v = pa.uv[0, 0] if pa.center_in_view[0] else pa.rect[0, 0:2]
                 centers.append((u * fmap.shape[1] / view.width - 0.5,
@@ -221,17 +223,17 @@ def test_depth_map_matches_camera_depth(rig6):
     depths = render_depths(scene, rig6, 8)
     views = {v.view_id: v for v in rig6}
     checked = 0
-    for g in scene.gt2d:
-        view = views[g.box.view_id]
-        anchor = scene.boxes[g.box3d_index][0]
-        pa = project_one_view(view, anchor.as_array()[None])
+    for link, view_id in zip(scene.gt2d_link.tolist(), scene.gt2d.view_id.tolist()):
+        view = views[view_id]
+        anchor = scene.anchors[link]
+        pa = project_one_view(view, anchor[None])
         if not pa.center_in_view[0]:
             continue
         u, v = pa.uv[0, 0]
-        dm = depths[g.box.view_id]
+        dm = depths[view_id]
         j = int(np.clip(u * dm.shape[1] / view.width, 0, dm.shape[1] - 1))
         i = int(np.clip(v * dm.shape[0] / view.height, 0, dm.shape[0] - 1))
-        c = np.asarray(anchor.center)
+        c = anchor[0:3]
         zc = float(view.rotation[2] @ c + view.translation[2])
         assert dm[i, j] <= zc + 1e-9  # nearest covering box wins
         checked += 1
