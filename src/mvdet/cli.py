@@ -178,6 +178,8 @@ def cmd_forward(args) -> int:
     else:
         rig = scene.rig
     if args.seed is not None:
+        if args.seed < 0:
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         config = dataclasses.replace(config, seed=args.seed)
     decoder = HybridDecoder(config, rig)
     out, updated = decoder.forward(
@@ -237,9 +239,18 @@ def _write_csv(lines: list[str], path: str | None) -> None:
         Path(path).write_text(text)
 
 
-def cmd_eval_aar(args) -> int:
+def _eval_inputs(args) -> tuple[list[Scene], dict]:
+    """``--gt``'s scenes and ``--pred``'s detections by frame id, each frame with a scene."""
     scenes = _load_gt_scenes(args.gt)
     det_by_frame = parse_detections(load_json(args.pred), source=str(args.pred))
+    extra = set(det_by_frame) - {scene.frame_id for scene in scenes}
+    if extra:
+        raise ValueError(f"{args.pred}: frame_id {min(extra)} has no scene in {args.gt}")
+    return scenes, det_by_frame
+
+
+def cmd_eval_aar(args) -> int:
+    scenes, det_by_frame = _eval_inputs(args)
     params = MatchParams(tau_dis=args.tau_dis)
     taus = _parse_sweep(args.tau_iou_sweep)
     rows = _aar_curve_rows(scenes, det_by_frame, params, taus)
@@ -275,8 +286,7 @@ def _ap_inputs(scenes, det_by_frame):
 
 
 def cmd_eval_ap(args) -> int:
-    scenes = _load_gt_scenes(args.gt)
-    det_by_frame = parse_detections(load_json(args.pred), source=str(args.pred))
+    scenes, det_by_frame = _eval_inputs(args)
     thresholds = [float(t) for t in args.iou_thresholds.split(",")]
     ap = ap_2d(*_ap_inputs(scenes, det_by_frame), thresholds)
     _write_csv(_ap_csv_lines(ap), args.out)

@@ -9,8 +9,10 @@ bit-identical outputs.
 
 The query state stays float64.  The two dense self-attentions over the N
 3D queries (the aggregate and the 3D sub-layer's) compute in float32, as
-the paper's PyTorch model does by default; 2D group attention, temporal
-attention and reference-point sampling stay float64.
+the paper's PyTorch model does by default, through groupattn's row-blocked
+body on the calling thread; 2D group attention, temporal attention and
+reference-point sampling stay float64.  ``HeadOutputs.to_json_obj`` hands
+the head outputs to the JSON writer as NumPy arrays, never as lists.
 """
 
 from __future__ import annotations
@@ -183,21 +185,21 @@ class HeadOutputs:
         return len(self.layers_2d) + len(self.layers_3d)
 
     def to_json_obj(self) -> dict:
+        """JSON form for ``geometry.dump_json``: C-contiguous float64, int64
+        and bool arrays, which it encodes like their ``tolist()``."""
+        floats = lambda a: np.ascontiguousarray(a, dtype=np.float64)
+
         def l3(o: Layer3DOutput) -> dict:
-            return {
-                "source": o.source,
-                "boxes3d": o.boxes3d.tolist(),
-                "logits": o.logits.tolist(),
-            }
+            return {"source": o.source, "boxes3d": floats(o.boxes3d), "logits": floats(o.logits)}
 
         def l2(o: Layer2DOutput) -> dict:
             return {
-                "rows": o.mapping.rows.tolist(),
-                "camera_of_col": o.mapping.camera_of_col.tolist(),
-                "boxes2d": o.boxes2d.tolist(),
-                "logits": o.logits.tolist(),
-                "alphas": o.alphas.tolist(),
-                "truncation": [bool(t) for t in o.truncation],
+                "rows": np.ascontiguousarray(o.mapping.rows, dtype=np.int64),
+                "camera_of_col": np.ascontiguousarray(o.mapping.camera_of_col, dtype=np.int64),
+                "boxes2d": floats(o.boxes2d),
+                "logits": floats(o.logits),
+                "alphas": floats(o.alphas),
+                "truncation": np.ascontiguousarray(o.truncation, dtype=bool),
             }
 
         return {

@@ -325,11 +325,13 @@ def dump_json(obj, path: str | Path | None, *, indent: bool = False) -> None:
     ``path`` is None; compact, or indented by two spaces with ``indent``.
 
     Floats are written in their shortest round-tripping form, NaN and
-    infinities as null.
+    infinities as null.  C-contiguous float64, int64 and bool arrays are
+    written byte for byte like their ``tolist()``.
     """
     import orjson  # imported on first write; `mvdet --version` never needs it
 
-    option = orjson.OPT_APPEND_NEWLINE | (orjson.OPT_INDENT_2 if indent else 0)
+    option = orjson.OPT_APPEND_NEWLINE | orjson.OPT_SERIALIZE_NUMPY
+    option |= orjson.OPT_INDENT_2 if indent else 0
     text = orjson.dumps(obj, option=option).decode()
     if path is None:
         sys.stdout.write(text)

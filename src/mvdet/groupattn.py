@@ -7,27 +7,26 @@ rows of one group depend only on that group's inputs -- perturbing or
 removing another group leaves them bit-identical.  ``build_mask`` spells
 the same rule out as a dense additive mask for reference checks.
 
-Dense attention (each group, or every row over ``kv``) is head-batched:
-the score buffers of one call hold together as many heads as fit in
-``SCORE_BUDGET`` elements (at least one), and the softmax runs in place.
-A call whose heads do not fit in one buffer splits them among threads,
-one buffer each, up to the number of usable cores; the threads end with
-the call.
+Dense attention (each group, or every row over ``kv``) runs on the calling
+thread.  In float64 the score buffer holds together as many heads as fit
+in ``SCORE_BUDGET`` elements (at least one), and the softmax runs in place.
+In float32 it holds all heads for a block of query rows, sized to
+``BLOCK_BUDGET`` elements so it stays in cache through the softmax and the
+value product.
 
 Attention computes in float32 when it is given float32 queries and in
 float64 otherwise, and always returns float64.  The float64 path is
-bit-identical to a per-head loop.  The float32 path fuses the softmax into
-the value product (a ones column in V carries the row sum); it is
-bit-identical across chunkings and thread counts, and differs from the
-float64 result by less than 1e-5 of the largest value entry.  The decoder
-runs its dense self-attentions over the 3D queries in float32.
+bit-identical to a per-head loop.  The float32 path works in base 2 (q is
+scaled by log2(e)/sqrt(d), then ``exp2``) and fuses the softmax into the
+value product (a ones column in V carries the row sum); it is
+bit-identical to a per-head loop over the same row blocks, and differs
+from the float64 result by less than 1e-5 of the largest value entry.
+The decoder runs its dense self-attentions over the 3D queries in float32.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 import numpy as np
 
@@ -38,18 +37,13 @@ from ._kernels import bilinear_sample
 # softmax weight is exactly 0.0 (holds for |unmasked logits| << 1e9).
 NEG_INF = -1e9
 
-# Elements in all score buffers of one dense attention call together
-# (16 MiB in float64, 8 MiB in float32): small calls batch all heads in one
-# product; at N = M = 900 two heads fit, one on each of two threads.
+# Elements of the float64 score buffer of one dense attention call (16 MiB):
+# small calls batch all heads in one product; at N = M = 900 two heads fit.
 SCORE_BUDGET = 1 << 21
 
-
-def usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
+# Elements of the float32 score block (1 MiB, sized for L2): all h heads
+# over max(1, BLOCK_BUDGET // (h * M)) query rows, 36 rows at M = 900, h = 8.
+BLOCK_BUDGET = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -172,23 +166,20 @@ def softmax_rows(scores: np.ndarray) -> np.ndarray:
 
 
 def _attend(x: np.ndarray, kv: np.ndarray, params: AttentionParams) -> np.ndarray:
-    """Multi-head softmax(QK^T / sqrt(d)) V of every row of x over kv.
+    """Multi-head softmax(QK^T / sqrt(d)) V of every row of x over kv, on
+    the calling thread, in the dtype of x (float32 or float64); returns float64.
 
-    Computes in the dtype of x (float32 or float64) and returns float64.
-    The budget of SCORE_BUDGET elements (or one N x M head, when that is
-    larger) is shared by the score buffers of the call.  When all heads fit
-    in it they run in one chunk on the calling thread.  Otherwise up to
-    ``usable_cpus()`` workers each take a buffer of an equal share of the
-    budget and run every workers-th chunk of heads through it; the calling
-    thread is one of them.  Every head sees the same operations in the same
-    order whatever the chunking or thread count, so the output does not
-    depend on them; in float64 it is bit-identical to a per-head loop.
-    Query rows are never blocked: BLAS may pick another kernel for the
-    smaller products and change the last bits.
+    Float64 runs as many heads at once as fit in SCORE_BUDGET elements (at
+    least one) through one score buffer, so each head sees the operations of
+    a per-head loop, bit for bit.  Its query rows are never blocked: BLAS may
+    round a product over fewer rows differently.
 
-    The float32 body scales q by 1/sqrt(d) before its cast and appends a
-    ones column to v, so one product yields both the softmax numerator and
-    its row sum (at least 1: the row maximum contributes exp(0)).
+    Float32 runs blocks of query rows, all heads at once, through one buffer
+    of at most BLOCK_BUDGET elements (at least one row): QK^T with q scaled
+    by log2(e)/sqrt(d) before its cast, minus the row max, exp2 in place,
+    and one product with [v | 1] that yields the numerator and its row sum
+    (at least 1: the row max contributes exp2(0)).  q, k and the transpose
+    of [v | 1] are stored head by head, as BLAS reads them fastest.
     """
     n, c = x.shape
     m = kv.shape[0]
@@ -199,41 +190,31 @@ def _attend(x: np.ndarray, kv: np.ndarray, params: AttentionParams) -> np.ndarra
     q = (x @ params.w_q).reshape(n, h, d).transpose(1, 0, 2)
     k = (kv @ params.w_k).reshape(m, h, d).transpose(1, 2, 0)
     v = (kv @ params.w_v).reshape(m, h, d).transpose(1, 0, 2)
-    scale = math.sqrt(d)
-    fused = x.dtype == np.float32
-    if fused:
-        q = (q / scale).astype(np.float32)
-        k = k.astype(np.float32)
-        v = np.concatenate([v, np.ones((h, m, 1))], axis=2, dtype=np.float32)
     out = np.empty((n, h, d))
     heads_out = out.transpose(1, 0, 2)
-    fit = max(1, SCORE_BUDGET // max(1, n * m))  # heads the budget holds
-    workers = 1 if fit >= h else min(usable_cpus(), fit)
-    step = min(h, fit // workers)
-    starts = range(0, h, step)
-
-    def run_chunks(first: int) -> None:
-        buf = np.empty((step, n, m), dtype=x.dtype)
-        for s in starts[first::workers]:
+    if x.dtype == np.float32:
+        q = (q * (math.log2(math.e) / math.sqrt(d))).astype(np.float32, order="C")
+        k = k.astype(np.float32, order="C")
+        v1 = np.ones((h, d + 1, m), dtype=np.float32)
+        v1[:, :d] = v.transpose(0, 2, 1)
+        v1 = v1.transpose(0, 2, 1)
+        rows = max(1, BLOCK_BUDGET // max(1, h * m))
+        buf = np.empty((h, min(rows, n), m), dtype=np.float32)
+        for s in range(0, n, rows):
+            e = min(n, s + rows)
+            scores = np.matmul(q[:, s:e], k, out=buf[:, : e - s])
+            np.subtract(scores, scores.max(axis=-1, keepdims=True), out=scores)
+            np.exp2(scores, out=scores)
+            num = scores @ v1
+            heads_out[:, s:e] = num[..., :d] / num[..., d:]
+    else:
+        step = min(h, max(1, SCORE_BUDGET // max(1, n * m)))
+        buf = np.empty((step, n, m))
+        for s in range(0, h, step):
             e = min(h, s + step)
             scores = np.matmul(q[s:e], k[s:e], out=buf[: e - s])
-            if fused:
-                np.subtract(scores, scores.max(axis=-1, keepdims=True), out=scores)
-                np.exp(scores, out=scores)
-                num = scores @ v[s:e]
-                heads_out[s:e] = num[..., :d] / num[..., d:]
-            else:
-                np.divide(scores, scale, out=scores)
-                heads_out[s:e] = softmax_rows(scores) @ v[s:e]
-
-    if workers == 1:
-        run_chunks(0)
-    else:
-        with ThreadPoolExecutor(workers - 1) as pool:
-            futures = [pool.submit(run_chunks, w) for w in range(1, workers)]
-            run_chunks(0)
-            for f in futures:
-                f.result()
+            np.divide(scores, math.sqrt(d), out=scores)
+            heads_out[s:e] = softmax_rows(scores) @ v[s:e]
     return out.reshape(n, c)
 
 

@@ -94,7 +94,7 @@ class Scene:
     ``anchors`` holds the (N, 9) boxes and ``classes`` their class ids; row
     j of ``gt2d`` is a 2D box of anchor ``gt2d_link[j]``.  The constructor
     takes array-likes and checks them: the boxes must be finite with
-    positive sizes, and every link must name one of them.
+    positive sizes, and every link must name one of them, of the same class.
     """
 
     seed: int
@@ -118,6 +118,11 @@ class Scene:
         if bad.size:
             raise ValueError(f"gt2d box {bad[0]} links to 3D box {self.gt2d_link[bad[0]]}; "
                              f"the scene has {n}")
+        bad = np.flatnonzero(self.gt2d.class_id != self.classes[self.gt2d_link])
+        if bad.size:
+            j, box = bad[0], self.gt2d_link[bad[0]]
+            raise ValueError(f"gt2d box {j} has class_id {self.gt2d.class_id[j]}, "
+                             f"but its 3D box {box} has class_id {self.classes[box]}")
 
     def to_json_obj(self) -> dict:
         gt = self.gt2d

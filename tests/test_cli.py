@@ -179,6 +179,16 @@ def test_forward_rejects_unknown_config_keys(tmp_path, sim_dir, capsys, cfg_obj,
     assert not out.exists()
 
 
+def test_forward_rejects_negative_seed(tmp_path, sim_dir, capsys):
+    cfg = tmp_path / "decoder.json"
+    cfg.write_text(json.dumps({"preset": "F", "n_queries": 24, "channels": 16, "heads": 4}))
+    out = tmp_path / "fwd.json"
+    assert run_cli("forward", "--config", str(cfg), "--scene", str(sim_dir / "scene_0000.json"),
+                   "--seed", "-1", "--out", str(out)) == 1
+    assert capsys.readouterr().err == "mvdet forward: error: --seed must be non-negative, got -1\n"
+    assert not out.exists()
+
+
 def test_eval_aar_zero_noise_perfect(tmp_path, sim_dir, capsys):
     from mvdet.simulator import load_scene, perturb
 
@@ -237,6 +247,26 @@ def test_eval_rejects_repeated_detection_frame(tmp_path, sim_dir, capsys, comman
     assert run_cli(command, "--gt", str(sim_dir / "scenes.json"), "--pred", str(pred),
                    *EVAL_ARGS[command], "--out", str(out)) == 1
     assert f"{pred}: frame_id 0 appears more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(EVAL_ARGS))
+def test_eval_rejects_detection_frame_without_scene(tmp_path, sim_dir, capsys, command):
+    from mvdet.simulator import load_scene
+
+    # frame 0's perfect boxes, and a copy of them as frame 99, which no
+    # scene of the ground truth has: they would go unscored
+    scene = load_scene(sim_dir / "scene_0000.json")
+    obj = detections_to_json_obj({scene.frame_id: perturb(scene, seed=0)})
+    obj["frames"].append({**obj["frames"][0], "frame_id": 99})
+    pred = tmp_path / "pred.json"
+    pred.write_text(json.dumps(obj))
+    gt = sim_dir / "scenes.json"
+    out = tmp_path / "out.csv"
+    assert run_cli(command, "--gt", str(gt), "--pred", str(pred),
+                   *EVAL_ARGS[command], "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"mvdet {command}: error: {pred}: frame_id 99 has no scene in {gt}\n")
     assert not out.exists()
 
 
@@ -327,6 +357,15 @@ def scene_file_with(sim_dir, section, value):
     return obj
 
 
+def gt2d_class_changed(sim_dir, class_id):
+    """Scene 0 of ``sim_dir`` with its first 2D box linked to 3D box 0 of
+    class 0, and of class ``class_id`` itself."""
+    obj = json.loads((sim_dir / "scene_0000.json").read_text())
+    obj["boxes"][0]["class_id"] = 0
+    obj["gt2d"][0].update(box3d_index=0, class_id=class_id)
+    return obj
+
+
 @pytest.mark.parametrize(
     "command, flag, make_obj, message",
     [
@@ -353,10 +392,12 @@ def scene_file_with(sim_dir, section, value):
          "3D box 0 holds 7 values, expected 9"),
         ("eval-aar", "--gt", lambda sim: {"format": "mvdet-scene-set/1", "scenes": []},
          "holds no scenes"),
+        ("eval-ap", "--gt", lambda sim: gt2d_class_changed(sim, 4),
+         "gt2d box 0 has class_id 4, but its 3D box 0 has class_id 0"),
     ],
     ids=["pred2d_negative_width", "pred2d_nan_center", "pred2d_three_floats",
          "pred3d_three_floats", "scene_zero_size", "gt2d_negative_width",
-         "scene_seven_floats", "no_scenes"],
+         "scene_seven_floats", "no_scenes", "gt2d_class_differs"],
 )
 def test_bad_box_value_names_the_file(tmp_path, sim_dir, capsys, command, flag, make_obj,
                                       message):

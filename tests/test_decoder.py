@@ -1,19 +1,24 @@
 import dataclasses
 
 import numpy as np
+import orjson
 import pytest
 
 from mvdet import aggregation, decoder
-from mvdet.allocation import AllocationLimits, allocate, clamp_anchors
+from mvdet.allocation import AllocationLimits, MappingMatrix, allocate, clamp_anchors
 from mvdet.crop_scale import CropRule, extend_rig
 from mvdet.decoder import (
     PRESETS,
     DecoderConfig,
+    HeadOutputs,
     HybridDecoder,
+    Layer2DOutput,
+    Layer3DOutput,
     QuerySet,
     propagate_topk,
     wrap_yaw,
 )
+from mvdet.geometry import dump_json
 from mvdet.groupattn import attention
 from mvdet.simulator import render_features, sample_scene
 
@@ -73,7 +78,8 @@ def test_every_decoder_config_field_changes_forward(setup):
         scales = tuple(8 * 2**s for s in range(cfg.n_scales))
         feats = render_features(scene, rig, scales=scales, channels=cfg.feature_channels)
         out, updated = dec.forward(feats, dec.initial_queries())
-        return out.to_json_obj(), updated.features.tolist(), updated.anchors.tolist()
+        heads = orjson.dumps(out.to_json_obj(), option=orjson.OPT_SERIALIZE_NUMPY)
+        return heads, updated.features.tolist(), updated.anchors.tolist()
 
     # a cap of one truncated column per camera and a 1 m size clamp both bind
     # on the initial anchors
@@ -98,6 +104,47 @@ def test_config_json_roundtrip():
     assert back == cfg
     preset = DecoderConfig.from_json_obj({"preset": "F", "n_queries": 32, "channels": 16, "heads": 4})
     assert (preset.l_2d, preset.l_3d, preset.l_hybrid) == (1, 1, 3)
+
+
+def tolist_form(out: HeadOutputs) -> dict:
+    """The head outputs as nested Python lists, the form ``to_json_obj``
+    returned before it returned arrays."""
+    l3 = lambda o: {"source": o.source, "boxes3d": o.boxes3d.tolist(), "logits": o.logits.tolist()}
+    return {
+        "format": "mvdet-headoutputs/1",
+        "layers_2d": [
+            {"rows": o.mapping.rows.tolist(), "camera_of_col": o.mapping.camera_of_col.tolist(),
+             "boxes2d": o.boxes2d.tolist(), "logits": o.logits.tolist(),
+             "alphas": o.alphas.tolist(), "truncation": [bool(t) for t in o.truncation]}
+            for o in out.layers_2d
+        ],
+        "layers_3d": [l3(o) for o in out.layers_3d],
+        "agg_taps": [l3(o) for o in out.agg_taps],
+    }
+
+
+@pytest.mark.parametrize("indent", [False, True])
+def test_head_outputs_encode_like_their_lists(tmp_path, indent):
+    # NaN, -0.0, the smallest subnormal, infinities, a transposed (not
+    # C-contiguous) array, an empty layer and bools
+    special = np.array([np.nan, -0.0, 5e-324, np.inf, -np.inf, 1e16, 0.1, -2.5e-7, 3.0])
+    rows = special.reshape(3, 3).T
+    layer2d = Layer2DOutput(
+        mapping=MappingMatrix(4, 3, rows=[0, 3, 3], camera_of_col=[0, 0, 5]),
+        ref_points=np.zeros((3, 2)), truncation=np.array([True, False, True]),
+        boxes2d=np.tile(special[:4], (3, 1)), logits=rows, alphas=rows[:, :2],
+    )
+    empty2d = Layer2DOutput(
+        mapping=MappingMatrix(4, 0, rows=[], camera_of_col=[]), ref_points=np.zeros((0, 2)),
+        truncation=np.zeros(0, dtype=bool), boxes2d=np.zeros((0, 4)),
+        logits=np.zeros((0, 3)), alphas=np.zeros((0, 2)),
+    )
+    layer3d = Layer3DOutput(boxes3d=np.tile(special, (4, 1)), logits=np.zeros((4, 3)), source="3d")
+    empty3d = Layer3DOutput(boxes3d=np.zeros((0, 9)), logits=np.zeros((0, 3)), source="agg")
+    out = HeadOutputs([layer2d, empty2d], [layer3d, empty3d], [empty3d])
+    dump_json(out.to_json_obj(), tmp_path / "arrays.json", indent=indent)
+    dump_json(tolist_form(out), tmp_path / "lists.json", indent=indent)
+    assert (tmp_path / "arrays.json").read_bytes() == (tmp_path / "lists.json").read_bytes()
 
 
 def test_sublayer_counts_per_preset(setup):

@@ -12,6 +12,7 @@ from mvdet import groupattn
 from mvdet._kernels import bilinear_sample
 from mvdet.denoising import denoise_groups
 from mvdet.groupattn import (
+    BLOCK_BUDGET,
     NEG_INF,
     SCORE_BUDGET,
     AttentionParams,
@@ -310,16 +311,13 @@ def test_dense_attention_matches_per_head_loop(n, m, heads, d, seed):
         (900, 256, 4),
     ],
 )
-def test_dense_attention_around_score_budget(n, m, heads, monkeypatch):
+def test_dense_attention_around_score_budget(n, m, heads):
     rng = np.random.default_rng(n + m + heads)
     c = 2 * heads
     x = rng.standard_normal((n, c))
     kv = rng.standard_normal((m, c))
     params = AttentionParams.seeded(c, heads, rng)
-    want = per_head_reference(x, kv, params)
-    for cores in (1, 2, 8):
-        monkeypatch.setattr(groupattn, "usable_cpus", lambda: cores)
-        assert np.array_equal(attention(x, params, kv=kv), want), cores
+    assert np.array_equal(attention(x, params, kv=kv), per_head_reference(x, kv, params))
 
 
 def test_dense_attention_empty_queries():
@@ -330,93 +328,73 @@ def test_dense_attention_empty_queries():
     assert np.array_equal(got, per_head_reference(np.zeros((0, 8)), kv, params))
 
 
-def test_dense_attention_peak_memory(monkeypatch):
-    # all score buffers of a call share one budget whatever the core count:
-    # at N = 900 two N x N buffers, not an h x N x N stack, one buffer per
-    # core or fresh per-head temporaries
+def traced_peak(call):
+    """Peak bytes traced by tracemalloc while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_attention_peak_memory():
+    # float64 score buffers share one budget: at N = 900 two N x N buffers,
+    # not an h x N x N stack or fresh per-head temporaries
     n, c, heads = 900, 64, 8
     rng = np.random.default_rng(0)
     x = rng.standard_normal((n, c))
     params = AttentionParams.seeded(c, heads, rng)
-    monkeypatch.setattr(groupattn, "usable_cpus", lambda: 8)
-    tracemalloc.start()
-    try:
-        attention(x, params)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * n * n * 8
+    assert traced_peak(lambda: attention(x, params)) < 3 * n * n * 8
 
 
 def test_dense_attention_head_over_budget_memory(monkeypatch):
-    # one N x M head larger than the budget: the call still holds a single
-    # N x M score buffer, on the calling thread, however many cores there are
+    # one N x M head larger than the budget: the call holds a single N x M
+    # score buffer, on the calling thread
     n, m, heads = SCORE_BUDGET // 1024, 1025, 2
     rng = np.random.default_rng(4)
     x = rng.standard_normal((n, 2 * heads))
     kv = rng.standard_normal((m, 2 * heads))
     params = AttentionParams.seeded(2 * heads, heads, rng)
-    seen = set()
-    monkeypatch.setattr(groupattn, "usable_cpus", lambda: 8)
-    monkeypatch.setattr(groupattn, "softmax_rows", softmax_recording_threads(seen))
-    tracemalloc.start()
-    try:
-        attention(x, params, kv=kv)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    seen = []
+    monkeypatch.setattr(groupattn, "softmax_rows", recording_threads(groupattn.softmax_rows, seen))
+    peak = traced_peak(lambda: attention(x, params, kv=kv))
     assert n * m > SCORE_BUDGET
     assert peak < 1.1 * n * m * 8
-    assert seen == {threading.get_ident()}
+    assert set(seen) == {threading.get_ident()}
 
 
-class InjectedFailure(Exception):
-    pass
+def recording_threads(func, seen):
+    """``func`` that appends the id of the thread of each call to ``seen``."""
 
-
-def softmax_recording_threads(seen, fail_off_main=False):
-    """``softmax_rows`` that records the threads it runs on."""
-    real = groupattn.softmax_rows
-
-    def recording(scores):
-        seen.add(threading.get_ident())
-        if fail_off_main and threading.current_thread() is not threading.main_thread():
-            raise InjectedFailure("worker failed")
-        return real(scores)
+    def recording(*args, **kwargs):
+        seen.append(threading.get_ident())
+        return func(*args, **kwargs)
 
     return recording
 
 
-@pytest.mark.parametrize("cores, n, threads", [(1, 900, 1), (2, 900, 2), (8, 900, 2),
-                                               (8, 300, 1)])
-def test_dense_attention_threads_end_with_the_call(monkeypatch, cores, n, threads):
-    # N = 900, 8 heads: two heads fit, so two threads when two cores are
-    # usable; N = 300 fits all heads in one chunk on the calling thread
+@pytest.mark.parametrize("dtype, n, calls", [("float32", 900, 25), ("float32", 20, 1),
+                                             ("float64", 900, 4), ("float64", 300, 1)])
+def test_dense_attention_runs_on_the_calling_thread(monkeypatch, dtype, n, calls):
+    # every float32 row block (36 rows at N = 900, 8 heads) and every float64
+    # chunk of heads (two at N = 900) runs on the calling thread, and the
+    # call starts no thread
     rng = np.random.default_rng(1)
-    x = rng.standard_normal((n, 16))
+    x = rng.standard_normal((n, 16)).astype(dtype)
     params = AttentionParams.seeded(16, 8, rng)
-    seen = set()
-    monkeypatch.setattr(groupattn, "usable_cpus", lambda: cores)
-    monkeypatch.setattr(groupattn, "softmax_rows", softmax_recording_threads(seen))
+    seen = []
+    if dtype == "float32":
+        reference = fused_per_head_reference
+        monkeypatch.setattr(np, "exp2", recording_threads(np.exp2, seen))
+    else:
+        reference = per_head_reference
+        monkeypatch.setattr(groupattn, "softmax_rows", recording_threads(groupattn.softmax_rows, seen))
     before = threading.active_count()
-    assert np.array_equal(attention(x, params), per_head_reference(x, x, params))
+    got = attention(x, params)
     assert threading.active_count() == before
-    assert len(seen) == threads
-
-
-def test_dense_attention_worker_error_reaches_caller(monkeypatch):
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal((900, 16))
-    params = AttentionParams.seeded(16, 8, rng)
-    seen = set()
-    monkeypatch.setattr(groupattn, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(groupattn, "softmax_rows",
-                        softmax_recording_threads(seen, fail_off_main=True))
-    before = threading.active_count()
-    with pytest.raises(InjectedFailure, match="worker failed"):
-        attention(x, params)
-    assert threading.active_count() == before
-    assert len(seen) == 2
+    assert seen == [threading.get_ident()] * calls
+    assert np.array_equal(got, reference(x, x, params))
 
 
 def test_softmax_rows_in_place():
@@ -434,21 +412,28 @@ FLOAT32_REL_TOL = 1e-5
 
 
 def fused_per_head_reference(x, kv, params):
-    """The float32 formula as a per-head loop: q scaled before its cast, the
-    row sum carried by a ones column appended to v."""
-    h = params.heads
-    d = x.shape[1] // h
-    q = ((x @ params.w_q) / math.sqrt(d)).astype(np.float32)
+    """The float32 formula as a per-head loop over the same row blocks as
+    ``attention``: q scaled by log2(e)/sqrt(d) before its cast, exp2, and
+    the row sum carried by a ones row appended to the transposed v."""
+    n, c = x.shape
+    m, h = kv.shape[0], params.heads
+    d = c // h
+    q = ((x @ params.w_q) * (math.log2(math.e) / math.sqrt(d))).astype(np.float32)
     k = (kv @ params.w_k).astype(np.float32)
     v = (kv @ params.w_v).astype(np.float32)
-    ones = np.ones((kv.shape[0], 1), dtype=np.float32)
+    rows = max(1, groupattn.BLOCK_BUDGET // (h * m))
     out = np.empty(x.shape)
     for head in range(h):
         sl = slice(head * d, (head + 1) * d)
-        scores = q[:, sl] @ k[:, sl].T
-        e = np.exp(scores - scores.max(axis=1, keepdims=True))
-        num = e @ np.concatenate([v[:, sl], ones], axis=1)
-        out[:, sl] = num[:, :d] / num[:, d:]
+        q_head = np.ascontiguousarray(q[:, sl])
+        k_head = np.ascontiguousarray(k[:, sl].T)
+        v_head = np.ones((d + 1, m), dtype=np.float32)
+        v_head[:d] = v[:, sl].T
+        for s in range(0, n, rows):
+            scores = q_head[s : s + rows] @ k_head
+            e = np.exp2(scores - scores.max(axis=1, keepdims=True))
+            num = e @ v_head.T
+            out[s : s + rows, sl] = num[:, :d] / num[:, d:]
     return out
 
 
@@ -495,17 +480,26 @@ def test_float32_attention_near_float64_property(n, m, heads, d, seed):
         assert drift <= FLOAT32_REL_TOL * np.abs(keys @ params.w_v).max()
 
 
-def test_float32_attention_independent_of_chunks_and_threads(monkeypatch):
+@pytest.mark.parametrize("budget", [1, 8 * 900 * 7, BLOCK_BUDGET, 8 * 900 * 900, 1 << 30])
+def test_float32_attention_matches_reference_at_every_block_size(budget, monkeypatch):
+    # one row; seven rows with a ragged last block; the default 36; one
+    # block; a budget larger than the call.  Blocks are not compared with
+    # each other: BLAS may round a product over fewer rows differently.
     n, c, heads = 900, 64, 8
     rng = np.random.default_rng(5)
     x = rng.standard_normal((n, c)).astype(np.float32)
     params = AttentionParams.seeded(c, heads, rng)
-    want = attention(x, params)
-    for budget in (heads * n * n, 2 * n * n, n * n):  # all heads, two, one fit
-        monkeypatch.setattr(groupattn, "SCORE_BUDGET", budget)
-        for cores in (1, 2, 8):
-            monkeypatch.setattr(groupattn, "usable_cpus", lambda: cores)
-            assert np.array_equal(attention(x, params), want), (budget, cores)
+    monkeypatch.setattr(groupattn, "BLOCK_BUDGET", budget)
+    assert np.array_equal(attention(x, params), fused_per_head_reference(x, x, params))
+
+
+def test_float32_attention_peak_memory():
+    # one 1 MiB block of scores, q, k, [v | 1] and the output: not a stack
+    # of N x N score buffers
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((900, 64)).astype(np.float32)
+    params = AttentionParams.seeded(64, 8, rng)
+    assert traced_peak(lambda: attention(x, params)) < 4 * 2**20
 
 
 def test_float32_attention_returns_float64_and_rejects_nan():

@@ -137,6 +137,29 @@ def test_scene_rejects_repeated_view_ids(rig6):
         Scene.from_json_obj(obj)
 
 
+def test_simulated_scenes_link_gt2d_to_boxes_of_their_class(rig6):
+    # every 2D box of a sampled scene carries its 3D box's class, so the
+    # constructor's class check accepts them all, through the JSON form too
+    for seed in range(6):
+        scene = sample_scene(seed, rig6, n_boxes=20)
+        assert len(scene.gt2d) > 0
+        assert np.array_equal(scene.gt2d.class_id, scene.classes[scene.gt2d_link])
+        back = Scene.from_json_obj(json.loads(json.dumps(scene.to_json_obj())))
+        assert np.array_equal(back.gt2d.class_id, scene.gt2d.class_id)
+
+
+def test_scene_rejects_gt2d_class_other_than_its_box(rig6):
+    obj = sample_scene(4, rig6, n_boxes=6).to_json_obj()
+    j = len(obj["gt2d"]) - 1
+    entry = obj["gt2d"][j]
+    own = obj["boxes"][entry["box3d_index"]]["class_id"]
+    entry["class_id"] = (own + 1) % 5
+    with pytest.raises(ValueError, match=(
+            rf"^gt2d box {j} has class_id {(own + 1) % 5}, but its 3D box "
+            rf"{entry['box3d_index']} has class_id {own}$")):
+        Scene.from_json_obj(obj)
+
+
 def test_render_features_empty_scene(rig6):
     scene = sample_scene(0, rig6, n_boxes=0)
     feats = render_features(scene, rig6)
