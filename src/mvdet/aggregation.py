@@ -18,12 +18,8 @@ from .groupattn import AttentionParams, attention
 
 def sigmoid(t: np.ndarray) -> np.ndarray:
     """Logistic function, evaluated without overflow for either sign."""
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass(frozen=True)

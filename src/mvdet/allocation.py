@@ -180,13 +180,16 @@ def mean_of_copies(owner: np.ndarray, copies: np.ndarray, n: int) -> np.ndarray:
     out = np.zeros((n, copies.shape[1]))
     if owner.size == 0:
         return out
-    counts = np.bincount(owner, minlength=n).astype(np.float64)
-    owned, first = np.unique(owner, return_index=True)
-    anchor_vals = np.zeros_like(out)
-    anchor_vals[owned] = copies[first]
-    diff_sum = np.zeros_like(out)
-    np.add.at(diff_sum, owner, copies - anchor_vals[owner])
-    out[owned] = anchor_vals[owned] + diff_sum[owned] / counts[owned, None]
+    counts = np.bincount(owner, minlength=n)
+    order = np.argsort(owner, kind="stable")  # each owner's copies together, in copy order
+    start = np.cumsum(counts) - counts
+    owned = np.flatnonzero(counts)
+    anchor = copies[order[start[owned]]]
+    diff_sum = np.zeros_like(anchor)
+    for r in range(counts.max()):  # every owner's r-th copy at once keeps the copy order
+        has = counts[owned] > r
+        diff_sum[has] += copies[order[start[owned[has]] + r]] - anchor[has]
+    out[owned] = anchor + diff_sum / counts[owned, None]
     return out
 
 

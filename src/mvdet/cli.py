@@ -12,6 +12,7 @@ import argparse
 import collections
 import concurrent.futures
 import contextlib
+import ctypes
 import dataclasses
 import functools
 import logging
@@ -60,15 +61,24 @@ def _setup_logging() -> None:
 
 
 def _parse_sweep(spec: str) -> list[float]:
-    """'0.1:0.9:0.1' -> [0.1, 0.2, ..., 0.9]."""
+    """'0.1:0.9:0.1' -> [0.1, 0.2, ..., 0.9], IoU thresholds within [0, 1]."""
     try:
         lo, hi, step = (float(x) for x in spec.split(":"))
     except ValueError as exc:
         raise ValueError(f"bad sweep spec {spec!r}; expected lo:hi:step") from exc
-    if step <= 0 or hi < lo:
-        raise ValueError(f"bad sweep spec {spec!r}")
+    if not (0.0 <= lo <= hi <= 1.0 and step > 0):  # NaN fails too
+        raise ValueError(f"bad sweep spec {spec!r}; expected 0 <= lo <= hi <= 1, step > 0")
     n = int(round((hi - lo) / step))
     return [round(lo + i * step, 10) for i in range(n + 1)]
+
+
+def _iou_thresholds(values) -> list[float]:
+    """``values`` as floats, each a finite IoU threshold within [0, 1]."""
+    thresholds = [float(t) for t in values]
+    bad = [t for t in thresholds if not 0.0 <= t <= 1.0]  # NaN fails too
+    if bad:
+        raise ValueError(f"IoU threshold {bad[0]} is outside [0, 1]")
+    return thresholds
 
 
 def _load_gt_scenes(path: str | Path) -> list[Scene]:
@@ -250,9 +260,11 @@ def _eval_inputs(args) -> tuple[list[Scene], dict]:
 
 
 def cmd_eval_aar(args) -> int:
+    with naming_file("--tau-dis"):
+        params = MatchParams(tau_dis=args.tau_dis)
+    with naming_file("--tau-iou-sweep"):
+        taus = _parse_sweep(args.tau_iou_sweep)
     scenes, det_by_frame = _eval_inputs(args)
-    params = MatchParams(tau_dis=args.tau_dis)
-    taus = _parse_sweep(args.tau_iou_sweep)
     rows = _aar_curve_rows(scenes, det_by_frame, params, taus)
     _write_csv(_aar_csv_lines(rows), args.out)
     if args.out:
@@ -286,8 +298,9 @@ def _ap_inputs(scenes, det_by_frame):
 
 
 def cmd_eval_ap(args) -> int:
+    with naming_file("--iou-thresholds"):
+        thresholds = _iou_thresholds(args.iou_thresholds.split(","))
     scenes, det_by_frame = _eval_inputs(args)
-    thresholds = [float(t) for t in args.iou_thresholds.split(",")]
     ap = ap_2d(*_ap_inputs(scenes, det_by_frame), thresholds)
     _write_csv(_ap_csv_lines(ap), args.out)
     if args.out:
@@ -370,14 +383,15 @@ def cmd_denoise_demo(args) -> int:
 # ----------------------------------------------------------------------- run
 
 def _run_one_scene(payload: tuple) -> tuple:
-    """Worker: full per-scene pipeline on the run's one decoder; returns the
-    sampled scene, its allocation, head outputs and detections."""
-    (idx, seed, decoder, queries, noise, n_boxes) = payload
+    """Worker: full per-scene pipeline on the run's one decoder, from the
+    run's one decoder prefix; returns the sampled scene, its allocation,
+    head outputs and detections."""
+    (idx, seed, decoder, queries, prefix, noise, n_boxes) = payload
     config, rig = decoder.config, decoder.rig
     scene = sample_scene(seed, rig, n_boxes=n_boxes, frame_id=idx)
     anchors = clamp_anchors(scene.anchors, config.limits)
     alloc = allocate(anchors, rig, config.limits)
-    head_out, _ = decoder.forward(_decoder_features(scene, rig, config), queries)
+    head_out, _ = decoder.forward(_decoder_features(scene, rig, config), queries, prefix=prefix)
     return scene, alloc, head_out, perturb(scene, noise, seed=seed + 1)
 
 
@@ -390,6 +404,51 @@ def _scene_result(payload: tuple, result) -> tuple:
         raise RuntimeError(f"scene {idx} (seed {seed}) failed: {exc}") from exc
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _openblas_threads():
+    """The set and get thread-count calls of NumPy's bundled OpenBLAS, or
+    None where it exports neither under these names."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        set_threads = lib.scipy_openblas_set_num_threads64_
+        get_threads = lib.scipy_openblas_get_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    return set_threads, get_threads
+
+
+def _cap_blas_threads() -> int | None:
+    """Cap NumPy's OpenBLAS at one thread, unless the environment sets a BLAS
+    thread count or the library has no such call; returns the count it
+    replaced, or None when it left BLAS alone.
+
+    ``run`` computes on the threads it owns (scene workers and the
+    attention helper); BLAS threads on top would oversubscribe the CPUs.
+    """
+    calls = None if any(v in os.environ for v in _BLAS_THREAD_VARS) else _openblas_threads()
+    if calls is None:
+        return None
+    set_threads, get_threads = calls
+    before = get_threads()
+    set_threads(1)
+    return before
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """``_cap_blas_threads`` for the duration of the block."""
+    before = _cap_blas_threads()
+    try:
+        yield
+    finally:
+        if before is not None:
+            _openblas_threads()[0](before)
+
+
 def _scene_results(payloads: list[tuple], jobs: int):
     """Each scene's results in scene order, each as soon as it is ready.
 
@@ -400,7 +459,8 @@ def _scene_results(payloads: list[tuple], jobs: int):
         for p in payloads:
             yield _scene_result(p, functools.partial(_run_one_scene, p))
         return
-    pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
+    pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs,
+                                                  initializer=_cap_blas_threads)
     try:
         futures = collections.deque(pool.submit(_run_one_scene, p) for p in payloads)
         for p in payloads:
@@ -440,6 +500,8 @@ def _check_run_keys(cfg: dict, source) -> None:
 def cmd_run(args) -> int:
     if args.seed is not None and args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be positive, got {args.jobs}")
     cfg = load_json(args.config)
     with naming_file(args.config):
         _check_run_keys(cfg, args.config)
@@ -476,24 +538,25 @@ def cmd_run(args) -> int:
             rig = extend_rig(rig, rules)
         decoder = HybridDecoder(config, rig)
     out_dir = Path(args.out if args.out else cfg.get("out_dir", "mvdet-out"))
-    queries = decoder.initial_queries()
-
     for sub in ("scenes", "alloc", "forward", "pred", "metrics"):
         (out_dir / sub).mkdir(parents=True, exist_ok=True)
     save_rig(rig, out_dir / "rig.json")
 
-    payloads = [
-        (i, base_seed + i, decoder, queries, noise, n_boxes) for i in range(n_scenes)
-    ]
     # Only what the metrics and gt_scenes.json need outlives a scene's result.
     scenes, scene_objs, det_by_frame = [], [], {}
-    with contextlib.closing(_scene_results(payloads, args.jobs)) as results:
-        for r in results:
-            scene = r[0]
-            scenes.append(scene)
-            det_by_frame[scene.frame_id] = r[3]
-            scene_objs.append(_write_scene(out_dir, r))
-            del r  # let the result go before the next scene is computed
+    with _one_blas_thread():
+        queries = decoder.initial_queries()
+        prefix = decoder.prefix(queries)  # the same for every scene
+        payloads = [
+            (i, base_seed + i, decoder, queries, prefix, noise, n_boxes) for i in range(n_scenes)
+        ]
+        with contextlib.closing(_scene_results(payloads, args.jobs)) as results:
+            for r in results:
+                scene = r[0]
+                scenes.append(scene)
+                det_by_frame[scene.frame_id] = r[3]
+                scene_objs.append(_write_scene(out_dir, r))
+                del r  # let the result go before the next scene is computed
     dump_json({"format": "mvdet-scene-set/1", "scenes": scene_objs},
               out_dir / "gt_scenes.json")
 

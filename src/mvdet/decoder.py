@@ -7,12 +7,15 @@ Heads are toy two-layer perceptrons with additive anchor refinement; all
 parameters come from one seeded initializer so a fixed seed and inputs give
 bit-identical outputs.
 
-The query state stays float64.  The two dense self-attentions over the N
-3D queries (the aggregate and the 3D sub-layer's) compute in float32, as
-the paper's PyTorch model does by default, through groupattn's row-blocked
-body on the calling thread; 2D group attention, temporal attention and
-reference-point sampling stay float64.  ``HeadOutputs.to_json_obj`` hands
-the head outputs to the JSON writer as NumPy arrays, never as lists.
+The query state stays float64.  The 2D group self-attention and the two
+dense self-attentions over the N 3D queries (the aggregate and the 3D
+sub-layer's) compute in float32, as the paper's PyTorch model does by
+default, through groupattn's row-blocked body; temporal attention and
+reference-point sampling stay float64.  Layer 0 up to its first feature
+read depends on the initial queries alone: ``HybridDecoder.prefix``
+computes it once and ``forward`` can start from it, bit for bit.
+``HeadOutputs.to_json_obj`` hands the head outputs to the JSON writer as
+NumPy arrays, never as lists.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .aggregation import GateParams, aggregate, gate_truncation, sigmoid
-from .allocation import AllocationLimits, MappingMatrix, allocate, clamp_anchors, gather_2d
+from .allocation import (
+    AllocationLimits, AllocationResult, MappingMatrix, allocate, clamp_anchors, gather_2d,
+)
 from .geometry import CameraView, anchors_to_array, project_views
 from .groupattn import (
     AttentionParams,
@@ -170,6 +175,18 @@ class Layer2DOutput:
     boxes2d: np.ndarray  # (M, 4) cx, cy, w, h in pixels
     logits: np.ndarray   # (M, K)
     alphas: np.ndarray   # (M, 2) predicted (sin, cos)
+
+
+@dataclass(frozen=True)
+class Prefix:
+    """Layer 0 of a forward pass up to its first feature read
+    (``HybridDecoder.prefix``): the query state there, plus, when layer 0
+    opens with a 2D sub-layer, its allocation and group-attended 2D queries."""
+
+    q3: np.ndarray                           # (N, C) 3D query features
+    anchors: np.ndarray                      # (N, 9), clamped after a 2D opening
+    alloc: Optional[AllocationResult] = None
+    q2: Optional[np.ndarray] = None          # (M, C)
 
 
 @dataclass
@@ -338,29 +355,75 @@ class HybridDecoder:
         each anchor's samples summed in rig order."""
         n = q3.shape[0]
         uv, _, inside = project_views(self.rig, anchors[:, 0:3])
-        vi, ai = np.nonzero(inside)  # view-major: np.add.at keeps the rig order
+        vi, ai = np.nonzero(inside)  # view-major, an anchor at most once per view
+        samples = sample_views(features, self.view_ids[vi], uv[vi, ai], params)
         acc = np.zeros((n, params.w_proj.shape[0]))
-        np.add.at(acc, ai, sample_views(features, self.view_ids[vi], uv[vi, ai], params))
+        bounds = np.searchsorted(vi, np.arange(len(self.rig) + 1))
+        for s, e in zip(bounds[:-1], bounds[1:]):  # one view at a time keeps the rig order
+            acc[ai[s:e]] += samples[s:e]
         cnt = np.bincount(ai, minlength=n)[:, None]
         np.divide(acc, cnt, out=acc, where=cnt > 0)
         return acc @ params.w_proj
+
+    def _open_2d(self, p: _Layer2DParams, q3, anchors, temporal) -> Prefix:
+        """A 2D sub-layer up to its first feature read: temporal attention,
+        clamp, allocate, gather and the float32 group self-attention."""
+        if temporal is not None and temporal.n > 0:
+            q3 = q3 + attention(q3, p.temporal, kv=temporal.features)
+        anchors = clamp_anchors(anchors, self.config.limits)
+        alloc = allocate(anchors, self.rig, self.config.limits)
+        q2 = gather_2d(alloc.mapping, q3)
+        if alloc.mapping.n_2d:
+            groups = GroupMask(alloc.mapping.camera_of_col)
+            q2 = q2 + attention(q2.astype(np.float32), p.self_attn, groups=groups)
+        return Prefix(q3=q3, anchors=anchors, alloc=alloc, q2=q2)
+
+    def _open_3d(self, p: _Layer3DParams, q3, anchors, temporal) -> Prefix:
+        """A 3D sub-layer up to its first feature read: temporal attention
+        and the float32 self-attention."""
+        if temporal is not None and temporal.n > 0:
+            q3 = q3 + attention(q3, p.temporal, kv=temporal.features)
+        q3 = q3 + attention(q3.astype(np.float32), p.self_attn)
+        return Prefix(q3=q3, anchors=anchors)
+
+    def _check_queries(self, queries: QuerySet) -> None:
+        if queries.n != self.config.n_queries:
+            raise ValueError(
+                f"query set has {queries.n} rows, config expects {self.config.n_queries}"
+            )
+
+    def prefix(self, queries: QuerySet) -> Prefix:
+        """Layer 0 of ``forward`` without temporal queries, up to its first
+        feature read: it depends on the queries alone, so a run over many
+        scenes computes it once.  A 2D first sub-layer covers clamp,
+        allocate, gather and group self-attention; a 3D one covers its
+        self-attention."""
+        self._check_queries(queries)
+        q3 = np.asarray(queries.features, dtype=np.float64).copy()
+        anchors = queries.anchors.copy()
+        if self.config.l_2d:
+            return self._open_2d(self.layers_2d[0][0], q3, anchors, None)
+        return self._open_3d(self.layers_3d[0][0], q3, anchors, None)
 
     def forward(
         self,
         features: RigFeatures,
         queries: QuerySet,
         temporal: Optional[QuerySet] = None,
+        prefix: Optional[Prefix] = None,
     ) -> tuple[HeadOutputs, QuerySet]:
         """Run every hybrid layer; returns head outputs and updated queries.
 
         The allocation mapping is recomputed inside every 2D sub-layer
-        (anchors may have been refined since the previous one).
+        (anchors may have been refined since the previous one).  With
+        ``prefix``, which must be ``self.prefix(queries)``, layer 0 starts
+        from it, bit for bit as without it; it excludes temporal queries.
+        Nothing here writes into the arrays of ``queries`` or ``prefix``.
         """
         cfg = self.config
-        if queries.n != cfg.n_queries:
-            raise ValueError(
-                f"query set has {queries.n} rows, config expects {cfg.n_queries}"
-            )
+        self._check_queries(queries)
+        if prefix is not None and temporal is not None and temporal.n > 0:
+            raise ValueError("a prefix holds no temporal attention; got both")
         features.rows(self.view_ids, cfg.n_scales)  # every view has all its maps
         q3 = np.asarray(queries.features, dtype=np.float64).copy()
         anchors = queries.anchors.copy()
@@ -368,16 +431,13 @@ class HybridDecoder:
         last_logits = None
         for li in range(cfg.l_hybrid):
             for p in self.layers_2d[li]:
-                if temporal is not None and temporal.n > 0:
-                    q3 = q3 + attention(q3, p.temporal, kv=temporal.features)
-                anchors = clamp_anchors(anchors, cfg.limits)
-                alloc = allocate(anchors, self.rig, cfg.limits)
-                groups = GroupMask(alloc.mapping.camera_of_col)
-                q2 = gather_2d(alloc.mapping, q3)
+                o = prefix if prefix is not None else self._open_2d(p, q3, anchors, temporal)
+                prefix = None
+                q3, anchors, alloc, q2 = o.q3, o.anchors, o.alloc, o.q2
                 if alloc.mapping.n_2d:
-                    q2 = q2 + attention(q2, p.self_attn, groups=groups)
                     q2 = q2 + ref_point_cross_attention(
-                        q2, alloc.ref_points, features, groups, p.cross
+                        q2, alloc.ref_points, features, GroupMask(alloc.mapping.camera_of_col),
+                        p.cross,
                     )
                 raw = p.head2d.apply(q2)
                 boxes2d = alloc.rects + raw[:, 0:4]
@@ -402,10 +462,9 @@ class HybridDecoder:
                 )
                 last_logits = logits
             for p in self.layers_3d[li]:
-                if temporal is not None and temporal.n > 0:
-                    q3 = q3 + attention(q3, p.temporal, kv=temporal.features)
-                q3 = q3 + attention(q3.astype(np.float32), p.self_attn)
-                q3 = q3 + self._cross_attention_3d(q3, anchors, features, p.cross)
+                o = prefix if prefix is not None else self._open_3d(p, q3, anchors, temporal)
+                prefix = None
+                q3 = o.q3 + self._cross_attention_3d(o.q3, anchors, features, p.cross)
                 raw = p.head3d.apply(q3)
                 anchors = self._refine_anchors(anchors, raw[:, 0:7])
                 logits = raw[:, 7:]

@@ -7,27 +7,40 @@ rows of one group depend only on that group's inputs -- perturbing or
 removing another group leaves them bit-identical.  ``build_mask`` spells
 the same rule out as a dense additive mask for reference checks.
 
-Dense attention (each group, or every row over ``kv``) runs on the calling
-thread.  In float64 the score buffer holds together as many heads as fit
-in ``SCORE_BUDGET`` elements (at least one), and the softmax runs in place.
-In float32 it holds all heads for a block of query rows, sized to
+Dense attention (each group, or every row over ``kv``) runs in float64 on
+the calling thread: the score buffer holds together as many heads as fit
+in ``SCORE_BUDGET`` elements (at least one), and the softmax runs in
+place.  In float32 it holds all heads for a block of query rows, sized to
 ``BLOCK_BUDGET`` elements so it stays in cache through the softmax and the
-value product.
+value product.  A float32 call of two blocks or more shares its work with
+one persistent helper thread per process: the helper projects k and v
+while the calling thread projects q, then takes the second half of the
+blocks.  A process that can use only one CPU runs it all on the calling
+thread, to the same bits.
 
 Attention computes in float32 when it is given float32 queries and in
 float64 otherwise, and always returns float64.  The float64 path is
 bit-identical to a per-head loop.  The float32 path works in base 2 (q is
-scaled by log2(e)/sqrt(d), then ``exp2``) and fuses the softmax into the
-value product (a ones column in V carries the row sum); it is
-bit-identical to a per-head loop over the same row blocks, and differs
-from the float64 result by less than 1e-5 of the largest value entry.
-The decoder runs its dense self-attentions over the 3D queries in float32.
+scaled by log2(e)/sqrt(d), then ``exp2``), subtracts the row max only
+where a bound on the logits does not prove it unnecessary
+(``needs_row_max``), and fuses the softmax into the value product (a ones
+column in V carries the row sum); it is bit-identical to a per-head loop
+over the same row blocks, and differs from the float64 result by less
+than 1e-5 of the largest value entry.  The decoder runs its 2D group
+self-attention and its dense self-attentions over the 3D queries in
+float32.
 """
 
 from __future__ import annotations
 
+import atexit
+import functools
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass
+
 import numpy as np
 
 from ._kernels import bilinear_sample
@@ -44,6 +57,12 @@ SCORE_BUDGET = 1 << 21
 # Elements of the float32 score block (1 MiB, sized for L2): all h heads
 # over max(1, BLOCK_BUDGET // (h * M)) query rows, 36 rows at M = 900, h = 8.
 BLOCK_BUDGET = 1 << 18
+
+# The float32 body skips the row max when every base-2 logit is at most
+# SHIFT_FREE_LOGIT in size and M * max(1, max|v|) <= SHIFT_FREE_MASS
+# (derived in ``needs_row_max``).
+SHIFT_FREE_LOGIT = 64.0
+SHIFT_FREE_MASS = 2.0**60
 
 
 @dataclass(frozen=True)
@@ -165,21 +184,182 @@ def softmax_rows(scores: np.ndarray) -> np.ndarray:
     return scores
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+class _Helper:
+    """One persistent daemon thread that runs the jobs put to it in turn and
+    answers each with None or the exception it raised."""
+
+    def __init__(self):
+        self.lock = threading.Lock()  # held by the call the helper works for
+        self.jobs = queue.SimpleQueue()
+        self.done = queue.SimpleQueue()
+        self.thread = threading.Thread(target=self._serve, name="mvdet-attention", daemon=True)
+        self.thread.start()
+
+    def _serve(self) -> None:
+        while (job := self.jobs.get()) is not None:
+            try:
+                job()
+            except BaseException as exc:  # the waiting caller re-raises it
+                self.done.put(exc)
+            else:
+                self.done.put(None)
+            del job  # else it holds the finished call's arrays until the next job arrives
+
+    def stop(self) -> None:
+        self.jobs.put(None)
+        self.thread.join()
+
+
+_helper: _Helper | None = None
+_helper_made = threading.Lock()
+
+
+def _forget_helper() -> None:
+    """After a fork: the child holds the helper object but not its thread."""
+    global _helper, _helper_made
+    _helper, _helper_made = None, threading.Lock()
+
+
+def _stop_helper() -> None:
+    if _helper is not None:
+        _helper.stop()
+
+
+os.register_at_fork(after_in_child=_forget_helper)
+atexit.register(_stop_helper)
+
+
+def _both(first, second) -> None:
+    """Run ``first()`` here and ``second()`` on the helper thread at once;
+    both here, in turn, when the process can use only one CPU or another
+    thread holds the helper.  An error of ``second()`` re-raises here."""
+    global _helper
+    if usable_cpus() > 1:
+        with _helper_made:
+            if _helper is None:
+                _helper = _Helper()
+            helper = _helper
+        if helper.lock.acquire(blocking=False):
+            try:
+                helper.jobs.put(second)
+                try:
+                    first()
+                finally:
+                    error = helper.done.get()
+            finally:
+                helper.lock.release()
+            if error is not None:
+                raise error
+            return
+    first()
+    second()
+
+
+def _float32_blocks(q, k, v1, heads_out, starts, rows: int, shift: bool) -> None:
+    """The float32 body over the row blocks at ``starts``, through a score
+    buffer of their own; writes ``heads_out[:, s:s + rows]`` per block."""
+    n, d = q.shape[1], v1.shape[2] - 1
+    buf = np.empty((q.shape[0], min(rows, n), k.shape[2]), dtype=np.float32)
+    for s in starts:
+        e = min(n, s + rows)
+        scores = np.matmul(q[:, s:e], k, out=buf[:, : e - s])
+        if shift:
+            np.subtract(scores, scores.max(axis=-1, keepdims=True), out=scores)
+        np.exp2(scores, out=scores)
+        num = scores @ v1
+        heads_out[:, s:e] = num[..., :d] / num[..., d:]
+
+
+def needs_row_max(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> bool:
+    """Whether the float32 body must subtract the row max before exp2.
+
+    q is (h, N, d), already scaled by log2(e)/sqrt(d); k is (h, d, M); v
+    holds the value entries; all float32.  Cauchy-Schwarz bounds each
+    base-2 logit s = q_i . k_j of every head by |s| <= B = max |q_i| *
+    max |k_j|, the largest norms of a query and of a key row of any head,
+    computed here in float64.  Rounding in the float32 product adds at most
+    gamma_d * B, where gamma_d = d u / (1 - d u) with u = 2**-24 is under
+    2**-9 for d <= 2**14; so with B <= SHIFT_FREE_LOGIT = 64 every computed
+    |s| < 65, and exp2(s) is a normal float32 in [2**-65, 2**65] that keeps
+    its full relative precision.  A numerator entry or row sum then adds M terms of at most
+    2**65 * max(1, max|v|) in size: at most 2**125 when M * max(1, max|v|)
+    <= SHIFT_FREE_MASS = 2**60.  Float32 summation inflates a sum of M
+    terms by at most (1 + u)**M < e**2 < 8 for M < 2**25, which keeps every
+    partial sum below the float32 maximum of nearly 2**128.  The row sum is
+    at least 2**-65, so the division is safe.  The shift does not change
+    the softmax, so skipping it changes only rounding.  Any other input,
+    an infinite one included, keeps the exact row max.
+    """
+    d, m = q.shape[2], k.shape[2]
+    q_norm = np.square(q, dtype=np.float64).sum(axis=2).max()
+    k_norm = np.square(k, dtype=np.float64).sum(axis=1).max()
+    bound = math.sqrt(q_norm * k_norm)
+    mass = m * max(1.0, float(np.abs(v).max()))
+    safe = d <= 1 << 14 and m < 1 << 25
+    return not (safe and bound <= SHIFT_FREE_LOGIT and mass <= SHIFT_FREE_MASS)
+
+
+def _attend32(x: np.ndarray, kv: np.ndarray, params: AttentionParams, heads_out) -> None:
+    """The float32 body of ``_attend``; writes (h, N, d) ``heads_out``."""
+    n, c = x.shape
+    m, h = kv.shape[0], params.heads
+    d = c // h
+    rows = max(1, BLOCK_BUDGET // max(1, h * m))
+    starts = range(0, n, rows)
+    q = np.empty((h, n, d), dtype=np.float32)
+    k = np.empty((h, d, m), dtype=np.float32)
+    v1 = np.ones((h, d + 1, m), dtype=np.float32)
+
+    def project_q():
+        q[...] = (x @ params.w_q).reshape(n, h, d).transpose(1, 0, 2) * (
+            math.log2(math.e) / math.sqrt(d))
+
+    def project_kv():
+        k[...] = (kv @ params.w_k).reshape(m, h, d).transpose(1, 2, 0)
+        v1[:, :d] = (kv @ params.w_v).reshape(m, h, d).transpose(1, 2, 0)
+
+    if len(starts) > 1:
+        _both(project_q, project_kv)
+    else:
+        project_q()
+        project_kv()
+    blocks = functools.partial(_float32_blocks, q, k, v1.transpose(0, 2, 1), heads_out,
+                               rows=rows, shift=needs_row_max(q, k, v1[:, :d]))
+    if len(starts) > 1:
+        half = (len(starts) + 1) // 2
+        _both(functools.partial(blocks, starts[:half]), functools.partial(blocks, starts[half:]))
+    else:
+        blocks(starts)
+
+
 def _attend(x: np.ndarray, kv: np.ndarray, params: AttentionParams) -> np.ndarray:
-    """Multi-head softmax(QK^T / sqrt(d)) V of every row of x over kv, on
-    the calling thread, in the dtype of x (float32 or float64); returns float64.
+    """Multi-head softmax(QK^T / sqrt(d)) V of every row of x over kv, in
+    the dtype of x (float32 or float64); returns float64.
 
-    Float64 runs as many heads at once as fit in SCORE_BUDGET elements (at
-    least one) through one score buffer, so each head sees the operations of
-    a per-head loop, bit for bit.  Its query rows are never blocked: BLAS may
-    round a product over fewer rows differently.
+    Float64 runs on the calling thread as many heads at once as fit in
+    SCORE_BUDGET elements (at least one) through one score buffer, so each
+    head sees the operations of a per-head loop, bit for bit.  Its query
+    rows are never blocked: BLAS may round a product over fewer rows
+    differently.
 
-    Float32 runs blocks of query rows, all heads at once, through one buffer
+    Float32 runs blocks of query rows, all heads at once, through a buffer
     of at most BLOCK_BUDGET elements (at least one row): QK^T with q scaled
-    by log2(e)/sqrt(d) before its cast, minus the row max, exp2 in place,
-    and one product with [v | 1] that yields the numerator and its row sum
-    (at least 1: the row max contributes exp2(0)).  q, k and the transpose
-    of [v | 1] are stored head by head, as BLAS reads them fastest.
+    by log2(e)/sqrt(d) before its cast, minus the row max unless
+    ``needs_row_max`` proves it unnecessary, exp2 in place, and one product
+    with [v | 1] that yields the numerator and its row sum.  q, k and the
+    transpose of [v | 1] are stored head by head, as BLAS reads them
+    fastest.  With two blocks or more, the helper thread projects k and v
+    while the calling thread projects q, then runs the second half of the
+    blocks through a buffer of its own; the blocks are those of the serial
+    loop, so the result is the same bit for bit.
     """
     n, c = x.shape
     m = kv.shape[0]
@@ -187,34 +367,21 @@ def _attend(x: np.ndarray, kv: np.ndarray, params: AttentionParams) -> np.ndarra
     d = c // h
     if n == 0:  # nothing to normalise, even when kv is empty too
         return np.empty((0, c))
-    q = (x @ params.w_q).reshape(n, h, d).transpose(1, 0, 2)
-    k = (kv @ params.w_k).reshape(m, h, d).transpose(1, 2, 0)
-    v = (kv @ params.w_v).reshape(m, h, d).transpose(1, 0, 2)
     out = np.empty((n, h, d))
     heads_out = out.transpose(1, 0, 2)
     if x.dtype == np.float32:
-        q = (q * (math.log2(math.e) / math.sqrt(d))).astype(np.float32, order="C")
-        k = k.astype(np.float32, order="C")
-        v1 = np.ones((h, d + 1, m), dtype=np.float32)
-        v1[:, :d] = v.transpose(0, 2, 1)
-        v1 = v1.transpose(0, 2, 1)
-        rows = max(1, BLOCK_BUDGET // max(1, h * m))
-        buf = np.empty((h, min(rows, n), m), dtype=np.float32)
-        for s in range(0, n, rows):
-            e = min(n, s + rows)
-            scores = np.matmul(q[:, s:e], k, out=buf[:, : e - s])
-            np.subtract(scores, scores.max(axis=-1, keepdims=True), out=scores)
-            np.exp2(scores, out=scores)
-            num = scores @ v1
-            heads_out[:, s:e] = num[..., :d] / num[..., d:]
-    else:
-        step = min(h, max(1, SCORE_BUDGET // max(1, n * m)))
-        buf = np.empty((step, n, m))
-        for s in range(0, h, step):
-            e = min(h, s + step)
-            scores = np.matmul(q[s:e], k[s:e], out=buf[: e - s])
-            np.divide(scores, math.sqrt(d), out=scores)
-            heads_out[s:e] = softmax_rows(scores) @ v[s:e]
+        _attend32(x, kv, params, heads_out)
+        return out.reshape(n, c)
+    q = (x @ params.w_q).reshape(n, h, d).transpose(1, 0, 2)
+    k = (kv @ params.w_k).reshape(m, h, d).transpose(1, 2, 0)
+    v = (kv @ params.w_v).reshape(m, h, d).transpose(1, 0, 2)
+    step = min(h, max(1, SCORE_BUDGET // max(1, n * m)))
+    buf = np.empty((step, n, m))
+    for s in range(0, h, step):
+        e = min(h, s + step)
+        scores = np.matmul(q[s:e], k[s:e], out=buf[: e - s])
+        np.divide(scores, math.sqrt(d), out=scores)
+        heads_out[s:e] = softmax_rows(scores) @ v[s:e]
     return out.reshape(n, c)
 
 

@@ -39,6 +39,8 @@ class MatchParams:
     w_iou: float = 2.0
 
     def __post_init__(self):
+        if not math.isfinite(self.tau_dis):
+            raise ValueError(f"tau_dis must be finite, got {self.tau_dis}")
         if self.tau_dis <= 0:
             raise ValueError("tau_dis must be positive")
         if not (0.0 < self.tau_iou < 1.0):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mvdet.aggregation import GateParams, aggregate, gate_truncation, gate_values
+from mvdet.aggregation import GateParams, aggregate, gate_truncation, gate_values, sigmoid
 from mvdet.allocation import MappingMatrix, scatter_mean
 from mvdet.groupattn import AttentionParams, GroupMask, attention
 
@@ -131,3 +131,24 @@ def test_aggregate_shape_mismatch():
     attn = AttentionParams.seeded(4, 1, np.random.default_rng(0))
     with pytest.raises(ValueError):
         aggregate(np.zeros((3, 4)), np.zeros((1, 4)), m, attn)
+
+
+def two_branch_sigmoid(t):
+    """1 / (1 + exp(-t)) where t >= 0, exp(t) / (1 + exp(t)) elsewhere."""
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def test_sigmoid_matches_its_two_branch_form():
+    # bit for bit over both signs, both zeros, subnormal, saturating values and NaN
+    rng = np.random.default_rng(9)
+    t = np.concatenate([rng.standard_normal(1000) * 30, [0.0, -0.0, 5e-324, -5e-324, 709.0,
+                                                          -745.0, 800.0, -800.0, np.nan]])
+    got = sigmoid(t)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, two_branch_sigmoid(t), equal_nan=True)
+    assert sigmoid(t[:0]).shape == (0,)

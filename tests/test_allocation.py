@@ -9,6 +9,7 @@ from mvdet.allocation import (
     allocate,
     clamp_anchors,
     gather_2d,
+    mean_of_copies,
     scatter_mean,
 )
 from mvdet._kernels import box_points
@@ -356,3 +357,29 @@ def test_scatter_of_gather_identity_exact():
         owned = np.bincount(rows, minlength=n) > 0
         assert np.array_equal(back[owned], q[owned])
         assert np.all(back[~owned] == 0.0)
+
+
+def mean_of_copies_by_add_at(owner, copies, n):
+    """``mean_of_copies`` with one unbuffered add per copy, in copy order."""
+    counts = np.bincount(owner, minlength=n).astype(np.float64)
+    owned, first = np.unique(owner, return_index=True)
+    anchor = np.zeros((n, copies.shape[1]))
+    anchor[owned] = copies[first]
+    diff_sum = np.zeros_like(anchor)
+    np.add.at(diff_sum, owner, copies - anchor[owner])
+    out = np.zeros_like(anchor)
+    out[owned] = anchor[owned] + diff_sum[owned] / counts[owned, None]
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_mean_of_copies_adds_in_copy_order():
+    # owners in any order with up to 9 copies, plus infinities: the same
+    # bits as one add per copy in copy order
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        owner = rng.permutation(np.repeat(np.arange(60), rng.integers(0, 10, 60)))
+        copies = rng.standard_normal((owner.size, 5)) * 10.0 ** rng.integers(-3, 4, (owner.size, 1))
+        copies[rng.random(copies.shape) < 0.01] = np.inf
+        got = mean_of_copies(owner, copies, 64)
+        assert np.array_equal(got, mean_of_copies_by_add_at(owner, copies, 64), equal_nan=True)

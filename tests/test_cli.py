@@ -1,6 +1,9 @@
 import collections
+import functools
 import json
+import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -227,6 +230,38 @@ def test_eval_ap(tmp_path, sim_dir):
     assert lines[0] == "class_id,iou_threshold,ap"
     assert lines[-1].startswith("mean,,")
     assert float(lines[-1].split(",")[-1]) == 1.0  # perfect predictions
+
+
+@pytest.mark.parametrize(
+    "command, arg, message",
+    [
+        ("eval-ap", "--iou-thresholds=1.5", "--iou-thresholds: IoU threshold 1.5 is outside [0, 1]"),
+        ("eval-ap", "--iou-thresholds=nan", "--iou-thresholds: IoU threshold nan is outside [0, 1]"),
+        ("eval-ap", "--iou-thresholds=0.5,-0.2",
+         "--iou-thresholds: IoU threshold -0.2 is outside [0, 1]"),
+        ("eval-ap", "--iou-thresholds=0.5,high",
+         "--iou-thresholds: could not convert string to float: 'high'"),
+        ("eval-aar", "--tau-iou-sweep=0.5:1.5:0.5", "--tau-iou-sweep: bad sweep spec "
+         "'0.5:1.5:0.5'; expected 0 <= lo <= hi <= 1, step > 0"),
+        ("eval-aar", "--tau-iou-sweep=-0.5:0.5:0.5", "--tau-iou-sweep: bad sweep spec "
+         "'-0.5:0.5:0.5'; expected 0 <= lo <= hi <= 1, step > 0"),
+        ("eval-aar", "--tau-iou-sweep=0.1:nan:0.1", "--tau-iou-sweep: bad sweep spec "
+         "'0.1:nan:0.1'; expected 0 <= lo <= hi <= 1, step > 0"),
+        ("eval-aar", "--tau-dis=nan", "--tau-dis: tau_dis must be finite, got nan"),
+        ("eval-aar", "--tau-dis=inf", "--tau-dis: tau_dis must be finite, got inf"),
+        ("eval-aar", "--tau-dis=0", "--tau-dis: tau_dis must be positive"),
+    ],
+    ids=["iou_1.5", "iou_nan", "iou_negative", "iou_not_a_number", "sweep_above_1",
+         "sweep_below_0", "sweep_nan", "tau_dis_nan", "tau_dis_inf", "tau_dis_0"],
+)
+def test_eval_rejects_thresholds_out_of_range(tmp_path, sim_dir, capsys, command, arg, message):
+    pred = tmp_path / "pred.json"
+    pred.write_text(json.dumps(detections_to_json_obj({})))
+    out = tmp_path / "out.csv"
+    assert run_cli(command, "--gt", str(sim_dir / "scenes.json"), "--pred", str(pred), arg,
+                   "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"mvdet {command}: error: {message}\n"
+    assert not out.exists()
 
 
 EVAL_ARGS = {"eval-ap": (), "eval-aar": ("--tau-dis", "2", "--tau-iou-sweep", "0.5:0.5:0.1")}
@@ -467,12 +502,88 @@ def test_run_jobs_parallel_matches_serial(tmp_path):
         assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
 
 
+FORKED_RUN = """
+import sys
+from mvdet import cli, groupattn
+groupattn.usable_cpus = lambda: 2
+groupattn.BLOCK_BUDGET = 4 * 24 * 5  # five-row blocks: the prefix's dense call uses the helper
+for jobs, out in (("2", sys.argv[2]), ("1", sys.argv[3])):
+    assert cli.main(["run", "--config", sys.argv[1], "--out", out, "--jobs", jobs]) == 0
+    assert groupattn._helper is not None
+"""
+
+
+def test_run_preset_a_jobs_2_after_a_dense_call_in_the_parent(tmp_path):
+    # the parent computes preset A's prefix, a dense call that starts the
+    # attention helper, before it forks the scene workers; each worker must
+    # start its own helper rather than wait on the parent's
+    cfg = run_config(tmp_path, preset="A", seeds={"base": 5, "scenes": 3})
+    out2, out1 = tmp_path / "jobs2", tmp_path / "jobs1"
+    src = str(Path(__file__).parents[1] / "src")
+    proc = subprocess.Popen([sys.executable, "-c", FORKED_RUN, str(cfg), str(out2), str(out1)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, start_new_session=True)
+    try:
+        _, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the run and its workers
+        proc.communicate()
+        pytest.fail("the forked run hung")
+    assert proc.returncode == 0, err
+    files = sorted(p.relative_to(out1) for p in out1.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(out2) for p in out2.rglob("*") if p.is_file())
+    assert len(files) == 17  # rig, gt_scenes, summary, two metrics, 4 x 3 scene files
+    for rel in files:
+        assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
+
+
+def perturb_recording_blas_threads(marks, scene, noise=None, seed=0):
+    """``perturb`` that first records the BLAS thread count of its process."""
+    from mvdet import cli
+
+    (marks / f"{os.getpid()}_{seed}").write_text(str(cli._openblas_threads()[1]()))
+    return perturb(scene, noise, seed=seed)
+
+
+def test_run_caps_blas_at_one_thread_in_each_worker(tmp_path, monkeypatch):
+    import multiprocessing
+
+    from mvdet import cli
+
+    if cli._openblas_threads() is None:
+        pytest.skip("this NumPy's BLAS has no scipy_openblas thread-count calls")
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched worker function reaches pool workers only by fork")
+    for var in cli._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    get_threads = cli._openblas_threads()[1]
+    before = get_threads()
+    cfg = run_config(tmp_path, seeds={"base": 5, "scenes": 3})
+    outs = {}
+    for capped in (True, False):
+        marks = tmp_path / f"marks_{capped}"
+        marks.mkdir()
+        monkeypatch.setattr(cli, "perturb", functools.partial(perturb_recording_blas_threads, marks))
+        if not capped:  # a BLAS thread variable leaves BLAS alone
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(before))
+        outs[capped] = tmp_path / f"out_{capped}"
+        assert run_cli("run", "--config", str(cfg), "--out", str(outs[capped]),
+                       "--jobs", "2") == 0
+        assert get_threads() == before  # the parent's count is restored after the run
+        seen = {p.name.split("_")[0]: p.read_text() for p in marks.iterdir()}
+        assert str(os.getpid()) not in seen and len(seen) >= 1  # read in the workers
+        assert set(seen.values()) == ({"1"} if capped else {str(before)})
+    files = sorted(p.relative_to(outs[True]) for p in outs[True].rglob("*") if p.is_file())
+    for rel in files:
+        assert (outs[True] / rel).read_bytes() == (outs[False] / rel).read_bytes(), rel
+
+
 def test_run_builds_no_rig_or_scene_from_json(tmp_path, monkeypatch):
     """Workers get the parent's camera objects and hand back the Scene they
     sampled; neither is rebuilt from JSON inside ``run``.  The run builds
     one decoder and one initial query set, and keeps its detections as
     objects."""
-    from mvdet import geometry, metrics
+    from mvdet import decoder, geometry, metrics
     from mvdet.decoder import HybridDecoder
     from mvdet.simulator import Scene, load_scene
 
@@ -496,19 +607,24 @@ def test_run_builds_no_rig_or_scene_from_json(tmp_path, monkeypatch):
                 monkeypatch.setattr(mod, attr, counting(attr, fn))
     monkeypatch.setattr(Scene, "from_json_obj", classmethod(
         counting("Scene.from_json_obj", lambda cls, obj: scene_from_json_obj(obj))))
-    for method in ("__init__", "initial_queries"):
+    for method in ("__init__", "initial_queries", "prefix"):
         monkeypatch.setattr(HybridDecoder, method,
                             counting(f"HybridDecoder.{method}", vars(HybridDecoder)[method]))
+    monkeypatch.setattr(decoder, "allocate", counting("decoder.allocate", decoder.allocate))
     cfg = run_config(tmp_path, seeds={"base": 5, "scenes": 3})
     out = tmp_path / "out"
     assert run_cli("run", "--config", str(cfg), "--out", str(out), "--jobs", "1") == 0
     assert len(list((out / "scenes").iterdir())) == 3
-    assert calls == {"HybridDecoder.__init__": 1, "HybridDecoder.initial_queries": 1}
+    # preset F (l_2d = 1, l_hybrid = 3): the first allocation is the prefix's,
+    # made once; each scene makes the other two
+    decoder_calls = {"HybridDecoder.__init__": 1, "HybridDecoder.initial_queries": 1,
+                     "HybridDecoder.prefix": 1, "decoder.allocate": 1 + 3 * (1 * 3 - 1)}
+    assert calls == decoder_calls
     # the counters are live: reading a scene file back rebuilds both, and
     # reading the predictions parses them
     load_scene(out / "scenes" / "scene_0000.json")
     metrics.parse_detections(geometry.load_json(out / "pred" / "pred_0000.json"))
-    assert calls == {"HybridDecoder.__init__": 1, "HybridDecoder.initial_queries": 1,
+    assert calls == {**decoder_calls,
                      "rig_from_json_obj": 1, "Scene.from_json_obj": 1, "parse_detections": 1}
 
 
@@ -596,6 +712,15 @@ def test_run_rejects_negative_seed(tmp_path, capsys):
     assert not (tmp_path / "x" / "scenes").exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_run_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    cfg = run_config(tmp_path)
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "x"),
+                   "--jobs", jobs) == 1
+    assert capsys.readouterr().err == f"mvdet run: error: --jobs must be positive, got {jobs}\n"
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize(
     "over, message",
     [
@@ -608,6 +733,9 @@ def test_run_rejects_negative_seed(tmp_path, capsys):
         pytest.param({"seeds": {"scenes": "x"}}, "invalid literal for int() with base 10: 'x'",
                      id="scenes"),
         pytest.param({"tau_dis": -1}, "tau_dis must be positive", id="tau_dis"),
+        pytest.param({"tau_dis": math.nan}, "tau_dis must be finite, got nan", id="tau_dis_nan"),
+        pytest.param({"tau_iou_sweep": "0.5:1.5:0.5"}, "bad sweep spec '0.5:1.5:0.5'; "
+                     "expected 0 <= lo <= hi <= 1, step > 0", id="tau_iou_sweep_above_1"),
         pytest.param({"views": 0}, "empty rig", id="views_0"),
         pytest.param({"crop_rules": [{"source_view_id": 99}]}, "rule references unknown view 99",
                      id="crop_source"),

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -225,7 +226,7 @@ def test_forward_determinism(setup):
 
 def test_float32_query_attention_drift(rig6, monkeypatch):
     # the README reference shape: preset F, 900 queries, six cameras plus a
-    # crop view; float64 3D-query attention is the reference
+    # crop view; float64 attention (2D groups and 3D queries) is the reference
     rig = extend_rig(rig6, [CropRule(source_view_id=0, scale_rate=2.0)])
     scene = sample_scene(0, rig, n_boxes=15)
     feats = render_features(scene, rig, scales=(8, 16), channels=16)
@@ -251,6 +252,59 @@ def test_float32_query_attention_drift(rig6, monkeypatch):
         assert np.abs(g.boxes3d - w.boxes3d).max() <= 1e-6  # m
         assert np.abs(g.logits - w.logits).max() <= 1e-6
     assert not np.array_equal(got.layers_3d[-1].boxes3d, want.layers_3d[-1].boxes3d)
+
+
+def head_arrays(out: HeadOutputs) -> list[np.ndarray]:
+    """Every array of the head outputs, in a fixed order."""
+    arrays = []
+    for o in out.layers_2d:
+        arrays += [o.mapping.rows, o.mapping.camera_of_col, o.ref_points, o.truncation,
+                   o.boxes2d, o.logits, o.alphas]
+    for o in out.layers_3d + out.agg_taps:
+        arrays += [o.boxes3d, o.logits]
+    return arrays
+
+
+@pytest.mark.parametrize("preset", ["A", "E", "F"])
+def test_forward_from_prefix_equals_forward(setup, monkeypatch, preset):
+    # the prefix is layer 0 up to its first feature read; forward from it
+    # matches forward without it bit for bit, any number of times, and
+    # leaves the prefix unchanged
+    rig, feats = setup
+    l2, l3, lh = PRESETS[preset]
+    dec = HybridDecoder(small_config(n_queries=120, l_2d=l2, l_3d=l3, l_hybrid=lh), rig)
+    queries = dec.initial_queries()
+    out, updated = dec.forward(feats, queries)
+    prefix = dec.prefix(queries)
+    kept = copy.deepcopy(prefix)
+    allocations = []
+    monkeypatch.setattr(decoder, "allocate", lambda *a: allocations.append(1) or allocate(*a))
+    for _ in range(2):
+        got, got_updated = dec.forward(feats, queries, prefix=prefix)
+        assert all(map(np.array_equal, head_arrays(got), head_arrays(out)))
+        assert np.array_equal(got_updated.features, updated.features)
+        assert np.array_equal(got_updated.anchors, updated.anchors)
+        assert np.array_equal(got_updated.scores, updated.scores)
+    assert len(allocations) == 2 * (l2 * lh - min(1, l2))
+    for name in ("q3", "anchors", "q2"):
+        assert np.array_equal(getattr(prefix, name), getattr(kept, name))
+    if l2:
+        assert np.array_equal(prefix.alloc.mapping.rows, out.layers_2d[0].mapping.rows)
+        assert np.array_equal(prefix.alloc.ref_points, out.layers_2d[0].ref_points)
+    else:
+        assert prefix.alloc is None and prefix.q2 is None
+
+
+def test_prefix_excludes_temporal_queries(setup):
+    rig, feats = setup
+    dec = HybridDecoder(small_config(seed=5), rig)
+    queries = dec.initial_queries()
+    _, updated = dec.forward(feats, queries)
+    temporal = propagate_topk(updated, 8)
+    with pytest.raises(ValueError, match="a prefix holds no temporal attention"):
+        dec.forward(feats, queries, temporal=temporal, prefix=dec.prefix(queries))
+    with pytest.raises(ValueError, match="query set has 3 rows, config expects 24"):
+        dec.prefix(QuerySet(features=np.zeros((3, 16)), anchors=np.ones((3, 9))))
 
 
 def test_2d_output_rows_match_allocation(setup):

@@ -1,7 +1,12 @@
 import copy
+import dataclasses
 import math
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -377,13 +382,14 @@ def recording_threads(func, seen):
 @pytest.mark.parametrize("dtype, n, calls", [("float32", 900, 25), ("float32", 20, 1),
                                              ("float64", 900, 4), ("float64", 300, 1)])
 def test_dense_attention_runs_on_the_calling_thread(monkeypatch, dtype, n, calls):
-    # every float32 row block (36 rows at N = 900, 8 heads) and every float64
-    # chunk of heads (two at N = 900) runs on the calling thread, and the
-    # call starts no thread
+    # in a process that can use one CPU, every float32 row block (36 rows at
+    # N = 900, 8 heads) and every float64 chunk of heads (two at N = 900)
+    # runs on the calling thread, and the call starts no thread
     rng = np.random.default_rng(1)
     x = rng.standard_normal((n, 16)).astype(dtype)
     params = AttentionParams.seeded(16, 8, rng)
     seen = []
+    monkeypatch.setattr(groupattn, "usable_cpus", lambda: 1)
     if dtype == "float32":
         reference = fused_per_head_reference
         monkeypatch.setattr(np, "exp2", recording_threads(np.exp2, seen))
@@ -395,6 +401,160 @@ def test_dense_attention_runs_on_the_calling_thread(monkeypatch, dtype, n, calls
     assert threading.active_count() == before
     assert seen == [threading.get_ident()] * calls
     assert np.array_equal(got, reference(x, x, params))
+
+
+@pytest.mark.parametrize("n, here, there", [(900, 13, 12), (72, 1, 1), (20, 1, 0)])
+def test_float32_row_blocks_split_with_one_helper(monkeypatch, n, here, there):
+    # with two CPUs the second half of the row blocks runs on one helper
+    # thread; the blocks are those of the serial loop, so the result equals
+    # the one-CPU result bit for bit.  One block stays on the calling thread.
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((n, 16)).astype(np.float32)
+    params = AttentionParams.seeded(16, 8, rng)
+    monkeypatch.setattr(groupattn, "BLOCK_BUDGET", 8 * n * 36)
+    monkeypatch.setattr(groupattn, "usable_cpus", lambda: 1)
+    serial = attention(x, params)
+    monkeypatch.setattr(groupattn, "usable_cpus", lambda: 2)
+    seen = []
+    monkeypatch.setattr(np, "exp2", recording_threads(np.exp2, seen))
+    got = attention(x, params)
+    seen = list(seen)
+    assert np.array_equal(got, serial)
+    assert np.array_equal(got, fused_per_head_reference(x, x, params))
+    me = threading.get_ident()
+    assert seen.count(me) == here
+    assert len(seen) - here == there and len(set(seen) - {me}) == min(1, there)
+
+
+def test_float32_helper_error_reaches_the_caller(monkeypatch):
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((900, 16)).astype(np.float32)
+    params = AttentionParams.seeded(16, 8, rng)
+    monkeypatch.setattr(groupattn, "usable_cpus", lambda: 2)
+    me, exp2 = threading.get_ident(), np.exp2
+
+    def failing_off_the_caller(*args, **kwargs):
+        if threading.get_ident() != me:
+            raise FloatingPointError("injected on the helper")
+        return exp2(*args, **kwargs)
+
+    monkeypatch.setattr(np, "exp2", failing_off_the_caller)
+    with pytest.raises(FloatingPointError, match="injected on the helper"):
+        attention(x, params)
+    monkeypatch.setattr(np, "exp2", exp2)
+    assert np.array_equal(attention(x, params), fused_per_head_reference(x, x, params))
+
+
+def test_float32_helper_is_one_thread_over_many_calls(monkeypatch):
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((400, 16)).astype(np.float32)
+    params = AttentionParams.seeded(16, 8, rng)
+    monkeypatch.setattr(groupattn, "usable_cpus", lambda: 2)
+    before = threading.active_count()
+    for _ in range(50):
+        attention(x, params)
+    assert threading.active_count() <= before + 1
+
+
+def test_float32_helper_shared_by_concurrent_callers(monkeypatch):
+    # more calling threads than cores, switching often: each call gets its
+    # own result, whether it holds the helper or runs alone
+    monkeypatch.setattr(groupattn, "usable_cpus", lambda: 2)
+    rng = np.random.default_rng(5)
+    params = AttentionParams.seeded(16, 8, rng)
+    xs = [rng.standard_normal((300, 16)).astype(np.float32) for _ in range(4)]
+    want = [fused_per_head_reference(x, x, params) for x in xs]
+    wrong = []
+
+    def calls(i):
+        for _ in range(10):
+            if not np.array_equal(attention(xs[i], params), want[i]):
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=calls, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def test_process_exits_with_no_helper_thread_left(tmp_path):
+    # an exit handler registered before mvdet's runs after it and counts
+    # the threads still alive
+    script = """
+import atexit, threading
+atexit.register(lambda: print("threads at exit", threading.active_count()))
+import numpy as np
+from mvdet import groupattn
+groupattn.usable_cpus = lambda: 2
+x = np.random.default_rng(0).standard_normal((900, 16)).astype(np.float32)
+groupattn.attention(x, groupattn.AttentionParams.seeded(16, 8, np.random.default_rng(1)))
+print("threads after call", threading.active_count())
+"""
+    src = str(Path(groupattn.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["threads after call 2", "threads at exit 1"]
+
+
+def scaled_to_logit_bound(x, params, bound):
+    """x scaled so the float32 body's logit bound of self-attention is
+    ``bound`` (it grows with the square of the scale)."""
+    h, d = params.heads, x.shape[1] // params.heads
+    def logit_bound(x):
+        q = ((x @ params.w_q) * (math.log2(math.e) / math.sqrt(d))).astype(np.float32)
+        k = (x @ params.w_k).astype(np.float32)
+        heads = [slice(i * d, (i + 1) * d) for i in range(h)]
+        return (max(np.linalg.norm(q[:, sl].astype(np.float64), axis=1).max() for sl in heads)
+                * max(np.linalg.norm(k[:, sl].astype(np.float64), axis=1).max() for sl in heads))
+    scaled = (x * math.sqrt(bound / logit_bound(x))).astype(np.float32)
+    return scaled, logit_bound(scaled)
+
+
+@pytest.mark.parametrize("bound, shifted", [(63.5, False), (64.5, True), (2000.0, True)])
+def test_float32_row_max_only_above_the_logit_bound(monkeypatch, bound, shifted):
+    # under the bound no row max is taken; above it the exact row max keeps
+    # logits around 1e3 finite; either way the result equals the reference
+    rng = np.random.default_rng(7)
+    params = AttentionParams.seeded(16, 4, rng)
+    x, got_bound = scaled_to_logit_bound(rng.standard_normal((300, 16)), params, bound)
+    assert (got_bound > groupattn.SHIFT_FREE_LOGIT) == shifted
+    subtracted = []
+    monkeypatch.setattr(np, "subtract", recording_threads(np.subtract, subtracted))
+    monkeypatch.setattr(groupattn, "usable_cpus", lambda: 1)
+    got = attention(x, params)
+    monkeypatch.undo()
+    assert bool(subtracted) == shifted
+    assert np.isfinite(got).all()
+    assert np.array_equal(got, fused_per_head_reference(x, x, params))
+    if bound > 1000:  # logits q.k / sqrt(d) beyond 1e3: exp2 would overflow unshifted
+        q, k = x.astype(np.float64) @ params.w_q, x.astype(np.float64) @ params.w_k
+        heads = [slice(4 * i, 4 * i + 4) for i in range(4)]
+        assert max(np.abs(q[:, sl] @ k[:, sl].T).max() / 2 for sl in heads) > 1e3
+
+
+def test_float32_row_max_when_values_are_large():
+    # a small logit bound with M * max|v| above SHIFT_FREE_MASS keeps the row max
+    rng = np.random.default_rng(8)
+    params = AttentionParams.seeded(8, 2, rng)
+    x = rng.standard_normal((40, 8)).astype(np.float32)
+    big = dataclasses.replace(params, w_v=params.w_v * 2.0**60)
+    q = (x @ params.w_q).reshape(40, 2, 4).transpose(1, 0, 2).astype(np.float32)
+    k = (x @ params.w_k).reshape(40, 2, 4).transpose(1, 2, 0).astype(np.float32)
+    v = (x @ params.w_v).astype(np.float32)
+    assert not groupattn.needs_row_max(q * 0.01, k, v)
+    assert groupattn.needs_row_max(q * 0.01, k, v * 2.0**60)
+    got = attention(x, big)
+    assert np.isfinite(got).all()
+    assert np.array_equal(got, fused_per_head_reference(x, x, big))
 
 
 def test_softmax_rows_in_place():
@@ -413,8 +573,9 @@ FLOAT32_REL_TOL = 1e-5
 
 def fused_per_head_reference(x, kv, params):
     """The float32 formula as a per-head loop over the same row blocks as
-    ``attention``: q scaled by log2(e)/sqrt(d) before its cast, exp2, and
-    the row sum carried by a ones row appended to the transposed v."""
+    ``attention``: q scaled by log2(e)/sqrt(d) before its cast, the row max
+    subtracted only when the logit bound does not make it unnecessary, exp2,
+    and the row sum carried by a ones row appended to the transposed v."""
     n, c = x.shape
     m, h = kv.shape[0], params.heads
     d = c // h
@@ -422,16 +583,20 @@ def fused_per_head_reference(x, kv, params):
     k = (kv @ params.w_k).astype(np.float32)
     v = (kv @ params.w_v).astype(np.float32)
     rows = max(1, groupattn.BLOCK_BUDGET // (h * m))
+    heads = [slice(head * d, (head + 1) * d) for head in range(h)]
+    row_norm = lambda a, sl: np.linalg.norm(a[:, sl].astype(np.float64), axis=1).max()
+    logit_bound = max(row_norm(q, sl) for sl in heads) * max(row_norm(k, sl) for sl in heads)
+    shift = not (logit_bound <= groupattn.SHIFT_FREE_LOGIT
+                 and m * max(1.0, np.abs(v).max()) <= groupattn.SHIFT_FREE_MASS)
     out = np.empty(x.shape)
-    for head in range(h):
-        sl = slice(head * d, (head + 1) * d)
+    for sl in heads:
         q_head = np.ascontiguousarray(q[:, sl])
         k_head = np.ascontiguousarray(k[:, sl].T)
         v_head = np.ones((d + 1, m), dtype=np.float32)
         v_head[:d] = v[:, sl].T
         for s in range(0, n, rows):
             scores = q_head[s : s + rows] @ k_head
-            e = np.exp2(scores - scores.max(axis=1, keepdims=True))
+            e = np.exp2(scores - scores.max(axis=1, keepdims=True) if shift else scores)
             num = e @ v_head.T
             out[s : s + rows, sl] = num[:, :d] / num[:, d:]
     return out
