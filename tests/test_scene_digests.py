@@ -1,0 +1,54 @@
+"""Byte lock of the scene side of a busier `mvdet run`.
+
+The golden run (``test_golden_run``) covers two scenes of 15 boxes and one
+crop view.  This run has the shape of the benchmark's many-scenes workload
+at a twelfth of its length: preset F with 64 queries, 32 channels and 4
+heads, two crop views, 20 boxes per scene and 12 scenes.  Every artifact
+outside ``forward/`` (scenes, allocations, predictions, metrics) is compared
+byte for byte against the SHA-256 digests in
+``golden/many_scenes_digests.json``.
+
+After a deliberate change of those artifacts, regenerate the digests with
+``PYTHONPATH=src python tests/test_scene_digests.py --update`` and say why
+in CHANGES.md.
+"""
+
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from mvdet.cli import main as cli_main
+from test_golden_run import CONFIG as GOLDEN_CONFIG, GOLDEN, exact_digests
+
+DIGESTS = GOLDEN / "many_scenes_digests.json"
+
+CONFIG = {
+    **GOLDEN_CONFIG,
+    "decoder": {"n_queries": 64, "channels": 32, "heads": 4, "seed": 0},
+    "crop_rules": [
+        {"source_view_id": 0, "placement": "centered-on-focal", "scale_rate": 2.0},
+        {"source_view_id": 3, "placement": "centered-on-focal", "scale_rate": 2.0},
+    ],
+    "seeds": {"base": 0, "scenes": 12},
+    "boxes": 20,
+}
+
+
+def run_digests(out_dir: Path) -> dict[str, str]:
+    config = out_dir.parent / "many_scenes_run.json"
+    config.write_text(json.dumps(CONFIG))
+    assert cli_main(["run", "--config", str(config), "--out", str(out_dir), "--jobs", "1"]) == 0
+    return exact_digests(out_dir)
+
+
+def test_many_scenes_shaped_run_matches_digests(tmp_path):
+    assert run_digests(tmp_path / "out") == json.loads(DIGESTS.read_text())
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--update"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_scene_digests.py --update")
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = run_digests(Path(tmp) / "out")
+    DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
