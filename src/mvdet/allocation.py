@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import CameraView, anchors_to_array, project_rig
+from .geometry import CameraView, RigProjection, anchors_to_array, project_rig
 
 
 @dataclass(frozen=True)
@@ -110,6 +110,7 @@ def allocate(
     anchors: np.ndarray,
     rig: Sequence[CameraView],
     limits: AllocationLimits | None = None,
+    projection: RigProjection | None = None,
 ) -> AllocationResult:
     """Build the mapping matrix and per-column data for one set of anchors.
 
@@ -121,12 +122,17 @@ def allocate(
     clipped rectangle area (ties favor the lower anchor index).  Columns
     whose clipped rectangle has zero area are dropped and reported rather
     than allocated.  Anchors are expected to be clamped already.
+    ``projection`` is ``project_rig(rig, anchors)``, when the caller has it.
     """
     if len(rig) == 0:
         raise ValueError("empty rig")
     limits = limits or AllocationLimits()
     arr = anchors_to_array(anchors)
-    proj = project_rig(rig, arr)
+    proj = project_rig(rig, arr) if projection is None else projection
+    if proj.valid.shape != (len(rig), arr.shape[0]):
+        raise ValueError(f"projection of {proj.valid.shape[1]} anchors into "
+                         f"{proj.valid.shape[0]} views given for {arr.shape[0]} anchors "
+                         f"and {len(rig)} views")
     keep = proj.valid & (proj.rect_area > 0.0)
     vi, ai = np.nonzero(proj.valid & ~keep)
     dropped = list(zip(ai.tolist(), proj.view_ids[vi].tolist()))

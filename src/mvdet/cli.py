@@ -170,11 +170,12 @@ def _decoder_from_config(obj: dict, source) -> DecoderConfig:
     return DecoderConfig.from_json_obj(obj)
 
 
-def _decoder_features(scene: Scene, rig, config: DecoderConfig):
-    """The feature maps the decoder reads: one scale per level, 8 px upward."""
+def _decoder_features(scene: Scene, rig, config: DecoderConfig, projection=None):
+    """The feature maps the decoder reads: one scale per level, 8 px upward.
+    ``projection`` is ``project_rig(rig, scene.anchors)``, when the caller has it."""
     return render_features(
         scene, rig, scales=tuple(8 * 2**s for s in range(config.n_scales)),
-        channels=config.feature_channels,
+        channels=config.feature_channels, projection=projection,
     )
 
 
@@ -389,9 +390,15 @@ def _run_one_scene(payload: tuple) -> tuple:
     (idx, seed, decoder, queries, prefix, noise, n_boxes) = payload
     config, rig = decoder.config, decoder.rig
     scene = sample_scene(seed, rig, n_boxes=n_boxes, frame_id=idx)
+    # the scene's one projection serves its features and, where the clamp
+    # left the anchors as sampled, its allocation; the run keeps the scene,
+    # not the projection
+    proj, scene.projection = scene.projection, None
     anchors = clamp_anchors(scene.anchors, config.limits)
-    alloc = allocate(anchors, rig, config.limits)
-    head_out, _ = decoder.forward(_decoder_features(scene, rig, config), queries, prefix=prefix)
+    alloc = allocate(anchors, rig, config.limits,
+                     projection=proj if np.array_equal(anchors, scene.anchors) else None)
+    features = _decoder_features(scene, rig, config, projection=proj)
+    head_out, _ = decoder.forward(features, queries, prefix=prefix)
     return scene, alloc, head_out, perturb(scene, noise, seed=seed + 1)
 
 

@@ -8,16 +8,15 @@ something to read.  Everything is deterministic under its seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from ._kernels import box_points
 from .geometry import (
-    Boxes2D, CameraView, column, finite_rows, load_json, naming_file, project_rig,
-    rig_from_json_obj,
+    Boxes2D, CameraView, RigProjection, column, finite_rows, load_json, naming_file,
+    project_rig, rig_from_json_obj,
 )
 from .groupattn import RigFeatures
 from .metrics import Detections
@@ -95,6 +94,8 @@ class Scene:
     j of ``gt2d`` is a 2D box of anchor ``gt2d_link[j]``.  The constructor
     takes array-likes and checks them: the boxes must be finite with
     positive sizes, and every link must name one of them, of the same class.
+    A sampled scene keeps in ``projection`` the rig projection of its
+    anchors that ``gt2d`` was derived from; it is not part of the JSON form.
     """
 
     seed: int
@@ -104,6 +105,7 @@ class Scene:
     gt2d: Boxes2D
     gt2d_link: np.ndarray  # (M,)
     rig: list[CameraView]
+    projection: RigProjection | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.anchors = finite_rows(self.anchors, 9, "3D box")
@@ -170,30 +172,48 @@ def load_scene(path: str | Path) -> Scene:
         return Scene.from_json_obj(load_json(path))
 
 
-def _bev_corners(anchor: np.ndarray) -> np.ndarray:
-    """(4, 2) bottom-face corners of one (9,) anchor in the BEV plane."""
-    return box_points(anchor[None, :])[0][1:5, :2]
+# box_points' bottom-face corner signs as (length, width) pairs,
+# counter-clockwise from (+x, +y)
+_BEV_SIGNS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
+_MEAN_SIZES = np.array([prior[1] for prior in CLASS_PRIORS])
 
 
-def _bev_overlap(ca: np.ndarray, cb: np.ndarray) -> bool:
-    """Separating-axis test of two yaw-rotated rectangles given by corners."""
-    for rect in (ca, cb):
-        for k in range(2):
-            edge = rect[k + 1] - rect[k]
-            axis = np.array([-edge[1], edge[0]])
-            pa = ca @ axis
-            pb = cb @ axis
-            if pa.max() < pb.min() or pb.max() < pa.min():
-                return False
-    return True
+def _bev_rect(x: float, y: float, w: float, l: float, yaw: float):
+    """(4, 2) bottom-face BEV corners of one box and (2, 2) normals of its
+    edges 0-1 and 1-2, the axes of the separating-axis test.
+
+    The corners carry the bits of ``box_points``: the same cosine and sine
+    ufuncs, then the same products and sums, here on Python floats.
+    """
+    c, s = float(np.cos(yaw)), float(np.sin(yaw))
+    hw, hl = 0.5 * w, 0.5 * l
+    pts = [(x + (hl * sx * c - hw * sy * s), y + (hl * sx * s + hw * sy * c))
+           for sx, sy in _BEV_SIGNS]
+    (x0, y0), (x1, y1), (x2, y2), _ = pts
+    return np.array(pts), np.array([(-(y1 - y0), x1 - x0), (-(y2 - y1), x2 - x1)])
 
 
-def derive_gt2d(
-    anchors: np.ndarray, classes: np.ndarray, rig: Sequence[CameraView]
-) -> tuple[Boxes2D, np.ndarray]:
+def _separated(pairs: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """Separating-axis test of rectangle pairs: ``pairs`` holds the (n, 2,
+    4, 2) corners of each pair's two rectangles, ``axes`` its (n, 4, 2)
+    edge normals (both rectangles' ``_bev_rect`` axes).  Returns (n,) True
+    where some axis separates the pair; touching rectangles are not.
+
+    Each rectangle goes on each axis by one (4, 2) @ (2, 1) product,
+    batched, so a pair is decided with the arithmetic of ``rect @ axis``
+    for that pair alone.
+    """
+    proj = pairs[:, :, None] @ axes[:, None, :, :, None]  # (n, 2, 4 axes, 4 corners, 1)
+    c = proj.transpose(3, 0, 1, 2, 4)
+    hi = np.maximum(np.maximum(c[0], c[1]), np.maximum(c[2], c[3]))
+    lo = np.minimum(np.minimum(c[0], c[1]), np.minimum(c[2], c[3]))
+    return ((hi[:, 0] < lo[:, 1]) | (hi[:, 1] < lo[:, 0])).any(axis=(1, 2))
+
+
+def derive_gt2d(proj: RigProjection, classes: np.ndarray) -> tuple[Boxes2D, np.ndarray]:
     """Projection-derived 2D ground truth (valid views, non-degenerate
-    rects) and the anchor index of each of its boxes."""
-    proj = project_rig(rig, anchors)
+    rects) of anchors with projection ``proj`` and class ids ``classes``,
+    and the anchor index of each of its boxes."""
     vi, ai = np.nonzero(proj.valid & (proj.rect_area > 0.0))
     return Boxes2D(proj.rect[vi, ai], proj.view_ids[vi], np.asarray(classes)[ai]), ai
 
@@ -209,19 +229,29 @@ def sample_scene(
     """Rejection-sample non-overlapping classed boxes and derive 2D GT.
 
     Boxes rest on the ground plane; velocities are sampled within each
-    class's bound.  Raises after the attempt budget when the requested
-    density is infeasible.
+    class's bound.  A candidate draws its class, then its size jitter, x,
+    y, yaw and velocity, whether or not earlier candidates were kept; its
+    BEV rectangle is tested against all placed ones at once.  Raises after
+    the attempt budget when the requested density is infeasible.  The scene
+    keeps the rig projection its 2D ground truth was derived from.
     """
     if not rig:
         raise ValueError("empty rig")
+    if n_boxes < 0:
+        raise ValueError(f"n_boxes must be non-negative, got {n_boxes}")
+    if max_attempts_per_box < 1:
+        raise ValueError(f"max_attempts_per_box must be positive, got {max_attempts_per_box}")
     ranges = ranges or SceneRanges()
+    (x_lo, x_hi), (y_lo, y_hi) = (tuple(map(float, r)) for r in (ranges.x, ranges.y))
     rng = np.random.default_rng(seed)
-    placed: list[np.ndarray] = []
-    placed_corners: list[np.ndarray] = []
-    classes: list[int] = []
-    attempts = 0
+    anchors = np.empty((n_boxes, 9))
+    classes = np.empty(n_boxes, dtype=np.intp)
+    # pair i: (candidate, placed box i) corners and their four edge normals
+    pairs = np.empty((n_boxes, 2, 4, 2))
+    pair_axes = np.empty((n_boxes, 4, 2))
+    n = attempts = 0
     budget = max_attempts_per_box * max(n_boxes, 1)
-    while len(placed) < n_boxes:
+    while n < n_boxes:
         if attempts >= budget:
             raise RuntimeError(
                 f"could not place {n_boxes} boxes in {budget} attempts; "
@@ -229,62 +259,77 @@ def sample_scene(
             )
         attempts += 1
         cls = int(rng.integers(len(CLASS_PRIORS)))
-        _, mean_size, jitter, vmax = CLASS_PRIORS[cls]
-        size = np.asarray(mean_size) * np.exp(jitter * rng.uniform(-1.0, 1.0, 3))
-        x = rng.uniform(*ranges.x)
-        y = rng.uniform(*ranges.y)
-        yaw = rng.uniform(-np.pi, np.pi)
-        vel = vmax * rng.uniform(-1.0, 1.0, 2)
-        cand = np.array(
-            [x, y, size[2] / 2.0, size[0], size[1], size[2], yaw, vel[0], vel[1]]
-        )
-        corners = _bev_corners(cand)
-        if any(_bev_overlap(corners, p) for p in placed_corners):
+        _, _, jitter, vmax = CLASS_PRIORS[cls]
+        # rng.uniform(lo, hi, k) is lo + (hi - lo) * rng.random(k): these
+        # are the doubles of the size, x, y, yaw and velocity draws, in order
+        u = rng.random(8)
+        w, l, h = (_MEAN_SIZES[cls] * np.exp(jitter * (-1.0 + 2.0 * u[0:3]))).tolist()
+        ux, uy, uyaw, uvx, uvy = u[3:].tolist()
+        x = x_lo + (x_hi - x_lo) * ux
+        y = y_lo + (y_hi - y_lo) * uy
+        yaw = -np.pi + (np.pi - -np.pi) * uyaw
+        pairs[: n + 1, 0], pair_axes[: n + 1, 0:2] = _bev_rect(x, y, w, l, yaw)
+        if not _separated(pairs[:n], pair_axes[:n]).all():
             continue
-        placed.append(cand)
-        placed_corners.append(corners)
-        classes.append(cls)
-    anchors = np.stack(placed) if placed else np.zeros((0, 9))
-    gt2d, link = derive_gt2d(anchors, classes, rig)
+        anchors[n] = (x, y, h / 2.0, w, l, h, yaw,
+                      vmax * (-1.0 + 2.0 * uvx), vmax * (-1.0 + 2.0 * uvy))
+        classes[n], pairs[n, 1], pair_axes[n, 2:4] = cls, pairs[n, 0], pair_axes[n, 0:2]
+        n += 1
+    proj = project_rig(rig, anchors)
+    gt2d, link = derive_gt2d(proj, classes)
     return Scene(seed=seed, frame_id=frame_id, anchors=anchors, classes=classes,
-                 gt2d=gt2d, gt2d_link=link, rig=list(rig))
+                 gt2d=gt2d, gt2d_link=link, rig=list(rig), projection=proj)
+
+
+def _kept_draws(u: list, pos: int, drop: list, n_draws: int):
+    """Walk entries with drop probabilities ``drop`` through the doubles
+    ``u`` from ``pos``: an entry with a positive probability first takes
+    its drop test, and a kept entry then takes ``n_draws`` doubles.
+    Returns the kept entries, the first double of each, and the next
+    position."""
+    keep, first = [], []
+    for i, p in enumerate(drop):
+        if p > 0.0:
+            pos += 1
+            if u[pos - 1] < p:
+                continue
+        keep.append(i)
+        first.append(pos)
+        pos += n_draws
+    return np.array(keep, dtype=np.intp), np.array(first, dtype=np.intp), pos
 
 
 def perturb(scene: Scene, noise: OracleNoise | None = None, seed: int = 0) -> Detections:
     """Drop/perturb ground truth into scored pseudo-detections.
 
-    Zero noise reproduces the ground truth exactly with score 1.0.
+    Each 3D box, then each 2D box, draws in turn: its drop test where the
+    drop probability is positive, then, when kept, its center jitter (3 or
+    2 uniforms) and its score.  The doubles are drawn as one block up front
+    and consumed in that order.  Zero noise reproduces the ground truth
+    exactly with score 1.0.
     """
     noise = noise or OracleNoise()
-    rng = np.random.default_rng(seed)
-
-    def score() -> float:
-        return float(1.0 - noise.score_spread * rng.uniform())
-
-    keep3, centers, scores3 = [], [], []
-    for i, box in enumerate(scene.anchors):
-        if noise.drop_prob_3d > 0.0 and rng.uniform() < noise.drop_prob_3d:
-            continue
-        keep3.append(i)
-        centers.append(box[0:3] + noise.jitter_m * rng.uniform(-1.0, 1.0, 3))
-        scores3.append(score())
-    boxes3d = scene.anchors[keep3]
-    boxes3d[:, 0:3] = np.reshape(centers, (-1, 3))
     gt = scene.gt2d
-    keep2, rect, scores2 = [], [], []
-    for j, ((cx, cy, w, h), view_id) in enumerate(zip(gt.rect.tolist(), gt.view_id.tolist())):
-        drop = noise.drop_for(view_id)
-        if drop > 0.0 and rng.uniform() < drop:
-            continue
-        keep2.append(j)
-        cx = cx + noise.jitter_px * rng.uniform(-1.0, 1.0)
-        cy = cy + noise.jitter_px * rng.uniform(-1.0, 1.0)
-        rect.append((cx, cy, w, h))
-        scores2.append(score())
+    n, m = len(scene.anchors), len(gt)
+    # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random()
+    u = np.random.default_rng(seed).random(5 * n + 4 * m)
+    keep3, at3, pos = _kept_draws(u.tolist(), 0, [noise.drop_prob_3d] * n, 4)
+    keep2, at2, _ = _kept_draws(u.tolist(), pos, [noise.drop_for(v) for v in gt.view_id.tolist()], 3)
+    boxes3d = scene.anchors[keep3]
+    boxes3d[:, 0:3] += noise.jitter_m * (-1.0 + 2.0 * u[at3[:, None] + np.arange(3)])
+    rect = gt.rect[keep2]
+    rect[:, 0:2] += noise.jitter_px * (-1.0 + 2.0 * u[at2[:, None] + np.arange(2)])
     return Detections(
-        boxes3d=boxes3d, classes3d=scene.classes[keep3], scores3d=scores3,
-        boxes2d=Boxes2D(rect, gt.view_id[keep2], gt.class_id[keep2]), scores2d=scores2,
+        boxes3d=boxes3d, classes3d=scene.classes[keep3],
+        scores3d=1.0 - noise.score_spread * u[at3 + 3],
+        boxes2d=Boxes2D(rect, gt.view_id[keep2], gt.class_id[keep2]),
+        scores2d=1.0 - noise.score_spread * u[at2 + 2],
     )
+
+
+# np.exp gives exactly +0.0 below this argument, and adding +0.0 to a
+# non-negative feature plane leaves it unchanged
+EXP_ZERO_BELOW = -746.0
 
 
 def render_features(
@@ -292,35 +337,43 @@ def render_features(
     rig: Sequence[CameraView],
     scales: Sequence[int] = (8, 16),
     channels: int = 16,
+    projection: RigProjection | None = None,
 ) -> RigFeatures:
     """Analytic feature maps of every view, one per scale.
 
     Each map holds one Gaussian bump per visible box at its reference point
-    (amplitude class_id + 1, identical across channels): the bumps are
-    summed in one (H, W) plane, copied into every channel of the view's
-    atlas rows at the end.
+    (amplitude class_id + 1, identical across channels).  A view-scale's
+    bumps are evaluated together as one (B, H, W) block: squared distances
+    from 1-D grid rows, exp only where its argument is at least
+    ``EXP_ZERO_BELOW``.  They are added in box order into one (H, W) plane,
+    copied into every channel of the view's atlas rows.  ``projection`` is
+    ``project_rig(rig, scene.anchors)``, when the caller has it.
     """
-    proj = project_rig(rig, scene.anchors)
-    amps = (scene.classes + 1).tolist()
+    proj = project_rig(rig, scene.anchors) if projection is None else projection
     sizes = [[(max(v.width // s, 1), max(v.height // s, 1)) for v in rig] for s in scales]
     features = RigFeatures(rig, sizes, channels)
-    for k, view in enumerate(rig):
-        valid, ref_point, rect = proj.valid[k], proj.ref_point[k], proj.rect[k]
-        for si in range(len(scales)):
+    # visible (view, box) pairs, view-major with ascending boxes; view k's
+    # are pairs first[k]:first[k + 1]
+    vi, ai = np.nonzero(proj.valid)
+    first = np.searchsorted(vi, np.arange(len(rig) + 1)).tolist()
+    (u, v), width = proj.ref_point[vi, ai].T, proj.rect[vi, ai, 2]
+    amp = (scene.classes[ai] + 1.0)[:, None, None]
+    for si in range(len(scales)):
+        (wm, hm), (img_w, img_h) = features.map_size[si, vi].T, features.image_size[vi].T
+        fx, fy = wm / img_w, hm / img_h
+        mx, my = (u * fx - 0.5)[:, None], (v * fy - 0.5)[:, None]
+        sigma = np.maximum(width * fx / 4.0, 0.75)
+        # -(dx2 + dy2) / (2 sigma^2), the sign moved onto the divisor
+        divisor = -(2.0 * sigma * sigma)[:, None, None]
+        for k in range(len(rig)):
             fmap = features.view_map(si, k)
-            hm, wm = fmap.shape[0], fmap.shape[1]
-            plane = np.zeros((hm, wm))
-            gy, gx = np.mgrid[0:hm, 0:wm]
-            for i in np.flatnonzero(valid):
-                u, v = ref_point[i]
-                mx = u * (wm / view.width) - 0.5
-                my = v * (hm / view.height) - 0.5
-                sigma = max(float(rect[i, 2]) * (wm / view.width) / 4.0, 0.75)
-                bump = amps[i] * np.exp(
-                    -((gx - mx) ** 2 + (gy - my) ** 2) / (2.0 * sigma * sigma)
-                )
-                plane += bump
-            fmap[...] = plane[:, :, None]
+            box = slice(first[k], first[k + 1])
+            dx2 = np.square(np.arange(fmap.shape[1]) - mx[box])
+            dy2 = np.square(np.arange(fmap.shape[0]) - my[box])
+            arg = (dx2[:, None, :] + dy2[:, :, None]) / divisor[box]
+            bump = np.exp(arg, out=np.zeros_like(arg), where=arg >= EXP_ZERO_BELOW)
+            bump *= amp[box]
+            fmap[...] = bump.sum(axis=0)[:, :, None]
     return features
 
 

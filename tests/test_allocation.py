@@ -13,7 +13,7 @@ from mvdet.allocation import (
     scatter_mean,
 )
 from mvdet._kernels import box_points
-from mvdet.geometry import EPS_DEPTH, make_surround_rig, project_point
+from mvdet.geometry import EPS_DEPTH, make_surround_rig, project_point, project_rig
 
 from conftest import (
     box9,
@@ -277,6 +277,25 @@ def test_allocate_equals_per_view_reference(cap):
         n_dropped += len(res.dropped)
         n_capped += len(res.capped)
     assert n_dropped > 0 and n_capped > 0  # both rules are exercised at every cap
+
+
+def test_allocate_from_a_passed_projection():
+    limits = AllocationLimits(max_truncated_per_camera=3)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        rig = random_rig_with_crop(rng)
+        anchors = random_anchor_array(rng, 300)
+        want = allocate(anchors, rig, limits)
+        got = allocate(anchors, rig, limits, projection=project_rig(rig, anchors))
+        assert got.to_json_obj() == want.to_json_obj()
+        for name in ("ref_points", "truncation", "rects"):
+            assert same_bits(getattr(got, name), getattr(want, name))
+        with pytest.raises(ValueError, match="^projection of 299 anchors into 5 views given "
+                                             "for 300 anchors and 5 views$"):
+            allocate(anchors, rig, limits, projection=project_rig(rig, anchors[1:]))
+        with pytest.raises(ValueError, match="^projection of 300 anchors into 4 views given "
+                                             "for 300 anchors and 5 views$"):
+            allocate(anchors, rig, limits, projection=project_rig(rig[:4], anchors))
 
 
 # ---------------------------------------------------------- gather / scatter

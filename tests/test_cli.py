@@ -628,6 +628,44 @@ def test_run_builds_no_rig_or_scene_from_json(tmp_path, monkeypatch):
                      "rig_from_json_obj": 1, "Scene.from_json_obj": 1, "parse_detections": 1}
 
 
+@pytest.mark.parametrize("size_clamp, gt_projections", [(None, 0), ([1.0, 1.0, 1.0], 3)],
+                         ids=["clamp_unused", "clamp_shrinks"])
+def test_run_projects_each_scene_once(tmp_path, monkeypatch, size_clamp, gt_projections):
+    """One rig projection per scene serves its 2D ground truth, its features
+    and, where the size clamp leaves the anchors as sampled, its
+    ground-truth allocation; a clamped scene is allocated from its own
+    projection.  Either way the allocation equals a fresh one."""
+    from mvdet import allocation, cli, simulator
+    from mvdet.allocation import AllocationLimits, allocate, clamp_anchors
+    from mvdet.simulator import load_scene
+
+    calls = collections.Counter()
+    for mod in (allocation, simulator):
+        def counted(*args, _mod=mod, _fn=mod.project_rig, **kwargs):
+            calls[_mod.__name__] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(mod, "project_rig", counted)
+    kept = []  # whether each scene the run keeps still holds its projection
+    write_scene = cli._write_scene
+    monkeypatch.setattr(cli, "_write_scene", lambda out_dir, result: (
+        kept.append(result[0].projection is not None), write_scene(out_dir, result))[1])
+    decoder = {"n_queries": 24, "channels": 16, "heads": 4, "feature_channels": 8, "seed": 1}
+    if size_clamp:
+        decoder["size_clamp"] = size_clamp
+    cfg = run_config(tmp_path, seeds={"base": 5, "scenes": 3}, boxes=10, decoder=decoder)
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(cfg), "--out", str(out), "--jobs", "1") == 0
+    # preset F: the prefix and each scene's two decoder allocations project too
+    assert calls == {"mvdet.simulator": 3, "mvdet.allocation": 1 + 3 * 2 + gt_projections}
+    assert kept == [False] * 3
+    limits = AllocationLimits(size_clamp=tuple(size_clamp or (35.0, 35.0, 10.0)))
+    for i in range(3):
+        scene = load_scene(out / "scenes" / f"scene_{i:04d}.json")
+        want = allocate(clamp_anchors(scene.anchors, limits), scene.rig, limits).to_json_obj()
+        assert json.loads((out / "alloc" / f"alloc_{i:04d}.json").read_text()) == json.loads(
+            json.dumps(want))
+
+
 @pytest.mark.parametrize(
     "text, detail",
     [('{"preset": "F",\n}', "not valid JSON: Expecting property name enclosed in double quotes"),

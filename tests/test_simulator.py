@@ -2,22 +2,132 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mvdet.geometry import project_rig
-from mvdet.metrics import MatchParams, aar
+from mvdet._kernels import box_points
+from mvdet.crop_scale import CropRule, extend_rig
+from mvdet.geometry import Boxes2D, make_surround_rig, project_rig
+from mvdet.metrics import Detections, MatchParams, aar
 from mvdet.simulator import (
+    CLASS_PRIORS,
+    EXP_ZERO_BELOW,
     OracleNoise,
     Scene,
     SceneRanges,
-    _bev_corners,
-    _bev_overlap,
+    _bev_rect,
+    _separated,
     perturb,
     render_depths,
     render_features,
     sample_scene,
 )
 
-from conftest import project_one_view, random_rig_with_crop, scored, take, view_maps
+from conftest import box9, project_one_view, random_rig_with_crop, scored, take, view_maps
+
+
+# ------------------------------------------------------------------------------
+# The per-pair overlap test and the per-candidate sampler and perturbation
+# loops that the array forms replaced, kept as references.
+
+def bev_corners(anchor: np.ndarray) -> np.ndarray:
+    """(4, 2) bottom-face corners of one (9,) anchor in the BEV plane."""
+    return box_points(anchor[None, :])[0][1:5, :2]
+
+
+def bev_overlap(ca: np.ndarray, cb: np.ndarray) -> bool:
+    """Separating-axis test of two yaw-rotated rectangles given by corners."""
+    for rect in (ca, cb):
+        for k in range(2):
+            edge = rect[k + 1] - rect[k]
+            axis = np.array([-edge[1], edge[0]])
+            pa = ca @ axis
+            pb = cb @ axis
+            if pa.max() < pb.min() or pb.max() < pa.min():
+                return False
+    return True
+
+
+def sample_anchors_per_candidate(seed, n_boxes, ranges=None, max_attempts_per_box=200):
+    """Anchors and classes of the rejection sampler, one candidate at a time,
+    each tested against every placed box with ``bev_overlap``."""
+    ranges = ranges or SceneRanges()
+    rng = np.random.default_rng(seed)
+    placed, placed_corners, classes = [], [], []
+    attempts = 0
+    budget = max_attempts_per_box * max(n_boxes, 1)
+    while len(placed) < n_boxes:
+        if attempts >= budget:
+            raise RuntimeError(
+                f"could not place {n_boxes} boxes in {budget} attempts; "
+                "scene too dense for the sampling ranges"
+            )
+        attempts += 1
+        cls = int(rng.integers(len(CLASS_PRIORS)))
+        _, mean_size, jitter, vmax = CLASS_PRIORS[cls]
+        size = np.asarray(mean_size) * np.exp(jitter * rng.uniform(-1.0, 1.0, 3))
+        x = rng.uniform(*ranges.x)
+        y = rng.uniform(*ranges.y)
+        yaw = rng.uniform(-np.pi, np.pi)
+        vel = vmax * rng.uniform(-1.0, 1.0, 2)
+        cand = np.array(
+            [x, y, size[2] / 2.0, size[0], size[1], size[2], yaw, vel[0], vel[1]]
+        )
+        corners = bev_corners(cand)
+        if any(bev_overlap(corners, p) for p in placed_corners):
+            continue
+        placed.append(cand)
+        placed_corners.append(corners)
+        classes.append(cls)
+    return (np.stack(placed) if placed else np.zeros((0, 9))), np.array(classes, dtype=np.intp)
+
+
+def perturb_per_box(scene, noise, seed):
+    """Detections of ``perturb``, drawn box by box from the generator."""
+    rng = np.random.default_rng(seed)
+
+    def score() -> float:
+        return float(1.0 - noise.score_spread * rng.uniform())
+
+    keep3, centers, scores3 = [], [], []
+    for i, box in enumerate(scene.anchors):
+        if noise.drop_prob_3d > 0.0 and rng.uniform() < noise.drop_prob_3d:
+            continue
+        keep3.append(i)
+        centers.append(box[0:3] + noise.jitter_m * rng.uniform(-1.0, 1.0, 3))
+        scores3.append(score())
+    boxes3d = scene.anchors[keep3]
+    boxes3d[:, 0:3] = np.reshape(centers, (-1, 3))
+    gt = scene.gt2d
+    keep2, rect, scores2 = [], [], []
+    for j, ((cx, cy, w, h), view_id) in enumerate(zip(gt.rect.tolist(), gt.view_id.tolist())):
+        drop = noise.drop_for(view_id)
+        if drop > 0.0 and rng.uniform() < drop:
+            continue
+        keep2.append(j)
+        cx = cx + noise.jitter_px * rng.uniform(-1.0, 1.0)
+        cy = cy + noise.jitter_px * rng.uniform(-1.0, 1.0)
+        rect.append((cx, cy, w, h))
+        scores2.append(score())
+    return Detections(
+        boxes3d=boxes3d, classes3d=scene.classes[keep3], scores3d=scores3,
+        boxes2d=Boxes2D(np.reshape(rect, (-1, 4)), gt.view_id[keep2], gt.class_id[keep2]),
+        scores2d=scores2,
+    )
+
+
+def two_crop_rig():
+    """The six-camera rig with crops of views 0 and 3, the second at its own
+    output size."""
+    return extend_rig(make_surround_rig(6), [
+        CropRule(source_view_id=0, scale_rate=2.0),
+        CropRule(source_view_id=3, scale_rate=2.5, out_width=640, out_height=360),
+    ])
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_empty_scene(rig6):
@@ -64,7 +174,172 @@ def test_boxes_do_not_overlap(rig6):
     arr = scene.anchors
     for i in range(len(arr)):
         for j in range(i + 1, len(arr)):
-            assert not _bev_overlap(_bev_corners(arr[i]), _bev_corners(arr[j]))
+            assert not bev_overlap(bev_corners(arr[i]), bev_corners(arr[j]))
+
+
+def separated_pair(a, b) -> bool:
+    """``_separated`` on the one pair of (9,) boxes a (candidate) and b."""
+    (ca, xa), (cb, xb) = (_bev_rect(*box[[0, 1, 3, 4, 6]].tolist()) for box in (a, b))
+    return bool(_separated(np.stack([ca, cb])[None], np.concatenate([xa, xb])[None])[0])
+
+
+def flat_box(x, y, w, l, yaw):
+    return box9((x, y, 0.5), (w, l, 1.0), yaw)
+
+
+# edge cases: shared edges, corner contact, identical boxes, containment
+# and 90-degree-rotated squares, in both orders
+EDGE_CASES = {
+    "shared_edge_x": (flat_box(0, 0, 2, 4, 0), flat_box(4, 0, 2, 4, 0)),
+    "shared_edge_y": (flat_box(0, 0, 2, 4, 0), flat_box(0, 2, 2, 4, 0)),
+    "shared_edge_rotated": (flat_box(1.5, -2.25, 1.9, 4.5, 0.7),
+                            flat_box(1.5 + 4.5 * np.cos(0.7), -2.25 + 4.5 * np.sin(0.7),
+                                     1.9, 4.5, 0.7)),
+    "shared_edge_offset": (flat_box(0, 0, 2, 4, 0), flat_box(4, 0.5, 2, 4, 0)),
+    "corner_contact": (flat_box(0, 0, 2, 4, 0), flat_box(4, 2, 2, 4, 0)),
+    "corner_contact_diamond": (flat_box(0, 0, 2, 2, 0), flat_box(1 + np.sqrt(2), 0, 2, 2, np.pi / 4)),
+    "identical": (flat_box(3, -7, 1.9, 4.5, 0.3), flat_box(3, -7, 1.9, 4.5, 0.3)),
+    "contained": (flat_box(0, 0, 4, 8, 0.4), flat_box(0.5, 0.2, 0.6, 0.6, 1.1)),
+    "square_rot90_same": (flat_box(2, 2, 2, 2, 0), flat_box(2, 2, 2, 2, np.pi / 2)),
+    "square_rot90_touching": (flat_box(0, 0, 2, 2, 0), flat_box(2, 0, 2, 2, np.pi / 2)),
+    "square_rot90_apart": (flat_box(0, 0, 2, 2, 0), flat_box(2 + 1e-12, 0, 2, 2, -np.pi / 2)),
+    "square_rot90_overlapping": (flat_box(0, 0, 2, 2, 0), flat_box(2 - 1e-12, 0, 2, 2, np.pi / 2)),
+    "square_rot180_touching": (flat_box(0, 0, 2, 2, np.pi / 2), flat_box(0, 2, 2, 2, -np.pi)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_separated_decides_edge_cases_like_the_pair_test(name):
+    a, b = EDGE_CASES[name]
+    for first, second in ((a, b), (b, a)):
+        assert separated_pair(first, second) == (not bev_overlap(bev_corners(first),
+                                                                 bev_corners(second)))
+
+
+coord = st.floats(-60.0, 60.0, allow_nan=False)
+side = st.floats(0.05, 12.0, allow_nan=False)
+angle = st.floats(-np.pi, np.pi, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coord, coord, side, side, angle, coord, coord, side, side, angle)
+@example(0.0, 0.0, 2.0, 4.0, 0.0, 4.0, 0.0, 2.0, 4.0, 0.0)
+def test_separated_decides_random_pairs_like_the_pair_test(x1, y1, w1, l1, yaw1,
+                                                           x2, y2, w2, l2, yaw2):
+    a, b = flat_box(x1, y1, w1, l1, yaw1), flat_box(x2, y2, w2, l2, yaw2)
+    assert separated_pair(a, b) == (not bev_overlap(bev_corners(a), bev_corners(b)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(coord, coord, side, side, angle, side, side, st.integers(0, 3),
+       st.sampled_from([0.0, np.pi / 2, np.pi, -np.pi / 2]), st.floats(-1.0, 1.0))
+# a pair that a plain multiply-add projection decides unlike ``rect @ axis``
+@example(0.0, 0.0, 0.5, 0.6191855344191509, 0.0, 3.0, 2.0, 0, np.pi, 0.0)
+def test_separated_decides_touching_pairs_like_the_pair_test(x, y, w, l, yaw, w2, l2, face,
+                                                             turn, slide):
+    """Box b set against face ``face`` of box a at exactly the touching
+    distance in real arithmetic, turned by a multiple of 90 degrees and
+    slid along the face: the decision rests on the last bits."""
+    c, s = np.cos(yaw), np.sin(yaw)
+    ext_b = (l2, w2) if turn in (0.0, np.pi) else (w2, l2)  # b's extent along a's (x, y)
+    along = (l, w)[face % 2] / 2.0 + ext_b[face % 2] / 2.0
+    sign = 1.0 if face < 2 else -1.0
+    dx, dy = (sign * along, slide * w) if face % 2 == 0 else (slide * l, sign * along)
+    a = flat_box(x, y, w, l, yaw)
+    b = flat_box(x + dx * c - dy * s, y + dx * s + dy * c, w2, l2, yaw + turn)
+    for first, second in ((a, b), (b, a)):
+        assert separated_pair(first, second) == (not bev_overlap(bev_corners(first),
+                                                                 bev_corners(second)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coord, coord, side, side, angle)
+def test_bev_rect_corners_are_box_points_bits(x, y, w, l, yaw):
+    corners, axes = _bev_rect(x, y, w, l, yaw)
+    want = bev_corners(flat_box(x, y, w, l, yaw))
+    assert same_bits(corners, want)
+    edges = want[1:3] - want[0:2]
+    assert same_bits(axes, np.stack([-edges[:, 1], edges[:, 0]], axis=1))
+
+
+@pytest.mark.parametrize("n_boxes", [20, 25])
+def test_sampler_draws_the_per_candidate_scenes(rig6, n_boxes):
+    """200 seeds: the array sampler places the anchors and classes of the
+    per-candidate loop, bit for bit, and derives the same 2D ground truth,
+    on the six-camera rig and on it with two crop views."""
+    rigs = [rig6, two_crop_rig()]
+    for seed in range(200):
+        anchors, classes = sample_anchors_per_candidate(seed, n_boxes)
+        for rig in rigs:
+            scene = sample_scene(seed, rig, n_boxes=n_boxes)
+            assert same_bits(scene.anchors, anchors), (seed, n_boxes)
+            assert np.array_equal(scene.classes, classes)
+            proj = project_rig(rig, anchors)
+            assert all(same_bits(getattr(scene.projection, f), getattr(proj, f))
+                       for f in ("view_ids", "uv", "valid", "rect", "rect_area", "ref_point"))
+            vi, ai = np.nonzero(proj.valid & (proj.rect_area > 0.0))
+            assert same_bits(scene.gt2d.rect, proj.rect[vi, ai])
+            assert np.array_equal(scene.gt2d.view_id, proj.view_ids[vi])
+            assert np.array_equal(scene.gt2d.class_id, classes[ai])
+            assert np.array_equal(scene.gt2d_link, ai)
+
+
+def test_sampler_gives_up_at_the_per_candidate_budget(rig6):
+    """A dense scene the per-candidate loop places only with m attempts per
+    box: the array sampler places the same boxes with m and raises the same
+    error with m - 1."""
+    ranges, n_boxes = SceneRanges(x=(-3, 3), y=(-3, 3)), 20
+    m = next(m for m in range(1, 200) if _places(ranges, n_boxes, m))
+    assert m > 2
+    anchors, _ = sample_anchors_per_candidate(0, n_boxes, ranges, m)
+    assert same_bits(sample_scene(0, rig6, ranges, n_boxes, max_attempts_per_box=m).anchors,
+                     anchors)
+    with pytest.raises(RuntimeError) as want:
+        sample_anchors_per_candidate(0, n_boxes, ranges, m - 1)
+    with pytest.raises(RuntimeError) as got:
+        sample_scene(0, rig6, ranges, n_boxes, max_attempts_per_box=m - 1)
+    assert str(got.value) == str(want.value)
+
+
+def _places(ranges, n_boxes, m) -> bool:
+    try:
+        sample_anchors_per_candidate(0, n_boxes, ranges, m)
+    except RuntimeError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n_boxes": -1}, "n_boxes must be non-negative, got -1"),
+    ({"max_attempts_per_box": 0}, "max_attempts_per_box must be positive, got 0"),
+    ({"n_boxes": 0, "max_attempts_per_box": -3}, "max_attempts_per_box must be positive, got -3"),
+])
+def test_sampler_rejects_bad_counts_by_name(rig6, kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sample_scene(0, rig6, **kwargs)
+
+
+NOISES = {
+    "zero": OracleNoise(),
+    "run": OracleNoise(drop_prob=0.2, jitter_px=3.0, jitter_m=0.3),
+    "per_view": OracleNoise(drop_prob={0: 0.5, 2: 1.0, 4: 0.1}, jitter_px=1.5,
+                            drop_prob_3d=0.3, score_spread=0.4),
+    "all": OracleNoise(drop_prob=0.35, jitter_px=7.0, jitter_m=1.1, drop_prob_3d=0.25,
+                       score_spread=0.9),
+    "full_drop": OracleNoise(drop_prob=1.0, drop_prob_3d=1.0, score_spread=0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOISES))
+def test_perturb_draws_the_per_box_detections(rig6, name):
+    noise = NOISES[name]
+    for seed in range(25):
+        scene = sample_scene(seed, rig6, n_boxes=seed % 21)
+        got, want = perturb(scene, noise, seed=seed + 1), perturb_per_box(scene, noise, seed + 1)
+        for field in ("boxes3d", "classes3d", "scores3d", "scores2d"):
+            assert same_bits(getattr(got, field), getattr(want, field)), (seed, field)
+        for field in ("rect", "view_id", "class_id"):
+            assert same_bits(getattr(got.boxes2d, field), getattr(want.boxes2d, field))
 
 
 def test_infeasible_density_raises(rig6):
@@ -196,12 +471,53 @@ def render_features_per_channel(scene, rig, scales=(8, 16), channels=16):
     return features
 
 
-@pytest.mark.parametrize("rig_seed, scales, channels", [(0, (8, 16), 16), (7, (8,), 3),
-                                                        (None, (4, 16, 32), 1)])
+def scene_of(rig, boxes, classes):
+    """Scene of (9,) boxes with given class ids and no 2D ground truth."""
+    return Scene(seed=0, frame_id=0, anchors=boxes, classes=classes,
+                 gt2d=Boxes2D(np.zeros((0, 4)), [], []), gt2d_link=[], rig=list(rig))
+
+
+def render_case(name):
+    """(rig, scene, scales, channels) of one render case that reaches the
+    exp cutoff."""
+    rig6 = make_surround_rig(6)
+    if name == "two_crops":
+        rig = two_crop_rig()
+        return rig, sample_scene(11, rig, n_boxes=20), (8, 16), 4
+    if name == "distant_small":  # narrow far boxes: the 0.75 sigma floor
+        boxes = [box9((r * np.cos(a), r * np.sin(a), 0.4), (0.4, 0.4, 0.8), a)
+                 for r, a in ((48.0, 0.1), (45.0, 1.0), (40.0, -2.2), (49.0, 3.0))]
+        return rig6, scene_of(rig6, boxes, [4, 2, 4, 3]), (8, 16), 2
+    if name == "large_at_border":  # wide near boxes cut by the image edges, among far ones
+        boxes = [box9((6.0, 4.2, 1.5), (6.0, 14.0, 3.0), 0.3),
+                 box9((30.0, -3.0, 0.4), (0.5, 0.5, 0.8), 0.0),
+                 box9((3.0, -2.0, 2.0), (4.0, 9.0, 4.0), -1.2),
+                 box9((-8.0, 0.5, 1.0), (2.5, 20.0, 2.0), 1.5),
+                 box9((-35.0, 2.0, 0.4), (0.6, 0.6, 0.8), 0.0)]
+        return rig6, scene_of(rig6, boxes, [1, 2, 1, 0, 4]), (4, 8, 16), 2
+    if name == "truncated":  # centers outside a view, reference point from its rectangle
+        boxes = [box9((r * np.cos(a), r * np.sin(a), 0.8), (w, l, 1.6), a + 0.4)
+                 for r, a, w, l in ((8.0, np.radians(38.0), 2.0, 7.0),
+                                    (8.0, np.radians(-39.0), 2.0, 7.0),
+                                    (8.0, np.radians(98.0), 2.0, 7.0),
+                                    (40.0, np.radians(-30.2), 0.5, 3.0))]
+        return rig6, scene_of(rig6, boxes, [0, 1, 3, 2]), (8, 16, 32), 2
+    raise KeyError(name)
+
+
+RENDER_CASES = ["two_crops", "distant_small", "large_at_border", "truncated"]
+
+
+@pytest.mark.parametrize("rig_seed, scales, channels", [
+    (0, (8, 16), 16), (7, (8,), 3), (None, (4, 16, 32), 1),
+    *(pytest.param(name, None, None, id=name) for name in RENDER_CASES),
+])
 def test_render_features_matches_per_channel_loop(rig6, rig_seed, scales, channels):
-    # random four-camera rigs with a crop view, and the six-camera rig
-    rig = rig6 if rig_seed is None else random_rig_with_crop(np.random.default_rng(rig_seed))
-    scene = sample_scene(11, rig, n_boxes=15)
+    if isinstance(rig_seed, str):
+        rig, scene, scales, channels = render_case(rig_seed)
+    else:  # random four-camera rigs with a crop view, and the six-camera rig
+        rig = rig6 if rig_seed is None else random_rig_with_crop(np.random.default_rng(rig_seed))
+        scene = sample_scene(11, rig, n_boxes=15)
     got = render_features(scene, rig, scales=scales, channels=channels)
     want = render_features_per_channel(scene, rig, scales=scales, channels=channels)
     assert got.view_ids.tolist() == [v.view_id for v in rig]
@@ -214,6 +530,53 @@ def test_render_features_matches_per_channel_loop(rig6, rig_seed, scales, channe
         assert len(got_maps) == len(maps)
         for g, w in zip(got_maps, maps):
             assert g.shape == w.shape and np.array_equal(g, w)
+    # the same maps from a projection the caller passes in
+    passed = render_features(scene, rig, scales=scales, channels=channels,
+                             projection=project_rig(rig, scene.anchors))
+    assert all(same_bits(a, b) for a, b in zip(passed.atlas, got.atlas))
+
+
+@pytest.mark.parametrize("name", RENDER_CASES)
+def test_render_cases_reach_the_exp_cutoff(name):
+    """Every case has cells that exp would underflow; the edge cases also
+    reach what they are named for."""
+    rig, scene, scales, _ = render_case(name)
+    proj = project_rig(rig, scene.anchors)
+    below, floor = 0, False
+    for k, view in enumerate(rig):
+        for s in scales:
+            hm, wm = max(view.height // s, 1), max(view.width // s, 1)
+            for i in np.flatnonzero(proj.valid[k]):
+                u, v = proj.ref_point[k, i]
+                raw = float(proj.rect[k, i, 2]) * (wm / view.width) / 4.0
+                sigma = max(raw, 0.75)
+                floor |= raw < 0.75
+                d2 = ((np.arange(wm) - (u * wm / view.width - 0.5)) ** 2)[None, :] + (
+                    (np.arange(hm) - (v * hm / view.height - 0.5)) ** 2)[:, None]
+                below += int((-d2 / (2.0 * sigma * sigma) < EXP_ZERO_BELOW).sum())
+    assert below > 0
+    if name == "distant_small":
+        assert floor
+    if name == "truncated":
+        assert (proj.valid & ~proj.center_in_view).sum() >= 3
+    if name == "large_at_border":
+        rect = proj.rect[proj.valid]
+        assert ((rect[:, 0] - rect[:, 2] / 2 == 0.0) | (rect[:, 0] + rect[:, 2] / 2 == 704.0)).any()
+
+
+def test_exp_is_exactly_zero_below_the_cutoff():
+    assert EXP_ZERO_BELOW == -746.0 and np.exp(-746.0) == 0.0
+    rng = np.random.default_rng(0)
+    below = np.concatenate([
+        [np.nextafter(EXP_ZERO_BELOW, -np.inf), -746.5, -750.0, -1e4, -1e300, -np.inf],
+        -np.logspace(np.log10(746.0), 300.0, 2001)[1:],
+        rng.uniform(-2000.0, EXP_ZERO_BELOW, 4097),
+    ])
+    assert (below < EXP_ZERO_BELOW).all()
+    for x in (below, below[:7], below[1::3]):  # whole SIMD lanes, tails and strides
+        e = np.exp(x)
+        assert (e == 0.0).all() and not np.signbit(e).any()
+    assert all(np.exp(x) == 0.0 and not np.signbit(np.exp(x)) for x in below[:50].tolist())
 
 
 def test_feature_bump_peaks_at_projected_center(rig6):
