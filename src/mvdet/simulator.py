@@ -4,6 +4,13 @@ Stands in for real driving data: classed 3D boxes with velocities are
 rejection-sampled without overlap, per-view 2D ground truth is derived by
 projection, and analytic feature/depth maps give the decoder's sampling
 something to read.  Everything is deterministic under its seed.
+
+The per-scene work runs as array operations: a candidate box is tested
+against every placed box by one batched separating-axis expression, a view's
+feature bumps are evaluated as one block, and perturbations draw their
+doubles as one block.  Each keeps the bits of the per-candidate and per-box
+loops it replaced; a sampled scene's one rig projection serves its ground
+truth, its feature maps and (through ``mvdet run``) its allocation.
 """
 
 from __future__ import annotations
@@ -242,7 +249,8 @@ def sample_scene(
     if max_attempts_per_box < 1:
         raise ValueError(f"max_attempts_per_box must be positive, got {max_attempts_per_box}")
     ranges = ranges or SceneRanges()
-    (x_lo, x_hi), (y_lo, y_hi) = (tuple(map(float, r)) for r in (ranges.x, ranges.y))
+    x_lo, x_hi = map(float, ranges.x)
+    y_lo, y_hi = map(float, ranges.y)
     rng = np.random.default_rng(seed)
     anchors = np.empty((n_boxes, 9))
     classes = np.empty(n_boxes, dtype=np.intp)
@@ -267,7 +275,8 @@ def sample_scene(
         ux, uy, uyaw, uvx, uvy = u[3:].tolist()
         x = x_lo + (x_hi - x_lo) * ux
         y = y_lo + (y_hi - y_lo) * uy
-        yaw = -np.pi + (np.pi - -np.pi) * uyaw
+        yaw = -np.pi + 2.0 * np.pi * uyaw
+        # the candidate goes into every pair, and into slot n for when it is kept
         pairs[: n + 1, 0], pair_axes[: n + 1, 0:2] = _bev_rect(x, y, w, l, yaw)
         if not _separated(pairs[:n], pair_axes[:n]).all():
             continue
@@ -313,8 +322,9 @@ def perturb(scene: Scene, noise: OracleNoise | None = None, seed: int = 0) -> De
     n, m = len(scene.anchors), len(gt)
     # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random()
     u = np.random.default_rng(seed).random(5 * n + 4 * m)
+    drop2 = [noise.drop_for(v) for v in gt.view_id.tolist()]
     keep3, at3, pos = _kept_draws(u.tolist(), 0, [noise.drop_prob_3d] * n, 4)
-    keep2, at2, _ = _kept_draws(u.tolist(), pos, [noise.drop_for(v) for v in gt.view_id.tolist()], 3)
+    keep2, at2, _ = _kept_draws(u.tolist(), pos, drop2, 3)
     boxes3d = scene.anchors[keep3]
     boxes3d[:, 0:3] += noise.jitter_m * (-1.0 + 2.0 * u[at3[:, None] + np.arange(3)])
     rect = gt.rect[keep2]
@@ -373,6 +383,7 @@ def render_features(
             arg = (dx2[:, None, :] + dy2[:, :, None]) / divisor[box]
             bump = np.exp(arg, out=np.zeros_like(arg), where=arg >= EXP_ZERO_BELOW)
             bump *= amp[box]
+            # a sum over the leading axis adds the bumps one after another
             fmap[...] = bump.sum(axis=0)[:, :, None]
     return features
 

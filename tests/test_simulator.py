@@ -23,7 +23,9 @@ from mvdet.simulator import (
     sample_scene,
 )
 
-from conftest import box9, project_one_view, random_rig_with_crop, scored, take, view_maps
+from conftest import (
+    box9, project_one_view, random_rig_with_crop, same_bits, scored, take, view_maps,
+)
 
 
 # ------------------------------------------------------------------------------
@@ -123,11 +125,6 @@ def two_crop_rig():
         CropRule(source_view_id=0, scale_rate=2.0),
         CropRule(source_view_id=3, scale_rate=2.5, out_width=640, out_height=360),
     ])
-
-
-def same_bits(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_empty_scene(rig6):
