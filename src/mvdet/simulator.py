@@ -290,22 +290,22 @@ def sample_scene(
                  gt2d=gt2d, gt2d_link=link, rig=list(rig), projection=proj)
 
 
-def _kept_draws(u: list, pos: int, drop: list, n_draws: int):
+def _kept_draws(u: np.ndarray, pos: int, drop: list, n_draws: int):
     """Walk entries with drop probabilities ``drop`` through the doubles
     ``u`` from ``pos``: an entry with a positive probability first takes
     its drop test, and a kept entry then takes ``n_draws`` doubles.
     Returns the kept entries, the first double of each, and the next
     position."""
-    keep, first = [], []
+    first = np.full(len(drop), -1, dtype=np.intp)
     for i, p in enumerate(drop):
         if p > 0.0:
             pos += 1
             if u[pos - 1] < p:
                 continue
-        keep.append(i)
-        first.append(pos)
+        first[i] = pos
         pos += n_draws
-    return np.array(keep, dtype=np.intp), np.array(first, dtype=np.intp), pos
+    keep = np.flatnonzero(first >= 0)
+    return keep, first[keep], pos
 
 
 def perturb(scene: Scene, noise: OracleNoise | None = None, seed: int = 0) -> Detections:
@@ -323,8 +323,8 @@ def perturb(scene: Scene, noise: OracleNoise | None = None, seed: int = 0) -> De
     # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random()
     u = np.random.default_rng(seed).random(5 * n + 4 * m)
     drop2 = [noise.drop_for(v) for v in gt.view_id.tolist()]
-    keep3, at3, pos = _kept_draws(u.tolist(), 0, [noise.drop_prob_3d] * n, 4)
-    keep2, at2, _ = _kept_draws(u.tolist(), pos, drop2, 3)
+    keep3, at3, pos = _kept_draws(u, 0, [noise.drop_prob_3d] * n, 4)
+    keep2, at2, _ = _kept_draws(u, pos, drop2, 3)
     boxes3d = scene.anchors[keep3]
     boxes3d[:, 0:3] += noise.jitter_m * (-1.0 + 2.0 * u[at3[:, None] + np.arange(3)])
     rect = gt.rect[keep2]
