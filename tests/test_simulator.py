@@ -194,7 +194,8 @@ EDGE_CASES = {
                                      1.9, 4.5, 0.7)),
     "shared_edge_offset": (flat_box(0, 0, 2, 4, 0), flat_box(4, 0.5, 2, 4, 0)),
     "corner_contact": (flat_box(0, 0, 2, 4, 0), flat_box(4, 2, 2, 4, 0)),
-    "corner_contact_diamond": (flat_box(0, 0, 2, 2, 0), flat_box(1 + np.sqrt(2), 0, 2, 2, np.pi / 4)),
+    "corner_contact_diamond": (flat_box(0, 0, 2, 2, 0),
+                               flat_box(1 + np.sqrt(2), 0, 2, 2, np.pi / 4)),
     "identical": (flat_box(3, -7, 1.9, 4.5, 0.3), flat_box(3, -7, 1.9, 4.5, 0.3)),
     "contained": (flat_box(0, 0, 4, 8, 0.4), flat_box(0.5, 0.2, 0.6, 0.6, 1.1)),
     "square_rot90_same": (flat_box(2, 2, 2, 2, 0), flat_box(2, 2, 2, 2, np.pi / 2)),
@@ -281,6 +282,15 @@ def test_sampler_draws_the_per_candidate_scenes(rig6, n_boxes):
             assert np.array_equal(scene.gt2d_link, ai)
 
 
+def _places(ranges, n_boxes, m) -> bool:
+    """Whether the per-candidate loop places the boxes of seed 0 with m attempts per box."""
+    try:
+        sample_anchors_per_candidate(0, n_boxes, ranges, m)
+    except RuntimeError:
+        return False
+    return True
+
+
 def test_sampler_gives_up_at_the_per_candidate_budget(rig6):
     """A dense scene the per-candidate loop places only with m attempts per
     box: the array sampler places the same boxes with m and raises the same
@@ -296,14 +306,6 @@ def test_sampler_gives_up_at_the_per_candidate_budget(rig6):
     with pytest.raises(RuntimeError) as got:
         sample_scene(0, rig6, ranges, n_boxes, max_attempts_per_box=m - 1)
     assert str(got.value) == str(want.value)
-
-
-def _places(ranges, n_boxes, m) -> bool:
-    try:
-        sample_anchors_per_candidate(0, n_boxes, ranges, m)
-    except RuntimeError:
-        return False
-    return True
 
 
 @pytest.mark.parametrize("kwargs, message", [
