@@ -337,6 +337,11 @@ def cmd_crop_views(args) -> int:
 # -------------------------------------------------------------- denoise-demo
 
 def cmd_denoise_demo(args) -> int:
+    for flag, value in (("--heads", args.heads), ("--channels", args.channels)):
+        if value < 1:
+            raise ValueError(f"{flag} must be positive, got {value}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     scene = load_scene(args.scene)
     rig = scene.rig
     channels = args.channels

@@ -8,6 +8,7 @@ and treated like any other view.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -40,8 +41,8 @@ class CropRule:
             raise ValueError(
                 f"unknown placement {self.placement!r}; expected one of {PLACEMENTS}"
             )
-        if self.scale_rate <= 1.0:
-            raise ValueError("scale_rate must be > 1")
+        if not (math.isfinite(self.scale_rate) and self.scale_rate > 1.0):
+            raise ValueError(f"scale_rate must be finite and > 1, got {self.scale_rate}")
 
     def to_json_obj(self) -> dict:
         obj = {

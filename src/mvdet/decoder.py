@@ -7,13 +7,13 @@ Heads are toy two-layer perceptrons with additive anchor refinement; all
 parameters come from one seeded initializer so a fixed seed and inputs give
 bit-identical outputs.
 
-The query state stays float64.  The 2D group self-attention and the two
-dense self-attentions over the N 3D queries (the aggregate and the 3D
-sub-layer's) compute in float32, as the paper's PyTorch model does by
-default, through groupattn's row-blocked body; temporal attention and
-reference-point sampling stay float64.  Layer 0 up to its first feature
-read depends on the initial queries alone: ``HybridDecoder.prefix``
-computes it once and ``forward`` can start from it, bit for bit.
+The query state stays float64.  Every attention (the 2D group
+self-attention, the two dense self-attentions over the N 3D queries and
+temporal attention) computes in float32, as the paper's PyTorch model
+does by default, through groupattn's row-blocked body; reference-point
+sampling stays float64.  Layer 0 up to its first feature read depends on
+the initial queries alone: ``HybridDecoder.prefix`` computes it once and
+``forward`` can start from it, bit for bit.
 ``HeadOutputs.to_json_obj`` hands the head outputs to the JSON writer as
 NumPy arrays, never as lists.
 """
@@ -367,7 +367,7 @@ class HybridDecoder:
 
     def _open_2d(self, p: _Layer2DParams, q3, anchors, temporal) -> Prefix:
         """A 2D sub-layer up to its first feature read: temporal attention,
-        clamp, allocate, gather and the float32 group self-attention."""
+        clamp, allocate, gather and the group self-attention."""
         if temporal is not None and temporal.n > 0:
             q3 = q3 + attention(q3, p.temporal, kv=temporal.features)
         anchors = clamp_anchors(anchors, self.config.limits)
@@ -375,15 +375,15 @@ class HybridDecoder:
         q2 = gather_2d(alloc.mapping, q3)
         if alloc.mapping.n_2d:
             groups = GroupMask(alloc.mapping.camera_of_col)
-            q2 = q2 + attention(q2.astype(np.float32), p.self_attn, groups=groups)
+            q2 = q2 + attention(q2, p.self_attn, groups=groups)
         return Prefix(q3=q3, anchors=anchors, alloc=alloc, q2=q2)
 
     def _open_3d(self, p: _Layer3DParams, q3, anchors, temporal) -> Prefix:
         """A 3D sub-layer up to its first feature read: temporal attention
-        and the float32 self-attention."""
+        and the self-attention."""
         if temporal is not None and temporal.n > 0:
             q3 = q3 + attention(q3, p.temporal, kv=temporal.features)
-        q3 = q3 + attention(q3.astype(np.float32), p.self_attn)
+        q3 = q3 + attention(q3, p.self_attn)
         return Prefix(q3=q3, anchors=anchors)
 
     def _check_queries(self, queries: QuerySet) -> None:

@@ -7,28 +7,21 @@ rows of one group depend only on that group's inputs -- perturbing or
 removing another group leaves them bit-identical.  ``build_mask`` spells
 the same rule out as a dense additive mask for reference checks.
 
-Dense attention (each group, or every row over ``kv``) runs in float64 on
-the calling thread: the score buffer holds together as many heads as fit
-in ``SCORE_BUDGET`` elements (at least one), and the softmax runs in
-place.  In float32 it holds all heads for a block of query rows, sized to
-``BLOCK_BUDGET`` elements so it stays in cache through the softmax and the
-value product.  A float32 call of two blocks or more shares its work with
-one persistent helper thread per process: the helper projects k and v
-while the calling thread projects q, then takes the second half of the
-blocks.  A process that can use only one CPU runs it all on the calling
-thread, to the same bits.
-
-Attention computes in float32 when it is given float32 queries and in
-float64 otherwise, and always returns float64.  The float64 path is
-bit-identical to a per-head loop.  The float32 path works in base 2 (q is
-scaled by log2(e)/sqrt(d), then ``exp2``), subtracts the row max only
-where a bound on the logits does not prove it unnecessary
+Attention computes in float32, as the paper's PyTorch model does by
+default: it casts its inputs to float32 and returns float64.  Dense
+attention (each group, or every row over ``kv``) runs blocks of query rows
+with all heads at once, through a score block of ``BLOCK_BUDGET`` elements
+sized so it stays in cache through the softmax and the value product.  It
+works in base 2 (q is scaled by log2(e)/sqrt(d), then ``exp2``), subtracts
+the row max only where a bound on the logits does not prove it unnecessary
 (``needs_row_max``), and fuses the softmax into the value product (a ones
-column in V carries the row sum); it is bit-identical to a per-head loop
-over the same row blocks, and differs from the float64 result by less
-than 1e-5 of the largest value entry.  The decoder runs its 2D group
-self-attention and its dense self-attentions over the 3D queries in
-float32.
+column in V carries the row sum).  A call of two blocks or more shares its
+work with one persistent helper thread per process: the helper projects k
+and v while the calling thread projects q, then takes the second half of
+the blocks.  A process that can use only one CPU runs it all on the
+calling thread, to the same bits.  The result is bit-identical to a
+per-head loop over the same row blocks, and differs from float64
+attention by less than 1e-5 of the largest value entry.
 """
 
 from __future__ import annotations
@@ -50,15 +43,11 @@ from ._kernels import bilinear_sample
 # softmax weight is exactly 0.0 (holds for |unmasked logits| << 1e9).
 NEG_INF = -1e9
 
-# Elements of the float64 score buffer of one dense attention call (16 MiB):
-# small calls batch all heads in one product; at N = M = 900 two heads fit.
-SCORE_BUDGET = 1 << 21
-
-# Elements of the float32 score block (1 MiB, sized for L2): all h heads
-# over max(1, BLOCK_BUDGET // (h * M)) query rows, 36 rows at M = 900, h = 8.
+# Elements of the score block (1 MiB, sized for L2): all h heads over
+# max(1, BLOCK_BUDGET // (h * M)) query rows, 36 rows at M = 900, h = 8.
 BLOCK_BUDGET = 1 << 18
 
-# The float32 body skips the row max when every base-2 logit is at most
+# Attention skips the row max when every base-2 logit is at most
 # SHIFT_FREE_LOGIT in size and M * max(1, max|v|) <= SHIFT_FREE_MASS
 # (derived in ``needs_row_max``).
 SHIFT_FREE_LOGIT = 64.0
@@ -263,9 +252,9 @@ def _both(first, second) -> None:
     second()
 
 
-def _float32_blocks(q, k, v1, heads_out, starts, rows: int, shift: bool) -> None:
-    """The float32 body over the row blocks at ``starts``, through a score
-    buffer of their own; writes ``heads_out[:, s:s + rows]`` per block."""
+def _attend_blocks(q, k, v1, heads_out, starts, rows: int, shift: bool) -> None:
+    """The row blocks at ``starts`` of ``_attend``, through a score buffer
+    of their own; writes ``heads_out[:, s:s + rows]`` per block."""
     n, d = q.shape[1], v1.shape[2] - 1
     buf = np.empty((q.shape[0], min(rows, n), k.shape[2]), dtype=np.float32)
     for s in starts:
@@ -279,7 +268,7 @@ def _float32_blocks(q, k, v1, heads_out, starts, rows: int, shift: bool) -> None
 
 
 def needs_row_max(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> bool:
-    """Whether the float32 body must subtract the row max before exp2.
+    """Whether attention must subtract the row max before exp2.
 
     q is (h, N, d), already scaled by log2(e)/sqrt(d); k is (h, d, M); v
     holds the value entries; all float32.  Cauchy-Schwarz bounds each
@@ -307,11 +296,27 @@ def needs_row_max(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> bool:
     return not (safe and bound <= SHIFT_FREE_LOGIT and mass <= SHIFT_FREE_MASS)
 
 
-def _attend32(x: np.ndarray, kv: np.ndarray, params: AttentionParams, heads_out) -> None:
-    """The float32 body of ``_attend``; writes (h, N, d) ``heads_out``."""
+def _attend(x: np.ndarray, kv: np.ndarray, params: AttentionParams) -> np.ndarray:
+    """Multi-head softmax(QK^T / sqrt(d)) V of every row of float32 x over
+    float32 kv; returns float64.
+
+    Runs blocks of query rows, all heads at once, through a buffer of at
+    most BLOCK_BUDGET elements (at least one row): QK^T with q scaled by
+    log2(e)/sqrt(d) before its cast, minus the row max unless
+    ``needs_row_max`` proves it unnecessary, exp2 in place, and one product
+    with [v | 1] that yields the numerator and its row sum.  q, k and the
+    transpose of [v | 1] are stored head by head, as BLAS reads them
+    fastest.  With two blocks or more, the helper thread projects k and v
+    while the calling thread projects q, then runs the second half of the
+    blocks through a buffer of its own; the blocks are those of the serial
+    loop, so the result is the same bit for bit.
+    """
     n, c = x.shape
     m, h = kv.shape[0], params.heads
     d = c // h
+    if n == 0:  # nothing to normalise, even when kv is empty too
+        return np.empty((0, c))
+    out = np.empty((n, h, d))
     rows = max(1, BLOCK_BUDGET // max(1, h * m))
     starts = range(0, n, rows)
     q = np.empty((h, n, d), dtype=np.float32)
@@ -331,57 +336,14 @@ def _attend32(x: np.ndarray, kv: np.ndarray, params: AttentionParams, heads_out)
     else:
         project_q()
         project_kv()
-    blocks = functools.partial(_float32_blocks, q, k, v1.transpose(0, 2, 1), heads_out,
-                               rows=rows, shift=needs_row_max(q, k, v1[:, :d]))
+    blocks = functools.partial(_attend_blocks, q, k, v1.transpose(0, 2, 1),
+                               out.transpose(1, 0, 2), rows=rows,
+                               shift=needs_row_max(q, k, v1[:, :d]))
     if len(starts) > 1:
         half = (len(starts) + 1) // 2
         _both(functools.partial(blocks, starts[:half]), functools.partial(blocks, starts[half:]))
     else:
         blocks(starts)
-
-
-def _attend(x: np.ndarray, kv: np.ndarray, params: AttentionParams) -> np.ndarray:
-    """Multi-head softmax(QK^T / sqrt(d)) V of every row of x over kv, in
-    the dtype of x (float32 or float64); returns float64.
-
-    Float64 runs on the calling thread as many heads at once as fit in
-    SCORE_BUDGET elements (at least one) through one score buffer, so each
-    head sees the operations of a per-head loop, bit for bit.  Its query
-    rows are never blocked: BLAS may round a product over fewer rows
-    differently.
-
-    Float32 runs blocks of query rows, all heads at once, through a buffer
-    of at most BLOCK_BUDGET elements (at least one row): QK^T with q scaled
-    by log2(e)/sqrt(d) before its cast, minus the row max unless
-    ``needs_row_max`` proves it unnecessary, exp2 in place, and one product
-    with [v | 1] that yields the numerator and its row sum.  q, k and the
-    transpose of [v | 1] are stored head by head, as BLAS reads them
-    fastest.  With two blocks or more, the helper thread projects k and v
-    while the calling thread projects q, then runs the second half of the
-    blocks through a buffer of its own; the blocks are those of the serial
-    loop, so the result is the same bit for bit.
-    """
-    n, c = x.shape
-    m = kv.shape[0]
-    h = params.heads
-    d = c // h
-    if n == 0:  # nothing to normalise, even when kv is empty too
-        return np.empty((0, c))
-    out = np.empty((n, h, d))
-    heads_out = out.transpose(1, 0, 2)
-    if x.dtype == np.float32:
-        _attend32(x, kv, params, heads_out)
-        return out.reshape(n, c)
-    q = (x @ params.w_q).reshape(n, h, d).transpose(1, 0, 2)
-    k = (kv @ params.w_k).reshape(m, h, d).transpose(1, 2, 0)
-    v = (kv @ params.w_v).reshape(m, h, d).transpose(1, 0, 2)
-    step = min(h, max(1, SCORE_BUDGET // max(1, n * m)))
-    buf = np.empty((step, n, m))
-    for s in range(0, h, step):
-        e = min(h, s + step)
-        scores = np.matmul(q[s:e], k[s:e], out=buf[: e - s])
-        np.divide(scores, math.sqrt(d), out=scores)
-        heads_out[s:e] = softmax_rows(scores) @ v[s:e]
     return out.reshape(n, c)
 
 
@@ -398,20 +360,17 @@ def attention(
     With ``groups`` a row attends only to the rows of x sharing its group
     id; each group is evaluated on its own, so its output rows depend only
     on that group's inputs -- perturbing or removing another group leaves
-    them bit-identical.  Float32 x (and kv, cast to it) runs the fused
-    float32 body; any other input computes in float64.  The result is
-    float64 either way.  Raises on NaN input (fail fast), when C is not
-    divisible by the head count, on a groups/x length mismatch, on a
-    negative group id, and when both ``groups`` and ``kv`` are given.
+    them bit-identical.  x and kv compute in float32; the result is
+    float64.  Raises on NaN input (fail fast), when C is not divisible by
+    the head count, on a groups/x length mismatch, on a negative group id,
+    and when both ``groups`` and ``kv`` are given.
     """
-    x = np.asarray(x)
-    dtype = np.float32 if x.dtype == np.float32 else np.float64
-    x = x.astype(dtype, copy=False)
+    x = np.asarray(x, dtype=np.float32)
     if x.ndim != 2:
         raise ValueError(f"x must be (M, C), got {x.shape}")
     if groups is not None and kv is not None:
         raise ValueError("groups apply to self-attention only; got both groups and kv")
-    kv = x if kv is None else np.asarray(kv, dtype=dtype)
+    kv = x if kv is None else np.asarray(kv, dtype=np.float32)
     if np.isnan(x).any() or np.isnan(kv).any():
         raise ValueError("NaN in attention input")
     if x.shape[1] % params.heads:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -222,6 +223,41 @@ def cross_attention_3d_per_view(rig, anchors, features, params):
     seen = cnt > 0
     acc[seen] = acc[seen] / cnt[seen, None]
     return acc @ params.w_proj
+
+
+# ------------------------------------------------------------------------------
+# Float64 attention: the oracle that the package's float32 attention is held to.
+
+def per_head_reference(x, kv, params):
+    """Dense float64 attention of every row of x over kv, as a per-head loop
+    with fresh temporaries."""
+    h = params.heads
+    d = x.shape[1] // h
+    q = x @ params.w_q
+    k = kv @ params.w_k
+    v = kv @ params.w_v
+    out = np.empty_like(x)
+    for head in range(h):
+        sl = slice(head * d, (head + 1) * d)
+        scores = (q[:, sl] @ k[:, sl].T) / math.sqrt(d)
+        shifted = scores - scores.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        out[:, sl] = (e / e.sum(axis=1, keepdims=True)) @ v[:, sl]
+    return out
+
+
+def float64_attention(x, params, *, groups=None, kv=None):
+    """``groupattn.attention`` computed in float64 by ``per_head_reference``:
+    every row over ``kv`` (default x), or each group of ``groups`` over
+    itself."""
+    x = np.asarray(x, dtype=np.float64)
+    if groups is None:
+        return per_head_reference(x, x if kv is None else np.asarray(kv, dtype=np.float64), params)
+    out = np.empty(x.shape)
+    for gid in np.unique(groups.group_of):
+        rows = groups.group_of == gid
+        out[rows] = per_head_reference(x[rows], x[rows], params)
+    return out
 
 
 # ------------------------------------------------------------------------------

@@ -330,6 +330,16 @@ def test_crop_views(tmp_path, rig_file):
     assert obj["views"][-1]["derived"] is True
 
 
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_crop_views_rejects_a_non_finite_scale_rate(tmp_path, rig_file, capsys, rate):
+    out = tmp_path / "rig8.json"
+    assert run_cli("crop-views", "--rig", str(rig_file), "--scale-rate", rate,
+                   "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err == f"mvdet crop-views: error: scale_rate must be finite and > 1, got {rate}\n"
+    assert not out.exists()
+
+
 def test_denoise_demo(tmp_path, sim_dir):
     out = tmp_path / "dn.json"
     assert run_cli("denoise-demo", "--scene", str(sim_dir / "scene_0000.json"),
@@ -338,6 +348,23 @@ def test_denoise_demo(tmp_path, sim_dir):
     assert obj["leakage_free"] is True
     assert obj["groups"] == 3
     assert obj["noise_columns"] > 0
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--heads", "0"], "--heads must be positive, got 0"),
+     (["--heads", "-2"], "--heads must be positive, got -2"),
+     (["--channels", "0"], "--channels must be positive, got 0"),
+     (["--channels", "-4", "--heads", "2"], "--channels must be positive, got -4"),
+     (["--seed", "-1"], "--seed must be non-negative, got -1")],
+    ids=["heads_0", "heads_negative", "channels_0", "channels_negative", "seed_negative"],
+)
+def test_denoise_demo_rejects_bad_flags(tmp_path, sim_dir, capsys, flags, message):
+    out = tmp_path / "dn.json"
+    assert run_cli("denoise-demo", "--scene", str(sim_dir / "scene_0000.json"), *flags,
+                   "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"mvdet denoise-demo: error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -777,6 +804,8 @@ def test_run_rejects_jobs_below_one(tmp_path, capsys, jobs):
         pytest.param({"views": 0}, "empty rig", id="views_0"),
         pytest.param({"crop_rules": [{"source_view_id": 99}]}, "rule references unknown view 99",
                      id="crop_source"),
+        pytest.param({"crop_rules": [{"source_view_id": 0, "scale_rate": math.nan}]},
+                     "scale_rate must be finite and > 1, got nan", id="crop_scale_rate_nan"),
         pytest.param({"boxes": -3}, "boxes must be non-negative, got -3", id="boxes_negative"),
         pytest.param({"seeds": {"scenes": -2}}, "seeds.scenes must be positive, got -2",
                      id="scenes_negative"),

@@ -20,10 +20,14 @@ from mvdet.decoder import (
     wrap_yaw,
 )
 from mvdet.geometry import dump_json
-from mvdet.groupattn import attention
 from mvdet.simulator import render_features, sample_scene
 
-from conftest import cross_attention_3d_per_view, ref_point_cross_attention_per_view, rig_features
+from conftest import (
+    cross_attention_3d_per_view,
+    float64_attention,
+    ref_point_cross_attention_per_view,
+    rig_features,
+)
 
 
 def small_config(**over):
@@ -226,7 +230,8 @@ def test_forward_determinism(setup):
 
 def test_float32_query_attention_drift(rig6, monkeypatch):
     # the README reference shape: preset F, 900 queries, six cameras plus a
-    # crop view; float64 attention (2D groups and 3D queries) is the reference
+    # crop view; the decoder with the float64 attention oracle (2D groups and
+    # 3D queries) is the reference
     rig = extend_rig(rig6, [CropRule(source_view_id=0, scale_rate=2.0)])
     scene = sample_scene(0, rig, n_boxes=15)
     feats = render_features(scene, rig, scales=(8, 16), channels=16)
@@ -234,9 +239,6 @@ def test_float32_query_attention_drift(rig6, monkeypatch):
     def run():
         dec = HybridDecoder(DecoderConfig.from_preset("F"), rig)
         return dec.forward(feats, dec.initial_queries())[0]
-
-    def float64_attention(x, params, **kw):
-        return attention(np.asarray(x, dtype=np.float64), params, **kw)
 
     got = run()
     monkeypatch.setattr(decoder, "attention", float64_attention)

@@ -19,7 +19,6 @@ from mvdet.denoising import denoise_groups
 from mvdet.groupattn import (
     BLOCK_BUDGET,
     NEG_INF,
-    SCORE_BUDGET,
     AttentionParams,
     CrossAttentionParams,
     GroupMask,
@@ -29,7 +28,13 @@ from mvdet.groupattn import (
     softmax_rows,
 )
 
-from conftest import bilinear_per_map, box9, ref_point_cross_attention_per_view, rig_features
+from conftest import (
+    bilinear_per_map,
+    box9,
+    per_head_reference,
+    ref_point_cross_attention_per_view,
+    rig_features,
+)
 
 
 def seeded_params(c, heads=1, seed=0):
@@ -136,13 +141,13 @@ def test_against_masked_softmax_reference():
     params = seeded_params(4, seed=5)
     got = attention(x, params, groups=groups)
     want = masked_softmax_reference(x, build_mask(groups), params)
-    assert np.abs(got - want).max() <= 1e-12
+    assert np.abs(got - want).max() <= FLOAT32_REL_TOL * np.abs(x @ params.w_v).max()
 
 
 def test_multihead_row_stochastic():
     # with every value row equal to ones, each head's output is the sum of
     # its attention weights; with random values it stays inside the hull
-    # of the group's own value rows
+    # of the group's own value rows, up to the float32 rounding of v
     rng = np.random.default_rng(2)
     for _ in range(20):
         m = int(rng.integers(2, 30))
@@ -154,13 +159,14 @@ def test_multihead_row_stochastic():
         ones = AttentionParams(params.w_q, params.w_k, np.zeros((c, c)), heads=2)
         ones.w_v[0, :] = 1.0
         sums = attention(x, ones, groups=GroupMask(g))
-        assert np.abs(sums - 1.0).max() <= 1e-12
+        assert np.abs(sums - 1.0).max() <= FLOAT32_REL_TOL
         out = attention(x, params, groups=GroupMask(g))
         v = x @ params.w_v
+        tol = FLOAT32_REL_TOL * np.abs(v).max()
         for gid in np.unique(g):
             sel = g == gid
-            assert np.all(out[sel] >= v[sel].min(axis=0) - 1e-12)
-            assert np.all(out[sel] <= v[sel].max(axis=0) + 1e-12)
+            assert np.all(out[sel] >= v[sel].min(axis=0) - tol)
+            assert np.all(out[sel] <= v[sel].max(axis=0) + tol)
 
 
 def test_nan_input_fails_fast():
@@ -234,17 +240,19 @@ def dense_sentinel_reference(x, mask, params):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_grouped_attention_property(ids, heads, seed):
-    # unsorted, non-contiguous, gappy ids: the result matches the dense
-    # additive-sentinel formulation and equals each group run on its own
+    # unsorted, non-contiguous, gappy ids: the result is near the dense
+    # additive-sentinel formulation, as a call is near float64 attention,
+    # and equals each group run on its own
     rng = np.random.default_rng(seed)
     g = np.array(ids)
     x = rng.standard_normal((g.size, 8))
     params = AttentionParams.seeded(8, heads, rng)
     out = attention(x, params, groups=GroupMask(g))
     want = dense_sentinel_reference(x, build_mask(GroupMask(g)), params)
-    assert np.abs(out - want).max() <= 1e-12
     for gid in np.unique(g):
         sel = g == gid
+        tol = FLOAT32_REL_TOL * np.abs(x[sel] @ params.w_v).max()
+        assert np.abs(out[sel] - want[sel]).max() <= tol
         assert np.array_equal(out[sel], attention(x[sel], params))
 
 
@@ -265,24 +273,7 @@ def test_group_isolation_bitwise():
         assert np.array_equal(out[other], out2[other])
 
 
-# ------------------------------------------- head-batched dense attention
-
-def per_head_reference(x, kv, params):
-    """Dense attention as a per-head loop with fresh temporaries."""
-    h = params.heads
-    d = x.shape[1] // h
-    q = x @ params.w_q
-    k = kv @ params.w_k
-    v = kv @ params.w_v
-    out = np.empty_like(x)
-    for head in range(h):
-        sl = slice(head * d, (head + 1) * d)
-        scores = (q[:, sl] @ k[:, sl].T) / math.sqrt(d)
-        shifted = scores - scores.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        out[:, sl] = (e / e.sum(axis=1, keepdims=True)) @ v[:, sl]
-    return out
-
+# ------------------------------------------------------ dense attention
 
 @settings(max_examples=60, deadline=None)
 @given(
@@ -293,36 +284,54 @@ def per_head_reference(x, kv, params):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_dense_attention_matches_per_head_loop(n, m, heads, d, seed):
+    # float64 input computes as its float32 cast, in the fused per-head loop
     rng = np.random.default_rng(seed)
     c = heads * d
     x = 3.0 * rng.standard_normal((n, c))
     kv = 3.0 * rng.standard_normal((m, c))
     params = AttentionParams.seeded(c, heads, rng)
-    assert np.array_equal(attention(x, params, kv=kv), per_head_reference(x, kv, params))
-    assert np.array_equal(attention(x, params), per_head_reference(x, x, params))
+    x32, kv32 = x.astype(np.float32), kv.astype(np.float32)
+    assert np.array_equal(attention(x, params, kv=kv), fused_per_head_reference(x32, kv32, params))
+    assert np.array_equal(attention(x, params), fused_per_head_reference(x32, x32, params))
+
+
+@pytest.mark.parametrize("call", ["plain", "kv", "groups"])
+def test_float64_input_gives_the_bits_of_its_float32_cast(call):
+    # one body: float64 input computes as its float32 cast, whatever the call
+    rng = np.random.default_rng(11)
+    x = 3.0 * rng.standard_normal((300, 16))
+    kv = 3.0 * rng.standard_normal((70, 16))
+    groups = GroupMask(rng.integers(0, 5, size=300))
+    params = AttentionParams.seeded(16, 4, rng)
+    run = {"plain": lambda x, kv: attention(x, params),
+           "kv": lambda x, kv: attention(x, params, kv=kv),
+           "groups": lambda x, kv: attention(x, params, groups=groups)}[call]
+    assert np.array_equal(run(x, kv), run(x.astype(np.float32), kv.astype(np.float32)))
 
 
 @pytest.mark.parametrize(
     "n, m, heads",
     [
-        (SCORE_BUDGET // 4096, 1024, 2),  # both heads fit with room to spare
-        (SCORE_BUDGET // 2048, 1024, 2),  # two heads fill the budget exactly
-        (SCORE_BUDGET // 2048, 1025, 2),  # two heads overflow it: one per chunk
-        (SCORE_BUDGET // 1024, 1024, 2),  # one head fills it exactly
-        (SCORE_BUDGET // 1024, 1025, 2),  # one head overflows it
-        (SCORE_BUDGET // 2048, 1024, 4),  # two chunks of two heads
-        (SCORE_BUDGET // 4096, 1024, 8),  # eight heads, four fit
-        (900, 900, 8),                    # the decoder's 3D self-attention
-        (900, 256, 4),
+        (512, 1024, 2),   # 128-row score blocks: four, all full
+        (2048, 1024, 2),  # sixteen full blocks
+        (2048, 1025, 2),  # 127-row blocks: the 17th holds 16 rows
+        (1024, 1024, 2),  # eight full blocks
+        (1024, 1025, 2),  # the ninth block holds 8 rows
+        (1024, 1024, 4),  # 64-row blocks: sixteen
+        (512, 1024, 8),   # 32-row blocks: sixteen
+        (900, 900, 8),    # the decoder's 3D self-attention: 25 blocks of 36 rows
+        (900, 256, 4),    # 256-row blocks: the fourth holds 132 rows
     ],
 )
 def test_dense_attention_around_score_budget(n, m, heads):
+    # cross-attention over row blocks of BLOCK_BUDGET // (heads * m) rows:
+    # the blocks follow the key count, not the query count
     rng = np.random.default_rng(n + m + heads)
     c = 2 * heads
-    x = rng.standard_normal((n, c))
-    kv = rng.standard_normal((m, c))
+    x = rng.standard_normal((n, c)).astype(np.float32)
+    kv = rng.standard_normal((m, c)).astype(np.float32)
     params = AttentionParams.seeded(c, heads, rng)
-    assert np.array_equal(attention(x, params, kv=kv), per_head_reference(x, kv, params))
+    assert np.array_equal(attention(x, params, kv=kv), fused_per_head_reference(x, kv, params))
 
 
 def test_dense_attention_empty_queries():
@@ -344,29 +353,26 @@ def traced_peak(call):
 
 
 def test_dense_attention_peak_memory():
-    # float64 score buffers share one budget: at N = 900 two N x N buffers,
-    # not an h x N x N stack or fresh per-head temporaries
+    # float64 input runs the float32 score blocks too: no N x N buffer of
+    # either dtype, and the bound of float32 input
     n, c, heads = 900, 64, 8
     rng = np.random.default_rng(0)
     x = rng.standard_normal((n, c))
     params = AttentionParams.seeded(c, heads, rng)
-    assert traced_peak(lambda: attention(x, params)) < 3 * n * n * 8
+    assert traced_peak(lambda: attention(x, params)) < 4 * 2**20
 
 
-def test_dense_attention_head_over_budget_memory(monkeypatch):
-    # one N x M head larger than the budget: the call holds a single N x M
-    # score buffer, on the calling thread
-    n, m, heads = SCORE_BUDGET // 1024, 1025, 2
+def test_dense_attention_head_over_budget_memory():
+    # one N x M head eight times the score block: the call holds one block
+    # buffer on each of its two threads, never an N x M head
+    n, m, heads = 2048, 1025, 2
     rng = np.random.default_rng(4)
-    x = rng.standard_normal((n, 2 * heads))
-    kv = rng.standard_normal((m, 2 * heads))
+    x = rng.standard_normal((n, 2 * heads)).astype(np.float32)
+    kv = rng.standard_normal((m, 2 * heads)).astype(np.float32)
     params = AttentionParams.seeded(2 * heads, heads, rng)
-    seen = []
-    monkeypatch.setattr(groupattn, "softmax_rows", recording_threads(groupattn.softmax_rows, seen))
     peak = traced_peak(lambda: attention(x, params, kv=kv))
-    assert n * m > SCORE_BUDGET
-    assert peak < 1.1 * n * m * 8
-    assert set(seen) == {threading.get_ident()}
+    assert n * m > 8 * BLOCK_BUDGET
+    assert peak < 2.5 * 4 * BLOCK_BUDGET
 
 
 def recording_threads(func, seen):
@@ -380,27 +386,23 @@ def recording_threads(func, seen):
 
 
 @pytest.mark.parametrize("dtype, n, calls", [("float32", 900, 25), ("float32", 20, 1),
-                                             ("float64", 900, 4), ("float64", 300, 1)])
+                                             ("float64", 900, 25), ("float64", 300, 3)])
 def test_dense_attention_runs_on_the_calling_thread(monkeypatch, dtype, n, calls):
-    # in a process that can use one CPU, every float32 row block (36 rows at
-    # N = 900, 8 heads) and every float64 chunk of heads (two at N = 900)
-    # runs on the calling thread, and the call starts no thread
+    # in a process that can use one CPU, every row block (36 rows at N =
+    # 900, 109 at N = 300, 8 heads) runs on the calling thread, and the call
+    # starts no thread; float64 input runs the blocks of its float32 cast
     rng = np.random.default_rng(1)
     x = rng.standard_normal((n, 16)).astype(dtype)
     params = AttentionParams.seeded(16, 8, rng)
     seen = []
     monkeypatch.setattr(groupattn, "usable_cpus", lambda: 1)
-    if dtype == "float32":
-        reference = fused_per_head_reference
-        monkeypatch.setattr(np, "exp2", recording_threads(np.exp2, seen))
-    else:
-        reference = per_head_reference
-        monkeypatch.setattr(groupattn, "softmax_rows", recording_threads(groupattn.softmax_rows, seen))
+    monkeypatch.setattr(np, "exp2", recording_threads(np.exp2, seen))
     before = threading.active_count()
     got = attention(x, params)
     assert threading.active_count() == before
     assert seen == [threading.get_ident()] * calls
-    assert np.array_equal(got, reference(x, x, params))
+    x32 = x.astype(np.float32)
+    assert np.array_equal(got, fused_per_head_reference(x32, x32, params))
 
 
 @pytest.mark.parametrize("n, here, there", [(900, 13, 12), (72, 1, 1), (20, 1, 0)])
