@@ -26,7 +26,6 @@ from .allocation import (
 )
 from .groupattn import (
     AttentionParams,
-    GroupMask,
     RigFeatures,
     attention,
     build_mask,

@@ -58,21 +58,17 @@ def box_points(anchors):
         corners (bottom face CCW from +x+y, then the top face).
     """
     arr = np.ascontiguousarray(anchors, dtype=np.float64)
-    n = arr.shape[0]
-    out = np.empty((n, 9, 3), dtype=np.float64)
-    x, y, z = arr[:, 0], arr[:, 1], arr[:, 2]
-    hw, hl, hh = 0.5 * arr[:, 3], 0.5 * arr[:, 4], 0.5 * arr[:, 5]
-    c, s = np.cos(arr[:, 6]), np.sin(arr[:, 6])
-    out[:, 0, 0] = x
-    out[:, 0, 1] = y
-    out[:, 0, 2] = z
-    for k in range(8):
-        sx, sy, sz = _CORNER_SIGNS[k]
-        lx = hl * sx
-        ly = hw * sy
-        out[:, k + 1, 0] = x + (lx * c - ly * s)
-        out[:, k + 1, 1] = y + (lx * s + ly * c)
-        out[:, k + 1, 2] = z + hh * sz
+    out = np.empty((arr.shape[0], 9, 3), dtype=np.float64)
+    # (N, 1) columns broadcast over the eight corners of _CORNER_SIGNS
+    x, y, z = arr[:, 0:1], arr[:, 1:2], arr[:, 2:3]
+    hw, hl, hh = 0.5 * arr[:, 3:4], 0.5 * arr[:, 4:5], 0.5 * arr[:, 5:6]
+    c, s = np.cos(arr[:, 6:7]), np.sin(arr[:, 6:7])
+    lx = hl * _CORNER_SIGNS[:, 0]
+    ly = hw * _CORNER_SIGNS[:, 1]
+    out[:, 0] = arr[:, 0:3]
+    out[:, 1:, 0] = x + (lx * c - ly * s)
+    out[:, 1:, 1] = y + (lx * s + ly * c)
+    out[:, 1:, 2] = z + hh * _CORNER_SIGNS[:, 2]
     return out
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .allocation import AllocationLimits, allocate, clamp_anchors
 from .crop_scale import CropRule, extend_rig, load_crop_rules, load_extended_rig
-from .decoder import DecoderConfig, HybridDecoder, PRESETS
+from .decoder import DecoderConfig, HybridDecoder
 from .denoising import (
     NoiseConfig,
     allocate_noise,
@@ -39,7 +39,7 @@ from .geometry import (
     Boxes2D, anchors_to_array, dump_json, load_json, load_rig, make_surround_rig, naming_file,
     save_rig,
 )
-from .groupattn import AttentionParams, GroupMask, attention
+from .groupattn import AttentionParams, attention
 from .metrics import (
     Detections,
     MatchParams,
@@ -354,7 +354,7 @@ def cmd_denoise_demo(args) -> int:
     noise_cfg = NoiseConfig(n_groups=args.groups)
     noisy, negative = make_noisy_anchors(gt_array, noise_cfg, seed=args.seed)
     layout = allocate_noise(scene.gt2d, scene.gt2d_link, noisy, match_len=m)
-    cams = GroupMask(match_alloc.mapping.camera_of_col)
+    cams = match_alloc.mapping.camera_of_col
     groups = denoise_groups(layout, cams)
 
     owner_anchors = gt_array[match_alloc.mapping.rows]
@@ -517,12 +517,11 @@ def cmd_run(args) -> int:
     cfg = load_json(args.config)
     with naming_file(args.config):
         _check_run_keys(cfg, args.config)
-        preset = cfg.get("preset")
-        if preset is not None and preset not in PRESETS:
-            raise ValueError(f"unknown preset {preset!r}; expected one of {sorted(PRESETS)}")
         decoder_obj = dict(cfg.get("decoder", {}))
-        if preset:
-            decoder_obj["preset"] = preset
+        top, inner = cfg.get("preset"), decoder_obj.get("preset")
+        if None not in (top, inner) and top != inner:
+            raise ValueError(f"preset {top!r} and decoder.preset {inner!r} differ")
+        preset = decoder_obj["preset"] = inner if top is None else top
         config = DecoderConfig.from_json_obj(decoder_obj)
         n_views = int(cfg.get("views", 6))
         rules = [CropRule.from_json_obj(r) for r in cfg.get("crop_rules", [])]

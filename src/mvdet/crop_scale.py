@@ -9,7 +9,7 @@ and treated like any other view.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -58,6 +58,11 @@ class CropRule:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "CropRule":
+        """Rule from a JSON dict; raises on a key that is not a field."""
+        names = {f.name for f in fields(cls)}
+        unknown = [key for key in obj if key not in names]
+        if unknown:
+            raise ValueError(f"unknown crop rule key {unknown[0]!r}")
         return cls(
             source_view_id=int(obj["source_view_id"]),
             placement=obj.get("placement", "centered-on-focal"),

@@ -34,7 +34,6 @@ from .geometry import CameraView, anchors_to_array, project_views
 from .groupattn import (
     AttentionParams,
     CrossAttentionParams,
-    GroupMask,
     RigFeatures,
     attention,
     ref_point_cross_attention,
@@ -110,8 +109,8 @@ class DecoderConfig:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DecoderConfig":
-        """Config from a JSON dict; a "preset" key wins over explicit
-        l_2d / l_3d / l_hybrid entries."""
+        """Config from a JSON dict; a "preset" key other than null wins over
+        explicit l_2d / l_3d / l_hybrid entries."""
         obj = dict(obj)
         preset = obj.pop("preset", None)
         limits = AllocationLimits(
@@ -126,7 +125,7 @@ class DecoderConfig:
             )
             if k in obj
         }
-        if preset:
+        if preset is not None:
             for k in ("l_2d", "l_3d", "l_hybrid"):
                 known.pop(k, None)
             return cls.from_preset(preset, limits=limits, **known)
@@ -374,8 +373,7 @@ class HybridDecoder:
         alloc = allocate(anchors, self.rig, self.config.limits)
         q2 = gather_2d(alloc.mapping, q3)
         if alloc.mapping.n_2d:
-            groups = GroupMask(alloc.mapping.camera_of_col)
-            q2 = q2 + attention(q2, p.self_attn, groups=groups)
+            q2 = q2 + attention(q2, p.self_attn, groups=alloc.mapping.camera_of_col)
         return Prefix(q3=q3, anchors=anchors, alloc=alloc, q2=q2)
 
     def _open_3d(self, p: _Layer3DParams, q3, anchors, temporal) -> Prefix:
@@ -436,8 +434,7 @@ class HybridDecoder:
                 q3, anchors, alloc, q2 = o.q3, o.anchors, o.alloc, o.q2
                 if alloc.mapping.n_2d:
                     q2 = q2 + ref_point_cross_attention(
-                        q2, alloc.ref_points, features, GroupMask(alloc.mapping.camera_of_col),
-                        p.cross,
+                        q2, alloc.ref_points, features, alloc.mapping.camera_of_col, p.cross,
                     )
                 raw = p.head2d.apply(q2)
                 boxes2d = alloc.rects + raw[:, 0:4]

@@ -17,7 +17,6 @@ import numpy as np
 
 from .allocation import mean_of_copies
 from .geometry import Boxes2D
-from .groupattn import GroupMask
 
 log = logging.getLogger(__name__)
 
@@ -166,26 +165,27 @@ def allocate_noise(
     )
 
 
-def denoise_groups(layout: DenoiseLayout, camera_groups: GroupMask) -> GroupMask:
+def denoise_groups(layout: DenoiseLayout, camera_groups) -> np.ndarray:
     """Group ids over [match | denoise groups] for grouped attention.
 
-    ``camera_groups`` covers the match part; noise columns carry their own
-    cameras in the layout.  Each id composes the camera with the part (0
-    for the match part, g + 1 for denoise group g), so two queries share an
-    id iff they share the camera AND the part; match<->denoise and
-    denoise<->denoise pairs across groups never do.
+    ``camera_groups``, an integer camera id per query, covers the match
+    part; noise columns carry their own cameras in the layout.  Each id
+    composes the camera with the part (0 for the match part, g + 1 for
+    denoise group g), so two queries share an id iff they share the camera
+    AND the part; match<->denoise and denoise<->denoise pairs across groups
+    never do.
     """
-    if camera_groups.size != layout.match_len:
+    cams = np.asarray(camera_groups, dtype=np.intp).reshape(-1)
+    if cams.size != layout.match_len:
         raise ValueError(
-            f"camera groups cover {camera_groups.size} queries, "
-            f"match part has {layout.match_len}"
+            f"camera groups cover {cams.size} queries, match part has {layout.match_len}"
         )
     layout.validate()
-    cams = np.concatenate([camera_groups.group_of, layout.col_view])
+    cams = np.concatenate([cams, layout.col_view])
     if cams.size and cams.min() < 0:
         raise ValueError("group id out of range")
     n_cams = int(cams.max(initial=-1)) + 1
-    return GroupMask(layout.part_ids() * n_cams + cams)
+    return layout.part_ids() * n_cams + cams
 
 
 def gather_noise(layout: DenoiseLayout, group_features: np.ndarray) -> np.ndarray:

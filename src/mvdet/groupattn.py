@@ -55,21 +55,6 @@ SHIFT_FREE_MASS = 2.0**60
 
 
 @dataclass(frozen=True)
-class GroupMask:
-    """Group id per query column (camera ids, plus denoise-group ids)."""
-
-    group_of: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.group_of, dtype=np.intp).reshape(-1)
-        object.__setattr__(self, "group_of", g)
-
-    @property
-    def size(self) -> int:
-        return self.group_of.shape[0]
-
-
-@dataclass(frozen=True)
 class AttentionParams:
     """Projection weights for scaled dot-product attention."""
 
@@ -140,19 +125,32 @@ class RigFeatures:
         return order[np.searchsorted(self.view_ids, ids, sorter=order)]
 
 
-def build_mask(groups: GroupMask, denoise=None) -> np.ndarray:
+def _group_rows(group_of, n: int) -> list[np.ndarray]:
+    """The rows of each group of the ids ``group_of``, one per row of n:
+    ascending within a group, groups in ascending id order (a stable
+    argsort, split where the sorted id changes).  Raises when the ids do
+    not cover n rows or one is negative."""
+    g = np.asarray(group_of, dtype=np.intp).reshape(-1)
+    if g.shape[0] != n:
+        raise ValueError(f"groups cover {g.shape[0]} queries, x has {n}")
+    if g.size and g.min() < 0:
+        raise ValueError("group id out of range")
+    order = np.argsort(g, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(g[order])) + 1) if n else []
+
+
+def build_mask(group_of, denoise=None) -> np.ndarray:
     """Additive attention mask: 0 within a group, the -inf sentinel across.
 
     A dense (M, M) reference of the rule ``attention(..., groups=...)``
-    applies from group ids; for checks only, never on the forward path.
-    With a denoise layout present, a pair is permitted only when it shares
-    the camera group AND the part (both in the match part, or both in the
-    same denoise group); match and denoise parts are blocked from each
-    other in both directions.
+    applies to the integer group ids ``group_of``; for checks only, never
+    on the forward path.  With a denoise layout present, a pair is
+    permitted only when it shares the camera group AND the part (both in
+    the match part, or both in the same denoise group); match and denoise
+    parts are blocked from each other in both directions.
     """
-    g = groups.group_of
-    if g.size and g.min() < 0:
-        raise ValueError("group id out of range")
+    g = np.asarray(group_of, dtype=np.intp).reshape(-1)
+    _group_rows(g, g.shape[0])  # raises on a negative id
     same = g[:, None] == g[None, :]
     if denoise is not None:
         part = denoise.part_ids()
@@ -284,8 +282,8 @@ def needs_row_max(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> bool:
     terms by at most (1 + u)**M < e**2 < 8 for M < 2**25, which keeps every
     partial sum below the float32 maximum of nearly 2**128.  The row sum is
     at least 2**-65, so the division is safe.  The shift does not change
-    the softmax, so skipping it changes only rounding.  Any other input,
-    an infinite one included, keeps the exact row max.
+    the softmax, so skipping it changes only rounding.  Any other input
+    keeps the exact row max (``attention`` has rejected non-finite input).
     """
     d, m = q.shape[2], k.shape[2]
     q_norm = np.square(q, dtype=np.float64).sum(axis=2).max()
@@ -347,48 +345,48 @@ def _attend(x: np.ndarray, kv: np.ndarray, params: AttentionParams) -> np.ndarra
     return out.reshape(n, c)
 
 
+def _finite_float32(a) -> np.ndarray:
+    """``a`` as float32; raises unless every entry is finite there."""
+    with np.errstate(over="ignore"):  # an entry beyond the float32 range casts to inf
+        a = np.asarray(a, dtype=np.float32)
+    if not np.isfinite(a).all():
+        raise ValueError("attention input not finite in float32 (NaN, inf or beyond 3.4e38)")
+    return a
+
+
 def attention(
     x: np.ndarray,
     params: AttentionParams,
     *,
-    groups: GroupMask | None = None,
+    groups=None,
     kv: np.ndarray | None = None,
 ) -> np.ndarray:
     """Scaled dot-product attention of the rows of x.
 
     Without ``groups`` every row attends over ``kv`` (default: x itself).
-    With ``groups`` a row attends only to the rows of x sharing its group
-    id; each group is evaluated on its own, so its output rows depend only
-    on that group's inputs -- perturbing or removing another group leaves
-    them bit-identical.  x and kv compute in float32; the result is
-    float64.  Raises on NaN input (fail fast), when C is not divisible by
-    the head count, on a groups/x length mismatch, on a negative group id,
-    and when both ``groups`` and ``kv`` are given.
+    With ``groups``, an integer group id per row of x, a row attends only
+    to the rows of x sharing its id; each group is evaluated on its own, so
+    its output rows depend only on that group's inputs -- perturbing or
+    removing another group leaves them bit-identical.  x and kv compute in
+    float32; the result is float64.  Raises on an entry that is not finite
+    in float32 (NaN, inf, or beyond the float32 range; fail fast), when C
+    is not divisible by the head count, on a groups/x length mismatch, on a
+    negative group id, and when both ``groups`` and ``kv`` are given.
     """
-    x = np.asarray(x, dtype=np.float32)
+    x = _finite_float32(x)
     if x.ndim != 2:
         raise ValueError(f"x must be (M, C), got {x.shape}")
     if groups is not None and kv is not None:
         raise ValueError("groups apply to self-attention only; got both groups and kv")
-    kv = x if kv is None else np.asarray(kv, dtype=np.float32)
-    if np.isnan(x).any() or np.isnan(kv).any():
-        raise ValueError("NaN in attention input")
+    kv = x if kv is None else _finite_float32(kv)
     if x.shape[1] % params.heads:
         raise ValueError(f"channels {x.shape[1]} not divisible by heads {params.heads}")
     if groups is None:
         return _attend(x, kv, params)
-    g = groups.group_of
-    if g.shape[0] != x.shape[0]:
-        raise ValueError(f"groups cover {g.shape[0]} queries, x has {x.shape[0]}")
-    if g.size and g.min() < 0:
-        raise ValueError("group id out of range")
-    order = np.argsort(g, kind="stable")
-    starts = np.flatnonzero(np.diff(g[order])) + 1
     out = np.empty(x.shape)
-    for rows in np.split(order, starts):
-        if rows.size:  # an empty x splits into one empty block
-            xr = x[rows]
-            out[rows] = _attend(xr, xr, params)
+    for rows in _group_rows(groups, x.shape[0]):
+        xr = x[rows]
+        out[rows] = _attend(xr, xr, params)
     return out
 
 
@@ -416,10 +414,10 @@ def ref_point_cross_attention(
     x: np.ndarray,
     ref_points: np.ndarray,
     features: RigFeatures,
-    groups: GroupMask,
+    view_of,
     params: CrossAttentionParams,
 ) -> np.ndarray:
-    """Sample each query's own view at its reference point.
+    """Sample each query's own view, ``view_of[i]``, at its reference point.
 
     One bilinear sample per scale (clamped to the map), mixed with learned
     softmax scale weights and projected to the query width.  A query never
@@ -428,12 +426,12 @@ def ref_point_cross_attention(
     """
     ref_points = np.asarray(ref_points, dtype=np.float64).reshape(-1, 2)
     m = np.shape(x)[0]
-    if ref_points.shape[0] != m or groups.size != m:
-        raise ValueError("x, ref_points and groups must agree in length")
-    mixed = sample_views(features, groups.group_of, ref_points, params)
+    if ref_points.shape[0] != m:
+        raise ValueError(f"ref_points cover {ref_points.shape[0]} queries, x has {m}")
+    groups = _group_rows(view_of, m)
+    mixed = sample_views(features, view_of, ref_points, params)
     out = np.zeros((m, params.w_proj.shape[1]))
     # one product per camera group: BLAS may round a product over more rows differently
-    for view_id in np.unique(groups.group_of):
-        idx = np.flatnonzero(groups.group_of == view_id)
-        out[idx] = mixed[idx] @ params.w_proj
+    for rows in groups:
+        out[rows] = mixed[rows] @ params.w_proj
     return out

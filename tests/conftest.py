@@ -197,11 +197,12 @@ def mix_scales(vf, pts, params):
     return combined
 
 
-def ref_point_cross_attention_per_view(x, ref_points, features, groups, params):
+def ref_point_cross_attention_per_view(x, ref_points, features, view_of, params):
     """Reference-point sampling, one camera group at a time."""
     out = np.zeros((np.shape(x)[0], params.w_proj.shape[1]))
-    for view_id in np.unique(groups.group_of):
-        idx = np.flatnonzero(groups.group_of == view_id)
+    view_of = np.asarray(view_of)
+    for view_id in np.unique(view_of):
+        idx = np.flatnonzero(view_of == view_id)
         vf = view_maps(features, view_id)
         out[idx] = mix_scales(vf, ref_points[idx], params) @ params.w_proj
     return out
@@ -253,9 +254,10 @@ def float64_attention(x, params, *, groups=None, kv=None):
     x = np.asarray(x, dtype=np.float64)
     if groups is None:
         return per_head_reference(x, x if kv is None else np.asarray(kv, dtype=np.float64), params)
+    groups = np.asarray(groups)
     out = np.empty(x.shape)
-    for gid in np.unique(groups.group_of):
-        rows = groups.group_of == gid
+    for gid in np.unique(groups):
+        rows = groups == gid
         out[rows] = per_head_reference(x[rows], x[rows], params)
     return out
 

@@ -18,7 +18,7 @@ from mvdet.crop_scale import PLACEMENTS, CropRule, derive_view
 from mvdet.decoder import PRESETS, DecoderConfig, HybridDecoder
 from mvdet.denoising import NoiseConfig, allocate_noise, denoise_groups, make_noisy_anchors
 from mvdet.geometry import EPS_DEPTH, Boxes2D, CameraView, make_surround_rig, project_point
-from mvdet.groupattn import AttentionParams, GroupMask, attention
+from mvdet.groupattn import AttentionParams, attention
 from mvdet.metrics import (
     Detections,
     LossWeights,
@@ -176,12 +176,12 @@ def test_criterion_5_group_isolation():
             groups[m // 2 :] = groups[m // 2 :] + 1
         x = rng.standard_normal((m, c))
         params = AttentionParams.seeded(c, heads, rng)
-        out = attention(x, params, groups=GroupMask(groups))
+        out = attention(x, params, groups=groups)
         target = int(rng.choice(np.unique(groups)))
         x2 = x.copy()
         sel = groups == target
         x2[sel] = rng.standard_normal((int(sel.sum()), c))
-        out2 = attention(x2, params, groups=GroupMask(groups))
+        out2 = attention(x2, params, groups=groups)
         assert np.array_equal(out[~sel], out2[~sel]), f"camera case {case}"
 
     def rand_box():
@@ -205,7 +205,7 @@ def test_criterion_5_group_isolation():
         m = int(rng.integers(2, 12))
         layout = allocate_noise(Boxes2D(rects, views, [0] * len(views)), links, noisy,
                                 match_len=m)
-        cams_match = GroupMask(np.sort(rng.integers(0, 3, size=m)))
+        cams_match = np.sort(rng.integers(0, 3, size=m))
         c = 16
         x_match = rng.standard_normal((m, c))
         x_noise = rng.standard_normal((layout.n_noise, c))

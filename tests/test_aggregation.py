@@ -5,7 +5,7 @@ import pytest
 
 from mvdet.aggregation import GateParams, aggregate, gate_truncation, gate_values, sigmoid
 from mvdet.allocation import MappingMatrix, scatter_mean
-from mvdet.groupattn import AttentionParams, GroupMask, attention
+from mvdet.groupattn import AttentionParams, attention
 
 from conftest import to_dense
 
@@ -81,7 +81,7 @@ def test_aggregate_empty_mapping_is_plain_self_attention():
     attn = AttentionParams.seeded(8, 2, np.random.default_rng(9))
     out = aggregate(q3, np.zeros((0, 8)), m, attn)
     # the aggregate attends in float32
-    want = attention(q3.astype(np.float32), attn, groups=GroupMask(np.zeros(5, dtype=int)))
+    want = attention(q3.astype(np.float32), attn, groups=np.zeros(5, dtype=int))
     assert np.array_equal(out, want)
 
 

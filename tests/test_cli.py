@@ -330,6 +330,17 @@ def test_crop_views(tmp_path, rig_file):
     assert obj["views"][-1]["derived"] is True
 
 
+def test_crop_views_rejects_an_unknown_rule_key(tmp_path, rig_file, capsys):
+    obj = json.loads(rig_file.read_text())
+    obj["derived_views"] = [{"source_view_id": 0, "scale_rat": 3.0}]
+    rig_file.write_text(json.dumps(obj))
+    out = tmp_path / "rig8.json"
+    assert run_cli("crop-views", "--rig", str(rig_file), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err == f"mvdet crop-views: error: {rig_file}: unknown crop rule key 'scale_rat'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("rate", ["nan", "inf"])
 def test_crop_views_rejects_a_non_finite_scale_rate(tmp_path, rig_file, capsys, rate):
     out = tmp_path / "rig8.json"
@@ -806,6 +817,11 @@ def test_run_rejects_jobs_below_one(tmp_path, capsys, jobs):
                      id="crop_source"),
         pytest.param({"crop_rules": [{"source_view_id": 0, "scale_rate": math.nan}]},
                      "scale_rate must be finite and > 1, got nan", id="crop_scale_rate_nan"),
+        pytest.param({"crop_rules": [{"source_view_id": 0, "placment": "left-aligned-horizon",
+                                      "out_widht": 100}]},
+                     "unknown crop rule key 'placment'", id="crop_unknown_key"),
+        pytest.param({"decoder": {"preset": "A", "n_queries": 24}},
+                     "preset 'F' and decoder.preset 'A' differ", id="two_presets"),
         pytest.param({"boxes": -3}, "boxes must be non-negative, got -3", id="boxes_negative"),
         pytest.param({"seeds": {"scenes": -2}}, "seeds.scenes must be positive, got -2",
                      id="scenes_negative"),
@@ -873,6 +889,19 @@ def test_run_preset_a_notes_no_2d(tmp_path, capsys):
     assert any("no 2D outputs" in n for n in summary["notes"])
     captured = capsys.readouterr()
     assert "no 2D outputs" in captured.out
+
+
+@pytest.mark.parametrize("top", [{}, {"preset": "A"}], ids=["decoder_only", "both"])
+def test_run_records_the_preset_it_runs(tmp_path, top):
+    cfg = run_config(tmp_path, decoder={"preset": "A", "n_queries": 24, "seed": 1})
+    obj = json.loads(cfg.read_text())
+    del obj["preset"]
+    cfg.write_text(json.dumps({**obj, **top}))
+    out = tmp_path / "runA"
+    assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["preset"] == "A"
+    assert (summary["decoder"]["l_2d"], summary["decoder"]["l_3d"]) == (0, 1)
 
 
 def test_run_missing_rig_fails(tmp_path):

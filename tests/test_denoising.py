@@ -14,7 +14,7 @@ from mvdet.denoising import (
     restore_3d,
 )
 from mvdet.geometry import Boxes2D
-from mvdet.groupattn import AttentionParams, GroupMask, attention, build_mask
+from mvdet.groupattn import AttentionParams, attention, build_mask
 
 from conftest import box9
 
@@ -134,14 +134,14 @@ def test_gt_without_association_skipped(caplog):
 
 def test_no_denoise_groups_reduces_to_camera_mask():
     layout = allocate_noise(*assoc([box(0)]), np.zeros((0, 1, 9)), match_len=3)
-    cams = GroupMask(np.array([0, 0, 1]))
-    assert np.array_equal(denoise_groups(layout, cams).group_of, cams.group_of)
+    cams = np.array([0, 0, 1])
+    assert np.array_equal(denoise_groups(layout, cams), cams)
 
 
 def test_match_denoise_blocked_both_ways():
     noisy, _ = make_noisy_anchors(gt_boxes()[:1], NoiseConfig(n_groups=1), seed=0)
     layout = allocate_noise(*assoc([box(0)]), noisy, match_len=2)
-    cams = GroupMask(np.array([0, 0]))  # match queries also in camera 0
+    cams = np.array([0, 0])  # match queries also in camera 0
     mask = build_mask(denoise_groups(layout, cams))
     assert mask.shape == (3, 3)
     assert mask[0, 2] != 0.0 and mask[2, 0] != 0.0
@@ -154,7 +154,7 @@ def test_mask_pair_predicate_oracle():
     noisy, _ = make_noisy_anchors(gt_boxes(), NoiseConfig(n_groups=2), seed=0)
     layout = allocate_noise(*assoc([box(0), box(1)], [box(1, cx=5.0)]), noisy, match_len=4)
     cams_match = np.array([0, 0, 1, 1])
-    mask = build_mask(denoise_groups(layout, GroupMask(cams_match)))
+    mask = build_mask(denoise_groups(layout, cams_match))
     cams = np.concatenate([cams_match, layout.col_view])
     part = layout.part_ids()
     for i in range(10):
@@ -167,7 +167,7 @@ def test_mask_size_mismatch_rejected():
     noisy, _ = make_noisy_anchors(gt_boxes()[:1], NoiseConfig(n_groups=1), seed=0)
     layout = allocate_noise(*assoc([box(0)]), noisy, match_len=2)
     with pytest.raises(ValueError):
-        denoise_groups(layout, GroupMask(np.array([0, 0, 0])))
+        denoise_groups(layout, np.array([0, 0, 0]))
 
 
 def test_overlapping_spans_rejected():
@@ -181,7 +181,7 @@ def test_overlapping_spans_rejected():
         kept_gt=[0],
     )
     with pytest.raises(ValueError):
-        denoise_groups(layout, GroupMask(np.array([0])))
+        denoise_groups(layout, np.array([0]))
 
 
 # ------------------------------------------------------------------ restore_3d
@@ -246,7 +246,7 @@ def test_match_part_unaffected_by_denoise_queries():
     noisy, _ = make_noisy_anchors(gt, NoiseConfig(n_groups=2), seed=2)
     m = 6
     layout = allocate_noise(*assoc([box(0), box(1)], [box(1, cx=3.0)]), noisy, match_len=m)
-    cams_match = GroupMask(np.array([0, 0, 0, 1, 1, 1]))
+    cams_match = np.array([0, 0, 0, 1, 1, 1])
     x_match = rng.standard_normal((m, 8))
     x_noise = rng.standard_normal((layout.n_noise, 8))
     params = AttentionParams.seeded(8, 2, np.random.default_rng(3))

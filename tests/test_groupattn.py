@@ -21,7 +21,6 @@ from mvdet.groupattn import (
     NEG_INF,
     AttentionParams,
     CrossAttentionParams,
-    GroupMask,
     attention,
     build_mask,
     ref_point_cross_attention,
@@ -44,25 +43,25 @@ def seeded_params(c, heads=1, seed=0):
 # ---------------------------------------------------------------- build_mask
 
 def test_mask_two_groups():
-    mask = build_mask(GroupMask(np.array([0, 0, 1])))
+    mask = build_mask(np.array([0, 0, 1]))
     allowed = {(i, j) for i in range(3) for j in range(3) if mask[i, j] == 0.0}
     assert allowed == {(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)}
     assert np.all(mask[~(mask == 0.0).astype(bool)] == NEG_INF)
 
 
 def test_mask_single_group_all_zero():
-    mask = build_mask(GroupMask(np.zeros(5, dtype=int)))
+    mask = build_mask(np.zeros(5, dtype=int))
     assert np.array_equal(mask, np.zeros((5, 5)))
 
 
 def test_mask_negative_group_id_rejected():
     with pytest.raises(ValueError):
-        build_mask(GroupMask(np.array([0, -1])))
+        build_mask(np.array([0, -1]))
 
 
 def test_mask_diagonal_always_allowed():
     rng = np.random.default_rng(0)
-    g = GroupMask(rng.integers(0, 4, size=17))
+    g = rng.integers(0, 4, size=17)
     mask = build_mask(g)
     assert np.all(np.diag(mask) == 0.0)
 
@@ -77,10 +76,10 @@ def test_mask_with_denoise_groups_enumerated():
     noisy, _ = make_noisy_anchors(gt, NoiseConfig(n_groups=2), seed=0)
     layout = allocate_noise(gt2d, [0], noisy, match_len=4)
     cams = np.array([0, 0, 1, 1])
-    ids = denoise_groups(layout, GroupMask(cams)).group_of
+    ids = denoise_groups(layout, cams)
     cam_all = np.concatenate([cams, layout.col_view])
     part = layout.part_ids()
-    mask = build_mask(GroupMask(cam_all), layout)
+    mask = build_mask(cam_all, layout)
     for i in range(6):
         for j in range(6):
             allowed = cam_all[i] == cam_all[j] and part[i] == part[j]
@@ -100,7 +99,7 @@ def test_uniform_weights_within_group():
         w_q=rng.standard_normal((4, 4)), w_k=np.zeros((4, 4)),
         w_v=rng.standard_normal((4, 4)),
     )
-    out = attention(x, params, groups=GroupMask(g))
+    out = attention(x, params, groups=g)
     v = x @ params.w_v
     assert np.allclose(out[0:3], v[0:3].mean(axis=0))
     assert np.allclose(out[3:5], v[3:5].mean(axis=0))
@@ -110,7 +109,7 @@ def test_single_query_reduces_to_value_projection():
     x = np.array([[0.3, -1.2, 4.0, 0.7]])
     params = seeded_params(4, seed=3)
     assert np.allclose(attention(x, params), x @ params.w_v, atol=1e-15)
-    out = attention(x, params, groups=GroupMask(np.array([2])))
+    out = attention(x, params, groups=np.array([2]))
     assert np.allclose(out, x @ params.w_v, atol=1e-15)
 
 
@@ -137,7 +136,7 @@ def masked_softmax_reference(x, mask, params):
 def test_against_masked_softmax_reference():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((3, 4))
-    groups = GroupMask(np.array([0, 0, 1]))
+    groups = np.array([0, 0, 1])
     params = seeded_params(4, seed=5)
     got = attention(x, params, groups=groups)
     want = masked_softmax_reference(x, build_mask(groups), params)
@@ -158,9 +157,9 @@ def test_multihead_row_stochastic():
         params = AttentionParams.seeded(c, 2, rng)
         ones = AttentionParams(params.w_q, params.w_k, np.zeros((c, c)), heads=2)
         ones.w_v[0, :] = 1.0
-        sums = attention(x, ones, groups=GroupMask(g))
+        sums = attention(x, ones, groups=g)
         assert np.abs(sums - 1.0).max() <= FLOAT32_REL_TOL
-        out = attention(x, params, groups=GroupMask(g))
+        out = attention(x, params, groups=g)
         v = x @ params.w_v
         tol = FLOAT32_REL_TOL * np.abs(v).max()
         for gid in np.unique(g):
@@ -173,7 +172,7 @@ def test_nan_input_fails_fast():
     x = np.ones((2, 4))
     x[0, 0] = np.nan
     with pytest.raises(ValueError):
-        attention(x, seeded_params(4), groups=GroupMask(np.zeros(2, int)))
+        attention(x, seeded_params(4), groups=np.zeros(2, int))
     with pytest.raises(ValueError):
         attention(np.ones((2, 4)), seeded_params(4), kv=x)
 
@@ -187,15 +186,15 @@ def test_invalid_groups_rejected():
     params = seeded_params(4)
     x = np.ones((3, 4))
     with pytest.raises(ValueError, match="cover"):
-        attention(x, params, groups=GroupMask(np.array([0, 1])))
+        attention(x, params, groups=np.array([0, 1]))
     with pytest.raises(ValueError, match="out of range"):
-        attention(x, params, groups=GroupMask(np.array([0, -1, 1])))
+        attention(x, params, groups=np.array([0, -1, 1]))
     with pytest.raises(ValueError, match="both"):
-        attention(x, params, groups=GroupMask(np.zeros(3, int)), kv=x)
+        attention(x, params, groups=np.zeros(3, int), kv=x)
 
 
 def test_empty_query_set():
-    out = attention(np.zeros((0, 4)), seeded_params(4), groups=GroupMask(np.zeros(0, int)))
+    out = attention(np.zeros((0, 4)), seeded_params(4), groups=np.zeros(0, int))
     assert out.shape == (0, 4)
 
 
@@ -207,7 +206,7 @@ def test_kv_defaults_to_x():
     assert np.array_equal(attention(x, params), attention(x, params, kv=x))
     # one group over everything is plain self-attention, bit for bit
     assert np.array_equal(
-        attention(x, params), attention(x, params, groups=GroupMask(np.full(7, 3)))
+        attention(x, params), attention(x, params, groups=np.full(7, 3))
     )
     got = attention(x, params, kv=kv)
     assert got.shape == (7, 8)
@@ -247,8 +246,8 @@ def test_grouped_attention_property(ids, heads, seed):
     g = np.array(ids)
     x = rng.standard_normal((g.size, 8))
     params = AttentionParams.seeded(8, heads, rng)
-    out = attention(x, params, groups=GroupMask(g))
-    want = dense_sentinel_reference(x, build_mask(GroupMask(g)), params)
+    out = attention(x, params, groups=g)
+    want = dense_sentinel_reference(x, build_mask(g), params)
     for gid in np.unique(g):
         sel = g == gid
         tol = FLOAT32_REL_TOL * np.abs(x[sel] @ params.w_v).max()
@@ -264,13 +263,27 @@ def test_group_isolation_bitwise():
         groups = np.sort(rng.integers(0, 3, size=m))
         x = rng.standard_normal((m, c))
         params = AttentionParams.seeded(c, 2, rng)
-        out = attention(x, params, groups=GroupMask(groups))
+        out = attention(x, params, groups=groups)
         target = int(groups[0])
         x2 = x.copy()
         x2[groups == target] = rng.standard_normal((int((groups == target).sum()), c))
-        out2 = attention(x2, params, groups=GroupMask(groups))
+        out2 = attention(x2, params, groups=groups)
         other = groups != target
         assert np.array_equal(out[other], out2[other])
+    # ids as a Python list of sparse, unsorted values
+    ids = [1000, 3, 1000, 7, 3, 1000]
+    x = rng.standard_normal((len(ids), 8))
+    params = AttentionParams.seeded(8, 2, rng)
+    out = attention(x, params, groups=ids)
+    target = np.array(ids) == 1000
+    x2 = x.copy()
+    x2[target] = rng.standard_normal((int(target.sum()), 8))
+    out2 = attention(x2, params, groups=ids)
+    assert np.array_equal(out[~target], out2[~target])
+    assert not np.array_equal(out[target], out2[target])
+    for gid in set(ids):
+        rows = np.array(ids) == gid
+        assert np.array_equal(out[rows], attention(x[rows], params))
 
 
 # ------------------------------------------------------ dense attention
@@ -301,7 +314,7 @@ def test_float64_input_gives_the_bits_of_its_float32_cast(call):
     rng = np.random.default_rng(11)
     x = 3.0 * rng.standard_normal((300, 16))
     kv = 3.0 * rng.standard_normal((70, 16))
-    groups = GroupMask(rng.integers(0, 5, size=300))
+    groups = rng.integers(0, 5, size=300)
     params = AttentionParams.seeded(16, 4, rng)
     run = {"plain": lambda x, kv: attention(x, params),
            "kv": lambda x, kv: attention(x, params, kv=kv),
@@ -675,7 +688,7 @@ def test_float32_attention_returns_float64_and_rejects_nan():
     params = seeded_params(8, heads=2)
     assert attention(x, params).dtype == np.float64
     assert attention(x, params, kv=x[:3]).dtype == np.float64
-    assert attention(x, params, groups=GroupMask(np.array([0, 0, 1, 1, 1, 2]))).dtype == np.float64
+    assert attention(x, params, groups=np.array([0, 0, 1, 1, 1, 2])).dtype == np.float64
     assert attention(x[:0], params).dtype == np.float64
     bad = x.copy()
     bad[2, 3] = np.nan
@@ -684,7 +697,19 @@ def test_float32_attention_returns_float64_and_rejects_nan():
     with pytest.raises(ValueError, match="NaN"):
         attention(x, params, kv=bad)
     with pytest.raises(ValueError, match="NaN"):
-        attention(bad, params, groups=GroupMask(np.zeros(6, int)))
+        attention(bad, params, groups=np.zeros(6, int))
+    # beyond the float32 range, or infinite: not finite once cast
+    big = x.astype(np.float64)
+    big[1, 0] = 1e39
+    with pytest.raises(ValueError, match="not finite in float32"):
+        attention(big, params)
+    inf = x.copy()
+    inf[4, 1] = np.inf
+    with pytest.raises(ValueError, match="not finite in float32"):
+        attention(x, params, kv=inf)
+    inf[4, 1] = -np.inf
+    with pytest.raises(ValueError, match="not finite in float32"):
+        attention(inf, params, groups=np.array([0, 0, 1, 1, 1, 2]))
 
 
 # ------------------------------------------------- ref point cross attention
@@ -709,7 +734,7 @@ def test_constant_map_sampling():
     params = single_scale_params(3, 3)
     x = np.zeros((4, 3))
     refs = np.array([[1.0, 1.0], [35.0, 25.0], [69.0, 49.0], [200.0, -10.0]])
-    out = ref_point_cross_attention(x, refs, feats, GroupMask(np.zeros(4, int)), params)
+    out = ref_point_cross_attention(x, refs, feats, np.zeros(4, int), params)
     want = np.full((4, 3), 4.25) @ params.w_proj
     assert np.abs(out - want).max() <= 1e-12
 
@@ -786,7 +811,7 @@ def test_bilinear_cell_center():
     params = CrossAttentionParams(scale_logits=np.zeros(1), w_proj=np.eye(1))
     out = ref_point_cross_attention(
         np.zeros((1, 1)), np.array([[50.0, 40.0]]), feats,
-        GroupMask(np.zeros(1, int)), params,
+        np.zeros(1, int), params,
     )
     assert out[0, 0] == 1.5
 
@@ -796,11 +821,11 @@ def test_missing_view_features_error():
     feats = rig_features({1: (16, 16, [np.zeros((2, 2, 2))])})
     with pytest.raises(ValueError, match="missing feature maps for view 0"):
         ref_point_cross_attention(
-            np.zeros((1, 2)), np.zeros((1, 2)), feats, GroupMask(np.zeros(1, int)), params
+            np.zeros((1, 2)), np.zeros((1, 2)), feats, np.zeros(1, int), params
         )
     with pytest.raises(ValueError, match="view 1: expected 2 scales, got 1"):
         ref_point_cross_attention(
-            np.zeros((1, 2)), np.zeros((1, 2)), feats, GroupMask(np.ones(1, int)),
+            np.zeros((1, 2)), np.zeros((1, 2)), feats, np.ones(1, int),
             CrossAttentionParams(scale_logits=np.zeros(2), w_proj=params.w_proj),
         )
 
@@ -817,7 +842,7 @@ def random_features(rng, c_feat, sizes):
 def test_view_isolation_bitwise():
     rng = np.random.default_rng(4)
     m, c, c_feat = 10, 4, 3
-    groups = GroupMask(np.sort(rng.integers(0, 2, size=m)))
+    groups = np.sort(rng.integers(0, 2, size=m))
     x = rng.standard_normal((m, c))
     refs = rng.uniform(0, 60, size=(m, 2))
     params = CrossAttentionParams(
@@ -832,9 +857,8 @@ def test_view_isolation_bitwise():
     for s in range(len(feats2.atlas)):
         feats2.view_map(s, 1)[...] += 1.0  # view 1's atlas rows only
     out2 = ref_point_cross_attention(x, refs, feats2, groups, params)
-    g = groups.group_of
-    assert np.array_equal(out[g == 0], out2[g == 0])
-    assert not np.array_equal(out[g == 1], out2[g == 1])
+    assert np.array_equal(out[groups == 0], out2[groups == 0])
+    assert not np.array_equal(out[groups == 1], out2[groups == 1])
 
 
 def test_ref_point_sampling_matches_per_view_loop():
@@ -843,7 +867,7 @@ def test_ref_point_sampling_matches_per_view_loop():
     m, c, c_feat = 300, 8, 5
     sizes = {4: (704, 256), 1: (352, 128), 7: (640, 480)}
     feats = rig_features(random_features(rng, c_feat, sizes))
-    groups = GroupMask(rng.choice(list(sizes), size=m))
+    groups = rng.choice(list(sizes), size=m)
     refs = rng.uniform(-20, 720, size=(m, 2))
     params = CrossAttentionParams(
         scale_logits=rng.standard_normal(2), w_proj=rng.standard_normal((c_feat, c)),
@@ -851,3 +875,10 @@ def test_ref_point_sampling_matches_per_view_loop():
     x = np.zeros((m, c))
     got = ref_point_cross_attention(x, refs, feats, groups, params)
     assert np.array_equal(got, ref_point_cross_attention_per_view(x, refs, feats, groups, params))
+    # view ids as a Python list of sparse, unsorted values
+    feats = rig_features(random_features(rng, c_feat, {1000: (704, 256), 3: (352, 128), 7: (640, 480)}))
+    ids = [1000, 3, 1000, 7, 3]
+    refs = rng.uniform(-20, 720, size=(len(ids), 2))
+    x = np.zeros((len(ids), c))
+    got = ref_point_cross_attention(x, refs, feats, ids, params)
+    assert np.array_equal(got, ref_point_cross_attention_per_view(x, refs, feats, ids, params))
