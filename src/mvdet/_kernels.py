@@ -16,16 +16,19 @@ def project_points(points, rot, trans, fx, fy, cx, cy, eps_depth):
     x, y, z = np.ascontiguousarray(np.asarray(points, dtype=np.float64).T)
     # a trailing axis on every camera parameter broadcasts it over the points
     rot, trans, fx, fy, cx, cy = (np.asarray(a)[..., None] for a in (rot, trans, fx, fy, cx, cy))
-    xc = rot[..., 0, 0, :] * x + rot[..., 0, 1, :] * y + rot[..., 0, 2, :] * z + trans[..., 0, :]
-    yc = rot[..., 1, 0, :] * x + rot[..., 1, 1, :] * y + rot[..., 1, 2, :] * z + trans[..., 1, :]
-    zc = rot[..., 2, 0, :] * x + rot[..., 2, 1, :] * y + rot[..., 2, 2, :] * z + trans[..., 2, :]
+
+    def camera(i):  # camera-frame coordinate i of every point
+        return rot[..., i, 0, :] * x + rot[..., i, 1, :] * y + rot[..., i, 2, :] * z + trans[..., i, :]
+
+    # one camera coordinate at a time, so that a (V, P) call holds few
+    # (V, P) temporaries at once
+    zc = camera(2)
     front = zc > eps_depth
     inv = 1.0 / np.where(front, zc, 1.0)
-    u = fx * (xc * inv) + cx
-    v = fy * (yc * inv) + cy
+    del zc
     uv = np.empty(front.shape + (2,), dtype=np.float64)
-    uv[..., 0] = np.where(front, u, np.nan)
-    uv[..., 1] = np.where(front, v, np.nan)
+    for i, (f, c) in enumerate(((fx, cx), (fy, cy))):
+        uv[..., i] = np.where(front, f * (camera(i) * inv) + c, np.nan)
     return uv, front
 
 

@@ -75,16 +75,19 @@ def aggregate(
     q2d_gated: np.ndarray,
     mapping: MappingMatrix,
     self_attn_params: AttentionParams,
+    groups=None,
 ) -> np.ndarray:
     """Fuse gated 2D queries into the 3D queries.
 
-    Mapping-mean fusion, residual add, then plain (unmasked) self-attention
-    over the N 3D queries, which like every attention computes in float32
-    and returns float64.  3D queries owning no 2D column contribute their
-    original features unchanged into the attention.
+    Mapping-mean fusion, residual add, then self-attention over the N 3D
+    queries, which like every attention computes in float32 and returns
+    float64: plain (unmasked), or within the groups of ``groups``, an
+    integer id per 3D query (its scene, in a batch of scenes).  3D queries
+    owning no 2D column contribute their original features unchanged into
+    the attention.
     """
     q3d = np.asarray(q3d, dtype=np.float64)
     if q3d.shape[0] != mapping.n_3d:
         raise ValueError(f"q3d must have {mapping.n_3d} rows, got {q3d.shape[0]}")
     fused = scatter_mean(mapping, q2d_gated)
-    return attention(q3d + fused, self_attn_params)
+    return attention(q3d + fused, self_attn_params, groups=groups)

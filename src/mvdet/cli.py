@@ -36,8 +36,8 @@ from .denoising import (
     restore_3d,
 )
 from .geometry import (
-    Boxes2D, anchors_to_array, dump_json, load_json, load_rig, make_surround_rig, naming_file,
-    save_rig,
+    Boxes2D, anchors_to_array, dump_json, json_text, load_json, load_rig, make_surround_rig,
+    naming_file, save_rig,
 )
 from .groupattn import AttentionParams, attention
 from .metrics import (
@@ -49,7 +49,9 @@ from .metrics import (
     mean_ap,
     parse_detections,
 )
-from .simulator import OracleNoise, Scene, load_scene, perturb, render_features, sample_scene
+from .simulator import (
+    OracleNoise, Scene, blank_features, load_scene, perturb, render_features, sample_scene,
+)
 
 log = logging.getLogger("mvdet")
 
@@ -170,13 +172,9 @@ def _decoder_from_config(obj: dict, source) -> DecoderConfig:
     return DecoderConfig.from_json_obj(obj)
 
 
-def _decoder_features(scene: Scene, rig, config: DecoderConfig, projection=None):
-    """The feature maps the decoder reads: one scale per level, 8 px upward.
-    ``projection`` is ``project_rig(rig, scene.anchors)``, when the caller has it."""
-    return render_features(
-        scene, rig, scales=tuple(8 * 2**s for s in range(config.n_scales)),
-        channels=config.feature_channels, projection=projection,
-    )
+def _feature_scales(config: DecoderConfig) -> tuple[int, ...]:
+    """The scales of the feature maps the decoder reads: one per level, 8 px upward."""
+    return tuple(8 * 2**s for s in range(config.n_scales))
 
 
 def cmd_forward(args) -> int:
@@ -194,7 +192,7 @@ def cmd_forward(args) -> int:
         config = dataclasses.replace(config, seed=args.seed)
     decoder = HybridDecoder(config, rig)
     out, updated = decoder.forward(
-        _decoder_features(scene, rig, config), decoder.initial_queries()
+        render_features(scene, rig, _feature_scales(config)), decoder.initial_queries()
     )
     report = out.to_json_obj()
     report["n_sublayers"] = out.n_sublayers
@@ -388,32 +386,71 @@ def cmd_denoise_demo(args) -> int:
 
 # ----------------------------------------------------------------------- run
 
-def _run_one_scene(payload: tuple) -> tuple:
-    """Worker: full per-scene pipeline on the run's one decoder, from the
-    run's one decoder prefix; returns the sampled scene, its allocation,
-    head outputs and detections."""
-    (idx, seed, decoder, queries, prefix, noise, n_boxes) = payload
+# Query rows one decoder pass of `run` may hold: its scenes are cut into
+# batches of max(1, BATCH_ROWS // n_queries) consecutive scenes, 16 at 64
+# queries and one at 900.
+BATCH_ROWS = 1024
+
+
+class _Failed(Exception):
+    """A failed step of a batch; args are the name of the scenes it ran on
+    and the exception it raised, which pickle along from a worker."""
+
+
+@contextlib.contextmanager
+def _naming(scenes: str):
+    """Re-raise a failure of the block as ``_Failed`` naming ``scenes``."""
+    try:
+        yield
+    except Exception as exc:
+        raise _Failed(scenes, exc) from exc
+
+
+def _batch_name(first: int, seeds: range) -> str:
+    """'scene 3 (seed 3)', or 'scenes 0-15 (seeds 0-15)' for a batch of several."""
+    if len(seeds) == 1:
+        return f"scene {first} (seed {seeds[0]})"
+    return f"scenes {first}-{first + len(seeds) - 1} (seeds {seeds[0]}-{seeds[-1]})"
+
+
+def _run_batch(payload: tuple) -> list[tuple]:
+    """Worker: the pipeline of a batch of consecutive scenes on the run's
+    one decoder, from the run's one decoder prefix.  Each scene is sampled,
+    allocated, rendered into the batch's feature maps and perturbed in
+    turn, then one decoder pass decodes them all.  Returns each scene's
+    sampled scene, allocation, head outputs and detections."""
+    (first, seeds, decoder, queries, prefix, noise, n_boxes) = payload
     config, rig = decoder.config, decoder.rig
-    scene = sample_scene(seed, rig, n_boxes=n_boxes, frame_id=idx)
-    # the scene's one projection serves its features and, where the clamp
-    # left the anchors as sampled, its allocation; the run keeps the scene,
-    # not the projection
-    proj, scene.projection = scene.projection, None
-    anchors = clamp_anchors(scene.anchors, config.limits)
-    alloc = allocate(anchors, rig, config.limits,
-                     projection=proj if np.array_equal(anchors, scene.anchors) else None)
-    features = _decoder_features(scene, rig, config, projection=proj)
-    head_out, _ = decoder.forward(features, queries, prefix=prefix)
-    return scene, alloc, head_out, perturb(scene, noise, seed=seed + 1)
+    scales = _feature_scales(config)
+    features = blank_features(rig, scales, len(seeds))
+    done = []
+    for slot, seed in enumerate(seeds):
+        with _naming(_batch_name(first + slot, range(seed, seed + 1))):
+            scene = sample_scene(seed, rig, n_boxes=n_boxes, frame_id=first + slot)
+            # the scene's one projection serves its features and, where the
+            # clamp left the anchors as sampled, its allocation; the run
+            # keeps the scene, not the projection
+            proj, scene.projection = scene.projection, None
+            anchors = clamp_anchors(scene.anchors, config.limits)
+            alloc = allocate(anchors, rig, config.limits,
+                             projection=proj if np.array_equal(anchors, scene.anchors) else None)
+            render_features(scene, rig, scales, projection=proj, into=features, slot=slot)
+            done.append((scene, alloc, perturb(scene, noise, seed=seed + 1)))
+    with _naming(_batch_name(first, seeds)):
+        heads, _ = decoder.forward_scenes(features, queries, len(seeds), prefix=prefix)
+    return [(scene, alloc, head_out, det) for (scene, alloc, det), head_out in zip(done, heads)]
 
 
-def _scene_result(payload: tuple, result) -> tuple:
-    """``result()`` of one scene; a failure names the scene and its seed."""
+def _batch_result(payload: tuple, result) -> list[tuple]:
+    """``result()`` of one batch; a failure names its scene and seed, or
+    the batch's scenes and seeds when it is not one scene's."""
     try:
         return result()
-    except Exception as exc:
-        idx, seed = payload[0], payload[1]
-        raise RuntimeError(f"scene {idx} (seed {seed}) failed: {exc}") from exc
+    except _Failed as failed:
+        scenes, cause = failed.args
+    except Exception as exc:  # the worker pool failed
+        scenes, cause = _batch_name(*payload[:2]), exc
+    raise RuntimeError(f"{scenes} failed: {cause}") from cause
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -461,37 +498,60 @@ def _one_blas_thread():
             _openblas_threads()[0](before)
 
 
-def _scene_results(payloads: list[tuple], jobs: int):
-    """Each scene's results in scene order, each as soon as it is ready.
+def _batch_results(payloads: list[tuple], jobs: int):
+    """Each batch's results in batch order, each as soon as it is ready.
 
-    With ``jobs > 1`` the scenes run in a process pool; when one fails,
-    the scenes not yet started are cancelled before the error propagates.
+    With ``jobs > 1`` the batches run in a process pool; when one fails,
+    the batches not yet started are cancelled before the error propagates.
     """
     if jobs <= 1:
         for p in payloads:
-            yield _scene_result(p, functools.partial(_run_one_scene, p))
+            yield _batch_result(p, functools.partial(_run_batch, p))
         return
     pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs,
                                                   initializer=_cap_blas_threads)
     try:
-        futures = collections.deque(pool.submit(_run_one_scene, p) for p in payloads)
+        futures = collections.deque(pool.submit(_run_batch, p) for p in payloads)
         for p in payloads:
-            yield _scene_result(p, futures.popleft().result)
+            yield _batch_result(p, futures.popleft().result)
     finally:
         pool.shutdown(cancel_futures=True)
 
 
-def _write_scene(out_dir: Path, result: tuple) -> dict:
+def _write_scene(out_dir: Path, result: tuple) -> str:
     """Write the scene, allocation, head-output and prediction files of one
-    scene; returns the scene's JSON object (for gt_scenes.json)."""
+    scene; returns the scene file's text (for gt_scenes.json)."""
     scene, alloc, head_out, det = result
-    scene_obj = scene.to_json_obj()
+    scene_text = json_text(scene.to_json_obj())
     name = f"{scene.frame_id:04d}.json"
-    dump_json(scene_obj, out_dir / "scenes" / f"scene_{name}")
+    (out_dir / "scenes" / f"scene_{name}").write_text(scene_text)
     dump_json(alloc.to_json_obj(), out_dir / "alloc" / f"alloc_{name}")
     dump_json(head_out.to_json_obj(), out_dir / "forward" / f"forward_{name}")
     dump_json(detections_to_json_obj({scene.frame_id: det}), out_dir / "pred" / f"pred_{name}")
-    return scene_obj
+    return scene_text
+
+
+@contextlib.contextmanager
+def _scene_set(path: Path):
+    """Write ``path`` as a compact scene set, one scene at a time: yields a
+    function that appends one scene's compact JSON text.  The file holds the
+    bytes ``dump_json`` writes for the whole set; a failed block removes it."""
+    with open(path, "w") as f:
+        f.write('{"format":"mvdet-scene-set/1","scenes":[')
+        separator = ""
+
+        def add(scene_text: str) -> None:
+            nonlocal separator
+            f.write(separator + scene_text.rstrip("\n"))
+            separator = ","
+
+        try:
+            yield add
+        except BaseException:
+            f.close()
+            path.unlink()
+            raise
+        f.write("]}\n")
 
 
 # The keys a run config may hold; those of its sections as "section.key".
@@ -553,23 +613,24 @@ def cmd_run(args) -> int:
         (out_dir / sub).mkdir(parents=True, exist_ok=True)
     save_rig(rig, out_dir / "rig.json")
 
-    # Only what the metrics and gt_scenes.json need outlives a scene's result.
-    scenes, scene_objs, det_by_frame = [], [], {}
-    with _one_blas_thread():
+    # Only what the metrics need outlives a batch's results.
+    scenes, det_by_frame = [], {}
+    per_batch = max(1, BATCH_ROWS // config.n_queries)
+    with _one_blas_thread(), _scene_set(out_dir / "gt_scenes.json") as add_scene:
         queries = decoder.initial_queries()
         prefix = decoder.prefix(queries)  # the same for every scene
         payloads = [
-            (i, base_seed + i, decoder, queries, prefix, noise, n_boxes) for i in range(n_scenes)
+            (first, range(base_seed + first, base_seed + min(first + per_batch, n_scenes)),
+             decoder, queries, prefix, noise, n_boxes)
+            for first in range(0, n_scenes, per_batch)
         ]
-        with contextlib.closing(_scene_results(payloads, args.jobs)) as results:
-            for r in results:
-                scene = r[0]
-                scenes.append(scene)
-                det_by_frame[scene.frame_id] = r[3]
-                scene_objs.append(_write_scene(out_dir, r))
-                del r  # let the result go before the next scene is computed
-    dump_json({"format": "mvdet-scene-set/1", "scenes": scene_objs},
-              out_dir / "gt_scenes.json")
+        with contextlib.closing(_batch_results(payloads, args.jobs)) as batches:
+            for batch in batches:
+                for result in batch:
+                    scenes.append(result[0])
+                    det_by_frame[result[0].frame_id] = result[3]
+                    add_scene(_write_scene(out_dir, result))
+                del batch, result  # let them go before the next batch is computed
 
     rows = _aar_curve_rows(scenes, det_by_frame, params, taus)
     _write_csv(_aar_csv_lines(rows), str(out_dir / "metrics" / "aar_curve.csv"))

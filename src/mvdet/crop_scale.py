@@ -27,7 +27,8 @@ class CropRule:
     The crop covers 1/scale_rate of the source field vertically; its aspect
     ratio is fixed to the output aspect (out_width / out_height), so the
     horizontal coverage equals 1/scale_rate whenever source and output
-    aspects agree.  ``None`` output dimensions inherit the source size.
+    aspects agree.  ``None`` output dimensions inherit the source size;
+    others must be positive integers.
     """
 
     source_view_id: int
@@ -43,6 +44,11 @@ class CropRule:
             )
         if not (math.isfinite(self.scale_rate) and self.scale_rate > 1.0):
             raise ValueError(f"scale_rate must be finite and > 1, got {self.scale_rate}")
+        for name in ("out_width", "out_height"):
+            size = getattr(self, name)
+            if size is not None and not (isinstance(size, (int, np.integer))
+                                         and not isinstance(size, bool) and size > 0):
+                raise ValueError(f"{name} must be a positive integer, got {size!r}")
 
     def to_json_obj(self) -> dict:
         obj = {

@@ -13,7 +13,9 @@ temporal attention) computes in float32, as the paper's PyTorch model
 does by default, through groupattn's row-blocked body; reference-point
 sampling stays float64.  Layer 0 up to its first feature read depends on
 the initial queries alone: ``HybridDecoder.prefix`` computes it once and
-``forward`` can start from it, bit for bit.
+``forward`` can start from it, bit for bit.  ``forward_scenes`` decodes a
+batch of scenes from the same queries in one pass, with each scene's rows
+kept to their own groups; ``forward`` is its one-scene call.
 ``HeadOutputs.to_json_obj`` hands the head outputs to the JSON writer as
 NumPy arrays, never as lists.
 """
@@ -21,7 +23,7 @@ NumPy arrays, never as lists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,7 +32,7 @@ from .aggregation import GateParams, aggregate, gate_truncation, sigmoid
 from .allocation import (
     AllocationLimits, AllocationResult, MappingMatrix, allocate, clamp_anchors, gather_2d,
 )
-from .geometry import CameraView, anchors_to_array, project_views
+from .geometry import CameraView, anchors_to_array, project_rig, project_views
 from .groupattn import (
     AttentionParams,
     CrossAttentionParams,
@@ -38,6 +40,7 @@ from .groupattn import (
     attention,
     ref_point_cross_attention,
     sample_views,
+    scene_view_ids,
 )
 
 # Table-style layer arrangements: letter -> (l_2d, l_3d, l_hybrid); every
@@ -350,12 +353,14 @@ class HybridDecoder:
         features: RigFeatures,
         params: CrossAttentionParams,
     ) -> np.ndarray:
-        """Anchor centers sample every view they fall into; mean over views,
-        each anchor's samples summed in rig order."""
+        """Anchor centers sample every view of their own scene (row i is in
+        scene i // n_queries) they fall into; mean over views, each anchor's
+        samples summed in rig order."""
         n = q3.shape[0]
         uv, _, inside = project_views(self.rig, anchors[:, 0:3])
         vi, ai = np.nonzero(inside)  # view-major, an anchor at most once per view
-        samples = sample_views(features, self.view_ids[vi], uv[vi, ai], params)
+        ids = scene_view_ids(ai // self.config.n_queries, self.view_ids[vi], self.view_ids)
+        samples = sample_views(features, ids, uv[vi, ai], params)
         acc = np.zeros((n, params.w_proj.shape[0]))
         bounds = np.searchsorted(vi, np.arange(len(self.rig) + 1))
         for s, e in zip(bounds[:-1], bounds[1:]):  # one view at a time keeps the rig order
@@ -364,25 +369,61 @@ class HybridDecoder:
         np.divide(acc, cnt, out=acc, where=cnt > 0)
         return acc @ params.w_proj
 
-    def _open_2d(self, p: _Layer2DParams, q3, anchors, temporal) -> Prefix:
-        """A 2D sub-layer up to its first feature read: temporal attention,
-        clamp, allocate, gather and the group self-attention."""
+    def _stack(self, allocs: list[AllocationResult]) -> AllocationResult:
+        """The columns of a batch: scene j's after scene j - 1's, their rows
+        offset by j * n_queries and their cameras composed with the scene
+        (``scene_view_ids``)."""
+        scene = np.repeat(np.arange(len(allocs)), [a.mapping.n_2d for a in allocs])
+        cat = lambda arrays: np.concatenate(list(arrays))
+        return AllocationResult(
+            mapping=MappingMatrix(
+                n_3d=len(allocs) * self.config.n_queries, n_2d=scene.size,
+                rows=scene * self.config.n_queries + cat(a.mapping.rows for a in allocs),
+                camera_of_col=scene_view_ids(
+                    scene, cat(a.mapping.camera_of_col for a in allocs), self.view_ids),
+            ),
+            ref_points=cat(a.ref_points for a in allocs),
+            truncation=cat(a.truncation for a in allocs),
+            rects=cat(a.rects for a in allocs),
+        )
+
+    def _open_2d(self, p: _Layer2DParams, q3, anchors, temporal, n_scenes: int):
+        """A 2D sub-layer of n_scenes scenes up to its first feature read:
+        temporal attention, clamp, one projection of every anchor, one
+        allocation per scene, gather and the group self-attention over
+        (scene, camera) groups.  Returns it, its columns stacked, with each
+        scene's allocation."""
         if temporal is not None and temporal.n > 0:
             q3 = q3 + attention(q3, p.temporal, kv=temporal.features)
         anchors = clamp_anchors(anchors, self.config.limits)
-        alloc = allocate(anchors, self.rig, self.config.limits)
+        proj, n = project_rig(self.rig, anchors), self.config.n_queries
+        allocs = [
+            allocate(anchors[j * n : (j + 1) * n], self.rig, self.config.limits,
+                     proj.anchors(j * n, (j + 1) * n))
+            for j in range(n_scenes)
+        ]
+        alloc = self._stack(allocs)
         q2 = gather_2d(alloc.mapping, q3)
         if alloc.mapping.n_2d:
             q2 = q2 + attention(q2, p.self_attn, groups=alloc.mapping.camera_of_col)
-        return Prefix(q3=q3, anchors=anchors, alloc=alloc, q2=q2)
+        return Prefix(q3=q3, anchors=anchors, alloc=alloc, q2=q2), allocs
 
-    def _open_3d(self, p: _Layer3DParams, q3, anchors, temporal) -> Prefix:
+    def _open_3d(self, p: _Layer3DParams, q3, anchors, temporal, scene: np.ndarray):
         """A 3D sub-layer up to its first feature read: temporal attention
-        and the self-attention."""
+        and the self-attention within each scene (``scene``, one id per
+        row).  Returns it and None, as ``_open_2d`` returns allocations."""
         if temporal is not None and temporal.n > 0:
             q3 = q3 + attention(q3, p.temporal, kv=temporal.features)
-        q3 = q3 + attention(q3, p.self_attn)
-        return Prefix(q3=q3, anchors=anchors)
+        q3 = q3 + attention(q3, p.self_attn, groups=scene)
+        return Prefix(q3=q3, anchors=anchors), None
+
+    def _tile(self, prefix: Prefix, n_scenes: int):
+        """``prefix`` for each of n_scenes scenes, in the form of an opening."""
+        tile = lambda a: None if a is None else np.tile(a, (n_scenes, 1))
+        allocs = None if prefix.alloc is None else [prefix.alloc] * n_scenes
+        alloc = None if allocs is None else self._stack(allocs)
+        return Prefix(q3=tile(prefix.q3), anchors=tile(prefix.anchors), alloc=alloc,
+                      q2=tile(prefix.q2)), allocs
 
     def _check_queries(self, queries: QuerySet) -> None:
         if queries.n != self.config.n_queries:
@@ -400,8 +441,10 @@ class HybridDecoder:
         q3 = np.asarray(queries.features, dtype=np.float64).copy()
         anchors = queries.anchors.copy()
         if self.config.l_2d:
-            return self._open_2d(self.layers_2d[0][0], q3, anchors, None)
-        return self._open_3d(self.layers_3d[0][0], q3, anchors, None)
+            opened, (alloc,) = self._open_2d(self.layers_2d[0][0], q3, anchors, None, 1)
+            return replace(opened, alloc=alloc)
+        scene = np.zeros(queries.n, dtype=np.intp)
+        return self._open_3d(self.layers_3d[0][0], q3, anchors, None, scene)[0]
 
     def forward(
         self,
@@ -410,27 +453,66 @@ class HybridDecoder:
         temporal: Optional[QuerySet] = None,
         prefix: Optional[Prefix] = None,
     ) -> tuple[HeadOutputs, QuerySet]:
-        """Run every hybrid layer; returns head outputs and updated queries.
+        """Run every hybrid layer on one scene; returns head outputs and
+        updated queries.  ``forward_scenes`` with one scene."""
+        outs, updated = self.forward_scenes(features, queries, 1, temporal, prefix)
+        return outs[0], updated
 
-        The allocation mapping is recomputed inside every 2D sub-layer
-        (anchors may have been refined since the previous one).  With
-        ``prefix``, which must be ``self.prefix(queries)``, layer 0 starts
-        from it, bit for bit as without it; it excludes temporal queries.
-        Nothing here writes into the arrays of ``queries`` or ``prefix``.
+    def forward_scenes(
+        self,
+        features: RigFeatures,
+        queries: QuerySet,
+        n_scenes: int = 1,
+        temporal: Optional[QuerySet] = None,
+        prefix: Optional[Prefix] = None,
+    ) -> tuple[list[HeadOutputs], QuerySet]:
+        """Run every hybrid layer on n_scenes scenes at once, each from
+        ``queries``; returns each scene's head outputs and the updated
+        queries of all of them (n_scenes * N rows, scene after scene).
+
+        ``features`` holds every scene's maps, scene j's view v under the
+        id ``scene_view_ids(j, v, rig ids)`` (a ``RigFeatures`` with
+        ``n_scenes``).  Each scene keeps to its own rows: the 3D
+        self-attentions and the aggregate attend within a scene, and each
+        2D column carries its scene's composed camera id, for its group
+        attention and reference-point sampling.  The allocation mapping is
+        recomputed inside every 2D sub-layer (anchors may have been refined
+        since the previous one), one allocation per scene over one
+        projection of the batch.  Temporal queries belong to one scene.
+        With ``prefix``, which must be ``self.prefix(queries)``, every
+        scene's layer 0 starts from it, bit for bit as without it; it
+        excludes temporal queries.  Nothing here writes into the arrays of
+        ``queries`` or ``prefix``.
         """
         cfg = self.config
         self._check_queries(queries)
-        if prefix is not None and temporal is not None and temporal.n > 0:
-            raise ValueError("a prefix holds no temporal attention; got both")
-        features.rows(self.view_ids, cfg.n_scales)  # every view has all its maps
-        q3 = np.asarray(queries.features, dtype=np.float64).copy()
-        anchors = queries.anchors.copy()
-        out = HeadOutputs()
+        if n_scenes < 1:
+            raise ValueError(f"n_scenes must be positive, got {n_scenes}")
+        if temporal is not None and temporal.n > 0:
+            if prefix is not None:
+                raise ValueError("a prefix holds no temporal attention; got both")
+            if n_scenes > 1:
+                raise ValueError(f"temporal queries belong to one scene, got {n_scenes}")
+        views = scene_view_ids(np.arange(n_scenes)[:, None], self.view_ids, self.view_ids)
+        features.rows(views.reshape(-1), cfg.n_scales)  # every view has all its maps
+        n, k = cfg.n_queries, cfg.n_classes
+        scene = np.repeat(np.arange(n_scenes), n)
+        rows = [slice(j * n, (j + 1) * n) for j in range(n_scenes)]
+        q3 = np.tile(np.asarray(queries.features, dtype=np.float64), (n_scenes, 1))
+        anchors = np.tile(queries.anchors, (n_scenes, 1))
+        opened = None if prefix is None else self._tile(prefix, n_scenes)
+        outs = [HeadOutputs() for _ in range(n_scenes)]
+
+        def emit_3d(layers: str, anchors, logits, source: str) -> None:
+            for out, r in zip(outs, rows):
+                getattr(out, layers).append(
+                    Layer3DOutput(boxes3d=anchors[r].copy(), logits=logits[r], source=source))
+
         last_logits = None
         for li in range(cfg.l_hybrid):
             for p in self.layers_2d[li]:
-                o = prefix if prefix is not None else self._open_2d(p, q3, anchors, temporal)
-                prefix = None
+                o, allocs = opened or self._open_2d(p, q3, anchors, temporal, n_scenes)
+                opened = None
                 q3, anchors, alloc, q2 = o.q3, o.anchors, o.alloc, o.q2
                 if alloc.mapping.n_2d:
                     q2 = q2 + ref_point_cross_attention(
@@ -439,41 +521,37 @@ class HybridDecoder:
                 raw = p.head2d.apply(q2)
                 boxes2d = alloc.rects + raw[:, 0:4]
                 boxes2d[:, 2:4] = np.maximum(boxes2d[:, 2:4], 0.0)
-                out.layers_2d.append(
-                    Layer2DOutput(
-                        mapping=alloc.mapping,
-                        ref_points=alloc.ref_points,
-                        truncation=alloc.truncation,
-                        boxes2d=boxes2d,
-                        logits=raw[:, 4 : 4 + cfg.n_classes],
-                        alphas=raw[:, 4 + cfg.n_classes :],
+                bounds = np.cumsum([0] + [a.mapping.n_2d for a in allocs]).tolist()
+                for out, a, c0, c1 in zip(outs, allocs, bounds[:-1], bounds[1:]):
+                    out.layers_2d.append(
+                        Layer2DOutput(
+                            mapping=a.mapping,
+                            ref_points=a.ref_points,
+                            truncation=a.truncation,
+                            boxes2d=boxes2d[c0:c1],
+                            logits=raw[c0:c1, 4 : 4 + k],
+                            alphas=raw[c0:c1, 4 + k :],
+                        )
                     )
-                )
                 q2g = gate_truncation(q2, alloc.truncation, p.gate)
-                q3 = aggregate(q3, q2g, alloc.mapping, p.agg_attn)
+                q3 = aggregate(q3, q2g, alloc.mapping, p.agg_attn, groups=scene)
                 tap = p.agg_head3d.apply(q3)
                 anchors = self._refine_anchors(anchors, tap[:, 0:7])
-                logits = tap[:, 7:]
-                out.agg_taps.append(
-                    Layer3DOutput(boxes3d=anchors.copy(), logits=logits, source="agg")
-                )
-                last_logits = logits
+                last_logits = tap[:, 7:]
+                emit_3d("agg_taps", anchors, last_logits, "agg")
             for p in self.layers_3d[li]:
-                o = prefix if prefix is not None else self._open_3d(p, q3, anchors, temporal)
-                prefix = None
+                o, _ = opened or self._open_3d(p, q3, anchors, temporal, scene)
+                opened = None
                 q3 = o.q3 + self._cross_attention_3d(o.q3, anchors, features, p.cross)
                 raw = p.head3d.apply(q3)
                 anchors = self._refine_anchors(anchors, raw[:, 0:7])
-                logits = raw[:, 7:]
-                out.layers_3d.append(
-                    Layer3DOutput(boxes3d=anchors.copy(), logits=logits, source="3d")
-                )
-                last_logits = logits
+                last_logits = raw[:, 7:]
+                emit_3d("layers_3d", anchors, last_logits, "3d")
         scores = None
         if last_logits is not None:
             scores = sigmoid(last_logits.max(axis=1))
         updated = QuerySet(features=q3, anchors=anchors, scores=scores)
-        return out, updated
+        return outs, updated
 
 
 def propagate_topk(queries: QuerySet, k: int) -> QuerySet:

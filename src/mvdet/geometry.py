@@ -201,6 +201,12 @@ class RigProjection:
     rect_area: np.ndarray    # (V, N)
     ref_point: np.ndarray    # (V, N, 2)
 
+    def anchors(self, start: int, stop: int) -> "RigProjection":
+        """The projection of anchors start:stop alone, as views of these arrays."""
+        return RigProjection(self.view_ids, *(
+            a[:, start:stop] for a in (self.uv, self.valid, self.center_in_view, self.rect,
+                                       self.rect_area, self.ref_point)))
+
 
 def project_point(view: CameraView, p: Sequence[float]) -> Optional[tuple[float, float]]:
     """Project one ego-frame point; None when at or behind the image plane."""
@@ -320,9 +326,9 @@ def naming_file(source):
         raise ValueError(f"{prefix}{exc}") from exc
 
 
-def dump_json(obj, path: str | Path | None, *, indent: bool = False) -> None:
-    """Write ``obj`` as JSON and a newline to ``path``, or to stdout when
-    ``path`` is None; compact, or indented by two spaces with ``indent``.
+def json_text(obj, *, indent: bool = False) -> str:
+    """``obj`` as JSON text and a newline: compact, or indented by two
+    spaces with ``indent``.
 
     Floats are written in their shortest round-tripping form, NaN and
     infinities as null.  C-contiguous float64, int64 and bool arrays are
@@ -332,7 +338,13 @@ def dump_json(obj, path: str | Path | None, *, indent: bool = False) -> None:
 
     option = orjson.OPT_APPEND_NEWLINE | orjson.OPT_SERIALIZE_NUMPY
     option |= orjson.OPT_INDENT_2 if indent else 0
-    text = orjson.dumps(obj, option=option).decode()
+    return orjson.dumps(obj, option=option).decode()
+
+
+def dump_json(obj, path: str | Path | None, *, indent: bool = False) -> None:
+    """Write ``json_text(obj, indent=indent)`` to ``path``, or to stdout
+    when ``path`` is None."""
+    text = json_text(obj, indent=indent)
     if path is None:
         sys.stdout.write(text)
     else:

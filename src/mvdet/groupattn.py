@@ -89,6 +89,15 @@ class CrossAttentionParams:
         )
 
 
+def scene_view_ids(scene, view_ids, rig_ids) -> np.ndarray:
+    """The group id of view ``view_ids`` of scene ``scene`` (broadcast) in a
+    batch of scenes over a rig with view ids ``rig_ids``: scene * (max rig
+    id + 1) + view id, as ``denoise_groups`` composes a camera with its part.
+    Scene 0's views keep their own ids."""
+    stride = int(np.max(rig_ids, initial=-1)) + 1
+    return np.asarray(scene, dtype=np.intp) * stride + np.asarray(view_ids, dtype=np.intp)
+
+
 class RigFeatures:
     """Multi-scale feature maps of every view of a rig, one flat atlas per scale.
 
@@ -96,13 +105,18 @@ class RigFeatures:
     another: view k (id ``view_ids[k]``, ``image_size[k]`` = (W, H) pixels)
     starts at row ``start[s, k]`` with a map of ``map_size[s, k]`` = (W, H).
     Built unfilled from ``views`` (each with a view_id, width and height)
-    and ``map_size[s][k]``; ``view_map`` gives a view's map to write.
+    and ``map_size[s][k]``; ``view_map`` gives a view's map to write.  With
+    ``n_scenes``, it holds the views of that many scenes over the same rig,
+    scene after scene, scene j's views under ``scene_view_ids(j, ...)``.
     """
 
-    def __init__(self, views, map_size, channels: int):
-        self.view_ids = np.array([v.view_id for v in views], dtype=np.intp)
-        self.image_size = np.array([(v.width, v.height) for v in views], dtype=np.intp)
-        self.map_size = np.asarray(map_size, dtype=np.intp).reshape(-1, len(views), 2)
+    def __init__(self, views, map_size, channels: int, n_scenes: int = 1):
+        ids = np.array([v.view_id for v in views], dtype=np.intp)
+        self.view_ids = scene_view_ids(np.arange(n_scenes)[:, None], ids, ids).reshape(-1)
+        size = np.array([(v.width, v.height) for v in views], dtype=np.intp).reshape(-1, 2)
+        self.image_size = np.tile(size, (n_scenes, 1))
+        self.map_size = np.tile(
+            np.asarray(map_size, dtype=np.intp).reshape(-1, len(views), 2), (1, n_scenes, 1))
         cells = self.map_size.prod(axis=2)
         self.start = np.cumsum(cells, axis=1) - cells
         self.atlas = [np.empty((n, channels)) for n in cells.sum(axis=1)]
@@ -396,7 +410,9 @@ def sample_views(features: RigFeatures, view_ids, pts, params: CrossAttentionPar
     Pair i reads view ``view_ids[i]`` at view pixel ``pts[i]``; view pixel
     u covers map coordinate u * W_s / W - 0.5 on a scale of width W_s.
     Each scale takes one gather over all pairs.  Returns (P, C_feat),
-    before the projection.
+    before the projection; over a one-plane atlas (``render_features``)
+    every column holds that plane's sample, the bits of a C_feat-channel
+    atlas of identical channels.
     """
     k = features.rows(view_ids, params.scale_logits.shape[0])
     weights = softmax_rows(params.scale_logits[None, :].copy())[0]

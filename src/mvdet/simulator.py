@@ -342,26 +342,45 @@ def perturb(scene: Scene, noise: OracleNoise | None = None, seed: int = 0) -> De
 EXP_ZERO_BELOW = -746.0
 
 
+def blank_features(rig: Sequence[CameraView], scales: Sequence[int] = (8, 16),
+                   n_scenes: int = 1) -> RigFeatures:
+    """Unfilled feature maps of n_scenes scenes over ``rig``, one plane per
+    view and scale of 1/scale its image size (at least 1), for
+    ``render_features`` to fill scene by scene."""
+    return RigFeatures(rig, _map_sizes(rig, scales), 1, n_scenes)
+
+
+def _map_sizes(rig: Sequence[CameraView], scales: Sequence[int]) -> list:
+    """(W, H) of each view's map at each scale: its image size over the scale, at least 1."""
+    return [[(max(v.width // s, 1), max(v.height // s, 1)) for v in rig] for s in scales]
+
+
 def render_features(
     scene: Scene,
     rig: Sequence[CameraView],
     scales: Sequence[int] = (8, 16),
-    channels: int = 16,
     projection: RigProjection | None = None,
+    into: RigFeatures | None = None,
+    slot: int = 0,
 ) -> RigFeatures:
-    """Analytic feature maps of every view, one per scale.
+    """Analytic feature maps of every view, one plane per scale.
 
     Each map holds one Gaussian bump per visible box at its reference point
-    (amplitude class_id + 1, identical across channels).  A view-scale's
-    bumps are evaluated together as one (B, H, W) block: squared distances
-    from 1-D grid rows, exp only where its argument is at least
-    ``EXP_ZERO_BELOW``.  They are added in box order into one (H, W) plane,
-    copied into every channel of the view's atlas rows.  ``projection`` is
-    ``project_rig(rig, scene.anchors)``, when the caller has it.
+    (amplitude class_id + 1).  A view-scale's bumps are evaluated together
+    as one (B, H, W) block: squared distances from 1-D grid rows, exp only
+    where its argument is at least ``EXP_ZERO_BELOW``.  They are added in
+    box order into the view's one (H, W) plane of atlas rows; the decoder's
+    sampler broadcasts it over its feature channels.  ``projection`` is
+    ``project_rig(rig, scene.anchors)``, when the caller has it.  The maps
+    go into a new ``RigFeatures``, or into scene ``slot`` of ``into``, a
+    ``blank_features`` of several scenes over ``rig``; returns the features.
     """
     proj = project_rig(rig, scene.anchors) if projection is None else projection
-    sizes = [[(max(v.width // s, 1), max(v.height // s, 1)) for v in rig] for s in scales]
-    features = RigFeatures(rig, sizes, channels)
+    features = blank_features(rig, scales) if into is None else into
+    first_view = slot * len(rig)
+    if into is not None and not np.array_equal(
+            into.map_size[:, first_view : first_view + len(rig)], _map_sizes(rig, scales)):
+        raise ValueError(f"scene slot {slot} of the features does not hold this rig's maps")
     # visible (view, box) pairs, view-major with ascending boxes; view k's
     # are pairs first[k]:first[k + 1]
     vi, ai = np.nonzero(proj.valid)
@@ -369,14 +388,15 @@ def render_features(
     (u, v), width = proj.ref_point[vi, ai].T, proj.rect[vi, ai, 2]
     amp = (scene.classes[ai] + 1.0)[:, None, None]
     for si in range(len(scales)):
-        (wm, hm), (img_w, img_h) = features.map_size[si, vi].T, features.image_size[vi].T
+        wm, hm = features.map_size[si, first_view + vi].T
+        img_w, img_h = features.image_size[first_view + vi].T
         fx, fy = wm / img_w, hm / img_h
         mx, my = (u * fx - 0.5)[:, None], (v * fy - 0.5)[:, None]
         sigma = np.maximum(width * fx / 4.0, 0.75)
         # -(dx2 + dy2) / (2 sigma^2), the sign moved onto the divisor
         divisor = -(2.0 * sigma * sigma)[:, None, None]
         for k in range(len(rig)):
-            fmap = features.view_map(si, k)
+            fmap = features.view_map(si, first_view + k)
             box = slice(first[k], first[k + 1])
             dx2 = np.square(np.arange(fmap.shape[1]) - mx[box])
             dy2 = np.square(np.arange(fmap.shape[0]) - my[box])

@@ -359,7 +359,7 @@ def test_criterion_10_decoder_structure(tmp_path):
     """Presets A-F execute 6 sub-layers; preset F taps; byte-identical runs."""
     rig = make_surround_rig(6)
     scene = sample_scene(1, rig, n_boxes=8)
-    feats = render_features(scene, rig, scales=(8, 16), channels=8)
+    feats = render_features(scene, rig, scales=(8, 16))
     for name, (l2, l3, lh) in PRESETS.items():
         cfg = DecoderConfig(n_queries=24, channels=16, heads=4, feature_channels=8,
                             l_2d=l2, l_3d=l3, l_hybrid=lh)

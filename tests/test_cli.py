@@ -341,6 +341,25 @@ def test_crop_views_rejects_an_unknown_rule_key(tmp_path, rig_file, capsys):
     assert not out.exists()
 
 
+BAD_CROP_SIZES = [("out_width", -5, "-5"), ("out_width", 100.7, "100.7"),
+                  ("out_height", 0, "0"), ("out_width", "abc", "'abc'"),
+                  ("out_height", True, "True")]
+
+
+@pytest.mark.parametrize("key, value, shown", BAD_CROP_SIZES,
+                         ids=[f"{key}_{value}" for key, value, _ in BAD_CROP_SIZES])
+def test_crop_views_rejects_a_bad_output_size(tmp_path, rig_file, capsys, key, value, shown):
+    obj = json.loads(rig_file.read_text())
+    obj["derived_views"] = [{"source_view_id": 0, key: value}]
+    rig_file.write_text(json.dumps(obj))
+    out = tmp_path / "rig8.json"
+    assert run_cli("crop-views", "--rig", str(rig_file), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err == (f"mvdet crop-views: error: {rig_file}: "
+                   f"{key} must be a positive integer, got {shown}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("rate", ["nan", "inf"])
 def test_crop_views_rejects_a_non_finite_scale_rate(tmp_path, rig_file, capsys, rate):
     out = tmp_path / "rig8.json"
@@ -645,7 +664,7 @@ def test_run_builds_no_rig_or_scene_from_json(tmp_path, monkeypatch):
                 monkeypatch.setattr(mod, attr, counting(attr, fn))
     monkeypatch.setattr(Scene, "from_json_obj", classmethod(
         counting("Scene.from_json_obj", lambda cls, obj: scene_from_json_obj(obj))))
-    for method in ("__init__", "initial_queries", "prefix"):
+    for method in ("__init__", "initial_queries", "prefix", "forward", "forward_scenes"):
         monkeypatch.setattr(HybridDecoder, method,
                             counting(f"HybridDecoder.{method}", vars(HybridDecoder)[method]))
     monkeypatch.setattr(decoder, "allocate", counting("decoder.allocate", decoder.allocate))
@@ -654,9 +673,11 @@ def test_run_builds_no_rig_or_scene_from_json(tmp_path, monkeypatch):
     assert run_cli("run", "--config", str(cfg), "--out", str(out), "--jobs", "1") == 0
     assert len(list((out / "scenes").iterdir())) == 3
     # preset F (l_2d = 1, l_hybrid = 3): the first allocation is the prefix's,
-    # made once; each scene makes the other two
+    # made once; each scene makes the other two; the three scenes of 24
+    # queries are one batch, decoded in one pass
     decoder_calls = {"HybridDecoder.__init__": 1, "HybridDecoder.initial_queries": 1,
-                     "HybridDecoder.prefix": 1, "decoder.allocate": 1 + 3 * (1 * 3 - 1)}
+                     "HybridDecoder.prefix": 1, "decoder.allocate": 1 + 3 * (1 * 3 - 1),
+                     "HybridDecoder.forward_scenes": 1}
     assert calls == decoder_calls
     # the counters are live: reading a scene file back rebuilds both, and
     # reading the predictions parses them
@@ -666,19 +687,56 @@ def test_run_builds_no_rig_or_scene_from_json(tmp_path, monkeypatch):
                      "rig_from_json_obj": 1, "Scene.from_json_obj": 1, "parse_detections": 1}
 
 
+@pytest.mark.parametrize("n_queries, n_scenes, passes", [(64, 12, 1), (900, 2, 2)])
+def test_run_decodes_batches_of_scenes(tmp_path, monkeypatch, n_queries, n_scenes, passes):
+    """A batch holds at most BATCH_ROWS query rows: twelve scenes of 64
+    queries are one decoder pass, two of 900 one pass each.  A pass
+    projects and samples once per sub-layer, whatever its scene count."""
+    from mvdet import cli, decoder as decoder_mod
+    from mvdet.decoder import HybridDecoder
+
+    passed, calls = [], collections.Counter()
+    forward_scenes = HybridDecoder.forward_scenes
+
+    def counted(self, features, queries, n_scenes=1, *args, **kwargs):
+        passed.append(n_scenes)
+        return forward_scenes(self, features, queries, n_scenes, *args, **kwargs)
+
+    def counting(name, fn):
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return count
+
+    monkeypatch.setattr(HybridDecoder, "forward_scenes", counted)
+    monkeypatch.setattr(HybridDecoder, "forward", None)  # run never decodes scene by scene
+    for name in ("project_rig", "project_views", "sample_views", "ref_point_cross_attention"):
+        monkeypatch.setattr(decoder_mod, name, counting(name, getattr(decoder_mod, name)))
+    decoder = {"n_queries": n_queries, "channels": 16, "heads": 4, "seed": 1}
+    cfg = run_config(tmp_path, seeds={"base": 5, "scenes": n_scenes}, decoder=decoder)
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out")) == 0
+    assert cli.BATCH_ROWS == 1024 and passed == [n_scenes // passes] * passes
+    # preset F: the prefix projects once; each pass projects in its two other
+    # 2D sub-layers, and projects and samples in each of its three 3D ones
+    assert calls == {"project_rig": 1 + 2 * passes, "project_views": 3 * passes,
+                     "sample_views": 3 * passes, "ref_point_cross_attention": 3 * passes}
+    assert len(list((tmp_path / "out" / "forward").iterdir())) == n_scenes
+
+
 @pytest.mark.parametrize("size_clamp, gt_projections", [(None, 0), ([1.0, 1.0, 1.0], 3)],
                          ids=["clamp_unused", "clamp_shrinks"])
 def test_run_projects_each_scene_once(tmp_path, monkeypatch, size_clamp, gt_projections):
     """One rig projection per scene serves its 2D ground truth, its features
     and, where the size clamp leaves the anchors as sampled, its
     ground-truth allocation; a clamped scene is allocated from its own
-    projection.  Either way the allocation equals a fresh one."""
-    from mvdet import allocation, cli, simulator
+    projection.  Either way the allocation equals a fresh one.  The
+    decoder's allocations project once per 2D sub-layer and batch."""
+    from mvdet import allocation, cli, decoder as decoder_mod, simulator
     from mvdet.allocation import AllocationLimits, allocate, clamp_anchors
     from mvdet.simulator import load_scene
 
     calls = collections.Counter()
-    for mod in (allocation, simulator):
+    for mod in (allocation, decoder_mod, simulator):
         def counted(*args, _mod=mod, _fn=mod.project_rig, **kwargs):
             calls[_mod.__name__] += 1
             return _fn(*args, **kwargs)
@@ -693,8 +751,10 @@ def test_run_projects_each_scene_once(tmp_path, monkeypatch, size_clamp, gt_proj
     cfg = run_config(tmp_path, seeds={"base": 5, "scenes": 3}, boxes=10, decoder=decoder)
     out = tmp_path / "out"
     assert run_cli("run", "--config", str(cfg), "--out", str(out), "--jobs", "1") == 0
-    # preset F: the prefix and each scene's two decoder allocations project too
-    assert calls == {"mvdet.simulator": 3, "mvdet.allocation": 1 + 3 * 2 + gt_projections}
+    # preset F: the prefix projects once, and the one batch of three scenes
+    # once in each of its two other 2D sub-layers
+    assert calls == {"mvdet.simulator": 3, "mvdet.decoder": 1 + 2,
+                     **({"mvdet.allocation": gt_projections} if gt_projections else {})}
     assert kept == [False] * 3
     limits = AllocationLimits(size_clamp=tuple(size_clamp or (35.0, 35.0, 10.0)))
     for i in range(3):
@@ -780,6 +840,76 @@ def test_run_failure_cancels_pending_scenes(tmp_path, monkeypatch):
     assert 1 <= started < n_scenes
 
 
+def blank_features_marking(marks, real):
+    """``blank_features`` that leaves a marker per batch: its scene count and
+    the process that runs it."""
+
+    def marking(rig, scales, n_scenes):
+        (marks / f"{n_scenes}_{os.getpid()}_{time.monotonic_ns()}").touch()
+        return real(rig, scales, n_scenes)
+
+    return marking
+
+
+def test_run_jobs_2_hands_whole_batches_to_workers(tmp_path, monkeypatch):
+    import multiprocessing
+
+    from mvdet import cli
+
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched worker function reaches pool workers only by fork")
+    # 256 queries: batches of four scenes, so ten scenes are batches of 4, 4 and 2
+    decoder = {"n_queries": 256, "channels": 16, "heads": 4, "feature_channels": 8, "seed": 1}
+    cfg = run_config(tmp_path, seeds={"base": 5, "scenes": 10}, decoder=decoder)
+    outs, batches = {}, {}
+    for jobs in ("1", "2"):
+        marks = tmp_path / f"marks{jobs}"
+        marks.mkdir()
+        monkeypatch.setattr(cli, "blank_features",
+                            blank_features_marking(marks, vars(cli)["blank_features"]))
+        outs[jobs] = tmp_path / f"jobs{jobs}"
+        assert run_cli("run", "--config", str(cfg), "--out", str(outs[jobs]),
+                       "--jobs", jobs) == 0
+        batches[jobs] = sorted((int(n), int(pid) == os.getpid())
+                               for n, pid, _ in (m.name.split("_") for m in marks.iterdir()))
+        monkeypatch.undo()
+    assert batches == {"1": [(2, True), (4, True), (4, True)],
+                       "2": [(2, False), (4, False), (4, False)]}
+    files = sorted(p.relative_to(outs["1"]) for p in outs["1"].rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(outs["2"]) for p in outs["2"].rglob("*") if p.is_file())
+    assert len(files) == 5 + 4 * 10
+    for rel in files:
+        assert (outs["1"] / rel).read_bytes() == (outs["2"] / rel).read_bytes(), rel
+
+
+def forward_scenes_failing(self, features, queries, n_scenes=1, *args, **kwargs):
+    raise InjectedFailure("injected")
+
+
+@pytest.mark.parametrize("n_queries, scenes", [(24, r"scenes 0-2 \(seeds 5-7\)"),
+                                               (900, r"scene 0 \(seed 5\)")])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_run_failure_in_a_decoder_pass_names_its_scenes(tmp_path, monkeypatch, jobs,
+                                                        n_queries, scenes):
+    # a failure in the batched pass names the batch's scenes and seeds: all
+    # three at 24 queries, the first one alone at 900
+    import multiprocessing
+
+    from mvdet import cli
+    from mvdet.decoder import HybridDecoder
+
+    if jobs != "1" and multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched decoder reaches pool workers only by fork")
+    monkeypatch.setattr(HybridDecoder, "forward_scenes", forward_scenes_failing)
+    decoder = {"n_queries": n_queries, "channels": 16, "heads": 4, "seed": 1}
+    cfg = run_config(tmp_path, seeds={"base": 5, "scenes": 3}, decoder=decoder)
+    argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "x"), "--jobs", jobs]
+    with pytest.raises(RuntimeError, match=rf"^{scenes} failed: injected$") as info:
+        cli.cmd_run(cli.build_parser().parse_args(argv))
+    assert isinstance(info.value.__cause__, InjectedFailure)
+    assert not (tmp_path / "x" / "gt_scenes.json").exists()  # no partial scene set is left
+
+
 def test_run_rejects_negative_seed(tmp_path, capsys):
     cfg = run_config(tmp_path)
     assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "x"),
@@ -828,6 +958,9 @@ def test_run_rejects_jobs_below_one(tmp_path, capsys, jobs):
         pytest.param({"seeds": {"scenes": 0}}, "seeds.scenes must be positive, got 0",
                      id="scenes_0"),
         *(pytest.param({"decoder": d}, m, id=i) for d, m, i in BAD_DECODER_VALUES),
+        *(pytest.param({"crop_rules": [{"source_view_id": 0, key: value}]},
+                       f"{key} must be a positive integer, got {shown}", id=f"crop_{key}_{value}")
+          for key, value, shown in BAD_CROP_SIZES),
     ],
 )
 def test_run_bad_config_value_names_the_file(tmp_path, capsys, over, message):

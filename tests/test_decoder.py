@@ -20,13 +20,14 @@ from mvdet.decoder import (
     wrap_yaw,
 )
 from mvdet.geometry import dump_json
-from mvdet.simulator import render_features, sample_scene
+from mvdet.simulator import blank_features, render_features, sample_scene
 
 from conftest import (
     cross_attention_3d_per_view,
     float64_attention,
     ref_point_cross_attention_per_view,
     rig_features,
+    same_bits,
 )
 
 
@@ -41,7 +42,7 @@ def small_config(**over):
 @pytest.fixture
 def setup(rig6):
     scene = sample_scene(2, rig6, n_boxes=8)
-    feats = render_features(scene, rig6, scales=(8, 16), channels=8)
+    feats = render_features(scene, rig6, scales=(8, 16))
     return rig6, feats
 
 
@@ -81,7 +82,7 @@ def test_every_decoder_config_field_changes_forward(setup):
     def run(cfg):
         dec = HybridDecoder(cfg, rig)
         scales = tuple(8 * 2**s for s in range(cfg.n_scales))
-        feats = render_features(scene, rig, scales=scales, channels=cfg.feature_channels)
+        feats = render_features(scene, rig, scales=scales)
         out, updated = dec.forward(feats, dec.initial_queries())
         heads = orjson.dumps(out.to_json_obj(), option=orjson.OPT_SERIALIZE_NUMPY)
         return heads, updated.features.tolist(), updated.anchors.tolist()
@@ -234,7 +235,7 @@ def test_float32_query_attention_drift(rig6, monkeypatch):
     # 3D queries) is the reference
     rig = extend_rig(rig6, [CropRule(source_view_id=0, scale_rate=2.0)])
     scene = sample_scene(0, rig, n_boxes=15)
-    feats = render_features(scene, rig, scales=(8, 16), channels=16)
+    feats = render_features(scene, rig, scales=(8, 16))
 
     def run():
         dec = HybridDecoder(DecoderConfig.from_preset("F"), rig)
@@ -297,6 +298,81 @@ def test_forward_from_prefix_equals_forward(setup, monkeypatch, preset):
         assert prefix.alloc is None and prefix.q2 is None
 
 
+def scene_batch(rig6, n_scenes):
+    """A many-scenes-shaped decoder (preset F, 64 queries, a crop view) and
+    n_scenes scenes rendered into one RigFeatures."""
+    rig = extend_rig(rig6, [CropRule(source_view_id=0, scale_rate=2.0)])
+    dec = HybridDecoder(small_config(n_queries=64, channels=32, feature_channels=16), rig)
+    scenes = [sample_scene(seed, rig, n_boxes=20) for seed in range(n_scenes)]
+    feats = blank_features(rig, (8, 16), n_scenes)
+    for slot, scene in enumerate(scenes):
+        render_features(scene, rig, (8, 16), into=feats, slot=slot)
+    return rig, dec, scenes, feats
+
+
+def test_forward_scenes_equals_each_scene_alone(rig6):
+    # each scene of a 12-scene batch against that scene decoded as a batch
+    # of one: integers and booleans exact, floats within 1e-12 (BLAS may
+    # round a product over more rows differently)
+    rig, dec, scenes, feats = scene_batch(rig6, 12)
+    queries = dec.initial_queries()
+    prefix = dec.prefix(queries)
+    outs, updated = dec.forward_scenes(feats, queries, len(scenes), prefix=prefix)
+    outs_computed, updated_computed = dec.forward_scenes(feats, queries, len(scenes))
+    assert len(outs) == len(scenes) and updated.n == len(scenes) * 64
+    # the tiled prefix gives the bits the batch computes for itself
+    for name in ("features", "anchors", "scores"):
+        assert same_bits(getattr(updated, name), getattr(updated_computed, name))
+    for j, scene in enumerate(scenes):
+        alone, alone_updated = dec.forward(render_features(scene, rig, (8, 16)), queries,
+                                           prefix=prefix)
+        for got, computed, want in zip(head_arrays(outs[j]), head_arrays(outs_computed[j]),
+                                       head_arrays(alone), strict=True):
+            assert same_bits(got, computed)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            if want.dtype.kind == "f":
+                assert np.abs(got - want).max(initial=0.0) <= 1e-12
+            else:
+                assert np.array_equal(got, want)
+        rows = slice(64 * j, 64 * (j + 1))
+        for name in ("features", "anchors", "scores"):
+            got, want = getattr(updated, name)[rows], getattr(alone_updated, name)
+            assert np.abs(got - want).max() <= 1e-12
+    assert sum(o.layers_2d[-1].mapping.n_2d for o in outs) > 64  # the 2D path is busy
+
+
+def test_forward_scenes_keeps_scenes_apart_bitwise(rig6):
+    # perturbing one scene's feature maps leaves every other scene of its
+    # batch bit-identical
+    rig, dec, scenes, feats = scene_batch(rig6, 6)
+    queries, target, n_views = dec.initial_queries(), 2, len(rig)
+    outs, _ = dec.forward_scenes(feats, queries, len(scenes))
+    bumped = copy.deepcopy(feats)
+    rng = np.random.default_rng(4)
+    for s, atlas in enumerate(bumped.atlas):
+        first, end = bumped.start[s, target * n_views], bumped.start[s, (target + 1) * n_views]
+        atlas[first:end] += rng.uniform(0.0, 3.0, (end - first, 1))
+    outs_bumped, _ = dec.forward_scenes(bumped, queries, len(scenes))
+    for j in range(len(scenes)):
+        same = [same_bits(a, b) for a, b in zip(head_arrays(outs[j]),
+                                                head_arrays(outs_bumped[j]), strict=True)]
+        assert all(same) if j != target else not all(same), j
+
+
+def test_forward_scenes_errors(rig6):
+    rig, dec, _, feats = scene_batch(rig6, 2)
+    queries = dec.initial_queries()
+    _, updated = dec.forward_scenes(feats, queries, 1)
+    temporal = propagate_topk(QuerySet(updated.features, updated.anchors, updated.scores), 8)
+    with pytest.raises(ValueError, match="^temporal queries belong to one scene, got 2$"):
+        dec.forward_scenes(feats, queries, 2, temporal=temporal)
+    with pytest.raises(ValueError, match="^n_scenes must be positive, got 0$"):
+        dec.forward_scenes(feats, queries, 0)
+    stride = max(v.view_id for v in rig) + 1
+    with pytest.raises(ValueError, match=f"^missing feature maps for view {2 * stride}$"):
+        dec.forward_scenes(feats, queries, 3)
+
+
 def test_prefix_excludes_temporal_queries(setup):
     rig, feats = setup
     dec = HybridDecoder(small_config(seed=5), rig)
@@ -329,7 +405,7 @@ def test_cross_attention_3d_samples_views_where_center_is_in_view(rig6, monkeypa
 
     rig = extend_rig(rig6, [CropRule(source_view_id=0, scale_rate=2.0)])
     scene = sample_scene(2, rig, n_boxes=8)
-    feats = render_features(scene, rig, scales=(8, 16), channels=8)
+    feats = render_features(scene, rig, scales=(8, 16))
     dec = HybridDecoder(small_config(n_queries=200), rig)
     queries = dec.initial_queries()
     anchors = queries.anchors.copy()
@@ -362,7 +438,7 @@ def test_multiview_sampling_matches_per_view_loops(rig6, monkeypatch):
     rig = extend_rig(rig6, [CropRule(source_view_id=0, scale_rate=2.0,
                                      out_width=352, out_height=128)])
     scene = sample_scene(3, rig, n_boxes=15)
-    feats = render_features(scene, rig, scales=(8, 16), channels=8)
+    feats = render_features(scene, rig, scales=(8, 16))
     dec = HybridDecoder(small_config(n_queries=300, l_2d=1, l_3d=1, l_hybrid=3), rig)
     queries = dec.initial_queries()
     cross = dec.layers_3d[0][0].cross
@@ -390,7 +466,7 @@ def test_multiview_sampling_matches_per_view_loops(rig6, monkeypatch):
 
 def test_view_drop_robustness(rig6):
     scene = sample_scene(2, rig6, n_boxes=8)
-    feats = render_features(scene, rig6, scales=(8, 16), channels=8)
+    feats = render_features(scene, rig6, scales=(8, 16))
     cfg = small_config()
     dec_full = HybridDecoder(cfg, rig6)
     out_full, _ = dec_full.forward(feats, dec_full.initial_queries())
@@ -423,9 +499,9 @@ def test_forward_errors(setup):
     dec = HybridDecoder(cfg, rig)
     scene = sample_scene(2, rig, n_boxes=8)
     with pytest.raises(ValueError, match=f"missing feature maps for view {rig[-1].view_id}"):
-        dec.forward(render_features(scene, rig[:-1], channels=8), dec.initial_queries())
+        dec.forward(render_features(scene, rig[:-1]), dec.initial_queries())
     with pytest.raises(ValueError, match=f"view {rig[0].view_id}: expected 2 scales, got 1"):
-        dec.forward(render_features(scene, rig, scales=(8,), channels=8), dec.initial_queries())
+        dec.forward(render_features(scene, rig, scales=(8,)), dec.initial_queries())
     bad = QuerySet(features=np.zeros((3, cfg.channels)), anchors=np.zeros((3, 9)) + [0, 0, 0, 1, 1, 1, 0, 0, 0])
     with pytest.raises(ValueError):
         dec.forward(feats, bad)  # row count mismatch

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from mvdet._kernels import box_points
 from mvdet.crop_scale import CropRule, extend_rig
 from mvdet.geometry import Boxes2D, make_surround_rig, project_rig
+from mvdet.decoder import DecoderConfig, HybridDecoder
+from mvdet.groupattn import CrossAttentionParams, RigFeatures, sample_views
 from mvdet.metrics import Detections, MatchParams, aar
 from mvdet.simulator import (
     CLASS_PRIORS,
@@ -24,7 +26,8 @@ from mvdet.simulator import (
 )
 
 from conftest import (
-    box9, project_one_view, random_rig_with_crop, same_bits, scored, take, view_maps,
+    box9, project_one_view, random_rig_with_crop, rig_features, same_bits, scored, take,
+    view_maps,
 )
 
 
@@ -517,7 +520,7 @@ def test_render_features_matches_per_channel_loop(rig6, rig_seed, scales, channe
     else:  # random four-camera rigs with a crop view, and the six-camera rig
         rig = rig6 if rig_seed is None else random_rig_with_crop(np.random.default_rng(rig_seed))
         scene = sample_scene(11, rig, n_boxes=15)
-    got = render_features(scene, rig, scales=scales, channels=channels)
+    got = render_features(scene, rig, scales=scales)
     want = render_features_per_channel(scene, rig, scales=scales, channels=channels)
     assert got.view_ids.tolist() == [v.view_id for v in rig]
     assert [len(a) for a in got.atlas] == [  # the atlas holds the maps and nothing else
@@ -527,12 +530,62 @@ def test_render_features_matches_per_channel_loop(rig6, rig_seed, scales, channe
         width, height, got_maps = view_maps(got, view_id)
         assert (width, height) == next((v.width, v.height) for v in rig if v.view_id == view_id)
         assert len(got_maps) == len(maps)
-        for g, w in zip(got_maps, maps):
-            assert g.shape == w.shape and np.array_equal(g, w)
+        for g, w in zip(got_maps, maps):  # one plane, equal to every reference channel
+            assert g.shape == w.shape[:2] + (1,) and np.array_equal(np.broadcast_to(g, w.shape), w)
     # the same maps from a projection the caller passes in
-    passed = render_features(scene, rig, scales=scales, channels=channels,
-                             projection=project_rig(rig, scene.anchors))
+    passed = render_features(scene, rig, scales=scales, projection=project_rig(rig, scene.anchors))
     assert all(same_bits(a, b) for a, b in zip(passed.atlas, got.atlas))
+
+
+@pytest.mark.parametrize("channels", [16, 3])
+def test_one_plane_samples_like_identical_channels(channels):
+    """``sample_views`` and the decoder over the one-plane maps give the bits
+    of the same maps copied into every channel (the reference render)."""
+    rig = two_crop_rig()
+    scene = sample_scene(11, rig, n_boxes=20)
+    plane = render_features(scene, rig, scales=(8, 16))
+    wide = rig_features({v.view_id: (v.width, v.height, maps) for v, maps in zip(
+        rig, render_features_per_channel(scene, rig, (8, 16), channels).values())})
+    rng = np.random.default_rng(5)
+    params = CrossAttentionParams.seeded(channels, 32, 2, rng)
+    ids = rng.choice([v.view_id for v in rig], 600)
+    size = np.array([(v.width, v.height) for v in rig], dtype=np.float64)
+    pts = rng.uniform(-0.05, 1.05, (600, 2)) * size[np.searchsorted([v.view_id for v in rig], ids)]
+    got = sample_views(plane, ids, pts, params)
+    assert got.shape == (600, channels) and (got > 0.0).any()
+    assert same_bits(got, sample_views(wide, ids, pts, params))
+    dec = HybridDecoder(DecoderConfig(n_queries=200, channels=32, heads=4,
+                                      feature_channels=channels), rig)
+    out, updated = dec.forward(plane, dec.initial_queries())
+    want, want_updated = dec.forward(wide, dec.initial_queries())
+    assert same_bits(updated.features, want_updated.features)
+    for g, w in zip(out.layers_2d, want.layers_2d, strict=True):
+        assert same_bits(g.boxes2d, w.boxes2d) and same_bits(g.logits, w.logits)
+    for g, w in zip(out.layers_3d + out.agg_taps, want.layers_3d + want.agg_taps, strict=True):
+        assert same_bits(g.boxes3d, w.boxes3d) and same_bits(g.logits, w.logits)
+
+
+@pytest.mark.parametrize("slot", [0, 2])
+def test_render_features_into_a_scene_slot(slot):
+    """A scene rendered into slot j of a three-scene RigFeatures fills its
+    own views with the bits of its one-scene render and no other rows."""
+    rig = two_crop_rig()
+    scene = sample_scene(11, rig, n_boxes=20)
+    alone = render_features(scene, rig, scales=(8, 16))
+    batch = RigFeatures(rig, alone.map_size, 1, n_scenes=3)
+    for atlas in batch.atlas:
+        atlas.fill(np.nan)
+    assert render_features(scene, rig, scales=(8, 16), into=batch, slot=slot) is batch
+    stride = max(v.view_id for v in rig) + 1
+    assert batch.view_ids.tolist() == [j * stride + v.view_id for j in range(3) for v in rig]
+    for s, atlas in enumerate(alone.atlas):
+        first = batch.start[s, slot * len(rig)]
+        assert same_bits(batch.atlas[s][first:first + len(atlas)], atlas)
+        assert np.isnan(batch.atlas[s]).sum() == 2 * atlas.size
+    with pytest.raises(ValueError, match="^scene slot 3 of the features does not hold"):
+        render_features(scene, rig, scales=(8, 16), into=batch, slot=3)
+    with pytest.raises(ValueError, match="^scene slot 0 of the features does not hold"):
+        render_features(scene, rig, scales=(8,), into=batch)
 
 
 @pytest.mark.parametrize("name", RENDER_CASES)
