@@ -108,6 +108,8 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"--scenes must be positive, got {args.scenes}")
     if args.boxes < 0:
         raise ValueError(f"--boxes must be non-negative, got {args.boxes}")
+    if args.views < 1:
+        raise ValueError(f"--views must be positive, got {args.views}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rig = load_extended_rig(args.rig) if args.rig else make_surround_rig(args.views)

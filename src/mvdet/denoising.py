@@ -17,6 +17,7 @@ import numpy as np
 
 from .allocation import mean_of_copies
 from .geometry import Boxes2D
+from .groupattn import scene_view_ids
 
 log = logging.getLogger(__name__)
 
@@ -171,7 +172,8 @@ def denoise_groups(layout: DenoiseLayout, camera_groups) -> np.ndarray:
     ``camera_groups``, an integer camera id per query, covers the match
     part; noise columns carry their own cameras in the layout.  Each id
     composes the camera with the part (0 for the match part, g + 1 for
-    denoise group g), so two queries share an id iff they share the camera
+    denoise group g) by ``scene_view_ids``, the part in place of the
+    scene, so two queries share an id iff they share the camera
     AND the part; match<->denoise and denoise<->denoise pairs across groups
     never do.
     """
@@ -184,8 +186,7 @@ def denoise_groups(layout: DenoiseLayout, camera_groups) -> np.ndarray:
     cams = np.concatenate([cams, layout.col_view])
     if cams.size and cams.min() < 0:
         raise ValueError("group id out of range")
-    n_cams = int(cams.max(initial=-1)) + 1
-    return layout.part_ids() * n_cams + cams
+    return scene_view_ids(layout.part_ids(), cams, cams)
 
 
 def gather_noise(layout: DenoiseLayout, group_features: np.ndarray) -> np.ndarray:

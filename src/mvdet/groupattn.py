@@ -15,23 +15,22 @@ sized so it stays in cache through the softmax and the value product.  It
 works in base 2 (q is scaled by log2(e)/sqrt(d), then ``exp2``), subtracts
 the row max only where a bound on the logits does not prove it unnecessary
 (``needs_row_max``), and fuses the softmax into the value product (a ones
-column in V carries the row sum).  A call of two blocks or more shares its
-work with one persistent helper thread per process: the helper projects k
-and v while the calling thread projects q, then takes the second half of
-the blocks.  A process that can use only one CPU runs it all on the
-calling thread, to the same bits.  The result is bit-identical to a
-per-head loop over the same row blocks, and differs from float64
-attention by less than 1e-5 of the largest value entry.
+column in V carries the row sum).  A call of two blocks or more projects
+q, k and v on the calling thread, then hands the second half of its blocks
+to the one worker of a per-process ``ThreadPoolExecutor``.  A process that
+can use only one CPU runs it all on the calling thread, to the same bits.
+The result is bit-identical to a per-head loop over the same row blocks,
+and differs from float64 attention by less than 1e-5 of the largest value
+entry.
 """
 
 from __future__ import annotations
 
-import atexit
 import functools
 import math
 import os
-import queue
 import threading
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,8 +91,8 @@ class CrossAttentionParams:
 def scene_view_ids(scene, view_ids, rig_ids) -> np.ndarray:
     """The group id of view ``view_ids`` of scene ``scene`` (broadcast) in a
     batch of scenes over a rig with view ids ``rig_ids``: scene * (max rig
-    id + 1) + view id, as ``denoise_groups`` composes a camera with its part.
-    Scene 0's views keep their own ids."""
+    id + 1) + view id, the rule ``denoise_groups`` also composes a camera
+    with its denoise part by.  Scene 0's views keep their own ids."""
     stride = int(np.max(rig_ids, initial=-1)) + 1
     return np.asarray(scene, dtype=np.intp) * stride + np.asarray(view_ids, dtype=np.intp)
 
@@ -193,73 +192,39 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-class _Helper:
-    """One persistent daemon thread that runs the jobs put to it in turn and
-    answers each with None or the exception it raised."""
-
-    def __init__(self):
-        self.lock = threading.Lock()  # held by the call the helper works for
-        self.jobs = queue.SimpleQueue()
-        self.done = queue.SimpleQueue()
-        self.thread = threading.Thread(target=self._serve, name="mvdet-attention", daemon=True)
-        self.thread.start()
-
-    def _serve(self) -> None:
-        while (job := self.jobs.get()) is not None:
-            try:
-                job()
-            except BaseException as exc:  # the waiting caller re-raises it
-                self.done.put(exc)
-            else:
-                self.done.put(None)
-            del job  # else it holds the finished call's arrays until the next job arrives
-
-    def stop(self) -> None:
-        self.jobs.put(None)
-        self.thread.join()
-
-
-_helper: _Helper | None = None
-_helper_made = threading.Lock()
+_helper: futures.ThreadPoolExecutor | None = None  # made by the first call that shares its work
+_helper_busy = threading.Lock()  # held by the call the helper works for
 
 
 def _forget_helper() -> None:
-    """After a fork: the child holds the helper object but not its thread."""
-    global _helper, _helper_made
-    _helper, _helper_made = None, threading.Lock()
-
-
-def _stop_helper() -> None:
-    if _helper is not None:
-        _helper.stop()
+    """After a fork: the child holds the executor but not its thread."""
+    global _helper, _helper_busy
+    _helper, _helper_busy = None, threading.Lock()
 
 
 os.register_at_fork(after_in_child=_forget_helper)
-atexit.register(_stop_helper)
 
 
 def _both(first, second) -> None:
     """Run ``first()`` here and ``second()`` on the helper thread at once;
     both here, in turn, when the process can use only one CPU or another
-    thread holds the helper.  An error of ``second()`` re-raises here."""
+    thread holds the helper.  Waits for ``second()`` before it returns or
+    re-raises an error of either."""
     global _helper
-    if usable_cpus() > 1:
-        with _helper_made:
+    if usable_cpus() > 1 and _helper_busy.acquire(blocking=False):
+        try:
             if _helper is None:
-                _helper = _Helper()
-            helper = _helper
-        if helper.lock.acquire(blocking=False):
+                _helper = futures.ThreadPoolExecutor(
+                    max_workers=1, thread_name_prefix="mvdet-attention")
+            done = _helper.submit(second)
             try:
-                helper.jobs.put(second)
-                try:
-                    first()
-                finally:
-                    error = helper.done.get()
+                first()
             finally:
-                helper.lock.release()
-            if error is not None:
-                raise error
-            return
+                futures.wait((done,))
+            done.result()
+        finally:
+            _helper_busy.release()
+        return
     first()
     second()
 
@@ -318,10 +283,9 @@ def _attend(x: np.ndarray, kv: np.ndarray, params: AttentionParams) -> np.ndarra
     ``needs_row_max`` proves it unnecessary, exp2 in place, and one product
     with [v | 1] that yields the numerator and its row sum.  q, k and the
     transpose of [v | 1] are stored head by head, as BLAS reads them
-    fastest.  With two blocks or more, the helper thread projects k and v
-    while the calling thread projects q, then runs the second half of the
-    blocks through a buffer of its own; the blocks are those of the serial
-    loop, so the result is the same bit for bit.
+    fastest.  With two blocks or more, the helper thread runs the second
+    half of the blocks through a buffer of its own; the blocks are those of
+    the serial loop, so the result is the same bit for bit.
     """
     n, c = x.shape
     m, h = kv.shape[0], params.heads
@@ -331,23 +295,13 @@ def _attend(x: np.ndarray, kv: np.ndarray, params: AttentionParams) -> np.ndarra
     out = np.empty((n, h, d))
     rows = max(1, BLOCK_BUDGET // max(1, h * m))
     starts = range(0, n, rows)
-    q = np.empty((h, n, d), dtype=np.float32)
-    k = np.empty((h, d, m), dtype=np.float32)
+    scale = math.log2(math.e) / math.sqrt(d)
+    q = np.ascontiguousarray(
+        (x @ params.w_q).reshape(n, h, d).transpose(1, 0, 2) * scale, dtype=np.float32)
+    k = np.ascontiguousarray((kv @ params.w_k).reshape(m, h, d).transpose(1, 2, 0),
+                             dtype=np.float32)
     v1 = np.ones((h, d + 1, m), dtype=np.float32)
-
-    def project_q():
-        q[...] = (x @ params.w_q).reshape(n, h, d).transpose(1, 0, 2) * (
-            math.log2(math.e) / math.sqrt(d))
-
-    def project_kv():
-        k[...] = (kv @ params.w_k).reshape(m, h, d).transpose(1, 2, 0)
-        v1[:, :d] = (kv @ params.w_v).reshape(m, h, d).transpose(1, 2, 0)
-
-    if len(starts) > 1:
-        _both(project_q, project_kv)
-    else:
-        project_q()
-        project_kv()
+    v1[:, :d] = (kv @ params.w_v).reshape(m, h, d).transpose(1, 2, 0)
     blocks = functools.partial(_attend_blocks, q, k, v1.transpose(0, 2, 1),
                                out.transpose(1, 0, 2), rows=rows,
                                shift=needs_row_max(q, k, v1[:, :d]))

@@ -65,8 +65,10 @@ def test_help_and_unknown_flag(capsys):
     "flag, value, message",
     [("--scenes", "-2", "--scenes must be positive, got -2"),
      ("--scenes", "0", "--scenes must be positive, got 0"),
-     ("--boxes", "-3", "--boxes must be non-negative, got -3")],
-    ids=["scenes_negative", "scenes_0", "boxes_negative"],
+     ("--boxes", "-3", "--boxes must be non-negative, got -3"),
+     ("--views", "0", "--views must be positive, got 0"),
+     ("--views", "-2", "--views must be positive, got -2")],
+    ids=["scenes_negative", "scenes_0", "boxes_negative", "views_0", "views_negative"],
 )
 def test_simulate_rejects_bad_counts(tmp_path, capsys, flag, value, message):
     out = tmp_path / "sim"

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -456,6 +457,50 @@ def test_float32_helper_error_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(np, "exp2", failing_off_the_caller)
     with pytest.raises(FloatingPointError, match="injected on the helper"):
         attention(x, params)
+    monkeypatch.setattr(np, "exp2", exp2)
+    assert np.array_equal(attention(x, params), fused_per_head_reference(x, x, params))
+
+
+def test_dense_call_hands_the_helper_one_job(monkeypatch):
+    # the calling thread projects q, k and v itself; the helper's one job
+    # is the second half of the 25 row blocks
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((900, 16)).astype(np.float32)
+    params = AttentionParams.seeded(16, 8, rng)
+    monkeypatch.setattr(groupattn, "usable_cpus", lambda: 2)
+    attention(x, params)  # makes the helper
+    jobs, submit = [], groupattn._helper.submit
+
+    def recording_submit(fn, *args, **kwargs):
+        jobs.append(fn)
+        return submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(groupattn._helper, "submit", recording_submit)
+    got = attention(x, params)
+    assert len(jobs) == 1
+    assert np.array_equal(got, fused_per_head_reference(x, x, params))
+
+
+def test_float32_caller_error_waits_for_the_helper(monkeypatch):
+    # an error of the calling thread's half reaches the caller only once the
+    # helper's slowed half is done, and the helper is free for the next call
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((900, 16)).astype(np.float32)
+    params = AttentionParams.seeded(16, 8, rng)
+    monkeypatch.setattr(groupattn, "usable_cpus", lambda: 2)
+    me, exp2, helper_blocks = threading.get_ident(), np.exp2, []
+
+    def failing_on_the_caller(*args, **kwargs):
+        if threading.get_ident() == me:
+            raise FloatingPointError("injected on the caller")
+        time.sleep(0.005)
+        helper_blocks.append(1)
+        return exp2(*args, **kwargs)
+
+    monkeypatch.setattr(np, "exp2", failing_on_the_caller)
+    with pytest.raises(FloatingPointError, match="injected on the caller"):
+        attention(x, params)
+    assert len(helper_blocks) == 12
     monkeypatch.setattr(np, "exp2", exp2)
     assert np.array_equal(attention(x, params), fused_per_head_reference(x, x, params))
 
