@@ -103,32 +103,33 @@ def bilinear_sample(atlas, pts, start, width, height):
     )
 
 
-def iou_matrix(a, b):
-    """Pairwise IoU of axis-aligned boxes given as (cx, cy, w, h) rows.
-
-    Returns an (A, B) matrix; pairs with zero union get IoU 0.
+def iou_pairs(a, b):
+    """IoU of axis-aligned boxes given as (cx, cy, w, h) on the last axis,
+    pair by pair: ``a`` and ``b`` broadcast against each other over their
+    leading axes.  Pairs with zero union get IoU 0.
     """
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)
-    ax0 = a[:, 0] - 0.5 * a[:, 2]
-    ax1 = a[:, 0] + 0.5 * a[:, 2]
-    ay0 = a[:, 1] - 0.5 * a[:, 3]
-    ay1 = a[:, 1] + 0.5 * a[:, 3]
-    bx0 = b[:, 0] - 0.5 * b[:, 2]
-    bx1 = b[:, 0] + 0.5 * b[:, 2]
-    by0 = b[:, 1] - 0.5 * b[:, 3]
-    by1 = b[:, 1] + 0.5 * b[:, 3]
-    iw = np.minimum(ax1[:, None], bx1[None, :]) - np.maximum(ax0[:, None], bx0[None, :])
-    ih = np.minimum(ay1[:, None], by1[None, :]) - np.maximum(ay0[:, None], by0[None, :])
-    iw = np.maximum(iw, 0.0)
-    ih = np.maximum(ih, 0.0)
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    ax0 = a[..., 0] - 0.5 * a[..., 2]
+    ax1 = a[..., 0] + 0.5 * a[..., 2]
+    ay0 = a[..., 1] - 0.5 * a[..., 3]
+    ay1 = a[..., 1] + 0.5 * a[..., 3]
+    bx0 = b[..., 0] - 0.5 * b[..., 2]
+    bx1 = b[..., 0] + 0.5 * b[..., 2]
+    by0 = b[..., 1] - 0.5 * b[..., 3]
+    by1 = b[..., 1] + 0.5 * b[..., 3]
+    iw = np.maximum(np.minimum(ax1, bx1) - np.maximum(ax0, bx0), 0.0)
+    ih = np.maximum(np.minimum(ay1, by1) - np.maximum(ay0, by0), 0.0)
     inter = iw * ih
     # areas from the same corner differences as the intersection, so
     # identical boxes come out at exactly 1
-    area_a = (ax1 - ax0) * (ay1 - ay0)
-    area_b = (bx1 - bx0) * (by1 - by0)
-    union = (area_a[:, None] + area_b[None, :]) - inter
-    out = np.zeros_like(inter)
-    pos = union > 0.0
-    out[pos] = inter[pos] / union[pos]
-    return out
+    union = ((ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0)) - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
+
+
+def iou_matrix(a, b):
+    """Pairwise IoU of (A, 4) and (B, 4) boxes as an (A, B) matrix: the
+    ``iou_pairs`` of every (row of a, row of b)."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return iou_pairs(a[:, None, :], b[None, :, :])

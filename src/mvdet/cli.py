@@ -209,22 +209,11 @@ def cmd_forward(args) -> int:
 # ------------------------------------------------------------------ eval-aar
 
 def _aar_curve_rows(scenes, det_by_frame, params, taus):
-    per_tau = {t: [0, 0] for t in taus}
-    total_gt2d = 0
-    for scene in scenes:
-        det = det_by_frame.get(scene.frame_id) or Detections.empty()
-        res = aar(det, scene, params, taus=taus)
-        total_gt2d += len(scene.gt2d)
-        for tau, _, _, c, v in res.curve:
-            per_tau[tau][0] += c
-            per_tau[tau][1] += v
-    rows = []
-    for tau in taus:
-        c, v = per_tau[tau]
-        a = 100.0 * v / c if c else 0.0
-        r = 100.0 * c / total_gt2d if total_gt2d else 0.0
-        rows.append((tau, a, r, c, v))
-    return rows
+    """The AAR curve of every scene pooled, one (tau, aar, recall,
+    n_candidate, n_valid) row per threshold; a scene without detections
+    counts as one with none."""
+    dets = [det_by_frame.get(scene.frame_id) or Detections.empty() for scene in scenes]
+    return aar(dets, scenes, params, taus=taus).curve
 
 
 def _aar_csv_lines(rows) -> list[str]:

@@ -4,6 +4,12 @@ Implements the bipartite matcher with a documented tie-break, the 2D/3D
 loss formulas with their default balancing weights (lambda1 = 0.5,
 lambda2 = 0.2), the candidate/valid association predicates with the
 AAR/Recall sweep, and a simplified 11-point-interpolated AP evaluator.
+
+Both metrics score a whole run as array passes.  ``aar`` takes one scene
+or a sequence of scenes, pools their counts, and evaluates padded
+per-scene tables for every threshold at once.  ``ap_2d`` runs its greedy
+matching one rank step at a time over every (class, view id) cell at once.
+Either works through chunks of at most ``TABLE_BUDGET`` table elements.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ._kernels import iou_matrix
+from ._kernels import iou_matrix, iou_pairs
 from .geometry import Boxes2D, column, finite_rows, naming_file, project_rig
 
 if TYPE_CHECKING:
@@ -387,10 +393,49 @@ def loss_total(
 
 DEFAULT_TAUS = tuple(round(0.1 * i, 1) for i in range(1, 10))
 
+# AAR and AP pad their per-scene and per-cell tables to one shape and
+# evaluate many at once, in chunks of consecutive scenes or cells whose
+# padded tables hold at most TABLE_BUDGET elements over all thresholds (at
+# least one scene or cell each), so that scoring a long run stays small.
+TABLE_BUDGET = 1 << 17
+
+
+def _chunks(rows: Sequence[int], cols: Sequence[int], budget: int):
+    """[start, stop) runs of consecutive items, each the longest whose
+    padded (items, max rows, max cols) table stays within ``budget``
+    elements, and at least one item long."""
+    start, r, c = 0, 0, 0
+    for i, (ri, ci) in enumerate(zip(rows, cols)):
+        r2, c2 = max(r, ri), max(c, ci)
+        if i > start and (i + 1 - start) * r2 * c2 > budget:
+            yield start, i
+            start, r2, c2 = i, ri, ci
+        r, c = r2, c2
+    if start < len(rows):
+        yield start, len(rows)
+
+
+def _padded(counts, first=None) -> tuple[np.ndarray, np.ndarray]:
+    """Slots of S groups of items, ``counts[s]`` of group s, whose items
+    sit at ``first[s]`` onward (default: back to back from 0): the (S, max
+    count) index of each slot's item and the mask of real slots.  Padding
+    slots index item -1, so they need masking."""
+    counts = np.asarray(counts, dtype=np.intp)
+    first = np.cumsum(counts) - counts if first is None else first
+    slot = np.arange(int(counts.max(initial=0)))
+    real = slot < counts[:, None]
+    return np.where(real, first[:, None] + slot, -1), real
+
+
+def _rig_key(rig: Sequence) -> tuple:
+    """What a projection reads of a rig, as a hashable key."""
+    return tuple((v.view_id, v.width, v.height, v.intrinsics.tobytes(), v.extrinsic.tobytes())
+                 for v in rig)
+
 
 def aar(
-    det: Detections,
-    scene: "Scene",
+    det: "Detections | Sequence[Detections]",
+    scene: "Scene | Sequence[Scene]",
     params: MatchParams | None = None,
     taus: Sequence[float] = DEFAULT_TAUS,
 ) -> AARResult:
@@ -404,50 +449,106 @@ def aar(
     prediction) pairs that share a passing ground-truth box and whose 2D
     prediction also overlaps it at tau_iou with the right class.  Recall
     divides candidates by the number of 2D ground-truth boxes.
+
+    ``det`` and ``scene`` are one frame's detections and scene, or equal-
+    length sequences of them scored as one pooled set: the counts of every
+    scene add up before the rates are taken.  Scenes are evaluated in
+    chunks under ``TABLE_BUDGET``, with one ``project_rig`` of a chunk's
+    3D predictions per distinct rig and every threshold in one broadcast.
     """
     params = params or MatchParams()
-    gt, links = scene.gt2d, scene.gt2d_link
-    n2d = len(gt)
-    proj = project_rig(scene.rig, det.boxes3d)
-    row_of = {view_id: k for k, view_id in enumerate(proj.view_ids.tolist())}
-    for view_id in gt.view_id.tolist():
-        if view_id not in row_of:
-            raise ValueError(f"gt2d entry references view {view_id} missing from the rig")
-    g_row = np.array([row_of[v] for v in gt.view_id.tolist()], dtype=np.intp)
+    if isinstance(det, Detections):
+        det, scene = [det], [scene]
+    dets, scenes = list(det), list(scene)
+    if len(dets) != len(scenes):
+        raise ValueError(f"{len(dets)} detection frames for {len(scenes)} scenes")
+    sweep = np.array([*taus, params.tau_iou], dtype=np.float64)
+    counts = np.zeros((len(sweep), 2), dtype=np.int64)
+    by_rig: dict[tuple, list[int]] = {}
+    for i, s in enumerate(scenes):
+        by_rig.setdefault(_rig_key(s.rig), []).append(i)
+    for members in by_rig.values():
+        n2 = [len(dets[i].boxes2d) for i in members]
+        rows = [max(len(dets[i].boxes3d), k) for i, k in zip(members, n2)]
+        cols = [max(len(scenes[i].gt2d), k) for i, k in zip(members, n2)]
+        for start, stop in _chunks(rows, cols, TABLE_BUDGET // len(sweep)):
+            part = members[start:stop]
+            counts += _aar_counts([dets[i] for i in part], [scenes[i] for i in part],
+                                  params.tau_dis, sweep)
+    n2d = sum(len(s.gt2d) for s in scenes)
 
-    # (P, G): IoU of each 3D prediction's rectangle in the 2D ground truth's
-    # own view (NaN rects of invalid pairs give 0), and the gate of center
-    # distance to the linked 3D box, 3D class and validity in that view
-    n_views, n_pred = proj.valid.shape
-    iou3 = iou_matrix(proj.rect.reshape(-1, 4), gt.rect).reshape(n_views, n_pred, n2d)
-    iou3 = iou3[g_row, :, np.arange(n2d)].T
-    g3 = scene.anchors[links]
-    gate = (
-        (np.linalg.norm(det.boxes3d[:, None, :3] - g3[None, :, :3], axis=2) <= params.tau_dis)
-        & (det.classes3d[:, None] == scene.classes[links])
-        & proj.valid[g_row].T
-    )
-
-    # (K, G): IoU of each 2D prediction with each 2D ground truth, and
-    # whether the two share the view and the class
-    p2 = det.boxes2d
-    same2d = (p2.view_id[:, None] == gt.view_id) & (p2.class_id[:, None] == gt.class_id)
-    iou2 = iou_matrix(p2.rect, gt.rect)
-
-    def row_at(tau: float) -> tuple[float, float, int, int]:
-        """(aar, recall, n_candidate, n_valid) at one threshold."""
-        phi = gate & (iou3 >= tau)
-        ok2d = same2d & (iou2 >= tau)
-        # psi(i, k): some j with phi(i, j) and ok2d(k, j); ok2d is false across views
-        c, v = int(phi.sum()), int((phi @ ok2d.T.astype(np.float64) > 0).sum())
+    def row(c: int, v: int) -> tuple[float, float, int, int]:
+        """(aar, recall, n_candidate, n_valid) of one threshold's counts."""
         return 100.0 * v / c if c else 0.0, 100.0 * c / n2d if n2d else 0.0, c, v
 
-    a0, r0, c0, v0 = row_at(params.tau_iou)
+    *curve, (c0, v0) = counts.tolist()
+    a0, r0, _, _ = row(c0, v0)
     return AARResult(
         n_candidate=c0, n_valid=v0, aar=a0, recall=r0,
-        curve=[(float(tau), *row_at(float(tau))) for tau in taus],
+        curve=[(float(tau), *row(c, v)) for tau, (c, v) in zip(taus, curve)],
         no_candidates=(c0 == 0),
     )
+
+
+def _aar_counts(dets: Sequence[Detections], scenes: Sequence["Scene"], tau_dis: float,
+                sweep: np.ndarray) -> np.ndarray:
+    """(T, 2) candidate and valid counts at each threshold of ``sweep``,
+    summed over scenes that share one rig.
+
+    Tables are padded per scene: (S, P, G) over 3D predictions and 2D
+    ground truths, (S, K, G) over 2D predictions and 2D ground truths.
+    """
+    p_idx, p_real = _padded([len(d.boxes3d) for d in dets])
+    k_idx, k_real = _padded([len(d.boxes2d) for d in dets])
+    g_idx, g_real = _padded([len(s.gt2d) for s in scenes])
+
+    def pooled(tables, name):
+        return np.concatenate([getattr(t, name) for t in tables])
+
+    boxes3d = pooled(dets, "boxes3d")
+    proj = project_rig(scenes[0].rig, boxes3d)
+    gts, p2s = [s.gt2d for s in scenes], [d.boxes2d for d in dets]
+    g_view = pooled(gts, "view_id")
+    row_of = {view_id: k for k, view_id in enumerate(proj.view_ids.tolist())}
+    g_row = np.array([row_of.get(v, -1) for v in g_view.tolist()], dtype=np.intp)
+    if (g_row < 0).any():
+        raise ValueError(f"gt2d entry references view {g_view[np.argmin(g_row)]} "
+                         "missing from the rig")
+    # each 2D ground truth's linked 3D box and its class, padded per scene
+    n_boxes = np.array([len(s.anchors) for s in scenes])
+    links = pooled(scenes, "gt2d_link") + np.repeat(np.cumsum(n_boxes) - n_boxes,
+                                                    [len(g) for g in gts])
+    g3 = pooled(scenes, "anchors")[links][g_idx]
+    g3_class = pooled(scenes, "classes")[links][g_idx]
+    g_rect, g_row = pooled(gts, "rect")[g_idx][:, None], g_row[g_idx][:, None, :]
+
+    # (S, P, G): IoU of each 3D prediction's rectangle in the 2D ground
+    # truth's own view (NaN rects of invalid pairs give 0), and the gate of
+    # center distance to the linked 3D box, 3D class and validity in that view
+    p_col = p_idx[:, :, None]
+    iou3 = iou_pairs(proj.rect[g_row, p_col], g_rect)
+    gate = (
+        (np.linalg.norm(boxes3d[p_col, :3] - g3[:, None, :, :3], axis=-1) <= tau_dis)
+        & (pooled(dets, "classes3d")[p_col] == g3_class[:, None, :])
+        & proj.valid[g_row, p_col] & p_real[:, :, None] & g_real[:, None, :]
+    )
+
+    # (S, K, G): IoU of each 2D prediction with each 2D ground truth, and
+    # whether the two share the view and the class
+    k_col = k_idx[:, :, None]
+    same2d = ((pooled(p2s, "view_id")[k_col] == g_view[g_idx][:, None, :])
+              & (pooled(p2s, "class_id")[k_col] == pooled(gts, "class_id")[g_idx][:, None, :])
+              & k_real[:, :, None] & g_real[:, None, :])
+    iou2 = iou_pairs(pooled(p2s, "rect")[k_col], g_rect)
+
+    # (T, S, ...) per threshold; psi(i, k): some j with phi(i, j) and
+    # ok2d(k, j), and ok2d is false across views.  float32 counts the shared
+    # j exactly, as a scene holds far fewer than 2**24 of them
+    tau = sweep[:, None, None, None]
+    phi = gate & (iou3 >= tau)
+    ok2d = same2d & (iou2 >= tau)
+    shared = phi.astype(np.float32) @ ok2d.swapaxes(2, 3).astype(np.float32)
+    return np.stack([phi.sum(axis=(1, 2, 3)), (shared > 0).sum(axis=(1, 2, 3))], axis=1)
 
 
 def ap_2d(
@@ -459,45 +560,42 @@ def ap_2d(
     """11-point interpolated AP per class and IoU threshold.
 
     Predictions are ranked by descending score (ties by view then input
-    order) and matched greedily to the best unused same-view ground truth.
-    Classes appearing in either predictions or ground truth are reported.
+    order) and matched greedily to the best unused same-view ground truth:
+    the one of highest IoU, at least the threshold and above 0, the lowest
+    ground-truth index among equal IoUs.  Classes appearing in either
+    predictions or ground truth are reported.
+
+    Matches never cross a (class, view id) cell, so the greedy runs one
+    rank step at a time over every cell at once, on padded (cells, rank,
+    ground truth) IoU tables chunked under ``TABLE_BUDGET``; it gives the
+    matches of ranking each class as a whole.
     """
     scores = np.asarray(scores, dtype=np.float64)
+    if scores.shape != (len(preds),):
+        raise ValueError(f"{scores.size} scores for {len(preds)} predictions")
+    iou_thresholds = list(iou_thresholds)
+    thresholds = np.array(iou_thresholds, dtype=np.float64).reshape(-1)
+    # rank order: by class, then descending score, view and input order
+    order = np.lexsort((np.arange(len(preds)), preds.view_id, -scores, preds.class_id))
+    # classes of predictions then ground truths; return_inverse also keeps
+    # np.unique from importing numpy.ma (about 1 MB) on its first call
+    classes, class_of = np.unique(np.concatenate([preds.class_id, gt.class_id]),
+                                  return_inverse=True)
+    hits = _greedy_hits(preds, gt, class_of, order, thresholds)
+    n_gts = np.bincount(class_of[len(preds):], minlength=len(classes)).tolist()
     out: dict[int, dict[float, float]] = {}
     recall_pts = np.linspace(0.0, 1.0, 11)
-    for cls in np.union1d(preds.class_id, gt.class_id).tolist():
-        ranked = np.flatnonzero(preds.class_id == cls)
-        ranked = ranked[np.lexsort((ranked, preds.view_id[ranked], -scores[ranked]))]
-        cls_gt = np.flatnonzero(gt.class_id == cls)
-        p_view, g_view = preds.view_id[ranked], gt.view_id[cls_gt]
-        n_gt = len(cls_gt)
-        # one iou_matrix call per view; per rank, its (GT index, IoU) pairs
-        candidates = [[] for _ in ranked]
-        for view_id in np.intersect1d(p_view, g_view).tolist():
-            ranks, js = np.flatnonzero(p_view == view_id), np.flatnonzero(g_view == view_id)
-            ious = iou_matrix(preds.rect[ranked[ranks]], gt.rect[cls_gt[js]])
-            for r, row in zip(ranks.tolist(), ious.tolist()):
-                candidates[r] = list(zip(js.tolist(), row))
+    ranked_class = preds.class_id[order]
+    for cls, n_gt in zip(classes.tolist(), n_gts):
+        ranked = order[np.searchsorted(ranked_class, cls):np.searchsorted(ranked_class, cls, "right")]
         out[cls] = {}
-        for thr in iou_thresholds:
-            used = [False] * n_gt
-            tp = np.zeros(len(ranked))
-            fp = np.zeros(len(ranked))
-            for rank in range(len(ranked)):
-                best_iou, best_j = 0.0, -1
-                for j, iou in candidates[rank]:
-                    if not used[j] and iou >= thr and iou > best_iou:
-                        best_iou, best_j = iou, j
-                if best_j >= 0:
-                    used[best_j] = True
-                    tp[rank] = 1.0
-                else:
-                    fp[rank] = 1.0
+        for thr, hit in zip(iou_thresholds, hits):
             if n_gt == 0 or len(ranked) == 0:
                 out[cls][float(thr)] = 0.0
                 continue
+            tp = hit[ranked].astype(np.float64)
             ctp = np.cumsum(tp)
-            cfp = np.cumsum(fp)
+            cfp = np.cumsum(1.0 - tp)
             recall = ctp / n_gt
             precision = ctp / np.maximum(ctp + cfp, 1e-12)
             ap = 0.0
@@ -506,6 +604,47 @@ def ap_2d(
                 ap += float(precision[sel].max()) if sel.any() else 0.0
             out[cls][float(thr)] = ap / 11.0
     return out
+
+
+def _greedy_hits(preds: Boxes2D, gt: Boxes2D, class_of: np.ndarray, order: np.ndarray,
+                 thresholds: np.ndarray) -> np.ndarray:
+    """(T, N): whether prediction k matches a ground truth at threshold t,
+    matching greedily in ``order`` within each (class, view id) cell;
+    ``class_of`` holds dense class ids of predictions then ground truths."""
+    # dense cell ids of (class, view id) over predictions then ground truths
+    views, view_of = np.unique(np.concatenate([preds.view_id, gt.view_id]), return_inverse=True)
+    cell = np.unique(class_of * len(views) + view_of, return_inverse=True)[1].reshape(-1)
+    n = len(preds)
+    p_cell, g_cell = cell[:n], cell[n:]
+    n_cells = int(cell.max(initial=-1)) + 1
+    # predictions by cell, in rank order inside each; ground truths by cell,
+    # in index order inside each
+    p_by_cell = order[np.argsort(p_cell[order], kind="stable")]
+    g_by_cell = np.argsort(g_cell, kind="stable")
+    n_p, n_g = np.bincount(p_cell, minlength=n_cells), np.bincount(g_cell, minlength=n_cells)
+    p_first, g_first = np.cumsum(n_p) - n_p, np.cumsum(n_g) - n_g
+    # cells with both sides, fewest predictions first so chunks pad little
+    both = np.flatnonzero((n_p > 0) & (n_g > 0))
+    both = both[np.argsort(n_p[both], kind="stable")]
+
+    hits = np.zeros((len(thresholds), n), dtype=bool)
+    thr = thresholds[:, None, None, None]
+    for start, stop in _chunks(n_p[both].tolist(), n_g[both].tolist(),
+                               TABLE_BUDGET // max(1, len(thresholds))):
+        cells = both[start:stop]
+        p_slot, p_real = _padded(n_p[cells], p_first[cells])
+        g_slot, g_real = _padded(n_g[cells], g_first[cells])
+        p_at, g_at = p_by_cell[p_slot], g_by_cell[g_slot]
+        iou = iou_pairs(preds.rect[p_at][:, :, None], gt.rect[g_at][:, None])  # (C, P, G)
+        allowed = (iou >= thr) & (iou > 0.0) & p_real[:, :, None] & g_real[:, None, :]
+        used = np.zeros(allowed.shape[:2] + allowed.shape[3:], dtype=bool)  # (T, C, G)
+        for step in range(allowed.shape[2]):
+            ok = allowed[:, :, step] & ~used
+            best = np.where(ok, iou[:, step], -1.0).argmax(axis=2)  # first of equal IoUs
+            t_hit, c_hit = np.nonzero(ok.any(axis=2))
+            used[t_hit, c_hit, best[t_hit, c_hit]] = True
+            hits[t_hit, p_at[c_hit, step]] = True
+    return hits
 
 
 def mean_ap(ap: dict[int, dict[float, float]]) -> float:

@@ -194,7 +194,8 @@ def test_forward_rejects_negative_seed(tmp_path, sim_dir, capsys):
     assert not out.exists()
 
 
-def test_eval_aar_zero_noise_perfect(tmp_path, sim_dir, capsys):
+def zero_noise_aar_lines(tmp_path, sim_dir, sweep: str) -> list[str]:
+    """`eval-aar` CSV lines of the simulated scenes' noise-free detections."""
     from mvdet.simulator import load_scene, perturb
 
     frames = {}
@@ -206,14 +207,26 @@ def test_eval_aar_zero_noise_perfect(tmp_path, sim_dir, capsys):
     out = tmp_path / "aar.csv"
     assert run_cli("eval-aar", "--gt", str(sim_dir / "scenes.json"),
                    "--pred", str(pred), "--tau-dis", "2",
-                   "--tau-iou-sweep", "0.1:0.9:0.1", "--out", str(out)) == 0
+                   "--tau-iou-sweep", sweep, "--out", str(out)) == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "tau_iou,aar,recall,n_candidate,n_valid"
-    assert len(lines) == 10
-    for line in lines[1:]:
+    return lines[1:]
+
+
+def test_eval_aar_zero_noise_perfect(tmp_path, sim_dir, capsys):
+    lines = zero_noise_aar_lines(tmp_path, sim_dir, "0.1:0.9:0.1")
+    assert len(lines) == 9
+    for line in lines:
         tau, aar, recall, c, v = line.split(",")
         assert float(aar) == 100.0
         assert float(recall) == 100.0
+
+
+def test_eval_aar_counts_a_repeated_threshold_once(tmp_path, sim_dir):
+    # a step below the sweep's 10-digit rounding repeats 0.5; every row
+    # keeps the counts of 0.5 alone
+    once = zero_noise_aar_lines(tmp_path, sim_dir, "0.5:0.5:0.1")
+    assert zero_noise_aar_lines(tmp_path, sim_dir, "0.5:0.5000000000003:0.0000000000001") == once * 4
 
 
 def test_eval_ap(tmp_path, sim_dir):
@@ -532,6 +545,34 @@ def test_metrics_from_files_match_the_run(tmp_path):
     assert (tmp_path / "aar.csv").read_bytes() == (out / "metrics" / "aar_curve.csv").read_bytes()
     assert (tmp_path / "ap.csv").read_bytes() == (out / "metrics" / "ap.csv").read_bytes()
     assert len(set((tmp_path / "ap.csv").read_text().splitlines())) > 3  # not all zeros
+
+
+def test_eval_aar_scores_scenes_of_two_rigs(tmp_path):
+    """A scene set may carry a different rig per scene: each scene is
+    scored on its own rig, and the curve sums the per-scene counts."""
+    from mvdet.crop_scale import CropRule, extend_rig
+    from mvdet.simulator import OracleNoise, sample_scene
+    from test_metrics import aar_pairwise_reference
+
+    rigs = [make_surround_rig(6),
+            extend_rig(make_surround_rig(4), [CropRule(source_view_id=0, scale_rate=2.0)])]
+    scenes = [sample_scene(seed, rigs[seed % 2], n_boxes=8, frame_id=seed) for seed in range(4)]
+    noise = OracleNoise(drop_prob=0.2, jitter_px=4.0, jitter_m=0.4, drop_prob_3d=0.2)
+    dets = {scene.frame_id: perturb(scene, noise, seed=scene.seed + 1) for scene in scenes}
+    gt, pred = tmp_path / "gt.json", tmp_path / "pred.json"
+    gt.write_text(json.dumps({"format": "mvdet-scene-set/1",
+                              "scenes": [scene.to_json_obj() for scene in scenes]}))
+    pred.write_text(json.dumps(detections_to_json_obj(dets)))
+    out = tmp_path / "aar.csv"
+    assert run_cli("eval-aar", "--gt", str(gt), "--pred", str(pred),
+                   "--tau-iou-sweep", "0.1:0.9:0.2", "--out", str(out)) == 0
+    n2d = sum(len(scene.gt2d) for scene in scenes)
+    want = ["tau_iou,aar,recall,n_candidate,n_valid"]
+    for tau in (0.1, 0.3, 0.5, 0.7, 0.9):
+        c, v = map(sum, zip(*(aar_pairwise_reference(dets[s.frame_id], s, tau) for s in scenes)))
+        want.append(f"{tau},{100.0 * v / c if c else 0.0!r},{100.0 * c / n2d!r},{c},{v}")
+    assert out.read_text().splitlines() == want
+    assert int(want[1].split(",")[3]) > 0
 
 
 def test_run_pipeline_and_reproducibility(tmp_path):

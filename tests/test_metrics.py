@@ -1,10 +1,15 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mvdet.geometry import Boxes2D
+from mvdet import metrics
+from mvdet.crop_scale import CropRule, extend_rig
+from mvdet.geometry import Boxes2D, make_surround_rig, project_rig
 from mvdet.metrics import (
     Detections,
     LossWeights,
@@ -26,6 +31,7 @@ from mvdet.metrics import (
     mean_ap,
     parse_detections,
 )
+from mvdet.simulator import OracleNoise, Scene, perturb, sample_scene
 
 from conftest import box9, candidate_match, one_box_scene, scored, take
 
@@ -327,7 +333,7 @@ def test_aar_rejects_gt_views_missing_from_rig(rig6):
 
 
 def test_aar_valid_implies_candidate_and_monotone(rig6):
-    from mvdet.simulator import OracleNoise, perturb, sample_scene
+    from mvdet.simulator import OracleNoise, Scene, perturb, sample_scene
 
     for seed in range(6):
         scene = sample_scene(seed, rig6, n_boxes=8)
@@ -375,7 +381,7 @@ def with_relabelled_copies(det):
 
 
 def test_aar_matches_pairwise_reference(rig6):
-    from mvdet.simulator import OracleNoise, perturb, sample_scene
+    from mvdet.simulator import OracleNoise, Scene, perturb, sample_scene
 
     # 3D drops, 2D drops (all of view 3) and jitter large enough that some
     # pairs pass at low thresholds only
@@ -422,6 +428,24 @@ def test_ap_ranked_hand_case():
     # 11-point interpolation: recalls 0..0.5 see precision 1, .6..1.0 see 2/3
     want = (6 * 1.0 + 5 * (2.0 / 3.0)) / 11.0
     assert abs(ap - want) <= 1e-12
+
+
+def test_ap_takes_the_best_gt_not_the_first():
+    # the first prediction overlaps ground truth 0 at IoU 1/7 and 1 exactly;
+    # taking 1 leaves 0 for the second prediction, which overlaps 0 alone
+    gt = Boxes2D([[10, 10, 4, 4], [13, 10, 4, 4]], [0, 0], [0, 0])
+    preds = Boxes2D([[13, 10, 4, 4], [8, 10, 4, 4]], [0, 0], [0, 0])
+    assert ap_2d(preds, [0.9, 0.8], gt, (0.1,))[0][0.1] == 1.0
+
+
+def test_ap_tie_goes_to_the_lowest_gt_index():
+    # the first prediction overlaps both ground truths at IoU 1/3; taking
+    # the lower index leaves the second prediction, an exact copy of that
+    # ground truth, without a match
+    a, b = [10, 10, 4, 4], [14, 10, 4, 4]
+    preds = Boxes2D([[12, 10, 4, 4], a], [0, 0], [0, 0])
+    assert ap_2d(preds, [0.9, 0.8], Boxes2D([a, b], [0, 0], [0, 0]), (0.3,))[0][0.3] == 6 / 11
+    assert ap_2d(preds, [0.9, 0.8], Boxes2D([b, a], [0, 0], [0, 0]), (0.3,))[0][0.3] == 1.0
 
 
 def ap_2d_pairwise_reference(preds, scores, gt, thresholds):
@@ -486,6 +510,182 @@ def test_ap_matches_pairwise_reference():
         thresholds = (0.1, 0.3, 0.5, 0.7)
         assert (ap_2d(table(preds), scores, table(gt), thresholds)
                 == ap_2d_pairwise_reference(table(preds), scores, table(gt), thresholds))
+
+def test_ap_rejects_fewer_scores_than_predictions():
+    preds = Boxes2D([[10, 10, 4, 4], [20, 10, 4, 4]], [0, 0], [0, 0])
+    with pytest.raises(ValueError, match="1 scores for 2 predictions"):
+        ap_2d(preds, [0.9], preds)
+
+
+def test_ap_rejects_more_scores_than_predictions():
+    preds = Boxes2D([[10, 10, 4, 4], [20, 10, 4, 4]], [0, 0], [0, 0])
+    with pytest.raises(ValueError, match="3 scores for 2 predictions"):
+        ap_2d(preds, [0.9, 0.8, 0.7], preds)
+
+
+# budgets that cut chunks after every cell or scene, inside a run of them,
+# or not at all
+BUDGETS = st.sampled_from([1, 8, 40, 300, metrics.TABLE_BUDGET])
+
+# few coordinates and sizes: duplicated boxes (IoU exactly 1), zero-area
+# boxes and equal IoUs are common
+_coord = st.sampled_from([0.0, 1.0, 2.0, 3.0])
+_size = st.sampled_from([0.0, 1.0, 2.0, 4.0])
+_box = st.tuples(_coord, _coord, _size, _size)
+
+
+def sized_lists(elements, max_size):
+    """Lists of a uniformly drawn length up to ``max_size``, so that crowded
+    cells, where the matching order decides, come up often."""
+    return st.integers(0, max_size).flatmap(
+        lambda n: st.lists(elements, min_size=n, max_size=n))
+
+
+def table2d(rows) -> Boxes2D:
+    """Boxes2D of (box, view id, class id) rows."""
+    return Boxes2D(np.array([r[0] for r in rows], dtype=np.float64).reshape(-1, 4),
+                   [r[1] for r in rows], [r[2] for r in rows])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # ground truth in views 0-1 and classes 0-1; predictions also in view 2,
+    # which has none, and class 2, which only predictions have
+    gt=sized_lists(st.tuples(_box, st.integers(0, 1), st.integers(0, 1)), 12),
+    preds=sized_lists(st.tuples(_box, st.integers(0, 2), st.integers(0, 2),
+                                st.sampled_from([0.2, 0.5, 0.9])), 18),
+    budget=BUDGETS,
+)
+def test_ap_array_pass_matches_pairwise_reference(gt, preds, budget):
+    thresholds = (0.0, 0.3, 0.5, 1.0)
+    scores = np.array([p[3] for p in preds])
+    with mock.patch.object(metrics, "TABLE_BUDGET", budget):
+        got = ap_2d(table2d(preds), scores, table2d(gt), thresholds)
+    assert got == ap_2d_pairwise_reference(table2d(preds), scores, table2d(gt), thresholds)
+
+
+RIGS = (make_surround_rig(6),
+        extend_rig(make_surround_rig(4), [CropRule(source_view_id=0, scale_rate=2.0)]))
+
+
+def with_awkward_boxes(det: Detections) -> Detections:
+    """``det`` plus exact copies of its first 3D box and its first two 2D
+    boxes, a zero-width copy of its first 2D box, and a copy of its first
+    2D box in view 99, which holds no ground truth."""
+    b2 = det.boxes2d
+    rect = np.concatenate([b2.rect, b2.rect[:2], b2.rect[:1] * [1, 1, 0, 1], b2.rect[:1]])
+    views = np.concatenate([b2.view_id, b2.view_id[:2], b2.view_id[:1], [99] * min(1, len(b2))])
+    classes = np.concatenate([b2.class_id, b2.class_id[:2], b2.class_id[:1], b2.class_id[:1]])
+    return scored(np.concatenate([det.boxes3d, det.boxes3d[:1]]),
+                  np.concatenate([det.classes3d, det.classes3d[:1]]),
+                  Boxes2D(rect, views, classes))
+
+
+@st.composite
+def scenes_and_detections(draw, max_scenes=3):
+    """Scenes over either of two rigs, each with no detections, exact ones
+    or noisy ones with relabelled copies and awkward boxes."""
+    scenes, dets = [], []
+    for frame_id in range(draw(st.integers(1, max_scenes))):
+        rig = draw(st.sampled_from(RIGS))
+        seed = draw(st.integers(0, 2**16))
+        scene = sample_scene(seed, rig, n_boxes=draw(st.integers(0, 8)), frame_id=frame_id)
+        kind = draw(st.sampled_from(["none", "exact", "noisy", "noisy"]))
+        if kind == "none":
+            det = Detections.empty()
+        else:
+            noise = OracleNoise() if kind == "exact" else OracleNoise(
+                drop_prob=0.3, jitter_px=6.0, jitter_m=0.6, drop_prob_3d=0.2, score_spread=0.5)
+            det = with_awkward_boxes(with_relabelled_copies(perturb(scene, noise, seed + 1)))
+        scenes.append(scene)
+        dets.append(det)
+    return scenes, dets
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=scenes_and_detections(), budget=BUDGETS)
+def test_aar_batch_equals_the_per_scene_reference_sum(case, budget):
+    scenes, dets = case
+    taus = (0.1, 0.5, 0.8)
+    with mock.patch.object(metrics, "TABLE_BUDGET", budget):
+        res = aar(dets, scenes, MatchParams(), taus=taus)
+    n2d = sum(len(s.gt2d) for s in scenes)
+    for (tau, a, r, c, v) in res.curve:
+        want = [aar_pairwise_reference(det, scene, tau) for det, scene in zip(dets, scenes)]
+        assert (c, v) == tuple(map(sum, zip(*want))), tau
+        assert (a, r) == (100.0 * v / c if c else 0.0, 100.0 * c / n2d if n2d else 0.0)
+    one_by_one = [aar(det, scene, taus=taus) for det, scene in zip(dets, scenes)]
+    assert (res.n_candidate, res.n_valid) == (sum(x.n_candidate for x in one_by_one),
+                                              sum(x.n_valid for x in one_by_one))
+
+
+def test_aar_projects_once_per_distinct_rig(monkeypatch):
+    # scenes 0 and 2 share a rig by content, not by object
+    scenes = [sample_scene(seed, list(RIGS[seed % 2]), n_boxes=6, frame_id=seed)
+              for seed in range(3)]
+    dets = [perturb(scene, OracleNoise(jitter_px=2.0), scene.seed) for scene in scenes]
+    calls = []
+    monkeypatch.setattr(metrics, "project_rig",
+                        lambda rig, anchors: calls.append(len(rig)) or project_rig(rig, anchors))
+    pooled = aar(dets, scenes)
+    assert sorted(calls) == [5, 6]
+    for tau, _, _, c, v in pooled.curve:
+        want = [aar_pairwise_reference(det, scene, tau) for det, scene in zip(dets, scenes)]
+        assert (c, v) == tuple(map(sum, zip(*want)))
+
+
+def test_aar_rejects_unequal_scene_and_frame_counts(rig6):
+    scene = sample_scene(0, rig6, n_boxes=3)
+    with pytest.raises(ValueError, match="2 detection frames for 1 scenes"):
+        aar([Detections.empty()] * 2, [scene])
+
+
+# ----------------------------------------------------- box order (metamorphic)
+
+def permuted(det: Detections, rng, order_3d=True, order_2d=True) -> Detections:
+    """``det`` with its 3D and/or 2D predictions in a random order."""
+    p3 = rng.permutation(len(det.boxes3d)) if order_3d else np.arange(len(det.boxes3d))
+    p2 = rng.permutation(len(det.boxes2d)) if order_2d else np.arange(len(det.boxes2d))
+    b2 = det.boxes2d
+    return Detections(det.boxes3d[p3], det.classes3d[p3], det.scores3d[p3],
+                      Boxes2D(b2.rect[p2], b2.view_id[p2], b2.class_id[p2]), det.scores2d[p2])
+
+
+def with_gt_rows_permuted(scene, rng):
+    """``scene`` with its 2D ground-truth rows (and their links) in a random order."""
+    p = rng.permutation(len(scene.gt2d))
+    gt = scene.gt2d
+    return Scene(seed=scene.seed, frame_id=scene.frame_id, anchors=scene.anchors,
+                 classes=scene.classes, gt2d=Boxes2D(gt.rect[p], gt.view_id[p], gt.class_id[p]),
+                 gt2d_link=scene.gt2d_link[p], rig=scene.rig)
+
+
+def metric_counts(det, scene, taus):
+    """Every threshold's (c, v) counts and the AP dict of one frame."""
+    counts = [(c, v) for _, _, _, c, v in aar(det, scene, taus=taus).curve]
+    return counts, ap_2d(det.boxes2d, det.scores2d, scene.gt2d, (0.3, 0.5, 0.75))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16), n_boxes=st.integers(1, 10), rig=st.sampled_from(RIGS),
+       perm_seed=st.integers(0, 2**16))
+def test_metrics_ignore_box_order(seed, n_boxes, rig, perm_seed):
+    # continuous jitter: no two ground truths at exactly the same IoU of a
+    # prediction; the copies come back scored 1, so the 2D boxes get
+    # distinct scores afresh
+    scene = sample_scene(seed, rig, n_boxes=n_boxes)
+    noise = OracleNoise(drop_prob=0.2, jitter_px=4.0, jitter_m=0.5)
+    det = with_relabelled_copies(perturb(scene, noise, seed + 1))
+    det = Detections(det.boxes3d, det.classes3d, det.scores3d, det.boxes2d,
+                     np.linspace(0.9, 0.1, len(det.boxes2d))[
+                         np.random.default_rng(seed).permutation(len(det.boxes2d))])
+    taus = metrics.DEFAULT_TAUS
+    want = metric_counts(det, scene, taus)
+    rng = np.random.default_rng(perm_seed)
+    assert metric_counts(permuted(det, rng, order_2d=False), scene, taus) == want
+    assert metric_counts(permuted(det, rng, order_3d=False), scene, taus) == want
+    assert metric_counts(det, with_gt_rows_permuted(scene, rng), taus) == want
+
 
 # ------------------------------------------------------------ detections JSON
 

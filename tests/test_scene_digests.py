@@ -18,6 +18,9 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
+
+from mvdet import cli
 from mvdet.cli import main as cli_main
 from test_golden_run import CONFIG as GOLDEN_CONFIG, GOLDEN, exact_digests
 
@@ -43,6 +46,15 @@ def run_digests(out_dir: Path) -> dict[str, str]:
 
 
 def test_many_scenes_shaped_run_matches_digests(tmp_path):
+    assert run_digests(tmp_path / "out") == json.loads(DIGESTS.read_text())
+
+
+@pytest.mark.parametrize("batch_rows", [64, 256, 1024, 4096])
+def test_batch_size_changes_no_file_outside_forward(tmp_path, monkeypatch, batch_rows):
+    # one, four, sixteen and sixty-four scenes per decoder pass over the
+    # 12 scenes: the scenes, allocations, predictions and metrics keep their
+    # bytes under every execution plan
+    monkeypatch.setattr(cli, "BATCH_ROWS", batch_rows)
     assert run_digests(tmp_path / "out") == json.loads(DIGESTS.read_text())
 
 
