@@ -63,7 +63,8 @@ def _setup_logging() -> None:
 
 
 def _parse_sweep(spec: str) -> list[float]:
-    """'0.1:0.9:0.1' -> [0.1, 0.2, ..., 0.9], IoU thresholds within [0, 1]."""
+    """'0.1:0.9:0.1' -> [0.1, 0.2, ..., 0.9], IoU thresholds within [0, 1],
+    each rounded to 10 digits.  Raises when that rounding repeats one."""
     try:
         lo, hi, step = (float(x) for x in spec.split(":"))
     except ValueError as exc:
@@ -71,7 +72,10 @@ def _parse_sweep(spec: str) -> list[float]:
     if not (0.0 <= lo <= hi <= 1.0 and step > 0):  # NaN fails too
         raise ValueError(f"bad sweep spec {spec!r}; expected 0 <= lo <= hi <= 1, step > 0")
     n = int(round((hi - lo) / step))
-    return [round(lo + i * step, 10) for i in range(n + 1)]
+    taus = [round(lo + i * step, 10) for i in range(n + 1)]
+    if len(set(taus)) < len(taus):
+        raise ValueError(f"bad sweep spec {spec!r}; step {step:g} repeats thresholds at 10 digits")
+    return taus
 
 
 def _iou_thresholds(values) -> list[float]:

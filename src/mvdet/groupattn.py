@@ -2,21 +2,24 @@
 
 A group id per 2D query (its camera, composed with its denoise part when
 denoising is active) keeps queries of different groups from attending to
-each other.  Grouped attention is evaluated group by group, so the output
-rows of one group depend only on that group's inputs -- perturbing or
-removing another group leaves them bit-identical.  ``build_mask`` spells
+each other.  Grouped attention stacks the groups of each size and runs
+them as one call with a leading group axis, every product and the row-max
+decision taken per group, so the output rows of one group depend only on
+that group's inputs -- perturbing or removing another group, or adding
+one of the same size, leaves them bit-identical.  ``build_mask`` spells
 the same rule out as a dense additive mask for reference checks.
 
 Attention computes in float32, as the paper's PyTorch model does by
 default: it casts its inputs to float32 and returns float64.  Dense
-attention (each group, or every row over ``kv``) runs blocks of query rows
-with all heads at once, through a score block of ``BLOCK_BUDGET`` elements
-sized so it stays in cache through the softmax and the value product.  It
-works in base 2 (q is scaled by log2(e)/sqrt(d), then ``exp2``), subtracts
-the row max only where a bound on the logits does not prove it unnecessary
+attention is one group of every row over ``kv``.  A call runs chunks of
+query rows of one group, or of several whole groups, with all heads at
+once, through a score block of ``BLOCK_BUDGET`` elements sized so it stays
+in cache through the softmax and the value product.  It works in base 2
+(q is scaled by log2(e)/sqrt(d), then ``exp2``), subtracts the row max only
+in a group where a bound on its logits does not prove it unnecessary
 (``needs_row_max``), and fuses the softmax into the value product (a ones
-column in V carries the row sum).  A call of two blocks or more projects
-q, k and v on the calling thread, then hands the second half of its blocks
+column in V carries the row sum).  A call of two chunks or more projects
+q, k and v on the calling thread, then hands the second half of its chunks
 to the one worker of a per-process ``ThreadPoolExecutor``.  A process that
 can use only one CPU runs it all on the calling thread, to the same bits.
 The result is bit-identical to a per-head loop over the same row blocks,
@@ -43,7 +46,8 @@ from ._kernels import bilinear_sample
 NEG_INF = -1e9
 
 # Elements of the score block (1 MiB, sized for L2): all h heads over
-# max(1, BLOCK_BUDGET // (h * M)) query rows, 36 rows at M = 900, h = 8.
+# max(1, BLOCK_BUDGET // (h * M)) query rows of a group, 36 rows at M = 900,
+# h = 8, or over as many whole groups of N <= that many rows as fit.
 BLOCK_BUDGET = 1 << 18
 
 # Attention skips the row max when every base-2 logit is at most
@@ -139,17 +143,24 @@ class RigFeatures:
 
 
 def _group_rows(group_of, n: int) -> list[np.ndarray]:
-    """The rows of each group of the ids ``group_of``, one per row of n:
-    ascending within a group, groups in ascending id order (a stable
-    argsort, split where the sorted id changes).  Raises when the ids do
-    not cover n rows or one is negative."""
+    """The groups of the ids ``group_of``, one per row of n, stacked by
+    size: one (G, r) array of row indices per distinct group size r, in
+    ascending size, its groups in ascending id order and each group's rows
+    ascending (a stable argsort, cut where the sorted id changes).  Raises
+    when the ids do not cover n rows or one is negative."""
     g = np.asarray(group_of, dtype=np.intp).reshape(-1)
     if g.shape[0] != n:
         raise ValueError(f"groups cover {g.shape[0]} queries, x has {n}")
     if g.size and g.min() < 0:
         raise ValueError("group id out of range")
+    if not n:
+        return []
     order = np.argsort(g, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(g[order])) + 1) if n else []
+    edges = [0, *(np.flatnonzero(np.diff(g[order])) + 1).tolist(), n]
+    firsts: dict[int, list[int]] = {}  # group size -> where each such group starts in order
+    for a, b in zip(edges, edges[1:]):
+        firsts.setdefault(b - a, []).append(a)
+    return [order[np.array(f)[:, None] + np.arange(r)] for r, f in sorted(firsts.items())]
 
 
 def build_mask(group_of, denoise=None) -> np.ndarray:
@@ -229,33 +240,38 @@ def _both(first, second) -> None:
     second()
 
 
-def _attend_blocks(q, k, v1, heads_out, starts, rows: int, shift: bool) -> None:
-    """The row blocks at ``starts`` of ``_attend``, through a score buffer
-    of their own; writes ``heads_out[:, s:s + rows]`` per block."""
-    n, d = q.shape[1], v1.shape[2] - 1
-    buf = np.empty((q.shape[0], min(rows, n), k.shape[2]), dtype=np.float32)
-    for s in starts:
-        e = min(n, s + rows)
-        scores = np.matmul(q[:, s:e], k, out=buf[:, : e - s])
-        if shift:
-            np.subtract(scores, scores.max(axis=-1, keepdims=True), out=scores)
+def _attend_blocks(q, k, v1, heads_out, chunks, per: int, rows: int, shift) -> None:
+    """The score chunks ``chunks`` of ``_attend``, through a score buffer of
+    their own for at most ``per`` groups of ``rows`` rows: chunk (j, je, s,
+    e) covers rows s:e of groups j:je and writes ``heads_out[j:je, :,
+    s:e]``.  ``shift``, None when no group needs it, is a (G, 1, 1, 1) mask
+    of the groups whose row max is subtracted."""
+    d = v1.shape[3] - 1
+    buf = np.empty((min(per, q.shape[0]), q.shape[1], rows, k.shape[3]), dtype=np.float32)
+    for j, je, s, e in chunks:
+        scores = np.matmul(q[j:je, :, s:e], k[j:je], out=buf[: je - j, :, : e - s])
+        if shift is not None:
+            np.subtract(scores, scores.max(axis=-1, keepdims=True), out=scores,
+                        where=shift[j:je])
         np.exp2(scores, out=scores)
-        num = scores @ v1
-        heads_out[:, s:e] = num[..., :d] / num[..., d:]
+        num = scores @ v1[j:je]
+        heads_out[j:je, :, s:e] = num[..., :d] / num[..., d:]
 
 
-def needs_row_max(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> bool:
-    """Whether attention must subtract the row max before exp2.
+def needs_row_max(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Whether attention must subtract the row max before exp2, per group.
 
-    q is (h, N, d), already scaled by log2(e)/sqrt(d); k is (h, d, M); v
-    holds the value entries; all float32.  Cauchy-Schwarz bounds each
-    base-2 logit s = q_i . k_j of every head by |s| <= B = max |q_i| *
-    max |k_j|, the largest norms of a query and of a key row of any head,
-    computed here in float64.  Rounding in the float32 product adds at most
-    gamma_d * B, where gamma_d = d u / (1 - d u) with u = 2**-24 is under
-    2**-9 for d <= 2**14; so with B <= SHIFT_FREE_LOGIT = 64 every computed
-    |s| < 65, and exp2(s) is a normal float32 in [2**-65, 2**65] that keeps
-    its full relative precision.  A numerator entry or row sum then adds M terms of at most
+    q is (G, h, N, d), already scaled by log2(e)/sqrt(d); k is (G, h, d,
+    M); v is (G, ...), each group's value entries; all float32.  Returns a
+    (G,) bool array, each entry decided from its own group's inputs alone.
+    Cauchy-Schwarz bounds each base-2 logit s = q_i . k_j of every head of a
+    group by |s| <= B = max |q_i| * max |k_j|, the largest norms of a query
+    and of a key row of any of its heads, computed here in float64.
+    Rounding in the float32 product adds at most gamma_d * B, where gamma_d
+    = d u / (1 - d u) with u = 2**-24 is under 2**-9 for d <= 2**14; so
+    with B <= SHIFT_FREE_LOGIT = 64 every computed |s| < 65, and exp2(s) is
+    a normal float32 in [2**-65, 2**65] that keeps its full relative
+    precision.  A numerator entry or row sum then adds M terms of at most
     2**65 * max(1, max|v|) in size: at most 2**125 when M * max(1, max|v|)
     <= SHIFT_FREE_MASS = 2**60.  Float32 summation inflates a sum of M
     terms by at most (1 + u)**M < e**2 < 8 for M < 2**25, which keeps every
@@ -264,53 +280,61 @@ def needs_row_max(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> bool:
     the softmax, so skipping it changes only rounding.  Any other input
     keeps the exact row max (``attention`` has rejected non-finite input).
     """
-    d, m = q.shape[2], k.shape[2]
-    q_norm = np.square(q, dtype=np.float64).sum(axis=2).max()
-    k_norm = np.square(k, dtype=np.float64).sum(axis=1).max()
-    bound = math.sqrt(q_norm * k_norm)
-    mass = m * max(1.0, float(np.abs(v).max()))
-    safe = d <= 1 << 14 and m < 1 << 25
-    return not (safe and bound <= SHIFT_FREE_LOGIT and mass <= SHIFT_FREE_MASS)
+    d, m = q.shape[3], k.shape[3]
+    if d > 1 << 14 or m >= 1 << 25:
+        return np.ones(q.shape[0], dtype=bool)
+    q_norm = np.square(q, dtype=np.float64).sum(axis=3).max(axis=(1, 2))
+    k_norm = np.square(k, dtype=np.float64).sum(axis=2).max(axis=(1, 2))
+    v_max = np.abs(v).reshape(v.shape[0], -1).max(axis=1)
+    return ((np.sqrt(q_norm * k_norm) > SHIFT_FREE_LOGIT)
+            | (m * np.maximum(1.0, v_max) > SHIFT_FREE_MASS))
 
 
 def _attend(x: np.ndarray, kv: np.ndarray, params: AttentionParams) -> np.ndarray:
-    """Multi-head softmax(QK^T / sqrt(d)) V of every row of float32 x over
-    float32 kv; returns float64.
+    """Multi-head softmax(QK^T / sqrt(d)) V of each group of float32 x (G,
+    N, C) over its own float32 kv (G, M, C); returns (G, N, C) float64.
 
-    Runs blocks of query rows, all heads at once, through a buffer of at
-    most BLOCK_BUDGET elements (at least one row): QK^T with q scaled by
-    log2(e)/sqrt(d) before its cast, minus the row max unless
-    ``needs_row_max`` proves it unnecessary, exp2 in place, and one product
-    with [v | 1] that yields the numerator and its row sum.  q, k and the
-    transpose of [v | 1] are stored head by head, as BLAS reads them
-    fastest.  With two blocks or more, the helper thread runs the second
-    half of the blocks through a buffer of its own; the blocks are those of
+    Projects q, k and v once for every group, then runs chunks of query
+    rows, all heads at once, through a buffer of at most BLOCK_BUDGET
+    elements: blocks of max(1, BLOCK_BUDGET // (h * M)) rows of one group,
+    or whole groups, as many as fit, when N is no more than that.  A chunk
+    takes QK^T with q scaled by log2(e)/sqrt(d) before its cast, minus the
+    row max in each group where ``needs_row_max`` does not prove it
+    unnecessary, exp2 in place, and one product with [v | 1] that yields
+    the numerator and its row sum.  q, k and the transpose of [v | 1] are
+    stored group by group and head by head, as BLAS reads them fastest,
+    and every product is one BLAS call per (group, head) over the rows of
+    a block.  With two chunks or more, the helper thread runs the second
+    half of the chunks through a buffer of its own; the chunks are those of
     the serial loop, so the result is the same bit for bit.
     """
-    n, c = x.shape
-    m, h = kv.shape[0], params.heads
+    g, n, c = x.shape
+    m, h = kv.shape[1], params.heads
     d = c // h
     if n == 0:  # nothing to normalise, even when kv is empty too
-        return np.empty((0, c))
-    out = np.empty((n, h, d))
-    rows = max(1, BLOCK_BUDGET // max(1, h * m))
-    starts = range(0, n, rows)
+        return np.empty((g, 0, c))
+    out = np.empty((g, n, h, d))
+    rows = min(n, max(1, BLOCK_BUDGET // max(1, h * m)))
+    per = max(1, BLOCK_BUDGET // max(1, h * rows * m))  # 1 when rows < n
+    chunks = [(j, min(g, j + per), s, min(n, s + rows))
+              for j in range(0, g, per) for s in range(0, n, rows)]
     scale = math.log2(math.e) / math.sqrt(d)
     q = np.ascontiguousarray(
-        (x @ params.w_q).reshape(n, h, d).transpose(1, 0, 2) * scale, dtype=np.float32)
-    k = np.ascontiguousarray((kv @ params.w_k).reshape(m, h, d).transpose(1, 2, 0),
+        (x @ params.w_q).reshape(g, n, h, d).transpose(0, 2, 1, 3) * scale, dtype=np.float32)
+    k = np.ascontiguousarray((kv @ params.w_k).reshape(g, m, h, d).transpose(0, 2, 3, 1),
                              dtype=np.float32)
-    v1 = np.ones((h, d + 1, m), dtype=np.float32)
-    v1[:, :d] = (kv @ params.w_v).reshape(m, h, d).transpose(1, 2, 0)
-    blocks = functools.partial(_attend_blocks, q, k, v1.transpose(0, 2, 1),
-                               out.transpose(1, 0, 2), rows=rows,
-                               shift=needs_row_max(q, k, v1[:, :d]))
-    if len(starts) > 1:
-        half = (len(starts) + 1) // 2
-        _both(functools.partial(blocks, starts[:half]), functools.partial(blocks, starts[half:]))
+    v1 = np.ones((g, h, d + 1, m), dtype=np.float32)
+    v1[:, :, :d] = (kv @ params.w_v).reshape(g, m, h, d).transpose(0, 2, 3, 1)
+    shift = needs_row_max(q, k, v1[:, :, :d])
+    blocks = functools.partial(_attend_blocks, q, k, v1.transpose(0, 1, 3, 2),
+                               out.transpose(0, 2, 1, 3), per=per, rows=rows,
+                               shift=shift[:, None, None, None] if shift.any() else None)
+    if len(chunks) > 1:
+        half = (len(chunks) + 1) // 2
+        _both(functools.partial(blocks, chunks[:half]), functools.partial(blocks, chunks[half:]))
     else:
-        blocks(starts)
-    return out.reshape(n, c)
+        blocks(chunks)
+    return out.reshape(g, n, c)
 
 
 def _finite_float32(a) -> np.ndarray:
@@ -333,13 +357,15 @@ def attention(
 
     Without ``groups`` every row attends over ``kv`` (default: x itself).
     With ``groups``, an integer group id per row of x, a row attends only
-    to the rows of x sharing its id; each group is evaluated on its own, so
-    its output rows depend only on that group's inputs -- perturbing or
-    removing another group leaves them bit-identical.  x and kv compute in
-    float32; the result is float64.  Raises on an entry that is not finite
-    in float32 (NaN, inf, or beyond the float32 range; fail fast), when C
-    is not divisible by the head count, on a groups/x length mismatch, on a
-    negative group id, and when both ``groups`` and ``kv`` are given.
+    to the rows of x sharing its id.  The groups of each size run as one
+    stacked call, each group through products and a row-max decision of
+    its own, so its output rows are those of the group attending alone --
+    perturbing or removing another group leaves them bit-identical.  x and
+    kv compute in float32; the result is float64.  Raises on an entry that
+    is not finite in float32 (NaN, inf, or beyond the float32 range; fail
+    fast), when C is not divisible by the head count, on a groups/x length
+    mismatch, on a negative group id, and when both ``groups`` and ``kv``
+    are given.
     """
     x = _finite_float32(x)
     if x.ndim != 2:
@@ -350,7 +376,7 @@ def attention(
     if x.shape[1] % params.heads:
         raise ValueError(f"channels {x.shape[1]} not divisible by heads {params.heads}")
     if groups is None:
-        return _attend(x, kv, params)
+        return _attend(x[None], kv[None], params)[0]
     out = np.empty(x.shape)
     for rows in _group_rows(groups, x.shape[0]):
         xr = x[rows]
@@ -401,7 +427,8 @@ def ref_point_cross_attention(
     groups = _group_rows(view_of, m)
     mixed = sample_views(features, view_of, ref_points, params)
     out = np.zeros((m, params.w_proj.shape[1]))
-    # one product per camera group: BLAS may round a product over more rows differently
+    # one BLAS product per camera group, as matmul runs one per group of a
+    # stack: BLAS may round a product over more rows differently
     for rows in groups:
         out[rows] = mixed[rows] @ params.w_proj
     return out

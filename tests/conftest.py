@@ -7,7 +7,7 @@ import pytest
 
 from mvdet._kernels import box_points, iou_matrix, project_points
 from mvdet.geometry import EPS_DEPTH, Boxes2D, CameraView, make_surround_rig, project_rig
-from mvdet.groupattn import RigFeatures, softmax_rows
+from mvdet.groupattn import RigFeatures, attention, softmax_rows
 from mvdet.metrics import Detections, MatchParams
 from mvdet.simulator import Scene
 
@@ -259,6 +259,19 @@ def float64_attention(x, params, *, groups=None, kv=None):
     for gid in np.unique(groups):
         rows = groups == gid
         out[rows] = per_head_reference(x[rows], x[rows], params)
+    return out
+
+
+def per_group_attention(x, params, *, groups=None, kv=None):
+    """``groupattn.attention`` with each group of ``groups`` run as its own
+    dense call, the loop that stacking the groups of a size replaced."""
+    if groups is None:
+        return attention(x, params, kv=kv)
+    x, groups = np.asarray(x), np.asarray(groups)
+    out = np.empty(x.shape)
+    for gid in np.unique(groups):
+        rows = np.flatnonzero(groups == gid)
+        out[rows] = attention(x[rows], params)
     return out
 
 

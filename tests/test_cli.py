@@ -222,13 +222,6 @@ def test_eval_aar_zero_noise_perfect(tmp_path, sim_dir, capsys):
         assert float(recall) == 100.0
 
 
-def test_eval_aar_counts_a_repeated_threshold_once(tmp_path, sim_dir):
-    # a step below the sweep's 10-digit rounding repeats 0.5; every row
-    # keeps the counts of 0.5 alone
-    once = zero_noise_aar_lines(tmp_path, sim_dir, "0.5:0.5:0.1")
-    assert zero_noise_aar_lines(tmp_path, sim_dir, "0.5:0.5000000000003:0.0000000000001") == once * 4
-
-
 def test_eval_ap(tmp_path, sim_dir):
     from mvdet.simulator import load_scene, perturb
 
@@ -262,12 +255,16 @@ def test_eval_ap(tmp_path, sim_dir):
          "'-0.5:0.5:0.5'; expected 0 <= lo <= hi <= 1, step > 0"),
         ("eval-aar", "--tau-iou-sweep=0.1:nan:0.1", "--tau-iou-sweep: bad sweep spec "
          "'0.1:nan:0.1'; expected 0 <= lo <= hi <= 1, step > 0"),
+        # a step below the sweep's 10-digit rounding would write 0.5 four times
+        ("eval-aar", "--tau-iou-sweep=0.5:0.5000000000003:0.0000000000001",
+         "--tau-iou-sweep: bad sweep spec '0.5:0.5000000000003:0.0000000000001'; "
+         "step 1e-13 repeats thresholds at 10 digits"),
         ("eval-aar", "--tau-dis=nan", "--tau-dis: tau_dis must be finite, got nan"),
         ("eval-aar", "--tau-dis=inf", "--tau-dis: tau_dis must be finite, got inf"),
         ("eval-aar", "--tau-dis=0", "--tau-dis: tau_dis must be positive"),
     ],
     ids=["iou_1.5", "iou_nan", "iou_negative", "iou_not_a_number", "sweep_above_1",
-         "sweep_below_0", "sweep_nan", "tau_dis_nan", "tau_dis_inf", "tau_dis_0"],
+         "sweep_below_0", "sweep_nan", "sweep_repeats", "tau_dis_nan", "tau_dis_inf", "tau_dis_0"],
 )
 def test_eval_rejects_thresholds_out_of_range(tmp_path, sim_dir, capsys, command, arg, message):
     pred = tmp_path / "pred.json"
@@ -985,6 +982,9 @@ def test_run_rejects_jobs_below_one(tmp_path, capsys, jobs):
         pytest.param({"tau_dis": math.nan}, "tau_dis must be finite, got nan", id="tau_dis_nan"),
         pytest.param({"tau_iou_sweep": "0.5:1.5:0.5"}, "bad sweep spec '0.5:1.5:0.5'; "
                      "expected 0 <= lo <= hi <= 1, step > 0", id="tau_iou_sweep_above_1"),
+        pytest.param({"tau_iou_sweep": "0.5:0.5000000000003:0.0000000000001"},
+                     "bad sweep spec '0.5:0.5000000000003:0.0000000000001'; "
+                     "step 1e-13 repeats thresholds at 10 digits", id="tau_iou_sweep_repeats"),
         pytest.param({"views": 0}, "empty rig", id="views_0"),
         pytest.param({"crop_rules": [{"source_view_id": 99}]}, "rule references unknown view 99",
                      id="crop_source"),

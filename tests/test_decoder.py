@@ -359,6 +359,34 @@ def test_forward_scenes_keeps_scenes_apart_bitwise(rig6):
         assert all(same) if j != target else not all(same), j
 
 
+def test_forward_scenes_ignores_view_id_labels(rig6):
+    # the many-scenes rig (crops of views 0 and 3) with its view ids
+    # relabelled to sparse, shuffled values: the composed (scene, camera)
+    # group ids change order and spacing, and 16 scenes keep every head
+    # output's bits
+    rig = extend_rig(rig6, [CropRule(source_view_id=0, scale_rate=2.0),
+                            CropRule(source_view_id=3, scale_rate=2.0)])
+    new_id = dict(zip((v.view_id for v in rig), [40, 3, 17, 11, 90, 5, 63, 21], strict=True))
+    relabelled = [dataclasses.replace(v, view_id=new_id[v.view_id]) for v in rig]
+    scenes = [sample_scene(seed, rig, n_boxes=20) for seed in range(16)]
+    outs = []
+    for views in (rig, relabelled):
+        dec = HybridDecoder(DecoderConfig(n_queries=64, channels=32, heads=4), views)
+        feats = blank_features(views, (8, 16), len(scenes))
+        for slot, scene in enumerate(scenes):
+            render_features(scene, views, (8, 16), into=feats, slot=slot)
+        outs.append(dec.forward_scenes(feats, dec.initial_queries(), len(scenes))[0])
+    for want, got in zip(*outs, strict=True):
+        for w, g in zip(want.layers_2d, got.layers_2d, strict=True):
+            mapped = [new_id[v] for v in w.mapping.camera_of_col.tolist()]
+            assert g.mapping.camera_of_col.tolist() == mapped
+            assert all(same_bits(getattr(w, name), getattr(g, name))
+                       for name in ("boxes2d", "logits", "alphas"))
+        for w, g in zip(want.layers_3d + want.agg_taps, got.layers_3d + got.agg_taps, strict=True):
+            assert same_bits(w.boxes3d, g.boxes3d) and same_bits(w.logits, g.logits)
+    assert sum(o.layers_2d[-1].mapping.n_2d for o in outs[0]) > 64  # the 2D path is busy
+
+
 def test_forward_scenes_errors(rig6):
     rig, dec, _, feats = scene_batch(rig6, 2)
     queries = dec.initial_queries()

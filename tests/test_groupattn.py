@@ -287,6 +287,87 @@ def test_group_isolation_bitwise():
         assert np.array_equal(out[rows], attention(x[rows], params))
 
 
+def test_group_rows_stack_groups_by_size():
+    # one (G, r) array per size, ascending; ids ascending within a size
+    ids = [5, 2, 5, 9, 2, 7, 4, 4, 4]
+    buckets = groupattn._group_rows(ids, len(ids))
+    assert [b.tolist() for b in buckets] == [[[5], [3]], [[1, 4], [0, 2]], [[6, 7, 8]]]
+    assert groupattn._group_rows([], 0) == []
+
+
+def test_grouped_attention_leaves_numpy_ma_out():
+    # splitting groups by size must not import numpy.ma (np.unique does,
+    # about 1 MB of peak RSS in a run)
+    script = """
+import sys
+import numpy as np
+from mvdet import groupattn
+x = np.random.default_rng(0).standard_normal((12, 8))
+groupattn.attention(x, groupattn.AttentionParams.seeded(8, 2, np.random.default_rng(1)),
+                    groups=[3, 3, 1, 7, 1, 3, 9, 9, 9, 7, 1, 3])
+print("numpy.ma" in sys.modules)
+"""
+    src = str(Path(groupattn.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.sampled_from([1, 2, 3, 5, 8, 40]), min_size=1, max_size=9),
+    heads=st.sampled_from([1, 2, 4]),
+    budget=st.sampled_from([BLOCK_BUDGET, 300, 1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_groups_keep_each_groups_bits(sizes, heads, budget, seed):
+    # groups of repeated sizes under sparse, shuffled ids, some of one row;
+    # a budget of 300 or 1 cuts the larger groups into several row blocks.
+    # The last group repeats the first one's size with entries large enough
+    # to need the row max, which its bucket-mates do not.  Each group's rows
+    # equal that group attending alone, bit for bit.
+    rng = np.random.default_rng(seed)
+    sizes = sizes + sizes[:1]
+    ids = rng.choice(10_000, size=len(sizes), replace=False)
+    g = np.repeat(ids, sizes)
+    x = 0.5 * rng.standard_normal((g.size, 8))
+    x[g == ids[-1]] *= 200.0
+    order = rng.permutation(g.size)
+    g, x = g[order], x[order]
+    params = AttentionParams.seeded(8, heads, rng)
+    shifts, needs_row_max = [], groupattn.needs_row_max
+
+    def recording(q, k, v):
+        shifts.append(needs_row_max(q, k, v))
+        return shifts[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groupattn, "BLOCK_BUDGET", budget)
+        mp.setattr(groupattn, "needs_row_max", recording)
+        out = attention(x, params, groups=g)
+        assert any(s.any() and not s.all() for s in shifts)
+        for gid in ids:
+            rows = g == gid
+            assert np.array_equal(out[rows], attention(x[rows], params))
+
+
+def test_equal_groups_share_one_score_product(monkeypatch):
+    # a batch's 3D self-attention: 16 scenes of 64 queries, 32 channels and
+    # 4 heads fit one score block, so the call makes a single QK^T product
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((16 * 64, 32))
+    params = AttentionParams.seeded(32, 4, rng)
+    products = []
+    monkeypatch.setattr(np, "matmul", recording_threads(np.matmul, products))
+    got = attention(x, params, groups=np.repeat(np.arange(16), 64))
+    monkeypatch.undo()
+    assert len(products) == 1
+    for j in range(16):
+        rows = slice(64 * j, 64 * (j + 1))
+        assert np.array_equal(got[rows], attention(x[rows], params))
+
+
 # ------------------------------------------------------ dense attention
 
 @settings(max_examples=60, deadline=None)
@@ -610,8 +691,8 @@ def test_float32_row_max_when_values_are_large():
     q = (x @ params.w_q).reshape(40, 2, 4).transpose(1, 0, 2).astype(np.float32)
     k = (x @ params.w_k).reshape(40, 2, 4).transpose(1, 2, 0).astype(np.float32)
     v = (x @ params.w_v).astype(np.float32)
-    assert not groupattn.needs_row_max(q * 0.01, k, v)
-    assert groupattn.needs_row_max(q * 0.01, k, v * 2.0**60)
+    assert not groupattn.needs_row_max(q[None] * 0.01, k[None], v[None])
+    assert groupattn.needs_row_max(q[None] * 0.01, k[None], v[None] * 2.0**60)
     got = attention(x, big)
     assert np.isfinite(got).all()
     assert np.array_equal(got, fused_per_head_reference(x, x, big))

@@ -6,13 +6,15 @@ at a twelfth of its length: preset F with 64 queries, 32 channels and 4
 heads, two crop views, 20 boxes per scene and 12 scenes.  Every artifact
 outside ``forward/`` (scenes, allocations, predictions, metrics) is compared
 byte for byte against the SHA-256 digests in
-``golden/many_scenes_digests.json``.
+``golden/many_scenes_digests.json``.  ``forward/`` is compared between two
+runs in one process, under execution plans that must keep its bytes.
 
 After a deliberate change of those artifacts, regenerate the digests with
 ``PYTHONPATH=src python tests/test_scene_digests.py --update`` and say why
 in CHANGES.md.
 """
 
+import hashlib
 import json
 import sys
 import tempfile
@@ -20,8 +22,9 @@ from pathlib import Path
 
 import pytest
 
-from mvdet import cli
+from mvdet import aggregation, cli, decoder
 from mvdet.cli import main as cli_main
+from conftest import per_group_attention
 from test_golden_run import CONFIG as GOLDEN_CONFIG, GOLDEN, exact_digests
 
 DIGESTS = GOLDEN / "many_scenes_digests.json"
@@ -56,6 +59,30 @@ def test_batch_size_changes_no_file_outside_forward(tmp_path, monkeypatch, batch
     # bytes under every execution plan
     monkeypatch.setattr(cli, "BATCH_ROWS", batch_rows)
     assert run_digests(tmp_path / "out") == json.loads(DIGESTS.read_text())
+
+
+def test_forward_keeps_its_bytes_with_attention_group_by_group(tmp_path, monkeypatch):
+    # the decoder's grouped attention (2D camera groups, 3D self-attention
+    # and aggregate within each scene) stacks the groups of a size; one
+    # dense call per group writes every file, forward/ included, with the
+    # same bytes
+    run_digests(tmp_path / "stacked")
+    grouped = []
+
+    def recording(x, params, *, groups=None, kv=None):
+        grouped.append(groups is not None)
+        return per_group_attention(x, params, groups=groups, kv=kv)
+
+    monkeypatch.setattr(decoder, "attention", recording)
+    monkeypatch.setattr(aggregation, "attention", recording)
+    run_digests(tmp_path / "per_group")
+    stacked, per_group = (
+        {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+         for p in sorted(out.rglob("*")) if p.is_file()}
+        for out in (tmp_path / "stacked", tmp_path / "per_group"))
+    assert sum(name.startswith("forward/") for name in stacked) == CONFIG["seeds"]["scenes"]
+    assert all(grouped) and len(grouped) > 0
+    assert stacked == per_group
 
 
 if __name__ == "__main__":
