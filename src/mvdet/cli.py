@@ -36,7 +36,7 @@ from .denoising import (
     restore_3d,
 )
 from .geometry import (
-    Boxes2D, anchors_to_array, dump_json, json_text, load_json, load_rig, make_surround_rig,
+    Boxes2D, anchors_to_array, dump_json, json_bytes, load_json, load_rig, make_surround_rig,
     naming_file, save_rig,
 )
 from .groupattn import AttentionParams, attention
@@ -513,32 +513,90 @@ def _batch_results(payloads: list[tuple], jobs: int):
         pool.shutdown(cancel_futures=True)
 
 
-def _write_scene(out_dir: Path, result: tuple) -> str:
-    """Write the scene, allocation, head-output and prediction files of one
-    scene; returns the scene file's text (for gt_scenes.json)."""
+def _write_scene(out_dir: str, result: tuple) -> tuple[bytes, list[tuple[str, bytes]]]:
+    """Encode the scene, allocation, head-output and prediction files of one
+    scene under ``out_dir``; returns the scene file's bytes (for
+    gt_scenes.json) and the four (path, bytes) writes, which ``cmd_run``
+    hands to its writer thread."""
     scene, alloc, head_out, det = result
-    scene_text = json_text(scene.to_json_obj())
+    scene_bytes = json_bytes(scene.to_json_obj())
     name = f"{scene.frame_id:04d}.json"
-    (out_dir / "scenes" / f"scene_{name}").write_text(scene_text)
-    dump_json(alloc.to_json_obj(), out_dir / "alloc" / f"alloc_{name}")
-    dump_json(head_out.to_json_obj(), out_dir / "forward" / f"forward_{name}")
-    dump_json(detections_to_json_obj({scene.frame_id: det}), out_dir / "pred" / f"pred_{name}")
-    return scene_text
+    return scene_bytes, [
+        (f"{out_dir}/scenes/scene_{name}", scene_bytes),
+        (f"{out_dir}/alloc/alloc_{name}", json_bytes(alloc.to_json_obj())),
+        (f"{out_dir}/forward/forward_{name}", json_bytes(head_out.to_json_obj())),
+        (f"{out_dir}/pred/pred_{name}",
+         json_bytes(detections_to_json_obj({scene.frame_id: det}))),
+    ]
+
+
+def _write_files(writes: collections.deque) -> None:
+    """Write each (path, bytes) pair in order, taking it off ``writes`` so
+    that its bytes are freed once written; stop at the first failure,
+    re-raised as an OSError that names its path."""
+    while writes:
+        path, data = writes.popleft()
+        try:
+            with open(path, "wb") as f:
+                f.write(data)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from exc
+
+
+@contextlib.contextmanager
+def _file_writer():
+    """Yield ``queue(writes)``, which hands a batch's deque of (path, bytes)
+    writes to one thread of its own (``mvdet-writer``), where they run in
+    order.
+
+    File creation is kernel time that releases the GIL, so the writes of
+    batch k overlap the computing of batch k+1.  ``queue`` first waits for
+    the writes queued before, so at most one batch's files are in flight,
+    and re-raises their first failure.  Leaving the block waits for the
+    last writes and joins the thread, also when the block fails; a write
+    failure then takes the place of the block's error, which it chains.
+    The executor is made on the first ``queue``, after a process pool that
+    ``run`` starts has forked its workers.
+    """
+    pool, pending = None, None
+
+    def drain() -> None:
+        nonlocal pending
+        if pending is not None:
+            done, pending = pending, None
+            done.result()
+
+    def queue(writes: collections.deque) -> None:
+        nonlocal pool, pending
+        drain()
+        if pool is None:
+            pool = concurrent.futures.ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="mvdet-writer")
+        pending = pool.submit(_write_files, writes)
+
+    try:
+        yield queue
+    finally:
+        try:
+            drain()
+        finally:
+            if pool is not None:
+                pool.shutdown()
 
 
 @contextlib.contextmanager
 def _scene_set(path: Path):
     """Write ``path`` as a compact scene set, one scene at a time: yields a
-    function that appends one scene's compact JSON text.  The file holds the
+    function that appends one scene's compact JSON bytes.  The file holds the
     bytes ``dump_json`` writes for the whole set; a failed block removes it."""
-    with open(path, "w") as f:
-        f.write('{"format":"mvdet-scene-set/1","scenes":[')
-        separator = ""
+    with open(path, "wb") as f:
+        f.write(b'{"format":"mvdet-scene-set/1","scenes":[')
+        separator = b""
 
-        def add(scene_text: str) -> None:
+        def add(scene_bytes: bytes) -> None:
             nonlocal separator
-            f.write(separator + scene_text.rstrip("\n"))
-            separator = ","
+            f.write(separator + scene_bytes.rstrip(b"\n"))
+            separator = b","
 
         try:
             yield add
@@ -546,7 +604,7 @@ def _scene_set(path: Path):
             f.close()
             path.unlink()
             raise
-        f.write("]}\n")
+        f.write(b"]}\n")
 
 
 # The keys a run config may hold; those of its sections as "section.key".
@@ -565,6 +623,22 @@ def _check_run_keys(cfg: dict, source) -> None:
 
 
 def cmd_run(args) -> int:
+    """The whole pipeline over a run config: decode the scenes in batches,
+    write each scene's four files, then score every scene at once.
+
+    The main thread computes the batches (``--jobs 1``) or merges them from
+    the worker processes, in order, and encodes each scene's files as
+    bytes.  A batch's writes then go to the ``mvdet-writer`` thread, in
+    scene order, while the next batch is computed; at most one batch's
+    files are in flight (``_file_writer``).  The writer is drained before
+    the metrics and, on a failure, before the error propagates and before
+    ``_scene_set`` removes gt_scenes.json, so the files of the scenes
+    written before the failure stay.  The run's threads are the main
+    thread, the attention helper (``mvdet-attention``, one per process, see
+    ``groupattn``) and the writer, which is made after a ``--jobs`` pool
+    has forked its workers and is joined before this returns; a ``--jobs``
+    pool adds its own manager thread.
+    """
     if args.seed is not None and args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
     if args.jobs < 1:
@@ -619,13 +693,20 @@ def cmd_run(args) -> int:
              decoder, queries, prefix, noise, n_boxes)
             for first in range(0, n_scenes, per_batch)
         ]
-        with contextlib.closing(_batch_results(payloads, args.jobs)) as batches:
+        with contextlib.closing(_batch_results(payloads, args.jobs)) as batches, \
+                _file_writer() as queue_writes:
             for batch in batches:
+                writes = collections.deque()
                 for result in batch:
                     scenes.append(result[0])
                     det_by_frame[result[0].frame_id] = result[3]
-                    add_scene(_write_scene(out_dir, result))
-                del batch, result  # let them go before the next batch is computed
+                    scene_bytes, scene_writes = _write_scene(str(out_dir), result)
+                    add_scene(scene_bytes)
+                    writes += scene_writes
+                queue_writes(writes)
+                # let them go before the next batch is computed; the writer
+                # frees each file's bytes once written
+                del batch, result, writes, scene_bytes, scene_writes
 
     rows = _aar_curve_rows(scenes, det_by_frame, params, taus)
     _write_csv(_aar_csv_lines(rows), str(out_dir / "metrics" / "aar_curve.csv"))

@@ -326,8 +326,8 @@ def naming_file(source):
         raise ValueError(f"{prefix}{exc}") from exc
 
 
-def json_text(obj, *, indent: bool = False) -> str:
-    """``obj`` as JSON text and a newline: compact, or indented by two
+def json_bytes(obj, *, indent: bool = False) -> bytes:
+    """``obj`` as UTF-8 JSON and a newline: compact, or indented by two
     spaces with ``indent``.
 
     Floats are written in their shortest round-tripping form, NaN and
@@ -338,17 +338,17 @@ def json_text(obj, *, indent: bool = False) -> str:
 
     option = orjson.OPT_APPEND_NEWLINE | orjson.OPT_SERIALIZE_NUMPY
     option |= orjson.OPT_INDENT_2 if indent else 0
-    return orjson.dumps(obj, option=option).decode()
+    return orjson.dumps(obj, option=option)
 
 
 def dump_json(obj, path: str | Path | None, *, indent: bool = False) -> None:
-    """Write ``json_text(obj, indent=indent)`` to ``path``, or to stdout
-    when ``path`` is None."""
-    text = json_text(obj, indent=indent)
+    """Write ``json_bytes(obj, indent=indent)`` to ``path``, or its text to
+    stdout when ``path`` is None."""
+    data = json_bytes(obj, indent=indent)
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.write(data.decode())
     else:
-        Path(path).write_text(text)
+        Path(path).write_bytes(data)
 
 
 def save_rig(views: Sequence[CameraView], path: str | Path, derived_rules=None) -> None:

@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -601,6 +602,7 @@ def test_run_jobs_parallel_matches_serial(tmp_path):
 
 FORKED_RUN = """
 import sys
+import threading
 from mvdet import cli, groupattn
 groupattn.usable_cpus = lambda: 2
 groupattn.BLOCK_BUDGET = 4 * 24 * 5  # five-row blocks: the prefix's dense call uses the helper
@@ -948,6 +950,41 @@ def test_run_failure_in_a_decoder_pass_names_its_scenes(tmp_path, monkeypatch, j
         cli.cmd_run(cli.build_parser().parse_args(argv))
     assert isinstance(info.value.__cause__, InjectedFailure)
     assert not (tmp_path / "x" / "gt_scenes.json").exists()  # no partial scene set is left
+
+
+def writer_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name.startswith("mvdet-writer")]
+
+
+@pytest.mark.parametrize("n_queries", [24, 512], ids=["one_batch", "two_batches"])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_run_write_failure_names_its_path(tmp_path, capsys, jobs, n_queries):
+    # scene 1's forward file cannot be created: the run fails naming it, keeps
+    # scene 0's files, leaves no scene set, and its writer thread ends with it;
+    # at 512 queries scenes 0-1 and 2 are two batches, so the failure surfaces
+    # when the second batch's writes are queued
+    from mvdet import cli
+
+    decoder = {"n_queries": n_queries, "channels": 16, "heads": 4, "feature_channels": 8,
+               "seed": 1}
+    cfg = run_config(tmp_path, seeds={"base": 5, "scenes": 3}, decoder=decoder)
+    out = tmp_path / "out"
+    blocked = out / "forward" / "forward_0001.json"
+    blocked.mkdir(parents=True)
+    argv = ["run", "--config", str(cfg), "--out", str(out), "--jobs", jobs]
+    assert run_cli(*argv) == 1
+    assert str(blocked) in capsys.readouterr().err
+    for kind, sub in (("scene", "scenes"), ("alloc", "alloc"), ("forward", "forward"),
+                      ("pred", "pred")):
+        assert (out / sub / f"{kind}_0000.json").is_file(), kind
+    assert not (out / "gt_scenes.json").exists()
+    with pytest.raises(IsADirectoryError) as info:
+        cli.cmd_run(cli.build_parser().parse_args(argv))
+    assert info.value.filename == str(blocked)
+    assert not writer_threads()
+    blocked.rmdir()
+    assert cli.cmd_run(cli.build_parser().parse_args(argv)) == 0
+    assert not writer_threads()
 
 
 def test_run_rejects_negative_seed(tmp_path, capsys):
