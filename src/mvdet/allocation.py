@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import CameraView, RigProjection, anchors_to_array, project_rig
+from .geometry import CameraView, RigProjection, anchors_to_array, integer, project_rig
 
 
 @dataclass(frozen=True)
@@ -29,9 +29,14 @@ class AllocationLimits:
     size_clamp: tuple[float, float, float] = (35.0, 35.0, 10.0)
 
     def __post_init__(self):
-        if self.max_truncated_per_camera <= 0:
+        cap = integer(self.max_truncated_per_camera, "max_truncated_per_camera")
+        object.__setattr__(self, "max_truncated_per_camera", cap)
+        object.__setattr__(self, "size_clamp", tuple(self.size_clamp))
+        if cap <= 0:
             raise ValueError("max_truncated_per_camera must be positive")
-        if any(s <= 0 for s in self.size_clamp):
+        if len(self.size_clamp) != 3:
+            raise ValueError(f"size clamp must hold 3 values, got {len(self.size_clamp)}")
+        if not all(s > 0 for s in self.size_clamp):  # NaN fails too
             raise ValueError("size clamp values must be positive")
 
 

@@ -36,8 +36,8 @@ from .denoising import (
     restore_3d,
 )
 from .geometry import (
-    Boxes2D, anchors_to_array, dump_json, json_bytes, load_json, load_rig, make_surround_rig,
-    naming_file, save_rig,
+    Boxes2D, anchors_to_array, dump_json, integer, json_bytes, load_json, load_rig,
+    make_surround_rig, naming_file, reject_unknown_keys, save_rig,
 )
 from .groupattn import AttentionParams, attention
 from .metrics import (
@@ -62,17 +62,22 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+# The IoU thresholds of an AAR curve, as ``_parse_sweep`` reads them.
+TAU_IOU_SWEEP = "0.1:0.9:0.1"
+
+
 def _parse_sweep(spec: str) -> list[float]:
-    """'0.1:0.9:0.1' -> [0.1, 0.2, ..., 0.9], IoU thresholds within [0, 1],
-    each rounded to 10 digits.  Raises when that rounding repeats one."""
+    """'0.1:0.9:0.1' -> [0.1, 0.2, ..., 0.9]: IoU thresholds from lo in whole
+    steps, none above hi, within [0, 1], each rounded to 10 digits.  Raises
+    when that rounding repeats one."""
     try:
         lo, hi, step = (float(x) for x in spec.split(":"))
     except ValueError as exc:
         raise ValueError(f"bad sweep spec {spec!r}; expected lo:hi:step") from exc
     if not (0.0 <= lo <= hi <= 1.0 and step > 0):  # NaN fails too
         raise ValueError(f"bad sweep spec {spec!r}; expected 0 <= lo <= hi <= 1, step > 0")
-    n = int(round((hi - lo) / step))
-    taus = [round(lo + i * step, 10) for i in range(n + 1)]
+    n = int((hi - lo) / step + 1e-9)  # the floor, but (0.9 - 0.1) / 0.1 is 7.999999999999999
+    taus = [min(round(lo + i * step, 10), hi) for i in range(n + 1)]
     if len(set(taus)) < len(taus):
         raise ValueError(f"bad sweep spec {spec!r}; step {step:g} repeats thresholds at 10 digits")
     return taus
@@ -160,22 +165,15 @@ def cmd_allocate(args) -> int:
 _DECODER_KEYS = {"preset", *DecoderConfig().to_json_obj()}
 
 
-def _reject_unknown_keys(keys, allowed, source, command: str) -> None:
-    """Raise on the first key not in ``allowed``, naming the file and the key."""
-    unknown = [key for key in keys if key not in allowed]
-    if unknown:
-        raise ValueError(f"{source}: unknown {command} config key {unknown[0]!r}")
-
-
-def _decoder_from_config(obj: dict, source) -> DecoderConfig:
+def _decoder_from_config(obj: dict) -> DecoderConfig:
     """The decoder of a forward config: a "decoder" section or, without one,
     decoder keys at the top level; "rig" may stand beside either."""
     if "decoder" in obj:
-        _reject_unknown_keys(obj, {"decoder", "rig"}, source, "forward")
-        _reject_unknown_keys(obj["decoder"], _DECODER_KEYS, source, "forward")
+        reject_unknown_keys(obj, {"decoder", "rig"}, "forward config")
+        reject_unknown_keys(obj["decoder"], _DECODER_KEYS, "forward config")
         return DecoderConfig.from_json_obj(obj["decoder"])
-    _reject_unknown_keys(obj, {"rig", *_DECODER_KEYS}, source, "forward")
-    return DecoderConfig.from_json_obj(obj)
+    reject_unknown_keys(obj, {"rig", *_DECODER_KEYS}, "forward config")
+    return DecoderConfig.from_json_obj({k: v for k, v in obj.items() if k != "rig"})
 
 
 def _feature_scales(config: DecoderConfig) -> tuple[int, ...]:
@@ -186,7 +184,7 @@ def _feature_scales(config: DecoderConfig) -> tuple[int, ...]:
 def cmd_forward(args) -> int:
     cfg_obj = load_json(args.config)
     with naming_file(args.config):
-        config = _decoder_from_config(cfg_obj, args.config)
+        config = _decoder_from_config(cfg_obj)
     scene = load_scene(args.scene)
     if cfg_obj.get("rig"):
         rig = load_extended_rig(cfg_obj["rig"])
@@ -616,10 +614,16 @@ _RUN_KEYS = {
 }
 
 
-def _check_run_keys(cfg: dict, source) -> None:
-    """Reject a key the run config does not read, naming the file and the key."""
+def _check_run_keys(cfg: dict) -> None:
+    """Reject a key the run config does not read, naming the key."""
     keys = [*cfg, *(f"{s}.{k}" for s in ("seeds", "noise", "decoder") for k in cfg.get(s, {}))]
-    _reject_unknown_keys(keys, _RUN_KEYS, source, "run")
+    reject_unknown_keys(keys, _RUN_KEYS, "run config")
+
+
+def _config_int(value, name: str) -> int:
+    """Run config value ``name`` as an int: an integer, or a string that
+    ``int`` reads; a bool or a float raises."""
+    return int(value) if isinstance(value, str) else integer(value, name)
 
 
 def cmd_run(args) -> int:
@@ -645,28 +649,29 @@ def cmd_run(args) -> int:
         raise ValueError(f"--jobs must be positive, got {args.jobs}")
     cfg = load_json(args.config)
     with naming_file(args.config):
-        _check_run_keys(cfg, args.config)
+        _check_run_keys(cfg)
         decoder_obj = dict(cfg.get("decoder", {}))
         top, inner = cfg.get("preset"), decoder_obj.get("preset")
         if None not in (top, inner) and top != inner:
             raise ValueError(f"preset {top!r} and decoder.preset {inner!r} differ")
         preset = decoder_obj["preset"] = inner if top is None else top
         config = DecoderConfig.from_json_obj(decoder_obj)
-        n_views = int(cfg.get("views", 6))
+        n_views = _config_int(cfg.get("views", 6), "views")
         rules = [CropRule.from_json_obj(r) for r in cfg.get("crop_rules", [])]
         seeds = cfg.get("seeds", {})
-        base_seed = int(seeds.get("base", 0)) if args.seed is None else args.seed
+        base_seed = _config_int(seeds.get("base", 0), "seeds.base")
+        base_seed = base_seed if args.seed is None else args.seed
         if base_seed < 0:
             raise ValueError(f"seeds.base must be non-negative, got {base_seed}")
-        n_scenes = int(seeds.get("scenes", 4))
+        n_scenes = _config_int(seeds.get("scenes", 4), "seeds.scenes")
         if n_scenes < 1:
             raise ValueError(f"seeds.scenes must be positive, got {n_scenes}")
-        n_boxes = int(cfg.get("boxes", 15))
+        n_boxes = _config_int(cfg.get("boxes", 15), "boxes")
         if n_boxes < 0:
             raise ValueError(f"boxes must be non-negative, got {n_boxes}")
         noise = OracleNoise.from_json_obj(cfg.get("noise", {}))
-        taus = _parse_sweep(cfg.get("tau_iou_sweep", "0.1:0.9:0.1"))
-        params = MatchParams(tau_dis=float(cfg.get("tau_dis", 2.0)))
+        taus = _parse_sweep(cfg.get("tau_iou_sweep", TAU_IOU_SWEEP))
+        params = MatchParams(tau_dis=float(cfg.get("tau_dis", MatchParams.tau_dis)))
         if cfg.get("rig"):
             rig_path = Path(cfg["rig"])
             if not rig_path.exists():
@@ -755,7 +760,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rig", required=True)
     p.add_argument("--anchors", required=True, help='JSON: {"anchors": [[9 floats],...]}')
     p.add_argument("--out", help="output JSON (default stdout)")
-    p.add_argument("--max-truncated", type=int, default=100)
+    p.add_argument("--max-truncated", type=int,
+                   default=AllocationLimits.max_truncated_per_camera)
     p.set_defaults(func=cmd_allocate)
 
     p = sub.add_parser("forward", help="run the hybrid decoder on a scene")
@@ -768,8 +774,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-aar", help="association accuracy / recall curves")
     p.add_argument("--gt", required=True, help="scene or scene-set JSON")
     p.add_argument("--pred", required=True, help="detections JSON")
-    p.add_argument("--tau-dis", type=float, default=2.0)
-    p.add_argument("--tau-iou-sweep", default="0.1:0.9:0.1")
+    p.add_argument("--tau-dis", type=float, default=MatchParams.tau_dis)
+    p.add_argument("--tau-iou-sweep", default=TAU_IOU_SWEEP)
     p.add_argument("--out", help="output CSV (default stdout)")
     p.set_defaults(func=cmd_eval_aar)
 
@@ -783,14 +789,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crop-views", help="extend a rig with crop-and-scale views")
     p.add_argument("--rig", required=True)
     p.add_argument("--source-views", help="comma-separated view ids (default front+rear)")
-    p.add_argument("--placement", default="centered-on-focal")
-    p.add_argument("--scale-rate", type=float, default=2.0)
+    p.add_argument("--placement", default=CropRule.placement)
+    p.add_argument("--scale-rate", type=float, default=CropRule.scale_rate)
     p.add_argument("--out", help="output rig JSON (default stdout)")
     p.set_defaults(func=cmd_crop_views)
 
     p = sub.add_parser("denoise-demo", help="propagating-denoising round trip")
     p.add_argument("--scene", required=True)
-    p.add_argument("--groups", type=int, default=4)
+    p.add_argument("--groups", type=int, default=NoiseConfig.n_groups)
     p.add_argument("--channels", type=int, default=32)
     p.add_argument("--heads", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import CameraView, load_json, load_rig, naming_file
+from .geometry import CameraView, integer, load_json, load_rig, naming_file, reject_unknown_keys
 
 PLACEMENTS = ("centered-on-focal", "left-aligned-horizon", "right-aligned-horizon")
 
@@ -51,31 +51,19 @@ class CropRule:
                 raise ValueError(f"{name} must be a positive integer, got {size!r}")
 
     def to_json_obj(self) -> dict:
-        obj = {
-            "source_view_id": self.source_view_id,
-            "placement": self.placement,
-            "scale_rate": self.scale_rate,
-        }
-        if self.out_width is not None:
-            obj["out_width"] = self.out_width
-        if self.out_height is not None:
-            obj["out_height"] = self.out_height
-        return obj
+        """Every field, leaving out output sizes inherited from the source."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if getattr(self, f.name) is not None}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "CropRule":
-        """Rule from a JSON dict; raises on a key that is not a field."""
-        names = {f.name for f in fields(cls)}
-        unknown = [key for key in obj if key not in names]
-        if unknown:
-            raise ValueError(f"unknown crop rule key {unknown[0]!r}")
-        return cls(
-            source_view_id=int(obj["source_view_id"]),
-            placement=obj.get("placement", "centered-on-focal"),
-            scale_rate=float(obj.get("scale_rate", 2.0)),
-            out_width=obj.get("out_width"),
-            out_height=obj.get("out_height"),
-        )
+        """Rule from a JSON dict; raises on a key that is not a field, and an
+        absent key takes its field's default."""
+        reject_unknown_keys(obj, {f.name for f in fields(cls)}, "crop rule")
+        rule = {**obj, "source_view_id": integer(obj["source_view_id"], "source_view_id")}
+        if "scale_rate" in obj:
+            rule["scale_rate"] = float(obj["scale_rate"])
+        return cls(**rule)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ NumPy arrays, never as lists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,7 +32,7 @@ from .aggregation import GateParams, aggregate, gate_truncation, sigmoid
 from .allocation import (
     AllocationLimits, AllocationResult, MappingMatrix, allocate, clamp_anchors, gather_2d,
 )
-from .geometry import CameraView, anchors_to_array, project_rig, project_views
+from .geometry import CameraView, anchors_to_array, integer, project_rig, project_views
 from .groupattn import (
     AttentionParams,
     CrossAttentionParams,
@@ -75,6 +75,9 @@ class DecoderConfig:
     limits: AllocationLimits = field(default_factory=AllocationLimits)
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.name != "limits":  # every other field is an integer
+                object.__setattr__(self, f.name, integer(getattr(self, f.name), f.name))
         if self.n_queries <= 0:
             raise ValueError("n_queries must be positive")
         if self.l_2d < 0 or self.l_3d < 0 or self.l_hybrid < 1:
@@ -95,44 +98,26 @@ class DecoderConfig:
         return cls(l_2d=l_2d, l_3d=l_3d, l_hybrid=l_hybrid, **overrides)
 
     def to_json_obj(self) -> dict:
-        return {
-            "n_queries": self.n_queries,
-            "channels": self.channels,
-            "l_2d": self.l_2d,
-            "l_3d": self.l_3d,
-            "l_hybrid": self.l_hybrid,
-            "heads": self.heads,
-            "seed": self.seed,
-            "n_classes": self.n_classes,
-            "feature_channels": self.feature_channels,
-            "n_scales": self.n_scales,
-            "max_truncated_per_camera": self.limits.max_truncated_per_camera,
-            "size_clamp": list(self.limits.size_clamp),
-        }
+        """Every field but ``limits``, then every field of ``limits``."""
+        obj = asdict(self)
+        obj.update(obj.pop("limits"))
+        obj["size_clamp"] = list(obj["size_clamp"])
+        return obj
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DecoderConfig":
-        """Config from a JSON dict; a "preset" key other than null wins over
-        explicit l_2d / l_3d / l_hybrid entries."""
+        """Config from ``to_json_obj``'s keys and "preset", each optional: an
+        absent key takes its field's default, and a "preset" other than null
+        wins over explicit l_2d / l_3d / l_hybrid entries."""
         obj = dict(obj)
         preset = obj.pop("preset", None)
         limits = AllocationLimits(
-            max_truncated_per_camera=obj.pop("max_truncated_per_camera", 100),
-            size_clamp=tuple(obj.pop("size_clamp", (35.0, 35.0, 10.0))),
-        )
-        known = {
-            k: obj[k]
-            for k in (
-                "n_queries", "channels", "l_2d", "l_3d", "l_hybrid", "heads",
-                "seed", "n_classes", "feature_channels", "n_scales",
-            )
-            if k in obj
-        }
-        if preset is not None:
-            for k in ("l_2d", "l_3d", "l_hybrid"):
-                known.pop(k, None)
-            return cls.from_preset(preset, limits=limits, **known)
-        return cls(limits=limits, **known)
+            **{f.name: obj.pop(f.name) for f in fields(AllocationLimits) if f.name in obj})
+        if preset is None:
+            return cls(limits=limits, **obj)
+        for k in ("l_2d", "l_3d", "l_hybrid"):
+            obj.pop(k, None)
+        return cls.from_preset(preset, limits=limits, **obj)
 
 
 @dataclass

@@ -3,7 +3,8 @@
 Point projection and the strict in-image rule, rig-wide anchor projection
 (validity, clipped rectangles, center flags and reference points), the
 `Boxes2D` table of image boxes, plus the rig JSON format and the package's
-one JSON reader and writer (`load_json`, `dump_json`, `naming_file`).
+one JSON reader and writer (`load_json`, `dump_json`, `naming_file`) with
+the checks its readers share (`integer`, `reject_unknown_keys`).
 Every other operation is a pure function of its inputs.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -324,6 +326,22 @@ def naming_file(source):
         if str(exc).startswith(prefix):
             raise
         raise ValueError(f"{prefix}{exc}") from exc
+
+
+def integer(value, name: str) -> int:
+    """``value`` as an int when it is an integer, a NumPy one too; a bool, a
+    float or anything else raises a ValueError naming ``name``."""
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def reject_unknown_keys(keys, allowed, what: str) -> None:
+    """Raise on the first of ``keys`` not in ``allowed``: 'unknown {what} key ...'."""
+    unknown = [key for key in keys if key not in allowed]
+    if unknown:
+        raise ValueError(f"unknown {what} key {unknown[0]!r}")
 
 
 def json_bytes(obj, *, indent: bool = False) -> bytes:

@@ -297,8 +297,7 @@ def loss_2d_parts(
             targets[pi] = g_cls[gi]
             g_box = np.asarray(gt_boxes[view_id], dtype=np.float64).reshape(-1, 4)
             l1_sum += float(np.abs(boxes[pi] - g_box[gi]).sum())
-            ious = iou_matrix(boxes[pi], g_box[gi])
-            iou_sum += float((1.0 - np.diagonal(ious)).sum())
+            iou_sum += float((1.0 - iou_pairs(boxes[pi], g_box[gi])).sum())
             alpha_pred.append(np.asarray(pred_alphas[view_id])[pi])
             alpha_gt.append(np.asarray(gt_thetas[view_id])[gi])
             n_matched += len(pi)

@@ -15,7 +15,8 @@ truth, its feature maps and (through ``mvdet run``) its allocation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -71,7 +72,11 @@ class OracleNoise:
         for p in probs + [self.drop_prob_3d]:
             if not (0.0 <= p <= 1.0):
                 raise ValueError("drop probabilities must lie in [0, 1]")
-        if self.jitter_px < 0 or self.jitter_m < 0 or not (0.0 <= self.score_spread <= 1.0):
+        for name in ("jitter_px", "jitter_m"):
+            if not 0.0 <= getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and non-negative, "
+                                 f"got {getattr(self, name)}")
+        if not (0.0 <= self.score_spread <= 1.0):
             raise ValueError("bad noise magnitudes")
 
     def drop_for(self, view_id: int) -> float:
@@ -81,16 +86,12 @@ class OracleNoise:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "OracleNoise":
-        drop = obj.get("drop_prob", 0.0)
-        if isinstance(drop, dict):
-            drop = {int(k): float(v) for k, v in drop.items()}
-        return cls(
-            drop_prob=drop,
-            jitter_px=float(obj.get("jitter_px", 0.0)),
-            jitter_m=float(obj.get("jitter_m", 0.0)),
-            drop_prob_3d=float(obj.get("drop_prob_3d", 0.0)),
-            score_spread=float(obj.get("score_spread", 0.0)),
-        )
+        """Noise from a JSON dict of floats (``drop_prob`` may map view ids
+        to floats); an absent key takes its field's default."""
+        def value(v):
+            return {int(k): float(p) for k, p in v.items()} if isinstance(v, dict) else float(v)
+
+        return cls(**{f.name: value(obj[f.name]) for f in fields(cls) if f.name in obj})
 
 
 @dataclass(eq=False)

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import functools
 import json
 import math
@@ -12,10 +13,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mvdet.cli import main
+from mvdet.allocation import AllocationLimits
+from mvdet.cli import _parse_sweep, main
+from mvdet.decoder import DecoderConfig
 from mvdet.geometry import make_surround_rig, save_rig
-from mvdet.metrics import detections_to_json_obj
+from mvdet.metrics import MatchParams, detections_to_json_obj
 from mvdet.simulator import perturb
 
 
@@ -137,6 +142,19 @@ def test_forward_on_scene(tmp_path, sim_dir):
     assert len(obj["agg_taps"]) == 3
 
 
+@pytest.mark.parametrize("section", [False, True], ids=["top_level", "decoder_section"])
+def test_forward_reads_a_rig_beside_the_decoder(tmp_path, sim_dir, section):
+    decoder = {"preset": "F", "n_queries": 24, "channels": 16, "heads": 4, "feature_channels": 8}
+    outs = []
+    for rig in ({}, {"rig": str(sim_dir / "rig.json")}):
+        cfg, out = tmp_path / "decoder.json", tmp_path / f"fwd{len(outs)}.json"
+        cfg.write_text(json.dumps({"decoder": decoder, **rig} if section else {**decoder, **rig}))
+        assert run_cli("forward", "--config", str(cfg), "--scene",
+                       str(sim_dir / "scene_0000.json"), "--out", str(out)) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]  # the scene's own rig, read from the rig file
+
+
 # Decoder values a config may not hold: (decoder entries, message, test id).
 BAD_DECODER_VALUES = [
     ({"n_queries": 0}, "n_queries must be positive", "n_queries"),
@@ -146,6 +164,13 @@ BAD_DECODER_VALUES = [
     ({"n_scales": 0}, "n_scales must be positive, got 0", "n_scales_0"),
     ({"n_scales": -1}, "n_scales must be positive, got -1", "n_scales_negative"),
     ({"feature_channels": 0}, "feature_channels must be positive, got 0", "feature_channels_0"),
+    ({"n_queries": 31.5}, "n_queries must be an integer, got 31.5", "n_queries_float"),
+    ({"heads": 4.0}, "heads must be an integer, got 4.0", "heads_float"),
+    ({"seed": True}, "seed must be an integer, got True", "seed_bool"),
+    ({"max_truncated_per_camera": 2.5}, "max_truncated_per_camera must be an integer, got 2.5",
+     "max_truncated_float"),
+    ({"size_clamp": [math.nan, 35, 10]}, "size clamp values must be positive", "size_clamp_nan"),
+    ({"size_clamp": [35, 10]}, "size clamp must hold 3 values, got 2", "size_clamp_short"),
 ]
 
 
@@ -275,6 +300,26 @@ def test_eval_rejects_thresholds_out_of_range(tmp_path, sim_dir, capsys, command
                    "--out", str(out)) == 1
     assert capsys.readouterr().err == f"mvdet {command}: error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, taus", [
+    ("0.1:0.9:0.1", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]),
+    ("0:1:0.35", [0.0, 0.35, 0.7]),
+    ("0.5:0.95:0.3", [0.5, 0.8]),
+    ("0.5:0.5:0.1", [0.5]),
+])
+def test_sweep_steps_up_to_hi(spec, taus):
+    assert _parse_sweep(spec) == taus
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=st.integers(0, 1000), span=st.integers(0, 1000), step=st.integers(1, 1000))
+def test_sweep_values_lie_within_lo_and_hi(lo, span, step):
+    # thousandths, as a config writes them: no value passes hi, and none is missing
+    lo, hi, step = lo / 1000, min(lo + span, 1000) / 1000, step / 1000
+    taus = _parse_sweep(f"{lo}:{hi}:{step}")
+    assert taus[0] == lo and all(lo <= t <= hi for t in taus)
+    assert hi - taus[-1] < step
 
 
 EVAL_ARGS = {"eval-ap": (), "eval-aar": ("--tau-dis", "2", "--tau-iou-sweep", "0.5:0.5:0.1")}
@@ -1025,6 +1070,8 @@ def test_run_rejects_jobs_below_one(tmp_path, capsys, jobs):
         pytest.param({"views": 0}, "empty rig", id="views_0"),
         pytest.param({"crop_rules": [{"source_view_id": 99}]}, "rule references unknown view 99",
                      id="crop_source"),
+        pytest.param({"crop_rules": [{"source_view_id": 2.5}]},
+                     "source_view_id must be an integer, got 2.5", id="crop_source_float"),
         pytest.param({"crop_rules": [{"source_view_id": 0, "scale_rate": math.nan}]},
                      "scale_rate must be finite and > 1, got nan", id="crop_scale_rate_nan"),
         pytest.param({"crop_rules": [{"source_view_id": 0, "placment": "left-aligned-horizon",
@@ -1037,6 +1084,16 @@ def test_run_rejects_jobs_below_one(tmp_path, capsys, jobs):
                      id="scenes_negative"),
         pytest.param({"seeds": {"scenes": 0}}, "seeds.scenes must be positive, got 0",
                      id="scenes_0"),
+        pytest.param({"noise": {"jitter_px": math.inf}},
+                     "jitter_px must be finite and non-negative, got inf", id="jitter_px_inf"),
+        pytest.param({"noise": {"jitter_m": math.nan}},
+                     "jitter_m must be finite and non-negative, got nan", id="jitter_m_nan"),
+        pytest.param({"views": 2.5}, "views must be an integer, got 2.5", id="views_float"),
+        pytest.param({"boxes": True}, "boxes must be an integer, got True", id="boxes_bool"),
+        pytest.param({"seeds": {"base": 1.5, "scenes": 2}},
+                     "seeds.base must be an integer, got 1.5", id="base_float"),
+        pytest.param({"seeds": {"scenes": 2.0}}, "seeds.scenes must be an integer, got 2.0",
+                     id="scenes_float"),
         *(pytest.param({"decoder": d}, m, id=i) for d, m, i in BAD_DECODER_VALUES),
         *(pytest.param({"crop_rules": [{"source_view_id": 0, key: value}]},
                        f"{key} must be a positive integer, got {shown}", id=f"crop_{key}_{value}")
@@ -1048,7 +1105,7 @@ def test_run_bad_config_value_names_the_file(tmp_path, capsys, over, message):
     assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "x")) == 1
     err = capsys.readouterr().err
     assert f"mvdet run: error: {cfg}: {message}\n" == err
-    assert not (tmp_path / "x" / "scenes").exists()
+    assert not (tmp_path / "x").exists()
 
 
 def test_cli_import_leaves_scipy_optimize_out():
@@ -1117,6 +1174,26 @@ def test_run_records_the_preset_it_runs(tmp_path, top):
     assert (summary["decoder"]["l_2d"], summary["decoder"]["l_3d"]) == (0, 1)
 
 
+def test_every_decoder_field_survives_the_config_forms(tmp_path):
+    # each field, each allocation limit too, away from its default: a field
+    # that to_json_obj or from_json_obj drops comes back as its default
+    config = DecoderConfig(n_queries=24, channels=12, l_2d=2, l_3d=2, l_hybrid=1, heads=3,
+                           seed=7, n_classes=4, feature_channels=6, n_scales=1,
+                           limits=AllocationLimits(max_truncated_per_camera=9,
+                                                   size_clamp=(20.0, 30.0, 4.0)))
+    default = DecoderConfig()
+    for c, d in ((config, default), (config.limits, default.limits)):
+        for field in dataclasses.fields(c):
+            assert getattr(c, field.name) != getattr(d, field.name), field.name
+    assert DecoderConfig.from_json_obj(config.to_json_obj()) == config
+    cfg = run_config(tmp_path, preset=None, decoder=config.to_json_obj())
+    out = tmp_path / "run"
+    assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert DecoderConfig.from_json_obj(summary["decoder"]) == config
+    assert list(summary["decoder"]) == list(config.to_json_obj())
+
+
 def test_run_missing_rig_fails(tmp_path):
     cfg = run_config(tmp_path, rig="does-not-exist.json")
     assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "x")) == 1
@@ -1153,3 +1230,74 @@ def test_run_rejects_unknown_config_keys(tmp_path, capsys, over, key):
 def test_bad_preset_fails(tmp_path):
     cfg = run_config(tmp_path, preset="Q")
     assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "x")) == 1
+
+
+# ------------------------------------------------------- rig order (metamorphic)
+
+def run_outputs(rig, scenes, dets):
+    """What a run derives over ``rig`` for ``scenes`` (sampled again over
+    it) and ``dets``: the AAR curve and AP dict, each scene's head outputs,
+    and every per-view array as {(kind, scene, [layer,] name, view id): rows}
+    of the 2D ground truth, the allocations and the 2D head outputs."""
+    from mvdet.allocation import allocate, clamp_anchors
+    from mvdet.cli import _aar_curve_rows, _ap_inputs
+    from mvdet.decoder import HybridDecoder
+    from mvdet.metrics import ap_2d
+    from mvdet.simulator import blank_features, render_features, sample_scene
+
+    scenes = [sample_scene(s.seed, rig, n_boxes=len(s.anchors), frame_id=s.frame_id)
+              for s in scenes]
+    decoder = HybridDecoder(DecoderConfig(n_queries=64, channels=32, heads=4), rig)
+    features = blank_features(rig, (8, 16), len(scenes))
+    for slot, scene in enumerate(scenes):
+        render_features(scene, rig, (8, 16), into=features, slot=slot)
+    heads, _ = decoder.forward_scenes(features, decoder.initial_queries(), len(scenes))
+    tables = []
+    for i, (scene, head) in enumerate(zip(scenes, heads)):
+        gt, alloc = scene.gt2d, allocate(clamp_anchors(scene.anchors), rig)
+        tables.append((("gt2d", i), gt.view_id,
+                       {"rect": gt.rect, "class_id": gt.class_id, "link": scene.gt2d_link}))
+        tables.append((("alloc", i), alloc.mapping.camera_of_col,
+                       {"rows": alloc.mapping.rows, "ref_points": alloc.ref_points,
+                        "truncation": alloc.truncation, "rects": alloc.rects}))
+        tables += [(("head2d", i, j), o.mapping.camera_of_col,
+                    {"rows": o.mapping.rows, "boxes2d": o.boxes2d, "logits": o.logits,
+                     "alphas": o.alphas}) for j, o in enumerate(head.layers_2d)]
+    per_view = {(*key, name, int(v)): np.asarray(a)[view_of == v]
+                for key, view_of, table in tables for v in np.unique(view_of)
+                for name, a in table.items()}
+    curve = _aar_curve_rows(scenes, dets, MatchParams(), [0.3, 0.5, 0.7])
+    return curve, ap_2d(*_ap_inputs(scenes, dets), [0.5, 0.75]), heads, per_view
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**16), perm_seed=st.integers(0, 2**16))
+def test_rig_order_changes_no_output_of_a_view(seed, perm_seed):
+    # the many-scenes rig (crops of views 0 and 3) in a random order: each
+    # view keeps its 2D ground truth and allocation bit for bit, and the AAR
+    # curve and AP stay equal; the decoder's 3D sampling sums an anchor's
+    # views in rig order, so its head outputs are held within 1e-12
+    from mvdet.crop_scale import CropRule, extend_rig
+    from mvdet.simulator import OracleNoise, sample_scene
+
+    from conftest import same_bits
+
+    rig = extend_rig(make_surround_rig(6), [CropRule(source_view_id=0, scale_rate=2.0),
+                                            CropRule(source_view_id=3, scale_rate=2.0)])
+    shuffled = [rig[i] for i in np.random.default_rng(perm_seed).permutation(len(rig))]
+    scenes = [sample_scene(seed + i, rig, n_boxes=15, frame_id=i) for i in range(3)]
+    noise = OracleNoise(drop_prob=0.2, jitter_px=4.0, jitter_m=0.4, score_spread=0.5)
+    dets = {s.frame_id: perturb(s, noise, seed=s.seed + 1) for s in scenes}
+    curve, ap, heads, per_view = run_outputs(rig, scenes, dets)
+    curve_s, ap_s, heads_s, per_view_s = run_outputs(shuffled, scenes, dets)
+    assert curve_s == curve and ap_s == ap
+
+    def close(a, b):
+        return a.shape == b.shape and np.allclose(a, b, rtol=0.0, atol=1e-12)
+
+    assert per_view_s.keys() == per_view.keys()
+    for key, want in per_view.items():
+        assert (close if key[0] == "head2d" else same_bits)(per_view_s[key], want), key
+    for w, g in zip(heads, heads_s, strict=True):
+        for lw, lg in zip(w.layers_3d + w.agg_taps, g.layers_3d + g.agg_taps, strict=True):
+            assert close(lg.boxes3d, lw.boxes3d) and close(lg.logits, lw.logits)

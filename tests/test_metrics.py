@@ -235,6 +235,22 @@ def test_loss_2d_hand_case():
     assert abs(parts["total"] - want) <= 1e-9
 
 
+def test_loss_2d_iou_term_keeps_the_matrix_diagonal_bits():
+    # the matched pairs' IoU is the diagonal of their IoU matrix, bit for
+    # bit, zero-union pairs included
+    from mvdet._kernels import iou_matrix, iou_pairs
+
+    rng = np.random.default_rng(9)
+    a = np.column_stack([rng.uniform(0, 700, (40, 2)), rng.uniform(0, 60, (40, 2))])
+    b = np.abs(a + rng.normal(0, 5, a.shape))
+    a[::5, 2:] = b[::5, 2:] = 0.0
+    assert iou_pairs(a, b).tobytes() == np.diagonal(iou_matrix(a, b)).tobytes()
+    pi, gi = rng.permutation(40), rng.permutation(40)
+    parts = loss_2d_parts({0: a}, {0: np.zeros((40, 3))}, {0: np.zeros((40, 2))}, {0: b},
+                          {0: np.zeros(40, dtype=int)}, {0: np.zeros(40)}, {0: (pi, gi)})
+    assert parts["iou"] == float((1.0 - np.diagonal(iou_matrix(a[pi], b[gi]))).sum()) / 40
+
+
 def test_loss_total_cases():
     assert loss_total(0.0, 0.0, 0.0) == 0.0
     assert loss_total(1.0, 2.0, 5.0) == 8.0
