@@ -15,7 +15,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import CameraView, integer, load_json, load_rig, naming_file, reject_unknown_keys
+from .geometry import (
+    CameraView, integer, load_json, load_rig, naming_file, real, reject_unknown_keys,
+)
 
 PLACEMENTS = ("centered-on-focal", "left-aligned-horizon", "right-aligned-horizon")
 
@@ -62,7 +64,7 @@ class CropRule:
         reject_unknown_keys(obj, {f.name for f in fields(cls)}, "crop rule")
         rule = {**obj, "source_view_id": integer(obj["source_view_id"], "source_view_id")}
         if "scale_rate" in obj:
-            rule["scale_rate"] = float(obj["scale_rate"])
+            rule["scale_rate"] = real(obj["scale_rate"], "scale_rate")
         return cls(**rule)
 
 

@@ -4,7 +4,7 @@ Point projection and the strict in-image rule, rig-wide anchor projection
 (validity, clipped rectangles, center flags and reference points), the
 `Boxes2D` table of image boxes, plus the rig JSON format and the package's
 one JSON reader and writer (`load_json`, `dump_json`, `naming_file`) with
-the checks its readers share (`integer`, `reject_unknown_keys`).
+the checks its readers share (`integer`, `real`, `reject_unknown_keys`).
 Every other operation is a pure function of its inputs.
 """
 
@@ -108,11 +108,11 @@ class CameraView:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "CameraView":
         return cls(
-            view_id=int(obj["view_id"]),
+            view_id=integer(obj["view_id"], "view_id"),
             intrinsics=np.asarray(obj["intrinsics"], dtype=np.float64).reshape(3, 3),
             extrinsic=np.asarray(obj["extrinsic"], dtype=np.float64).reshape(4, 4),
-            width=int(obj["width"]),
-            height=int(obj["height"]),
+            width=integer(obj["width"], "width"),
+            height=integer(obj["height"], "height"),
             derived=bool(obj.get("derived", False)),
         )
 
@@ -146,8 +146,14 @@ def finite_rows(values, width: int, what: str) -> np.ndarray:
 
 def column(values, dtype, n: int, what: str) -> np.ndarray:
     """``values`` as a 1-D array of ``dtype``; raises ValueError naming
-    ``what`` unless it holds ``n`` entries, one per box."""
-    arr = np.asarray(values, dtype=dtype).reshape(-1)
+    ``what`` unless it holds ``n`` entries, one per box, each integral when
+    ``dtype`` is an integer type."""
+    arr = np.asarray(values).reshape(-1)
+    if arr.dtype.kind == "f" and np.issubdtype(dtype, np.integer):
+        bad = np.flatnonzero(~np.isfinite(arr) | (arr != np.floor(arr)))
+        if bad.size:
+            raise ValueError(f"{what} must hold integers, got {arr[bad[0]].item()!r}")
+    arr = arr.astype(dtype, copy=False)
     if arr.shape[0] != n:
         raise ValueError(f"{arr.shape[0]} {what} entries for {n} boxes")
     return arr
@@ -335,6 +341,13 @@ def integer(value, name: str) -> int:
         with contextlib.suppress(TypeError):
             return operator.index(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def real(value, name: str) -> float:
+    """``float(value)``, but a bool raises a ValueError naming ``name``."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def reject_unknown_keys(keys, allowed, what: str) -> None:

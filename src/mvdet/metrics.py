@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 import numpy as np
 
 from ._kernels import iou_matrix, iou_pairs
-from .geometry import Boxes2D, column, finite_rows, naming_file, project_rig
+from .geometry import Boxes2D, column, finite_rows, integer, naming_file, project_rig, real
 
 if TYPE_CHECKING:
     from .simulator import Scene
@@ -681,7 +681,7 @@ def parse_detections(obj: dict, source: str = "detections") -> dict[int, Detecti
         if obj.get("format") != "mvdet-detections/1":
             raise ValueError(f"not a detections file: format={obj.get('format')!r}")
         for f in obj["frames"]:
-            frame_id = int(f.get("frame_id", 0))
+            frame_id = integer(f.get("frame_id", 0), "frame_id")
             if frame_id in frames:
                 raise ValueError(f"frame_id {frame_id} appears more than once")
             b3 = f["boxes3d"]
@@ -689,10 +689,10 @@ def parse_detections(obj: dict, source: str = "detections") -> dict[int, Detecti
                   for b in entries]
             frames[frame_id] = Detections(
                 boxes3d=[b["box"] for b in b3],
-                classes3d=[int(b["class_id"]) for b in b3],
-                scores3d=[float(b.get("score", 1.0)) for b in b3],
+                classes3d=[integer(b["class_id"], "class_id") for b in b3],
+                scores3d=[real(b.get("score", 1.0), "score") for b in b3],
                 boxes2d=Boxes2D([b["box"] for _, b in b2], [v for v, _ in b2],
-                                [int(b["class_id"]) for _, b in b2]),
-                scores2d=[float(b.get("score", 1.0)) for _, b in b2],
+                                [integer(b["class_id"], "class_id") for _, b in b2]),
+                scores2d=[real(b.get("score", 1.0), "score") for _, b in b2],
             )
     return frames

@@ -23,8 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import (
-    Boxes2D, CameraView, RigProjection, column, finite_rows, load_json, naming_file,
-    project_rig, rig_from_json_obj,
+    Boxes2D, CameraView, RigProjection, column, finite_rows, integer, load_json, naming_file,
+    project_rig, real, rig_from_json_obj,
 )
 from .groupattn import RigFeatures
 from .metrics import Detections
@@ -86,12 +86,14 @@ class OracleNoise:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "OracleNoise":
-        """Noise from a JSON dict of floats (``drop_prob`` may map view ids
-        to floats); an absent key takes its field's default."""
-        def value(v):
-            return {int(k): float(p) for k, p in v.items()} if isinstance(v, dict) else float(v)
+        """Noise from a JSON dict of numbers (``drop_prob`` may map view ids
+        to numbers); an absent key takes its field's default."""
+        def value(v, name):
+            if isinstance(v, dict):
+                return {int(k): real(p, name) for k, p in v.items()}
+            return real(v, name)
 
-        return cls(**{f.name: value(obj[f.name]) for f in fields(cls) if f.name in obj})
+        return cls(**{f.name: value(obj[f.name], f.name) for f in fields(cls) if f.name in obj})
 
 
 @dataclass(eq=False)
@@ -158,15 +160,15 @@ class Scene:
             raise ValueError(f"not a scene file: format={obj.get('format')!r}")
         boxes, gt2d = obj["boxes"], obj["gt2d"]
         anchors = [b["box"] for b in boxes]
-        classes = [int(b["class_id"]) for b in boxes]
+        classes = [integer(b["class_id"], "class_id") for b in boxes]
         rect = [g["box"] for g in gt2d]
-        view_id = [int(g["view_id"]) for g in gt2d]
-        class_id = [int(g["class_id"]) for g in gt2d]
-        link = [int(g["box3d_index"]) for g in gt2d]
+        view_id = [integer(g["view_id"], "view_id") for g in gt2d]
+        class_id = [integer(g["class_id"], "class_id") for g in gt2d]
+        link = [integer(g["box3d_index"], "box3d_index") for g in gt2d]
         rig = rig_from_json_obj(obj["rig"], f"scene frame {obj['frame_id']}")
         return cls(
-            seed=int(obj["seed"]),
-            frame_id=int(obj["frame_id"]),
+            seed=integer(obj["seed"], "seed"),
+            frame_id=integer(obj["frame_id"], "frame_id"),
             anchors=anchors,
             classes=classes,
             gt2d=Boxes2D(rect, view_id, class_id),

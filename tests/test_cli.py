@@ -17,10 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvdet.allocation import AllocationLimits
-from mvdet.cli import _parse_sweep, main
+from mvdet.cli import main
 from mvdet.decoder import DecoderConfig
 from mvdet.geometry import make_surround_rig, save_rig
 from mvdet.metrics import MatchParams, detections_to_json_obj
+from mvdet.pipeline import parse_sweep
 from mvdet.simulator import perturb
 
 
@@ -285,12 +286,18 @@ def test_eval_ap(tmp_path, sim_dir):
         ("eval-aar", "--tau-iou-sweep=0.5:0.5000000000003:0.0000000000001",
          "--tau-iou-sweep: bad sweep spec '0.5:0.5000000000003:0.0000000000001'; "
          "step 1e-13 repeats thresholds at 10 digits"),
+        # counted from lo, hi and step, never built
+        ("eval-aar", "--tau-iou-sweep=0:1:1e-9", "--tau-iou-sweep: bad sweep spec "
+         "'0:1:1e-9'; expected at most 1001 thresholds"),
+        ("eval-aar", "--tau-iou-sweep=0:1:5e-324", "--tau-iou-sweep: bad sweep spec "
+         "'0:1:5e-324'; expected at most 1001 thresholds"),
         ("eval-aar", "--tau-dis=nan", "--tau-dis: tau_dis must be finite, got nan"),
         ("eval-aar", "--tau-dis=inf", "--tau-dis: tau_dis must be finite, got inf"),
         ("eval-aar", "--tau-dis=0", "--tau-dis: tau_dis must be positive"),
     ],
     ids=["iou_1.5", "iou_nan", "iou_negative", "iou_not_a_number", "sweep_above_1",
-         "sweep_below_0", "sweep_nan", "sweep_repeats", "tau_dis_nan", "tau_dis_inf", "tau_dis_0"],
+         "sweep_below_0", "sweep_nan", "sweep_repeats", "sweep_too_long", "sweep_step_denormal",
+         "tau_dis_nan", "tau_dis_inf", "tau_dis_0"],
 )
 def test_eval_rejects_thresholds_out_of_range(tmp_path, sim_dir, capsys, command, arg, message):
     pred = tmp_path / "pred.json"
@@ -307,9 +314,10 @@ def test_eval_rejects_thresholds_out_of_range(tmp_path, sim_dir, capsys, command
     ("0:1:0.35", [0.0, 0.35, 0.7]),
     ("0.5:0.95:0.3", [0.5, 0.8]),
     ("0.5:0.5:0.1", [0.5]),
+    ("0:1:0.001", [i / 1000 for i in range(1001)]),  # the most a sweep may hold
 ])
 def test_sweep_steps_up_to_hi(spec, taus):
-    assert _parse_sweep(spec) == taus
+    assert parse_sweep(spec) == taus
 
 
 @settings(max_examples=300, deadline=None)
@@ -317,7 +325,7 @@ def test_sweep_steps_up_to_hi(spec, taus):
 def test_sweep_values_lie_within_lo_and_hi(lo, span, step):
     # thousandths, as a config writes them: no value passes hi, and none is missing
     lo, hi, step = lo / 1000, min(lo + span, 1000) / 1000, step / 1000
-    taus = _parse_sweep(f"{lo}:{hi}:{step}")
+    taus = parse_sweep(f"{lo}:{hi}:{step}")
     assert taus[0] == lo and all(lo <= t <= hi for t in taus)
     assert hi - taus[-1] < step
 
@@ -418,6 +426,18 @@ def test_crop_views_rejects_a_bad_output_size(tmp_path, rig_file, capsys, key, v
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [("view_id", 2.5), ("width", 704.9), ("height", True)])
+def test_crop_views_rejects_a_non_integer_view_field(tmp_path, rig_file, capsys, key, value):
+    obj = json.loads(rig_file.read_text())
+    obj["views"][1][key] = value
+    rig_file.write_text(json.dumps(obj))
+    out = tmp_path / "rig8.json"
+    assert run_cli("crop-views", "--rig", str(rig_file), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err == f"mvdet crop-views: error: {rig_file}: {key} must be an integer, got {value!r}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("rate", ["nan", "inf"])
 def test_crop_views_rejects_a_non_finite_scale_rate(tmp_path, rig_file, capsys, rate):
     out = tmp_path / "rig8.json"
@@ -507,6 +527,24 @@ def scene_file_with(sim_dir, section, value):
     return obj
 
 
+def scene_entry_set(sim_dir, section, key, value):
+    """Scene 0 of ``sim_dir`` with ``key`` of the first entry of ``section``,
+    or of the scene itself when ``section`` is None, set to ``value``."""
+    obj = json.loads((sim_dir / "scene_0000.json").read_text())
+    (obj[section][0] if section else obj)[key] = value
+    return obj
+
+
+def detections_frame_set(key, value, boxes3d=(), boxes2d=None):
+    """``detections_file(boxes3d, boxes2d)`` with ``key`` of its frame set to ``value``."""
+    obj = detections_file(boxes3d, boxes2d)
+    obj["frames"][0][key] = value
+    return obj
+
+
+BOX9 = [10.0, 0.0, 0.8, 2.0, 4.0, 1.5, 0.0, 0.0, 0.0]
+
+
 def gt2d_class_changed(sim_dir, class_id):
     """Scene 0 of ``sim_dir`` with its first 2D box linked to 3D box 0 of
     class 0, and of class ``class_id`` itself."""
@@ -544,10 +582,44 @@ def gt2d_class_changed(sim_dir, class_id):
          "holds no scenes"),
         ("eval-ap", "--gt", lambda sim: gt2d_class_changed(sim, 4),
          "gt2d box 0 has class_id 4, but its 3D box 0 has class_id 0"),
+        ("eval-aar", "--gt", lambda sim: scene_entry_set(sim, None, "seed", True),
+         "seed must be an integer, got True"),
+        ("eval-aar", "--gt", lambda sim: scene_entry_set(sim, None, "frame_id", 3.7),
+         "frame_id must be an integer, got 3.7"),
+        ("eval-aar", "--gt", lambda sim: scene_entry_set(sim, "boxes", "class_id", 4.9),
+         "class_id must be an integer, got 4.9"),
+        ("eval-aar", "--gt", lambda sim: scene_entry_set(sim, "gt2d", "view_id", 1.5),
+         "view_id must be an integer, got 1.5"),
+        ("eval-aar", "--gt", lambda sim: scene_entry_set(sim, "gt2d", "class_id", 0.5),
+         "class_id must be an integer, got 0.5"),
+        ("eval-aar", "--gt", lambda sim: scene_entry_set(sim, "gt2d", "box3d_index", 0.5),
+         "box3d_index must be an integer, got 0.5"),
+        ("eval-aar", "--gt", lambda sim: scene_entry_set(sim, "rig", "view_id", 2.5),
+         "view_id must be an integer, got 2.5"),
+        ("eval-aar", "--pred", lambda sim: detections_frame_set("frame_id", 2.6),
+         "frame_id must be an integer, got 2.6"),
+        ("eval-aar", "--pred",
+         lambda sim: detections_file(boxes3d=[{"box": BOX9, "class_id": 1.8}]),
+         "class_id must be an integer, got 1.8"),
+        ("eval-aar", "--pred",
+         lambda sim: detections_file(boxes2d={"0": [{"box": [1.0, 2.0, 5.0, 4.0],
+                                                     "class_id": 2.2}]}),
+         "class_id must be an integer, got 2.2"),
+        ("eval-aar", "--pred",
+         lambda sim: detections_file(boxes3d=[{"box": BOX9, "class_id": 0, "score": True}]),
+         "score must be a number, got True"),
+        ("eval-aar", "--pred",
+         lambda sim: detections_file(boxes2d={"0": [{"box": [1.0, 2.0, 5.0, 4.0],
+                                                     "class_id": 0, "score": True}]}),
+         "score must be a number, got True"),
     ],
     ids=["pred2d_negative_width", "pred2d_nan_center", "pred2d_three_floats",
          "pred3d_three_floats", "scene_zero_size", "gt2d_negative_width",
-         "scene_seven_floats", "no_scenes", "gt2d_class_differs"],
+         "scene_seven_floats", "no_scenes", "gt2d_class_differs", "scene_seed_bool",
+         "scene_frame_id_float", "box_class_id_float", "gt2d_view_id_float",
+         "gt2d_class_id_float", "gt2d_box3d_index_float", "scene_rig_view_id_float",
+         "pred_frame_id_float", "pred3d_class_id_float", "pred2d_class_id_float",
+         "pred3d_score_bool", "pred2d_score_bool"],
 )
 def test_bad_box_value_names_the_file(tmp_path, sim_dir, capsys, command, flag, make_obj,
                                       message):
@@ -683,31 +755,32 @@ def test_run_preset_a_jobs_2_after_a_dense_call_in_the_parent(tmp_path):
 
 def perturb_recording_blas_threads(marks, scene, noise=None, seed=0):
     """``perturb`` that first records the BLAS thread count of its process."""
-    from mvdet import cli
+    from mvdet import pipeline
 
-    (marks / f"{os.getpid()}_{seed}").write_text(str(cli._openblas_threads()[1]()))
+    (marks / f"{os.getpid()}_{seed}").write_text(str(pipeline._openblas_threads()[1]()))
     return perturb(scene, noise, seed=seed)
 
 
 def test_run_caps_blas_at_one_thread_in_each_worker(tmp_path, monkeypatch):
     import multiprocessing
 
-    from mvdet import cli
+    from mvdet import pipeline
 
-    if cli._openblas_threads() is None:
+    if pipeline._openblas_threads() is None:
         pytest.skip("this NumPy's BLAS has no scipy_openblas thread-count calls")
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("the patched worker function reaches pool workers only by fork")
-    for var in cli._BLAS_THREAD_VARS:
+    for var in pipeline._BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
-    get_threads = cli._openblas_threads()[1]
+    get_threads = pipeline._openblas_threads()[1]
     before = get_threads()
     cfg = run_config(tmp_path, seeds={"base": 5, "scenes": 3})
     outs = {}
     for capped in (True, False):
         marks = tmp_path / f"marks_{capped}"
         marks.mkdir()
-        monkeypatch.setattr(cli, "perturb", functools.partial(perturb_recording_blas_threads, marks))
+        monkeypatch.setattr(pipeline, "perturb",
+                            functools.partial(perturb_recording_blas_threads, marks))
         if not capped:  # a BLAS thread variable leaves BLAS alone
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(before))
         outs[capped] = tmp_path / f"out_{capped}"
@@ -779,7 +852,7 @@ def test_run_decodes_batches_of_scenes(tmp_path, monkeypatch, n_queries, n_scene
     """A batch holds at most BATCH_ROWS query rows: twelve scenes of 64
     queries are one decoder pass, two of 900 one pass each.  A pass
     projects and samples once per sub-layer, whatever its scene count."""
-    from mvdet import cli, decoder as decoder_mod
+    from mvdet import decoder as decoder_mod, pipeline
     from mvdet.decoder import HybridDecoder
 
     passed, calls = [], collections.Counter()
@@ -802,7 +875,7 @@ def test_run_decodes_batches_of_scenes(tmp_path, monkeypatch, n_queries, n_scene
     decoder = {"n_queries": n_queries, "channels": 16, "heads": 4, "seed": 1}
     cfg = run_config(tmp_path, seeds={"base": 5, "scenes": n_scenes}, decoder=decoder)
     assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out")) == 0
-    assert cli.BATCH_ROWS == 1024 and passed == [n_scenes // passes] * passes
+    assert pipeline.BATCH_ROWS == 1024 and passed == [n_scenes // passes] * passes
     # preset F: the prefix projects once; each pass projects in its two other
     # 2D sub-layers, and projects and samples in each of its three 3D ones
     assert calls == {"project_rig": 1 + 2 * passes, "project_views": 3 * passes,
@@ -818,7 +891,7 @@ def test_run_projects_each_scene_once(tmp_path, monkeypatch, size_clamp, gt_proj
     ground-truth allocation; a clamped scene is allocated from its own
     projection.  Either way the allocation equals a fresh one.  The
     decoder's allocations project once per 2D sub-layer and batch."""
-    from mvdet import allocation, cli, decoder as decoder_mod, simulator
+    from mvdet import allocation, decoder as decoder_mod, pipeline, simulator
     from mvdet.allocation import AllocationLimits, allocate, clamp_anchors
     from mvdet.simulator import load_scene
 
@@ -829,8 +902,8 @@ def test_run_projects_each_scene_once(tmp_path, monkeypatch, size_clamp, gt_proj
             return _fn(*args, **kwargs)
         monkeypatch.setattr(mod, "project_rig", counted)
     kept = []  # whether each scene the run keeps still holds its projection
-    write_scene = cli._write_scene
-    monkeypatch.setattr(cli, "_write_scene", lambda out_dir, result: (
+    write_scene = pipeline._write_scene
+    monkeypatch.setattr(pipeline, "_write_scene", lambda out_dir, result: (
         kept.append(result[0].projection is not None), write_scene(out_dir, result))[1])
     decoder = {"n_queries": 24, "channels": 16, "heads": 4, "feature_channels": 8, "seed": 1}
     if size_clamp:
@@ -880,11 +953,11 @@ def perturb_failing_on_seed_7(scene, noise=None, seed=0):
 def test_run_failure_names_scene_and_seed(tmp_path, monkeypatch, capsys, jobs):
     import multiprocessing
 
-    from mvdet import cli
+    from mvdet import cli, pipeline
 
     if jobs != "1" and multiprocessing.get_start_method() != "fork":
         pytest.skip("the patched worker function reaches pool workers only by fork")
-    monkeypatch.setattr(cli, "perturb", perturb_failing_on_seed_7)
+    monkeypatch.setattr(pipeline, "perturb", perturb_failing_on_seed_7)
     cfg = run_config(tmp_path, seeds={"base": 5, "scenes": 3})
     argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "x"), "--jobs", jobs]
     with pytest.raises(RuntimeError, match=r"^scene 1 \(seed 6\) failed: injected$") as info:
@@ -911,13 +984,14 @@ def sample_scene_marking(marks, real):
 def test_run_failure_cancels_pending_scenes(tmp_path, monkeypatch):
     import multiprocessing
 
-    from mvdet import cli
+    from mvdet import cli, pipeline
 
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("the patched worker function reaches pool workers only by fork")
     marks = tmp_path / "marks"
     marks.mkdir()
-    monkeypatch.setattr(cli, "sample_scene", sample_scene_marking(marks, cli.sample_scene))
+    monkeypatch.setattr(pipeline, "sample_scene",
+                        sample_scene_marking(marks, pipeline.sample_scene))
     n_scenes = 12
     cfg = run_config(tmp_path, seeds={"base": 5, "scenes": n_scenes})
     argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "x"), "--jobs", "2"]
@@ -941,7 +1015,7 @@ def blank_features_marking(marks, real):
 def test_run_jobs_2_hands_whole_batches_to_workers(tmp_path, monkeypatch):
     import multiprocessing
 
-    from mvdet import cli
+    from mvdet import pipeline
 
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("the patched worker function reaches pool workers only by fork")
@@ -952,8 +1026,8 @@ def test_run_jobs_2_hands_whole_batches_to_workers(tmp_path, monkeypatch):
     for jobs in ("1", "2"):
         marks = tmp_path / f"marks{jobs}"
         marks.mkdir()
-        monkeypatch.setattr(cli, "blank_features",
-                            blank_features_marking(marks, vars(cli)["blank_features"]))
+        monkeypatch.setattr(pipeline, "blank_features",
+                            blank_features_marking(marks, vars(pipeline)["blank_features"]))
         outs[jobs] = tmp_path / f"jobs{jobs}"
         assert run_cli("run", "--config", str(cfg), "--out", str(outs[jobs]),
                        "--jobs", jobs) == 0
@@ -1062,6 +1136,16 @@ def test_run_rejects_jobs_below_one(tmp_path, capsys, jobs):
                      id="scenes"),
         pytest.param({"tau_dis": -1}, "tau_dis must be positive", id="tau_dis"),
         pytest.param({"tau_dis": math.nan}, "tau_dis must be finite, got nan", id="tau_dis_nan"),
+        pytest.param({"tau_dis": True}, "tau_dis must be a number, got True", id="tau_dis_bool"),
+        pytest.param({"noise": {"jitter_px": True}}, "jitter_px must be a number, got True",
+                     id="jitter_px_bool"),
+        pytest.param({"noise": {"drop_prob": {"1": True}}}, "drop_prob must be a number, got True",
+                     id="drop_prob_view_bool"),
+        pytest.param({"crop_rules": [{"source_view_id": 0, "scale_rate": True}]},
+                     "scale_rate must be a number, got True", id="crop_scale_rate_bool"),
+        pytest.param({"tau_iou_sweep": "0:1:1e-9"},
+                     "bad sweep spec '0:1:1e-9'; expected at most 1001 thresholds",
+                     id="tau_iou_sweep_too_long"),
         pytest.param({"tau_iou_sweep": "0.5:1.5:0.5"}, "bad sweep spec '0.5:1.5:0.5'; "
                      "expected 0 <= lo <= hi <= 1, step > 0", id="tau_iou_sweep_above_1"),
         pytest.param({"tau_iou_sweep": "0.5:0.5000000000003:0.0000000000001"},
@@ -1120,7 +1204,7 @@ def test_cli_import_leaves_scipy_optimize_out():
 def ap_of_two_frames(view0, view1):
     """AP when frame 1's only prediction sits exactly on frame 0's ground
     truth; frame 0's box is in view ``view0``, frame 1's in ``view1``."""
-    from mvdet.cli import _ap_inputs
+    from mvdet.pipeline import ap_inputs
     from mvdet.geometry import Boxes2D, make_surround_rig
     from mvdet.metrics import Detections, ap_2d
     from mvdet.simulator import Scene
@@ -1134,8 +1218,8 @@ def ap_of_two_frames(view0, view1):
 
     scenes = [scene(0, [50, 50, 10, 10], view0), scene(1, [200, 200, 10, 10], view1)]
     pred = Boxes2D([[50, 50, 10, 10]], [view1], [0])
-    det = {0: Detections.empty(), 1: Detections(np.zeros((0, 9)), [], [], pred, [1.0])}
-    return ap_2d(*_ap_inputs(scenes, det), (0.5,))[0][0.5]
+    dets = [Detections.empty(), Detections(np.zeros((0, 9)), [], [], pred, [1.0])]
+    return ap_2d(*ap_inputs(scenes, dets), (0.5,))[0][0.5]
 
 
 def test_ap_pooling_keeps_frames_apart():
@@ -1240,9 +1324,9 @@ def run_outputs(rig, scenes, dets):
     and every per-view array as {(kind, scene, [layer,] name, view id): rows}
     of the 2D ground truth, the allocations and the 2D head outputs."""
     from mvdet.allocation import allocate, clamp_anchors
-    from mvdet.cli import _aar_curve_rows, _ap_inputs
     from mvdet.decoder import HybridDecoder
-    from mvdet.metrics import ap_2d
+    from mvdet.metrics import aar, ap_2d
+    from mvdet.pipeline import ap_inputs
     from mvdet.simulator import blank_features, render_features, sample_scene
 
     scenes = [sample_scene(s.seed, rig, n_boxes=len(s.anchors), frame_id=s.frame_id)
@@ -1266,8 +1350,9 @@ def run_outputs(rig, scenes, dets):
     per_view = {(*key, name, int(v)): np.asarray(a)[view_of == v]
                 for key, view_of, table in tables for v in np.unique(view_of)
                 for name, a in table.items()}
-    curve = _aar_curve_rows(scenes, dets, MatchParams(), [0.3, 0.5, 0.7])
-    return curve, ap_2d(*_ap_inputs(scenes, dets), [0.5, 0.75]), heads, per_view
+    dets = [dets[scene.frame_id] for scene in scenes]
+    curve = aar(dets, scenes, MatchParams(), taus=[0.3, 0.5, 0.7]).curve
+    return curve, ap_2d(*ap_inputs(scenes, dets), [0.5, 0.75]), heads, per_view
 
 
 @settings(max_examples=6, deadline=None)
@@ -1301,3 +1386,64 @@ def test_rig_order_changes_no_output_of_a_view(seed, perm_seed):
     for w, g in zip(heads, heads_s, strict=True):
         for lw, lg in zip(w.layers_3d + w.agg_taps, g.layers_3d + g.agg_taps, strict=True):
             assert close(lg.boxes3d, lw.boxes3d) and close(lg.logits, lw.logits)
+
+
+# --------------------------------------------------- sparse view ids (metamorphic)
+
+def relabelled_views(obj, kind, new_id):
+    """A run file's JSON with every view id mapped through ``new_id``."""
+    if kind in ("rig", "scenes"):
+        for view in obj["views" if kind == "rig" else "rig"]:
+            view["view_id"] = new_id[view["view_id"]]
+    if kind == "scenes":
+        for box in obj["gt2d"]:
+            box["view_id"] = new_id[box["view_id"]]
+    elif kind == "gt_scenes":
+        obj["scenes"] = [relabelled_views(s, "scenes", new_id) for s in obj["scenes"]]
+    elif kind == "alloc":
+        obj["camera_of_col"] = [new_id[v] for v in obj["camera_of_col"]]
+        obj["rects"] = [[*rect[:4], new_id[rect[4]]] for rect in obj["rects"]]
+        obj["dropped_zero_area"] = [[i, new_id[v]] for i, v in obj["dropped_zero_area"]]
+        obj["capped_per_view"] = {str(new_id[int(v)]): n for v, n in obj["capped_per_view"].items()}
+    elif kind == "forward":
+        for layer in obj["layers_2d"]:
+            layer["camera_of_col"] = [new_id[v] for v in layer["camera_of_col"]]
+    elif kind == "pred":
+        for frame in obj["frames"]:
+            frame["boxes2d"] = {str(new_id[int(v)]): b for v, b in frame["boxes2d"].items()}
+    return obj
+
+
+def test_sparse_view_ids_change_no_metric_of_a_run(tmp_path):
+    # the built-in rig relabelled to sparse, shuffled ids, its crop rule moved
+    # along from view 0 to view 7: the metrics and summary keep their bytes,
+    # and every per-view file is the plain run's with the ids mapped; the
+    # scores are spread, since AP ranks tied scores by view id
+    sparse = [7, 2, 40, 13, 5, 21]
+    new_id = {**dict(enumerate(sparse)), 6: 41}  # the crop view takes max id + 1
+    rig = tmp_path / "sparse_rig.json"
+    save_rig([dataclasses.replace(v, view_id=i) for v, i in zip(make_surround_rig(6), sparse)],
+             rig)
+    noise = {"drop_prob": 0.2, "jitter_px": 3.0, "jitter_m": 0.3, "score_spread": 0.3}
+    decoder = {"n_queries": 64, "channels": 32, "heads": 4, "seed": 0}
+    outs = {}
+    for name, over in (("plain", {"crop_rules": [{"source_view_id": 0}]}),
+                       ("sparse", {"rig": str(rig), "crop_rules": [{"source_view_id": 7}]})):
+        cfg = run_config(tmp_path, noise=noise, decoder=decoder, seeds={"base": 0, "scenes": 6},
+                         boxes=15, **over)
+        outs[name] = tmp_path / name
+        assert run_cli("run", "--config", str(cfg), "--out", str(outs[name])) == 0
+    files = sorted(p.relative_to(outs["plain"]) for p in outs["plain"].rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(outs["sparse"])
+                           for p in outs["sparse"].rglob("*") if p.is_file())
+    assert len(files) == 5 + 4 * 6
+    for rel in files:
+        plain, got = (outs[name] / rel for name in ("plain", "sparse"))
+        if rel.parts[0] == "metrics" or rel.name == "summary.json":
+            assert got.read_bytes() == plain.read_bytes(), rel
+        else:
+            kind = rel.parts[0] if len(rel.parts) > 1 else rel.stem
+            want = relabelled_views(json.loads(plain.read_text()), kind, new_id)
+            assert json.loads(got.read_text()) == want, rel
+    assert [v["view_id"] for v in json.loads((outs["sparse"] / "rig.json").read_text())["views"]] \
+        == sparse + [41]

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from mvdet import aggregation, cli, decoder
+from mvdet import aggregation, decoder, pipeline
 from mvdet.cli import main as cli_main
 from conftest import per_group_attention
 from test_golden_run import CONFIG as GOLDEN_CONFIG, GOLDEN, exact_digests
@@ -57,7 +57,7 @@ def test_batch_size_changes_no_file_outside_forward(tmp_path, monkeypatch, batch
     # one, four, sixteen and sixty-four scenes per decoder pass over the
     # 12 scenes: the scenes, allocations, predictions and metrics keep their
     # bytes under every execution plan
-    monkeypatch.setattr(cli, "BATCH_ROWS", batch_rows)
+    monkeypatch.setattr(pipeline, "BATCH_ROWS", batch_rows)
     assert run_digests(tmp_path / "out") == json.loads(DIGESTS.read_text())
 
 
