@@ -39,7 +39,6 @@ from .decoder import (
     HeadOutputs,
     HybridDecoder,
     QuerySet,
-    propagate_topk,
 )
 from .denoising import (
     DenoiseLayout,

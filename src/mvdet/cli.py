@@ -158,7 +158,7 @@ def cmd_forward(args) -> int:
     )
     report = out.to_json_obj()
     report["n_sublayers"] = out.n_sublayers
-    report["final_scores"] = updated.scores.tolist() if updated.scores is not None else None
+    report["final_scores"] = updated.scores.tolist()
     dump_json(report, args.out, indent=True)
     if args.out:
         print(f"forward: {out.n_sublayers} sub-layers, "

@@ -8,16 +8,17 @@ parameters come from one seeded initializer so a fixed seed and inputs give
 bit-identical outputs.
 
 The query state stays float64.  Every attention (the 2D group
-self-attention, the two dense self-attentions over the N 3D queries and
-temporal attention) computes in float32, as the paper's PyTorch model
-does by default, through groupattn's row-blocked body; reference-point
-sampling stays float64.  Layer 0 up to its first feature read depends on
-the initial queries alone: ``HybridDecoder.prefix`` computes it once and
-``forward`` can start from it, bit for bit.  ``forward_scenes`` decodes a
-batch of scenes from the same queries in one pass, with each scene's rows
-kept to their own groups; ``forward`` is its one-scene call.
-``HeadOutputs.to_json_obj`` hands the head outputs to the JSON writer as
-NumPy arrays, never as lists.
+self-attention and the two self-attentions over the N 3D queries)
+computes in float32, as the paper's PyTorch model does by default,
+through groupattn's row-blocked body; reference-point sampling stays
+float64.  Layer 0 up to its first feature read depends on the initial
+queries alone: ``HybridDecoder.prefix`` computes it once and ``forward``
+can start from it, bit for bit.  ``forward_scenes`` decodes a batch of
+scenes from the same queries in one pass, with each scene's rows kept to
+their own groups and its 2D columns through a head and gate call of
+their own, so its outputs do not depend on its batch; ``forward`` is its
+one-scene call.  ``HeadOutputs.to_json_obj`` hands the head outputs to
+the JSON writer as NumPy arrays, never as lists.
 """
 
 from __future__ import annotations
@@ -245,7 +246,6 @@ def wrap_yaw(theta: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _Layer2DParams:
-    temporal: AttentionParams
     self_attn: AttentionParams
     cross: CrossAttentionParams
     head2d: MlpParams
@@ -256,7 +256,6 @@ class _Layer2DParams:
 
 @dataclass
 class _Layer3DParams:
-    temporal: AttentionParams
     self_attn: AttentionParams
     cross: CrossAttentionParams
     head3d: MlpParams
@@ -286,7 +285,6 @@ class HybridDecoder:
             for _ in range(config.l_2d):
                 p2.append(
                     _Layer2DParams(
-                        temporal=AttentionParams.seeded(c, h, rng),
                         self_attn=AttentionParams.seeded(c, h, rng),
                         cross=CrossAttentionParams.seeded(cf, c, ns, rng),
                         head2d=MlpParams.seeded(c, c, 4 + k + 2, rng),
@@ -298,7 +296,6 @@ class HybridDecoder:
             for _ in range(config.l_3d):
                 p3.append(
                     _Layer3DParams(
-                        temporal=AttentionParams.seeded(c, h, rng),
                         self_attn=AttentionParams.seeded(c, h, rng),
                         cross=CrossAttentionParams.seeded(cf, c, ns, rng),
                         head3d=MlpParams.seeded(c, c, 7 + k, rng),
@@ -372,14 +369,11 @@ class HybridDecoder:
             rects=cat(a.rects for a in allocs),
         )
 
-    def _open_2d(self, p: _Layer2DParams, q3, anchors, temporal, n_scenes: int):
+    def _open_2d(self, p: _Layer2DParams, q3, anchors, n_scenes: int):
         """A 2D sub-layer of n_scenes scenes up to its first feature read:
-        temporal attention, clamp, one projection of every anchor, one
-        allocation per scene, gather and the group self-attention over
-        (scene, camera) groups.  Returns it, its columns stacked, with each
-        scene's allocation."""
-        if temporal is not None and temporal.n > 0:
-            q3 = q3 + attention(q3, p.temporal, kv=temporal.features)
+        clamp, one projection of every anchor, one allocation per scene,
+        gather and the group self-attention over (scene, camera) groups.
+        Returns it, its columns stacked, with each scene's allocation."""
         anchors = clamp_anchors(anchors, self.config.limits)
         proj, n = project_rig(self.rig, anchors), self.config.n_queries
         allocs = [
@@ -393,12 +387,10 @@ class HybridDecoder:
             q2 = q2 + attention(q2, p.self_attn, groups=alloc.mapping.camera_of_col)
         return Prefix(q3=q3, anchors=anchors, alloc=alloc, q2=q2), allocs
 
-    def _open_3d(self, p: _Layer3DParams, q3, anchors, temporal, scene: np.ndarray):
-        """A 3D sub-layer up to its first feature read: temporal attention
-        and the self-attention within each scene (``scene``, one id per
-        row).  Returns it and None, as ``_open_2d`` returns allocations."""
-        if temporal is not None and temporal.n > 0:
-            q3 = q3 + attention(q3, p.temporal, kv=temporal.features)
+    def _open_3d(self, p: _Layer3DParams, q3, anchors, scene: np.ndarray):
+        """A 3D sub-layer up to its first feature read: the self-attention
+        within each scene (``scene``, one id per row).  Returns it and None,
+        as ``_open_2d`` returns allocations."""
         q3 = q3 + attention(q3, p.self_attn, groups=scene)
         return Prefix(q3=q3, anchors=anchors), None
 
@@ -417,30 +409,28 @@ class HybridDecoder:
             )
 
     def prefix(self, queries: QuerySet) -> Prefix:
-        """Layer 0 of ``forward`` without temporal queries, up to its first
-        feature read: it depends on the queries alone, so a run over many
-        scenes computes it once.  A 2D first sub-layer covers clamp,
-        allocate, gather and group self-attention; a 3D one covers its
-        self-attention."""
+        """Layer 0 of ``forward`` up to its first feature read: it depends
+        on the queries alone, so a run over many scenes computes it once.  A
+        2D first sub-layer covers clamp, allocate, gather and group
+        self-attention; a 3D one covers its self-attention."""
         self._check_queries(queries)
         q3 = np.asarray(queries.features, dtype=np.float64).copy()
         anchors = queries.anchors.copy()
         if self.config.l_2d:
-            opened, (alloc,) = self._open_2d(self.layers_2d[0][0], q3, anchors, None, 1)
+            opened, (alloc,) = self._open_2d(self.layers_2d[0][0], q3, anchors, 1)
             return replace(opened, alloc=alloc)
         scene = np.zeros(queries.n, dtype=np.intp)
-        return self._open_3d(self.layers_3d[0][0], q3, anchors, None, scene)[0]
+        return self._open_3d(self.layers_3d[0][0], q3, anchors, scene)[0]
 
     def forward(
         self,
         features: RigFeatures,
         queries: QuerySet,
-        temporal: Optional[QuerySet] = None,
         prefix: Optional[Prefix] = None,
     ) -> tuple[HeadOutputs, QuerySet]:
         """Run every hybrid layer on one scene; returns head outputs and
         updated queries.  ``forward_scenes`` with one scene."""
-        outs, updated = self.forward_scenes(features, queries, 1, temporal, prefix)
+        outs, updated = self.forward_scenes(features, queries, 1, prefix)
         return outs[0], updated
 
     def forward_scenes(
@@ -448,7 +438,6 @@ class HybridDecoder:
         features: RigFeatures,
         queries: QuerySet,
         n_scenes: int = 1,
-        temporal: Optional[QuerySet] = None,
         prefix: Optional[Prefix] = None,
     ) -> tuple[list[HeadOutputs], QuerySet]:
         """Run every hybrid layer on n_scenes scenes at once, each from
@@ -463,21 +452,17 @@ class HybridDecoder:
         attention and reference-point sampling.  The allocation mapping is
         recomputed inside every 2D sub-layer (anchors may have been refined
         since the previous one), one allocation per scene over one
-        projection of the batch.  Temporal queries belong to one scene.
-        With ``prefix``, which must be ``self.prefix(queries)``, every
-        scene's layer 0 starts from it, bit for bit as without it; it
-        excludes temporal queries.  Nothing here writes into the arrays of
-        ``queries`` or ``prefix``.
+        projection of the batch.  The 2D head and the gate run once per
+        scene, over its own columns: a product over the stacked columns
+        would round a scene's rows by their offset in the batch.  With
+        ``prefix``, which must be ``self.prefix(queries)``, every scene's
+        layer 0 starts from it, bit for bit as without it.  Nothing here
+        writes into the arrays of ``queries`` or ``prefix``.
         """
         cfg = self.config
         self._check_queries(queries)
         if n_scenes < 1:
             raise ValueError(f"n_scenes must be positive, got {n_scenes}")
-        if temporal is not None and temporal.n > 0:
-            if prefix is not None:
-                raise ValueError("a prefix holds no temporal attention; got both")
-            if n_scenes > 1:
-                raise ValueError(f"temporal queries belong to one scene, got {n_scenes}")
         views = scene_view_ids(np.arange(n_scenes)[:, None], self.view_ids, self.view_ids)
         features.rows(views.reshape(-1), cfg.n_scales)  # every view has all its maps
         n, k = cfg.n_queries, cfg.n_classes
@@ -496,63 +481,44 @@ class HybridDecoder:
         last_logits = None
         for li in range(cfg.l_hybrid):
             for p in self.layers_2d[li]:
-                o, allocs = opened or self._open_2d(p, q3, anchors, temporal, n_scenes)
+                o, allocs = opened or self._open_2d(p, q3, anchors, n_scenes)
                 opened = None
                 q3, anchors, alloc, q2 = o.q3, o.anchors, o.alloc, o.q2
                 if alloc.mapping.n_2d:
                     q2 = q2 + ref_point_cross_attention(
                         q2, alloc.ref_points, features, alloc.mapping.camera_of_col, p.cross,
                     )
-                raw = p.head2d.apply(q2)
+                bounds = np.cumsum([0] + [a.mapping.n_2d for a in allocs]).tolist()
+                cols = [slice(c0, c1) for c0, c1 in zip(bounds[:-1], bounds[1:])]
+                raw = np.concatenate([p.head2d.apply(q2[c]) for c in cols])
                 boxes2d = alloc.rects + raw[:, 0:4]
                 boxes2d[:, 2:4] = np.maximum(boxes2d[:, 2:4], 0.0)
-                bounds = np.cumsum([0] + [a.mapping.n_2d for a in allocs]).tolist()
-                for out, a, c0, c1 in zip(outs, allocs, bounds[:-1], bounds[1:]):
+                for out, a, c in zip(outs, allocs, cols):
                     out.layers_2d.append(
                         Layer2DOutput(
                             mapping=a.mapping,
                             ref_points=a.ref_points,
                             truncation=a.truncation,
-                            boxes2d=boxes2d[c0:c1],
-                            logits=raw[c0:c1, 4 : 4 + k],
-                            alphas=raw[c0:c1, 4 + k :],
+                            boxes2d=boxes2d[c],
+                            logits=raw[c, 4 : 4 + k],
+                            alphas=raw[c, 4 + k :],
                         )
                     )
-                q2g = gate_truncation(q2, alloc.truncation, p.gate)
+                q2g = np.concatenate(
+                    [gate_truncation(q2[c], a.truncation, p.gate) for a, c in zip(allocs, cols)])
                 q3 = aggregate(q3, q2g, alloc.mapping, p.agg_attn, groups=scene)
                 tap = p.agg_head3d.apply(q3)
                 anchors = self._refine_anchors(anchors, tap[:, 0:7])
                 last_logits = tap[:, 7:]
                 emit_3d("agg_taps", anchors, last_logits, "agg")
             for p in self.layers_3d[li]:
-                o, _ = opened or self._open_3d(p, q3, anchors, temporal, scene)
+                o, _ = opened or self._open_3d(p, q3, anchors, scene)
                 opened = None
                 q3 = o.q3 + self._cross_attention_3d(o.q3, anchors, features, p.cross)
                 raw = p.head3d.apply(q3)
                 anchors = self._refine_anchors(anchors, raw[:, 0:7])
                 last_logits = raw[:, 7:]
                 emit_3d("layers_3d", anchors, last_logits, "3d")
-        scores = None
-        if last_logits is not None:
-            scores = sigmoid(last_logits.max(axis=1))
-        updated = QuerySet(features=q3, anchors=anchors, scores=scores)
-        return outs, updated
+        scores = sigmoid(last_logits.max(axis=1))  # every config has a sub-layer
+        return outs, QuerySet(features=q3, anchors=anchors, scores=scores)
 
-
-def propagate_topk(queries: QuerySet, k: int) -> QuerySet:
-    """Keep the K best-scored queries as next-frame temporal queries.
-
-    Rows are ordered by descending score; ties keep the lower index first.
-    Requires scores; raises when k exceeds the query count.
-    """
-    if queries.scores is None:
-        raise ValueError("propagate_topk requires scores")
-    n = queries.n
-    if k > n:
-        raise ValueError(f"k={k} exceeds query count {n}")
-    order = np.lexsort((np.arange(n), -queries.scores))[:k]
-    return QuerySet(
-        features=queries.features[order].copy(),
-        anchors=queries.anchors[order].copy(),
-        scores=queries.scores[order].copy(),
-    )

@@ -107,13 +107,16 @@ class CameraView:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "CameraView":
+        derived = obj.get("derived", False)
+        if not isinstance(derived, bool):  # bool("false") is True
+            raise ValueError(f"derived must be true or false, got {derived!r}")
         return cls(
             view_id=integer(obj["view_id"], "view_id"),
             intrinsics=np.asarray(obj["intrinsics"], dtype=np.float64).reshape(3, 3),
             extrinsic=np.asarray(obj["extrinsic"], dtype=np.float64).reshape(4, 4),
             width=integer(obj["width"], "width"),
             height=integer(obj["height"], "height"),
-            derived=bool(obj.get("derived", False)),
+            derived=derived,
         )
 
 

@@ -11,12 +11,12 @@ the same rule out as a dense additive mask for reference checks.
 
 Attention computes in float32, as the paper's PyTorch model does by
 default: it casts its inputs to float32 and returns float64.  Dense
-attention is one group of every row over ``kv``.  A call runs chunks of
-query rows of one group, or of several whole groups, with all heads at
-once, through a score block of ``BLOCK_BUDGET`` elements sized so it stays
-in cache through the softmax and the value product.  It works in base 2
-(q is scaled by log2(e)/sqrt(d), then ``exp2``), subtracts the row max only
-in a group where a bound on its logits does not prove it unnecessary
+attention is one group of every row.  A call runs chunks of query rows of
+one group, or of several whole groups, with all heads at once, through a
+score block of ``BLOCK_BUDGET`` elements sized so it stays in cache
+through the softmax and the value product.  It works in base 2 (q is
+scaled by log2(e)/sqrt(d), then ``exp2``), subtracts the row max only in a
+group where a bound on its logits does not prove it unnecessary
 (``needs_row_max``), and fuses the softmax into the value product (a ones
 column in V carries the row sum).  A call of two chunks or more projects
 q, k and v on the calling thread, then hands the second half of its chunks
@@ -46,7 +46,7 @@ from ._kernels import bilinear_sample
 NEG_INF = -1e9
 
 # Elements of the score block (1 MiB, sized for L2): all h heads over
-# max(1, BLOCK_BUDGET // (h * M)) query rows of a group, 36 rows at M = 900,
+# max(1, BLOCK_BUDGET // (h * N)) rows of a group of N, 36 rows at N = 900,
 # h = 8, or over as many whole groups of N <= that many rows as fit.
 BLOCK_BUDGET = 1 << 18
 
@@ -290,13 +290,13 @@ def needs_row_max(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
             | (m * np.maximum(1.0, v_max) > SHIFT_FREE_MASS))
 
 
-def _attend(x: np.ndarray, kv: np.ndarray, params: AttentionParams) -> np.ndarray:
-    """Multi-head softmax(QK^T / sqrt(d)) V of each group of float32 x (G,
-    N, C) over its own float32 kv (G, M, C); returns (G, N, C) float64.
+def _attend(x: np.ndarray, params: AttentionParams) -> np.ndarray:
+    """Multi-head softmax(QK^T / sqrt(d)) V self-attention within each
+    group of float32 x (G, N, C); returns (G, N, C) float64.
 
     Projects q, k and v once for every group, then runs chunks of query
     rows, all heads at once, through a buffer of at most BLOCK_BUDGET
-    elements: blocks of max(1, BLOCK_BUDGET // (h * M)) rows of one group,
+    elements: blocks of max(1, BLOCK_BUDGET // (h * N)) rows of one group,
     or whole groups, as many as fit, when N is no more than that.  A chunk
     takes QK^T with q scaled by log2(e)/sqrt(d) before its cast, minus the
     row max in each group where ``needs_row_max`` does not prove it
@@ -309,22 +309,22 @@ def _attend(x: np.ndarray, kv: np.ndarray, params: AttentionParams) -> np.ndarra
     the serial loop, so the result is the same bit for bit.
     """
     g, n, c = x.shape
-    m, h = kv.shape[1], params.heads
+    h = params.heads
     d = c // h
-    if n == 0:  # nothing to normalise, even when kv is empty too
+    if n == 0:  # nothing to normalise
         return np.empty((g, 0, c))
     out = np.empty((g, n, h, d))
-    rows = min(n, max(1, BLOCK_BUDGET // max(1, h * m)))
-    per = max(1, BLOCK_BUDGET // max(1, h * rows * m))  # 1 when rows < n
+    rows = min(n, max(1, BLOCK_BUDGET // (h * n)))
+    per = max(1, BLOCK_BUDGET // (h * rows * n))  # 1 when rows < n
     chunks = [(j, min(g, j + per), s, min(n, s + rows))
               for j in range(0, g, per) for s in range(0, n, rows)]
     scale = math.log2(math.e) / math.sqrt(d)
     q = np.ascontiguousarray(
         (x @ params.w_q).reshape(g, n, h, d).transpose(0, 2, 1, 3) * scale, dtype=np.float32)
-    k = np.ascontiguousarray((kv @ params.w_k).reshape(g, m, h, d).transpose(0, 2, 3, 1),
+    k = np.ascontiguousarray((x @ params.w_k).reshape(g, n, h, d).transpose(0, 2, 3, 1),
                              dtype=np.float32)
-    v1 = np.ones((g, h, d + 1, m), dtype=np.float32)
-    v1[:, :, :d] = (kv @ params.w_v).reshape(g, m, h, d).transpose(0, 2, 3, 1)
+    v1 = np.ones((g, h, d + 1, n), dtype=np.float32)
+    v1[:, :, :d] = (x @ params.w_v).reshape(g, n, h, d).transpose(0, 2, 3, 1)
     shift = needs_row_max(q, k, v1[:, :, :d])
     blocks = functools.partial(_attend_blocks, q, k, v1.transpose(0, 1, 3, 2),
                                out.transpose(0, 2, 1, 3), per=per, rows=rows,
@@ -351,36 +351,30 @@ def attention(
     params: AttentionParams,
     *,
     groups=None,
-    kv: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Scaled dot-product attention of the rows of x.
+    """Scaled dot-product self-attention of the rows of x.
 
-    Without ``groups`` every row attends over ``kv`` (default: x itself).
-    With ``groups``, an integer group id per row of x, a row attends only
-    to the rows of x sharing its id.  The groups of each size run as one
+    Without ``groups`` every row attends over every row of x.  With
+    ``groups``, an integer group id per row of x, a row attends only to
+    the rows of x sharing its id.  The groups of each size run as one
     stacked call, each group through products and a row-max decision of
     its own, so its output rows are those of the group attending alone --
-    perturbing or removing another group leaves them bit-identical.  x and
-    kv compute in float32; the result is float64.  Raises on an entry that
+    perturbing or removing another group leaves them bit-identical.  x
+    computes in float32; the result is float64.  Raises on an entry that
     is not finite in float32 (NaN, inf, or beyond the float32 range; fail
     fast), when C is not divisible by the head count, on a groups/x length
-    mismatch, on a negative group id, and when both ``groups`` and ``kv``
-    are given.
+    mismatch and on a negative group id.
     """
     x = _finite_float32(x)
     if x.ndim != 2:
         raise ValueError(f"x must be (M, C), got {x.shape}")
-    if groups is not None and kv is not None:
-        raise ValueError("groups apply to self-attention only; got both groups and kv")
-    kv = x if kv is None else _finite_float32(kv)
     if x.shape[1] % params.heads:
         raise ValueError(f"channels {x.shape[1]} not divisible by heads {params.heads}")
     if groups is None:
-        return _attend(x[None], kv[None], params)[0]
+        return _attend(x[None], params)[0]
     out = np.empty(x.shape)
     for rows in _group_rows(groups, x.shape[0]):
-        xr = x[rows]
-        out[rows] = _attend(xr, xr, params)
+        out[rows] = _attend(x[rows], params)
     return out
 
 

@@ -15,6 +15,7 @@ Either works through chunks of at most ``TABLE_BUDGET`` table elements.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
@@ -684,9 +685,11 @@ def parse_detections(obj: dict, source: str = "detections") -> dict[int, Detecti
             frame_id = integer(f.get("frame_id", 0), "frame_id")
             if frame_id in frames:
                 raise ValueError(f"frame_id {frame_id} appears more than once")
-            b3 = f["boxes3d"]
-            b2 = [(int(view_id), b) for view_id, entries in f.get("boxes2d", {}).items()
-                  for b in entries]
+            b3, views = f["boxes3d"], f.get("boxes2d", {})
+            for key in views:  # int() alone reads "1_0" as 10 and " 1" as 1
+                if not re.fullmatch("-?[0-9]+", key):
+                    raise ValueError(f"boxes2d view key must be an integer, got {key!r}")
+            b2 = [(int(view_id), b) for view_id, entries in views.items() for b in entries]
             frames[frame_id] = Detections(
                 boxes3d=[b["box"] for b in b3],
                 classes3d=[integer(b["class_id"], "class_id") for b in b3],

@@ -229,14 +229,14 @@ def cross_attention_3d_per_view(rig, anchors, features, params):
 # ------------------------------------------------------------------------------
 # Float64 attention: the oracle that the package's float32 attention is held to.
 
-def per_head_reference(x, kv, params):
-    """Dense float64 attention of every row of x over kv, as a per-head loop
+def per_head_reference(x, params):
+    """Dense float64 self-attention of every row of x, as a per-head loop
     with fresh temporaries."""
     h = params.heads
     d = x.shape[1] // h
     q = x @ params.w_q
-    k = kv @ params.w_k
-    v = kv @ params.w_v
+    k = x @ params.w_k
+    v = x @ params.w_v
     out = np.empty_like(x)
     for head in range(h):
         sl = slice(head * d, (head + 1) * d)
@@ -247,26 +247,25 @@ def per_head_reference(x, kv, params):
     return out
 
 
-def float64_attention(x, params, *, groups=None, kv=None):
+def float64_attention(x, params, *, groups=None):
     """``groupattn.attention`` computed in float64 by ``per_head_reference``:
-    every row over ``kv`` (default x), or each group of ``groups`` over
-    itself."""
+    every row over x, or each group of ``groups`` over itself."""
     x = np.asarray(x, dtype=np.float64)
     if groups is None:
-        return per_head_reference(x, x if kv is None else np.asarray(kv, dtype=np.float64), params)
+        return per_head_reference(x, params)
     groups = np.asarray(groups)
     out = np.empty(x.shape)
     for gid in np.unique(groups):
         rows = groups == gid
-        out[rows] = per_head_reference(x[rows], x[rows], params)
+        out[rows] = per_head_reference(x[rows], params)
     return out
 
 
-def per_group_attention(x, params, *, groups=None, kv=None):
+def per_group_attention(x, params, *, groups=None):
     """``groupattn.attention`` with each group of ``groups`` run as its own
     dense call, the loop that stacking the groups of a size replaced."""
     if groups is None:
-        return attention(x, params, kv=kv)
+        return attention(x, params)
     x, groups = np.asarray(x), np.asarray(groups)
     out = np.empty(x.shape)
     for gid in np.unique(groups):

@@ -438,6 +438,22 @@ def test_crop_views_rejects_a_non_integer_view_field(tmp_path, rig_file, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["false", 0, None])
+def test_crop_views_rejects_a_derived_flag_that_is_not_a_bool(tmp_path, rig_file, capsys, flag):
+    # "derived" lets a view's principal point (here cx = -50) leave the
+    # image, so only a JSON true or false may set it
+    obj = json.loads(rig_file.read_text())
+    obj["views"][1]["derived"] = flag
+    obj["views"][1]["intrinsics"][2] = -50.0
+    rig_file.write_text(json.dumps(obj))
+    out = tmp_path / "rig8.json"
+    assert run_cli("crop-views", "--rig", str(rig_file), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err == (f"mvdet crop-views: error: {rig_file}: "
+                   f"derived must be true or false, got {flag!r}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("rate", ["nan", "inf"])
 def test_crop_views_rejects_a_non_finite_scale_rate(tmp_path, rig_file, capsys, rate):
     out = tmp_path / "rig8.json"
@@ -596,6 +612,8 @@ def gt2d_class_changed(sim_dir, class_id):
          "box3d_index must be an integer, got 0.5"),
         ("eval-aar", "--gt", lambda sim: scene_entry_set(sim, "rig", "view_id", 2.5),
          "view_id must be an integer, got 2.5"),
+        ("eval-aar", "--gt", lambda sim: scene_entry_set(sim, "rig", "derived", "false"),
+         "derived must be true or false, got 'false'"),
         ("eval-aar", "--pred", lambda sim: detections_frame_set("frame_id", 2.6),
          "frame_id must be an integer, got 2.6"),
         ("eval-aar", "--pred",
@@ -612,14 +630,28 @@ def gt2d_class_changed(sim_dir, class_id):
          lambda sim: detections_file(boxes2d={"0": [{"box": [1.0, 2.0, 5.0, 4.0],
                                                      "class_id": 0, "score": True}]}),
          "score must be a number, got True"),
+        ("eval-ap", "--pred",
+         lambda sim: detections_file(boxes2d={"1_0": [{"box": [1.0, 2.0, 5.0, 4.0],
+                                                       "class_id": 0}]}),
+         "boxes2d view key must be an integer, got '1_0'"),
+        ("eval-ap", "--pred",
+         lambda sim: detections_file(boxes2d={" 1": [{"box": [1.0, 2.0, 5.0, 4.0],
+                                                      "class_id": 0}]}),
+         "boxes2d view key must be an integer, got ' 1'"),
+        ("eval-ap", "--pred",
+         lambda sim: detections_file(boxes2d={"+1": [{"box": [1.0, 2.0, 5.0, 4.0],
+                                                      "class_id": 0}]}),
+         "boxes2d view key must be an integer, got '+1'"),
     ],
     ids=["pred2d_negative_width", "pred2d_nan_center", "pred2d_three_floats",
          "pred3d_three_floats", "scene_zero_size", "gt2d_negative_width",
          "scene_seven_floats", "no_scenes", "gt2d_class_differs", "scene_seed_bool",
          "scene_frame_id_float", "box_class_id_float", "gt2d_view_id_float",
          "gt2d_class_id_float", "gt2d_box3d_index_float", "scene_rig_view_id_float",
+         "scene_rig_derived_string",
          "pred_frame_id_float", "pred3d_class_id_float", "pred2d_class_id_float",
-         "pred3d_score_bool", "pred2d_score_bool"],
+         "pred3d_score_bool", "pred2d_score_bool", "pred2d_view_key_underscore",
+         "pred2d_view_key_space", "pred2d_view_key_plus"],
 )
 def test_bad_box_value_names_the_file(tmp_path, sim_dir, capsys, command, flag, make_obj,
                                       message):
@@ -1386,6 +1418,91 @@ def test_rig_order_changes_no_output_of_a_view(seed, perm_seed):
     for w, g in zip(heads, heads_s, strict=True):
         for lw, lg in zip(w.layers_3d + w.agg_taps, g.layers_3d + g.agg_taps, strict=True):
             assert close(lg.boxes3d, lw.boxes3d) and close(lg.logits, lw.logits)
+
+
+# ---------------------------------------------------- rigid ego motion (metamorphic)
+
+def ego_motion(yaw: float, shift) -> np.ndarray:
+    """The 4x4 rigid transform of a yaw about z, then a shift."""
+    c, s = math.cos(yaw), math.sin(yaw)
+    motion = np.eye(4)
+    motion[:3, :3] = [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]
+    motion[:3, 3] = shift
+    return motion
+
+
+def moved_boxes(boxes, motion: np.ndarray) -> np.ndarray:
+    """(N, 9) boxes carried by ``motion``: centers moved, yaw turned and
+    wrapped, velocities turned."""
+    from mvdet.decoder import wrap_yaw
+
+    rot = motion[:3, :3]
+    out = np.array(boxes, dtype=np.float64).reshape(-1, 9)
+    out[:, 0:3] = out[:, 0:3] @ rot.T + motion[:3, 3]
+    out[:, 6] = wrap_yaw(out[:, 6] + math.atan2(rot[1, 0], rot[0, 0]))
+    out[:, 7:9] = out[:, 7:9] @ rot[:2, :2].T
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**16), yaw=st.floats(-math.pi, math.pi),
+       shift=st.tuples(st.floats(-60.0, 60.0), st.floats(-60.0, 60.0), st.floats(-3.0, 3.0)))
+def test_rigid_ego_motion_changes_no_2d_truth_allocation_or_metric(seed, yaw, shift):
+    # one rigid motion of the ego frame applied to the rig's extrinsics and
+    # to every box, ground truth and prediction, leaves every camera-frame
+    # coordinate as it was: the 2D ground truth, the ground-truth allocation,
+    # the AAR curve and AP stay within 1e-9 (the decoder is left out: its
+    # deltas and initial anchors live in the ego frame)
+    from mvdet.allocation import allocate, clamp_anchors
+    from mvdet.crop_scale import CropRule, extend_rig
+    from mvdet.geometry import project_rig
+    from mvdet.metrics import aar, ap_2d
+    from mvdet.pipeline import ap_inputs
+    from mvdet.simulator import OracleNoise, Scene, derive_gt2d, sample_scene
+
+    motion = ego_motion(yaw, shift)
+    rig = extend_rig(make_surround_rig(6), [CropRule(source_view_id=0, scale_rate=2.0),
+                                            CropRule(source_view_id=3, scale_rate=2.0)])
+    moved_rig = [dataclasses.replace(v, extrinsic=v.extrinsic @ np.linalg.inv(motion))
+                 for v in rig]
+    scenes = [sample_scene(seed + i, rig, n_boxes=15, frame_id=i) for i in range(3)]
+    noise = OracleNoise(drop_prob=0.2, jitter_px=4.0, jitter_m=0.4, score_spread=0.5)
+    dets = [perturb(s, noise, seed=s.seed + 1) for s in scenes]
+    moved_dets = [dataclasses.replace(d, boxes3d=moved_boxes(d.boxes3d, motion)) for d in dets]
+    moved_scenes = []
+    for scene in scenes:
+        anchors = moved_boxes(scene.anchors, motion)
+        gt2d, link = derive_gt2d(project_rig(moved_rig, anchors), scene.classes)
+        moved_scenes.append(Scene(seed=scene.seed, frame_id=scene.frame_id, anchors=anchors,
+                                  classes=scene.classes, gt2d=gt2d, gt2d_link=link,
+                                  rig=moved_rig))
+
+    def close(a, b):
+        return np.shape(a) == np.shape(b) and np.allclose(a, b, rtol=0.0, atol=1e-9)
+
+    for scene, moved in zip(scenes, moved_scenes):
+        assert np.array_equal(moved.gt2d_link, scene.gt2d_link)
+        assert np.array_equal(moved.gt2d.view_id, scene.gt2d.view_id)
+        assert np.array_equal(moved.gt2d.class_id, scene.gt2d.class_id)
+        assert close(moved.gt2d.rect, scene.gt2d.rect)
+        want = allocate(clamp_anchors(scene.anchors), rig)
+        got = allocate(clamp_anchors(moved.anchors), moved_rig)
+        for name in ("rows", "camera_of_col"):
+            assert np.array_equal(getattr(got.mapping, name), getattr(want.mapping, name))
+        assert np.array_equal(got.truncation, want.truncation)
+        assert close(got.ref_points, want.ref_points) and close(got.rects, want.rects)
+    assert len(scenes[0].gt2d) > 0  # the rig sees boxes
+    taus = [0.3, 0.5, 0.7]
+    want = aar(dets, scenes, MatchParams(), taus=taus)
+    got = aar(moved_dets, moved_scenes, MatchParams(), taus=taus)
+    assert want.curve[1][3] > 0  # candidates at tau 0.5
+    assert close(got.curve, want.curve)
+    want_ap = ap_2d(*ap_inputs(scenes, dets), [0.5, 0.75])
+    got_ap = ap_2d(*ap_inputs(moved_scenes, moved_dets), [0.5, 0.75])
+    assert got_ap.keys() == want_ap.keys()
+    for c in want_ap:
+        assert got_ap[c].keys() == want_ap[c].keys()
+        assert close(list(got_ap[c].values()), list(want_ap[c].values()))
 
 
 # --------------------------------------------------- sparse view ids (metamorphic)

@@ -16,7 +16,6 @@ from mvdet.decoder import (
     Layer2DOutput,
     Layer3DOutput,
     QuerySet,
-    propagate_topk,
     wrap_yaw,
 )
 from mvdet.geometry import dump_json
@@ -343,7 +342,8 @@ def test_forward_scenes_equals_each_scene_alone(rig6):
 
 def test_forward_scenes_keeps_scenes_apart_bitwise(rig6):
     # perturbing one scene's feature maps leaves every other scene of its
-    # batch bit-identical
+    # batch bit-identical, also where the perturbed scene's column count
+    # changes and so moves the offset of every later scene's 2D columns
     rig, dec, scenes, feats = scene_batch(rig6, 6)
     queries, target, n_views = dec.initial_queries(), 2, len(rig)
     outs, _ = dec.forward_scenes(feats, queries, len(scenes))
@@ -357,6 +357,8 @@ def test_forward_scenes_keeps_scenes_apart_bitwise(rig6):
         same = [same_bits(a, b) for a, b in zip(head_arrays(outs[j]),
                                                 head_arrays(outs_bumped[j]), strict=True)]
         assert all(same) if j != target else not all(same), j
+    assert any(a.mapping.n_2d != b.mapping.n_2d
+               for a, b in zip(outs[target].layers_2d, outs_bumped[target].layers_2d))
 
 
 def test_forward_scenes_ignores_view_id_labels(rig6):
@@ -390,27 +392,11 @@ def test_forward_scenes_ignores_view_id_labels(rig6):
 def test_forward_scenes_errors(rig6):
     rig, dec, _, feats = scene_batch(rig6, 2)
     queries = dec.initial_queries()
-    _, updated = dec.forward_scenes(feats, queries, 1)
-    temporal = propagate_topk(QuerySet(updated.features, updated.anchors, updated.scores), 8)
-    with pytest.raises(ValueError, match="^temporal queries belong to one scene, got 2$"):
-        dec.forward_scenes(feats, queries, 2, temporal=temporal)
     with pytest.raises(ValueError, match="^n_scenes must be positive, got 0$"):
         dec.forward_scenes(feats, queries, 0)
     stride = max(v.view_id for v in rig) + 1
     with pytest.raises(ValueError, match=f"^missing feature maps for view {2 * stride}$"):
         dec.forward_scenes(feats, queries, 3)
-
-
-def test_prefix_excludes_temporal_queries(setup):
-    rig, feats = setup
-    dec = HybridDecoder(small_config(seed=5), rig)
-    queries = dec.initial_queries()
-    _, updated = dec.forward(feats, queries)
-    temporal = propagate_topk(updated, 8)
-    with pytest.raises(ValueError, match="a prefix holds no temporal attention"):
-        dec.forward(feats, queries, temporal=temporal, prefix=dec.prefix(queries))
-    with pytest.raises(ValueError, match="query set has 3 rows, config expects 24"):
-        dec.prefix(QuerySet(features=np.zeros((3, 16)), anchors=np.ones((3, 9))))
 
 
 def test_2d_output_rows_match_allocation(setup):
@@ -510,17 +496,6 @@ def test_view_drop_robustness(rig6):
     assert upd.n == cfg.n_queries
 
 
-def test_temporal_queries_change_output(setup):
-    rig, feats = setup
-    cfg = small_config(seed=5)
-    dec = HybridDecoder(cfg, rig)
-    q = dec.initial_queries()
-    out_plain, upd_plain = dec.forward(feats, q)
-    temporal = propagate_topk(upd_plain, 8) if upd_plain.scores is not None else None
-    out_t, upd_t = dec.forward(feats, q, temporal=temporal)
-    assert not np.array_equal(upd_plain.features, upd_t.features)
-
-
 def test_forward_errors(setup):
     rig, feats = setup
     cfg = small_config()
@@ -533,64 +508,6 @@ def test_forward_errors(setup):
     bad = QuerySet(features=np.zeros((3, cfg.channels)), anchors=np.zeros((3, 9)) + [0, 0, 0, 1, 1, 1, 0, 0, 0])
     with pytest.raises(ValueError):
         dec.forward(feats, bad)  # row count mismatch
+    with pytest.raises(ValueError, match="query set has 3 rows, config expects 24"):
+        dec.prefix(QuerySet(features=np.zeros((3, 16)), anchors=np.ones((3, 9))))
 
-
-# -------------------------------------------------------------- propagate_topk
-
-def test_topk_hand_case():
-    qs = QuerySet(
-        features=np.arange(6, dtype=float).reshape(3, 2),
-        anchors=np.tile([0, 0, 0, 1, 1, 1, 0, 0, 0.0], (3, 1)),
-        scores=np.array([0.9, 0.1, 0.5]),
-    )
-    out = propagate_topk(qs, 2)
-    assert out.scores.tolist() == [0.9, 0.5]
-    assert np.array_equal(out.features, qs.features[[0, 2]])
-
-
-def test_topk_full_set_sorted():
-    qs = QuerySet(
-        features=np.zeros((4, 2)),
-        anchors=np.tile([0, 0, 0, 1, 1, 1, 0, 0, 0.0], (4, 1)),
-        scores=np.array([0.2, 0.8, 0.2, 0.9]),
-    )
-    out = propagate_topk(qs, 4)
-    assert out.scores.tolist() == [0.9, 0.8, 0.2, 0.2]
-
-
-def test_topk_ties_prefer_lower_index():
-    qs = QuerySet(
-        features=np.arange(8, dtype=float).reshape(4, 2),
-        anchors=np.tile([0, 0, 0, 1, 1, 1, 0, 0, 0.0], (4, 1)),
-        scores=np.array([0.5, 0.9, 0.5, 0.1]),
-    )
-    out = propagate_topk(qs, 2)
-    assert np.array_equal(out.features, qs.features[[1, 0]])
-
-
-def test_topk_matches_sort_oracle():
-    rng = np.random.default_rng(8)
-    for _ in range(50):
-        n = int(rng.integers(1, 40))
-        scores = rng.uniform(size=n).round(2)  # rounding forces ties
-        qs = QuerySet(
-            features=rng.standard_normal((n, 3)),
-            anchors=np.tile([0, 0, 0, 1, 1, 1, 0, 0, 0.0], (n, 1)),
-            scores=scores,
-        )
-        k = int(rng.integers(1, n + 1))
-        out = propagate_topk(qs, k)
-        order = sorted(range(n), key=lambda i: (-scores[i], i))[:k]
-        assert np.array_equal(out.features, qs.features[order])
-
-
-def test_topk_errors():
-    qs = QuerySet(
-        features=np.zeros((3, 2)),
-        anchors=np.tile([0, 0, 0, 1, 1, 1, 0, 0, 0.0], (3, 1)),
-    )
-    with pytest.raises(ValueError):
-        propagate_topk(qs, 1)  # no scores
-    qs2 = QuerySet(features=qs.features, anchors=qs.anchors, scores=np.ones(3))
-    with pytest.raises(ValueError):
-        propagate_topk(qs2, 4)  # k > N

@@ -175,7 +175,7 @@ def test_nan_input_fails_fast():
     with pytest.raises(ValueError):
         attention(x, seeded_params(4), groups=np.zeros(2, int))
     with pytest.raises(ValueError):
-        attention(np.ones((2, 4)), seeded_params(4), kv=x)
+        attention(x, seeded_params(4))
 
 
 def test_heads_must_divide_channels():
@@ -190,8 +190,6 @@ def test_invalid_groups_rejected():
         attention(x, params, groups=np.array([0, 1]))
     with pytest.raises(ValueError, match="out of range"):
         attention(x, params, groups=np.array([0, -1, 1]))
-    with pytest.raises(ValueError, match="both"):
-        attention(x, params, groups=np.zeros(3, int), kv=x)
 
 
 def test_empty_query_set():
@@ -199,19 +197,14 @@ def test_empty_query_set():
     assert out.shape == (0, 4)
 
 
-def test_kv_defaults_to_x():
+def test_one_group_is_plain_self_attention():
     rng = np.random.default_rng(12)
     x = rng.standard_normal((7, 8))
-    kv = rng.standard_normal((4, 8))
     params = seeded_params(8, heads=2, seed=1)
-    assert np.array_equal(attention(x, params), attention(x, params, kv=x))
     # one group over everything is plain self-attention, bit for bit
     assert np.array_equal(
         attention(x, params), attention(x, params, groups=np.full(7, 3))
     )
-    got = attention(x, params, kv=kv)
-    assert got.shape == (7, 8)
-    assert not np.array_equal(got, attention(x, params))
 
 
 def dense_sentinel_reference(x, mask, params):
@@ -373,68 +366,62 @@ def test_equal_groups_share_one_score_product(monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 40),
-    m=st.integers(1, 40),
     heads=st.sampled_from([1, 2, 4, 8]),
     d=st.integers(1, 5),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_dense_attention_matches_per_head_loop(n, m, heads, d, seed):
+def test_dense_attention_matches_per_head_loop(n, heads, d, seed):
     # float64 input computes as its float32 cast, in the fused per-head loop
     rng = np.random.default_rng(seed)
     c = heads * d
     x = 3.0 * rng.standard_normal((n, c))
-    kv = 3.0 * rng.standard_normal((m, c))
     params = AttentionParams.seeded(c, heads, rng)
-    x32, kv32 = x.astype(np.float32), kv.astype(np.float32)
-    assert np.array_equal(attention(x, params, kv=kv), fused_per_head_reference(x32, kv32, params))
-    assert np.array_equal(attention(x, params), fused_per_head_reference(x32, x32, params))
+    want = fused_per_head_reference(x.astype(np.float32), params)
+    assert np.array_equal(attention(x, params), want)
 
 
-@pytest.mark.parametrize("call", ["plain", "kv", "groups"])
+@pytest.mark.parametrize("call", ["plain", "one_chunk", "groups"])
 def test_float64_input_gives_the_bits_of_its_float32_cast(call):
-    # one body: float64 input computes as its float32 cast, whatever the call
+    # one body: float64 input computes as its float32 cast, whatever the
+    # call: 300 rows in two score chunks, 70 rows in one, or groups
     rng = np.random.default_rng(11)
     x = 3.0 * rng.standard_normal((300, 16))
-    kv = 3.0 * rng.standard_normal((70, 16))
     groups = rng.integers(0, 5, size=300)
     params = AttentionParams.seeded(16, 4, rng)
-    run = {"plain": lambda x, kv: attention(x, params),
-           "kv": lambda x, kv: attention(x, params, kv=kv),
-           "groups": lambda x, kv: attention(x, params, groups=groups)}[call]
-    assert np.array_equal(run(x, kv), run(x.astype(np.float32), kv.astype(np.float32)))
+    run = {"plain": lambda x: attention(x, params),
+           "one_chunk": lambda x: attention(x[:70], params),
+           "groups": lambda x: attention(x, params, groups=groups)}[call]
+    assert np.array_equal(run(x), run(x.astype(np.float32)))
 
 
 @pytest.mark.parametrize(
     "n, m, heads",
     [
-        (512, 1024, 2),   # 128-row score blocks: four, all full
-        (2048, 1024, 2),  # sixteen full blocks
-        (2048, 1025, 2),  # 127-row blocks: the 17th holds 16 rows
+        (512, 1024, 2),   # 256-row score blocks: two; 128-row blocks: eight
+        (2048, 1024, 2),  # 64-row blocks: thirty-two; eight of 128 rows
+        (2048, 1025, 2),  # thirty-two of 64 rows; 127-row blocks: the ninth holds 9
         (1024, 1024, 2),  # eight full blocks
-        (1024, 1025, 2),  # the ninth block holds 8 rows
+        (1024, 1025, 2),  # eight full blocks; the ninth of 127 holds 9 rows
         (1024, 1024, 4),  # 64-row blocks: sixteen
-        (512, 1024, 8),   # 32-row blocks: sixteen
+        (512, 1024, 8),   # 64-row blocks: eight; 32-row blocks: thirty-two
         (900, 900, 8),    # the decoder's 3D self-attention: 25 blocks of 36 rows
-        (900, 256, 4),    # 256-row blocks: the fourth holds 132 rows
+        (900, 256, 4),    # 72-row blocks: the 13th holds 36 rows; 256 rows in one chunk
     ],
 )
 def test_dense_attention_around_score_budget(n, m, heads):
-    # cross-attention over row blocks of BLOCK_BUDGET // (heads * m) rows:
-    # the blocks follow the key count, not the query count
+    # self-attention of n rows and of m rows, each over row blocks of
+    # BLOCK_BUDGET // (heads * rows) rows: the blocks follow the row count
     rng = np.random.default_rng(n + m + heads)
     c = 2 * heads
-    x = rng.standard_normal((n, c)).astype(np.float32)
-    kv = rng.standard_normal((m, c)).astype(np.float32)
     params = AttentionParams.seeded(c, heads, rng)
-    assert np.array_equal(attention(x, params, kv=kv), fused_per_head_reference(x, kv, params))
+    for rows in (n, m):
+        x = rng.standard_normal((rows, c)).astype(np.float32)
+        assert np.array_equal(attention(x, params), fused_per_head_reference(x, params))
 
 
 def test_dense_attention_empty_queries():
     params = seeded_params(8, heads=2)
-    kv = np.ones((3, 8))
     assert attention(np.zeros((0, 8)), params).shape == (0, 8)
-    got = attention(np.zeros((0, 8)), params, kv=kv)
-    assert np.array_equal(got, per_head_reference(np.zeros((0, 8)), kv, params))
 
 
 def traced_peak(call):
@@ -458,15 +445,14 @@ def test_dense_attention_peak_memory():
 
 
 def test_dense_attention_head_over_budget_memory():
-    # one N x M head eight times the score block: the call holds one block
-    # buffer on each of its two threads, never an N x M head
-    n, m, heads = 2048, 1025, 2
+    # one N x N head sixteen times the score block: the call holds one block
+    # buffer on each of its two threads, never an N x N head
+    n, heads = 2048, 2
     rng = np.random.default_rng(4)
     x = rng.standard_normal((n, 2 * heads)).astype(np.float32)
-    kv = rng.standard_normal((m, 2 * heads)).astype(np.float32)
     params = AttentionParams.seeded(2 * heads, heads, rng)
-    peak = traced_peak(lambda: attention(x, params, kv=kv))
-    assert n * m > 8 * BLOCK_BUDGET
+    peak = traced_peak(lambda: attention(x, params))
+    assert n * n > 8 * BLOCK_BUDGET
     assert peak < 2.5 * 4 * BLOCK_BUDGET
 
 
@@ -497,7 +483,7 @@ def test_dense_attention_runs_on_the_calling_thread(monkeypatch, dtype, n, calls
     assert threading.active_count() == before
     assert seen == [threading.get_ident()] * calls
     x32 = x.astype(np.float32)
-    assert np.array_equal(got, fused_per_head_reference(x32, x32, params))
+    assert np.array_equal(got, fused_per_head_reference(x32, params))
 
 
 @pytest.mark.parametrize("n, here, there", [(900, 13, 12), (72, 1, 1), (20, 1, 0)])
@@ -517,7 +503,7 @@ def test_float32_row_blocks_split_with_one_helper(monkeypatch, n, here, there):
     got = attention(x, params)
     seen = list(seen)
     assert np.array_equal(got, serial)
-    assert np.array_equal(got, fused_per_head_reference(x, x, params))
+    assert np.array_equal(got, fused_per_head_reference(x, params))
     me = threading.get_ident()
     assert seen.count(me) == here
     assert len(seen) - here == there and len(set(seen) - {me}) == min(1, there)
@@ -539,7 +525,7 @@ def test_float32_helper_error_reaches_the_caller(monkeypatch):
     with pytest.raises(FloatingPointError, match="injected on the helper"):
         attention(x, params)
     monkeypatch.setattr(np, "exp2", exp2)
-    assert np.array_equal(attention(x, params), fused_per_head_reference(x, x, params))
+    assert np.array_equal(attention(x, params), fused_per_head_reference(x, params))
 
 
 def test_dense_call_hands_the_helper_one_job(monkeypatch):
@@ -559,7 +545,7 @@ def test_dense_call_hands_the_helper_one_job(monkeypatch):
     monkeypatch.setattr(groupattn._helper, "submit", recording_submit)
     got = attention(x, params)
     assert len(jobs) == 1
-    assert np.array_equal(got, fused_per_head_reference(x, x, params))
+    assert np.array_equal(got, fused_per_head_reference(x, params))
 
 
 def test_float32_caller_error_waits_for_the_helper(monkeypatch):
@@ -583,7 +569,7 @@ def test_float32_caller_error_waits_for_the_helper(monkeypatch):
         attention(x, params)
     assert len(helper_blocks) == 12
     monkeypatch.setattr(np, "exp2", exp2)
-    assert np.array_equal(attention(x, params), fused_per_head_reference(x, x, params))
+    assert np.array_equal(attention(x, params), fused_per_head_reference(x, params))
 
 
 def test_float32_helper_is_one_thread_over_many_calls(monkeypatch):
@@ -604,7 +590,7 @@ def test_float32_helper_shared_by_concurrent_callers(monkeypatch):
     rng = np.random.default_rng(5)
     params = AttentionParams.seeded(16, 8, rng)
     xs = [rng.standard_normal((300, 16)).astype(np.float32) for _ in range(4)]
-    want = [fused_per_head_reference(x, x, params) for x in xs]
+    want = [fused_per_head_reference(x, params) for x in xs]
     wrong = []
 
     def calls(i):
@@ -675,7 +661,7 @@ def test_float32_row_max_only_above_the_logit_bound(monkeypatch, bound, shifted)
     monkeypatch.undo()
     assert bool(subtracted) == shifted
     assert np.isfinite(got).all()
-    assert np.array_equal(got, fused_per_head_reference(x, x, params))
+    assert np.array_equal(got, fused_per_head_reference(x, params))
     if bound > 1000:  # logits q.k / sqrt(d) beyond 1e3: exp2 would overflow unshifted
         q, k = x.astype(np.float64) @ params.w_q, x.astype(np.float64) @ params.w_k
         heads = [slice(4 * i, 4 * i + 4) for i in range(4)]
@@ -695,7 +681,7 @@ def test_float32_row_max_when_values_are_large():
     assert groupattn.needs_row_max(q[None] * 0.01, k[None], v[None] * 2.0**60)
     got = attention(x, big)
     assert np.isfinite(got).all()
-    assert np.array_equal(got, fused_per_head_reference(x, x, big))
+    assert np.array_equal(got, fused_per_head_reference(x, big))
 
 
 def test_softmax_rows_in_place():
@@ -712,28 +698,28 @@ def test_softmax_rows_in_place():
 FLOAT32_REL_TOL = 1e-5
 
 
-def fused_per_head_reference(x, kv, params):
+def fused_per_head_reference(x, params):
     """The float32 formula as a per-head loop over the same row blocks as
     ``attention``: q scaled by log2(e)/sqrt(d) before its cast, the row max
     subtracted only when the logit bound does not make it unnecessary, exp2,
     and the row sum carried by a ones row appended to the transposed v."""
     n, c = x.shape
-    m, h = kv.shape[0], params.heads
+    h = params.heads
     d = c // h
     q = ((x @ params.w_q) * (math.log2(math.e) / math.sqrt(d))).astype(np.float32)
-    k = (kv @ params.w_k).astype(np.float32)
-    v = (kv @ params.w_v).astype(np.float32)
-    rows = max(1, groupattn.BLOCK_BUDGET // (h * m))
+    k = (x @ params.w_k).astype(np.float32)
+    v = (x @ params.w_v).astype(np.float32)
+    rows = max(1, groupattn.BLOCK_BUDGET // (h * n))
     heads = [slice(head * d, (head + 1) * d) for head in range(h)]
     row_norm = lambda a, sl: np.linalg.norm(a[:, sl].astype(np.float64), axis=1).max()
     logit_bound = max(row_norm(q, sl) for sl in heads) * max(row_norm(k, sl) for sl in heads)
     shift = not (logit_bound <= groupattn.SHIFT_FREE_LOGIT
-                 and m * max(1.0, np.abs(v).max()) <= groupattn.SHIFT_FREE_MASS)
+                 and n * max(1.0, np.abs(v).max()) <= groupattn.SHIFT_FREE_MASS)
     out = np.empty(x.shape)
     for sl in heads:
         q_head = np.ascontiguousarray(q[:, sl])
         k_head = np.ascontiguousarray(k[:, sl].T)
-        v_head = np.ones((d + 1, m), dtype=np.float32)
+        v_head = np.ones((d + 1, n), dtype=np.float32)
         v_head[:d] = v[:, sl].T
         for s in range(0, n, rows):
             scores = q_head[s : s + rows] @ k_head
@@ -743,16 +729,16 @@ def fused_per_head_reference(x, kv, params):
     return out
 
 
-def float32_drift(x, kv, params):
+def float32_drift(x, params):
     """Largest |float32 - float64 per-head reference|, and the reference.
 
     The float32 result must also equal the fused per-head loop bit for bit,
     at every size."""
-    x32, kv32 = x.astype(np.float32), kv.astype(np.float32)
-    got = attention(x32, params, kv=kv32)
+    x32 = x.astype(np.float32)
+    got = attention(x32, params)
     assert got.dtype == np.float64
-    assert np.array_equal(got, fused_per_head_reference(x32, kv32, params))
-    want = per_head_reference(x, kv, params)
+    assert np.array_equal(got, fused_per_head_reference(x32, params))
+    want = per_head_reference(x, params)
     return np.abs(got - want).max(), want
 
 
@@ -761,29 +747,26 @@ def test_float32_attention_near_float64_at_decoder_size(feature_scale):
     rng = np.random.default_rng(int(feature_scale))
     x = feature_scale * rng.standard_normal((900, 64))
     params = AttentionParams.seeded(64, 8, rng)
-    drift, want = float32_drift(x, x, params)
+    drift, want = float32_drift(x, params)
     assert drift <= FLOAT32_REL_TOL * np.abs(want).max()
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 40),
-    m=st.integers(1, 40),
     heads=st.sampled_from([1, 2, 4, 8]),
     d=st.integers(1, 5),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_float32_attention_near_float64_property(n, m, heads, d, seed):
+def test_float32_attention_near_float64_property(n, heads, d, seed):
     rng = np.random.default_rng(seed)
     c = heads * d
     x = 3.0 * rng.standard_normal((n, c))
-    kv = 3.0 * rng.standard_normal((m, c))
     params = AttentionParams.seeded(c, heads, rng)
     # an output row is a convex combination of value rows, which can cancel
     # to near zero in a one-channel head: the bound scales with the values
-    for keys in (kv, x):
-        drift, _ = float32_drift(x, keys, params)
-        assert drift <= FLOAT32_REL_TOL * np.abs(keys @ params.w_v).max()
+    drift, _ = float32_drift(x, params)
+    assert drift <= FLOAT32_REL_TOL * np.abs(x @ params.w_v).max()
 
 
 @pytest.mark.parametrize("budget", [1, 8 * 900 * 7, BLOCK_BUDGET, 8 * 900 * 900, 1 << 30])
@@ -796,7 +779,7 @@ def test_float32_attention_matches_reference_at_every_block_size(budget, monkeyp
     x = rng.standard_normal((n, c)).astype(np.float32)
     params = AttentionParams.seeded(c, heads, rng)
     monkeypatch.setattr(groupattn, "BLOCK_BUDGET", budget)
-    assert np.array_equal(attention(x, params), fused_per_head_reference(x, x, params))
+    assert np.array_equal(attention(x, params), fused_per_head_reference(x, params))
 
 
 def test_float32_attention_peak_memory():
@@ -813,15 +796,13 @@ def test_float32_attention_returns_float64_and_rejects_nan():
     x = rng.standard_normal((6, 8)).astype(np.float32)
     params = seeded_params(8, heads=2)
     assert attention(x, params).dtype == np.float64
-    assert attention(x, params, kv=x[:3]).dtype == np.float64
+    assert attention(x[:3], params).dtype == np.float64
     assert attention(x, params, groups=np.array([0, 0, 1, 1, 1, 2])).dtype == np.float64
     assert attention(x[:0], params).dtype == np.float64
     bad = x.copy()
     bad[2, 3] = np.nan
     with pytest.raises(ValueError, match="NaN"):
         attention(bad, params)
-    with pytest.raises(ValueError, match="NaN"):
-        attention(x, params, kv=bad)
     with pytest.raises(ValueError, match="NaN"):
         attention(bad, params, groups=np.zeros(6, int))
     # beyond the float32 range, or infinite: not finite once cast
@@ -832,7 +813,7 @@ def test_float32_attention_returns_float64_and_rejects_nan():
     inf = x.copy()
     inf[4, 1] = np.inf
     with pytest.raises(ValueError, match="not finite in float32"):
-        attention(x, params, kv=inf)
+        attention(inf, params)
     inf[4, 1] = -np.inf
     with pytest.raises(ValueError, match="not finite in float32"):
         attention(inf, params, groups=np.array([0, 0, 1, 1, 1, 2]))

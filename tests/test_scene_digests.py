@@ -6,8 +6,9 @@ at a twelfth of its length: preset F with 64 queries, 32 channels and 4
 heads, two crop views, 20 boxes per scene and 12 scenes.  Every artifact
 outside ``forward/`` (scenes, allocations, predictions, metrics) is compared
 byte for byte against the SHA-256 digests in
-``golden/many_scenes_digests.json``.  ``forward/`` is compared between two
-runs in one process, under execution plans that must keep its bytes.
+``golden/many_scenes_digests.json``.  ``forward/`` is compared between runs
+in one process, under execution plans (batch sizes, attention group by
+group) that must keep its bytes.
 
 After a deliberate change of those artifacts, regenerate the digests with
 ``PYTHONPATH=src python tests/test_scene_digests.py --update`` and say why
@@ -48,17 +49,34 @@ def run_digests(out_dir: Path) -> dict[str, str]:
     return exact_digests(out_dir)
 
 
+def file_digests(out_dir: Path) -> dict[str, str]:
+    """SHA-256 of every file of a run, forward/ included."""
+    return {p.relative_to(out_dir).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out_dir.rglob("*")) if p.is_file()}
+
+
+@pytest.fixture(scope="module")
+def default_plan_files(tmp_path_factory) -> dict[str, str]:
+    """``file_digests`` of the run at the default ``BATCH_ROWS``."""
+    out = tmp_path_factory.mktemp("default_plan") / "out"
+    run_digests(out)
+    return file_digests(out)
+
+
 def test_many_scenes_shaped_run_matches_digests(tmp_path):
     assert run_digests(tmp_path / "out") == json.loads(DIGESTS.read_text())
 
 
 @pytest.mark.parametrize("batch_rows", [64, 256, 1024, 4096])
-def test_batch_size_changes_no_file_outside_forward(tmp_path, monkeypatch, batch_rows):
+def test_batch_size_changes_no_file_outside_forward(tmp_path, monkeypatch, batch_rows,
+                                                     default_plan_files):
     # one, four, sixteen and sixty-four scenes per decoder pass over the
     # 12 scenes: the scenes, allocations, predictions and metrics keep their
-    # bytes under every execution plan
+    # committed bytes under every execution plan, and forward/ the bytes of
+    # the default plan (each scene's 2D head and gate run on its own columns)
     monkeypatch.setattr(pipeline, "BATCH_ROWS", batch_rows)
     assert run_digests(tmp_path / "out") == json.loads(DIGESTS.read_text())
+    assert file_digests(tmp_path / "out") == default_plan_files
 
 
 def test_forward_keeps_its_bytes_with_attention_group_by_group(tmp_path, monkeypatch):
@@ -69,17 +87,14 @@ def test_forward_keeps_its_bytes_with_attention_group_by_group(tmp_path, monkeyp
     run_digests(tmp_path / "stacked")
     grouped = []
 
-    def recording(x, params, *, groups=None, kv=None):
+    def recording(x, params, *, groups=None):
         grouped.append(groups is not None)
-        return per_group_attention(x, params, groups=groups, kv=kv)
+        return per_group_attention(x, params, groups=groups)
 
     monkeypatch.setattr(decoder, "attention", recording)
     monkeypatch.setattr(aggregation, "attention", recording)
     run_digests(tmp_path / "per_group")
-    stacked, per_group = (
-        {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-         for p in sorted(out.rglob("*")) if p.is_file()}
-        for out in (tmp_path / "stacked", tmp_path / "per_group"))
+    stacked, per_group = (file_digests(tmp_path / name) for name in ("stacked", "per_group"))
     assert sum(name.startswith("forward/") for name in stacked) == CONFIG["seeds"]["scenes"]
     assert all(grouped) and len(grouped) > 0
     assert stacked == per_group
