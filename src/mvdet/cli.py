@@ -106,7 +106,8 @@ def cmd_simulate(args) -> int:
 def cmd_allocate(args) -> int:
     rig = load_extended_rig(args.rig)
     with naming_file(args.anchors):
-        anchors = anchors_to_array(np.asarray(load_json(args.anchors)["anchors"], dtype=np.float64))
+        anchors = np.asarray(load_json(args.anchors)["anchors"], dtype=np.float64)
+        anchors = anchors_to_array(anchors.reshape(0, 9) if anchors.shape == (0,) else anchors)
         rows = np.flatnonzero(~np.isfinite(anchors).all(axis=1))
         if rows.size:
             raise ValueError(f"anchor row {rows[0]} is not finite")
@@ -153,9 +154,7 @@ def cmd_forward(args) -> int:
             raise ValueError(f"--seed must be non-negative, got {args.seed}")
         config = dataclasses.replace(config, seed=args.seed)
     decoder = HybridDecoder(config, rig)
-    out, updated = decoder.forward(
-        render_features(scene, rig, feature_scales(config)), decoder.initial_queries()
-    )
+    out, updated = decoder.forward(render_features(scene, rig, feature_scales(config)))
     report = out.to_json_obj()
     report["n_sublayers"] = out.n_sublayers
     report["final_scores"] = updated.scores.tolist()

@@ -11,20 +11,22 @@ The query state stays float64.  Every attention (the 2D group
 self-attention and the two self-attentions over the N 3D queries)
 computes in float32, as the paper's PyTorch model does by default,
 through groupattn's row-blocked body; reference-point sampling stays
-float64.  Layer 0 up to its first feature read depends on the initial
-queries alone: ``HybridDecoder.prefix`` computes it once and ``forward``
-can start from it, bit for bit.  ``forward_scenes`` decodes a batch of
-scenes from the same queries in one pass, with each scene's rows kept to
-their own groups and its 2D columns through a head and gate call of
-their own, so its outputs do not depend on its batch; ``forward`` is its
-one-scene call.  ``HeadOutputs.to_json_obj`` hands the head outputs to
-the JSON writer as NumPy arrays, never as lists.
+float64.  Every pass starts from the decoder's own initial queries
+(``HybridDecoder.initial_queries``), so layer 0 up to its first feature
+read depends on the decoder alone: ``HybridDecoder.prefix`` computes it
+once for one scene, and ``forward_scenes`` tiles it over its scenes,
+given or computed.  ``forward_scenes`` decodes a batch of scenes in one
+pass, with each scene's rows kept to their own groups and its 2D columns
+through a head and gate call of their own, so its outputs do not depend
+on its batch; ``forward`` is its one-scene call.
+``HeadOutputs.to_json_obj`` hands the head outputs to the JSON writer as
+NumPy arrays, never as lists.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -108,17 +110,20 @@ class DecoderConfig:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DecoderConfig":
         """Config from ``to_json_obj``'s keys and "preset", each optional: an
-        absent key takes its field's default, and a "preset" other than null
-        wins over explicit l_2d / l_3d / l_hybrid entries."""
+        absent key takes its field's default, and explicit l_2d / l_3d /
+        l_hybrid entries must agree with a "preset" other than null."""
         obj = dict(obj)
         preset = obj.pop("preset", None)
         limits = AllocationLimits(
             **{f.name: obj.pop(f.name) for f in fields(AllocationLimits) if f.name in obj})
         if preset is None:
             return cls(limits=limits, **obj)
-        for k in ("l_2d", "l_3d", "l_hybrid"):
-            obj.pop(k, None)
-        return cls.from_preset(preset, limits=limits, **obj)
+        layers = {k: obj.pop(k) for k in ("l_2d", "l_3d", "l_hybrid") if k in obj}
+        config = cls.from_preset(preset, limits=limits, **obj)
+        for k, v in layers.items():
+            if integer(v, k) != getattr(config, k):
+                raise ValueError(f"preset {preset!r} has {k} {getattr(config, k)}, not {v!r}")
+        return config
 
 
 @dataclass
@@ -167,14 +172,16 @@ class Layer2DOutput:
 
 @dataclass(frozen=True)
 class Prefix:
-    """Layer 0 of a forward pass up to its first feature read
-    (``HybridDecoder.prefix``): the query state there, plus, when layer 0
-    opens with a 2D sub-layer, its allocation and group-attended 2D queries."""
+    """A sub-layer of S scenes up to its first feature read
+    (``HybridDecoder.prefix`` is layer 0's for one scene): the query state
+    there, plus, when the sub-layer is 2D, each scene's allocation, their
+    columns stacked, and the group-attended 2D queries."""
 
-    q3: np.ndarray                           # (N, C) 3D query features
-    anchors: np.ndarray                      # (N, 9), clamped after a 2D opening
+    q3: np.ndarray                           # (S * N, C) 3D query features
+    anchors: np.ndarray                      # (S * N, 9), clamped in a 2D sub-layer
     alloc: Optional[AllocationResult] = None
     q2: Optional[np.ndarray] = None          # (M, C)
+    allocs: tuple[AllocationResult, ...] = ()
 
 
 @dataclass
@@ -372,8 +379,7 @@ class HybridDecoder:
     def _open_2d(self, p: _Layer2DParams, q3, anchors, n_scenes: int):
         """A 2D sub-layer of n_scenes scenes up to its first feature read:
         clamp, one projection of every anchor, one allocation per scene,
-        gather and the group self-attention over (scene, camera) groups.
-        Returns it, its columns stacked, with each scene's allocation."""
+        gather and the group self-attention over (scene, camera) groups."""
         anchors = clamp_anchors(anchors, self.config.limits)
         proj, n = project_rig(self.rig, anchors), self.config.n_queries
         allocs = [
@@ -385,63 +391,46 @@ class HybridDecoder:
         q2 = gather_2d(alloc.mapping, q3)
         if alloc.mapping.n_2d:
             q2 = q2 + attention(q2, p.self_attn, groups=alloc.mapping.camera_of_col)
-        return Prefix(q3=q3, anchors=anchors, alloc=alloc, q2=q2), allocs
+        return Prefix(q3=q3, anchors=anchors, alloc=alloc, q2=q2, allocs=tuple(allocs))
 
-    def _open_3d(self, p: _Layer3DParams, q3, anchors, scene: np.ndarray):
+    def _open_3d(self, p: _Layer3DParams, q3, anchors, scene: np.ndarray) -> Prefix:
         """A 3D sub-layer up to its first feature read: the self-attention
-        within each scene (``scene``, one id per row).  Returns it and None,
-        as ``_open_2d`` returns allocations."""
-        q3 = q3 + attention(q3, p.self_attn, groups=scene)
-        return Prefix(q3=q3, anchors=anchors), None
+        within each scene (``scene``, one id per row)."""
+        return Prefix(q3=q3 + attention(q3, p.self_attn, groups=scene), anchors=anchors)
 
-    def _tile(self, prefix: Prefix, n_scenes: int):
-        """``prefix`` for each of n_scenes scenes, in the form of an opening."""
+    def _tile(self, prefix: Prefix, n_scenes: int) -> Prefix:
+        """A one-scene ``prefix`` for each of n_scenes scenes."""
         tile = lambda a: None if a is None else np.tile(a, (n_scenes, 1))
-        allocs = None if prefix.alloc is None else [prefix.alloc] * n_scenes
-        alloc = None if allocs is None else self._stack(allocs)
-        return Prefix(q3=tile(prefix.q3), anchors=tile(prefix.anchors), alloc=alloc,
-                      q2=tile(prefix.q2)), allocs
+        allocs = prefix.allocs * n_scenes
+        return Prefix(q3=tile(prefix.q3), anchors=tile(prefix.anchors),
+                      alloc=self._stack(allocs) if allocs else None, q2=tile(prefix.q2),
+                      allocs=allocs)
 
-    def _check_queries(self, queries: QuerySet) -> None:
-        if queries.n != self.config.n_queries:
-            raise ValueError(
-                f"query set has {queries.n} rows, config expects {self.config.n_queries}"
-            )
-
-    def prefix(self, queries: QuerySet) -> Prefix:
-        """Layer 0 of ``forward`` up to its first feature read: it depends
-        on the queries alone, so a run over many scenes computes it once.  A
-        2D first sub-layer covers clamp, allocate, gather and group
-        self-attention; a 3D one covers its self-attention."""
-        self._check_queries(queries)
-        q3 = np.asarray(queries.features, dtype=np.float64).copy()
-        anchors = queries.anchors.copy()
+    def prefix(self) -> Prefix:
+        """Layer 0 of one scene up to its first feature read, from the
+        initial queries: it depends on the decoder alone, so a run over many
+        scenes computes it once.  A 2D first sub-layer covers clamp,
+        allocate, gather and group self-attention; a 3D one covers its
+        self-attention."""
+        queries = self.initial_queries()
         if self.config.l_2d:
-            opened, (alloc,) = self._open_2d(self.layers_2d[0][0], q3, anchors, 1)
-            return replace(opened, alloc=alloc)
+            return self._open_2d(self.layers_2d[0][0], queries.features, queries.anchors, 1)
         scene = np.zeros(queries.n, dtype=np.intp)
-        return self._open_3d(self.layers_3d[0][0], q3, anchors, scene)[0]
+        return self._open_3d(self.layers_3d[0][0], queries.features, queries.anchors, scene)
 
     def forward(
-        self,
-        features: RigFeatures,
-        queries: QuerySet,
-        prefix: Optional[Prefix] = None,
+        self, features: RigFeatures, prefix: Optional[Prefix] = None,
     ) -> tuple[HeadOutputs, QuerySet]:
         """Run every hybrid layer on one scene; returns head outputs and
         updated queries.  ``forward_scenes`` with one scene."""
-        outs, updated = self.forward_scenes(features, queries, 1, prefix)
+        outs, updated = self.forward_scenes(features, 1, prefix)
         return outs[0], updated
 
     def forward_scenes(
-        self,
-        features: RigFeatures,
-        queries: QuerySet,
-        n_scenes: int = 1,
-        prefix: Optional[Prefix] = None,
+        self, features: RigFeatures, n_scenes: int = 1, prefix: Optional[Prefix] = None,
     ) -> tuple[list[HeadOutputs], QuerySet]:
-        """Run every hybrid layer on n_scenes scenes at once, each from
-        ``queries``; returns each scene's head outputs and the updated
+        """Run every hybrid layer on n_scenes scenes at once, each from the
+        initial queries; returns each scene's head outputs and the updated
         queries of all of them (n_scenes * N rows, scene after scene).
 
         ``features`` holds every scene's maps, scene j's view v under the
@@ -454,13 +443,11 @@ class HybridDecoder:
         since the previous one), one allocation per scene over one
         projection of the batch.  The 2D head and the gate run once per
         scene, over its own columns: a product over the stacked columns
-        would round a scene's rows by their offset in the batch.  With
-        ``prefix``, which must be ``self.prefix(queries)``, every scene's
-        layer 0 starts from it, bit for bit as without it.  Nothing here
-        writes into the arrays of ``queries`` or ``prefix``.
+        would round a scene's rows by their offset in the batch.  Every
+        scene's layer 0 starts from ``prefix``, ``self.prefix()`` when it is
+        None, tiled; nothing here writes into its arrays.
         """
         cfg = self.config
-        self._check_queries(queries)
         if n_scenes < 1:
             raise ValueError(f"n_scenes must be positive, got {n_scenes}")
         views = scene_view_ids(np.arange(n_scenes)[:, None], self.view_ids, self.view_ids)
@@ -468,9 +455,8 @@ class HybridDecoder:
         n, k = cfg.n_queries, cfg.n_classes
         scene = np.repeat(np.arange(n_scenes), n)
         rows = [slice(j * n, (j + 1) * n) for j in range(n_scenes)]
-        q3 = np.tile(np.asarray(queries.features, dtype=np.float64), (n_scenes, 1))
-        anchors = np.tile(queries.anchors, (n_scenes, 1))
-        opened = None if prefix is None else self._tile(prefix, n_scenes)
+        opened = self._tile(prefix or self.prefix(), n_scenes)
+        q3, anchors = opened.q3, opened.anchors
         outs = [HeadOutputs() for _ in range(n_scenes)]
 
         def emit_3d(layers: str, anchors, logits, source: str) -> None:
@@ -481,9 +467,9 @@ class HybridDecoder:
         last_logits = None
         for li in range(cfg.l_hybrid):
             for p in self.layers_2d[li]:
-                o, allocs = opened or self._open_2d(p, q3, anchors, n_scenes)
+                o = opened or self._open_2d(p, q3, anchors, n_scenes)
                 opened = None
-                q3, anchors, alloc, q2 = o.q3, o.anchors, o.alloc, o.q2
+                q3, anchors, alloc, allocs, q2 = o.q3, o.anchors, o.alloc, o.allocs, o.q2
                 if alloc.mapping.n_2d:
                     q2 = q2 + ref_point_cross_attention(
                         q2, alloc.ref_points, features, alloc.mapping.camera_of_col, p.cross,
@@ -512,7 +498,7 @@ class HybridDecoder:
                 last_logits = tap[:, 7:]
                 emit_3d("agg_taps", anchors, last_logits, "agg")
             for p in self.layers_3d[li]:
-                o, _ = opened or self._open_3d(p, q3, anchors, scene)
+                o = opened or self._open_3d(p, q3, anchors, scene)
                 opened = None
                 q3 = o.q3 + self._cross_attention_3d(o.q3, anchors, features, p.cross)
                 raw = p.head3d.apply(q3)

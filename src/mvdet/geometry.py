@@ -14,6 +14,7 @@ import contextlib
 import json
 import math
 import operator
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -344,6 +345,14 @@ def integer(value, name: str) -> int:
         with contextlib.suppress(TypeError):
             return operator.index(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def view_key(key: str, name: str) -> int:
+    """A view id written as a JSON object key of ``name``: digits with an
+    optional minus sign (``int`` alone reads "1_0" as 10 and " 1" as 1)."""
+    if not re.fullmatch("-?[0-9]+", key):
+        raise ValueError(f"{name} view key must be an integer, got {key!r}")
+    return int(key)
 
 
 def real(value, name: str) -> float:

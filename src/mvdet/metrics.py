@@ -15,14 +15,15 @@ Either works through chunks of at most ``TABLE_BUDGET`` table elements.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 import numpy as np
 
 from ._kernels import iou_matrix, iou_pairs
-from .geometry import Boxes2D, column, finite_rows, integer, naming_file, project_rig, real
+from .geometry import (
+    Boxes2D, column, finite_rows, integer, naming_file, project_rig, real, view_key,
+)
 
 if TYPE_CHECKING:
     from .simulator import Scene
@@ -685,11 +686,10 @@ def parse_detections(obj: dict, source: str = "detections") -> dict[int, Detecti
             frame_id = integer(f.get("frame_id", 0), "frame_id")
             if frame_id in frames:
                 raise ValueError(f"frame_id {frame_id} appears more than once")
-            b3, views = f["boxes3d"], f.get("boxes2d", {})
-            for key in views:  # int() alone reads "1_0" as 10 and " 1" as 1
-                if not re.fullmatch("-?[0-9]+", key):
-                    raise ValueError(f"boxes2d view key must be an integer, got {key!r}")
-            b2 = [(int(view_id), b) for view_id, entries in views.items() for b in entries]
+            b3 = f["boxes3d"]
+            views = [(view_key(key, "boxes2d"), entries)
+                     for key, entries in f.get("boxes2d", {}).items()]
+            b2 = [(view_id, b) for view_id, entries in views for b in entries]
             frames[frame_id] = Detections(
                 boxes3d=[b["box"] for b in b3],
                 classes3d=[integer(b["class_id"], "class_id") for b in b3],

@@ -132,6 +132,10 @@ class RunConfig:
         cameras = tuple(extend_rig(cameras, self.crop_rules))
         if not cameras:
             raise ValueError("empty rig")
+        if isinstance(self.noise.drop_prob, dict):
+            unknown = set(self.noise.drop_prob) - {view.view_id for view in cameras}
+            if unknown:
+                raise ValueError(f"drop_prob names unknown view {min(unknown)}")
         object.__setattr__(self, "cameras", cameras)
 
     @classmethod
@@ -247,7 +251,7 @@ def _run_batch(payload: tuple) -> list[tuple]:
     allocated, rendered into the batch's feature maps and perturbed in
     turn, then one decoder pass decodes them all.  Returns each scene's
     sampled scene, allocation, head outputs and detections."""
-    (first, seeds, decoder, queries, prefix, noise, n_boxes) = payload
+    (first, seeds, decoder, prefix, noise, n_boxes) = payload
     config, rig = decoder.config, decoder.rig
     scales = feature_scales(config)
     features = blank_features(rig, scales, len(seeds))
@@ -265,7 +269,7 @@ def _run_batch(payload: tuple) -> list[tuple]:
             render_features(scene, rig, scales, projection=proj, into=features, slot=slot)
             done.append((scene, alloc, perturb(scene, noise, seed=seed + 1)))
     with _naming(_batch_name(first, seeds)):
-        heads, _ = decoder.forward_scenes(features, queries, len(seeds), prefix=prefix)
+        heads, _ = decoder.forward_scenes(features, len(seeds), prefix=prefix)
     return [(scene, alloc, head_out, det) for (scene, alloc, det), head_out in zip(done, heads)]
 
 
@@ -469,11 +473,10 @@ def run(config: RunConfig, out_dir: str | Path, jobs: int = 1) -> dict:
     n_scenes, base = config.seeds.scenes, config.seeds.base
     per_batch = max(1, BATCH_ROWS // config.decoder.n_queries)
     with _one_blas_thread(), _scene_set(out_dir / "gt_scenes.json") as add_scene:
-        queries = decoder.initial_queries()
-        prefix = decoder.prefix(queries)  # the same for every scene
+        prefix = decoder.prefix()  # the same for every scene
         payloads = [
             (first, range(base + first, base + min(first + per_batch, n_scenes)),
-             decoder, queries, prefix, config.noise, config.boxes)
+             decoder, prefix, config.noise, config.boxes)
             for first in range(0, n_scenes, per_batch)
         ]
         with contextlib.closing(_batch_results(payloads, jobs)) as batches, \

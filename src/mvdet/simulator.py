@@ -24,7 +24,7 @@ import numpy as np
 
 from .geometry import (
     Boxes2D, CameraView, RigProjection, column, finite_rows, integer, load_json, naming_file,
-    project_rig, real, rig_from_json_obj,
+    project_rig, real, rig_from_json_obj, view_key,
 )
 from .groupattn import RigFeatures
 from .metrics import Detections
@@ -86,11 +86,12 @@ class OracleNoise:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "OracleNoise":
-        """Noise from a JSON dict of numbers (``drop_prob`` may map view ids
-        to numbers); an absent key takes its field's default."""
+        """Noise from a JSON dict of numbers (``drop_prob`` may map view ids,
+        keys that ``view_key`` reads, to numbers); an absent key takes its
+        field's default."""
         def value(v, name):
             if isinstance(v, dict):
-                return {int(k): real(p, name) for k, p in v.items()}
+                return {view_key(k, name): real(p, name) for k, p in v.items()}
             return real(v, name)
 
         return cls(**{f.name: value(obj[f.name], f.name) for f in fields(cls) if f.name in obj})

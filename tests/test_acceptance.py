@@ -364,7 +364,7 @@ def test_criterion_10_decoder_structure(tmp_path):
         cfg = DecoderConfig(n_queries=24, channels=16, heads=4, feature_channels=8,
                             l_2d=l2, l_3d=l3, l_hybrid=lh)
         dec = HybridDecoder(cfg, rig)
-        out, _ = dec.forward(feats, dec.initial_queries())
+        out, _ = dec.forward(feats)
         assert out.n_sublayers == (l2 + l3) * lh == 6, name
         if name == "F":
             assert len(out.agg_taps) == 3

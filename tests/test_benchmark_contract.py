@@ -67,3 +67,27 @@ def test_traced_run_attaches_to_the_package(tmp_path):
                  "groupattn.ref_point_cross_attention", "allocation.allocate",
                  "simulator.render_features", "metrics.aar", "metrics.ap"):
         assert summary["calls"].get(span, 0) >= 1, span
+
+
+def test_initial_anchors_are_where_every_pass_starts(perfbench):
+    """The benchmark checks each run's first 2D mapping against the
+    allocation of ``run.initial_anchors``: for every workload those are the
+    anchors of the initial queries that ``forward_scenes`` decodes from and,
+    clamped, the anchors of the layer-0 opening of a preset that opens 2D."""
+    import run
+    import workloads
+
+    from mvdet.allocation import clamp_anchors
+    from mvdet.decoder import HybridDecoder
+    from mvdet.pipeline import RunConfig
+
+    from conftest import same_bits
+
+    for name, cfg in workloads.WORKLOADS.items():
+        config = RunConfig.from_json_obj(cfg)
+        decoder = HybridDecoder(config.decoder, config.cameras)
+        anchors = run.initial_anchors(cfg)
+        assert same_bits(anchors, decoder.initial_queries().anchors), name
+        if config.decoder.l_2d:
+            assert same_bits(clamp_anchors(anchors, config.decoder.limits),
+                             decoder.prefix().anchors), name

@@ -105,6 +105,16 @@ def test_allocate_roundtrip(tmp_path, rig_file):
     assert obj["n_2d"] == 1
 
 
+def test_allocate_accepts_no_anchors(tmp_path, rig_file):
+    apath = tmp_path / "anchors.json"
+    apath.write_text('{"anchors": []}')
+    out = tmp_path / "alloc.json"
+    assert run_cli("allocate", "--rig", str(rig_file), "--anchors", str(apath),
+                   "--out", str(out)) == 0
+    obj = json.loads(out.read_text())
+    assert (obj["n_3d"], obj["n_2d"], obj["rows"], obj["rects"]) == (0, 0, [], [])
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -172,6 +182,11 @@ BAD_DECODER_VALUES = [
      "max_truncated_float"),
     ({"size_clamp": [math.nan, 35, 10]}, "size clamp values must be positive", "size_clamp_nan"),
     ({"size_clamp": [35, 10]}, "size clamp must hold 3 values, got 2", "size_clamp_short"),
+    # explicit layer counts must agree with the preset (F is 1 / 1 / 3)
+    ({"l_2d": 3}, "preset 'F' has l_2d 1, not 3", "preset_l_2d"),
+    ({"l_3d": 0}, "preset 'F' has l_3d 1, not 0", "preset_l_3d"),
+    ({"l_2d": 1, "l_3d": 1, "l_hybrid": 6}, "preset 'F' has l_hybrid 3, not 6", "preset_l_hybrid"),
+    ({"l_hybrid": 3.0}, "l_hybrid must be an integer, got 3.0", "preset_l_hybrid_float"),
 ]
 
 
@@ -890,9 +905,9 @@ def test_run_decodes_batches_of_scenes(tmp_path, monkeypatch, n_queries, n_scene
     passed, calls = [], collections.Counter()
     forward_scenes = HybridDecoder.forward_scenes
 
-    def counted(self, features, queries, n_scenes=1, *args, **kwargs):
+    def counted(self, features, n_scenes=1, *args, **kwargs):
         passed.append(n_scenes)
-        return forward_scenes(self, features, queries, n_scenes, *args, **kwargs)
+        return forward_scenes(self, features, n_scenes, *args, **kwargs)
 
     def counting(name, fn):
         def count(*args, **kwargs):
@@ -1075,7 +1090,7 @@ def test_run_jobs_2_hands_whole_batches_to_workers(tmp_path, monkeypatch):
         assert (outs["1"] / rel).read_bytes() == (outs["2"] / rel).read_bytes(), rel
 
 
-def forward_scenes_failing(self, features, queries, n_scenes=1, *args, **kwargs):
+def forward_scenes_failing(self, features, n_scenes=1, *args, **kwargs):
     raise InjectedFailure("injected")
 
 
@@ -1173,6 +1188,12 @@ def test_run_rejects_jobs_below_one(tmp_path, capsys, jobs):
                      id="jitter_px_bool"),
         pytest.param({"noise": {"drop_prob": {"1": True}}}, "drop_prob must be a number, got True",
                      id="drop_prob_view_bool"),
+        pytest.param({"noise": {"drop_prob": {"1_0": 0.5}}},
+                     "drop_prob view key must be an integer, got '1_0'", id="drop_prob_key_1_0"),
+        pytest.param({"noise": {"drop_prob": {" 1": 0.5}}},
+                     "drop_prob view key must be an integer, got ' 1'", id="drop_prob_key_space"),
+        pytest.param({"noise": {"drop_prob": {"1": 0.5, "99": 0.5}}},
+                     "drop_prob names unknown view 99", id="drop_prob_key_unknown_view"),
         pytest.param({"crop_rules": [{"source_view_id": 0, "scale_rate": True}]},
                      "scale_rate must be a number, got True", id="crop_scale_rate_bool"),
         pytest.param({"tau_iou_sweep": "0:1:1e-9"},
@@ -1367,7 +1388,7 @@ def run_outputs(rig, scenes, dets):
     features = blank_features(rig, (8, 16), len(scenes))
     for slot, scene in enumerate(scenes):
         render_features(scene, rig, (8, 16), into=features, slot=slot)
-    heads, _ = decoder.forward_scenes(features, decoder.initial_queries(), len(scenes))
+    heads, _ = decoder.forward_scenes(features, len(scenes))
     tables = []
     for i, (scene, head) in enumerate(zip(scenes, heads)):
         gt, alloc = scene.gt2d, allocate(clamp_anchors(scene.anchors), rig)

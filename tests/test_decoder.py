@@ -15,7 +15,6 @@ from mvdet.decoder import (
     HybridDecoder,
     Layer2DOutput,
     Layer3DOutput,
-    QuerySet,
     wrap_yaw,
 )
 from mvdet.geometry import dump_json
@@ -82,7 +81,7 @@ def test_every_decoder_config_field_changes_forward(setup):
         dec = HybridDecoder(cfg, rig)
         scales = tuple(8 * 2**s for s in range(cfg.n_scales))
         feats = render_features(scene, rig, scales=scales)
-        out, updated = dec.forward(feats, dec.initial_queries())
+        out, updated = dec.forward(feats)
         heads = orjson.dumps(out.to_json_obj(), option=orjson.OPT_SERIALIZE_NUMPY)
         return heads, updated.features.tolist(), updated.anchors.tolist()
 
@@ -109,6 +108,10 @@ def test_config_json_roundtrip():
     assert back == cfg
     preset = DecoderConfig.from_json_obj({"preset": "F", "n_queries": 32, "channels": 16, "heads": 4})
     assert (preset.l_2d, preset.l_3d, preset.l_hybrid) == (1, 1, 3)
+    # layer counts that agree with the preset read back; others raise
+    assert DecoderConfig.from_json_obj({**cfg.to_json_obj(), "preset": "D"}) == cfg
+    with pytest.raises(ValueError, match="^preset 'F' has l_3d 1, not 2$"):
+        DecoderConfig.from_json_obj({**cfg.to_json_obj(), "preset": "F"})
 
 
 def tolist_form(out: HeadOutputs) -> dict:
@@ -157,7 +160,7 @@ def test_sublayer_counts_per_preset(setup):
     for name, (l2, l3, lh) in PRESETS.items():
         cfg = small_config(l_2d=l2, l_3d=l3, l_hybrid=lh)
         dec = HybridDecoder(cfg, rig)
-        out, updated = dec.forward(feats, dec.initial_queries())
+        out, updated = dec.forward(feats)
         assert out.n_sublayers == 6, name
         assert len(out.layers_2d) == l2 * lh
         assert len(out.layers_3d) == l3 * lh
@@ -169,7 +172,7 @@ def test_preset_a_runs_no_allocation(setup):
     rig, feats = setup
     cfg = small_config(l_2d=0, l_3d=1, l_hybrid=6)
     dec = HybridDecoder(cfg, rig)
-    out, _ = dec.forward(feats, dec.initial_queries())
+    out, _ = dec.forward(feats)
     assert out.layers_2d == [] and out.agg_taps == []
     assert len(out.layers_3d) == 6
 
@@ -178,7 +181,7 @@ def test_preset_f_taps_and_camera_groups(setup):
     rig, feats = setup
     cfg = small_config(l_2d=1, l_3d=1, l_hybrid=3)
     dec = HybridDecoder(cfg, rig)
-    out, _ = dec.forward(feats, dec.initial_queries())
+    out, _ = dec.forward(feats)
     assert len(out.agg_taps) == 3
     for layer in out.layers_2d:
         cams = np.unique(layer.mapping.camera_of_col)
@@ -203,7 +206,7 @@ def test_zero_heads_leave_anchors_unchanged(rig6):
                      np.zeros((v.height // 16, v.width // 16, cfg.feature_channels))])
         for v in rig6
     })
-    out, updated = dec.forward(zero_feats, queries)
+    out, updated = dec.forward(zero_feats)
     assert np.array_equal(updated.anchors, queries.anchors)
     for layer in out.layers_3d + out.agg_taps:
         assert np.array_equal(layer.boxes3d, queries.anchors)
@@ -214,9 +217,8 @@ def test_forward_determinism(setup):
     cfg = small_config(seed=77)
     d1 = HybridDecoder(cfg, rig)
     d2 = HybridDecoder(cfg, rig)
-    q1, q2 = d1.initial_queries(), d2.initial_queries()
-    o1, u1 = d1.forward(feats, q1)
-    o2, u2 = d2.forward(feats, q2)
+    o1, u1 = d1.forward(feats)
+    o2, u2 = d2.forward(feats)
     assert np.array_equal(u1.features, u2.features)
     assert np.array_equal(u1.anchors, u2.anchors)
     assert np.array_equal(u1.scores, u2.scores)
@@ -238,7 +240,7 @@ def test_float32_query_attention_drift(rig6, monkeypatch):
 
     def run():
         dec = HybridDecoder(DecoderConfig.from_preset("F"), rig)
-        return dec.forward(feats, dec.initial_queries())[0]
+        return dec.forward(feats)[0]
 
     got = run()
     monkeypatch.setattr(decoder, "attention", float64_attention)
@@ -275,14 +277,13 @@ def test_forward_from_prefix_equals_forward(setup, monkeypatch, preset):
     rig, feats = setup
     l2, l3, lh = PRESETS[preset]
     dec = HybridDecoder(small_config(n_queries=120, l_2d=l2, l_3d=l3, l_hybrid=lh), rig)
-    queries = dec.initial_queries()
-    out, updated = dec.forward(feats, queries)
-    prefix = dec.prefix(queries)
+    out, updated = dec.forward(feats)
+    prefix = dec.prefix()
     kept = copy.deepcopy(prefix)
     allocations = []
     monkeypatch.setattr(decoder, "allocate", lambda *a: allocations.append(1) or allocate(*a))
     for _ in range(2):
-        got, got_updated = dec.forward(feats, queries, prefix=prefix)
+        got, got_updated = dec.forward(feats, prefix=prefix)
         assert all(map(np.array_equal, head_arrays(got), head_arrays(out)))
         assert np.array_equal(got_updated.features, updated.features)
         assert np.array_equal(got_updated.anchors, updated.anchors)
@@ -293,8 +294,9 @@ def test_forward_from_prefix_equals_forward(setup, monkeypatch, preset):
     if l2:
         assert np.array_equal(prefix.alloc.mapping.rows, out.layers_2d[0].mapping.rows)
         assert np.array_equal(prefix.alloc.ref_points, out.layers_2d[0].ref_points)
+        assert len(prefix.allocs) == 1
     else:
-        assert prefix.alloc is None and prefix.q2 is None
+        assert prefix.alloc is None and prefix.q2 is None and prefix.allocs == ()
 
 
 def scene_batch(rig6, n_scenes):
@@ -314,17 +316,15 @@ def test_forward_scenes_equals_each_scene_alone(rig6):
     # of one: integers and booleans exact, floats within 1e-12 (BLAS may
     # round a product over more rows differently)
     rig, dec, scenes, feats = scene_batch(rig6, 12)
-    queries = dec.initial_queries()
-    prefix = dec.prefix(queries)
-    outs, updated = dec.forward_scenes(feats, queries, len(scenes), prefix=prefix)
-    outs_computed, updated_computed = dec.forward_scenes(feats, queries, len(scenes))
+    prefix = dec.prefix()
+    outs, updated = dec.forward_scenes(feats, len(scenes), prefix=prefix)
+    outs_computed, updated_computed = dec.forward_scenes(feats, len(scenes))
     assert len(outs) == len(scenes) and updated.n == len(scenes) * 64
-    # the tiled prefix gives the bits the batch computes for itself
+    # a given prefix gives the bits of the one the batch computes for itself
     for name in ("features", "anchors", "scores"):
         assert same_bits(getattr(updated, name), getattr(updated_computed, name))
     for j, scene in enumerate(scenes):
-        alone, alone_updated = dec.forward(render_features(scene, rig, (8, 16)), queries,
-                                           prefix=prefix)
+        alone, alone_updated = dec.forward(render_features(scene, rig, (8, 16)), prefix=prefix)
         for got, computed, want in zip(head_arrays(outs[j]), head_arrays(outs_computed[j]),
                                        head_arrays(alone), strict=True):
             assert same_bits(got, computed)
@@ -340,19 +340,44 @@ def test_forward_scenes_equals_each_scene_alone(rig6):
     assert sum(o.layers_2d[-1].mapping.n_2d for o in outs) > 64  # the 2D path is busy
 
 
+def test_forward_scenes_opens_layer_0_once(rig6, monkeypatch):
+    # without a prefix, a batch opens layer 0 once, for one scene, and tiles
+    # it: preset F over S scenes allocates 1 + (l_2d * l_hybrid - 1) * S
+    # times.  The tiled opening has the bits of layer 0 opened over S tiled
+    # copies of the initial queries.
+    rig, dec, _, feats = scene_batch(rig6, 5)
+    cfg, s = dec.config, 5
+    allocations = []
+    monkeypatch.setattr(decoder, "allocate", lambda *a: allocations.append(1) or allocate(*a))
+    dec.forward_scenes(feats, s)
+    assert len(allocations) == 1 + (cfg.l_2d * cfg.l_hybrid - 1) * s
+    queries = dec.initial_queries()
+    tiled = dec._tile(dec.prefix(), s)
+    want = dec._open_2d(dec.layers_2d[0][0], np.tile(queries.features, (s, 1)),
+                        np.tile(queries.anchors, (s, 1)), s)
+    alloc_arrays = lambda a: [a.mapping.rows, a.mapping.camera_of_col, a.ref_points,
+                              a.truncation, a.rects, np.array([a.mapping.n_3d, a.mapping.n_2d])]
+    assert len(tiled.allocs) == len(want.allocs) == s
+    for got, ref in zip([tiled.alloc, *tiled.allocs], [want.alloc, *want.allocs], strict=True):
+        assert all(map(same_bits, alloc_arrays(got), alloc_arrays(ref)))
+    for name in ("q3", "anchors", "q2"):
+        assert same_bits(getattr(tiled, name), getattr(want, name)), name
+    assert want.alloc.mapping.n_2d > s  # the 2D path is busy
+
+
 def test_forward_scenes_keeps_scenes_apart_bitwise(rig6):
     # perturbing one scene's feature maps leaves every other scene of its
     # batch bit-identical, also where the perturbed scene's column count
     # changes and so moves the offset of every later scene's 2D columns
     rig, dec, scenes, feats = scene_batch(rig6, 6)
-    queries, target, n_views = dec.initial_queries(), 2, len(rig)
-    outs, _ = dec.forward_scenes(feats, queries, len(scenes))
+    target, n_views = 2, len(rig)
+    outs, _ = dec.forward_scenes(feats, len(scenes))
     bumped = copy.deepcopy(feats)
     rng = np.random.default_rng(4)
     for s, atlas in enumerate(bumped.atlas):
         first, end = bumped.start[s, target * n_views], bumped.start[s, (target + 1) * n_views]
         atlas[first:end] += rng.uniform(0.0, 3.0, (end - first, 1))
-    outs_bumped, _ = dec.forward_scenes(bumped, queries, len(scenes))
+    outs_bumped, _ = dec.forward_scenes(bumped, len(scenes))
     for j in range(len(scenes)):
         same = [same_bits(a, b) for a, b in zip(head_arrays(outs[j]),
                                                 head_arrays(outs_bumped[j]), strict=True)]
@@ -377,7 +402,7 @@ def test_forward_scenes_ignores_view_id_labels(rig6):
         feats = blank_features(views, (8, 16), len(scenes))
         for slot, scene in enumerate(scenes):
             render_features(scene, views, (8, 16), into=feats, slot=slot)
-        outs.append(dec.forward_scenes(feats, dec.initial_queries(), len(scenes))[0])
+        outs.append(dec.forward_scenes(feats, len(scenes))[0])
     for want, got in zip(*outs, strict=True):
         for w, g in zip(want.layers_2d, got.layers_2d, strict=True):
             mapped = [new_id[v] for v in w.mapping.camera_of_col.tolist()]
@@ -391,19 +416,18 @@ def test_forward_scenes_ignores_view_id_labels(rig6):
 
 def test_forward_scenes_errors(rig6):
     rig, dec, _, feats = scene_batch(rig6, 2)
-    queries = dec.initial_queries()
     with pytest.raises(ValueError, match="^n_scenes must be positive, got 0$"):
-        dec.forward_scenes(feats, queries, 0)
+        dec.forward_scenes(feats, 0)
     stride = max(v.view_id for v in rig) + 1
     with pytest.raises(ValueError, match=f"^missing feature maps for view {2 * stride}$"):
-        dec.forward_scenes(feats, queries, 3)
+        dec.forward_scenes(feats, 3)
 
 
 def test_2d_output_rows_match_allocation(setup):
     rig, feats = setup
     cfg = small_config(l_2d=2, l_3d=1, l_hybrid=2)
     dec = HybridDecoder(cfg, rig)
-    out, _ = dec.forward(feats, dec.initial_queries())
+    out, _ = dec.forward(feats)
     for layer in out.layers_2d:
         m = layer.mapping.n_2d
         assert layer.boxes2d.shape == (m, 4)
@@ -460,7 +484,7 @@ def test_multiview_sampling_matches_per_view_loops(rig6, monkeypatch):
     assert np.array_equal(got, cross_attention_3d_per_view(rig, queries.anchors, feats, cross))
 
     def run():
-        return dec.forward(feats, queries)
+        return dec.forward(feats)
 
     out, updated = run()
     monkeypatch.setattr(decoder, "ref_point_cross_attention", ref_point_cross_attention_per_view)
@@ -483,10 +507,10 @@ def test_view_drop_robustness(rig6):
     feats = render_features(scene, rig6, scales=(8, 16))
     cfg = small_config()
     dec_full = HybridDecoder(cfg, rig6)
-    out_full, _ = dec_full.forward(feats, dec_full.initial_queries())
+    out_full, _ = dec_full.forward(feats)
     rig5 = rig6[:-1]
     dec_small = HybridDecoder(cfg, rig5)
-    out_small, upd = dec_small.forward(feats, dec_small.initial_queries())
+    out_small, upd = dec_small.forward(feats)
     dropped = rig6[-1].view_id
     cams_full = {int(v) for l in out_full.layers_2d for v in np.unique(l.mapping.camera_of_col)}
     cams_small = {int(v) for l in out_small.layers_2d for v in np.unique(l.mapping.camera_of_col)}
@@ -502,12 +526,7 @@ def test_forward_errors(setup):
     dec = HybridDecoder(cfg, rig)
     scene = sample_scene(2, rig, n_boxes=8)
     with pytest.raises(ValueError, match=f"missing feature maps for view {rig[-1].view_id}"):
-        dec.forward(render_features(scene, rig[:-1]), dec.initial_queries())
+        dec.forward(render_features(scene, rig[:-1]))
     with pytest.raises(ValueError, match=f"view {rig[0].view_id}: expected 2 scales, got 1"):
-        dec.forward(render_features(scene, rig, scales=(8,)), dec.initial_queries())
-    bad = QuerySet(features=np.zeros((3, cfg.channels)), anchors=np.zeros((3, 9)) + [0, 0, 0, 1, 1, 1, 0, 0, 0])
-    with pytest.raises(ValueError):
-        dec.forward(feats, bad)  # row count mismatch
-    with pytest.raises(ValueError, match="query set has 3 rows, config expects 24"):
-        dec.prefix(QuerySet(features=np.zeros((3, 16)), anchors=np.ones((3, 9))))
+        dec.forward(render_features(scene, rig, scales=(8,)))
 

@@ -556,8 +556,8 @@ def test_one_plane_samples_like_identical_channels(channels):
     assert same_bits(got, sample_views(wide, ids, pts, params))
     dec = HybridDecoder(DecoderConfig(n_queries=200, channels=32, heads=4,
                                       feature_channels=channels), rig)
-    out, updated = dec.forward(plane, dec.initial_queries())
-    want, want_updated = dec.forward(wide, dec.initial_queries())
+    out, updated = dec.forward(plane)
+    want, want_updated = dec.forward(wide)
     assert same_bits(updated.features, want_updated.features)
     for g, w in zip(out.layers_2d, want.layers_2d, strict=True):
         assert same_bits(g.boxes2d, w.boxes2d) and same_bits(g.logits, w.logits)
