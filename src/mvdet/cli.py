@@ -31,7 +31,7 @@ from .denoising import (
 )
 from .geometry import (
     anchors_to_array, dump_json, load_json, load_rig, make_surround_rig, naming_file,
-    reject_unknown_keys, save_rig,
+    reject_unknown_keys, save_rig, view_key,
 )
 from .groupattn import AttentionParams, attention
 from .metrics import Detections, MatchParams, aar, ap_2d, parse_detections
@@ -207,8 +207,8 @@ def cmd_crop_views(args) -> int:
     views = load_rig(args.rig)
     rules = load_crop_rules(args.rig)
     if not rules:
-        if args.source_views:
-            ids = [int(v) for v in args.source_views.split(",")]
+        if args.source_views is not None:
+            ids = [view_key(v, "--source-views") for v in args.source_views.split(",")]
         else:
             ids = [views[0].view_id]
             if len(views) > 1:

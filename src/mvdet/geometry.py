@@ -58,6 +58,9 @@ class CameraView:
             raise ValueError(f"view {self.view_id}: focal lengths must be positive")
         if not np.isfinite(k).all():
             raise ValueError(f"view {self.view_id}: non-finite intrinsics")
+        if self.width < 1 or self.height < 1:
+            raise ValueError(f"view {self.view_id}: image size must be at least 1x1, "
+                             f"got {self.width}x{self.height}")
         if not self.derived and not (
             0.0 <= k[0, 2] < self.width and 0.0 <= k[1, 2] < self.height
         ):
@@ -349,9 +352,12 @@ def integer(value, name: str) -> int:
 
 def view_key(key: str, name: str) -> int:
     """A view id written as a JSON object key of ``name``: digits with an
-    optional minus sign (``int`` alone reads "1_0" as 10 and " 1" as 1)."""
+    optional minus sign (``int`` alone reads "1_0" as 10 and " 1" as 1),
+    in the one spelling ``str`` gives, so that two keys never name one view."""
     if not re.fullmatch("-?[0-9]+", key):
         raise ValueError(f"{name} view key must be an integer, got {key!r}")
+    if str(int(key)) != key:
+        raise ValueError(f"{name} view key must be written {int(key)}, got {key!r}")
     return int(key)
 
 

@@ -6,11 +6,12 @@ projection, and analytic feature/depth maps give the decoder's sampling
 something to read.  Everything is deterministic under its seed.
 
 The per-scene work runs as array operations: a candidate box is tested
-against every placed box by one batched separating-axis expression, a view's
-feature bumps are evaluated as one block, and perturbations draw their
-doubles as one block.  Each keeps the bits of the per-candidate and per-box
-loops it replaced; a sampled scene's one rig projection serves its ground
-truth, its feature maps and (through ``mvdet run``) its allocation.
+against every placed box by one batched separating-axis expression, and
+perturbations draw their doubles as one block, each with the bits of the
+per-candidate and per-box loops it replaced.  A view's Gaussian feature
+bumps are separable, so its plane at each scale is one (H, B) @ (B, W)
+product of 1-D Gaussians.  A sampled scene's one rig projection serves its
+ground truth, its feature maps and (through ``mvdet run``) its allocation.
 """
 
 from __future__ import annotations
@@ -341,11 +342,6 @@ def perturb(scene: Scene, noise: OracleNoise | None = None, seed: int = 0) -> De
     )
 
 
-# np.exp gives exactly +0.0 below this argument, and adding +0.0 to a
-# non-negative feature plane leaves it unchanged
-EXP_ZERO_BELOW = -746.0
-
-
 def blank_features(rig: Sequence[CameraView], scales: Sequence[int] = (8, 16),
                    n_scenes: int = 1) -> RigFeatures:
     """Unfilled feature maps of n_scenes scenes over ``rig``, one plane per
@@ -370,14 +366,14 @@ def render_features(
     """Analytic feature maps of every view, one plane per scale.
 
     Each map holds one Gaussian bump per visible box at its reference point
-    (amplitude class_id + 1).  A view-scale's bumps are evaluated together
-    as one (B, H, W) block: squared distances from 1-D grid rows, exp only
-    where its argument is at least ``EXP_ZERO_BELOW``.  They are added in
-    box order into the view's one (H, W) plane of atlas rows; the decoder's
-    sampler broadcasts it over its feature channels.  ``projection`` is
-    ``project_rig(rig, scene.anchors)``, when the caller has it.  The maps
-    go into a new ``RigFeatures``, or into scene ``slot`` of ``into``, a
-    ``blank_features`` of several scenes over ``rig``; returns the features.
+    (amplitude class_id + 1).  A bump is the outer product of a column and
+    a row Gaussian, so a view-scale's B bumps are one (H, B) @ (B, W)
+    product of B (H + W) exps, written into the view's one (H, W) plane of
+    atlas rows; the decoder's sampler broadcasts it over its feature
+    channels.  ``projection`` is ``project_rig(rig, scene.anchors)``, when
+    the caller has it.  The maps go into a new ``RigFeatures``, or into
+    scene ``slot`` of ``into``, a ``blank_features`` of several scenes over
+    ``rig``; returns the features.
     """
     proj = project_rig(rig, scene.anchors) if projection is None else projection
     features = blank_features(rig, scales) if into is None else into
@@ -390,25 +386,20 @@ def render_features(
     vi, ai = np.nonzero(proj.valid)
     first = np.searchsorted(vi, np.arange(len(rig) + 1)).tolist()
     (u, v), width = proj.ref_point[vi, ai].T, proj.rect[vi, ai, 2]
-    amp = (scene.classes[ai] + 1.0)[:, None, None]
+    amp = (scene.classes[ai] + 1.0)[:, None]
     for si in range(len(scales)):
         wm, hm = features.map_size[si, first_view + vi].T
         img_w, img_h = features.image_size[first_view + vi].T
         fx, fy = wm / img_w, hm / img_h
         mx, my = (u * fx - 0.5)[:, None], (v * fy - 0.5)[:, None]
         sigma = np.maximum(width * fx / 4.0, 0.75)
-        # -(dx2 + dy2) / (2 sigma^2), the sign moved onto the divisor
-        divisor = -(2.0 * sigma * sigma)[:, None, None]
+        divisor = -(2.0 * sigma * sigma)[:, None]
         for k in range(len(rig)):
             fmap = features.view_map(si, first_view + k)
             box = slice(first[k], first[k + 1])
-            dx2 = np.square(np.arange(fmap.shape[1]) - mx[box])
-            dy2 = np.square(np.arange(fmap.shape[0]) - my[box])
-            arg = (dx2[:, None, :] + dy2[:, :, None]) / divisor[box]
-            bump = np.exp(arg, out=np.zeros_like(arg), where=arg >= EXP_ZERO_BELOW)
-            bump *= amp[box]
-            # a sum over the leading axis adds the bumps one after another
-            fmap[...] = bump.sum(axis=0)[:, :, None]
+            gx = np.exp(np.square(np.arange(fmap.shape[1]) - mx[box]) / divisor[box])
+            gy = np.exp(np.square(np.arange(fmap.shape[0]) - my[box]) / divisor[box])
+            fmap[:, :, 0] = (gy * amp[box]).T @ gx
     return features
 
 

@@ -453,6 +453,37 @@ def test_crop_views_rejects_a_non_integer_view_field(tmp_path, rig_file, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [("width", 0), ("width", -704), ("height", 0)])
+def test_crop_views_rejects_a_derived_view_without_pixels(tmp_path, rig_file, capsys, key,
+                                                          value):
+    # a derived view skips the principal-point check, which catches this in a base view
+    obj = json.loads(rig_file.read_text())
+    obj["views"][1].update(derived=True, **{key: value})
+    rig_file.write_text(json.dumps(obj))
+    out = tmp_path / "rig8.json"
+    assert run_cli("crop-views", "--rig", str(rig_file), "--out", str(out)) == 1
+    size = {"width": 704, "height": 256, key: value}
+    assert capsys.readouterr().err == (
+        f"mvdet crop-views: error: {rig_file}: view 1: image size must be at least 1x1, "
+        f"got {size['width']}x{size['height']}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ids, message", [
+    ("1_0", "--source-views view key must be an integer, got '1_0'"),
+    ("0,01", "--source-views view key must be written 1, got '01'"),
+    ("", "--source-views view key must be an integer, got ''"),
+], ids=["underscore", "leading_zero", "empty"])
+def test_crop_views_reads_source_views_as_view_keys(tmp_path, capsys, ids, message):
+    rig = tmp_path / "rig12.json"
+    save_rig(make_surround_rig(12), rig)
+    out = tmp_path / "rig13.json"
+    assert run_cli("crop-views", "--rig", str(rig), "--source-views", ids,
+                   "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"mvdet crop-views: error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["false", 0, None])
 def test_crop_views_rejects_a_derived_flag_that_is_not_a_bool(tmp_path, rig_file, capsys, flag):
     # "derived" lets a view's principal point (here cx = -50) leave the
@@ -657,6 +688,10 @@ def gt2d_class_changed(sim_dir, class_id):
          lambda sim: detections_file(boxes2d={"+1": [{"box": [1.0, 2.0, 5.0, 4.0],
                                                       "class_id": 0}]}),
          "boxes2d view key must be an integer, got '+1'"),
+        ("eval-ap", "--pred",
+         lambda sim: detections_file(boxes2d={"01": [{"box": [1.0, 2.0, 5.0, 4.0],
+                                                      "class_id": 0}]}),
+         "boxes2d view key must be written 1, got '01'"),
     ],
     ids=["pred2d_negative_width", "pred2d_nan_center", "pred2d_three_floats",
          "pred3d_three_floats", "scene_zero_size", "gt2d_negative_width",
@@ -666,7 +701,7 @@ def gt2d_class_changed(sim_dir, class_id):
          "scene_rig_derived_string",
          "pred_frame_id_float", "pred3d_class_id_float", "pred2d_class_id_float",
          "pred3d_score_bool", "pred2d_score_bool", "pred2d_view_key_underscore",
-         "pred2d_view_key_space", "pred2d_view_key_plus"],
+         "pred2d_view_key_space", "pred2d_view_key_plus", "pred2d_view_key_leading_zero"],
 )
 def test_bad_box_value_names_the_file(tmp_path, sim_dir, capsys, command, flag, make_obj,
                                       message):
@@ -1194,6 +1229,12 @@ def test_run_rejects_jobs_below_one(tmp_path, capsys, jobs):
                      "drop_prob view key must be an integer, got ' 1'", id="drop_prob_key_space"),
         pytest.param({"noise": {"drop_prob": {"1": 0.5, "99": 0.5}}},
                      "drop_prob names unknown view 99", id="drop_prob_key_unknown_view"),
+        pytest.param({"noise": {"drop_prob": {"01": 0.1, "1": 0.9}}},
+                     "drop_prob view key must be written 1, got '01'",
+                     id="drop_prob_key_leading_zero"),
+        pytest.param({"noise": {"drop_prob": {"-0": 0.3}}},
+                     "drop_prob view key must be written 0, got '-0'",
+                     id="drop_prob_key_minus_zero"),
         pytest.param({"crop_rules": [{"source_view_id": 0, "scale_rate": True}]},
                      "scale_rate must be a number, got True", id="crop_scale_rate_bool"),
         pytest.param({"tau_iou_sweep": "0:1:1e-9"},
@@ -1343,6 +1384,18 @@ def test_run_rejects_repeated_view_ids(tmp_path, rig_file, capsys):
     cfg = run_config(tmp_path, rig=str(rig_file))
     assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "x")) == 1
     assert f"{rig_file}: view id 0 appears more than once" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("width", [0, -704])
+def test_run_rejects_a_derived_view_without_pixels(tmp_path, rig_file, capsys, width):
+    obj = json.loads(rig_file.read_text())
+    obj["views"][3].update(derived=True, width=width)
+    rig_file.write_text(json.dumps(obj))
+    cfg = run_config(tmp_path, rig=str(rig_file))
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "x")) == 1
+    assert (f"{rig_file}: view 3: image size must be at least 1x1, got {width}x256"
+            in capsys.readouterr().err)
     assert not (tmp_path / "x").exists()
 
 
