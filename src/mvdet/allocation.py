@@ -90,10 +90,10 @@ class AllocationResult:
             "format": "mvdet-allocation/1",
             "n_3d": self.mapping.n_3d,
             "n_2d": self.mapping.n_2d,
-            "rows": [int(r) for r in self.mapping.rows],
-            "camera_of_col": [int(c) for c in self.mapping.camera_of_col],
-            "ref_points": [[float(u), float(v)] for u, v in self.ref_points],
-            "truncation": [bool(t) for t in self.truncation],
+            "rows": self.mapping.rows.tolist(),
+            "camera_of_col": self.mapping.camera_of_col.tolist(),
+            "ref_points": self.ref_points.tolist(),
+            "truncation": self.truncation.tolist(),
             "rects": [
                 [*r, v] for r, v in zip(self.rects.tolist(), self.mapping.camera_of_col.tolist())
             ],

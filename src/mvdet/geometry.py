@@ -100,8 +100,8 @@ class CameraView:
     def to_json_obj(self) -> dict:
         obj = {
             "view_id": self.view_id,
-            "intrinsics": [float(v) for v in self.intrinsics.reshape(-1)],
-            "extrinsic": [float(v) for v in self.extrinsic.reshape(-1)],
+            "intrinsics": self.intrinsics.reshape(-1).tolist(),
+            "extrinsic": self.extrinsic.reshape(-1).tolist(),
             "width": self.width,
             "height": self.height,
         }

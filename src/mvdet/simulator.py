@@ -5,13 +5,16 @@ rejection-sampled without overlap, per-view 2D ground truth is derived by
 projection, and analytic feature/depth maps give the decoder's sampling
 something to read.  Everything is deterministic under its seed.
 
-The per-scene work runs as array operations: a candidate box is tested
-against every placed box by one batched separating-axis expression, and
-perturbations draw their doubles as one block, each with the bits of the
-per-candidate and per-box loops it replaced.  A view's Gaussian feature
-bumps are separable, so its plane at each scale is one (H, B) @ (B, W)
-product of 1-D Gaussians.  A sampled scene's one rig projection serves its
-ground truth, its feature maps and (through ``mvdet run``) its allocation.
+The per-scene work runs as array operations, each with the bits of the
+per-candidate, per-view and per-box loops it replaced.  Candidate boxes
+are drawn ahead in blocks; a block meets the placed boxes in one
+separation table of extents on edge normals, over which its boxes are
+placed greedily in draw order.  Perturbations draw their doubles as one
+block.  A view's Gaussian feature bumps are separable, so its plane at each
+scale is an (H, B) @ (B, W) product of 1-D Gaussians, and the views of one
+map size are rendered by one stacked product.  A sampled scene's one rig
+projection serves its ground truth, its feature maps and (through ``mvdet
+run``) its allocation.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .geometry import (
     Boxes2D, CameraView, RigProjection, column, finite_rows, integer, load_json, naming_file,
     project_rig, real, rig_from_json_obj, view_key,
 )
-from .groupattn import RigFeatures
+from .groupattn import RigFeatures, scene_view_ids
 from .metrics import Detections
 
 # (name, mean size (w, l, h), log-size jitter, max |velocity|)
@@ -184,42 +187,68 @@ def load_scene(path: str | Path) -> Scene:
         return Scene.from_json_obj(load_json(path))
 
 
-# box_points' bottom-face corner signs as (length, width) pairs,
-# counter-clockwise from (+x, +y)
-_BEV_SIGNS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
+# box_points' bottom-face corner signs, counter-clockwise from (+x, +y)
+_BEV_SIGNS = np.array([(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)])
 _MEAN_SIZES = np.array([prior[1] for prior in CLASS_PRIORS])
+_JITTERS = np.array([prior[2] for prior in CLASS_PRIORS])
+_VMAXES = np.array([prior[3] for prior in CLASS_PRIORS])
+# most candidates one placement block draws: its tables hold block x placed extents
+_BLOCK = 32
 
 
-def _bev_rect(x: float, y: float, w: float, l: float, yaw: float):
-    """(4, 2) bottom-face BEV corners of one box and (2, 2) normals of its
-    edges 0-1 and 1-2, the axes of the separating-axis test.
+def _bev_rects(x, y, w, l, yaw):
+    """(K, 4, 2) bottom-face BEV corners of K boxes given by (K,) arrays and
+    (K, 2, 2) normals of their edges 0-1 and 1-2, the axes of the
+    separating-axis test.
 
     The corners carry the bits of ``box_points``: the same cosine and sine
-    ufuncs, then the same products and sums, here on Python floats.
+    ufuncs, then the same products and sums.
     """
-    c, s = float(np.cos(yaw)), float(np.sin(yaw))
-    hw, hl = 0.5 * w, 0.5 * l
-    pts = [(x + (hl * sx * c - hw * sy * s), y + (hl * sx * s + hw * sy * c))
-           for sx, sy in _BEV_SIGNS]
-    (x0, y0), (x1, y1), (x2, y2), _ = pts
-    return np.array(pts), np.array([(-(y1 - y0), x1 - x0), (-(y2 - y1), x2 - x1)])
+    c, s = np.cos(yaw)[:, None], np.sin(yaw)[:, None]
+    lx, ly = (0.5 * l)[:, None] * _BEV_SIGNS[:, 0], (0.5 * w)[:, None] * _BEV_SIGNS[:, 1]
+    corners = np.empty((len(yaw), 4, 2))
+    corners[:, :, 0] = x[:, None] + (lx * c - ly * s)
+    corners[:, :, 1] = y[:, None] + (lx * s + ly * c)
+    # (x, y) edge vectors 0-1 and 1-2 turned to (-y, x)
+    return corners, (corners[:, 1:3] - corners[:, 0:2])[:, :, ::-1] * (-1.0, 1.0)
 
 
-def _separated(pairs: np.ndarray, axes: np.ndarray) -> np.ndarray:
-    """Separating-axis test of rectangle pairs: ``pairs`` holds the (n, 2,
-    4, 2) corners of each pair's two rectangles, ``axes`` its (n, 4, 2)
-    edge normals (both rectangles' ``_bev_rect`` axes).  Returns (n,) True
-    where some axis separates the pair; touching rectangles are not.
+def _extents(rects: np.ndarray, axes: np.ndarray):
+    """(lo, hi), each (..., 2): the extent of rectangles ``rects`` (..., 4,
+    2) on the two axes ``axes`` (..., 2, 2), broadcast.  Each rectangle goes
+    on each axis by one (4, 2) @ (2, 1) product, batched, so an extent has
+    the arithmetic of ``rect @ axis`` for that rectangle and axis alone."""
+    c = (rects[..., None, :, :] @ axes[..., None])[..., 0]  # (..., 2 axes, 4 corners)
+    c0, c1, c2, c3 = c[..., 0], c[..., 1], c[..., 2], c[..., 3]
+    return (np.minimum(np.minimum(c0, c1), np.minimum(c2, c3)),
+            np.maximum(np.maximum(c0, c1), np.maximum(c2, c3)))
 
-    Each rectangle goes on each axis by one (4, 2) @ (2, 1) product,
-    batched, so a pair is decided with the arithmetic of ``rect @ axis``
-    for that pair alone.
-    """
-    proj = pairs[:, :, None] @ axes[:, None, :, :, None]  # (n, 2, 4 axes, 4 corners, 1)
-    c = proj.transpose(3, 0, 1, 2, 4)
-    hi = np.maximum(np.maximum(c[0], c[1]), np.maximum(c[2], c[3]))
-    lo = np.minimum(np.minimum(c[0], c[1]), np.minimum(c[2], c[3]))
-    return ((hi[:, 0] < lo[:, 1]) | (hi[:, 1] < lo[:, 0])).any(axis=(1, 2))
+
+def _apart(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
+    """Whether one of two axes separates rectangles a and b, given their
+    (..., 2) extents on those axes; touching rectangles are not apart."""
+    gap = (hi_a < lo_b) | (hi_b < lo_a)
+    return gap[..., 0] | gap[..., 1]
+
+
+def _separation(rects, axes, own_lo, own_hi, block_rects, block_axes):
+    """The separation table of K candidate boxes (``block_rects`` and
+    ``block_axes`` from ``_bev_rects``) against N placed ones (``rects``,
+    ``axes`` and their extents on their own normals, ``own_lo`` and
+    ``own_hi``).  Each extent is taken once: every candidate's on every
+    normal, and each placed box's on the candidates' normals.  Returns the
+    (K, N) and (K, K) masks of the pairs that a normal of either box
+    separates, and each candidate's (K, 2) extents on its own normals."""
+    n, k = len(rects), len(block_rects)
+    lo, hi = _extents(block_rects[:, None], np.concatenate([axes, block_axes])[None])
+    placed_lo, placed_hi = _extents(rects[:, None], block_axes[None])
+    self_lo, self_hi = lo[np.arange(k), n + np.arange(k)], hi[np.arange(k), n + np.arange(k)]
+    # candidate i against placed box p, on p's normals or on i's
+    to_placed = (_apart(lo[:, :n], hi[:, :n], own_lo, own_hi)
+                 | _apart(placed_lo, placed_hi, self_lo, self_hi).T)
+    # candidate i against candidate j on j's normals; transposed, on i's
+    to_block = _apart(lo[:, n:], hi[:, n:], self_lo, self_hi)
+    return to_placed, to_block | to_block.T, self_lo, self_hi
 
 
 def derive_gt2d(proj: RigProjection, classes: np.ndarray) -> tuple[Boxes2D, np.ndarray]:
@@ -242,9 +271,11 @@ def sample_scene(
 
     Boxes rest on the ground plane; velocities are sampled within each
     class's bound.  A candidate draws its class, then its size jitter, x,
-    y, yaw and velocity, whether or not earlier candidates were kept; its
-    BEV rectangle is tested against all placed ones at once.  Raises after
-    the attempt budget when the requested density is infeasible.  The scene
+    y, yaw and velocity, whether or not earlier candidates were kept.
+    Candidates are drawn ahead in blocks: each block's extents on its own
+    and the placed boxes' edge normals form one separation table, and the
+    block's boxes are then placed greedily in draw order.  Raises after the
+    attempt budget when the requested density is infeasible.  The scene
     keeps the rig projection its 2D ground truth was derived from.
     """
     if not rig:
@@ -257,11 +288,15 @@ def sample_scene(
     x_lo, x_hi = map(float, ranges.x)
     y_lo, y_hi = map(float, ranges.y)
     rng = np.random.default_rng(seed)
+    # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(): the doubles
+    # 3-5 of a candidate's draws give its x, y and yaw
+    lo = np.array([x_lo, y_lo, -np.pi])[:, None]
+    span = np.array([x_hi - x_lo, y_hi - y_lo, 2.0 * np.pi])[:, None]
     anchors = np.empty((n_boxes, 9))
     classes = np.empty(n_boxes, dtype=np.intp)
-    # pair i: (candidate, placed box i) corners and their four edge normals
-    pairs = np.empty((n_boxes, 2, 4, 2))
-    pair_axes = np.empty((n_boxes, 4, 2))
+    # the placed boxes' corners, edge normals and extents on their own normals
+    rects, axes = np.empty((n_boxes, 4, 2)), np.empty((n_boxes, 2, 2))
+    own_lo, own_hi = np.empty((n_boxes, 2)), np.empty((n_boxes, 2))
     n = attempts = 0
     budget = max_attempts_per_box * max(n_boxes, 1)
     while n < n_boxes:
@@ -270,25 +305,39 @@ def sample_scene(
                 f"could not place {n_boxes} boxes in {budget} attempts; "
                 "scene too dense for the sampling ranges"
             )
-        attempts += 1
-        cls = int(rng.integers(len(CLASS_PRIORS)))
-        _, _, jitter, vmax = CLASS_PRIORS[cls]
-        # rng.uniform(lo, hi, k) is lo + (hi - lo) * rng.random(k): these
-        # are the doubles of the size, x, y, yaw and velocity draws, in order
-        u = rng.random(8)
-        w, l, h = (_MEAN_SIZES[cls] * np.exp(jitter * (-1.0 + 2.0 * u[0:3]))).tolist()
-        ux, uy, uyaw, uvx, uvy = u[3:].tolist()
-        x = x_lo + (x_hi - x_lo) * ux
-        y = y_lo + (y_hi - y_lo) * uy
-        yaw = -np.pi + 2.0 * np.pi * uyaw
-        # the candidate goes into every pair, and into slot n for when it is kept
-        pairs[: n + 1, 0], pair_axes[: n + 1, 0:2] = _bev_rect(x, y, w, l, yaw)
-        if not _separated(pairs[:n], pair_axes[:n]).all():
-            continue
-        anchors[n] = (x, y, h / 2.0, w, l, h, yaw,
-                      vmax * (-1.0 + 2.0 * uvx), vmax * (-1.0 + 2.0 * uvy))
-        classes[n], pairs[n, 1], pair_axes[n, 2:4] = cls, pairs[n, 0], pair_axes[n, 0:2]
-        n += 1
+        # enough candidates for the boxes still missing at the rejection
+        # rate so far, and a few to spare; the generator is the call's own,
+        # so candidates drawn and not tested change nothing
+        need = n_boxes - n
+        k = min(budget - attempts, _BLOCK, need * max(attempts, 1) // max(n, 1) + need // 8 + 1)
+        cls, u = np.empty(k, dtype=np.intp), np.empty((k, 8))
+        for i, draws in enumerate(u):
+            cls[i] = rng.integers(len(CLASS_PRIORS))
+            rng.random(out=draws)  # size jitter, x, y, yaw and velocity
+        box = np.empty((k, 9))
+        box[:, 3:6] = _MEAN_SIZES[cls] * np.exp(_JITTERS[cls, None] * (-1.0 + 2.0 * u[:, 0:3]))
+        box[:, 2] = box[:, 5] / 2.0
+        x, y, yaw = lo + span * u[:, 3:6].T
+        box[:, 0], box[:, 1], box[:, 6] = x, y, yaw
+        box[:, 7:9] = _VMAXES[cls, None] * (-1.0 + 2.0 * u[:, 6:8])
+        block_rects, block_axes = _bev_rects(x, y, box[:, 3], box[:, 4], yaw)
+        to_placed, to_block, self_lo, self_hi = _separation(
+            rects[:n], axes[:n], own_lo[:n], own_hi[:n], block_rects, block_axes)
+        blocked, clash = ~to_placed.all(axis=1), ~to_block
+        kept = []
+        for i in range(k):
+            attempts += 1
+            if blocked[i]:
+                continue
+            kept.append(i)
+            if len(kept) == need:
+                break
+            blocked |= clash[i]
+        placed = slice(n, n + len(kept))
+        anchors[placed], classes[placed] = box[kept], cls[kept]
+        rects[placed], axes[placed] = block_rects[kept], block_axes[kept]
+        own_lo[placed], own_hi[placed] = self_lo[kept], self_hi[kept]
+        n += len(kept)
     proj = project_rig(rig, anchors)
     gt2d, link = derive_gt2d(proj, classes)
     return Scene(seed=seed, frame_id=frame_id, anchors=anchors, classes=classes,
@@ -352,7 +401,7 @@ def blank_features(rig: Sequence[CameraView], scales: Sequence[int] = (8, 16),
 
 def _map_sizes(rig: Sequence[CameraView], scales: Sequence[int]) -> list:
     """(W, H) of each view's map at each scale: its image size over the scale, at least 1."""
-    return [[(max(v.width // s, 1), max(v.height // s, 1)) for v in rig] for s in scales]
+    return [[[max(v.width // s, 1), max(v.height // s, 1)] for v in rig] for s in scales]
 
 
 def render_features(
@@ -368,38 +417,58 @@ def render_features(
     Each map holds one Gaussian bump per visible box at its reference point
     (amplitude class_id + 1).  A bump is the outer product of a column and
     a row Gaussian, so a view-scale's B bumps are one (H, B) @ (B, W)
-    product of B (H + W) exps, written into the view's one (H, W) plane of
-    atlas rows; the decoder's sampler broadcasts it over its feature
-    channels.  ``projection`` is ``project_rig(rig, scene.anchors)``, when
-    the caller has it.  The maps go into a new ``RigFeatures``, or into
-    scene ``slot`` of ``into``, a ``blank_features`` of several scenes over
-    ``rig``; returns the features.
+    product of B (H + W) exps, its view's one (H, W) plane of atlas rows;
+    the decoder's sampler broadcasts it over its feature channels.  At each
+    scale, every run of consecutive views with one map size (a rig's
+    cameras, then its crops) is rendered by one (V, H, B) @ (V, B, W)
+    product, each view padded with zero bumps to the most boxes one of
+    them sees, which adds exact zeros.  ``projection`` is
+    ``project_rig(rig, scene.anchors)``, when the caller has it.  The maps
+    go into a new ``RigFeatures``, or into scene ``slot`` of ``into``, a
+    ``blank_features`` of several scenes over ``rig``; returns the
+    features.
     """
     proj = project_rig(rig, scene.anchors) if projection is None else projection
     features = blank_features(rig, scales) if into is None else into
-    first_view = slot * len(rig)
-    if into is not None and not np.array_equal(
-            into.map_size[:, first_view : first_view + len(rig)], _map_sizes(rig, scales)):
-        raise ValueError(f"scene slot {slot} of the features does not hold this rig's maps")
+    n_views, first_view = len(rig), slot * len(rig)
+    views = slice(first_view, first_view + n_views)
+    ids = [v.view_id for v in rig]
+    if into is not None and (
+            into.view_ids[views].tolist() != scene_view_ids(slot, ids, ids).tolist()
+            or into.map_size[:, views].tolist() != _map_sizes(rig, scales)):
+        raise ValueError(f"scene slot {slot} of the features does not hold this rig's maps "
+                         f"of views {ids}, in that order")
     # visible (view, box) pairs, view-major with ascending boxes; view k's
-    # are pairs first[k]:first[k + 1]
+    # are pairs first[k]:first[k + 1], and a pair's rank is its place in them
     vi, ai = np.nonzero(proj.valid)
-    first = np.searchsorted(vi, np.arange(len(rig) + 1)).tolist()
-    (u, v), width = proj.ref_point[vi, ai].T, proj.rect[vi, ai, 2]
+    count = np.bincount(vi, minlength=n_views)
+    first = [0, *np.cumsum(count).tolist()]
+    rank = np.arange(len(vi)) - np.asarray(first[:-1], dtype=np.intp)[vi]
+    ref, width = proj.ref_point[vi, ai], proj.rect[vi, ai, 2]
     amp = (scene.classes[ai] + 1.0)[:, None]
     for si in range(len(scales)):
-        wm, hm = features.map_size[si, first_view + vi].T
-        img_w, img_h = features.image_size[first_view + vi].T
-        fx, fy = wm / img_w, hm / img_h
-        mx, my = (u * fx - 0.5)[:, None], (v * fy - 0.5)[:, None]
-        sigma = np.maximum(width * fx / 4.0, 0.75)
+        sizes = features.map_size[si, views]
+        f = (sizes / features.image_size[views])[vi]  # (fx, fy): map cells per pixel
+        mean = ref * f - 0.5
+        sigma = np.maximum(width * f[:, 0] / 4.0, 0.75)
         divisor = -(2.0 * sigma * sigma)[:, None]
-        for k in range(len(rig)):
-            fmap = features.view_map(si, first_view + k)
-            box = slice(first[k], first[k + 1])
-            gx = np.exp(np.square(np.arange(fmap.shape[1]) - mx[box]) / divisor[box])
-            gy = np.exp(np.square(np.arange(fmap.shape[0]) - my[box]) / divisor[box])
-            fmap[:, :, 0] = (gy * amp[box]).T @ gx
+        # runs of consecutive views with one map size; a map one cell high or
+        # wide is a matrix-vector product, whose sums change with padding, so
+        # its run also keeps to one box count
+        key = [(w, h, 0 if min(w, h) > 1 else c)
+               for (w, h), c in zip(sizes.tolist(), count.tolist())]
+        runs = [k for k in range(1, n_views) if key[k] != key[k - 1]]
+        for a, b in zip([0, *runs], [*runs, n_views]):
+            (w, h, _), box = key[a], slice(first[a], first[b])
+            # each bump's row Gaussian, then its column Gaussian
+            g = np.exp(np.square(np.concatenate([np.arange(w), np.arange(h)])
+                                 - np.repeat(mean[box], (w, h), axis=1)) / divisor[box])
+            at, most = (vi[box] - a, rank[box]), count[a:b].max()
+            gx, gy = np.zeros((b - a, most, w)), np.zeros((b - a, most, h))
+            gx[at], gy[at] = g[:, :w], g[:, w:] * amp[box]
+            row = features.start[si, first_view + a]
+            features.atlas[si][row : row + (b - a) * h * w, 0] = (
+                gy.transpose(0, 2, 1) @ gx).reshape(-1)
     return features
 
 

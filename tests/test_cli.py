@@ -74,8 +74,10 @@ def test_help_and_unknown_flag(capsys):
      ("--scenes", "0", "--scenes must be positive, got 0"),
      ("--boxes", "-3", "--boxes must be non-negative, got -3"),
      ("--views", "0", "--views must be positive, got 0"),
-     ("--views", "-2", "--views must be positive, got -2")],
-    ids=["scenes_negative", "scenes_0", "boxes_negative", "views_0", "views_negative"],
+     ("--views", "-2", "--views must be positive, got -2"),
+     ("--seed", "-1", "--seed must be non-negative, got -1")],
+    ids=["scenes_negative", "scenes_0", "boxes_negative", "views_0", "views_negative",
+         "seed_negative"],
 )
 def test_simulate_rejects_bad_counts(tmp_path, capsys, flag, value, message):
     out = tmp_path / "sim"

@@ -12,13 +12,16 @@ from mvdet.geometry import Boxes2D, make_surround_rig, project_rig
 from mvdet.decoder import DecoderConfig, HybridDecoder
 from mvdet.groupattn import CrossAttentionParams, RigFeatures, sample_views
 from mvdet.metrics import Detections, MatchParams, aar
+import mvdet.simulator as simulator
 from mvdet.simulator import (
     CLASS_PRIORS,
     OracleNoise,
     Scene,
     SceneRanges,
-    _bev_rect,
-    _separated,
+    _bev_rects,
+    _extents,
+    blank_features,
+    derive_gt2d,
     perturb,
     render_depths,
     render_features,
@@ -85,6 +88,79 @@ def sample_anchors_per_candidate(seed, n_boxes, ranges=None, max_attempts_per_bo
         placed_corners.append(corners)
         classes.append(cls)
     return (np.stack(placed) if placed else np.zeros((0, 9))), np.array(classes, dtype=np.intp)
+
+
+# box_points' bottom-face corner signs as (length, width) pairs,
+# counter-clockwise from (+x, +y)
+_BEV_SIGNS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
+_MEAN_SIZES = np.array([prior[1] for prior in CLASS_PRIORS])
+
+
+def _bev_rect(x: float, y: float, w: float, l: float, yaw: float):
+    """(4, 2) bottom-face BEV corners of one box and (2, 2) normals of its
+    edges 0-1 and 1-2, on Python floats, with the bits of ``box_points``."""
+    c, s = float(np.cos(yaw)), float(np.sin(yaw))
+    hw, hl = 0.5 * w, 0.5 * l
+    pts = [(x + (hl * sx * c - hw * sy * s), y + (hl * sx * s + hw * sy * c))
+           for sx, sy in _BEV_SIGNS]
+    (x0, y0), (x1, y1), (x2, y2), _ = pts
+    return np.array(pts), np.array([(-(y1 - y0), x1 - x0), (-(y2 - y1), x2 - x1)])
+
+
+def _separated(pairs: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """Separating-axis test of rectangle pairs: ``pairs`` holds the (n, 2,
+    4, 2) corners of each pair's two rectangles, ``axes`` its (n, 4, 2)
+    edge normals.  Returns (n,) True where some axis separates the pair."""
+    proj = pairs[:, :, None] @ axes[:, None, :, :, None]  # (n, 2, 4 axes, 4 corners, 1)
+    c = proj.transpose(3, 0, 1, 2, 4)
+    hi = np.maximum(np.maximum(c[0], c[1]), np.maximum(c[2], c[3]))
+    lo = np.minimum(np.minimum(c[0], c[1]), np.minimum(c[2], c[3]))
+    return ((hi[:, 0] < lo[:, 1]) | (hi[:, 1] < lo[:, 0])).any(axis=(1, 2))
+
+
+def sample_scene_reference(seed, rig, ranges=None, n_boxes=20, frame_id=0,
+                           max_attempts_per_box=200):
+    """``sample_scene`` one candidate at a time: each candidate draws its
+    class and its eight doubles, and is tested against every placed box at
+    once by ``_separated``."""
+    ranges = ranges or SceneRanges()
+    x_lo, x_hi = map(float, ranges.x)
+    y_lo, y_hi = map(float, ranges.y)
+    rng = np.random.default_rng(seed)
+    anchors = np.empty((n_boxes, 9))
+    classes = np.empty(n_boxes, dtype=np.intp)
+    # pair i: (candidate, placed box i) corners and their four edge normals
+    pairs = np.empty((n_boxes, 2, 4, 2))
+    pair_axes = np.empty((n_boxes, 4, 2))
+    n = attempts = 0
+    budget = max_attempts_per_box * max(n_boxes, 1)
+    while n < n_boxes:
+        if attempts >= budget:
+            raise RuntimeError(
+                f"could not place {n_boxes} boxes in {budget} attempts; "
+                "scene too dense for the sampling ranges"
+            )
+        attempts += 1
+        cls = int(rng.integers(len(CLASS_PRIORS)))
+        _, _, jitter, vmax = CLASS_PRIORS[cls]
+        u = rng.random(8)
+        w, l, h = (_MEAN_SIZES[cls] * np.exp(jitter * (-1.0 + 2.0 * u[0:3]))).tolist()
+        ux, uy, uyaw, uvx, uvy = u[3:].tolist()
+        x = x_lo + (x_hi - x_lo) * ux
+        y = y_lo + (y_hi - y_lo) * uy
+        yaw = -np.pi + 2.0 * np.pi * uyaw
+        # the candidate goes into every pair, and into slot n for when it is kept
+        pairs[: n + 1, 0], pair_axes[: n + 1, 0:2] = _bev_rect(x, y, w, l, yaw)
+        if not _separated(pairs[:n], pair_axes[:n]).all():
+            continue
+        anchors[n] = (x, y, h / 2.0, w, l, h, yaw,
+                      vmax * (-1.0 + 2.0 * uvx), vmax * (-1.0 + 2.0 * uvy))
+        classes[n], pairs[n, 1], pair_axes[n, 2:4] = cls, pairs[n, 0], pair_axes[n, 0:2]
+        n += 1
+    proj = project_rig(rig, anchors)
+    gt2d, link = derive_gt2d(proj, classes)
+    return Scene(seed=seed, frame_id=frame_id, anchors=anchors, classes=classes,
+                 gt2d=gt2d, gt2d_link=link, rig=list(rig), projection=proj)
 
 
 def perturb_per_box(scene, noise, seed):
@@ -177,10 +253,27 @@ def test_boxes_do_not_overlap(rig6):
             assert not bev_overlap(bev_corners(arr[i]), bev_corners(arr[j]))
 
 
+def bev_rects_of(*boxes):
+    """``_bev_rects`` of (9,) boxes."""
+    x, y, _, w, l, _, yaw, _, _ = np.stack(boxes).T
+    return _bev_rects(x, y, w, l, yaw)
+
+
 def separated_pair(a, b) -> bool:
-    """``_separated`` on the one pair of (9,) boxes a (candidate) and b."""
-    (ca, xa), (cb, xb) = (_bev_rect(*box[[0, 1, 3, 4, 6]].tolist()) for box in (a, b))
-    return bool(_separated(np.stack([ca, cb])[None], np.concatenate([xa, xb])[None])[0])
+    """Whether the sampler's separation table keeps the (9,) boxes a
+    (candidate) and b apart, both with b placed in an earlier block and
+    with a and b in one block, and with the decision of ``_separated``."""
+    (ra, xa), (rb, xb) = bev_rects_of(a), bev_rects_of(b)
+    own_lo, own_hi = _extents(rb, xb)
+    to_placed = simulator._separation(rb, xb, own_lo, own_hi, ra, xa)[0]
+    rects, axes = bev_rects_of(a, b)
+    none = np.empty((0, 2))
+    to_block = simulator._separation(rects[:0], axes[:0], none, none, rects, axes)[1]
+    assert to_placed.shape == (1, 1) and to_block.shape == (2, 2)
+    (ca, xa1), (cb, xb1) = (_bev_rect(*box[[0, 1, 3, 4, 6]].tolist()) for box in (a, b))
+    want = bool(_separated(np.stack([ca, cb])[None], np.concatenate([xa1, xb1])[None])[0])
+    assert to_placed[0, 0] == to_block[0, 1] == to_block[1, 0] == want
+    return want
 
 
 def flat_box(x, y, w, l, yaw):
@@ -254,13 +347,104 @@ def test_separated_decides_touching_pairs_like_the_pair_test(x, y, w, l, yaw, w2
 
 
 @settings(max_examples=200, deadline=None)
-@given(coord, coord, side, side, angle)
-def test_bev_rect_corners_are_box_points_bits(x, y, w, l, yaw):
-    corners, axes = _bev_rect(x, y, w, l, yaw)
-    want = bev_corners(flat_box(x, y, w, l, yaw))
-    assert same_bits(corners, want)
+@given(coord, coord, side, side, angle, st.integers(0, 8))
+def test_bev_rect_corners_are_box_points_bits(x, y, w, l, yaw, at):
+    """The box's corners and edge normals, alone and at place ``at`` of a
+    batch of nine, carry the bits of ``box_points`` and of ``_bev_rect``."""
+    box = flat_box(x, y, w, l, yaw)
+    batch = [flat_box(*row) for row in np.random.default_rng(at).uniform(
+        (-60.0, -60.0, 0.05, 0.05, -np.pi), (60.0, 60.0, 12.0, 12.0, np.pi), (9, 5))]
+    batch[at] = box
+    want = bev_corners(box)
     edges = want[1:3] - want[0:2]
-    assert same_bits(axes, np.stack([-edges[:, 1], edges[:, 0]], axis=1))
+    for (corners, axes), k in ((bev_rects_of(box), 0), (bev_rects_of(*batch), at)):
+        assert same_bits(corners[k], want)
+        assert same_bits(axes[k], np.stack([-edges[:, 1], edges[:, 0]], axis=1))
+        assert all(map(same_bits, (corners[k], axes[k]), _bev_rect(x, y, w, l, yaw)))
+
+
+def same_scenes(got, want) -> bool:
+    """Bit-equal anchors, classes, 2D ground truth and links."""
+    return (same_bits(got.anchors, want.anchors) and np.array_equal(got.classes, want.classes)
+            and same_bits(got.gt2d.rect, want.gt2d.rect)
+            and np.array_equal(got.gt2d.view_id, want.gt2d.view_id)
+            and np.array_equal(got.gt2d.class_id, want.gt2d.class_id)
+            and np.array_equal(got.gt2d_link, want.gt2d_link))
+
+
+def sampled(sampler, *args, **kwargs):
+    """The scene the sampler draws, or the message of the error it raises."""
+    try:
+        return sampler(*args, **kwargs)
+    except RuntimeError as exc:
+        return str(exc)
+
+
+# (half-width of the square ranges, boxes, attempts per box): a wide scene
+# of one block, one of two blocks with a rejection, dense scenes that
+# refill their blocks and one that runs out of attempts
+SAMPLER_CASES = [(50.0, 20, 200), (50.0, 40, 200), (6.0, 20, 200), (9.0, 40, 200),
+                 (3.0, 20, 4)]
+
+
+def test_sampler_cases_cover_rejections_refills_and_the_budget(monkeypatch):
+    """The sampler cases reach what they are named for."""
+    blocks = []
+    bev_rects = simulator._bev_rects
+    monkeypatch.setattr(simulator, "_bev_rects", lambda *a: blocks.append(1) or bev_rects(*a))
+    rig, seen = make_surround_rig(1), set()
+    for half, n_boxes, m in SAMPLER_CASES:
+        ranges = SceneRanges(x=(-half, half), y=(-half, half))
+        blocks.clear()
+        got = sampled(sample_scene, 1, rig, ranges, n_boxes, max_attempts_per_box=m)
+        # one attempt per box fails exactly when some candidate is rejected
+        rejects = isinstance(sampled(sample_scene_reference, 1, rig, ranges, n_boxes,
+                                     max_attempts_per_box=1), str)
+        seen |= {("reject", rejects), ("blocks", len(blocks) > 1),
+                 ("refill", len(blocks) > 1 and n_boxes <= simulator._BLOCK),
+                 ("budget", isinstance(got, str))}
+    assert {("reject", True), ("blocks", True), ("refill", True), ("budget", True),
+            ("budget", False)} <= seen
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 40),
+       st.sampled_from([50.0, 20.0, 12.0, 8.0, 5.0, 3.0]), st.integers(1, 30))
+@example(1, 20, 3.0, 4)
+@example(1, 40, 9.0, 200)
+def test_sampler_places_the_boxes_of_the_per_candidate_loop(seed, n_boxes, half, m):
+    """Ranges from wide to dense: the block sampler places the boxes of the
+    one-candidate-at-a-time loop, bit for bit, and derives the same 2D
+    ground truth, or raises its error."""
+    rig = make_surround_rig(2)
+    ranges = SceneRanges(x=(-half, half), y=(-half, half))
+    got = sampled(sample_scene, seed, rig, ranges, n_boxes, max_attempts_per_box=m)
+    want = sampled(sample_scene_reference, seed, rig, ranges, n_boxes, max_attempts_per_box=m)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert same_scenes(got, want)
+
+
+def test_dense_sampler_holds_no_table_of_all_candidate_pairs():
+    """300 boxes in a 60 m square: each block of candidates meets the placed
+    boxes in a table of block x placed extents, so the peak stays well
+    under one float64 per (candidate, candidate, normal, corner)."""
+    rig, ranges = make_surround_rig(1), SceneRanges(x=(-30.0, 30.0), y=(-30.0, 30.0))
+    drawn = []
+    bev_rects = simulator._bev_rects
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "_bev_rects", lambda *a: drawn.append(len(a[0])) or bev_rects(*a))
+        scene = sample_scene(0, rig, ranges, n_boxes=300)
+    candidates = sum(drawn)
+    assert len(scene.anchors) == 300 and candidates > 400
+    tracemalloc.start()
+    try:
+        sample_scene(0, rig, ranges, n_boxes=300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < candidates ** 2 * 2 * 4 * 8 / 4
 
 
 @pytest.mark.parametrize("n_boxes", [20, 25])
@@ -473,6 +657,32 @@ def render_features_per_channel(scene, rig, scales=(8, 16), channels=16):
     return features
 
 
+def render_features_per_view(scene, rig, scales=(8, 16), into=None, slot=0):
+    """``render_features`` one view and scale at a time: each plane is its
+    own (H, B) @ (B, W) product of the B bumps its view sees."""
+    proj = project_rig(rig, scene.anchors)
+    features = blank_features(rig, scales) if into is None else into
+    first_view = slot * len(rig)
+    vi, ai = np.nonzero(proj.valid)
+    first = np.searchsorted(vi, np.arange(len(rig) + 1)).tolist()
+    (u, v), width = proj.ref_point[vi, ai].T, proj.rect[vi, ai, 2]
+    amp = (scene.classes[ai] + 1.0)[:, None]
+    for si in range(len(scales)):
+        wm, hm = features.map_size[si, first_view + vi].T
+        img_w, img_h = features.image_size[first_view + vi].T
+        fx, fy = wm / img_w, hm / img_h
+        mx, my = (u * fx - 0.5)[:, None], (v * fy - 0.5)[:, None]
+        sigma = np.maximum(width * fx / 4.0, 0.75)
+        divisor = -(2.0 * sigma * sigma)[:, None]
+        for k in range(len(rig)):
+            fmap = features.view_map(si, first_view + k)
+            box = slice(first[k], first[k + 1])
+            gx = np.exp(np.square(np.arange(fmap.shape[1]) - mx[box]) / divisor[box])
+            gy = np.exp(np.square(np.arange(fmap.shape[0]) - my[box]) / divisor[box])
+            fmap[:, :, 0] = (gy * amp[box]).T @ gx
+    return features
+
+
 def scene_of(rig, boxes, classes):
     """Scene of (9,) boxes with given class ids and no 2D ground truth."""
     return Scene(seed=0, frame_id=0, anchors=boxes, classes=classes,
@@ -537,6 +747,60 @@ def test_render_features_matches_per_channel_loop(rig6, rig_seed, scales, channe
     # the same maps from a projection the caller passes in
     passed = render_features(scene, rig, scales=scales, projection=project_rig(rig, scene.anchors))
     assert all(same_bits(a, b) for a, b in zip(passed.atlas, got.atlas))
+
+
+def per_view_case(name):
+    """(rig, scene, scales) of one case of the per-view render oracle."""
+    if name in RENDER_CASES:
+        return render_case(name)[:3]
+    if name.startswith("random_crop_"):
+        rig = random_rig_with_crop(np.random.default_rng(int(name[-1])))
+        return rig, sample_scene(11, rig, n_boxes=15), (8, 16)
+    rig = two_crop_rig()
+    if name == "no_boxes":
+        return rig, sample_scene(0, rig, n_boxes=0), (8, 16)
+    if name == "thin_maps":  # maps one cell high, or one cell at all
+        return rig, sample_scene(0, rig, n_boxes=20), (64, 256, 704)
+    raise KeyError(name)
+
+
+PER_VIEW_CASES = [*RENDER_CASES, "random_crop_0", "random_crop_1", "random_crop_2", "no_boxes",
+                  "thin_maps"]
+
+
+@pytest.mark.parametrize("name", PER_VIEW_CASES)
+def test_render_features_matches_the_per_view_loop(name):
+    """Every run of views of one map size rendered by one padded product
+    gives the bits of one product per view, alone and into scene slot 1 of
+    a batch of three, whose other rows it leaves alone."""
+    rig, scene, scales = per_view_case(name)
+    got, want = render_features(scene, rig, scales), render_features_per_view(scene, rig, scales)
+    assert all(map(same_bits, got.atlas, want.atlas))
+    batches = [blank_features(rig, scales, n_scenes=3) for _ in range(2)]
+    for atlas in (a for batch in batches for a in batch.atlas):
+        atlas.fill(np.nan)
+    render_features(scene, rig, scales, into=batches[0], slot=1)
+    render_features_per_view(scene, rig, scales, into=batches[1], slot=1)
+    assert all(map(same_bits, *(batch.atlas for batch in batches)))
+    seen = project_rig(rig, scene.anchors).valid.sum(axis=1)
+    if name == "two_crops":  # mixed map sizes, and a view without bumps
+        assert len({tuple(m) for m in got.map_size[0]}) > 1 and (seen == 0).any()
+    if name == "thin_maps":  # a run of one-cell-high maps whose views see unlike counts
+        assert (got.map_size[1, :, 1] == 1).all() and got.map_size[1, 0, 0] > 1
+        assert len(set(seen[:7].tolist())) > 1
+
+
+def test_render_features_rejects_a_slot_of_other_view_ids():
+    """A batch built over the rig's views in another order holds maps of
+    the same sizes under other ids: rendering into it fails, naming the slot."""
+    rig = make_surround_rig(6)
+    permuted = [rig[k] for k in (3, 1, 2, 0, 4, 5)]
+    scene = sample_scene(11, rig, n_boxes=20)
+    batch = blank_features(permuted, (8, 16), n_scenes=2)
+    with pytest.raises(ValueError, match=r"^scene slot 1 of the features does not hold this "
+                                         r"rig's maps of views \[0, 1, 2, 3, 4, 5\], in that order$"):
+        render_features(scene, rig, (8, 16), into=batch, slot=1)
+    assert render_features(scene, permuted, (8, 16), into=batch, slot=1) is batch
 
 
 @pytest.mark.parametrize("channels", [16, 3])
