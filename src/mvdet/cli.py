@@ -39,7 +39,7 @@ from .pipeline import (
     DECODER_KEYS, TAU_IOU_SWEEP, RunConfig, aar_csv_lines, ap_csv_lines, ap_inputs,
     feature_scales, parse_sweep, write_csv,
 )
-from .simulator import Scene, load_scene, render_features, sample_scene
+from .simulator import Scene, check_seed_range, load_scene, render_features, sample_scene
 
 log = logging.getLogger("mvdet")
 
@@ -88,6 +88,7 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"--views must be positive, got {args.views}")
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
+    check_seed_range("--seed", args.seed, args.scenes)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rig = load_extended_rig(args.rig) if args.rig else make_surround_rig(args.views)
@@ -292,9 +293,10 @@ def cmd_run(args) -> int:
     obj = load_json(args.config)
     with naming_file(args.config):
         config = RunConfig.from_json_obj(obj)
-        if args.seed is not None:
-            config = dataclasses.replace(
-                config, seeds=dataclasses.replace(config.seeds, base=args.seed))
+    if args.seed is not None:
+        check_seed_range("--seed", args.seed, config.seeds.scenes)
+        config = dataclasses.replace(
+            config, seeds=dataclasses.replace(config.seeds, base=args.seed))
     out_dir = Path(args.out or config.out_dir)
     summary = pipeline.run(config, out_dir, args.jobs)
     print(f"run complete -> {out_dir}")

@@ -90,6 +90,8 @@ class DecoderConfig:
         for name in ("heads", "channels", "n_classes", "feature_channels", "n_scales"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.channels % self.heads:
             raise ValueError("channels must be divisible by heads")
 

@@ -25,7 +25,9 @@ from .geometry import (
     save_rig,
 )
 from .metrics import MatchParams, aar, ap_2d, detections_to_json_obj, mean_ap
-from .simulator import OracleNoise, blank_features, perturb, render_features, sample_scene
+from .simulator import (
+    OracleNoise, blank_features, check_seed_range, perturb, render_features, sample_scene,
+)
 
 # The IoU thresholds of an AAR curve, as ``parse_sweep`` reads them.
 TAU_IOU_SWEEP = "0.1:0.9:0.1"
@@ -86,6 +88,7 @@ class Seeds:
             raise ValueError(f"seeds.base must be non-negative, got {self.base}")
         if self.scenes < 1:
             raise ValueError(f"seeds.scenes must be positive, got {self.scenes}")
+        check_seed_range("seeds.base", self.base, self.scenes)
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Seeds":
@@ -351,15 +354,13 @@ def _batch_results(payloads: list[tuple], jobs: int):
 
 
 def _write_scene(out_dir: str, result: tuple) -> tuple[bytes, list[tuple[str, bytes]]]:
-    """Encode the scene, allocation, head-output and prediction files of one
-    scene under ``out_dir``; returns the scene file's bytes (for
-    gt_scenes.json) and the four (path, bytes) writes, which ``run`` hands
-    to its writer thread."""
+    """Encode one scene's entry of gt_scenes.json and its allocation,
+    head-output and prediction files under ``out_dir``; returns the entry's
+    bytes and the three (path, bytes) writes, which ``run`` hands to its
+    writer thread."""
     scene, alloc, head_out, det = result
-    scene_bytes = json_bytes(scene.to_json_obj())
     name = f"{scene.frame_id:04d}.json"
-    return scene_bytes, [
-        (f"{out_dir}/scenes/scene_{name}", scene_bytes),
+    return json_bytes(scene.to_json_obj()), [
         (f"{out_dir}/alloc/alloc_{name}", json_bytes(alloc.to_json_obj())),
         (f"{out_dir}/forward/forward_{name}", json_bytes(head_out.to_json_obj())),
         (f"{out_dir}/pred/pred_{name}",
@@ -447,24 +448,27 @@ def _scene_set(path: Path):
 def run(config: RunConfig, out_dir: str | Path, jobs: int = 1) -> dict:
     """The whole pipeline of ``config`` into ``out_dir``: decode the scenes
     in batches, on ``jobs`` worker processes when above 1, write each
-    scene's four files, then score every scene at once; returns summary.json.
+    scene's ground truth into gt_scenes.json and its allocation, head
+    outputs and predictions into files of their own, then score every scene
+    at once; returns summary.json.
 
     The main thread computes the batches (``jobs`` 1) or merges them from
-    the worker processes, in order, and encodes each scene's files as
-    bytes.  A batch's writes then go to the ``mvdet-writer`` thread, in
-    scene order, while the next batch is computed; at most one batch's
-    files are in flight (``_file_writer``).  The writer is drained before
-    the metrics and, on a failure, before the error propagates and before
-    ``_scene_set`` removes gt_scenes.json, so the files of the scenes
-    written before the failure stay.  The run's threads are the main
-    thread, the attention helper (``mvdet-attention``, one per process, see
-    ``groupattn``) and the writer, which is made after a ``jobs`` pool has
-    forked its workers and is joined before this returns; a ``jobs`` pool
-    adds its own manager thread.
+    the worker processes, in order, and encodes each scene's files and
+    gt_scenes.json entry as bytes.  A batch's writes then go to the
+    ``mvdet-writer`` thread, in scene order, while the next batch is
+    computed; at most one batch's files are in flight (``_file_writer``).
+    The writer is drained before the metrics and, on a failure, before the
+    error propagates and before ``_scene_set`` removes gt_scenes.json, so
+    the files of the scenes written before the failure stay (their ground
+    truth does not; it is sampled again from the scene's seed).  The run's
+    threads are the main thread, the attention helper (``mvdet-attention``,
+    one per process, see ``groupattn``) and the writer, which is made after
+    a ``jobs`` pool has forked its workers and is joined before this
+    returns; a ``jobs`` pool adds its own manager thread.
     """
     decoder = HybridDecoder(config.decoder, config.cameras)
     out_dir = Path(out_dir)
-    for sub in ("scenes", "alloc", "forward", "pred", "metrics"):
+    for sub in ("alloc", "forward", "pred", "metrics"):
         (out_dir / sub).mkdir(parents=True, exist_ok=True)
     save_rig(decoder.rig, out_dir / "rig.json")
 

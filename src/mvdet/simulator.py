@@ -259,6 +259,18 @@ def derive_gt2d(proj: RigProjection, classes: np.ndarray) -> tuple[Boxes2D, np.n
     return Boxes2D(proj.rect[vi, ai], proj.view_ids[vi], np.asarray(classes)[ai]), ai
 
 
+# the largest scene seed: a scene file holds its seed as a 64-bit JSON integer
+MAX_SEED = 2**64 - 1
+
+
+def check_seed_range(name: str, base: int, scenes: int) -> None:
+    """Raise a ValueError naming ``name`` when the seeds ``base`` to
+    ``base + scenes - 1`` of consecutive scenes go past ``MAX_SEED``."""
+    if base + scenes - 1 > MAX_SEED:
+        raise ValueError(f"{name} {base} with {scenes} scene(s) reaches seed "
+                         f"{base + scenes - 1}, past 2**64 - 1")
+
+
 def sample_scene(
     seed: int,
     rig: Sequence[CameraView],

@@ -91,3 +91,25 @@ def test_initial_anchors_are_where_every_pass_starts(perfbench):
         if config.decoder.l_2d:
             assert same_bits(clamp_anchors(anchors, config.decoder.limits),
                              decoder.prefix().anchors), name
+
+
+@pytest.mark.parametrize("name", ["ref-F", "plain3d-A", "many-scenes"])
+def test_shrunk_workload_passes_the_benchmark_output_check(perfbench, tmp_path, name):
+    """Each benchmark workload, shrunk to two scenes (four for many-scenes),
+    writes artifacts that pass ``oracles.check_run`` as ``perfbench/run.py``
+    calls it: with the first-mapping check from ``run.initial_anchors``
+    for every preset but A."""
+    import oracles
+    import run
+    import workloads
+
+    from mvdet.cli import main
+
+    cfg = workloads.WORKLOADS[name]
+    cfg = {**cfg, "seeds": {**cfg["seeds"], "scenes": 4 if name == "many-scenes" else 2}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out), "--jobs", "1"]) == 0
+    anchors = run.initial_anchors(cfg) if cfg["preset"] != "A" else None
+    assert oracles.check_run(out, cfg, anchors) == []

@@ -44,6 +44,18 @@ def sim_dir(tmp_path):
     return out
 
 
+def run_files(n_scenes: int) -> list[Path]:
+    """The files a run of ``n_scenes`` scenes writes, relative to its output
+    directory and sorted: the rig, the scene set, the summary and the two
+    metric tables, then each scene's allocation, head outputs and
+    predictions."""
+    names = ["rig.json", "gt_scenes.json", "summary.json", "metrics/aar_curve.csv",
+             "metrics/ap.csv"]
+    names += [f"{kind}/{kind}_{i:04d}.json"
+              for kind in ("alloc", "forward", "pred") for i in range(n_scenes)]
+    return sorted(map(Path, names))
+
+
 def run_config(tmp_path, **over):
     cfg = {
         "preset": "F",
@@ -75,9 +87,11 @@ def test_help_and_unknown_flag(capsys):
      ("--boxes", "-3", "--boxes must be non-negative, got -3"),
      ("--views", "0", "--views must be positive, got 0"),
      ("--views", "-2", "--views must be positive, got -2"),
-     ("--seed", "-1", "--seed must be non-negative, got -1")],
+     ("--seed", "-1", "--seed must be non-negative, got -1"),
+     ("--seed", str(2**64), f"--seed {2**64} with 1 scene(s) reaches seed {2**64}, "
+                            "past 2**64 - 1")],
     ids=["scenes_negative", "scenes_0", "boxes_negative", "views_0", "views_negative",
-         "seed_negative"],
+         "seed_negative", "seed_past_64_bits"],
 )
 def test_simulate_rejects_bad_counts(tmp_path, capsys, flag, value, message):
     out = tmp_path / "sim"
@@ -180,6 +194,7 @@ BAD_DECODER_VALUES = [
     ({"n_queries": 31.5}, "n_queries must be an integer, got 31.5", "n_queries_float"),
     ({"heads": 4.0}, "heads must be an integer, got 4.0", "heads_float"),
     ({"seed": True}, "seed must be an integer, got True", "seed_bool"),
+    ({"seed": -1}, "seed must be non-negative, got -1", "seed_negative"),
     ({"max_truncated_per_camera": 2.5}, "max_truncated_per_camera must be an integer, got 2.5",
      "max_truncated_float"),
     ({"size_clamp": [math.nan, 35, 10]}, "size clamp values must be positive", "size_clamp_nan"),
@@ -788,6 +803,63 @@ def test_run_pipeline_and_reproducibility(tmp_path):
         assert float(line.split(",")[1]) == 100.0  # zero oracle noise
 
 
+def test_run_writes_the_documented_files_and_each_scene_once(tmp_path):
+    # a 3-scene run writes the rig, the scene set, the summary, two metric
+    # tables and three files per scene; each scene's ground truth is one
+    # gt_scenes.json entry, the scene sampled from seed base + i, which
+    # simulate also gives from that seed (as frame 0)
+    from mvdet.pipeline import RunConfig
+    from mvdet.simulator import Scene, load_scene, sample_scene
+
+    cfg = run_config(tmp_path, seeds={"base": 5, "scenes": 3},
+                     crop_rules=[{"source_view_id": 0}])
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 0
+    assert sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) == run_files(3)
+    assert sorted(p.relative_to(out) for p in out.rglob("*") if p.is_dir()) == [
+        Path("alloc"), Path("forward"), Path("metrics"), Path("pred")]
+    rig = RunConfig.from_json_obj(json.loads(cfg.read_text())).cameras
+    save_rig(rig, tmp_path / "rig.json")
+    gt_scenes = json.loads((out / "gt_scenes.json").read_text())["scenes"]
+    assert len(gt_scenes) == 3
+    for i, obj in enumerate(gt_scenes):
+        got, want = Scene.from_json_obj(obj), sample_scene(5 + i, rig, n_boxes=6, frame_id=i)
+        assert (got.seed, got.frame_id) == (5 + i, i)
+        assert len(got.anchors) == 6 and len(got.gt2d) > 0
+        for field in ("anchors", "classes", "gt2d_link"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (i, field)
+        for field in ("rect", "view_id", "class_id"):
+            assert getattr(got.gt2d, field).tobytes() == getattr(want.gt2d, field).tobytes(), (
+                i, field)
+        sim = tmp_path / f"sim{i}"
+        assert run_cli("simulate", "--out", str(sim), "--rig", str(tmp_path / "rig.json"),
+                       "--boxes", "6", "--seed", str(5 + i)) == 0
+        obj = {**json.loads((sim / "scene_0000.json").read_text()), "frame_id": i}
+        assert obj == gt_scenes[i]
+        assert load_scene(sim / "scene_0000.json").frame_id == 0
+
+
+def test_run_scene_seeds_end_at_the_largest_64_bit_integer(tmp_path, capsys):
+    # a scene file holds its seed as a 64-bit JSON integer: a run whose last
+    # scene would be seeded past 2**64 - 1 fails before it writes anything,
+    # naming --seed when the flag sets the base; 2**64 - 1 itself runs
+    cfg = run_config(tmp_path)  # two scenes
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "x"),
+                   "--seed", str(2**64 - 1)) == 1
+    assert capsys.readouterr().err == (
+        f"mvdet run: error: --seed {2**64 - 1} with 2 scene(s) reaches seed {2**64}, "
+        "past 2**64 - 1\n")
+    assert not (tmp_path / "x").exists()
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", str(cfg), "--out", str(out), "--seed", str(2**64 - 2)) == 0
+    gt_scenes = json.loads((out / "gt_scenes.json").read_text())["scenes"]
+    assert [scene["seed"] for scene in gt_scenes] == [2**64 - 2, 2**64 - 1]
+    sim = tmp_path / "sim"
+    assert run_cli("simulate", "--out", str(sim), "--scenes", "2",
+                   "--seed", str(2**64 - 2)) == 0
+    assert json.loads((sim / "scene_0001.json").read_text())["seed"] == 2**64 - 1
+
+
 def test_run_jobs_parallel_matches_serial(tmp_path):
     cfg = run_config(tmp_path)
     out1 = tmp_path / "serial"
@@ -796,7 +868,7 @@ def test_run_jobs_parallel_matches_serial(tmp_path):
     assert run_cli("run", "--config", str(cfg), "--out", str(out2), "--jobs", "2") == 0
     files = sorted(p.relative_to(out1) for p in out1.rglob("*") if p.is_file())
     assert files == sorted(p.relative_to(out2) for p in out2.rglob("*") if p.is_file())
-    assert len(files) == 13  # rig, gt_scenes, summary, two metrics, 4 x 2 scene files
+    assert files == run_files(2)
     for rel in files:
         assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
 
@@ -832,7 +904,7 @@ def test_run_preset_a_jobs_2_after_a_dense_call_in_the_parent(tmp_path):
     assert proc.returncode == 0, err
     files = sorted(p.relative_to(out1) for p in out1.rglob("*") if p.is_file())
     assert files == sorted(p.relative_to(out2) for p in out2.rglob("*") if p.is_file())
-    assert len(files) == 17  # rig, gt_scenes, summary, two metrics, 4 x 3 scene files
+    assert files == run_files(3)
     for rel in files:
         assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
 
@@ -886,7 +958,7 @@ def test_run_builds_no_rig_or_scene_from_json(tmp_path, monkeypatch):
     objects."""
     from mvdet import decoder, geometry, metrics
     from mvdet.decoder import HybridDecoder
-    from mvdet.simulator import Scene, load_scene
+    from mvdet.simulator import Scene
 
     calls = collections.Counter()
     rig_from_json_obj = geometry.rig_from_json_obj
@@ -915,7 +987,8 @@ def test_run_builds_no_rig_or_scene_from_json(tmp_path, monkeypatch):
     cfg = run_config(tmp_path, seeds={"base": 5, "scenes": 3})
     out = tmp_path / "out"
     assert run_cli("run", "--config", str(cfg), "--out", str(out), "--jobs", "1") == 0
-    assert len(list((out / "scenes").iterdir())) == 3
+    gt_scenes = geometry.load_json(out / "gt_scenes.json")["scenes"]
+    assert len(gt_scenes) == 3
     # preset F (l_2d = 1, l_hybrid = 3): the first allocation is the prefix's,
     # made once; each scene makes the other two; the three scenes of 24
     # queries are one batch, decoded in one pass
@@ -923,9 +996,9 @@ def test_run_builds_no_rig_or_scene_from_json(tmp_path, monkeypatch):
                      "HybridDecoder.prefix": 1, "decoder.allocate": 1 + 3 * (1 * 3 - 1),
                      "HybridDecoder.forward_scenes": 1}
     assert calls == decoder_calls
-    # the counters are live: reading a scene file back rebuilds both, and
+    # the counters are live: reading a scene back rebuilds both, and
     # reading the predictions parses them
-    load_scene(out / "scenes" / "scene_0000.json")
+    Scene.from_json_obj(gt_scenes[0])
     metrics.parse_detections(geometry.load_json(out / "pred" / "pred_0000.json"))
     assert calls == {**decoder_calls,
                      "rig_from_json_obj": 1, "Scene.from_json_obj": 1, "parse_detections": 1}
@@ -977,7 +1050,7 @@ def test_run_projects_each_scene_once(tmp_path, monkeypatch, size_clamp, gt_proj
     decoder's allocations project once per 2D sub-layer and batch."""
     from mvdet import allocation, decoder as decoder_mod, pipeline, simulator
     from mvdet.allocation import AllocationLimits, allocate, clamp_anchors
-    from mvdet.simulator import load_scene
+    from mvdet.simulator import Scene
 
     calls = collections.Counter()
     for mod in (allocation, decoder_mod, simulator):
@@ -1001,8 +1074,10 @@ def test_run_projects_each_scene_once(tmp_path, monkeypatch, size_clamp, gt_proj
                      **({"mvdet.allocation": gt_projections} if gt_projections else {})}
     assert kept == [False] * 3
     limits = AllocationLimits(size_clamp=tuple(size_clamp or (35.0, 35.0, 10.0)))
-    for i in range(3):
-        scene = load_scene(out / "scenes" / f"scene_{i:04d}.json")
+    gt_scenes = json.loads((out / "gt_scenes.json").read_text())["scenes"]
+    assert len(gt_scenes) == 3
+    for i, obj in enumerate(gt_scenes):
+        scene = Scene.from_json_obj(obj)
         want = allocate(clamp_anchors(scene.anchors, limits), scene.rig, limits).to_json_obj()
         assert json.loads((out / "alloc" / f"alloc_{i:04d}.json").read_text()) == json.loads(
             json.dumps(want))
@@ -1122,7 +1197,7 @@ def test_run_jobs_2_hands_whole_batches_to_workers(tmp_path, monkeypatch):
                        "2": [(2, False), (4, False), (4, False)]}
     files = sorted(p.relative_to(outs["1"]) for p in outs["1"].rglob("*") if p.is_file())
     assert files == sorted(p.relative_to(outs["2"]) for p in outs["2"].rglob("*") if p.is_file())
-    assert len(files) == 5 + 4 * 10
+    assert files == run_files(10)
     for rel in files:
         assert (outs["1"] / rel).read_bytes() == (outs["2"] / rel).read_bytes(), rel
 
@@ -1163,7 +1238,8 @@ def writer_threads() -> list[threading.Thread]:
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_run_write_failure_names_its_path(tmp_path, capsys, jobs, n_queries):
     # scene 1's forward file cannot be created: the run fails naming it, keeps
-    # scene 0's files, leaves no scene set, and its writer thread ends with it;
+    # scene 0's files, leaves no scene set (so no scene's ground truth), and
+    # its writer thread ends with it;
     # at 512 queries scenes 0-1 and 2 are two batches, so the failure surfaces
     # when the second batch's writes are queued
     from mvdet import cli
@@ -1177,9 +1253,8 @@ def test_run_write_failure_names_its_path(tmp_path, capsys, jobs, n_queries):
     argv = ["run", "--config", str(cfg), "--out", str(out), "--jobs", jobs]
     assert run_cli(*argv) == 1
     assert str(blocked) in capsys.readouterr().err
-    for kind, sub in (("scene", "scenes"), ("alloc", "alloc"), ("forward", "forward"),
-                      ("pred", "pred")):
-        assert (out / sub / f"{kind}_0000.json").is_file(), kind
+    for kind in ("alloc", "forward", "pred"):
+        assert (out / kind / f"{kind}_0000.json").is_file(), kind
     assert not (out / "gt_scenes.json").exists()
     with pytest.raises(IsADirectoryError) as info:
         cli.cmd_run(cli.build_parser().parse_args(argv))
@@ -1195,7 +1270,7 @@ def test_run_rejects_negative_seed(tmp_path, capsys):
     assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "x"),
                    "--seed", "-1") == 1
     assert "--seed must be non-negative, got -1" in capsys.readouterr().err
-    assert not (tmp_path / "x" / "scenes").exists()
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -1274,6 +1349,9 @@ def test_run_rejects_jobs_below_one(tmp_path, capsys, jobs):
                      "seeds.base must be an integer, got 1.5", id="base_float"),
         pytest.param({"seeds": {"scenes": 2.0}}, "seeds.scenes must be an integer, got 2.0",
                      id="scenes_float"),
+        pytest.param({"seeds": {"base": 2**64 - 2, "scenes": 3}},
+                     f"seeds.base {2**64 - 2} with 3 scene(s) reaches seed {2**64}, "
+                     "past 2**64 - 1", id="seeds_past_64_bits"),
         *(pytest.param({"decoder": d}, m, id=i) for d, m, i in BAD_DECODER_VALUES),
         *(pytest.param({"crop_rules": [{"source_view_id": 0, key: value}]},
                        f"{key} must be a positive integer, got {shown}", id=f"crop_{key}_{value}")
@@ -1585,14 +1663,14 @@ def test_rigid_ego_motion_changes_no_2d_truth_allocation_or_metric(seed, yaw, sh
 
 def relabelled_views(obj, kind, new_id):
     """A run file's JSON with every view id mapped through ``new_id``."""
-    if kind in ("rig", "scenes"):
+    if kind in ("rig", "scene"):
         for view in obj["views" if kind == "rig" else "rig"]:
             view["view_id"] = new_id[view["view_id"]]
-    if kind == "scenes":
+    if kind == "scene":
         for box in obj["gt2d"]:
             box["view_id"] = new_id[box["view_id"]]
     elif kind == "gt_scenes":
-        obj["scenes"] = [relabelled_views(s, "scenes", new_id) for s in obj["scenes"]]
+        obj["scenes"] = [relabelled_views(s, "scene", new_id) for s in obj["scenes"]]
     elif kind == "alloc":
         obj["camera_of_col"] = [new_id[v] for v in obj["camera_of_col"]]
         obj["rects"] = [[*rect[:4], new_id[rect[4]]] for rect in obj["rects"]]
@@ -1629,7 +1707,7 @@ def test_sparse_view_ids_change_no_metric_of_a_run(tmp_path):
     files = sorted(p.relative_to(outs["plain"]) for p in outs["plain"].rglob("*") if p.is_file())
     assert files == sorted(p.relative_to(outs["sparse"])
                            for p in outs["sparse"].rglob("*") if p.is_file())
-    assert len(files) == 5 + 4 * 6
+    assert files == run_files(6)
     for rel in files:
         plain, got = (outs[name] / rel for name in ("plain", "sparse"))
         if rel.parts[0] == "metrics" or rel.name == "summary.json":

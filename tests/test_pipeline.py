@@ -9,7 +9,7 @@ from mvdet.decoder import DecoderConfig
 from mvdet.pipeline import RunConfig, Seeds, run
 from mvdet.simulator import OracleNoise
 
-from test_cli import run_cli, run_config
+from test_cli import run_cli, run_config, run_files
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -28,7 +28,7 @@ def test_library_run_writes_the_files_of_the_cli(tmp_path):
     trees = {name: sorted(p.relative_to(tmp_path / name)
                           for p in (tmp_path / name).rglob("*") if p.is_file())
              for name in ("cli", "lib")}
-    assert trees["cli"] == trees["lib"] and len(trees["cli"]) == 5 + 4 * 2
+    assert trees["cli"] == trees["lib"] == run_files(2)
     for rel in trees["cli"]:
         assert (tmp_path / "lib" / rel).read_bytes() == (tmp_path / "cli" / rel).read_bytes(), rel
     assert summary == json.loads((tmp_path / "lib" / "summary.json").read_text())

@@ -4,7 +4,7 @@ The golden run (``test_golden_run``) covers two scenes of 15 boxes and one
 crop view.  This run has the shape of the benchmark's many-scenes workload
 at a twelfth of its length: preset F with 64 queries, 32 channels and 4
 heads, two crop views, 20 boxes per scene and 12 scenes.  Every artifact
-outside ``forward/`` (scenes, allocations, predictions, metrics) is compared
+outside ``forward/`` (scene set, allocations, predictions, metrics) is compared
 byte for byte against the SHA-256 digests in
 ``golden/many_scenes_digests.json``.  ``forward/`` is compared between runs
 in one process, under execution plans (batch sizes, attention group by
