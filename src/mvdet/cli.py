@@ -1,13 +1,14 @@
 """Command-line front end: simulate, allocate, forward, evaluate, run.
 
 All subcommands honor --seed and are reproducible; the MVDET_LOG
-environment variable sets the logging level.  `run` checks its flags,
-reads its config as a `pipeline.RunConfig` and calls `pipeline.run`.
+environment variable sets the logging level.  `mvdet.entry` parses the
+command line and calls the ``cmd_*`` function here of the parsed command;
+`build_parser` and `main` are re-exported from it.  `run` checks its
+flags, reads its config as a `pipeline.RunConfig` and calls `pipeline.run`.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import logging
 import os
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, pipeline
+from . import pipeline
 from .allocation import AllocationLimits, allocate, clamp_anchors
 from .crop_scale import CropRule, extend_rig, load_crop_rules, load_extended_rig
 from .decoder import DecoderConfig, HybridDecoder
@@ -29,9 +30,10 @@ from .denoising import (
     make_noisy_anchors,
     restore_3d,
 )
+from .entry import build_parser, main  # noqa: F401 (re-exported)
 from .geometry import (
-    anchors_to_array, dump_json, load_json, load_rig, make_surround_rig, naming_file,
-    reject_unknown_keys, save_rig, view_key,
+    anchors_to_array, check_seed, dump_json, load_json, load_rig, make_surround_rig,
+    naming_file, reject_unknown_keys, save_rig, view_key,
 )
 from .groupattn import AttentionParams, attention
 from .metrics import Detections, MatchParams, aar, ap_2d, parse_detections
@@ -44,10 +46,16 @@ from .simulator import Scene, check_seed_range, load_scene, render_features, sam
 log = logging.getLogger("mvdet")
 
 
-def _setup_logging() -> None:
+def setup_logging() -> None:
     level = os.environ.get("MVDET_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
+
+
+def _given(**values) -> dict:
+    """``values`` without the flags left unset, so that a dataclass built
+    from them takes its own default for each of those."""
+    return {k: v for k, v in values.items() if v is not None}
 
 
 def _iou_thresholds(values) -> list[float]:
@@ -117,7 +125,7 @@ def cmd_allocate(args) -> int:
         rows = np.flatnonzero((anchors[:, 3:6] <= 0.0).any(axis=1))
         if rows.size:
             raise ValueError(f"anchor row {rows[0]} has a non-positive size")
-    limits = AllocationLimits(max_truncated_per_camera=args.max_truncated)
+    limits = AllocationLimits(**_given(max_truncated_per_camera=args.max_truncated))
     anchors = clamp_anchors(anchors, limits)
     res = allocate(anchors, rig, limits)
     out = res.to_json_obj()
@@ -153,8 +161,7 @@ def cmd_forward(args) -> int:
     else:
         rig = scene.rig
     if args.seed is not None:
-        if args.seed < 0:
-            raise ValueError(f"--seed must be non-negative, got {args.seed}")
+        check_seed(args.seed, "--seed")
         config = dataclasses.replace(config, seed=args.seed)
     decoder = HybridDecoder(config, rig)
     out, updated = decoder.forward(render_features(scene, rig, feature_scales(config)))
@@ -183,9 +190,9 @@ def _eval_inputs(args) -> tuple[list[Scene], list[Detections]]:
 
 def cmd_eval_aar(args) -> int:
     with naming_file("--tau-dis"):
-        params = MatchParams(tau_dis=args.tau_dis)
+        params = MatchParams(**_given(tau_dis=args.tau_dis))
     with naming_file("--tau-iou-sweep"):
-        taus = parse_sweep(args.tau_iou_sweep)
+        taus = parse_sweep(TAU_IOU_SWEEP if args.tau_iou_sweep is None else args.tau_iou_sweep)
     scenes, dets = _eval_inputs(args)
     write_csv(aar_csv_lines(aar(dets, scenes, params, taus=taus).curve), args.out)
     if args.out:
@@ -217,8 +224,8 @@ def cmd_crop_views(args) -> int:
             if len(views) > 1:
                 ids.append(views[len(views) // 2].view_id)  # front and rear
         rules = [
-            CropRule(source_view_id=i, placement=args.placement,
-                     scale_rate=args.scale_rate)
+            CropRule(source_view_id=i,
+                     **_given(placement=args.placement, scale_rate=args.scale_rate))
             for i in ids
         ]
     extended = extend_rig(views, rules)
@@ -246,7 +253,7 @@ def cmd_denoise_demo(args) -> int:
     limits = AllocationLimits()
     match_alloc = allocate(clamp_anchors(gt_array, limits), rig, limits)
     m = match_alloc.mapping.n_2d
-    noise_cfg = NoiseConfig(n_groups=args.groups)
+    noise_cfg = NoiseConfig(**_given(n_groups=args.groups))
     noisy, negative = make_noisy_anchors(gt_array, noise_cfg, seed=args.seed)
     layout = allocate_noise(scene.gt2d, scene.gt2d_link, noisy, match_len=m)
     cams = match_alloc.mapping.camera_of_col
@@ -265,7 +272,7 @@ def cmd_denoise_demo(args) -> int:
     report = {
         "match_columns": m,
         "noise_columns": layout.n_noise,
-        "groups": args.groups,
+        "groups": noise_cfg.n_groups,
         "negative_groups": [bool(n) for n in negative],
         "kept_gt": layout.kept_gt,
         "skipped_gt": [i for i in range(len(gt_array)) if i not in layout.kept_gt],
@@ -303,94 +310,3 @@ def cmd_run(args) -> int:
     for note in summary["notes"]:
         print(f"note: {note}")
     return 0
-
-# --------------------------------------------------------------------- parser
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mvdet",
-        description="Multi-camera 2D/3D detection core: simulation, "
-                    "allocation, decoding and association metrics.",
-    )
-    parser.add_argument("--version", action="version", version=f"mvdet {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="sample synthetic scenes")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--rig", help="rig JSON (default: built-in 6-camera rig)")
-    p.add_argument("--views", type=int, default=6, help="views for the built-in rig")
-    p.add_argument("--scenes", type=int, default=1)
-    p.add_argument("--boxes", type=int, default=15)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("allocate", help="build the 3D-to-2D mapping for anchors")
-    p.add_argument("--rig", required=True)
-    p.add_argument("--anchors", required=True, help='JSON: {"anchors": [[9 floats],...]}')
-    p.add_argument("--out", help="output JSON (default stdout)")
-    p.add_argument("--max-truncated", type=int,
-                   default=AllocationLimits.max_truncated_per_camera)
-    p.set_defaults(func=cmd_allocate)
-
-    p = sub.add_parser("forward", help="run the hybrid decoder on a scene")
-    p.add_argument("--config", required=True, help="decoder config JSON")
-    p.add_argument("--scene", required=True)
-    p.add_argument("--seed", type=int, help="override the decoder seed")
-    p.add_argument("--out", help="output JSON (default stdout)")
-    p.set_defaults(func=cmd_forward)
-
-    p = sub.add_parser("eval-aar", help="association accuracy / recall curves")
-    p.add_argument("--gt", required=True, help="scene or scene-set JSON")
-    p.add_argument("--pred", required=True, help="detections JSON")
-    p.add_argument("--tau-dis", type=float, default=MatchParams.tau_dis)
-    p.add_argument("--tau-iou-sweep", default=TAU_IOU_SWEEP)
-    p.add_argument("--out", help="output CSV (default stdout)")
-    p.set_defaults(func=cmd_eval_aar)
-
-    p = sub.add_parser("eval-ap", help="11-point interpolated 2D AP")
-    p.add_argument("--gt", required=True)
-    p.add_argument("--pred", required=True)
-    p.add_argument("--iou-thresholds", default="0.5")
-    p.add_argument("--out", help="output CSV (default stdout)")
-    p.set_defaults(func=cmd_eval_ap)
-
-    p = sub.add_parser("crop-views", help="extend a rig with crop-and-scale views")
-    p.add_argument("--rig", required=True)
-    p.add_argument("--source-views", help="comma-separated view ids (default front+rear)")
-    p.add_argument("--placement", default=CropRule.placement)
-    p.add_argument("--scale-rate", type=float, default=CropRule.scale_rate)
-    p.add_argument("--out", help="output rig JSON (default stdout)")
-    p.set_defaults(func=cmd_crop_views)
-
-    p = sub.add_parser("denoise-demo", help="propagating-denoising round trip")
-    p.add_argument("--scene", required=True)
-    p.add_argument("--groups", type=int, default=NoiseConfig.n_groups)
-    p.add_argument("--channels", type=int, default=32)
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="output JSON (default stdout)")
-    p.set_defaults(func=cmd_denoise_demo)
-
-    p = sub.add_parser("run", help="end-to-end pipeline")
-    p.add_argument("--config", required=True, help="run config JSON")
-    p.add_argument("--out", help="output directory (overrides config out_dir)")
-    p.add_argument("--seed", type=int, help="override the config base seed")
-    p.add_argument("--jobs", type=int, default=1, help="parallel scene workers")
-    p.set_defaults(func=cmd_run)
-    return parser
-
-
-def main(argv=None) -> int:
-    _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except Exception as exc:  # diagnostic + non-zero exit for any module error
-        log.debug("traceback", exc_info=True)
-        print(f"mvdet {args.command}: error: {exc}", file=sys.stderr)
-        return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

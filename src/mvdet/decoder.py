@@ -35,7 +35,9 @@ from .aggregation import GateParams, aggregate, gate_truncation, sigmoid
 from .allocation import (
     AllocationLimits, AllocationResult, MappingMatrix, allocate, clamp_anchors, gather_2d,
 )
-from .geometry import CameraView, anchors_to_array, integer, project_rig, project_views
+from .geometry import (
+    CameraView, anchors_to_array, check_seed, integer, project_rig, project_views,
+)
 from .groupattn import (
     AttentionParams,
     CrossAttentionParams,
@@ -90,8 +92,7 @@ class DecoderConfig:
         for name in ("heads", "channels", "n_classes", "feature_channels", "n_scales"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        check_seed(self.seed, "seed")
         if self.channels % self.heads:
             raise ValueError("channels must be divisible by heads")
 

@@ -350,6 +350,19 @@ def integer(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+# the largest seed: scene files and run summaries hold a seed as a 64-bit JSON integer
+MAX_SEED = 2**64 - 1
+
+
+def check_seed(value: int, name: str) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is a seed, an
+    integer within [0, ``MAX_SEED``]."""
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+    if value > MAX_SEED:
+        raise ValueError(f"{name} must be at most 2**64 - 1, got {value}")
+
+
 def view_key(key: str, name: str) -> int:
     """A view id written as a JSON object key of ``name``: digits with an
     optional minus sign (``int`` alone reads "1_0" as 10 and " 1" as 1),

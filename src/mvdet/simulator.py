@@ -27,8 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import (
-    Boxes2D, CameraView, RigProjection, column, finite_rows, integer, load_json, naming_file,
-    project_rig, real, rig_from_json_obj, view_key,
+    MAX_SEED, Boxes2D, CameraView, RigProjection, column, finite_rows, integer, load_json,
+    naming_file, project_rig, real, rig_from_json_obj, view_key,
 )
 from .groupattn import RigFeatures, scene_view_ids
 from .metrics import Detections
@@ -257,10 +257,6 @@ def derive_gt2d(proj: RigProjection, classes: np.ndarray) -> tuple[Boxes2D, np.n
     and the anchor index of each of its boxes."""
     vi, ai = np.nonzero(proj.valid & (proj.rect_area > 0.0))
     return Boxes2D(proj.rect[vi, ai], proj.view_ids[vi], np.asarray(classes)[ai]), ai
-
-
-# the largest scene seed: a scene file holds its seed as a 64-bit JSON integer
-MAX_SEED = 2**64 - 1
 
 
 def check_seed_range(name: str, base: int, scenes: int) -> None:

@@ -18,10 +18,12 @@ from hypothesis import strategies as st
 
 from mvdet.allocation import AllocationLimits
 from mvdet.cli import main
+from mvdet.crop_scale import CropRule
 from mvdet.decoder import DecoderConfig
+from mvdet.denoising import NoiseConfig
 from mvdet.geometry import make_surround_rig, save_rig
 from mvdet.metrics import MatchParams, detections_to_json_obj
-from mvdet.pipeline import parse_sweep
+from mvdet.pipeline import TAU_IOU_SWEEP, parse_sweep
 from mvdet.simulator import perturb
 
 
@@ -195,6 +197,8 @@ BAD_DECODER_VALUES = [
     ({"heads": 4.0}, "heads must be an integer, got 4.0", "heads_float"),
     ({"seed": True}, "seed must be an integer, got True", "seed_bool"),
     ({"seed": -1}, "seed must be non-negative, got -1", "seed_negative"),
+    # summary.json holds the seed as a 64-bit JSON integer
+    ({"seed": 2**64}, "seed must be at most 2**64 - 1, got 18446744073709551616", "seed_past_max"),
     ({"max_truncated_per_camera": 2.5}, "max_truncated_per_camera must be an integer, got 2.5",
      "max_truncated_float"),
     ({"size_clamp": [math.nan, 35, 10]}, "size clamp values must be positive", "size_clamp_nan"),
@@ -243,13 +247,17 @@ def test_forward_rejects_unknown_config_keys(tmp_path, sim_dir, capsys, cfg_obj,
     assert not out.exists()
 
 
-def test_forward_rejects_negative_seed(tmp_path, sim_dir, capsys):
+@pytest.mark.parametrize("seed, message", [
+    ("-1", "--seed must be non-negative, got -1"),
+    (str(2**64), "--seed must be at most 2**64 - 1, got 18446744073709551616"),
+], ids=["negative", "past_2_64"])
+def test_forward_rejects_a_seed_out_of_range(tmp_path, sim_dir, capsys, seed, message):
     cfg = tmp_path / "decoder.json"
     cfg.write_text(json.dumps({"preset": "F", "n_queries": 24, "channels": 16, "heads": 4}))
     out = tmp_path / "fwd.json"
     assert run_cli("forward", "--config", str(cfg), "--scene", str(sim_dir / "scene_0000.json"),
-                   "--seed", "-1", "--out", str(out)) == 1
-    assert capsys.readouterr().err == "mvdet forward: error: --seed must be non-negative, got -1\n"
+                   "--seed", seed, "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"mvdet forward: error: {message}\n"
     assert not out.exists()
 
 
@@ -297,6 +305,40 @@ def test_eval_ap(tmp_path, sim_dir):
     assert lines[0] == "class_id,iou_threshold,ap"
     assert lines[-1].startswith("mean,,")
     assert float(lines[-1].split(",")[-1]) == 1.0  # perfect predictions
+
+
+def default_flag_inputs(tmp_path, sim_dir) -> dict[str, list[str]]:
+    """Per command, the arguments besides ``--out`` of a run on ``sim_dir``."""
+    from mvdet.simulator import load_scene
+
+    scenes = [load_scene(sim_dir / f"scene_{i:04d}.json") for i in range(2)]
+    anchors, pred = tmp_path / "anchors.json", tmp_path / "pred.json"
+    anchors.write_text(json.dumps({"anchors": scenes[0].anchors.tolist()}))
+    pred.write_text(json.dumps(detections_to_json_obj(
+        {scene.frame_id: perturb(scene, seed=i) for i, scene in enumerate(scenes)})))
+    rig, scene = str(sim_dir / "rig.json"), str(sim_dir / "scene_0000.json")
+    return {"allocate": ["--rig", rig, "--anchors", str(anchors)],
+            "eval-aar": ["--gt", str(sim_dir / "scenes.json"), "--pred", str(pred)],
+            "crop-views": ["--rig", rig],
+            "denoise-demo": ["--scene", scene]}
+
+
+@pytest.mark.parametrize("command, flag, default", [
+    ("allocate", "--max-truncated", AllocationLimits.max_truncated_per_camera),
+    ("eval-aar", "--tau-dis", MatchParams.tau_dis),
+    ("eval-aar", "--tau-iou-sweep", TAU_IOU_SWEEP),
+    ("crop-views", "--placement", CropRule.placement),
+    ("crop-views", "--scale-rate", CropRule.scale_rate),
+    ("denoise-demo", "--groups", NoiseConfig.n_groups),
+])
+def test_an_omitted_flag_takes_its_dataclass_default(tmp_path, sim_dir, command, flag, default):
+    # the parser leaves these flags unset; the command fills each one in
+    # from the dataclass that states its default
+    args = default_flag_inputs(tmp_path, sim_dir)[command]
+    omitted, given = tmp_path / "omitted", tmp_path / "given"
+    assert run_cli(command, *args, "--out", str(omitted)) == 0
+    assert run_cli(command, *args, flag, str(default), "--out", str(given)) == 0
+    assert omitted.read_bytes() == given.read_bytes()
 
 
 @pytest.mark.parametrize(
