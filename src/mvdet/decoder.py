@@ -314,11 +314,11 @@ class HybridDecoder:
             self.layers_2d.append(p2)
             self.layers_3d.append(p3)
 
-    def initial_queries(self, rng_seed: Optional[int] = None) -> QuerySet:
+    def initial_queries(self) -> QuerySet:
         """Seeded initial query set: anchors spread over the BEV square of
         half-width BEV_RANGE, uniform features."""
         cfg = self.config
-        rng = np.random.default_rng(cfg.seed if rng_seed is None else rng_seed)
+        rng = np.random.default_rng(cfg.seed)
         bound = 1.0 / math.sqrt(cfg.channels)
         feats = rng.uniform(-bound, bound, size=(cfg.n_queries, cfg.channels))
         anchors = np.zeros((cfg.n_queries, 9))

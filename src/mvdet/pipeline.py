@@ -63,8 +63,10 @@ DECODER_KEYS = {"preset", *DecoderConfig().to_json_obj()}
 def _read(default, value, name: str):
     """``value`` of run config entry ``name`` as its ``default`` is typed: an
     int from an integer or a string that ``int`` reads (a bool or a float
-    raises), a float from a number but a bool, crop rules and sections
-    through their readers, anything else as it is."""
+    raises), a float from a number but a bool, a string only from a string,
+    crop rules and sections through their readers, anything else as it is."""
+    if isinstance(default, str) and not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
     if isinstance(default, int):
         return int(value) if isinstance(value, str) else integer(value, name)
     if isinstance(default, float):
@@ -248,13 +250,12 @@ def _batch_name(first: int, seeds: range) -> str:
     return f"scenes {first}-{first + len(seeds) - 1} (seeds {seeds[0]}-{seeds[-1]})"
 
 
-def _run_batch(payload: tuple) -> list[tuple]:
+def _run_batch(decoder, prefix, noise, n_boxes: int, first: int, seeds: range) -> list[tuple]:
     """Worker: the pipeline of a batch of consecutive scenes on the run's
     one decoder, from the run's one decoder prefix.  Each scene is sampled,
     allocated, rendered into the batch's feature maps and perturbed in
     turn, then one decoder pass decodes them all.  Returns each scene's
     sampled scene, allocation, head outputs and detections."""
-    (first, seeds, decoder, prefix, noise, n_boxes) = payload
     config, rig = decoder.config, decoder.rig
     scales = feature_scales(config)
     features = blank_features(rig, scales, len(seeds))
@@ -276,15 +277,16 @@ def _run_batch(payload: tuple) -> list[tuple]:
     return [(scene, alloc, head_out, det) for (scene, alloc, det), head_out in zip(done, heads)]
 
 
-def _batch_result(payload: tuple, result) -> list[tuple]:
-    """``result()`` of one batch; a failure names its scene and seed, or
-    the batch's scenes and seeds when it is not one scene's."""
+def _batch_result(batch: tuple, result) -> list[tuple]:
+    """``result()`` of one batch, ``(first, seeds)``; a failure names its
+    scene and seed, or the batch's scenes and seeds when it is not one
+    scene's."""
     try:
         return result()
     except _Failed as failed:
         scenes, cause = failed.args
     except Exception as exc:  # the worker pool failed
-        scenes, cause = _batch_name(*payload[:2]), exc
+        scenes, cause = _batch_name(*batch), exc
     raise RuntimeError(f"{scenes} failed: {cause}") from cause
 
 
@@ -333,26 +335,6 @@ def _one_blas_thread():
             _openblas_threads()[0](before)
 
 
-def _batch_results(payloads: list[tuple], jobs: int):
-    """Each batch's results in batch order, each as soon as it is ready.
-
-    With ``jobs > 1`` the batches run in a process pool; when one fails,
-    the batches not yet started are cancelled before the error propagates.
-    """
-    if jobs <= 1:
-        for p in payloads:
-            yield _batch_result(p, functools.partial(_run_batch, p))
-        return
-    pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs,
-                                                  initializer=_cap_blas_threads)
-    try:
-        futures = collections.deque(pool.submit(_run_batch, p) for p in payloads)
-        for p in payloads:
-            yield _batch_result(p, futures.popleft().result)
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def _write_scene(out_dir: str, result: tuple) -> tuple[bytes, list[tuple[str, bytes]]]:
     """Encode one scene's entry of gt_scenes.json and its allocation,
     head-output and prediction files under ``out_dir``; returns the entry's
@@ -379,47 +361,6 @@ def _write_files(writes: collections.deque) -> None:
                 f.write(data)
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, path) from exc
-
-
-@contextlib.contextmanager
-def _file_writer():
-    """Yield ``queue(writes)``, which hands a batch's deque of (path, bytes)
-    writes to one thread of its own (``mvdet-writer``), where they run in
-    order.
-
-    File creation is kernel time that releases the GIL, so the writes of
-    batch k overlap the computing of batch k+1.  ``queue`` first waits for
-    the writes queued before, so at most one batch's files are in flight,
-    and re-raises their first failure.  Leaving the block waits for the
-    last writes and joins the thread, also when the block fails; a write
-    failure then takes the place of the block's error, which it chains.
-    The executor is made on the first ``queue``, after a process pool that
-    ``run`` starts has forked its workers.
-    """
-    pool, pending = None, None
-
-    def drain() -> None:
-        nonlocal pending
-        if pending is not None:
-            done, pending = pending, None
-            done.result()
-
-    def queue(writes: collections.deque) -> None:
-        nonlocal pool, pending
-        drain()
-        if pool is None:
-            pool = concurrent.futures.ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="mvdet-writer")
-        pending = pool.submit(_write_files, writes)
-
-    try:
-        yield queue
-    finally:
-        try:
-            drain()
-        finally:
-            if pool is not None:
-                pool.shutdown()
 
 
 @contextlib.contextmanager
@@ -452,18 +393,22 @@ def run(config: RunConfig, out_dir: str | Path, jobs: int = 1) -> dict:
     outputs and predictions into files of their own, then score every scene
     at once; returns summary.json.
 
-    The main thread computes the batches (``jobs`` 1) or merges them from
-    the worker processes, in order, and encodes each scene's files and
+    The main thread computes the batches in order (``jobs`` 1, through
+    ``map``) or merges them in order from the worker processes
+    (``pool.map``, which submits every batch at once and, when one fails,
+    cancels those not yet started), and encodes each scene's files and
     gt_scenes.json entry as bytes.  A batch's writes then go to the
     ``mvdet-writer`` thread, in scene order, while the next batch is
-    computed; at most one batch's files are in flight (``_file_writer``).
-    The writer is drained before the metrics and, on a failure, before the
-    error propagates and before ``_scene_set`` removes gt_scenes.json, so
-    the files of the scenes written before the failure stay (their ground
-    truth does not; it is sampled again from the scene's seed).  The run's
-    threads are the main thread, the attention helper (``mvdet-attention``,
-    one per process, see ``groupattn``) and the writer, which is made after
-    a ``jobs`` pool has forked its workers and is joined before this
+    computed; the main thread waits for them before it hands over the next
+    batch's, so at most one batch's files are in flight.  The writer is
+    drained before the metrics and, on a failure, before the error
+    propagates (a write failure takes its place and chains it) and before
+    ``_scene_set`` removes gt_scenes.json, so the files of the scenes
+    written before the failure stay (their ground truth does not; it is
+    sampled again from the scene's seed).  The run's threads are the main
+    thread, the attention helper (``mvdet-attention``, one per process, see
+    ``groupattn``) and the writer, which starts on its first write, after
+    ``pool.map`` has started the workers, and is joined before this
     returns; a ``jobs`` pool adds its own manager thread.
     """
     decoder = HybridDecoder(config.decoder, config.cameras)
@@ -476,27 +421,37 @@ def run(config: RunConfig, out_dir: str | Path, jobs: int = 1) -> dict:
     scenes, dets = [], []
     n_scenes, base = config.seeds.scenes, config.seeds.base
     per_batch = max(1, BATCH_ROWS // config.decoder.n_queries)
-    with _one_blas_thread(), _scene_set(out_dir / "gt_scenes.json") as add_scene:
-        prefix = decoder.prefix()  # the same for every scene
-        payloads = [
-            (first, range(base + first, base + min(first + per_batch, n_scenes)),
-             decoder, prefix, config.noise, config.boxes)
-            for first in range(0, n_scenes, per_batch)
-        ]
-        with contextlib.closing(_batch_results(payloads, jobs)) as batches, \
-                _file_writer() as queue_writes:
+    batches = [(first, range(base + first, base + min(first + per_batch, n_scenes)))
+               for first in range(0, n_scenes, per_batch)]
+    writer = concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix="mvdet-writer")
+    with _one_blas_thread(), _scene_set(out_dir / "gt_scenes.json") as add_scene, writer:
+        # the prefix is the same for every scene
+        work = functools.partial(_run_batch, decoder, decoder.prefix(), config.noise,
+                                 config.boxes)
+        pool = (concurrent.futures.ProcessPoolExecutor(jobs, initializer=_cap_blas_threads)
+                if jobs > 1 else None)
+        written = None
+        try:
+            results = (pool.map if pool else map)(work, *zip(*batches))
             for batch in batches:
                 writes = collections.deque()
-                for result in batch:
+                for result in _batch_result(batch, results.__next__):
                     scenes.append(result[0])
                     dets.append(result[3])
                     scene_bytes, scene_writes = _write_scene(str(out_dir), result)
                     add_scene(scene_bytes)
                     writes += scene_writes
-                queue_writes(writes)
+                if written is not None:
+                    written.result()
+                written = writer.submit(_write_files, writes)
                 # let them go before the next batch is computed; the writer
                 # frees each file's bytes once written
-                del batch, result, writes, scene_bytes, scene_writes
+                del result, writes, scene_bytes, scene_writes
+        finally:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
+            if written is not None:
+                written.result()
 
     rows = aar(dets, scenes, MatchParams(tau_dis=config.tau_dis),
                taus=parse_sweep(config.tau_iou_sweep)).curve

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and the logged statistics.
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -148,11 +149,10 @@ def test_criterion_4_allocation_statistics():
     """Mean M for N=900 over the 6-camera rig, 100 seeds, within [900, 1600]."""
     rig = make_surround_rig(6)
     cfg = DecoderConfig(n_queries=900, channels=16, heads=4)
-    decoder = HybridDecoder(cfg, rig)
     limits = cfg.limits
     sizes = []
     for seed in range(100):
-        q = decoder.initial_queries(rng_seed=seed)
+        q = HybridDecoder(dataclasses.replace(cfg, seed=seed), rig).initial_queries()
         res = allocate(clamp_anchors(q.anchors, limits), rig, limits)
         sizes.append(res.mapping.n_2d)
     mean_m = float(np.mean(sizes))

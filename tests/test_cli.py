@@ -1200,6 +1200,7 @@ def test_run_failure_cancels_pending_scenes(tmp_path, monkeypatch):
         cli.cmd_run(cli.build_parser().parse_args(argv))
     started = len(list(marks.iterdir()))
     assert 1 <= started < n_scenes
+    assert not left_running()
 
 
 def blank_features_marking(marks, real):
@@ -1272,8 +1273,12 @@ def test_run_failure_in_a_decoder_pass_names_its_scenes(tmp_path, monkeypatch, j
     assert not (tmp_path / "x" / "gt_scenes.json").exists()  # no partial scene set is left
 
 
-def writer_threads() -> list[threading.Thread]:
-    return [t for t in threading.enumerate() if t.name.startswith("mvdet-writer")]
+def left_running() -> list:
+    """The writer threads and worker processes still alive after a run."""
+    import multiprocessing
+
+    return ([t for t in threading.enumerate() if t.name.startswith("mvdet-writer")]
+            + multiprocessing.active_children())
 
 
 @pytest.mark.parametrize("n_queries", [24, 512], ids=["one_batch", "two_batches"])
@@ -1281,7 +1286,8 @@ def writer_threads() -> list[threading.Thread]:
 def test_run_write_failure_names_its_path(tmp_path, capsys, jobs, n_queries):
     # scene 1's forward file cannot be created: the run fails naming it, keeps
     # scene 0's files, leaves no scene set (so no scene's ground truth), and
-    # its writer thread ends with it;
+    # its writer thread and worker processes end with it, as they do with a
+    # run that succeeds;
     # at 512 queries scenes 0-1 and 2 are two batches, so the failure surfaces
     # when the second batch's writes are queued
     from mvdet import cli
@@ -1294,6 +1300,7 @@ def test_run_write_failure_names_its_path(tmp_path, capsys, jobs, n_queries):
     blocked.mkdir(parents=True)
     argv = ["run", "--config", str(cfg), "--out", str(out), "--jobs", jobs]
     assert run_cli(*argv) == 1
+    assert not left_running()
     assert str(blocked) in capsys.readouterr().err
     for kind in ("alloc", "forward", "pred"):
         assert (out / kind / f"{kind}_0000.json").is_file(), kind
@@ -1301,10 +1308,43 @@ def test_run_write_failure_names_its_path(tmp_path, capsys, jobs, n_queries):
     with pytest.raises(IsADirectoryError) as info:
         cli.cmd_run(cli.build_parser().parse_args(argv))
     assert info.value.filename == str(blocked)
-    assert not writer_threads()
+    assert not left_running()
     blocked.rmdir()
     assert cli.cmd_run(cli.build_parser().parse_args(argv)) == 0
-    assert not writer_threads()
+    assert not left_running()
+
+
+def test_run_keeps_at_most_one_batch_of_writes_in_flight(tmp_path, monkeypatch):
+    # 900 queries: one scene per batch, so scenes 0-2 are batches 0-2; batch
+    # 0's writes are held until scene 2 starts sampling (or a second passes),
+    # and scene 2 may start only once they are written
+    from mvdet import pipeline
+
+    written_0, sampling_2, seen = threading.Event(), threading.Event(), []
+    real_write, real_sample = pipeline._write_files, pipeline.sample_scene
+
+    def write_files(writes):
+        held = writes[0][0].endswith("_0000.json")
+        if held:
+            sampling_2.wait(timeout=1.0)
+        real_write(writes)
+        if held:
+            written_0.set()
+
+    def sample_scene(seed, rig, **kwargs):
+        if seed == 7:  # scene 2
+            seen.append(written_0.is_set())
+            sampling_2.set()
+        return real_sample(seed, rig, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_write_files", write_files)
+    monkeypatch.setattr(pipeline, "sample_scene", sample_scene)
+    decoder = {"n_queries": 900, "channels": 16, "heads": 4, "feature_channels": 8, "seed": 1}
+    cfg = run_config(tmp_path, seeds={"base": 5, "scenes": 3}, decoder=decoder)
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "x"),
+                   "--jobs", "1") == 0
+    assert seen == [True]
+    assert (tmp_path / "x" / "forward" / "forward_0002.json").is_file()
 
 
 def test_run_rejects_negative_seed(tmp_path, capsys):
@@ -1364,6 +1404,9 @@ def test_run_rejects_jobs_below_one(tmp_path, capsys, jobs):
         pytest.param({"tau_iou_sweep": "0.5:0.5000000000003:0.0000000000001"},
                      "bad sweep spec '0.5:0.5000000000003:0.0000000000001'; "
                      "step 1e-13 repeats thresholds at 10 digits", id="tau_iou_sweep_repeats"),
+        pytest.param({"tau_iou_sweep": 5}, "tau_iou_sweep must be a string, got 5",
+                     id="tau_iou_sweep_int"),
+        pytest.param({"out_dir": 5}, "out_dir must be a string, got 5", id="out_dir_int"),
         pytest.param({"views": 0}, "empty rig", id="views_0"),
         pytest.param({"crop_rules": [{"source_view_id": 99}]}, "rule references unknown view 99",
                      id="crop_source"),
